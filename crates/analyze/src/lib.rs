@@ -27,7 +27,7 @@
 //!    vtables computes, per `CallVirtual` site, the set of reachable
 //!    override targets. Monomorphic sites get sharpened call summaries
 //!    (replacing the old blanket `Top`) and a devirtualization table the
-//!    JIT compiles into direct calls; because class loads only ever *add*
+//!    VM's call op reads per call; because class loads only ever *add*
 //!    overrides, the kernel republishes (and thereby revokes) these facts
 //!    after every load batch.
 //! 4. **Escape facts.** A per-method escape pass classifies every

@@ -25,7 +25,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use kaffeos_bench::{cell, quick_mode, rule};
+use kaffeos_bench::{cell, json_f, quick_mode, rule};
 use kaffeos_heap::{
     BarrierKind, ClassId, HeapId, HeapSpace, ObjRef, SpaceConfig, ProcTag, Value,
 };
@@ -451,14 +451,6 @@ fn baseline_checksum(body: &str, phase: &str) -> Option<u64> {
         .find(|c: char| !c.is_ascii_digit())
         .unwrap_or(num.len());
     num[..end].parse().ok()
-}
-
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn main() {

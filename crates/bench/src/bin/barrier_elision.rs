@@ -23,7 +23,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use kaffeos_bench::{cell, quick_mode, rule};
+use kaffeos_bench::{cell, json_f, quick_mode, rule};
 use kaffeos_workloads::runner::{platforms, Platform, PlatformKind};
 use kaffeos_workloads::spec;
 
@@ -60,14 +60,6 @@ fn arg_after(flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
-    }
 }
 
 /// One full run of `bench` with elision on or off; returns the virtual

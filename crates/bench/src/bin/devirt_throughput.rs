@@ -23,7 +23,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use kaffeos_bench::{cell, quick_mode, rule};
+use kaffeos_bench::{cell, json_f, quick_mode, rule};
 use kaffeos_workloads::runner::{platforms, Platform, PlatformKind};
 
 /// A hot loop over a monomorphic virtual call and a frame-local sync
@@ -65,14 +65,6 @@ fn arg_after(flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1).cloned())
-}
-
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
-    }
 }
 
 /// One full run with the analysis on or off; returns the virtual triple,

@@ -11,7 +11,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use kaffeos::{ExitStatus, KaffeOs, KaffeOsConfig};
-use kaffeos_bench::{quick_mode, rule};
+use kaffeos_bench::{json_f, quick_mode, rule};
 use kaffeos_workloads::{platforms, spec};
 
 struct RunOut {
@@ -45,14 +45,6 @@ fn run(bench: &spec::SpecBenchmark, n: i64, heapprof: bool) -> RunOut {
         checksum,
         folded_lines: os.heapprof_folded_bytes().lines().count(),
         timeline_events: os.space().heapprof().timeline_len(),
-    }
-}
-
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
     }
 }
 

@@ -26,7 +26,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use kaffeos_bench::{cell, quick_mode, rule};
+use kaffeos_bench::{cell, json_f, quick_mode, rule};
 use kaffeos_workloads::runner::{platforms, Platform, PlatformKind};
 use kaffeos_workloads::spec;
 
@@ -73,14 +73,6 @@ fn baseline_ops_per_sec(body: &str) -> Option<f64> {
         .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
         .unwrap_or(num.len());
     num[..end].parse().ok()
-}
-
-fn json_f(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_string()
-    }
 }
 
 fn main() {

@@ -16,6 +16,16 @@ pub fn cell(v: f64, width: usize, precision: usize) -> String {
     format!("{v:>width$.precision$}")
 }
 
+/// Formats a float for the hand-written `BENCH_*.json` reports: three
+/// decimals, `null` for a non-finite value (JSON has no NaN/inf).
+pub fn json_f(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:.3}")
+    } else {
+        "null".to_string()
+    }
+}
+
 /// True if `--quick` was passed.
 pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")

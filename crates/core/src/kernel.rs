@@ -503,11 +503,11 @@ impl KaffeOs {
 
     /// Invalidates compiled bodies whose baked-in analysis facts no longer
     /// match the published ones (class reload / analyzer republish) — a
-    /// changed elision bitmap, a devirtualized site whose hierarchy gained
-    /// an override, or a changed class definition. The method re-tiers
-    /// from a cold counter and compiles under its new cache key; other
-    /// processes whose facts still match keep sharing the old body under
-    /// the old key.
+    /// changed elision bitmap or a changed class definition. (A changed
+    /// devirtualization verdict needs nothing here: no body holds a call
+    /// target.) The method re-tiers from a cold counter and compiles under
+    /// its new cache key; other processes whose facts still match keep
+    /// sharing the old body under the old key.
     fn invalidate_stale_bodies(&mut self) {
         for proc in &mut self.procs {
             if matches!(proc.state, ProcState::Dead(_)) {

@@ -305,8 +305,8 @@ pub struct Process {
     /// The resource policy the process was spawned with (respawns reuse
     /// it verbatim).
     pub spawn_opts: SpawnOpts,
-    /// Per-process JIT state: hot counters, attached compiled bodies (with
-    /// their per-process link tables), and tier statistics.
+    /// Per-process JIT state: hot counters, attached compiled bodies, and
+    /// tier statistics.
     pub jit: kaffeos_vm::ProcJit,
     /// Virtual calls dispatched through statically devirtualized sites
     /// (interpreter and JIT tiers combined). Monotone procfs counter,

@@ -360,8 +360,11 @@ pub const REF_ARRAY_CLASS: kaffeos_heap::ClassId = kaffeos_heap::ClassId(u32::MA
 
 const COSTS: OpCosts = BASE_COSTS;
 
-/// Outcome of a frame-changing helper (call, return).
+/// Outcome of a runtime op or frame-changing helper.
 pub(crate) enum StepFlow {
+    /// The op retired in the current frame; run the next one.
+    Next,
+    /// The frame set changed (call, return); reload the top frame.
     Continue,
     Exit(RunExit),
     Raise(VmException),
@@ -479,7 +482,9 @@ fn run_dispatch<const INJECT: bool>(
         // or helper that observes `frame.pc` (raise, profiler, resume).
         macro_rules! sync_pc {
             () => {
-                thread.frames.last_mut().expect("frame").pc = pc as u32
+                if let Some(f) = thread.frames.last_mut() {
+                    f.pc = pc as u32;
+                }
             };
         }
         // Exception dispatch: unwind to a handler (and reload the frame
@@ -493,11 +498,13 @@ fn run_dispatch<const INJECT: bool>(
                 }
             }};
         }
-        // Frame-changing helper result: reload state or exit.
+        // Runtime-op / frame-changing helper result: next op, reload state
+        // or exit.
         macro_rules! flow {
             ($f:expr) => {{
                 sync_pc!();
                 match $f {
+                    StepFlow::Next => continue,
                     StepFlow::Continue => continue 'frame,
                     StepFlow::Exit(exit) => return exit,
                     StepFlow::Raise(ex) => match raise(thread, ctx, ex) {
@@ -555,16 +562,6 @@ fn run_dispatch<const INJECT: bool>(
                 Op::ConstFloat(v) => {
                     thread.cycles += engine.scaled(COSTS.local);
                     thread.values.push(Value::Float(v));
-                }
-                Op::ConstStr(idx) => {
-                    thread.cycles += engine.scaled(COSTS.string);
-                    let RConst::Str(s) = &class.rpool[idx as usize] else {
-                        fault!("ConstStr on non-Str pool entry {idx}");
-                    };
-                    match intern_string(thread, ctx, s) {
-                        Ok(obj) => thread.values.push(Value::Ref(obj)),
-                        Err(ex) => throw!(ex),
-                    }
                 }
                 Op::Load(slot) => {
                     thread.cycles += engine.scaled(COSTS.local);
@@ -753,42 +750,7 @@ fn run_dispatch<const INJECT: bool>(
                         }
                     }
                 }
-                Op::Return => {
-                    thread.cycles += engine.scaled(COSTS.ret);
-                    flow!(do_return(thread, None));
-                }
-                Op::ReturnVal => {
-                    thread.cycles += engine.scaled(COSTS.ret);
-                    let v = pop!(thread, stack_base);
-                    flow!(do_return(thread, Some(v)));
-                }
-
                 // ----- objects -----------------------------------------------------------
-                Op::New(idx) => {
-                    thread.cycles += engine.scaled(COSTS.alloc);
-                    let RConst::Class(cidx) = class.rpool[idx as usize] else {
-                        fault!("New on non-Class pool entry {idx}");
-                    };
-                    let nfields = table.class(cidx).instance_fields.len();
-                    thread.cycles += engine.scaled(COSTS.simple) * nfields as u64;
-                    let alloc = with_gc_retry(thread, ctx, &[], |ctx| {
-                        // Arm inside the closure so a GC retry re-arms; the
-                        // sink consumes the site only on a successful alloc.
-                        ctx.space.heapprof().arm_alloc(method_idx.0, pc as u32 - 1, || {
-                            table.qualified_name(method_idx)
-                        });
-                        ctx.space.alloc_fields(ctx.heap, cidx.heap_class(), nfields)
-                    });
-                    match alloc {
-                        Ok(obj) => {
-                            if let Err(e) = init_default_fields(ctx, cidx, obj, false) {
-                                throw!(heap_exception(e));
-                            }
-                            thread.values.push(Value::Ref(obj));
-                        }
-                        Err(e) => throw!(heap_exception(e)),
-                    }
-                }
                 Op::GetField(idx) => {
                     thread.cycles += engine.scaled(COSTS.field);
                     let RConst::InstanceField { slot, .. } = class.rpool[idx as usize] else {
@@ -863,71 +825,6 @@ fn run_dispatch<const INJECT: bool>(
                         throw!(heap_exception(e));
                     }
                 }
-                Op::GetStatic(idx) => {
-                    thread.cycles += engine.scaled(COSTS.field);
-                    let RConst::StaticField {
-                        class: cidx, slot, ..
-                    } = class.rpool[idx as usize]
-                    else {
-                        fault!("GetStatic on bad pool entry {idx}");
-                    };
-                    let statics = match statics_object(thread, ctx, cidx) {
-                        Ok(obj) => obj,
-                        Err(ex) => throw!(ex),
-                    };
-                    match ctx.space.load(statics, slot as usize) {
-                        Ok(v) => thread.values.push(v),
-                        Err(e) => throw!(heap_exception(e)),
-                    }
-                }
-                Op::PutStatic(idx) => {
-                    thread.cycles += engine.scaled(COSTS.field);
-                    let RConst::StaticField {
-                        class: cidx,
-                        slot,
-                        ref ty,
-                    } = class.rpool[idx as usize]
-                    else {
-                        fault!("PutStatic on bad pool entry {idx}");
-                    };
-                    let is_ref = ty.is_reference();
-                    let v = pop!(thread, stack_base);
-                    let statics = match statics_object(thread, ctx, cidx) {
-                        Ok(obj) => obj,
-                        Err(ex) => throw!(ex),
-                    };
-                    let result = if is_ref {
-                        if method.elide_at(pc as u32 - 1) {
-                            ctx.space
-                                .store_ref_elided(statics, slot as usize, v)
-                                .map(|barrier_cycles| thread.cycles += barrier_cycles)
-                        } else {
-                            let mut pinned = [statics; 2];
-                            let mut n = 1;
-                            if let Some(r) = v.as_ref() {
-                                pinned[1] = r;
-                                n = 2;
-                            }
-                            with_gc_retry(thread, ctx, &pinned[..n], |ctx| {
-                                ctx.space.heapprof().arm_store(method_idx.0, pc as u32 - 1);
-                                ctx.space.store_ref(statics, slot as usize, v, ctx.trusted)
-                            })
-                            .map(|barrier_cycles| thread.cycles += barrier_cycles)
-                        }
-                    } else {
-                        ctx.space.store_prim(statics, slot as usize, v)
-                    };
-                    if let Err(e) = result {
-                        if let HeapError::SegViolation(kind) = e {
-                            thread.seg_sites.push(SegSite {
-                                method: method_idx,
-                                pc: pc as u32 - 1,
-                                kind,
-                            });
-                        }
-                        throw!(heap_exception(e));
-                    }
-                }
                 Op::NullCheck => {
                     thread.cycles += engine.scaled(COSTS.simple);
                     let v = pop!(thread, stack_base);
@@ -935,70 +832,8 @@ fn run_dispatch<const INJECT: bool>(
                         throw!(npe("explicit null check"));
                     }
                 }
-                Op::InstanceOf(idx) => {
-                    thread.cycles += engine.scaled(COSTS.field);
-                    let RConst::Class(target) = class.rpool[idx as usize] else {
-                        fault!("InstanceOf on bad pool entry {idx}");
-                    };
-                    let v = pop!(thread, stack_base);
-                    let r = value_instance_of(ctx, v, target);
-                    thread.values.push(Value::Int(r as i64));
-                }
-                Op::CheckCast(idx) => {
-                    thread.cycles += engine.scaled(COSTS.field);
-                    let RConst::Class(target) = class.rpool[idx as usize] else {
-                        fault!("CheckCast on bad pool entry {idx}");
-                    };
-                    debug_assert!(
-                        thread.values.len() > stack_base,
-                        "CheckCast on empty operand stack"
-                    );
-                    let v = *thread.values.last().unwrap_or(&Value::Null);
-                    if !matches!(v, Value::Null) && !value_instance_of(ctx, v, target) {
-                        throw!(VmException::Builtin(
-                            BuiltinEx::ClassCast,
-                            format!("cannot cast to {}", table.class(target).name),
-                        ));
-                    }
-                }
 
                 // ----- arrays -------------------------------------------------------------
-                Op::NewArray(idx) => {
-                    thread.cycles += engine.scaled(COSTS.alloc);
-                    let len = pop!(thread, stack_base).as_int();
-                    if len < 0 {
-                        throw!(VmException::Builtin(
-                            BuiltinEx::IndexOutOfBounds,
-                            format!("negative array length {len}"),
-                        ));
-                    }
-                    let (tag, elem_bytes, fill) = match class.rpool[idx as usize] {
-                        RConst::Class(cidx) => (cidx.heap_class(), 4, Value::Null),
-                        RConst::Str(ref s) if &**s == "int" => (INT_ARRAY_CLASS, 4, Value::Int(0)),
-                        RConst::Str(ref s) if &**s == "float" => {
-                            (FLOAT_ARRAY_CLASS, 8, Value::Float(0.0))
-                        }
-                        // "str" and "["-prefixed nested-array descriptors:
-                        // element values are references, 4 bytes each under
-                        // the 32-bit model.
-                        RConst::Str(ref s) if &**s == "str" || s.starts_with('[') => {
-                            (REF_ARRAY_CLASS, 4, Value::Null)
-                        }
-                        _ => fault!("NewArray on bad pool entry {idx}"),
-                    };
-                    thread.cycles += engine.scaled(COSTS.simple) * (len as u64 / 8).max(1);
-                    let alloc = with_gc_retry(thread, ctx, &[], |ctx| {
-                        ctx.space.heapprof().arm_alloc(method_idx.0, pc as u32 - 1, || {
-                            table.qualified_name(method_idx)
-                        });
-                        ctx.space
-                            .alloc_array(ctx.heap, tag, elem_bytes, len as usize, fill)
-                    });
-                    match alloc {
-                        Ok(obj) => thread.values.push(Value::Ref(obj)),
-                        Err(e) => throw!(heap_exception(e)),
-                    }
-                }
                 Op::ALoad => {
                     thread.cycles += engine.scaled(COSTS.field);
                     let index = pop!(thread, stack_base).as_int();
@@ -1088,307 +923,558 @@ fn run_dispatch<const INJECT: bool>(
                     }
                 }
 
-                // ----- calls -----------------------------------------------------------------
-                Op::CallStatic(idx) => {
-                    let RConst::DirectMethod(midx) = class.rpool[idx as usize] else {
-                        fault!("CallStatic on bad pool entry {idx}");
-                    };
-                    flow!(push_frame(thread, ctx, midx));
-                }
-                Op::CallVirtual(idx) => {
-                    let RConst::VirtualMethod { vslot, nargs, .. } = class.rpool[idx as usize]
-                    else {
-                        fault!("CallVirtual on bad pool entry {idx}");
-                    };
-                    // Receiver sits below the arguments.
-                    if thread.values.len() - stack_base < nargs as usize {
-                        fault!("virtual call with short stack");
-                    }
-                    let recv_pos = thread.values.len() - nargs as usize;
-                    let Value::Ref(recv) = thread.values[recv_pos] else {
-                        throw!(npe("virtual call on null"));
-                    };
-                    let recv_class = match ctx.space.class_of(recv) {
-                        Ok(id) => table.from_heap_class(id),
-                        Err(e) => throw!(heap_exception(e)),
-                    };
-                    let midx = table.class(recv_class).vtable[vslot as usize];
-                    if let Some(target) = method.devirt_at(pc as u32 - 1) {
-                        // Statically devirtualized site: the dynamic
-                        // dispatch must agree with CHA's single target.
-                        debug_assert_eq!(
-                            target, midx,
-                            "devirtualized site dispatched to a different override \
-                             ({:?} at pc {})",
-                            method_idx,
-                            pc as u32 - 1,
-                        );
-                        thread.devirt_calls += 1;
-                    }
-                    flow!(push_frame(thread, ctx, midx));
-                }
-                Op::CallSpecial(idx) => {
-                    let RConst::VirtualMethod {
-                        class: cidx, vslot, ..
-                    } = class.rpool[idx as usize]
-                    else {
-                        fault!("CallSpecial on bad pool entry {idx}");
-                    };
-                    let midx = table.class(cidx).vtable[vslot as usize];
-                    flow!(push_frame(thread, ctx, midx));
-                }
-                Op::Syscall(idx) => {
-                    thread.cycles += engine.scaled(COSTS.call);
-                    let RConst::Intrinsic { id, nargs, .. } = class.rpool[idx as usize] else {
-                        fault!("Syscall on bad pool entry {idx}");
-                    };
-                    sync_pc!();
-                    let split = thread
-                        .values
-                        .len()
-                        .saturating_sub(nargs as usize)
-                        .max(stack_base);
-                    let args = thread.values.split_off(split);
-                    return RunExit::Syscall { id, args };
-                }
-
-                // ----- exceptions ---------------------------------------------------------------
-                Op::Throw => {
-                    let Value::Ref(ex) = pop!(thread, stack_base) else {
-                        throw!(npe("throw of null"));
-                    };
-                    throw!(VmException::Guest(ex));
-                }
-
-                // ----- strings --------------------------------------------------------------------
-                Op::StrConcat => {
-                    let b = pop!(thread, stack_base);
-                    let a = pop!(thread, stack_base);
-                    let sa = render(ctx, a);
-                    let sb = render(ctx, b);
-                    thread.cycles += engine
-                        .scaled(COSTS.string + COSTS.string_per_char * (sa.len() + sb.len()) as u64);
-                    let joined = format!("{sa}{sb}");
-                    let string_tag = ctx.string_class.heap_class();
-                    match with_gc_retry(thread, ctx, &[], |ctx| {
-                        ctx.space.heapprof().arm_alloc(method_idx.0, pc as u32 - 1, || {
-                            table.qualified_name(method_idx)
-                        });
-                        ctx.space.alloc_str(ctx.heap, string_tag, joined.as_str())
-                    }) {
-                        Ok(obj) => thread.values.push(Value::Ref(obj)),
-                        Err(e) => throw!(heap_exception(e)),
-                    }
-                }
-                Op::StrLen => {
-                    thread.cycles += engine.scaled(COSTS.simple);
-                    let Value::Ref(s) = pop!(thread, stack_base) else {
-                        throw!(npe("length of null string"));
-                    };
-                    match ctx.space.str_value(s) {
-                        Ok(v) => {
-                            let n = v.chars().count() as i64;
-                            thread.values.push(Value::Int(n));
-                        }
-                        Err(e) => throw!(heap_exception(e)),
-                    }
-                }
-                Op::StrCharAt => {
-                    thread.cycles += engine.scaled(COSTS.field);
-                    let index = pop!(thread, stack_base).as_int();
-                    let Value::Ref(s) = pop!(thread, stack_base) else {
-                        throw!(npe("charAt on null string"));
-                    };
-                    let ch = match ctx.space.str_value(s) {
-                        Ok(v) => v.chars().nth(index.max(0) as usize),
-                        Err(e) => throw!(heap_exception(e)),
-                    };
-                    match ch {
-                        Some(c) => thread.values.push(Value::Int(c as i64)),
-                        None => throw!(VmException::Builtin(
-                            BuiltinEx::IndexOutOfBounds,
-                            format!("string index {index}"),
-                        )),
-                    }
-                }
-                Op::StrEq => {
-                    let b = pop!(thread, stack_base);
-                    let a = pop!(thread, stack_base);
-                    let r = match (a, b) {
-                        (Value::Ref(x), Value::Ref(y)) => {
-                            let sx = ctx.space.str_value(x).ok();
-                            let sy = ctx.space.str_value(y).ok();
-                            thread.cycles += engine.scaled(
-                                COSTS.string
-                                    + COSTS.string_per_char
-                                        * sx.map(|s| s.len()).unwrap_or(0) as u64,
-                            );
-                            match (sx, sy) {
-                                (Some(sx), Some(sy)) => sx == sy,
-                                _ => false,
-                            }
-                        }
-                        (Value::Null, Value::Null) => true,
-                        _ => false,
-                    };
-                    thread.values.push(Value::Int(r as i64));
-                }
-                Op::Intern => {
-                    thread.cycles += engine.scaled(COSTS.string);
-                    let Value::Ref(s) = pop!(thread, stack_base) else {
-                        throw!(npe("intern of null"));
-                    };
-                    let text = match ctx.space.str_value(s) {
-                        Ok(v) => v.to_string(),
-                        Err(e) => throw!(heap_exception(e)),
-                    };
-                    match intern_string(thread, ctx, &text) {
-                        Ok(obj) => thread.values.push(Value::Ref(obj)),
-                        Err(ex) => throw!(ex),
-                    }
-                }
-                Op::ToStr => {
-                    let v = pop!(thread, stack_base);
-                    let s = render(ctx, v);
-                    thread.cycles +=
-                        engine.scaled(COSTS.string + COSTS.string_per_char * s.len() as u64);
-                    let string_tag = ctx.string_class.heap_class();
-                    match with_gc_retry(thread, ctx, &[], |ctx| {
-                        ctx.space.heapprof().arm_alloc(method_idx.0, pc as u32 - 1, || {
-                            table.qualified_name(method_idx)
-                        });
-                        ctx.space.alloc_str(ctx.heap, string_tag, s.as_str())
-                    }) {
-                        Ok(obj) => thread.values.push(Value::Ref(obj)),
-                        Err(e) => throw!(heap_exception(e)),
-                    }
-                }
-                Op::Substr => {
-                    thread.cycles += engine.scaled(COSTS.string);
-                    let end = pop!(thread, stack_base).as_int();
-                    let start = pop!(thread, stack_base).as_int();
-                    let Value::Ref(s) = pop!(thread, stack_base) else {
-                        throw!(npe("substring of null"));
-                    };
-                    let text = match ctx.space.str_value(s) {
-                        Ok(v) => v.to_string(),
-                        Err(e) => throw!(heap_exception(e)),
-                    };
-                    let chars: Vec<char> = text.chars().collect();
-                    let n = chars.len() as i64;
-                    if start < 0 || end < start || end > n {
-                        throw!(VmException::Builtin(
-                            BuiltinEx::IndexOutOfBounds,
-                            format!("substring [{start}, {end}) of length {n}"),
-                        ));
-                    }
-                    let sub: String = chars[start as usize..end as usize].iter().collect();
-                    thread.cycles += engine.scaled(COSTS.string_per_char * sub.len() as u64);
-                    let string_tag = ctx.string_class.heap_class();
-                    match with_gc_retry(thread, ctx, &[], |ctx| {
-                        ctx.space.heapprof().arm_alloc(method_idx.0, pc as u32 - 1, || {
-                            table.qualified_name(method_idx)
-                        });
-                        ctx.space.alloc_str(ctx.heap, string_tag, sub.as_str())
-                    }) {
-                        Ok(obj) => thread.values.push(Value::Ref(obj)),
-                        Err(e) => throw!(heap_exception(e)),
-                    }
-                }
-                Op::ParseInt => {
-                    thread.cycles += engine.scaled(COSTS.string);
-                    let Value::Ref(s) = pop!(thread, stack_base) else {
-                        throw!(npe("parseInt of null"));
-                    };
-                    let text = match ctx.space.str_value(s) {
-                        Ok(v) => v.trim().to_string(),
-                        Err(e) => throw!(heap_exception(e)),
-                    };
-                    match text.parse::<i64>() {
-                        Ok(v) => thread.values.push(Value::Int(v)),
-                        Err(_) => throw!(VmException::Builtin(
-                            BuiltinEx::Arithmetic,
-                            format!("not a number: {text:?}"),
-                        )),
-                    }
-                }
-
-                // ----- monitors ------------------------------------------------------
-                Op::MonitorEnter => {
-                    thread.cycles += engine.scaled(COSTS.monitor) + engine.lock_extra;
-                    let Value::Ref(obj) = pop!(thread, stack_base) else {
-                        throw!(npe("monitorenter on null"));
-                    };
-                    if !INJECT && method.mon_elide_at(pc as u32 - 1) {
-                        // Receiver proven frame-local: no other thread can
-                        // ever observe the object, so acquisition cannot
-                        // contend and the bookkeeping is skipped. The
-                        // virtual cost above is charged identically.
-                        // Disabled under fault injection: a forced GC can
-                        // land inside any critical section, and the elided
-                        // monitor's absence from the registry would move
-                        // the collector's virtual trace work.
-                        debug_assert!(
-                            !ctx.monitors.contains_key(&obj),
-                            "statically elided monitorenter on a contended object {obj:?}"
-                        );
-                        thread.monitors_elided += 1;
-                        continue;
-                    }
-                    match ctx.monitors.get_mut(&obj) {
-                        None => {
-                            ctx.monitors.insert(obj, (thread.id, 1));
-                            thread.held_monitors.push(obj);
-                        }
-                        Some((owner, depth)) if *owner == thread.id => *depth += 1,
-                        Some(_) => {
-                            // Rewind pc so the acquire retries when
-                            // rescheduled.
-                            pc -= 1;
-                            thread.values.push(Value::Ref(obj));
-                            sync_pc!();
-                            return RunExit::Blocked(obj);
-                        }
-                    }
-                }
-                Op::MonitorExit => {
-                    thread.cycles += engine.scaled(COSTS.monitor) + engine.lock_extra;
-                    let Value::Ref(obj) = pop!(thread, stack_base) else {
-                        throw!(npe("monitorexit on null"));
-                    };
-                    if !INJECT && method.mon_elide_at(pc as u32 - 1) {
-                        // Matching elided enter never registered the
-                        // monitor; the exit is symmetric by construction
-                        // (the escape pass elides per-object, all-or-none,
-                        // and the INJECT gate is a dispatch-wide constant).
-                        debug_assert!(
-                            !ctx.monitors.contains_key(&obj),
-                            "statically elided monitorexit on a registered monitor {obj:?}"
-                        );
-                        thread.monitors_elided += 1;
-                        continue;
-                    }
-                    match ctx.monitors.get_mut(&obj) {
-                        Some((owner, depth)) if *owner == thread.id => {
-                            *depth -= 1;
-                            if *depth == 0 {
-                                ctx.monitors.remove(&obj);
-                                if let Some(pos) =
-                                    thread.held_monitors.iter().rposition(|&m| m == obj)
-                                {
-                                    thread.held_monitors.remove(pos);
-                                }
-                            }
-                        }
-                        _ => throw!(VmException::Builtin(
-                            BuiltinEx::IllegalState,
-                            "monitorexit without ownership".to_string(),
-                        )),
-                    }
-                }
+                // ----- everything that needs the runtime ----------------------------
+                Op::ConstStr(_)
+                | Op::Return
+                | Op::ReturnVal
+                | Op::New(_)
+                | Op::GetStatic(_)
+                | Op::PutStatic(_)
+                | Op::InstanceOf(_)
+                | Op::CheckCast(_)
+                | Op::NewArray(_)
+                | Op::CallStatic(_)
+                | Op::CallVirtual(_)
+                | Op::CallSpecial(_)
+                | Op::Syscall(_)
+                | Op::Throw
+                | Op::StrConcat
+                | Op::StrLen
+                | Op::StrCharAt
+                | Op::StrEq
+                | Op::Intern
+                | Op::ToStr
+                | Op::Substr
+                | Op::ParseInt
+                | Op::MonitorEnter
+                | Op::MonitorExit => flow!(rt_op(thread, ctx, op)),
             }
         }
     }
+}
+
+/// The runtime ops — everything that allocates, calls, returns, throws,
+/// touches statics, strings or monitors, or leaves for the kernel. This is
+/// the only implementation: the dispatch loop routes these ops here and so
+/// does the JIT executor, which compiles each of them to a bare
+/// `TOp::Rt`. The caller has advanced the top frame's `pc`
+/// past `op` and written it back, so a raise, syscall resume or profiler
+/// sample sees the same frame either tier would show; fault injection's
+/// per-op hooks live in the caller (`ctx.gc_every_safepoint` is what
+/// selects the injected dispatch variant, so it stands in for `INJECT`).
+///
+/// Inlined into both dispatch loops: as an out-of-line call it costs ~6%
+/// of `spec-alloc` guest throughput, whose programs live in these arms.
+#[inline(always)]
+pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepFlow {
+    let engine = ctx.engine;
+    let table = ctx.table;
+    let Some(&top) = thread.frames.last() else {
+        return StepFlow::Exit(RunExit::Finished(None));
+    };
+    let method_idx = top.method;
+    let method = table.method(method_idx);
+    let class = table.class(top.class);
+    let stack_base = top.stack_base as usize;
+    // Site of `op`, for allocation/store attribution and the analyzer's
+    // per-pc verdicts.
+    let at = top.pc.saturating_sub(1);
+
+    macro_rules! throw {
+        ($ex:expr) => {
+            return StepFlow::Raise($ex)
+        };
+    }
+    macro_rules! fault {
+        ($($msg:tt)*) => {
+            return StepFlow::Exit(RunExit::Fault(crate::VmError::BadBytecode(format!($($msg)*))))
+        };
+    }
+
+    match op {
+        // ----- constants ------------------------------------------------------
+        Op::ConstStr(idx) => {
+            thread.cycles += engine.scaled(COSTS.string);
+            let RConst::Str(s) = &class.rpool[idx as usize] else {
+                fault!("ConstStr on non-Str pool entry {idx}");
+            };
+            match intern_string(thread, ctx, s) {
+                Ok(obj) => thread.values.push(Value::Ref(obj)),
+                Err(ex) => throw!(ex),
+            }
+        }
+
+        // ----- returns --------------------------------------------------------
+        Op::Return => {
+            thread.cycles += engine.scaled(COSTS.ret);
+            return do_return(thread, None);
+        }
+        Op::ReturnVal => {
+            thread.cycles += engine.scaled(COSTS.ret);
+            let v = pop!(thread, stack_base);
+            return do_return(thread, Some(v));
+        }
+
+        // ----- objects -----------------------------------------------------------
+        Op::New(idx) => {
+            thread.cycles += engine.scaled(COSTS.alloc);
+            let RConst::Class(cidx) = class.rpool[idx as usize] else {
+                fault!("New on non-Class pool entry {idx}");
+            };
+            let nfields = table.class(cidx).instance_fields.len();
+            thread.cycles += engine.scaled(COSTS.simple) * nfields as u64;
+            let alloc = with_gc_retry(thread, ctx, &[], |ctx| {
+                // Arm inside the closure so a GC retry re-arms; the
+                // sink consumes the site only on a successful alloc.
+                ctx.space.heapprof().arm_alloc(method_idx.0, at, || {
+                    table.qualified_name(method_idx)
+                });
+                ctx.space.alloc_fields(ctx.heap, cidx.heap_class(), nfields)
+            });
+            match alloc {
+                Ok(obj) => {
+                    if let Err(e) = init_default_fields(ctx, cidx, obj, false) {
+                        throw!(heap_exception(e));
+                    }
+                    thread.values.push(Value::Ref(obj));
+                }
+                Err(e) => throw!(heap_exception(e)),
+            }
+        }
+        Op::GetStatic(idx) => {
+            thread.cycles += engine.scaled(COSTS.field);
+            let RConst::StaticField {
+                class: cidx, slot, ..
+            } = class.rpool[idx as usize]
+            else {
+                fault!("GetStatic on bad pool entry {idx}");
+            };
+            let statics = match statics_object(thread, ctx, cidx) {
+                Ok(obj) => obj,
+                Err(ex) => throw!(ex),
+            };
+            match ctx.space.load(statics, slot as usize) {
+                Ok(v) => thread.values.push(v),
+                Err(e) => throw!(heap_exception(e)),
+            }
+        }
+        Op::PutStatic(idx) => {
+            thread.cycles += engine.scaled(COSTS.field);
+            let RConst::StaticField {
+                class: cidx,
+                slot,
+                ref ty,
+            } = class.rpool[idx as usize]
+            else {
+                fault!("PutStatic on bad pool entry {idx}");
+            };
+            let is_ref = ty.is_reference();
+            let v = pop!(thread, stack_base);
+            let statics = match statics_object(thread, ctx, cidx) {
+                Ok(obj) => obj,
+                Err(ex) => throw!(ex),
+            };
+            let result = if is_ref {
+                if method.elide_at(at) {
+                    ctx.space
+                        .store_ref_elided(statics, slot as usize, v)
+                        .map(|barrier_cycles| thread.cycles += barrier_cycles)
+                } else {
+                    let mut pinned = [statics; 2];
+                    let mut n = 1;
+                    if let Some(r) = v.as_ref() {
+                        pinned[1] = r;
+                        n = 2;
+                    }
+                    with_gc_retry(thread, ctx, &pinned[..n], |ctx| {
+                        ctx.space.heapprof().arm_store(method_idx.0, at);
+                        ctx.space.store_ref(statics, slot as usize, v, ctx.trusted)
+                    })
+                    .map(|barrier_cycles| thread.cycles += barrier_cycles)
+                }
+            } else {
+                ctx.space.store_prim(statics, slot as usize, v)
+            };
+            if let Err(e) = result {
+                if let HeapError::SegViolation(kind) = e {
+                    thread.seg_sites.push(SegSite {
+                        method: method_idx,
+                        pc: at,
+                        kind,
+                    });
+                }
+                throw!(heap_exception(e));
+            }
+        }
+        Op::InstanceOf(idx) => {
+            thread.cycles += engine.scaled(COSTS.field);
+            let RConst::Class(target) = class.rpool[idx as usize] else {
+                fault!("InstanceOf on bad pool entry {idx}");
+            };
+            let v = pop!(thread, stack_base);
+            let r = value_instance_of(ctx, v, target);
+            thread.values.push(Value::Int(r as i64));
+        }
+        Op::CheckCast(idx) => {
+            thread.cycles += engine.scaled(COSTS.field);
+            let RConst::Class(target) = class.rpool[idx as usize] else {
+                fault!("CheckCast on bad pool entry {idx}");
+            };
+            debug_assert!(
+                thread.values.len() > stack_base,
+                "CheckCast on empty operand stack"
+            );
+            let v = *thread.values.last().unwrap_or(&Value::Null);
+            if !matches!(v, Value::Null) && !value_instance_of(ctx, v, target) {
+                throw!(VmException::Builtin(
+                    BuiltinEx::ClassCast,
+                    format!("cannot cast to {}", table.class(target).name),
+                ));
+            }
+        }
+
+        // ----- arrays -------------------------------------------------------------
+        Op::NewArray(idx) => {
+            thread.cycles += engine.scaled(COSTS.alloc);
+            let len = pop!(thread, stack_base).as_int();
+            if len < 0 {
+                throw!(VmException::Builtin(
+                    BuiltinEx::IndexOutOfBounds,
+                    format!("negative array length {len}"),
+                ));
+            }
+            let (tag, elem_bytes, fill) = match class.rpool[idx as usize] {
+                RConst::Class(cidx) => (cidx.heap_class(), 4, Value::Null),
+                RConst::Str(ref s) if &**s == "int" => (INT_ARRAY_CLASS, 4, Value::Int(0)),
+                RConst::Str(ref s) if &**s == "float" => {
+                    (FLOAT_ARRAY_CLASS, 8, Value::Float(0.0))
+                }
+                // "str" and "["-prefixed nested-array descriptors:
+                // element values are references, 4 bytes each under
+                // the 32-bit model.
+                RConst::Str(ref s) if &**s == "str" || s.starts_with('[') => {
+                    (REF_ARRAY_CLASS, 4, Value::Null)
+                }
+                _ => fault!("NewArray on bad pool entry {idx}"),
+            };
+            thread.cycles += engine.scaled(COSTS.simple) * (len as u64 / 8).max(1);
+            let alloc = with_gc_retry(thread, ctx, &[], |ctx| {
+                ctx.space.heapprof().arm_alloc(method_idx.0, at, || {
+                    table.qualified_name(method_idx)
+                });
+                ctx.space
+                    .alloc_array(ctx.heap, tag, elem_bytes, len as usize, fill)
+            });
+            match alloc {
+                Ok(obj) => thread.values.push(Value::Ref(obj)),
+                Err(e) => throw!(heap_exception(e)),
+            }
+        }
+
+        // ----- calls -----------------------------------------------------------------
+        Op::CallStatic(idx) => {
+            let RConst::DirectMethod(midx) = class.rpool[idx as usize] else {
+                fault!("CallStatic on bad pool entry {idx}");
+            };
+            return push_frame(thread, ctx, midx);
+        }
+        Op::CallVirtual(idx) => {
+            let RConst::VirtualMethod { vslot, nargs, .. } = class.rpool[idx as usize]
+            else {
+                fault!("CallVirtual on bad pool entry {idx}");
+            };
+            // Receiver sits below the arguments.
+            if thread.values.len() - stack_base < nargs as usize {
+                fault!("virtual call with short stack");
+            }
+            let recv_pos = thread.values.len() - nargs as usize;
+            let Value::Ref(recv) = thread.values[recv_pos] else {
+                throw!(npe("virtual call on null"));
+            };
+            let recv_class = match ctx.space.class_of(recv) {
+                Ok(id) => table.from_heap_class(id),
+                Err(e) => throw!(heap_exception(e)),
+            };
+            let midx = table.class(recv_class).vtable[vslot as usize];
+            if let Some(target) = method.devirt_at(at) {
+                // Statically devirtualized site: the dynamic
+                // dispatch must agree with CHA's single target.
+                debug_assert_eq!(
+                    target, midx,
+                    "devirtualized site dispatched to a different override \
+                     ({:?} at pc {})",
+                    method_idx,
+                    at,
+                );
+                thread.devirt_calls += 1;
+            }
+            return push_frame(thread, ctx, midx);
+        }
+        Op::CallSpecial(idx) => {
+            let RConst::VirtualMethod {
+                class: cidx, vslot, ..
+            } = class.rpool[idx as usize]
+            else {
+                fault!("CallSpecial on bad pool entry {idx}");
+            };
+            let midx = table.class(cidx).vtable[vslot as usize];
+            return push_frame(thread, ctx, midx);
+        }
+        Op::Syscall(idx) => {
+            thread.cycles += engine.scaled(COSTS.call);
+            let RConst::Intrinsic { id, nargs, .. } = class.rpool[idx as usize] else {
+                fault!("Syscall on bad pool entry {idx}");
+            };
+            let split = thread
+                .values
+                .len()
+                .saturating_sub(nargs as usize)
+                .max(stack_base);
+            let args = thread.values.split_off(split);
+            return StepFlow::Exit(RunExit::Syscall { id, args });
+        }
+
+        // ----- exceptions ---------------------------------------------------------------
+        Op::Throw => {
+            let Value::Ref(ex) = pop!(thread, stack_base) else {
+                throw!(npe("throw of null"));
+            };
+            throw!(VmException::Guest(ex));
+        }
+
+        // ----- strings --------------------------------------------------------------------
+        Op::StrConcat => {
+            let b = pop!(thread, stack_base);
+            let a = pop!(thread, stack_base);
+            let sa = render(ctx, a);
+            let sb = render(ctx, b);
+            thread.cycles += engine
+                .scaled(COSTS.string + COSTS.string_per_char * (sa.len() + sb.len()) as u64);
+            let joined = format!("{sa}{sb}");
+            let string_tag = ctx.string_class.heap_class();
+            match with_gc_retry(thread, ctx, &[], |ctx| {
+                ctx.space.heapprof().arm_alloc(method_idx.0, at, || {
+                    table.qualified_name(method_idx)
+                });
+                ctx.space.alloc_str(ctx.heap, string_tag, joined.as_str())
+            }) {
+                Ok(obj) => thread.values.push(Value::Ref(obj)),
+                Err(e) => throw!(heap_exception(e)),
+            }
+        }
+        Op::StrLen => {
+            thread.cycles += engine.scaled(COSTS.simple);
+            let Value::Ref(s) = pop!(thread, stack_base) else {
+                throw!(npe("length of null string"));
+            };
+            match ctx.space.str_value(s) {
+                Ok(v) => {
+                    let n = v.chars().count() as i64;
+                    thread.values.push(Value::Int(n));
+                }
+                Err(e) => throw!(heap_exception(e)),
+            }
+        }
+        Op::StrCharAt => {
+            thread.cycles += engine.scaled(COSTS.field);
+            let index = pop!(thread, stack_base).as_int();
+            let Value::Ref(s) = pop!(thread, stack_base) else {
+                throw!(npe("charAt on null string"));
+            };
+            let ch = match ctx.space.str_value(s) {
+                Ok(v) => v.chars().nth(index.max(0) as usize),
+                Err(e) => throw!(heap_exception(e)),
+            };
+            match ch {
+                Some(c) => thread.values.push(Value::Int(c as i64)),
+                None => throw!(VmException::Builtin(
+                    BuiltinEx::IndexOutOfBounds,
+                    format!("string index {index}"),
+                )),
+            }
+        }
+        Op::StrEq => {
+            let b = pop!(thread, stack_base);
+            let a = pop!(thread, stack_base);
+            let r = match (a, b) {
+                (Value::Ref(x), Value::Ref(y)) => {
+                    let sx = ctx.space.str_value(x).ok();
+                    let sy = ctx.space.str_value(y).ok();
+                    thread.cycles += engine.scaled(
+                        COSTS.string
+                            + COSTS.string_per_char
+                                * sx.map(|s| s.len()).unwrap_or(0) as u64,
+                    );
+                    match (sx, sy) {
+                        (Some(sx), Some(sy)) => sx == sy,
+                        _ => false,
+                    }
+                }
+                (Value::Null, Value::Null) => true,
+                _ => false,
+            };
+            thread.values.push(Value::Int(r as i64));
+        }
+        Op::Intern => {
+            thread.cycles += engine.scaled(COSTS.string);
+            let Value::Ref(s) = pop!(thread, stack_base) else {
+                throw!(npe("intern of null"));
+            };
+            let text = match ctx.space.str_value(s) {
+                Ok(v) => v.to_string(),
+                Err(e) => throw!(heap_exception(e)),
+            };
+            match intern_string(thread, ctx, &text) {
+                Ok(obj) => thread.values.push(Value::Ref(obj)),
+                Err(ex) => throw!(ex),
+            }
+        }
+        Op::ToStr => {
+            let v = pop!(thread, stack_base);
+            let s = render(ctx, v);
+            thread.cycles +=
+                engine.scaled(COSTS.string + COSTS.string_per_char * s.len() as u64);
+            let string_tag = ctx.string_class.heap_class();
+            match with_gc_retry(thread, ctx, &[], |ctx| {
+                ctx.space.heapprof().arm_alloc(method_idx.0, at, || {
+                    table.qualified_name(method_idx)
+                });
+                ctx.space.alloc_str(ctx.heap, string_tag, s.as_str())
+            }) {
+                Ok(obj) => thread.values.push(Value::Ref(obj)),
+                Err(e) => throw!(heap_exception(e)),
+            }
+        }
+        Op::Substr => {
+            thread.cycles += engine.scaled(COSTS.string);
+            let end = pop!(thread, stack_base).as_int();
+            let start = pop!(thread, stack_base).as_int();
+            let Value::Ref(s) = pop!(thread, stack_base) else {
+                throw!(npe("substring of null"));
+            };
+            let text = match ctx.space.str_value(s) {
+                Ok(v) => v.to_string(),
+                Err(e) => throw!(heap_exception(e)),
+            };
+            let chars: Vec<char> = text.chars().collect();
+            let n = chars.len() as i64;
+            if start < 0 || end < start || end > n {
+                throw!(VmException::Builtin(
+                    BuiltinEx::IndexOutOfBounds,
+                    format!("substring [{start}, {end}) of length {n}"),
+                ));
+            }
+            let sub: String = chars[start as usize..end as usize].iter().collect();
+            thread.cycles += engine.scaled(COSTS.string_per_char * sub.len() as u64);
+            let string_tag = ctx.string_class.heap_class();
+            match with_gc_retry(thread, ctx, &[], |ctx| {
+                ctx.space.heapprof().arm_alloc(method_idx.0, at, || {
+                    table.qualified_name(method_idx)
+                });
+                ctx.space.alloc_str(ctx.heap, string_tag, sub.as_str())
+            }) {
+                Ok(obj) => thread.values.push(Value::Ref(obj)),
+                Err(e) => throw!(heap_exception(e)),
+            }
+        }
+        Op::ParseInt => {
+            thread.cycles += engine.scaled(COSTS.string);
+            let Value::Ref(s) = pop!(thread, stack_base) else {
+                throw!(npe("parseInt of null"));
+            };
+            let text = match ctx.space.str_value(s) {
+                Ok(v) => v.trim().to_string(),
+                Err(e) => throw!(heap_exception(e)),
+            };
+            match text.parse::<i64>() {
+                Ok(v) => thread.values.push(Value::Int(v)),
+                Err(_) => throw!(VmException::Builtin(
+                    BuiltinEx::Arithmetic,
+                    format!("not a number: {text:?}"),
+                )),
+            }
+        }
+
+        // ----- monitors ------------------------------------------------------
+        Op::MonitorEnter => {
+            thread.cycles += engine.scaled(COSTS.monitor) + engine.lock_extra;
+            let Value::Ref(obj) = pop!(thread, stack_base) else {
+                throw!(npe("monitorenter on null"));
+            };
+            if !ctx.gc_every_safepoint && method.mon_elide_at(at) {
+                // Receiver proven frame-local: no other thread can
+                // ever observe the object, so acquisition cannot
+                // contend and the bookkeeping is skipped. The
+                // virtual cost above is charged identically.
+                // Disabled under fault injection: a forced GC can
+                // land inside any critical section, and the elided
+                // monitor's absence from the registry would move
+                // the collector's virtual trace work.
+                debug_assert!(
+                    !ctx.monitors.contains_key(&obj),
+                    "statically elided monitorenter on a contended object {obj:?}"
+                );
+                thread.monitors_elided += 1;
+                return StepFlow::Next;
+            }
+            match ctx.monitors.get_mut(&obj) {
+                None => {
+                    ctx.monitors.insert(obj, (thread.id, 1));
+                    thread.held_monitors.push(obj);
+                }
+                Some((owner, depth)) if *owner == thread.id => *depth += 1,
+                Some(_) => {
+                    // Rewind pc so the acquire retries when
+                    // rescheduled.
+                    thread.values.push(Value::Ref(obj));
+                    if let Some(f) = thread.frames.last_mut() {
+                        f.pc = at;
+                    }
+                    return StepFlow::Exit(RunExit::Blocked(obj));
+                }
+            }
+        }
+        Op::MonitorExit => {
+            thread.cycles += engine.scaled(COSTS.monitor) + engine.lock_extra;
+            let Value::Ref(obj) = pop!(thread, stack_base) else {
+                throw!(npe("monitorexit on null"));
+            };
+            if !ctx.gc_every_safepoint && method.mon_elide_at(at) {
+                // Matching elided enter never registered the
+                // monitor; the exit is symmetric by construction
+                // (the escape pass elides per-object, all-or-none,
+                // and the fault-injection gate is fixed per `step`).
+                debug_assert!(
+                    !ctx.monitors.contains_key(&obj),
+                    "statically elided monitorexit on a registered monitor {obj:?}"
+                );
+                thread.monitors_elided += 1;
+                return StepFlow::Next;
+            }
+            match ctx.monitors.get_mut(&obj) {
+                Some((owner, depth)) if *owner == thread.id => {
+                    *depth -= 1;
+                    if *depth == 0 {
+                        ctx.monitors.remove(&obj);
+                        if let Some(pos) =
+                            thread.held_monitors.iter().rposition(|&m| m == obj)
+                        {
+                            thread.held_monitors.remove(pos);
+                        }
+                    }
+                }
+                _ => throw!(VmException::Builtin(
+                    BuiltinEx::IllegalState,
+                    "monitorexit without ownership".to_string(),
+                )),
+            }
+        }
+
+        // Block ops never reach here: the dispatch loop and the template
+        // compiler both keep them inline.
+        _ => fault!("{op:?} is not a runtime op"),
+    }
+    StepFlow::Next
 }
 
 /// Runs a heap operation; on `OutOfMemory`, collects the process heap (the
@@ -1723,13 +1809,15 @@ pub(crate) fn raise(thread: &mut Thread, ctx: &mut ExecCtx<'_>, ex: VmException)
         });
         if let Some(h) = handler.copied() {
             thread.cycles += ctx.engine.throw_cost(frames_examined);
-            let frame = thread.frames.last_mut().expect("frame");
-            // Clear this frame's operand stack, then deliver the exception.
-            thread.values.truncate(frame.stack_base as usize);
-            thread
-                .values
-                .push(obj.map(Value::Ref).unwrap_or(Value::Null));
-            frame.pc = h.target;
+            if let Some(frame) = thread.frames.last_mut() {
+                // Clear this frame's operand stack, then deliver the
+                // exception.
+                thread.values.truncate(frame.stack_base as usize);
+                thread
+                    .values
+                    .push(obj.map(Value::Ref).unwrap_or(Value::Null));
+                frame.pc = h.target;
+            }
             return None;
         }
         // Leaving the frame: release monitors is the guest's duty via

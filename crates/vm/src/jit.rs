@@ -4,9 +4,12 @@
 //! threshold) are compiled from the verified [`Op`] stream into a
 //! straight-line *template* form: runs of simple ops become **blocks** of
 //! pre-scaled micro-ops (superinstruction fusion folds load/load/op/store
-//! and compare-and-branch sequences into single micros), and every
-//! constant-pool lookup, field slot, call target, and barrier-elision
-//! verdict is resolved once at compile time.
+//! and compare-and-branch sequences into single micros) with field slots
+//! and barrier-elision verdicts resolved once at compile time. Every other
+//! op — allocation, calls, returns, statics, strings, monitors, throws —
+//! compiles to a bare [`TOp::Rt`] that the executor runs by calling the
+//! interpreter's own `rt_op` on the frame's real `Op` stream: the runtime
+//! ops are implemented exactly once.
 //!
 //! The **virtual cycle model is pinned byte-for-byte**: compiled code bumps
 //! the identical cycle/op/safepoint/barrier counters the interpreter does.
@@ -27,13 +30,14 @@
 //!   guard stays sound and operand-stack GC roots match the interpreter's
 //!   at every point a collection can happen.
 //!
-//! Compiled bodies are process-independent (per-process state lives in a
-//! small `Linked` side table resolved at attach time) and live in a
-//! process-shared [`CodeCache`] keyed by `(class-def hash, method ordinal,
-//! elision fingerprint, resolution fingerprint)` with refcounted entries,
-//! deterministic eviction, and invalidation on analyzer republish / class
-//! reload — the ShareJIT argument: N processes, one compilation of the hot
-//! loop. Tier-up decisions are a pure function of the program and seed
+//! Compiled bodies are process-independent — block micros name no class,
+//! method or statics object, and `TOp::Rt` reads the running frame's own
+//! constant pool — and live in a process-shared [`CodeCache`] keyed by
+//! `(class-def hash, method ordinal, elision fingerprint, resolution
+//! fingerprint)` with refcounted entries, deterministic eviction, and
+//! invalidation on analyzer republish / class reload — the ShareJIT
+//! argument: N processes, one compilation of the hot loop. Tier-up
+//! decisions are a pure function of the program and seed
 //! (counters advance identically in the fault-injected interpreter variant,
 //! which never *enters* compiled code but performs the same cache
 //! bookkeeping), and compilation charges zero virtual cycles.
@@ -45,12 +49,11 @@ use std::time::Instant;
 use kaffeos_heap::{FxHashMap, HeapError, Value};
 
 use crate::bytecode::Op;
-use crate::classes::{ClassIdx, ClassTable, MethodIdx, RConst};
+use crate::classes::{ClassTable, MethodIdx, RConst};
 use crate::engine::{Engine, BASE_COSTS};
 use crate::interp::{
-    do_return, heap_exception, intern_string, npe, push_frame, raise, render, statics_object,
-    value_instance_of, with_gc_retry, BuiltinEx, ExecCtx, RunExit, SegSite, StepFlow, Thread,
-    VmException,
+    do_return, heap_exception, npe, raise, rt_op, with_gc_retry, BuiltinEx, ExecCtx, RunExit,
+    SegSite, StepFlow, Thread, VmException,
 };
 
 /// Default hot-method threshold (invocations + taken back-edges before a
@@ -136,12 +139,12 @@ fn fnv_u64(v: u64, h: u64) -> u64 {
 }
 
 /// Identity of a compiled body in the process-shared cache. Two methods in
-/// different processes share a body exactly when all five components match:
+/// different processes share a body exactly when all four components match:
 /// the class *definition* bytes, the method's position in it, the
-/// analyzer's elision verdicts (barrier, monitor, dies-local), the class
-/// hierarchy facts baked into devirtualized call sites, and the resolution
-/// facts the template bakes in (field slots, vtable slots, intrinsic ids,
-/// literal text).
+/// analyzer's elision verdicts (barrier, monitor, dies-local), and the
+/// resolution facts block micros bake in (instance-field slots). Call
+/// targets and devirtualization verdicts are not part of it: no body holds
+/// one, `rt_op` reads them from the method record on every call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MethodKey {
     /// FNV-1a of the declaring class definition (the "class bytes" hash).
@@ -150,9 +153,6 @@ pub struct MethodKey {
     pub ordinal: u32,
     /// Fingerprint of the analyzer's per-site elision bitmaps.
     pub elide_hash: u64,
-    /// Fingerprint of the devirtualized call sites (pc plus a
-    /// process-independent identity of each monomorphic target).
-    pub cha_hash: u64,
     /// Fingerprint of the baked-in resolution facts.
     pub res_hash: u64,
 }
@@ -160,7 +160,7 @@ pub struct MethodKey {
 /// Fingerprint of a method's elision bitmaps (canonical over the method's
 /// op count, so absent vs all-zero bitmaps hash alike). One byte per pc
 /// folds the barrier-elision, monitor-elision, and dies-local verdicts.
-pub fn elide_fingerprint(table: &ClassTable, midx: MethodIdx) -> u64 {
+fn elide_fingerprint(table: &ClassTable, midx: MethodIdx) -> u64 {
     let m = table.method(midx);
     let mut h = FNV_OFFSET;
     for pc in 0..m.code.ops.len() as u32 {
@@ -172,95 +172,18 @@ pub fn elide_fingerprint(table: &ClassTable, midx: MethodIdx) -> u64 {
     h
 }
 
-/// Fingerprint of a method's devirtualized call sites. Each entry hashes
-/// the site pc plus a process-independent identity of the monomorphic
-/// target: its declaring class's definition hash and its ordinal there —
-/// never a raw [`MethodIdx`], which is per-process. Two processes whose
-/// hierarchies sharpen the same sites to equivalent targets therefore
-/// share the template.
-pub fn cha_fingerprint(
-    table: &ClassTable,
-    midx: MethodIdx,
-    def_hashes: &mut FxHashMap<u32, u64>,
-) -> u64 {
-    let m = table.method(midx);
-    let mut h = fnv_u64(m.devirt.len() as u64, FNV_OFFSET);
-    for &(pc, target) in &m.devirt {
-        let tm = table.method(target);
-        let tlc = table.class(tm.class);
-        let tdef = *def_hashes
-            .entry(tm.class.0)
-            .or_insert_with(|| fnv1a(format!("{:?}", tlc.def).as_bytes(), FNV_OFFSET));
-        let tord = tlc
-            .methods
-            .iter()
-            .position(|&mi| mi == target)
-            .map(|p| p as u64)
-            .unwrap_or(u64::MAX);
-        h = fnv_u64(pc as u64, h);
-        h = fnv_u64(tdef, h);
-        h = fnv_u64(tord, h);
-    }
-    h
-}
-
+/// Fingerprint of the resolution facts block micros embed: per field
+/// access, the instance-field slot and whether it holds a reference.
 fn res_fingerprint(table: &ClassTable, midx: MethodIdx) -> u64 {
     let m = table.method(midx);
     let lc = table.class(m.class);
     let mut h = fnv_u64(m.code.ops.len() as u64, FNV_OFFSET);
     for op in &m.code.ops {
-        match *op {
-            Op::GetField(idx) | Op::PutField(idx) => {
-                if let Some(RConst::InstanceField { slot, ref ty, .. }) =
-                    lc.rpool.get(idx as usize)
-                {
-                    h = fnv_u64(1, h);
-                    h = fnv_u64(*slot as u64, h);
-                    h = fnv_u64(ty.is_reference() as u64, h);
-                }
+        if let Op::GetField(idx) | Op::PutField(idx) = *op {
+            if let Some(RConst::InstanceField { slot, ty, .. }) = lc.rpool.get(idx as usize) {
+                h = fnv_u64(*slot as u64, h);
+                h = fnv_u64(ty.is_reference() as u64, h);
             }
-            Op::GetStatic(idx) | Op::PutStatic(idx) => {
-                if let Some(RConst::StaticField { slot, ref ty, .. }) = lc.rpool.get(idx as usize)
-                {
-                    h = fnv_u64(2, h);
-                    h = fnv_u64(*slot as u64, h);
-                    h = fnv_u64(ty.is_reference() as u64, h);
-                }
-            }
-            Op::CallVirtual(idx) => {
-                if let Some(RConst::VirtualMethod { vslot, nargs, .. }) =
-                    lc.rpool.get(idx as usize)
-                {
-                    h = fnv_u64(3, h);
-                    h = fnv_u64(*vslot as u64, h);
-                    h = fnv_u64(*nargs as u64, h);
-                }
-            }
-            Op::Syscall(idx) => {
-                if let Some(RConst::Intrinsic { id, nargs, .. }) = lc.rpool.get(idx as usize) {
-                    h = fnv_u64(4, h);
-                    h = fnv_u64(*id as u64, h);
-                    h = fnv_u64(*nargs as u64, h);
-                }
-            }
-            Op::ConstStr(idx) => {
-                if let Some(RConst::Str(s)) = lc.rpool.get(idx as usize) {
-                    h = fnv_u64(5, h);
-                    h = fnv1a(s.as_bytes(), h);
-                }
-            }
-            Op::NewArray(idx) => {
-                let shape: u64 = match lc.rpool.get(idx as usize) {
-                    Some(RConst::Class(_)) => 0,
-                    Some(RConst::Str(s)) if &**s == "int" => 1,
-                    Some(RConst::Str(s)) if &**s == "float" => 2,
-                    Some(RConst::Str(s)) if &**s == "str" || s.starts_with('[') => 3,
-                    _ => 4,
-                };
-                h = fnv_u64(6, h);
-                h = fnv_u64(shape, h);
-            }
-            _ => {}
         }
     }
     h
@@ -269,7 +192,7 @@ fn res_fingerprint(table: &ClassTable, midx: MethodIdx) -> u64 {
 /// Computes the shared-cache key for a method. `def_hashes` memoizes the
 /// class-definition hash by [`ClassIdx`] (safe: class-table slots are never
 /// reused, even across namespace drops).
-pub fn method_key(
+fn method_key(
     table: &ClassTable,
     midx: MethodIdx,
     def_hashes: &mut FxHashMap<u32, u64>,
@@ -291,7 +214,6 @@ pub fn method_key(
         def_hash,
         ordinal,
         elide_hash: elide_fingerprint(table, midx),
-        cha_hash: cha_fingerprint(table, midx, def_hashes),
         res_hash: res_fingerprint(table, midx),
     }
 }
@@ -394,7 +316,7 @@ struct Micro {
 const _: () = assert!(core::mem::size_of::<Micro>() <= 16, "Micro grew");
 
 /// One template op: either a block of micros or a single op that needs the
-/// runtime (allocation, calls, strings, monitors, statics).
+/// runtime.
 #[derive(Debug, Clone, Copy)]
 enum TOp {
     /// `cost` = total pre-scaled cost of the block, `cost2` = that total
@@ -404,90 +326,19 @@ enum TOp {
         mlen: u16,
         cost2: u32,
     },
-    ConstStr {
-        sidx: u16,
-    },
-    New {
-        link: u16,
-    },
-    GetStatic {
-        link: u16,
-        slot: u16,
-    },
-    PutStaticPrim {
-        link: u16,
-        slot: u16,
-    },
-    PutStaticRef {
-        link: u16,
-        slot: u16,
-        elide: bool,
-    },
-    InstanceOf {
-        link: u16,
-    },
-    CheckCast {
-        link: u16,
-    },
-    NewArray {
-        link: u16,
-    },
-    CallStatic {
-        link: u16,
-    },
-    CallSpecial {
-        link: u16,
-    },
-    CallVirtual {
-        vslot: u16,
-        nargs: u8,
-    },
-    /// A virtual site the hierarchy analysis proved monomorphic: the
-    /// target is resolved through the per-process link table instead of
-    /// the receiver's vtable. Identical null/heap-fault behaviour and
-    /// cycle charges to [`TOp::CallVirtual`].
-    CallDevirt {
-        link: u16,
-        vslot: u16,
-        nargs: u8,
-    },
-    Syscall {
-        id: u16,
-        nargs: u8,
-    },
-    Throw,
-    Ret,
-    RetVal,
-    StrConcat,
-    StrLen,
-    StrCharAt,
-    StrEq,
-    Intern,
-    ToStr,
-    Substr,
-    ParseInt,
-    /// `elide` = the escape analysis proved the receiver never leaves its
-    /// frame: lock bookkeeping is skipped, cycles charged identically.
-    MonitorEnter {
-        elide: bool,
-    },
-    MonitorExit {
-        elide: bool,
-    },
-    /// Falling off the end of the code (pc == ops.len()).
-    ImplicitRet,
+    /// Any non-blockable op, or the implicit return at `pc == ops.len()`:
+    /// executed by the interpreter's `rt_op` on the frame's real `Op`.
+    Rt,
 }
 
 const _: () = assert!(core::mem::size_of::<TOp>() <= 16, "TOp grew");
 
-/// A compiled, process-independent method body. Per-process resolution
-/// state lives in the [`Linked`] side table built at attach time.
+/// A compiled, process-independent method body.
 #[derive(Debug)]
-pub struct CompiledBody {
+pub(crate) struct CompiledBody {
     t_ops: Vec<TOp>,
     micros: Vec<Micro>,
     consts: Vec<Value>,
-    strs: Vec<Arc<str>>,
     /// `entries[pc]` = template index whose first original op is `pc`, or
     /// `u32::MAX` for mid-block pcs (the interpreter owns those — deopt
     /// resume points). Length is `ops.len() + 1`; the final entry is the
@@ -495,62 +346,17 @@ pub struct CompiledBody {
     entries: Vec<u32>,
     /// `src_pc[tix]` = pc of the template op's first original op.
     src_pc: Vec<u32>,
-    /// Pre-scaled `engine.scaled(COSTS.*)` units for runtime-dependent
-    /// charges (allocation field/element loops).
-    sc_simple: u64,
-    sc_string: u64,
-    sc_field: u64,
-    sc_alloc: u64,
-    sc_call: u64,
-    sc_ret: u64,
-    sc_monitor: u64,
-    /// Number of per-process link-table entries the body expects.
-    pub n_links: u16,
     /// Modelled size of the body in cache bytes.
-    pub bytes: u64,
+    bytes: u64,
 }
 
-impl CompiledBody {
-    /// Number of template ops (diagnostics).
-    pub fn template_len(&self) -> usize {
-        self.t_ops.len()
-    }
-
-    /// Number of fused micros (diagnostics: superinstruction coverage).
-    pub fn fused_micros(&self) -> usize {
-        self.micros.iter().filter(|m| m.nops > 1).count()
-    }
-}
-
-/// Per-process resolution of one link site, in op order.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Linked {
-    /// `New`: resolved class and its instance-field count.
-    New { class: ClassIdx, nfields: u32 },
-    /// `GetStatic`/`PutStatic`: class whose statics object holds the slot.
-    Statics { class: ClassIdx },
-    /// `InstanceOf`/`CheckCast` target.
-    Type { class: ClassIdx },
-    /// `NewArray` element shape.
-    NewArray {
-        tag: kaffeos_heap::ClassId,
-        elem_bytes: u8,
-        fill: Value,
-    },
-    /// `CallStatic`/`CallSpecial` target method.
-    Target { method: MethodIdx },
-}
-
-/// A body attached to one process: the shared template plus this process's
-/// link table.
+/// A body attached to one process.
 #[derive(Debug, Clone)]
 pub struct AttachedBody {
     /// Cache key the attachment holds a reference on.
     pub key: MethodKey,
     /// The shared template.
-    pub body: Arc<CompiledBody>,
-    /// Per-process link table.
-    pub links: Arc<Vec<Linked>>,
+    pub(crate) body: Arc<CompiledBody>,
 }
 
 // ---------------------------------------------------------------------------
@@ -559,7 +365,7 @@ pub struct AttachedBody {
 
 /// How an attach was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AttachKind {
+pub(crate) enum AttachKind {
     /// The body was compiled now (cache miss).
     Compiled,
     /// An existing body was reused; `cross` means it was compiled by a
@@ -628,7 +434,7 @@ impl CodeCache {
     /// Attaches `pid` to the body for `key`, compiling it on a miss.
     /// Increments the entry's refcount. Returns `None` if compilation
     /// bailed (the method stays interpreter-only).
-    pub fn attach(
+    pub(crate) fn attach(
         &mut self,
         pid: u32,
         key: MethodKey,
@@ -772,7 +578,7 @@ pub enum BodySlot {
     /// Not yet hot; the counter is still running.
     #[default]
     Cold,
-    /// Went hot but the compiler/linker bailed — stays interpreted, counter
+    /// Went hot but the compiler bailed — stays interpreted, counter
     /// frozen so the attempt never repeats.
     Rejected,
     /// Compiled and attached (one `Arc` bump to hand to the executor).
@@ -1039,15 +845,11 @@ struct Compiler<'t> {
     ops: &'t [Op],
     pool: &'t [RConst],
     elide: Box<dyn Fn(u32) -> bool + 't>,
-    mon_elide: Box<dyn Fn(u32) -> bool + 't>,
     local_elide: Box<dyn Fn(u32) -> bool + 't>,
-    devirt: Box<dyn Fn(u32) -> bool + 't>,
     t_ops: Vec<TOp>,
     micros: Vec<Micro>,
     consts: Vec<Value>,
-    strs: Vec<Arc<str>>,
     src_pc: Vec<u32>,
-    n_links: u16,
     /// Micro indices holding a pc-encoded branch target to fix up.
     branch_fixups: Vec<(usize, u32)>,
 }
@@ -1365,153 +1167,12 @@ impl<'t> Compiler<'t> {
         self.src_pc.push(start as u32);
         true
     }
-
-    /// Lowers one non-blockable op at `pc` into a single template op,
-    /// assigning link indices in op order.
-    fn lower_single(&mut self, pc: usize) -> bool {
-        let mut link = || {
-            let l = self.n_links;
-            self.n_links += 1;
-            l
-        };
-        let t = match &self.ops[pc] {
-            Op::ConstStr(idx) => {
-                let Some(RConst::Str(s)) = self.pool.get(*idx as usize) else {
-                    return false;
-                };
-                if self.strs.len() >= u16::MAX as usize {
-                    return false;
-                }
-                self.strs.push(s.clone());
-                TOp::ConstStr {
-                    sidx: (self.strs.len() - 1) as u16,
-                }
-            }
-            Op::New(idx) => {
-                let Some(RConst::Class(_)) = self.pool.get(*idx as usize) else {
-                    return false;
-                };
-                TOp::New { link: link() }
-            }
-            Op::GetStatic(idx) => {
-                let Some(RConst::StaticField { slot, .. }) = self.pool.get(*idx as usize) else {
-                    return false;
-                };
-                TOp::GetStatic {
-                    link: link(),
-                    slot: *slot,
-                }
-            }
-            Op::PutStatic(idx) => {
-                let Some(RConst::StaticField { slot, ty, .. }) = self.pool.get(*idx as usize)
-                else {
-                    return false;
-                };
-                if ty.is_reference() {
-                    TOp::PutStaticRef {
-                        link: link(),
-                        slot: *slot,
-                        elide: (self.elide)(pc as u32),
-                    }
-                } else {
-                    TOp::PutStaticPrim {
-                        link: link(),
-                        slot: *slot,
-                    }
-                }
-            }
-            Op::InstanceOf(idx) => {
-                let Some(RConst::Class(_)) = self.pool.get(*idx as usize) else {
-                    return false;
-                };
-                TOp::InstanceOf { link: link() }
-            }
-            Op::CheckCast(idx) => {
-                let Some(RConst::Class(_)) = self.pool.get(*idx as usize) else {
-                    return false;
-                };
-                TOp::CheckCast { link: link() }
-            }
-            Op::NewArray(idx) => match self.pool.get(*idx as usize) {
-                Some(RConst::Class(_)) => TOp::NewArray { link: link() },
-                Some(RConst::Str(s))
-                    if &**s == "int" || &**s == "float" || &**s == "str"
-                        || s.starts_with('[') =>
-                {
-                    TOp::NewArray { link: link() }
-                }
-                _ => return false,
-            },
-            Op::CallStatic(idx) => {
-                let Some(RConst::DirectMethod(_)) = self.pool.get(*idx as usize) else {
-                    return false;
-                };
-                TOp::CallStatic { link: link() }
-            }
-            Op::CallVirtual(idx) => {
-                let Some(RConst::VirtualMethod { vslot, nargs, .. }) =
-                    self.pool.get(*idx as usize)
-                else {
-                    return false;
-                };
-                if (self.devirt)(pc as u32) {
-                    TOp::CallDevirt {
-                        link: link(),
-                        vslot: *vslot,
-                        nargs: *nargs,
-                    }
-                } else {
-                    TOp::CallVirtual {
-                        vslot: *vslot,
-                        nargs: *nargs,
-                    }
-                }
-            }
-            Op::CallSpecial(idx) => {
-                let Some(RConst::VirtualMethod { .. }) = self.pool.get(*idx as usize) else {
-                    return false;
-                };
-                TOp::CallSpecial { link: link() }
-            }
-            Op::Syscall(idx) => {
-                let Some(RConst::Intrinsic { id, nargs, .. }) = self.pool.get(*idx as usize)
-                else {
-                    return false;
-                };
-                TOp::Syscall {
-                    id: *id,
-                    nargs: *nargs,
-                }
-            }
-            Op::Throw => TOp::Throw,
-            Op::Return => TOp::Ret,
-            Op::ReturnVal => TOp::RetVal,
-            Op::StrConcat => TOp::StrConcat,
-            Op::StrLen => TOp::StrLen,
-            Op::StrCharAt => TOp::StrCharAt,
-            Op::StrEq => TOp::StrEq,
-            Op::Intern => TOp::Intern,
-            Op::ToStr => TOp::ToStr,
-            Op::Substr => TOp::Substr,
-            Op::ParseInt => TOp::ParseInt,
-            Op::MonitorEnter => TOp::MonitorEnter {
-                elide: (self.mon_elide)(pc as u32),
-            },
-            Op::MonitorExit => TOp::MonitorExit {
-                elide: (self.mon_elide)(pc as u32),
-            },
-            _ => return false,
-        };
-        self.t_ops.push(t);
-        self.src_pc.push(pc as u32);
-        true
-    }
 }
 
 /// Compiles a verified method into its template form. Returns `None` when
-/// the method exceeds template limits or has an unexpected pool shape (it
-/// then stays interpreter-only — a correct, slower tier).
-pub fn compile(table: &ClassTable, midx: MethodIdx, engine: Engine) -> Option<CompiledBody> {
+/// the method exceeds template limits (it then stays interpreter-only — a
+/// correct, slower tier).
+fn compile(table: &ClassTable, midx: MethodIdx, engine: Engine) -> Option<CompiledBody> {
     let m = table.method(midx);
     let lc = table.class(m.class);
     let ops = &m.code.ops;
@@ -1545,15 +1206,11 @@ pub fn compile(table: &ClassTable, midx: MethodIdx, engine: Engine) -> Option<Co
         ops,
         pool: &lc.rpool,
         elide: Box::new(move |pc| m.elide_at(pc)),
-        mon_elide: Box::new(move |pc| m.mon_elide_at(pc)),
         local_elide: Box::new(move |pc| m.local_elide_at(pc)),
-        devirt: Box::new(move |pc| m.devirt_at(pc).is_some()),
         t_ops: Vec::new(),
         micros: Vec::new(),
         consts: Vec::new(),
-        strs: Vec::new(),
         src_pc: Vec::new(),
-        n_links: 0,
         branch_fixups: Vec::new(),
     };
 
@@ -1578,14 +1235,13 @@ pub fn compile(table: &ClassTable, midx: MethodIdx, engine: Engine) -> Option<Co
             }
             pc = end;
         } else {
-            if !c.lower_single(pc) {
-                return None;
-            }
+            c.t_ops.push(TOp::Rt);
+            c.src_pc.push(pc as u32);
             pc += 1;
         }
     }
     // Implicit return at pc == ops.len() (falling off the end).
-    c.t_ops.push(TOp::ImplicitRet);
+    c.t_ops.push(TOp::Rt);
     c.src_pc.push(ops.len() as u32);
 
     if c.t_ops.len() > u16::MAX as usize
@@ -1617,7 +1273,6 @@ pub fn compile(table: &ClassTable, midx: MethodIdx, engine: Engine) -> Option<Co
     let bytes = (c.t_ops.len() * core::mem::size_of::<TOp>()
         + c.micros.len() * core::mem::size_of::<Micro>()
         + c.consts.len() * core::mem::size_of::<Value>()
-        + c.strs.iter().map(|s| s.len()).sum::<usize>()
         + entries.len() * 4
         + c.src_pc.len() * 4) as u64;
 
@@ -1625,95 +1280,10 @@ pub fn compile(table: &ClassTable, midx: MethodIdx, engine: Engine) -> Option<Co
         t_ops: c.t_ops,
         micros: c.micros,
         consts: c.consts,
-        strs: c.strs,
         entries,
         src_pc: c.src_pc,
-        sc_simple: engine.scaled(BASE_COSTS.simple),
-        sc_string: engine.scaled(BASE_COSTS.string),
-        sc_field: engine.scaled(BASE_COSTS.field),
-        sc_alloc: engine.scaled(BASE_COSTS.alloc),
-        sc_call: engine.scaled(BASE_COSTS.call),
-        sc_ret: engine.scaled(BASE_COSTS.ret),
-        sc_monitor: engine.scaled(BASE_COSTS.monitor) + engine.lock_extra,
-        n_links: c.n_links,
         bytes,
     })
-}
-
-/// Builds the per-process link table for a method, in the same op order the
-/// compiler assigned link indices.
-pub fn extract_links(table: &ClassTable, midx: MethodIdx) -> Option<Vec<Linked>> {
-    let m = table.method(midx);
-    let lc = table.class(m.class);
-    let mut links = Vec::new();
-    for (pc, op) in m.code.ops.iter().enumerate() {
-        match op {
-            Op::New(idx) => {
-                let RConst::Class(cidx) = *lc.rpool.get(*idx as usize)? else {
-                    return None;
-                };
-                links.push(Linked::New {
-                    class: cidx,
-                    nfields: table.class(cidx).instance_fields.len() as u32,
-                });
-            }
-            Op::GetStatic(idx) | Op::PutStatic(idx) => {
-                let RConst::StaticField { class, .. } = *lc.rpool.get(*idx as usize)? else {
-                    return None;
-                };
-                links.push(Linked::Statics { class });
-            }
-            Op::InstanceOf(idx) | Op::CheckCast(idx) => {
-                let RConst::Class(cidx) = *lc.rpool.get(*idx as usize)? else {
-                    return None;
-                };
-                links.push(Linked::Type { class: cidx });
-            }
-            Op::NewArray(idx) => {
-                let (tag, elem_bytes, fill) = match lc.rpool.get(*idx as usize)? {
-                    RConst::Class(cidx) => (cidx.heap_class(), 4, Value::Null),
-                    RConst::Str(s) if &**s == "int" => {
-                        (crate::interp::INT_ARRAY_CLASS, 4, Value::Int(0))
-                    }
-                    RConst::Str(s) if &**s == "float" => {
-                        (crate::interp::FLOAT_ARRAY_CLASS, 8, Value::Float(0.0))
-                    }
-                    RConst::Str(s) if &**s == "str" || s.starts_with('[') => {
-                        (crate::interp::REF_ARRAY_CLASS, 4, Value::Null)
-                    }
-                    _ => return None,
-                };
-                links.push(Linked::NewArray {
-                    tag,
-                    elem_bytes,
-                    fill,
-                });
-            }
-            Op::CallStatic(idx) => {
-                let RConst::DirectMethod(target) = *lc.rpool.get(*idx as usize)? else {
-                    return None;
-                };
-                links.push(Linked::Target { method: target });
-            }
-            // Devirtualized virtual sites take a link slot (the compiler
-            // assigns one in the same op order); polymorphic ones do not.
-            Op::CallVirtual(_) => {
-                if let Some(target) = m.devirt_at(pc as u32) {
-                    links.push(Linked::Target { method: target });
-                }
-            }
-            Op::CallSpecial(idx) => {
-                let RConst::VirtualMethod { class, vslot, .. } = *lc.rpool.get(*idx as usize)?
-                else {
-                    return None;
-                };
-                let target = *table.class(class).vtable.get(vslot as usize)?;
-                links.push(Linked::Target { method: target });
-            }
-            _ => {}
-        }
-    }
-    Some(links)
 }
 
 // ---------------------------------------------------------------------------
@@ -1721,15 +1291,9 @@ pub fn extract_links(table: &ClassTable, midx: MethodIdx) -> Option<Vec<Linked>>
 // ---------------------------------------------------------------------------
 
 fn compile_and_attach(table: &ClassTable, engine: Engine, jit: &mut JitRt<'_>, midx: MethodIdx) {
-    let Some(links) = extract_links(table, midx) else {
-        jit.proc.stats.rejected += 1;
-        *jit.proc.slot_mut(midx) = BodySlot::Rejected;
-        return;
-    };
     let key = jit.cache.key_for(table, midx);
     match jit.cache.attach(jit.pid, key, || compile(table, midx, engine)) {
         Some((body, kind)) => {
-            debug_assert_eq!(links.len(), body.n_links as usize, "link walk drifted");
             match kind {
                 AttachKind::Compiled => jit.proc.stats.compiled += 1,
                 AttachKind::Hit { cross } => {
@@ -1740,11 +1304,7 @@ fn compile_and_attach(table: &ClassTable, engine: Engine, jit: &mut JitRt<'_>, m
                 }
             }
             jit.proc.stats.bytes += body.bytes;
-            *jit.proc.slot_mut(midx) = BodySlot::Hot(Arc::new(AttachedBody {
-                key,
-                body,
-                links: Arc::new(links),
-            }));
+            *jit.proc.slot_mut(midx) = BodySlot::Hot(Arc::new(AttachedBody { key, body }));
         }
         None => {
             jit.proc.stats.rejected += 1;
@@ -1803,8 +1363,6 @@ pub(crate) fn note_backedge(ctx: &mut ExecCtx<'_>, midx: MethodIdx) -> bool {
 // The template executor
 // ---------------------------------------------------------------------------
 
-use crate::interp::init_default_fields;
-
 /// Why a compiled-body run stopped.
 enum BodyFlow {
     /// Quantum-level exit (preempt, syscall, finish, unhandled, blocked).
@@ -1815,30 +1373,6 @@ enum BodyFlow {
     /// tail op-by-op (`frame.pc` is synced to the block start; nothing of
     /// the block has executed).
     Deopt,
-}
-
-/// Compile-time switch for the host-side diagnostic counters below. Off by
-/// default: the increments are atomics in the hottest loop. Flip to `true`
-/// when tuning fusion coverage or enter rates.
-const DIAG: bool = false;
-
-/// Host-side diagnostics (never virtual), populated only when [`DIAG`] is
-/// on: `[jit_ops, fused_ops, enters, frame_flows, deopts]`.
-pub static JIT_DIAG: [core::sync::atomic::AtomicU64; 5] = [
-    core::sync::atomic::AtomicU64::new(0),
-    core::sync::atomic::AtomicU64::new(0),
-    core::sync::atomic::AtomicU64::new(0),
-    core::sync::atomic::AtomicU64::new(0),
-    core::sync::atomic::AtomicU64::new(0),
-];
-
-/// Snapshot + reset of [`JIT_DIAG`] (all zeros unless [`DIAG`] is on).
-pub fn jit_diag_take() -> [u64; 5] {
-    let mut out = [0; 5];
-    for (i, c) in JIT_DIAG.iter().enumerate() {
-        out[i] = c.swap(0, core::sync::atomic::Ordering::Relaxed);
-    }
-    out
 }
 
 /// Tries to run the top frame's compiled body from its current pc.
@@ -1883,20 +1417,7 @@ pub(crate) fn try_enter(
         if tix == u32::MAX {
             return None;
         }
-        let ops0 = thread.ops;
-        let flow = run_body(thread, ctx, ab, tix, fuel, start_cycles);
-        if DIAG {
-            use core::sync::atomic::Ordering::Relaxed;
-            JIT_DIAG[0].fetch_add(thread.ops - ops0, Relaxed);
-            JIT_DIAG[2].fetch_add(1, Relaxed);
-            if matches!(flow, BodyFlow::Frame) {
-                JIT_DIAG[3].fetch_add(1, Relaxed);
-            }
-            if matches!(flow, BodyFlow::Deopt) {
-                JIT_DIAG[4].fetch_add(1, Relaxed);
-            }
-        }
-        match flow {
+        match run_body(thread, ctx, ab, tix, fuel, start_cycles) {
             BodyFlow::Exit(exit) => return Some(exit),
             BodyFlow::Frame => continue,
             BodyFlow::Deopt => return None,
@@ -1959,17 +1480,16 @@ fn run_body(
     fuel: u64,
     start_cycles: u64,
 ) -> BodyFlow {
-    let engine = ctx.engine;
     let table = ctx.table;
     'method: loop {
     let body = &*ab.body;
-    let links = &*ab.links;
     // The dispatch loop only enters with a live frame; if it is somehow
     // gone, hand control back rather than assert in the hot tier.
     let Some(top) = thread.frames.last() else {
         return BodyFlow::Frame;
     };
     let method_idx = top.method;
+    let ops: &[Op] = &table.method(method_idx).code.ops;
     let locals_base = top.locals_base as usize;
     let stack_base = top.stack_base as usize;
 
@@ -1992,27 +1512,6 @@ fn run_body(
             }
         }};
     }
-    macro_rules! jflow {
-        ($lbl:lifetime, $pc:expr, $f:expr) => {{
-            sync!($pc);
-            match $f {
-                StepFlow::Continue => break $lbl,
-                StepFlow::Exit(exit) => return BodyFlow::Exit(exit),
-                StepFlow::Raise(ex) => match raise(thread, ctx, ex) {
-                    None => break $lbl,
-                    Some(exit) => return BodyFlow::Exit(exit),
-                },
-            }
-        }};
-    }
-    macro_rules! jfault {
-        ($pc:expr, $($msg:tt)*) => {{
-            sync!($pc);
-            return BodyFlow::Exit(RunExit::Fault(crate::VmError::BadBytecode(format!(
-                $($msg)*
-            ))));
-        }};
-    }
     macro_rules! vpop {
         () => {
             thread.values.pop().unwrap_or(Value::Null)
@@ -2028,11 +1527,7 @@ fn run_body(
             sync!(src);
             return BodyFlow::Exit(RunExit::Preempted);
         }
-        let t = body.t_ops[tix as usize];
-        if !matches!(t, TOp::Block { .. }) {
-            thread.ops += 1;
-        }
-        match t {
+        match body.t_ops[tix as usize] {
             TOp::Block { m0, mlen, cost2 } => {
                 // The interpreter's last in-block fuel check happens before
                 // the final op, `cost2` cycles in. If it would fire, run
@@ -2107,9 +1602,6 @@ fn run_body(
                 }
                 'micros: while mi < mend {
                     let m = micros[mi];
-                    if DIAG && m.nops > 1 {
-                        JIT_DIAG[1].fetch_add(m.nops as u64, core::sync::atomic::Ordering::Relaxed);
-                    }
                     ops_acc += m.nops as u64;
                     at += m.nops as usize;
                     cyc_acc += m.cost as u64;
@@ -2546,458 +2038,20 @@ fn run_body(
                 tix = next;
                 continue 'body;
             }
-            TOp::ConstStr { sidx } => {
-                thread.cycles += body.sc_string;
-                let text = body.strs[sidx as usize].clone();
-                match intern_string(thread, ctx, &text) {
-                    Ok(obj) => thread.values.push(Value::Ref(obj)),
-                    Err(ex) => jthrow!('body, src + 1, ex),
-                }
-            }
-            TOp::New { link } => {
-                thread.cycles += body.sc_alloc;
-                let Linked::New { class, nfields } = links[link as usize] else {
-                    jfault!(src + 1, "jit link {link} is not New");
-                };
-                thread.cycles += body.sc_simple * nfields as u64;
-                let alloc = with_gc_retry(thread, ctx, &[], |ctx| {
-                    ctx.space.heapprof().arm_alloc(method_idx.0, src as u32, || {
-                        table.qualified_name(method_idx)
-                    });
-                    ctx.space
-                        .alloc_fields(ctx.heap, class.heap_class(), nfields as usize)
-                });
-                match alloc {
-                    Ok(obj) => {
-                        if let Err(e) = init_default_fields(ctx, class, obj, false) {
-                            jthrow!('body, src + 1, heap_exception(e));
-                        }
-                        thread.values.push(Value::Ref(obj));
-                    }
-                    Err(e) => jthrow!('body, src + 1, heap_exception(e)),
-                }
-            }
-            TOp::GetStatic { link, slot } => {
-                thread.cycles += body.sc_field;
-                let Linked::Statics { class } = links[link as usize] else {
-                    jfault!(src + 1, "jit link {link} is not Statics");
-                };
-                let statics = match statics_object(thread, ctx, class) {
-                    Ok(obj) => obj,
-                    Err(ex) => jthrow!('body, src + 1, ex),
-                };
-                match ctx.space.load(statics, slot as usize) {
-                    Ok(v) => thread.values.push(v),
-                    Err(e) => jthrow!('body, src + 1, heap_exception(e)),
-                }
-            }
-            TOp::PutStaticPrim { link, slot } | TOp::PutStaticRef { link, slot, .. } => {
-                thread.cycles += body.sc_field;
-                let Linked::Statics { class } = links[link as usize] else {
-                    jfault!(src + 1, "jit link {link} is not Statics");
-                };
-                let v = vpop!();
-                let statics = match statics_object(thread, ctx, class) {
-                    Ok(obj) => obj,
-                    Err(ex) => jthrow!('body, src + 1, ex),
-                };
-                let result = if let TOp::PutStaticRef { elide, .. } = t {
-                    if elide {
-                        ctx.space
-                            .store_ref_elided(statics, slot as usize, v)
-                            .map(|barrier_cycles| thread.cycles += barrier_cycles)
-                    } else {
-                        let mut pinned = [statics; 2];
-                        let mut n = 1;
-                        if let Some(r) = v.as_ref() {
-                            pinned[1] = r;
-                            n = 2;
-                        }
-                        with_gc_retry(thread, ctx, &pinned[..n], |ctx| {
-                            ctx.space.heapprof().arm_store(method_idx.0, src as u32);
-                            ctx.space.store_ref(statics, slot as usize, v, ctx.trusted)
-                        })
-                        .map(|barrier_cycles| thread.cycles += barrier_cycles)
-                    }
-                } else {
-                    ctx.space.store_prim(statics, slot as usize, v)
-                };
-                if let Err(e) = result {
-                    if let HeapError::SegViolation(kind) = e {
-                        thread.seg_sites.push(SegSite {
-                            method: method_idx,
-                            pc: src as u32,
-                            kind,
-                        });
-                    }
-                    jthrow!('body, src + 1, heap_exception(e));
-                }
-            }
-            TOp::InstanceOf { link } => {
-                thread.cycles += body.sc_field;
-                let Linked::Type { class } = links[link as usize] else {
-                    jfault!(src + 1, "jit link {link} is not Type");
-                };
-                let v = vpop!();
-                let r = value_instance_of(ctx, v, class);
-                thread.values.push(Value::Int(r as i64));
-            }
-            TOp::CheckCast { link } => {
-                thread.cycles += body.sc_field;
-                let Linked::Type { class } = links[link as usize] else {
-                    jfault!(src + 1, "jit link {link} is not Type");
-                };
-                let v = *thread.values.last().unwrap_or(&Value::Null);
-                if !matches!(v, Value::Null) && !value_instance_of(ctx, v, class) {
-                    jthrow!('body, 
-                        src + 1,
-                        VmException::Builtin(
-                            BuiltinEx::ClassCast,
-                            format!("cannot cast to {}", table.class(class).name),
-                        )
-                    );
-                }
-            }
-            TOp::NewArray { link } => {
-                thread.cycles += body.sc_alloc;
-                let len = vpop!().as_int();
-                if len < 0 {
-                    jthrow!('body, 
-                        src + 1,
-                        VmException::Builtin(
-                            BuiltinEx::IndexOutOfBounds,
-                            format!("negative array length {len}"),
-                        )
-                    );
-                }
-                let Linked::NewArray {
-                    tag,
-                    elem_bytes,
-                    fill,
-                } = links[link as usize]
-                else {
-                    jfault!(src + 1, "jit link {link} is not NewArray");
-                };
-                thread.cycles += body.sc_simple * (len as u64 / 8).max(1);
-                let alloc = with_gc_retry(thread, ctx, &[], |ctx| {
-                    ctx.space.heapprof().arm_alloc(method_idx.0, src as u32, || {
-                        table.qualified_name(method_idx)
-                    });
-                    ctx.space
-                        .alloc_array(ctx.heap, tag, elem_bytes, len as usize, fill)
-                });
-                match alloc {
-                    Ok(obj) => thread.values.push(Value::Ref(obj)),
-                    Err(e) => jthrow!('body, src + 1, heap_exception(e)),
-                }
-            }
-            TOp::CallStatic { link } | TOp::CallSpecial { link } => {
-                let Linked::Target { method } = links[link as usize] else {
-                    jfault!(src + 1, "jit link {link} is not Target");
-                };
-                jflow!('body, src + 1, push_frame(thread, ctx, method));
-            }
-            TOp::CallVirtual { vslot, nargs } => {
-                if thread.values.len() - stack_base < nargs as usize {
-                    jfault!(src + 1, "virtual call with short stack");
-                }
-                let recv_pos = thread.values.len() - nargs as usize;
-                let Value::Ref(recv) = thread.values[recv_pos] else {
-                    jthrow!('body, src + 1, npe("virtual call on null"));
-                };
-                let recv_class = match ctx.space.class_of(recv) {
-                    Ok(id) => table.from_heap_class(id),
-                    Err(e) => jthrow!('body, src + 1, heap_exception(e)),
-                };
-                let midx = table.class(recv_class).vtable[vslot as usize];
-                jflow!('body, src + 1, push_frame(thread, ctx, midx));
-            }
-            TOp::CallDevirt { link, vslot, nargs } => {
-                if thread.values.len() - stack_base < nargs as usize {
-                    jfault!(src + 1, "virtual call with short stack");
-                }
-                let recv_pos = thread.values.len() - nargs as usize;
-                let Value::Ref(recv) = thread.values[recv_pos] else {
-                    jthrow!('body, src + 1, npe("virtual call on null"));
-                };
-                // The class lookup is kept for fault parity with the
-                // dynamic path (a stale receiver must raise the same heap
-                // exception); what the template drops is the vtable walk.
-                let recv_heap_class = match ctx.space.class_of(recv) {
-                    Ok(id) => id,
-                    Err(e) => jthrow!('body, src + 1, heap_exception(e)),
-                };
-                let Linked::Target { method } = links[link as usize] else {
-                    jfault!(src + 1, "jit link {link} is not Target");
-                };
-                debug_assert_eq!(
-                    table
-                        .class(table.from_heap_class(recv_heap_class))
-                        .vtable[vslot as usize],
-                    method,
-                    "devirtualized template dispatched to a different override \
-                     ({method_idx:?} at pc {src})",
-                );
-                let _ = (recv_heap_class, vslot);
-                thread.devirt_calls += 1;
-                jflow!('body, src + 1, push_frame(thread, ctx, method));
-            }
-            TOp::Syscall { id, nargs } => {
-                thread.cycles += body.sc_call;
+            TOp::Rt => {
+                // The interpreter's own implementation runs the op (or the
+                // implicit return past the last one) on the real frame.
+                thread.ops += 1;
                 sync!(src + 1);
-                let split = thread
-                    .values
-                    .len()
-                    .saturating_sub(nargs as usize)
-                    .max(stack_base);
-                let args = thread.values.split_off(split);
-                return BodyFlow::Exit(RunExit::Syscall { id, args });
-            }
-            TOp::Throw => {
-                let Value::Ref(ex) = vpop!() else {
-                    jthrow!('body, src + 1, npe("throw of null"));
+                let flow = match ops.get(src) {
+                    Some(&op) => rt_op(thread, ctx, op),
+                    None => do_return(thread, None),
                 };
-                jthrow!('body, src + 1, VmException::Guest(ex));
-            }
-            TOp::Ret => {
-                thread.cycles += body.sc_ret;
-                jflow!('body, src + 1, do_return(thread, None));
-            }
-            TOp::RetVal => {
-                thread.cycles += body.sc_ret;
-                let v = vpop!();
-                jflow!('body, src + 1, do_return(thread, Some(v)));
-            }
-            TOp::ImplicitRet => {
-                // Falling off the end: op counted, no cycles charged.
-                jflow!('body, src, do_return(thread, None));
-            }
-            TOp::StrConcat => {
-                let b = vpop!();
-                let a = vpop!();
-                let sa = render(ctx, a);
-                let sb = render(ctx, b);
-                thread.cycles += engine.scaled(
-                    BASE_COSTS.string + BASE_COSTS.string_per_char * (sa.len() + sb.len()) as u64,
-                );
-                let joined = format!("{sa}{sb}");
-                let string_tag = ctx.string_class.heap_class();
-                match with_gc_retry(thread, ctx, &[], |ctx| {
-                    ctx.space.heapprof().arm_alloc(method_idx.0, src as u32, || {
-                        table.qualified_name(method_idx)
-                    });
-                    ctx.space.alloc_str(ctx.heap, string_tag, joined.as_str())
-                }) {
-                    Ok(obj) => thread.values.push(Value::Ref(obj)),
-                    Err(e) => jthrow!('body, src + 1, heap_exception(e)),
-                }
-            }
-            TOp::StrLen => {
-                thread.cycles += body.sc_simple;
-                let Value::Ref(s) = vpop!() else {
-                    jthrow!('body, src + 1, npe("length of null string"));
-                };
-                match ctx.space.str_value(s) {
-                    Ok(v) => {
-                        let n = v.chars().count() as i64;
-                        thread.values.push(Value::Int(n));
-                    }
-                    Err(e) => jthrow!('body, src + 1, heap_exception(e)),
-                }
-            }
-            TOp::StrCharAt => {
-                thread.cycles += body.sc_field;
-                let index = vpop!().as_int();
-                let Value::Ref(s) = vpop!() else {
-                    jthrow!('body, src + 1, npe("charAt on null string"));
-                };
-                let ch = match ctx.space.str_value(s) {
-                    Ok(v) => v.chars().nth(index.max(0) as usize),
-                    Err(e) => jthrow!('body, src + 1, heap_exception(e)),
-                };
-                match ch {
-                    Some(c) => thread.values.push(Value::Int(c as i64)),
-                    None => jthrow!('body, 
-                        src + 1,
-                        VmException::Builtin(
-                            BuiltinEx::IndexOutOfBounds,
-                            format!("string index {index}"),
-                        )
-                    ),
-                }
-            }
-            TOp::StrEq => {
-                let b = vpop!();
-                let a = vpop!();
-                let r = match (a, b) {
-                    (Value::Ref(x), Value::Ref(y)) => {
-                        let sx = ctx.space.str_value(x).ok();
-                        let sy = ctx.space.str_value(y).ok();
-                        thread.cycles += engine.scaled(
-                            BASE_COSTS.string
-                                + BASE_COSTS.string_per_char
-                                    * sx.map(|s| s.len()).unwrap_or(0) as u64,
-                        );
-                        match (sx, sy) {
-                            (Some(sx), Some(sy)) => sx == sy,
-                            _ => false,
-                        }
-                    }
-                    (Value::Null, Value::Null) => true,
-                    _ => false,
-                };
-                thread.values.push(Value::Int(r as i64));
-            }
-            TOp::Intern => {
-                thread.cycles += body.sc_string;
-                let Value::Ref(s) = vpop!() else {
-                    jthrow!('body, src + 1, npe("intern of null"));
-                };
-                let text = match ctx.space.str_value(s) {
-                    Ok(v) => v.to_string(),
-                    Err(e) => jthrow!('body, src + 1, heap_exception(e)),
-                };
-                match intern_string(thread, ctx, &text) {
-                    Ok(obj) => thread.values.push(Value::Ref(obj)),
-                    Err(ex) => jthrow!('body, src + 1, ex),
-                }
-            }
-            TOp::ToStr => {
-                let v = vpop!();
-                let s = render(ctx, v);
-                thread.cycles += engine
-                    .scaled(BASE_COSTS.string + BASE_COSTS.string_per_char * s.len() as u64);
-                let string_tag = ctx.string_class.heap_class();
-                match with_gc_retry(thread, ctx, &[], |ctx| {
-                    ctx.space.heapprof().arm_alloc(method_idx.0, src as u32, || {
-                        table.qualified_name(method_idx)
-                    });
-                    ctx.space.alloc_str(ctx.heap, string_tag, s.as_str())
-                }) {
-                    Ok(obj) => thread.values.push(Value::Ref(obj)),
-                    Err(e) => jthrow!('body, src + 1, heap_exception(e)),
-                }
-            }
-            TOp::Substr => {
-                thread.cycles += body.sc_string;
-                let end = vpop!().as_int();
-                let start = vpop!().as_int();
-                let Value::Ref(s) = vpop!() else {
-                    jthrow!('body, src + 1, npe("substring of null"));
-                };
-                let text = match ctx.space.str_value(s) {
-                    Ok(v) => v.to_string(),
-                    Err(e) => jthrow!('body, src + 1, heap_exception(e)),
-                };
-                let chars: Vec<char> = text.chars().collect();
-                let n = chars.len() as i64;
-                if start < 0 || end < start || end > n {
-                    jthrow!('body, 
-                        src + 1,
-                        VmException::Builtin(
-                            BuiltinEx::IndexOutOfBounds,
-                            format!("substring [{start}, {end}) of length {n}"),
-                        )
-                    );
-                }
-                let sub: String = chars[start as usize..end as usize].iter().collect();
-                thread.cycles += engine.scaled(BASE_COSTS.string_per_char * sub.len() as u64);
-                let string_tag = ctx.string_class.heap_class();
-                match with_gc_retry(thread, ctx, &[], |ctx| {
-                    ctx.space.heapprof().arm_alloc(method_idx.0, src as u32, || {
-                        table.qualified_name(method_idx)
-                    });
-                    ctx.space.alloc_str(ctx.heap, string_tag, sub.as_str())
-                }) {
-                    Ok(obj) => thread.values.push(Value::Ref(obj)),
-                    Err(e) => jthrow!('body, src + 1, heap_exception(e)),
-                }
-            }
-            TOp::ParseInt => {
-                thread.cycles += body.sc_string;
-                let Value::Ref(s) = vpop!() else {
-                    jthrow!('body, src + 1, npe("parseInt of null"));
-                };
-                let text = match ctx.space.str_value(s) {
-                    Ok(v) => v.trim().to_string(),
-                    Err(e) => jthrow!('body, src + 1, heap_exception(e)),
-                };
-                match text.parse::<i64>() {
-                    Ok(v) => thread.values.push(Value::Int(v)),
-                    Err(_) => jthrow!('body, 
-                        src + 1,
-                        VmException::Builtin(
-                            BuiltinEx::Arithmetic,
-                            format!("not a number: {text:?}"),
-                        )
-                    ),
-                }
-            }
-            TOp::MonitorEnter { elide } => {
-                thread.cycles += body.sc_monitor;
-                let Value::Ref(obj) = vpop!() else {
-                    jthrow!('body, src + 1, npe("monitorenter on null"));
-                };
-                if elide {
-                    // Escape analysis proved the receiver never leaves its
-                    // frame, so no other thread can contend; the virtual
-                    // cost above is charged identically.
-                    debug_assert!(
-                        !ctx.monitors.contains_key(&obj),
-                        "statically elided monitorenter on a contended object {obj:?}"
-                    );
-                    thread.monitors_elided += 1;
-                } else {
-                    match ctx.monitors.get_mut(&obj) {
-                        None => {
-                            ctx.monitors.insert(obj, (thread.id, 1));
-                            thread.held_monitors.push(obj);
-                        }
-                        Some((owner, depth)) if *owner == thread.id => *depth += 1,
-                        Some(_) => {
-                            // Rewind so the acquire retries when rescheduled.
-                            thread.values.push(Value::Ref(obj));
-                            sync!(src);
-                            return BodyFlow::Exit(RunExit::Blocked(obj));
-                        }
-                    }
-                }
-            }
-            TOp::MonitorExit { elide } => {
-                thread.cycles += body.sc_monitor;
-                let Value::Ref(obj) = vpop!() else {
-                    jthrow!('body, src + 1, npe("monitorexit on null"));
-                };
-                if elide {
-                    // Matching enter was elided for the same object; the
-                    // exit is symmetric by construction (the escape pass
-                    // elides per-object, all-or-none).
-                    debug_assert!(
-                        !ctx.monitors.contains_key(&obj),
-                        "statically elided monitorexit on a registered monitor {obj:?}"
-                    );
-                    thread.monitors_elided += 1;
-                } else {
-                    match ctx.monitors.get_mut(&obj) {
-                        Some((owner, depth)) if *owner == thread.id => {
-                            *depth -= 1;
-                            if *depth == 0 {
-                                ctx.monitors.remove(&obj);
-                                if let Some(pos) =
-                                    thread.held_monitors.iter().rposition(|&m| m == obj)
-                                {
-                                    thread.held_monitors.remove(pos);
-                                }
-                            }
-                        }
-                        _ => jthrow!('body,
-                            src + 1,
-                            VmException::Builtin(
-                                BuiltinEx::IllegalState,
-                                "monitorexit without ownership".to_string(),
-                            )
-                        ),
-                    }
+                match flow {
+                    StepFlow::Next => {}
+                    StepFlow::Continue => break 'body,
+                    StepFlow::Exit(exit) => return BodyFlow::Exit(exit),
+                    StepFlow::Raise(ex) => jthrow!('body, src + 1, ex),
                 }
             }
         }

@@ -39,9 +39,7 @@ pub use interp::{
 };
 pub use intrinsics::{IntrinsicDef, IntrinsicRegistry};
 pub use jit::{
-    compile as jit_compile, elide_fingerprint, jit_diag_take, method_key, AttachKind, AttachedBody,
-    BodySlot, CacheStats,
-    CodeCache, CompiledBody, JitConfig, JitRt, Linked, MethodKey, ProcJit, ProcJitStats,
+    BodySlot, CacheStats, CodeCache, JitConfig, JitRt, MethodKey, ProcJit, ProcJitStats,
     DEFAULT_CACHE_BYTES, DEFAULT_JIT_THRESHOLD,
 };
 pub use verify::{method_descriptor, verify_class, VerifyError};
