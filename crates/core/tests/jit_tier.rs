@@ -91,34 +91,44 @@ fn jit_procfs_round_trips_from_guest() {
     assert_eq!(stats.bytes, bytes);
 }
 
-/// Satellite: `kaffeos-top` carries a JIT column (`compiled+reuse`), and a
-/// second process of the same image shows shared reuse in it.
+/// Satellite: `kaffeos-top` carries a JIT column (`compiled+reuse`), and
+/// the ShareJIT claim holds: N processes of one image compile each hot
+/// method exactly once between them, the other N−1 reuse every body, and a
+/// warm repeat on the same kernel compiles nothing.
 #[test]
 fn top_column_shows_compiles_and_shared_reuse() {
+    // Cold: one process alone pays every compilation; warm: a re-spawn of
+    // the same image attaches the cached bodies instead.
+    let mut cold = build_os(1 << 20);
+    cold.register_image("hot", &hot_image(1)).unwrap();
+    cold.spawn("hot", "", Some(1 << 20)).unwrap();
+    cold.run(None);
+    let hot = cold.jit_cache_stats().compiles;
+    assert!(hot >= 1, "the hot loop must tier up");
+    cold.spawn("hot", "", Some(1 << 20)).unwrap();
+    cold.run(None);
+    assert_eq!(cold.jit_cache_stats().compiles, hot, "warm repeat compiled");
+
     let mut os = build_os(1 << 20);
     os.register_image("hot", &hot_image(1)).unwrap();
-    let a = os.spawn("hot", "", Some(1 << 20)).unwrap();
-    let b = os.spawn("hot", "", Some(1 << 20)).unwrap();
+    let pids: Vec<Pid> = (0..4)
+        .map(|_| os.spawn("hot", "", Some(1 << 20)).unwrap())
+        .collect();
     os.run(None);
-
-    let sa = os.jit_stats(a).unwrap();
-    let sb = os.jit_stats(b).unwrap();
-    assert!(sa.compiled + sb.compiled >= 1, "someone must compile");
-    assert!(
-        sa.reuse + sb.reuse >= 1,
-        "the second process must reuse the shared body: {sa:?} {sb:?}"
-    );
-    // Each hot method was compiled exactly once across both processes.
+    let stats: Vec<_> = pids.iter().map(|&p| os.jit_stats(p).unwrap()).collect();
+    let compiled: u64 = stats.iter().map(|s| s.compiled).sum();
+    assert_eq!(os.jit_cache_stats().compiles, hot, "{stats:?}");
+    assert_eq!(compiled, hot, "{stats:?}");
     assert_eq!(
-        sa.compiled + sb.compiled,
-        os.jit_cache_stats().compiles,
-        "per-process compiles must sum to the cache's total"
+        stats.iter().map(|s| s.reuse).sum::<u64>(),
+        (pids.len() as u64 - 1) * hot,
+        "every other process must reuse every shared body: {stats:?}"
     );
 
     let top = os.top_text();
     let header = top.lines().next().unwrap_or("");
     assert!(header.contains("JIT"), "top header lacks JIT column:\n{top}");
-    for (pid, s) in [(a, sa), (b, sb)] {
+    for (&pid, s) in pids.iter().zip(&stats) {
         let row = top
             .lines()
             .find(|l| l.trim_start().starts_with(&pid.0.to_string()))

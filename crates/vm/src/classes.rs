@@ -421,10 +421,11 @@ impl ClassTable {
     fn unload_failed(&mut self, ns: u32, idx: ClassIdx, name: &str) {
         debug_assert_eq!(idx.0 as usize, self.classes.len() - 1);
         self.namespaces[ns as usize].classes.remove(name);
-        let cls = self.classes.pop().expect("class was just pushed");
-        // Methods were appended contiguously.
-        self.methods
-            .truncate(self.methods.len() - cls.methods.len());
+        if let Some(cls) = self.classes.pop() {
+            // Methods were appended contiguously.
+            self.methods
+                .truncate(self.methods.len() - cls.methods.len());
+        }
     }
 
     fn resolve_pool(&self, ns: u32, def: &ClassDef) -> Result<Vec<RConst>, VmError> {
@@ -473,18 +474,17 @@ impl ClassTable {
                 let cidx = self
                     .lookup(ns, class)
                     .ok_or_else(|| VmError::UnknownClass(class.clone()))?;
-                let midx = self
-                    .find_method(cidx, name)
-                    .ok_or_else(|| VmError::UnknownMember {
-                        class: class.clone(),
-                        member: name.clone(),
-                    })?;
+                let unknown = || VmError::UnknownMember {
+                    class: class.clone(),
+                    member: name.clone(),
+                };
+                let midx = self.find_method(cidx, name).ok_or_else(unknown)?;
                 let m = &self.methods[midx.0 as usize];
                 if m.is_static {
                     RConst::DirectMethod(midx)
                 } else {
                     let lc = &self.classes[cidx.0 as usize];
-                    let vslot = *lc.vslots.get(name).expect("virtual method has slot");
+                    let vslot = *lc.vslots.get(name).ok_or_else(unknown)?;
                     RConst::VirtualMethod {
                         class: cidx,
                         vslot,
@@ -494,14 +494,12 @@ impl ClassTable {
                 }
             }
             Const::Intrinsic(name) => {
-                let id = self
-                    .intrinsics
-                    .by_name(name)
-                    .ok_or_else(|| VmError::UnknownMember {
-                        class: "<intrinsics>".to_string(),
-                        member: name.clone(),
-                    })?;
-                let def = self.intrinsics.def(id).expect("id from registry");
+                let unknown = || VmError::UnknownMember {
+                    class: "<intrinsics>".to_string(),
+                    member: name.clone(),
+                };
+                let id = self.intrinsics.by_name(name).ok_or_else(unknown)?;
+                let def = self.intrinsics.def(id).ok_or_else(unknown)?;
                 RConst::Intrinsic {
                     id,
                     nargs: def.params.len() as u8,

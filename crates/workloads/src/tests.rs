@@ -72,91 +72,82 @@ fn platform_virtual_times_are_ordered_like_the_paper() {
     }
 }
 
-/// Tracing must be free when disabled and *virtually* free when enabled:
-/// the event plane has no cycle model, so the Figure 3 numbers — virtual
-/// seconds (bit-for-bit) and every barrier counter — are identical with
-/// tracing off and on. Only the recorded event count may differ.
+/// The observability planes — tracing, the profiler and the heap plane —
+/// are Option-sinks with no cycle model, so the Figure 3 numbers — virtual
+/// seconds (bit-for-bit), the clock, every barrier counter and the
+/// checksum — are identical with each plane off and on. Only what the plane
+/// records may differ: nothing when off, something when on.
 #[test]
-fn tracing_never_perturbs_figure3_numbers() {
+fn observability_planes_never_perturb_figure3_numbers() {
     use kaffeos::{ExitStatus, KaffeOs, KaffeOsConfig};
 
+    /// Name, the config switch, and one count per thing the plane records.
+    type Plane = (
+        &'static str,
+        fn(&mut KaffeOsConfig),
+        fn(&KaffeOs) -> Vec<usize>,
+    );
+    let planes: [Plane; 3] = [
+        (
+            "trace",
+            |c| c.trace = true,
+            |os| vec![os.trace_events().len()],
+        ),
+        (
+            "profile",
+            |c| c.profile = true,
+            |os| vec![os.profile_folded().lines().count()],
+        ),
+        (
+            "heapprof",
+            |c| c.heapprof = true,
+            |os| {
+                vec![
+                    os.heapprof_folded_bytes().lines().count(),
+                    os.space().heapprof().timeline_len(),
+                ]
+            },
+        ),
+    ];
     let bench = by_name("compress").unwrap();
     let reference = platforms()[5]; // KaffeOS, No Heap Pointer
-    let run = |trace: bool| {
-        let mut os = KaffeOs::new(KaffeOsConfig {
-            trace,
-            ..reference.config()
-        });
-        os.register_image(bench.name, bench.source).unwrap();
-        let pid = os.spawn(bench.name, "1", None).unwrap();
-        let report = os.run(None);
-        let checksum = match os.status(pid) {
-            Some(ExitStatus::Exited(v)) => v,
-            other => panic!("compress ended with {other:?}"),
+    for (plane, enable, recorded) in planes {
+        let run = |on: bool| {
+            let mut config = reference.config();
+            if on {
+                enable(&mut config);
+            }
+            let mut os = KaffeOs::new(config);
+            os.register_image(bench.name, bench.source).unwrap();
+            let pid = os.spawn(bench.name, "1", None).unwrap();
+            let report = os.run(None);
+            let checksum = match os.status(pid) {
+                Some(ExitStatus::Exited(v)) => v,
+                other => panic!("compress ended with {other:?}"),
+            };
+            let figure3 = (
+                report.virtual_seconds.to_bits(),
+                report.barrier,
+                os.clock(),
+                checksum,
+            );
+            (figure3, recorded(&os))
         };
-        (
-            report.virtual_seconds.to_bits(),
-            report.barrier,
-            os.clock(),
-            checksum,
-            os.trace_events().len(),
-        )
-    };
-    let (vs_off, barrier_off, clock_off, sum_off, events_off) = run(false);
-    let (vs_on, barrier_on, clock_on, sum_on, events_on) = run(true);
-    assert_eq!(events_off, 0, "disabled tracing must record zero events");
-    assert!(events_on > 0, "enabled tracing must record the run");
-    assert_eq!(vs_off, vs_on, "virtual seconds must be bit-identical");
-    assert_eq!(clock_off, clock_on, "the virtual clock must not move");
-    assert_eq!(barrier_off, barrier_on, "barrier stats must be identical");
-    assert_eq!(sum_off, sum_on, "the checksum must be unaffected");
-}
-
-/// The profiler has the same contract as tracing: an Option-sink with no
-/// cycle model, sampled only at virtual-time edges, so the Figure 3
-/// numbers — virtual seconds (bit-for-bit), the clock, every barrier
-/// counter and the checksum — are identical with profiling off and on.
-/// Only the recorded profile may differ (empty off, populated on).
-#[test]
-fn profiler_never_perturbs_figure3_numbers() {
-    use kaffeos::{ExitStatus, KaffeOs, KaffeOsConfig};
-
-    let bench = by_name("compress").unwrap();
-    let reference = platforms()[5]; // KaffeOS, No Heap Pointer
-    let run = |profile: bool| {
-        let mut os = KaffeOs::new(KaffeOsConfig {
-            profile,
-            ..reference.config()
-        });
-        os.register_image(bench.name, bench.source).unwrap();
-        let pid = os.spawn(bench.name, "1", None).unwrap();
-        let report = os.run(None);
-        let checksum = match os.status(pid) {
-            Some(ExitStatus::Exited(v)) => v,
-            other => panic!("compress ended with {other:?}"),
-        };
-        (
-            report.virtual_seconds.to_bits(),
-            report.barrier,
-            os.clock(),
-            checksum,
-            os.profile_folded(),
-        )
-    };
-    let (vs_off, barrier_off, clock_off, sum_off, folded_off) = run(false);
-    let (vs_on, barrier_on, clock_on, sum_on, folded_on) = run(true);
-    assert!(
-        folded_off.is_empty(),
-        "disabled profiling must record zero samples"
-    );
-    assert!(
-        !folded_on.is_empty(),
-        "enabled profiling must sample the run"
-    );
-    assert_eq!(vs_off, vs_on, "virtual seconds must be bit-identical");
-    assert_eq!(clock_off, clock_on, "the virtual clock must not move");
-    assert_eq!(barrier_off, barrier_on, "barrier stats must be identical");
-    assert_eq!(sum_off, sum_on, "the checksum must be unaffected");
+        let (off, recorded_off) = run(false);
+        let (on, recorded_on) = run(true);
+        assert_eq!(
+            off, on,
+            "{plane}: (virtual seconds, barrier stats, clock, checksum) moved"
+        );
+        assert!(
+            recorded_off.iter().all(|&n| n == 0),
+            "{plane}: disabled plane recorded {recorded_off:?}"
+        );
+        assert!(
+            recorded_on.iter().all(|&n| n > 0),
+            "{plane}: enabled plane recorded {recorded_on:?}"
+        );
+    }
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Differential tier oracle: the template JIT must be invisible in every
 //! virtual number.
 //!
-//! Runs every BENCH_interp benchmark and all six tenant scenarios twice —
+//! Runs every SPEC-analogue benchmark and all six tenant scenarios twice —
 //! interpreter-only and JIT-enabled — and compares the virtual outputs
 //! byte-for-byte: modelled seconds, barrier and GC cycle counts, checksums
 //! (the Figure 3/4 inputs), the scenarios' golden report text (latency
