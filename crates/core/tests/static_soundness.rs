@@ -17,6 +17,7 @@
 //! byte-identical traces, clocks, and barrier counters.
 
 use kaffeos::analyze::{Region, Verdict};
+use kaffeos::trace::TraceBuffer;
 use kaffeos::{
     ExitStatus, FaultPlan, KaffeOs, KaffeOsConfig, Pid, SegViolationKind, SpawnOpts,
 };
@@ -246,7 +247,7 @@ fn elision_does_not_move_virtual_time() {
         let report = os.run(Some(20_000_000));
         os.kernel_gc();
         (
-            os.trace_jsonl(),
+            os.obs().trace.read(TraceBuffer::jsonl),
             os.clock(),
             format!("{:?}", report.barrier),
         )
@@ -283,7 +284,7 @@ fn monitor_elision_and_devirt_are_host_only() {
             "syncer must finish: {status:?}"
         );
         (
-            os.trace_jsonl(),
+            os.obs().trace.read(TraceBuffer::jsonl),
             os.clock(),
             status,
             os.analysis_counters(pid).expect("pid is known"),

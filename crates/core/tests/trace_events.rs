@@ -1,9 +1,11 @@
 //! Event-stream semantics: the trace must tell the story of a shared
 //! heap's life in order (freeze → attach → detach-on-kill → orphan), carry
-//! monotonic sequence numbers and clocks, and record *nothing* — not one
-//! event, not one closure — when tracing is disabled.
+//! monotonic sequence numbers and clocks, and — like every observability
+//! plane — record *nothing* when it is off.
 
-use kaffeos::trace::Payload;
+use kaffeos::trace::{
+    export_chrome, Event, HeapProfStore, MetricsSnapshot, Payload, ProfileStore, TraceBuffer,
+};
 use kaffeos::{KaffeOs, KaffeOsConfig};
 
 fn build_os(trace: bool) -> KaffeOs {
@@ -65,20 +67,20 @@ fn shm_lifecycle_events_appear_in_order() {
     os.audit().expect("lifecycle run audits clean");
     assert_eq!(os.shm_registry().len(), 0, "orphan was merged");
 
-    let lifecycle: Vec<(u32, String)> = os
-        .trace_events()
-        .iter()
-        .filter_map(|e| match &e.payload {
-            Payload::ShmFrozen { name, bytes } => {
-                assert!(*bytes > 0, "frozen heap has a size");
-                Some((e.pid, format!("frozen:{name}")))
-            }
-            Payload::ShmAttached { name } => Some((e.pid, format!("attached:{name}"))),
-            Payload::ShmDetached { name } => Some((e.pid, format!("detached:{name}"))),
-            Payload::ShmOrphaned { name } => Some((e.pid, format!("orphaned:{name}"))),
-            _ => None,
-        })
-        .collect();
+    let lifecycle: Vec<(u32, String)> = os.obs().trace.read(|t| {
+        t.events()
+            .filter_map(|e| match &e.payload {
+                Payload::ShmFrozen { name, bytes } => {
+                    assert!(*bytes > 0, "frozen heap has a size");
+                    Some((e.pid, format!("frozen:{name}")))
+                }
+                Payload::ShmAttached { name } => Some((e.pid, format!("attached:{name}"))),
+                Payload::ShmDetached { name } => Some((e.pid, format!("detached:{name}"))),
+                Payload::ShmOrphaned { name } => Some((e.pid, format!("orphaned:{name}"))),
+                _ => None,
+            })
+            .collect()
+    });
     assert_eq!(
         lifecycle,
         vec![
@@ -104,7 +106,7 @@ fn sequence_numbers_are_gapless_and_clocks_monotonic() {
     os.run(Some(os.clock() + 5_000_000));
     os.kernel_gc();
 
-    let events = os.trace_events();
+    let events: Vec<Event> = os.obs().trace.read(|t| t.events().cloned().collect());
     assert!(events.len() > 20, "expected a substantial stream");
     let mut last_at = 0u64;
     for (i, e) in events.iter().enumerate() {
@@ -118,85 +120,49 @@ fn sequence_numbers_are_gapless_and_clocks_monotonic() {
     }
 }
 
-/// With tracing off (the default), the kernel records nothing at all: no
-/// events, no metrics, empty exports. Combined with the sink's
-/// closure-skipping `emit_with`, the disabled path does zero work.
+/// With every plane off (the default), the kernel records nothing at all:
+/// no events, metrics, samples, sites or timeline, and every export of all
+/// three planes reads empty. The heap dump, a function of the virtual state
+/// rather than a plane, keeps working.
 #[test]
-fn disabled_tracing_records_nothing() {
+fn disabled_planes_record_nothing() {
     let mut os = build_os(false);
     let creator = os.spawn("creator", "", Some(1 << 20)).unwrap();
     os.run(Some(os.clock() + 5_000_000));
     os.kill(creator).unwrap();
     os.run(Some(os.clock() + 5_000_000));
     os.kernel_gc();
-    os.audit().expect("untraced run audits clean");
+    os.audit().expect("unobserved run audits clean");
 
-    assert!(!os.trace_enabled());
-    assert!(os.trace_events().is_empty());
-    let metrics = os.metrics();
-    assert_eq!(metrics.events_recorded, 0);
-    assert_eq!(metrics.events_dropped, 0);
-    assert!(metrics.per_process.is_empty());
-    assert!(metrics.net_bytes_by_node.is_empty());
-    assert_eq!(os.trace_jsonl(), "");
+    let obs = os.obs();
+    assert!(!obs.trace.is_on() && !obs.profile.is_on() && !obs.heap.is_on());
+    let class = |tag| os.class_tag_name(tag);
+    for export in [
+        obs.trace.read(TraceBuffer::jsonl),
+        obs.profile.read(ProfileStore::folded),
+        obs.profile.read(ProfileStore::flamegraph_svg),
+        obs.profile.read(ProfileStore::histograms_text),
+        obs.profile.read(|p| p.summary(creator.0)),
+        obs.heap.read(|h| h.folded_bytes(&class)),
+        obs.heap.read(|h| h.folded_objects(&class)),
+        obs.heap.read(|h| h.flamegraph_svg(&class)),
+        obs.heap.read(|h| h.survival_text(&class)),
+        obs.heap.read(HeapProfStore::timeline_jsonl),
+        obs.heap.read(HeapProfStore::heap_hists_text),
+    ] {
+        assert_eq!(export, "");
+    }
     assert_eq!(
-        os.trace_chrome(),
+        obs.trace.read(|t| t.metrics().clone()),
+        MetricsSnapshot::default()
+    );
+    assert!(obs.profile.read(|p| p.totals().clone()).is_empty());
+    assert!(obs.heap.read(HeapProfStore::census).is_empty());
+    // The Chrome exporter renders no events as its empty document.
+    let events: Vec<Event> = obs.trace.read(|t| t.events().cloned().collect());
+    assert_eq!(
+        export_chrome(events.iter()),
         "{\"traceEvents\":[],\"displayTimeUnit\":\"ms\"}\n"
     );
-}
-
-/// The ring is bounded: a tiny capacity drops the oldest events but the
-/// incremental metrics stay exact, and the retained window is the newest
-/// `capacity` events.
-#[test]
-fn bounded_ring_drops_oldest_but_metrics_stay_exact() {
-    let mut os = KaffeOs::new(KaffeOsConfig {
-        trace: true,
-        trace_capacity: 32,
-        ..KaffeOsConfig::default()
-    });
-    os.register_image(
-        "churn",
-        r#"class Main {
-               static int main() {
-                   int acc = 0;
-                   for (int i = 0; i < 500; i = i + 1) {
-                       int[] junk = new int[64];
-                       acc = acc + junk[0] + i;
-                   }
-                   return acc;
-               }
-           }"#,
-    )
-    .unwrap();
-    let pid = os.spawn("churn", "", Some(1 << 20)).unwrap();
-    os.run(Some(os.clock() + 100_000_000));
-    assert!(!os.is_alive(pid));
-
-    let metrics = os.metrics();
-    let events = os.trace_events();
-    assert_eq!(events.len(), 32, "ring holds exactly its capacity");
-    assert!(
-        metrics.events_dropped > 0,
-        "the workload must overflow a 32-event ring"
-    );
-    assert_eq!(
-        metrics.events_recorded,
-        metrics.events_dropped + events.len() as u64
-    );
-    // The retained window is the tail of the stream: consecutive seqs
-    // ending at the last recorded event.
-    let first_seq = events[0].seq;
-    assert_eq!(first_seq, metrics.events_dropped, "oldest events dropped");
-    // Exactness under overflow: the per-process counters still cover the
-    // early events the ring dropped.
-    let pm = metrics.per_process.get(&pid.0).expect("process was traced");
-    assert!(pm.exited);
-    assert!(
-        pm.charges as usize > events.len(),
-        "metrics must count charges beyond the retained window \
-         ({} charges, {} retained events)",
-        pm.charges,
-        events.len()
-    );
+    assert!(os.heap_dump().contains("\"type\":\"recount\""), "the dump needs no plane");
 }

@@ -139,8 +139,9 @@ impl HeapSpace {
         scratch: &mut GcScratch,
     ) -> Result<GcReport, HeapError> {
         self.check_heap(heap)?;
-        self.trace()
-            .emit_with(|| kaffeos_trace::Payload::GcBegin { heap: heap.index });
+        self.obs
+            .trace
+            .with(|t| t.record(kaffeos_trace::Payload::GcBegin { heap: heap.index }));
         let mut cycles: u64 = 0;
 
         // Phase 0: clear exit-item marks.
@@ -264,7 +265,9 @@ impl HeapSpace {
                     if let Some(dead) = dead {
                         self.payload_pool.recycle(dead.data);
                     }
-                    self.heapprof.record_free(index, kaffeos_trace::GcKind::Full);
+                    self.obs
+                        .heap
+                        .with(|h| h.record_free(index, kaffeos_trace::GcKind::Full));
                 }
             }
             self.page_table[page as usize].live -= freed_on_page;
@@ -282,19 +285,15 @@ impl HeapSpace {
             }
             meta.state = PageState::Mature;
             meta.age = 0;
-            if self.heapprof.is_enabled() {
-                self.heapprof.record_page_event(
-                    kaffeos_trace::PageEvent::Promote,
-                    page,
-                    heap.index,
-                );
+            self.obs.heap.with(|h| {
+                h.record_page_event(kaffeos_trace::PageEvent::Promote, page, heap.index);
                 let start = page * PAGE_SLOTS;
                 for index in start..start + PAGE_SLOTS {
                     if self.slots[index as usize].obj.is_some() {
-                        self.heapprof.record_tenure(index);
+                        h.record_tenure(index);
                     }
                 }
-            }
+            });
         }
         {
             let core = self.heap_core_mut(heap);
@@ -329,23 +328,29 @@ impl HeapSpace {
         }
 
         let core = self.heap_core(heap);
-        self.trace().emit_with(|| kaffeos_trace::Payload::GcEnd {
-            heap: heap.index,
-            bytes_freed,
-            objects_freed,
-            cycles,
+        self.obs.trace.with(|t| {
+            t.record(kaffeos_trace::Payload::GcEnd {
+                heap: heap.index,
+                bytes_freed,
+                objects_freed,
+                cycles,
+            })
         });
         // Pause histogram: recorded here, at the single choke point every
         // collection passes through, so allocation-triggered GCs inside the
         // interpreter are covered as well as kernel-initiated ones.
-        self.profile().record_gc_pause(heap.index, cycles);
-        self.heapprof.record_gc(
-            heap.index,
-            kaffeos_trace::GcKind::Full,
-            bytes_freed,
-            objects_freed,
-            cycles,
-        );
+        self.obs
+            .profile
+            .with(|p| p.record_gc_pause(heap.index, cycles));
+        self.obs.heap.with(|h| {
+            h.record_gc(
+                heap.index,
+                kaffeos_trace::GcKind::Full,
+                bytes_freed,
+                objects_freed,
+                cycles,
+            )
+        });
         self.record_heap_occupancy(heap);
         Ok(GcReport {
             heap,
@@ -553,7 +558,9 @@ impl HeapSpace {
                     if let Some(dead) = dead {
                         self.payload_pool.recycle(dead.data);
                     }
-                    self.heapprof.record_free(index, kaffeos_trace::GcKind::Minor);
+                    self.obs
+                        .heap
+                        .with(|h| h.record_free(index, kaffeos_trace::GcKind::Minor));
                 }
             }
             self.page_table[page as usize].live -= freed_on_page;
@@ -610,8 +617,9 @@ impl HeapSpace {
                 };
                 self.free_pages.push(page);
                 pages_released += 1;
-                self.heapprof
-                    .record_page_event(kaffeos_trace::PageEvent::Release, page, heap.index);
+                self.obs.heap.with(|h| {
+                    h.record_page_event(kaffeos_trace::PageEvent::Release, page, heap.index)
+                });
             } else {
                 meta.age = meta.age.saturating_add(1);
                 let promote = meta.age >= PROMOTE_AGE && meta.live >= PROMOTE_MIN_LIVE;
@@ -620,18 +628,16 @@ impl HeapSpace {
                     meta.age = 0;
                     pages_promoted += 1;
                 }
-                if promote && self.heapprof.is_enabled() {
-                    self.heapprof.record_page_event(
-                        kaffeos_trace::PageEvent::Promote,
-                        page,
-                        heap.index,
-                    );
-                    let start = page * PAGE_SLOTS;
-                    for index in start..start + PAGE_SLOTS {
-                        if self.slots[index as usize].obj.is_some() {
-                            self.heapprof.record_tenure(index);
+                if promote {
+                    self.obs.heap.with(|h| {
+                        h.record_page_event(kaffeos_trace::PageEvent::Promote, page, heap.index);
+                        let start = page * PAGE_SLOTS;
+                        for index in start..start + PAGE_SLOTS {
+                            if self.slots[index as usize].obj.is_some() {
+                                h.record_tenure(index);
+                            }
                         }
-                    }
+                    });
                 }
             }
         }
@@ -695,13 +701,15 @@ impl HeapSpace {
         }
         core::mem::swap(&mut self.heap_core_mut(heap).remset, &mut scratch.remset_next);
 
-        self.heapprof.record_gc(
-            heap.index,
-            kaffeos_trace::GcKind::Minor,
-            bytes_freed,
-            objects_freed,
-            0,
-        );
+        self.obs.heap.with(|h| {
+            h.record_gc(
+                heap.index,
+                kaffeos_trace::GcKind::Minor,
+                bytes_freed,
+                objects_freed,
+                0,
+            )
+        });
         self.record_heap_occupancy(heap);
         Ok(MinorGcReport {
             heap,
@@ -728,9 +736,11 @@ impl HeapSpace {
         let removed = self.heap_core_mut(heap).exits.remove(&target);
         debug_assert!(removed.is_some(), "dropping absent exit item");
         if removed.is_some() {
-            self.trace().emit_with(|| kaffeos_trace::Payload::ExitItemDropped {
-                heap: heap.index,
-                target: target.index,
+            self.obs.trace.with(|t| {
+                t.record(kaffeos_trace::Payload::ExitItemDropped {
+                    heap: heap.index,
+                    target: target.index,
+                })
             });
         }
         if removed.map(|e| e.accounted).unwrap_or(false) {
@@ -791,8 +801,9 @@ impl HeapSpace {
             meta.owner = Some(kernel);
             meta.state = PageState::Mature;
             let live = meta.live;
-            self.heapprof
-                .record_page_event(kaffeos_trace::PageEvent::Retag, page, kernel.index);
+            self.obs
+                .heap
+                .with(|h| h.record_page_event(kaffeos_trace::PageEvent::Retag, page, kernel.index));
             if live == 0 {
                 continue;
             }
@@ -834,9 +845,11 @@ impl HeapSpace {
         for (target, accounted) in exits {
             cycles += costs::MERGE_PER_OBJECT;
             self.heap_core_mut(heap).exits.remove(&target);
-            self.trace().emit_with(|| kaffeos_trace::Payload::ExitItemDropped {
-                heap: heap.index,
-                target: target.index,
+            self.obs.trace.with(|t| {
+                t.record(kaffeos_trace::Payload::ExitItemDropped {
+                    heap: heap.index,
+                    target: target.index,
+                })
             });
             if accounted {
                 if let Some(ml) = memlimit {
@@ -867,9 +880,11 @@ impl HeapSpace {
         for target in kernel_exits {
             cycles += costs::MERGE_PER_OBJECT;
             self.heap_core_mut(kernel).exits.remove(&target);
-            self.trace().emit_with(|| kaffeos_trace::Payload::ExitItemDropped {
-                heap: kernel.index,
-                target: target.index,
+            self.obs.trace.with(|t| {
+                t.record(kaffeos_trace::Payload::ExitItemDropped {
+                    heap: kernel.index,
+                    target: target.index,
+                })
             });
             // The matching entry item lives in the (still-live) merged
             // heap's table; decrement there so the pair dies together.
@@ -920,10 +935,12 @@ impl HeapSpace {
         core.objects = 0;
         core.memlimit = None;
 
-        self.trace().emit_with(|| kaffeos_trace::Payload::HeapMerged {
-            heap: heap.index,
-            bytes: bytes_moved,
-            objects: objects_moved,
+        self.obs.trace.with(|t| {
+            t.record(kaffeos_trace::Payload::HeapMerged {
+                heap: heap.index,
+                bytes: bytes_moved,
+                objects: objects_moved,
+            })
         });
         Ok(MergeReport {
             bytes_moved,
@@ -944,9 +961,11 @@ impl HeapSpace {
         if entry.refs == 0 {
             let accounted = entry.accounted;
             core.entries.remove(&target.index);
-            self.trace().emit_with(|| kaffeos_trace::Payload::EntryItemDropped {
-                heap: heap.index,
-                slot: target.index,
+            self.obs.trace.with(|t| {
+                t.record(kaffeos_trace::Payload::EntryItemDropped {
+                    heap: heap.index,
+                    slot: target.index,
+                })
             });
             if accounted {
                 if let Some(ml) = self.heap_core(heap).memlimit {

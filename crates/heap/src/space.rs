@@ -191,14 +191,11 @@ pub struct HeapSpace {
     alloc_fault: Option<AllocFault>,
     /// Injected allocation failures fired so far.
     alloc_faults_fired: u64,
-    /// Trace sink for barrier/entry/exit/fault events; disabled by default.
-    sink: kaffeos_trace::TraceSink,
-    /// Profile sink for GC pause histograms; disabled by default.
-    profile: kaffeos_trace::ProfileSink,
-    /// Heap-observability sink: allocation sites, survival stats, the
-    /// GC/page timeline and the cross-heap edge census. Disabled by
-    /// default; entirely host-plane (see [`kaffeos_trace::heapprof`]).
-    pub(crate) heapprof: kaffeos_trace::HeapProfSink,
+    /// Observability planes, all off by default: trace events (barrier,
+    /// entry/exit, fault, GC), GC pause histograms (profile), and the heap
+    /// plane's allocation sites, survival, timeline and edge census. Held
+    /// by value so each recording point's off check is one field test.
+    pub(crate) obs: kaffeos_trace::Obs,
     /// Persistent GC working buffers, reused across collections so a
     /// steady-state `gc()` allocates nothing on the host.
     pub(crate) gc_scratch: crate::gc::GcScratch,
@@ -258,46 +255,22 @@ impl HeapSpace {
             alloc_counter: 0,
             alloc_fault: None,
             alloc_faults_fired: 0,
-            sink: kaffeos_trace::TraceSink::disabled(),
-            profile: kaffeos_trace::ProfileSink::disabled(),
-            heapprof: kaffeos_trace::HeapProfSink::disabled(),
+            obs: kaffeos_trace::Obs::default(),
             gc_scratch: crate::gc::GcScratch::default(),
         }
     }
 
-    /// Installs the trace sink used by the space *and* its memlimit tree.
-    /// The default sink is disabled and records nothing.
-    pub fn set_trace_sink(&mut self, sink: kaffeos_trace::TraceSink) {
-        self.limits.set_trace_sink(sink.clone());
-        self.sink = sink;
+    /// Installs the observability handle used by the space, and its trace
+    /// plane in the memlimit tree. The default handle has every plane off.
+    pub fn set_obs(&mut self, obs: kaffeos_trace::Obs) {
+        self.limits.set_trace(obs.trace.clone());
+        self.obs = obs;
     }
 
-    /// The space's trace sink (cheap to clone; disabled unless installed).
-    pub fn trace(&self) -> &kaffeos_trace::TraceSink {
-        &self.sink
-    }
-
-    /// Installs the profile sink: collections record their pause cycles
-    /// into the per-heap histogram. Disabled by default.
-    pub fn set_profile_sink(&mut self, profile: kaffeos_trace::ProfileSink) {
-        self.profile = profile;
-    }
-
-    /// The space's profile sink (disabled unless installed).
-    pub fn profile(&self) -> &kaffeos_trace::ProfileSink {
-        &self.profile
-    }
-
-    /// Installs the heap-observability sink: allocations are attributed to
-    /// their armed sites, sweeps feed survival stats, and page/GC events go
-    /// to the timeline. Disabled by default.
-    pub fn set_heapprof_sink(&mut self, heapprof: kaffeos_trace::HeapProfSink) {
-        self.heapprof = heapprof;
-    }
-
-    /// The space's heap-observability sink (disabled unless installed).
-    pub fn heapprof(&self) -> &kaffeos_trace::HeapProfSink {
-        &self.heapprof
+    /// The space's observability handle (every plane off unless installed).
+    #[inline]
+    pub fn obs(&self) -> &kaffeos_trace::Obs {
+        &self.obs
     }
 
     // ----- fault injection --------------------------------------------------
@@ -612,8 +585,10 @@ impl HeapSpace {
                     self.alloc_fault = None;
                 }
                 self.alloc_faults_fired += 1;
-                self.sink.emit_with(|| kaffeos_trace::Payload::FaultInjected {
-                    kind: kaffeos_trace::InjectionKind::AllocOom,
+                self.obs.trace.with(|t| {
+                    t.record(kaffeos_trace::Payload::FaultInjected {
+                        kind: kaffeos_trace::InjectionKind::AllocOom,
+                    })
                 });
                 let node = self.heap_core(heap).memlimit.unwrap_or(self.root_limit);
                 return Err(HeapError::OutOfMemory(kaffeos_memlimit::LimitExceeded {
@@ -648,7 +623,9 @@ impl HeapSpace {
         core.objects += 1;
         // Host plane: attributes the object to the armed allocation site
         // (no-op when the observability plane is disabled).
-        self.heapprof.record_alloc(index, class.0, bytes);
+        self.obs
+            .heap
+            .with(|h| h.record_alloc(index, class.0, bytes));
         Ok(ObjRef {
             index,
             generation: self.slots[index as usize].generation,
@@ -712,8 +689,9 @@ impl HeapSpace {
             });
             page
         };
-        self.heapprof
-            .record_page_event(kaffeos_trace::PageEvent::Claim, page, heap.index);
+        self.obs
+            .heap
+            .with(|h| h.record_page_event(kaffeos_trace::PageEvent::Claim, page, heap.index));
         let start = page * PAGE_SLOTS;
         let core = self.heap_core_mut(heap);
         core.pages.push(page);
@@ -749,8 +727,9 @@ impl HeapSpace {
                     age: 0,
                 };
                 self.free_pages.push(page);
-                self.heapprof
-                    .record_page_event(kaffeos_trace::PageEvent::Release, page, heap.index);
+                self.obs.heap.with(|h| {
+                    h.record_page_event(kaffeos_trace::PageEvent::Release, page, heap.index)
+                });
                 released.push(page);
             } else {
                 kept.push(page);
@@ -905,8 +884,10 @@ impl HeapSpace {
             // for same-heap or null stores — reassignment itself is illegal.
             if self.get(obj)?.frozen {
                 self.stats.violations += 1;
-                self.sink.emit_with(|| kaffeos_trace::Payload::BarrierViolation {
-                    kind: SegViolationKind::FrozenSharedField.label(),
+                self.obs.trace.with(|t| {
+                    t.record(kaffeos_trace::Payload::BarrierViolation {
+                        kind: SegViolationKind::FrozenSharedField.label(),
+                    })
                 });
                 return Err(HeapError::SegViolation(SegViolationKind::FrozenSharedField));
             }
@@ -916,8 +897,8 @@ impl HeapSpace {
                 let dst_kind = self.heap_core(dst_heap).kind;
                 if let Err(kind) = check_edge(src_kind, dst_kind, src_heap == dst_heap, trusted) {
                     self.stats.violations += 1;
-                    self.sink.emit_with(|| kaffeos_trace::Payload::BarrierViolation {
-                        kind: kind.label(),
+                    self.obs.trace.with(|t| {
+                        t.record(kaffeos_trace::Payload::BarrierViolation { kind: kind.label() })
                     });
                     return Err(HeapError::SegViolation(kind));
                 }
@@ -929,7 +910,7 @@ impl HeapSpace {
         // The census consumed the armed store site if a cross-heap edge was
         // created above; disarm it here so a later unattributed (kernel)
         // store cannot inherit a stale guest site. Host plane.
-        self.heapprof.clear_store();
+        self.obs.heap.with(|h| h.clear_store());
 
         let o = self.get_mut(obj)?;
         let slots: &mut [Value] = match &mut o.data {
@@ -1127,9 +1108,11 @@ impl HeapSpace {
             },
         );
         self.stats.cross_heap_created += 1;
-        self.sink.emit_with(|| kaffeos_trace::Payload::ExitItemCreated {
-            heap: src.index,
-            target: target.index,
+        self.obs.trace.with(|t| {
+            t.record(kaffeos_trace::Payload::ExitItemCreated {
+                heap: src.index,
+                target: target.index,
+            })
         });
 
         let entry_bytes = self.size_model.entry_item as u64;
@@ -1163,9 +1146,11 @@ impl HeapSpace {
                 accounted: entry_accounted,
             },
         );
-        self.sink.emit_with(|| kaffeos_trace::Payload::EntryItemCreated {
-            heap: dst.index,
-            slot: target.index,
+        self.obs.trace.with(|t| {
+            t.record(kaffeos_trace::Payload::EntryItemCreated {
+                heap: dst.index,
+                slot: target.index,
+            })
         });
         if account {
             self.note_census_edge(dst);
@@ -1178,12 +1163,10 @@ impl HeapSpace {
     /// `account == false` and are skipped — they re-shadow references the
     /// barrier already counted). Host plane; no-op when disabled.
     fn note_census_edge(&self, dst: HeapId) {
-        if !self.heapprof.is_enabled() {
-            return;
-        }
-        let core = self.heap_core(dst);
-        let shared_frozen = core.kind == HeapKind::Shared && core.frozen;
-        self.heapprof.record_cross_edge(shared_frozen);
+        self.obs.heap.with(|h| {
+            let core = self.heap_core(dst);
+            h.record_cross_edge(core.kind == HeapKind::Shared && core.frozen);
+        });
     }
 
     /// Array length / field count of an object.
@@ -1237,26 +1220,25 @@ impl HeapSpace {
     /// timeline (nursery/mature page split, free-pool depth, live bytes and
     /// objects). Host plane; no-op when the plane is disabled.
     pub(crate) fn record_heap_occupancy(&self, heap: HeapId) {
-        if !self.heapprof.is_enabled() {
-            return;
-        }
-        let core = self.heap_core(heap);
-        let mut nursery = 0u32;
-        let mut mature = 0u32;
-        for &page in &core.pages {
-            match self.page_table[page as usize].state {
-                PageState::Nursery => nursery += 1,
-                PageState::Mature => mature += 1,
+        self.obs.heap.with(|h| {
+            let core = self.heap_core(heap);
+            let mut nursery = 0u32;
+            let mut mature = 0u32;
+            for &page in &core.pages {
+                match self.page_table[page as usize].state {
+                    PageState::Nursery => nursery += 1,
+                    PageState::Mature => mature += 1,
+                }
             }
-        }
-        self.heapprof.record_occupancy(
-            heap.index,
-            nursery,
-            mature,
-            self.free_pages.len() as u32,
-            core.bytes_used,
-            core.objects,
-        );
+            h.record_occupancy(
+                heap.index,
+                nursery,
+                mature,
+                self.free_pages.len() as u32,
+                core.bytes_used,
+                core.objects,
+            );
+        });
     }
 
     pub(crate) fn check_heap(&self, heap: HeapId) -> Result<(), HeapError> {

@@ -90,7 +90,7 @@ pub struct MemLimitSnapshot {
 pub struct MemLimitTree {
     nodes: Vec<Node>,
     free: Vec<u32>,
-    sink: kaffeos_trace::TraceSink,
+    trace: kaffeos_trace::Plane<kaffeos_trace::TraceBuffer>,
 }
 
 impl MemLimitTree {
@@ -100,13 +100,13 @@ impl MemLimitTree {
         Self::default()
     }
 
-    /// Installs the trace sink that [`debit`] and [`credit`] report to.
-    /// The default sink is disabled and records nothing.
+    /// Installs the trace plane that [`debit`] and [`credit`] report to.
+    /// The default plane is off and records nothing.
     ///
     /// [`debit`]: MemLimitTree::debit
     /// [`credit`]: MemLimitTree::credit
-    pub fn set_trace_sink(&mut self, sink: kaffeos_trace::TraceSink) {
-        self.sink = sink;
+    pub fn set_trace(&mut self, trace: kaffeos_trace::Plane<kaffeos_trace::TraceBuffer>) {
+        self.trace = trace;
     }
 
     /// Creates a root memlimit with the given maximum. Multiple roots are
@@ -192,10 +192,12 @@ impl MemLimitTree {
         // One event at the node the caller named, not per percolation step:
         // soft-ancestor updates are derivable from the tree shape, and a
         // single event keeps the node's net trace equal to its direct use.
-        self.sink.emit_with(|| kaffeos_trace::Payload::Charge {
-            node: id.index,
-            node_gen: id.generation,
-            bytes,
+        self.trace.with(|t| {
+            t.record(kaffeos_trace::Payload::Charge {
+                node: id.index,
+                node_gen: id.generation,
+                bytes,
+            })
         });
         Ok(())
     }
@@ -231,10 +233,12 @@ impl MemLimitTree {
                 node.parent
             };
         }
-        self.sink.emit_with(|| kaffeos_trace::Payload::Credit {
-            node: id.index,
-            node_gen: id.generation,
-            bytes,
+        self.trace.with(|t| {
+            t.record(kaffeos_trace::Payload::Credit {
+                node: id.index,
+                node_gen: id.generation,
+                bytes,
+            })
         });
         Ok(())
     }

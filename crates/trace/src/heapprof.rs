@@ -1,13 +1,13 @@
 //! Heap observability plane: allocation-site profiling, survival stats,
 //! and the GC/page timeline.
 //!
-//! The CPU profiler ([`crate::profile`]) proved the discipline: a disabled
-//! sink is a `None`, closures never run, and no recording point has a cycle
-//! model — so the plane is *provably free* (virtual numbers byte-identical
-//! on/off) and, because the whole system is deterministic given
-//! (program, seed), every export is byte-identical across runs.
+//! The store is the `heap` [`Plane`](crate::Plane) of [`Obs`](crate::Obs):
+//! off, it costs one `Option` test per recording point, and on, it has no
+//! cycle model, so virtual numbers are byte-identical either way. Because
+//! the whole system is deterministic given (program, seed), every export is
+//! byte-identical across runs.
 //!
-//! This module extends the same discipline to memory:
+//! It records four things:
 //!
 //! * **Allocation sites** — the interpreter *arms* a one-shot site
 //!   (raw method index + pc, resolved lazily to `Class.method@bN` exactly
@@ -34,10 +34,8 @@
 //! resolved to names only at export time through a caller-supplied closure,
 //! keeping this crate decoupled from the VM's class table.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
-use std::rc::Rc;
 
 use crate::hist::LogHistogram;
 use crate::profile::{render_svg, FlameNode, PC_BUCKET};
@@ -213,7 +211,7 @@ impl HeapProfStore {
 
     /// Stamps the pid/virtual-clock context applied to subsequent records
     /// (the kernel stamps at quantum starts and kernel crossings, the same
-    /// convention the trace sink uses).
+    /// convention the trace plane uses).
     pub fn set_context(&mut self, pid: u32, clock: u64) {
         self.ctx_pid = pid;
         self.clock = clock;
@@ -581,195 +579,6 @@ impl HeapProfStore {
     }
 }
 
-/// Shared handle to a [`HeapProfStore`], or the disabled no-op — the exact
-/// [`TraceSink`](crate::TraceSink)/[`ProfileSink`](crate::ProfileSink)
-/// pattern: a disabled sink is a `None`, closures never run, and no
-/// recording point has a cycle model, so heap profiling cannot perturb the
-/// virtual clock, memlimit accounting, or GC behaviour.
-#[derive(Debug, Clone, Default)]
-pub struct HeapProfSink(Option<Rc<RefCell<HeapProfStore>>>);
-
-impl HeapProfSink {
-    /// The disabled sink: every operation is a no-op behind one `Option`
-    /// check.
-    pub fn disabled() -> Self {
-        HeapProfSink(None)
-    }
-
-    /// An enabled sink with an empty store.
-    pub fn enabled() -> Self {
-        HeapProfSink(Some(Rc::new(RefCell::new(HeapProfStore::default()))))
-    }
-
-    /// True if allocations are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Runs `f` against the store — only when enabled, so disabled heap
-    /// profiling constructs nothing.
-    #[inline]
-    pub fn with(&self, f: impl FnOnce(&mut HeapProfStore)) {
-        if let Some(store) = &self.0 {
-            f(&mut store.borrow_mut());
-        }
-    }
-
-    /// Borrows the store read-only for an export (`None` stays empty).
-    #[inline]
-    fn read<T: Default>(&self, f: impl FnOnce(&HeapProfStore) -> T) -> T {
-        self.0
-            .as_ref()
-            .map(|store| f(&store.borrow()))
-            .unwrap_or_default()
-    }
-
-    /// Labels `pid` for rendered output (no-op when disabled).
-    pub fn set_label(&self, pid: u32, label: &str) {
-        self.with(|p| p.set_label(pid, label));
-    }
-
-    /// Stamps the pid/clock context (no-op when disabled).
-    pub fn set_context(&self, pid: u32, clock: u64) {
-        self.with(|p| p.set_context(pid, clock));
-    }
-
-    /// Arms an allocation site (no-op when disabled; `resolve` never runs).
-    #[inline]
-    pub fn arm_alloc(&self, raw_method: u32, pc: u32, resolve: impl FnOnce() -> String) {
-        self.with(|p| p.arm_alloc(raw_method, pc, resolve));
-    }
-
-    /// Records a successful allocation (no-op when disabled).
-    #[inline]
-    pub fn record_alloc(&self, slot: u32, class: u32, bytes: u32) {
-        self.with(|p| p.record_alloc(slot, class, bytes));
-    }
-
-    /// Records a swept object (no-op when disabled).
-    #[inline]
-    pub fn record_free(&self, slot: u32, kind: GcKind) {
-        self.with(|p| p.record_free(slot, kind));
-    }
-
-    /// Records a tenured object (no-op when disabled).
-    #[inline]
-    pub fn record_tenure(&self, slot: u32) {
-        self.with(|p| p.record_tenure(slot));
-    }
-
-    /// Arms a store site for the census (no-op when disabled).
-    #[inline]
-    pub fn arm_store(&self, raw_method: u32, pc: u32) {
-        self.with(|p| p.arm_store(raw_method, pc));
-    }
-
-    /// Disarms the store site (no-op when disabled).
-    #[inline]
-    pub fn clear_store(&self) {
-        self.with(|p| p.clear_store());
-    }
-
-    /// Records a cross-heap edge creation (no-op when disabled).
-    #[inline]
-    pub fn record_cross_edge(&self, shared_frozen: bool) {
-        self.with(|p| p.record_cross_edge(shared_frozen));
-    }
-
-    /// Records a page event (no-op when disabled).
-    #[inline]
-    pub fn record_page_event(&self, kind: PageEvent, page: u32, heap: u32) {
-        self.with(|p| p.record_page_event(kind, page, heap));
-    }
-
-    /// Records a collection (no-op when disabled).
-    #[inline]
-    pub fn record_gc(
-        &self,
-        heap: u32,
-        kind: GcKind,
-        freed_bytes: u64,
-        freed_objects: u64,
-        cycles: u64,
-    ) {
-        self.with(|p| p.record_gc(heap, kind, freed_bytes, freed_objects, cycles));
-    }
-
-    /// Records an occupancy sample (no-op when disabled).
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_occupancy(
-        &self,
-        heap: u32,
-        nursery_pages: u32,
-        mature_pages: u32,
-        pool_pages: u32,
-        live_bytes: u64,
-        live_objects: u64,
-    ) {
-        self.with(|p| {
-            p.record_occupancy(
-                heap,
-                nursery_pages,
-                mature_pages,
-                pool_pages,
-                live_bytes,
-                live_objects,
-            )
-        });
-    }
-
-    /// Bytes-weighted folded alloc stacks (empty when disabled).
-    pub fn folded_bytes(&self, resolve_class: &dyn Fn(u32) -> String) -> String {
-        self.read(|p| p.folded_bytes(resolve_class))
-    }
-
-    /// Count-weighted folded alloc stacks (empty when disabled).
-    pub fn folded_objects(&self, resolve_class: &dyn Fn(u32) -> String) -> String {
-        self.read(|p| p.folded_objects(resolve_class))
-    }
-
-    /// SVG allocation flamegraph (empty when disabled).
-    pub fn flamegraph_svg(&self, resolve_class: &dyn Fn(u32) -> String) -> String {
-        self.read(|p| p.flamegraph_svg(resolve_class))
-    }
-
-    /// Survival table (empty when disabled).
-    pub fn survival_text(&self, resolve_class: &dyn Fn(u32) -> String) -> String {
-        self.read(|p| p.survival_text(resolve_class))
-    }
-
-    /// Timeline JSON lines (empty when disabled).
-    pub fn timeline_jsonl(&self) -> String {
-        self.read(|p| p.timeline_jsonl())
-    }
-
-    /// Pause/reclaim histogram report (empty when disabled).
-    pub fn heap_hists_text(&self) -> String {
-        self.read(|p| p.heap_hists_text())
-    }
-
-    /// Census rows (empty when disabled).
-    pub fn census(&self) -> Vec<CensusSite> {
-        self.read(|p| p.census())
-    }
-
-    /// Per-site survival stats (empty when disabled).
-    pub fn site_stats(&self) -> Vec<((u32, String, u32), SiteStats)> {
-        self.read(|p| p.site_stats())
-    }
-
-    /// Observed class tags (empty when disabled).
-    pub fn class_tags(&self) -> Vec<u32> {
-        self.read(|p| p.class_tags())
-    }
-
-    /// Timeline events recorded so far (0 when disabled).
-    pub fn timeline_len(&self) -> usize {
-        self.read(|p| p.timeline_len())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -874,23 +683,6 @@ mod tests {
             hists.contains("# minor gc reclaimed bytes, heap 1"),
             "{hists}"
         );
-    }
-
-    #[test]
-    fn disabled_sink_runs_no_closures_and_yields_nothing() {
-        let sink = HeapProfSink::disabled();
-        let mut ran = false;
-        sink.arm_alloc(0, 0, || {
-            ran = true;
-            String::new()
-        });
-        sink.record_alloc(0, 0, 8);
-        sink.record_cross_edge(false);
-        assert!(!ran);
-        assert!(sink.folded_bytes(&resolve).is_empty());
-        assert!(sink.timeline_jsonl().is_empty());
-        assert!(sink.census().is_empty());
-        assert!(!sink.is_enabled());
     }
 
     #[test]

@@ -16,11 +16,11 @@
 //!   emission point is reached deterministically, so the same workload and
 //!   fault seed produce a *byte-identical* trace — which turns the trace
 //!   itself into a golden-file regression instrument.
-//! * **Zero overhead when disabled.** A disabled [`TraceSink`] is a `None`;
-//!   [`TraceSink::emit_with`] takes a closure so payloads (and their string
-//!   allocations) are never even constructed, and no emission point touches
-//!   the cycle model, so the virtual clock is bit-identical with tracing on,
-//!   off, or compiled away.
+//! * **Zero overhead when disabled.** Tracing is one [`Plane`] of the
+//!   [`Obs`] handle: a disabled plane is a `None`, and [`Plane::with`]
+//!   takes a closure so payloads (and their string allocations) are never
+//!   even constructed. No emission point touches the cycle model, so the
+//!   virtual clock is bit-identical with tracing on, off, or compiled away.
 //!
 //! The buffer lives in host memory outside the traced heap space: recording
 //! an event never charges a memlimit, never allocates a heap object, and
@@ -36,9 +36,9 @@ pub mod heapprof;
 pub mod hist;
 pub mod profile;
 
-pub use heapprof::{CensusCounts, CensusSite, GcKind, HeapProfSink, HeapProfStore, PageEvent};
+pub use heapprof::{CensusCounts, CensusSite, GcKind, HeapProfStore, PageEvent};
 pub use hist::LogHistogram;
-pub use profile::{PidTotals, ProfileSink, ProfileStore, SampleKind};
+pub use profile::{PidTotals, ProfileStore, SampleKind};
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -593,7 +593,7 @@ impl MetricsSnapshot {
 }
 
 // ---------------------------------------------------------------------------
-// Ring buffer + sink
+// Ring buffer
 // ---------------------------------------------------------------------------
 
 /// The bounded event ring plus the incremental metrics and the attribution
@@ -639,6 +639,17 @@ impl TraceBuffer {
         }
     }
 
+    /// Updates the virtual-clock stamp applied to subsequent events.
+    pub fn set_clock(&mut self, now: u64) {
+        self.now = now;
+    }
+
+    /// Updates the pid (0 = kernel) and clock stamped on subsequent events.
+    pub fn set_context(&mut self, pid: u32, now: u64) {
+        self.ctx_pid = pid;
+        self.now = now;
+    }
+
     /// The retained events, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &Event> {
         self.events.iter()
@@ -648,88 +659,121 @@ impl TraceBuffer {
     pub fn metrics(&self) -> &MetricsSnapshot {
         &self.metrics
     }
+
+    /// The retained events as JSON lines (see [`export_jsonl`]).
+    pub fn jsonl(&self) -> String {
+        export_jsonl(self.events.iter())
+    }
+
+    /// The retained events in Chrome `trace_event` format (see
+    /// [`export_chrome`]).
+    pub fn chrome(&self) -> String {
+        export_chrome(self.events.iter())
+    }
 }
 
-/// Shared handle to a [`TraceBuffer`], or the disabled no-op. The kernel is
-/// single-threaded (a green-thread scheduler), so a `Rc<RefCell<..>>` is
-/// the whole synchronization story; every layer (memlimit tree, heap space,
-/// VM, kernel) holds a clone of the same sink.
-#[derive(Debug, Clone, Default)]
-pub struct TraceSink(Option<Rc<RefCell<TraceBuffer>>>);
-
-impl TraceSink {
-    /// The disabled sink: every operation is a no-op behind one `Option`
-    /// check, and payload closures are never run.
-    pub fn disabled() -> Self {
-        TraceSink(None)
+impl Default for TraceBuffer {
+    fn default() -> Self {
+        TraceBuffer::new(DEFAULT_CAPACITY)
     }
+}
 
-    /// An enabled sink retaining at most `capacity` events.
-    pub fn enabled(capacity: usize) -> Self {
-        TraceSink(Some(Rc::new(RefCell::new(TraceBuffer::new(capacity)))))
+// ---------------------------------------------------------------------------
+// The observability handle
+// ---------------------------------------------------------------------------
+
+/// One observability plane: a shared store, or the disabled no-op. The
+/// kernel is single-threaded (a green-thread scheduler), so `Rc<RefCell<..>>`
+/// is the whole synchronization story; every layer that records holds a
+/// clone of the same plane.
+///
+/// The contract every plane shares: a disabled plane is a `None`, so
+/// recording costs one `Option` test; [`Plane::with`] closures never run
+/// when it is off, so payloads are never built; and no recording point has
+/// a cycle model, so a plane on or off leaves every virtual number
+/// bit-identical.
+#[derive(Debug)]
+pub struct Plane<S>(Option<Rc<RefCell<S>>>);
+
+impl<S> Default for Plane<S> {
+    fn default() -> Self {
+        Plane(None)
     }
+}
 
-    /// True if events are being recorded.
-    pub fn is_enabled(&self) -> bool {
+impl<S> Clone for Plane<S> {
+    fn clone(&self) -> Self {
+        Plane(self.0.clone())
+    }
+}
+
+impl<S: Default> Plane<S> {
+    /// A plane recording into a fresh store if `on`, else the disabled one.
+    pub fn new(on: bool) -> Self {
+        Plane(on.then(|| Rc::new(RefCell::new(S::default()))))
+    }
+}
+
+impl<S> Plane<S> {
+    /// True if the plane is recording.
+    #[inline]
+    pub fn is_on(&self) -> bool {
         self.0.is_some()
     }
 
-    /// Records the payload built by `f` — which is only called when the
-    /// sink is enabled, so disabled tracing constructs nothing.
+    /// Runs `f` against the store — only when on.
     #[inline]
-    pub fn emit_with(&self, f: impl FnOnce() -> Payload) {
-        if let Some(buffer) = &self.0 {
-            buffer.borrow_mut().record(f());
+    pub fn with(&self, f: impl FnOnce(&mut S)) {
+        if let Some(store) = &self.0 {
+            f(&mut store.borrow_mut());
         }
     }
 
-    /// Updates the virtual-clock stamp applied to subsequent events.
-    #[inline]
-    pub fn set_clock(&self, now: u64) {
-        if let Some(buffer) = &self.0 {
-            buffer.borrow_mut().now = now;
+    /// Reads the store for an export; a disabled plane yields `T::default()`
+    /// (empty output).
+    pub fn read<T: Default>(&self, f: impl FnOnce(&S) -> T) -> T {
+        self.0
+            .as_ref()
+            .map(|store| f(&store.borrow()))
+            .unwrap_or_default()
+    }
+}
+
+/// Every observability plane behind one handle: the event trace, the
+/// virtual-time CPU profile, and the heap profile. Cloning shares the
+/// stores.
+#[derive(Debug, Clone, Default)]
+pub struct Obs {
+    /// Structured kernel events ([`TraceBuffer`]).
+    pub trace: Plane<TraceBuffer>,
+    /// Weighted stack samples and latency histograms ([`ProfileStore`]).
+    pub profile: Plane<ProfileStore>,
+    /// Allocation sites, survival, the GC/page timeline and the edge census
+    /// ([`HeapProfStore`]).
+    pub heap: Plane<HeapProfStore>,
+}
+
+impl Obs {
+    /// A handle with each plane on or off.
+    pub fn new(trace: bool, profile: bool, heap: bool) -> Self {
+        Obs {
+            trace: Plane::new(trace),
+            profile: Plane::new(profile),
+            heap: Plane::new(heap),
         }
     }
 
-    /// Updates the pid attributed to subsequent events (0 = kernel).
-    #[inline]
-    pub fn set_pid(&self, pid: u32) {
-        if let Some(buffer) = &self.0 {
-            buffer.borrow_mut().ctx_pid = pid;
-        }
+    /// Stamps the pid and virtual clock that the trace and heap planes
+    /// attribute subsequent records to.
+    pub fn stamp(&self, pid: u32, clock: u64) {
+        self.trace.with(|t| t.set_context(pid, clock));
+        self.heap.with(|h| h.set_context(pid, clock));
     }
 
-    /// A copy of the retained events (empty when disabled).
-    pub fn events(&self) -> Vec<Event> {
-        self.0
-            .as_ref()
-            .map(|b| b.borrow().events.iter().cloned().collect())
-            .unwrap_or_default()
-    }
-
-    /// The current metrics (default/empty when disabled).
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.0
-            .as_ref()
-            .map(|b| b.borrow().metrics.clone())
-            .unwrap_or_default()
-    }
-
-    /// Exports the retained events as JSON lines (empty when disabled).
-    pub fn jsonl(&self) -> String {
-        self.0
-            .as_ref()
-            .map(|b| {
-                let buffer = b.borrow();
-                export_jsonl(buffer.events.iter())
-            })
-            .unwrap_or_default()
-    }
-
-    /// Exports the retained events in Chrome `trace_event` format.
-    pub fn chrome(&self) -> String {
-        let events = self.events();
-        export_chrome(events.iter())
+    /// Labels `pid` (typically `image#pid`) in the profile and heap exports.
+    pub fn label(&self, pid: u32, label: &str) {
+        self.profile.with(|p| p.set_label(pid, label));
+        self.heap.with(|h| h.set_label(pid, label));
     }
 }
 
@@ -961,51 +1005,75 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_sink_runs_no_closures_and_yields_nothing() {
-        let sink = TraceSink::disabled();
+    fn disabled_plane_runs_no_closures_and_yields_nothing() {
+        let plane: Plane<TraceBuffer> = Plane::new(false);
         let mut ran = false;
-        sink.emit_with(|| {
-            ran = true;
-            Payload::GcBegin { heap: 1 }
-        });
-        assert!(!ran, "disabled sink must not build payloads");
-        assert!(sink.events().is_empty());
-        assert_eq!(sink.metrics(), MetricsSnapshot::default());
-        assert!(sink.jsonl().is_empty());
+        plane.with(|_| ran = true);
+        assert!(!ran, "a disabled plane must not run its closure");
+        assert!(!plane.is_on());
+        assert_eq!(plane.read(TraceBuffer::jsonl), "");
+        assert_eq!(
+            plane.read(|t| t.metrics().clone()),
+            MetricsSnapshot::default()
+        );
+        // A clone shares the store; the default plane is the disabled one.
+        let on: Plane<TraceBuffer> = Plane::new(true);
+        on.clone().with(|t| t.record(Payload::GcBegin { heap: 1 }));
+        assert_eq!(on.read(|t| t.events().count()), 1);
+        assert!(!Obs::default().heap.is_on());
     }
 
     #[test]
     fn ring_drops_oldest_but_metrics_stay_exact() {
-        let sink = TraceSink::enabled(4);
+        let mut t = TraceBuffer::new(4);
+        t.set_context(5, 0);
+        t.record(Payload::Spawn {
+            pid: 5,
+            image: "churn".to_string(),
+        });
         for i in 0..10u64 {
-            sink.set_clock(i);
-            sink.emit_with(|| Payload::QuantumStart { thread: 1 });
+            t.set_clock(i);
+            t.record(Payload::QuantumStart { thread: 1 });
+            t.record(Payload::Charge {
+                node: 1,
+                node_gen: 0,
+                bytes: 8,
+            });
         }
-        let events = sink.events();
-        assert_eq!(events.len(), 4);
-        assert_eq!(events[0].seq, 6, "oldest events are dropped first");
-        let m = sink.metrics();
-        assert_eq!(m.events_recorded, 10);
-        assert_eq!(m.events_dropped, 6);
-        assert_eq!(m.per_process.get(&0).unwrap().quanta, 10);
+        t.record(Payload::Exit {
+            kind: ExitKind::Exited,
+            code: 0,
+        });
+        let events: Vec<&Event> = t.events().collect();
+        assert_eq!(events.len(), 4, "ring holds exactly its capacity");
+        assert_eq!(events[0].seq, 18, "oldest events are dropped first");
+        let m = t.metrics();
+        assert_eq!(m.events_recorded, 22);
+        assert_eq!(m.events_dropped, 18);
+        // Exactness under overflow: the counters cover the dropped events.
+        let pm = &m.per_process[&5];
+        assert_eq!(pm.quanta, 10);
+        assert_eq!(pm.charges, 10, "charges beyond the retained window count");
+        assert!(pm.exited);
+        assert_eq!(m.net_bytes_by_node[&(1, 0)], 80);
     }
 
     #[test]
     fn charge_credit_nets_to_zero_and_clears_the_node() {
-        let sink = TraceSink::enabled(16);
-        sink.set_pid(3);
-        sink.emit_with(|| Payload::Charge {
+        let mut t = TraceBuffer::new(16);
+        t.set_context(3, 0);
+        t.record(Payload::Charge {
             node: 1,
             node_gen: 0,
             bytes: 100,
         });
-        assert_eq!(sink.metrics().net_bytes_by_node.get(&(1, 0)), Some(&100));
-        sink.emit_with(|| Payload::Credit {
+        assert_eq!(t.metrics().net_bytes_by_node.get(&(1, 0)), Some(&100));
+        t.record(Payload::Credit {
             node: 1,
             node_gen: 0,
             bytes: 100,
         });
-        let m = sink.metrics();
+        let m = t.metrics();
         assert!(m.net_bytes_by_node.is_empty(), "drained nodes are removed");
         assert_eq!(m.per_process.get(&3).unwrap().bytes_charged, 100);
         assert_eq!(m.per_process.get(&3).unwrap().bytes_credited, 100);
@@ -1013,28 +1081,28 @@ mod tests {
 
     #[test]
     fn jsonl_escapes_and_is_line_per_event() {
-        let sink = TraceSink::enabled(16);
-        sink.emit_with(|| Payload::ShmFrozen {
+        let mut t = TraceBuffer::new(16);
+        t.record(Payload::ShmFrozen {
             name: "a\"b\\c\n".to_string(),
             bytes: 7,
         });
-        let text = sink.jsonl();
+        let text = t.jsonl();
         assert_eq!(text.lines().count(), 1);
         assert!(text.contains("\"name\":\"a\\\"b\\\\c\\n\""), "{text}");
     }
 
     #[test]
     fn chrome_export_pairs_durations_and_stamps_micros() {
-        let sink = TraceSink::enabled(16);
-        sink.set_clock(1000); // 2000 ns = 2.000 µs
-        sink.emit_with(|| Payload::GcBegin { heap: 2 });
-        sink.emit_with(|| Payload::GcEnd {
+        let mut t = TraceBuffer::new(16);
+        t.set_clock(1000); // 2000 ns = 2.000 µs
+        t.record(Payload::GcBegin { heap: 2 });
+        t.record(Payload::GcEnd {
             heap: 2,
             bytes_freed: 64,
             objects_freed: 1,
             cycles: 500, // end ts = 1500 cycles = 3.000 µs
         });
-        let text = sink.chrome();
+        let text = t.chrome();
         assert!(text.starts_with("{\"traceEvents\":["));
         assert!(text.contains("\"ph\":\"B\",\"pid\":0,\"tid\":0,\"ts\":2.000"), "{text}");
         assert!(text.contains("\"ph\":\"E\",\"pid\":0,\"tid\":0,\"ts\":3.000"), "{text}");

@@ -18,19 +18,16 @@
 //! Alongside stacks the store keeps log₂ [`LogHistogram`]s for GC pause
 //! cycles per heap, syscall latency per syscall name, and quantum jitter
 //! (granted vs. consumed slice). Exporters: Brendan-Gregg folded-stack
-//! text ([`ProfileSink::folded`], feedable to `flamegraph.pl`), a
-//! self-contained SVG flamegraph ([`ProfileSink::flamegraph_svg`]), the
+//! text ([`ProfileStore::folded`], feedable to `flamegraph.pl`), a
+//! self-contained SVG flamegraph ([`ProfileStore::flamegraph_svg`]), the
 //! histogram report, and per-pid summaries served through the `proc.*`
 //! syscalls.
 //!
-//! Like [`TraceSink`](crate::TraceSink), a disabled [`ProfileSink`] is a
-//! `None`: no closure runs, nothing allocates, and no sample point touches
-//! the cycle model — profiling on/off leaves the virtual clock bit-equal.
+//! The store is the `profile` [`Plane`](crate::Plane) of [`Obs`](crate::Obs)
+//! and shares its on/off contract.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
-use std::rc::Rc;
 
 use crate::hist::LogHistogram;
 
@@ -396,108 +393,6 @@ fn render_node(out: &mut String, node: &FlameNode, x: f64, width: f64, y: f64, g
     }
 }
 
-/// Shared handle to a [`ProfileStore`], or the disabled no-op — the exact
-/// [`TraceSink`](crate::TraceSink) pattern: a disabled sink is a `None`,
-/// closures never run, and no sample point has a cycle model, so profiling
-/// cannot perturb the virtual clock.
-#[derive(Debug, Clone, Default)]
-pub struct ProfileSink(Option<Rc<RefCell<ProfileStore>>>);
-
-impl ProfileSink {
-    /// The disabled sink: every operation is a no-op behind one `Option`
-    /// check.
-    pub fn disabled() -> Self {
-        ProfileSink(None)
-    }
-
-    /// An enabled sink with an empty store.
-    pub fn enabled() -> Self {
-        ProfileSink(Some(Rc::new(RefCell::new(ProfileStore::default()))))
-    }
-
-    /// True if samples are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Runs `f` against the store — only when enabled, so disabled
-    /// profiling constructs nothing.
-    #[inline]
-    pub fn with(&self, f: impl FnOnce(&mut ProfileStore)) {
-        if let Some(store) = &self.0 {
-            f(&mut store.borrow_mut());
-        }
-    }
-
-    /// Labels `pid` for rendered output (no-op when disabled).
-    pub fn set_label(&self, pid: u32, label: &str) {
-        self.with(|p| p.set_label(pid, label));
-    }
-
-    /// Records a GC pause against `heap` (no-op when disabled).
-    pub fn record_gc_pause(&self, heap: u32, cycles: u64) {
-        self.with(|p| p.record_gc_pause(heap, cycles));
-    }
-
-    /// Records a syscall latency sample (no-op when disabled).
-    pub fn record_syscall_latency(&self, name: &'static str, cycles: u64) {
-        self.with(|p| p.record_syscall_latency(name, cycles));
-    }
-
-    /// Records a quantum jitter sample (no-op when disabled).
-    pub fn record_quantum_jitter(&self, jitter: u64) {
-        self.with(|p| p.record_quantum_jitter(jitter));
-    }
-
-    /// Folded-stack export (empty when disabled).
-    pub fn folded(&self) -> String {
-        self.0
-            .as_ref()
-            .map(|p| p.borrow().folded())
-            .unwrap_or_default()
-    }
-
-    /// SVG flamegraph export (empty when disabled).
-    pub fn flamegraph_svg(&self) -> String {
-        self.0
-            .as_ref()
-            .map(|p| p.borrow().flamegraph_svg())
-            .unwrap_or_default()
-    }
-
-    /// Histogram report (empty when disabled).
-    pub fn histograms_text(&self) -> String {
-        self.0
-            .as_ref()
-            .map(|p| p.borrow().histograms_text())
-            .unwrap_or_default()
-    }
-
-    /// Per-pid summary text (empty when disabled).
-    pub fn summary(&self, pid: u32) -> String {
-        self.0
-            .as_ref()
-            .map(|p| p.borrow().summary(pid))
-            .unwrap_or_default()
-    }
-
-    /// Per-pid totals (empty when disabled).
-    pub fn totals(&self) -> BTreeMap<u32, PidTotals> {
-        self.0
-            .as_ref()
-            .map(|p| p.borrow().totals().clone())
-            .unwrap_or_default()
-    }
-
-    /// Top `n` leaf frames for `pid` (empty when disabled).
-    pub fn top_leaves(&self, pid: u32, n: usize) -> Vec<(String, u64)> {
-        self.0
-            .as_ref()
-            .map(|p| p.borrow().top_leaves(pid, n))
-            .unwrap_or_default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -566,18 +461,6 @@ mod tests {
         assert!(svg.contains("a&lt;b&gt;&amp;&quot;c&quot;"), "names escaped");
         assert!(!svg.contains("a<b>"), "raw name must not leak");
         assert_eq!(svg.matches("<g>").count(), svg.matches("</g>").count());
-    }
-
-    #[test]
-    fn disabled_sink_runs_no_closures_and_yields_nothing() {
-        let sink = ProfileSink::disabled();
-        let mut ran = false;
-        sink.with(|_| ran = true);
-        assert!(!ran);
-        assert!(sink.folded().is_empty());
-        assert!(sink.flamegraph_svg().is_empty());
-        assert!(sink.histograms_text().is_empty());
-        assert!(sink.totals().is_empty());
     }
 
     #[test]

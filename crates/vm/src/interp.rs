@@ -425,11 +425,11 @@ fn forced_gc(thread: &mut Thread, ctx: &mut ExecCtx<'_>) -> Result<(), HeapError
     roots.extend(ctx.statics.values().copied());
     roots.extend(ctx.intern.values().copied());
     roots.extend_from_slice(ctx.extra_roots);
-    ctx.space
-        .trace()
-        .emit_with(|| kaffeos_trace::Payload::FaultInjected {
+    ctx.space.obs().trace.with(|t| {
+        t.record(kaffeos_trace::Payload::FaultInjected {
             kind: kaffeos_trace::InjectionKind::ForcedGc,
-        });
+        })
+    });
     ctx.space.gc(ctx.heap, &roots).map(|_| ())
 }
 
@@ -806,7 +806,10 @@ fn run_dispatch<const INJECT: bool>(
                                 // Census attribution: only non-elided guest
                                 // stores arm, so every recorded cross edge
                                 // maps to a non-Elide analyzer verdict.
-                                ctx.space.heapprof().arm_store(method_idx.0, pc as u32 - 1);
+                                ctx.space
+                                    .obs()
+                                    .heap
+                                    .with(|h| h.arm_store(method_idx.0, pc as u32 - 1));
                                 ctx.space.store_ref(obj, slot as usize, v, ctx.trusted)
                             })
                             .map(|barrier_cycles| thread.cycles += barrier_cycles)
@@ -893,7 +896,10 @@ fn run_dispatch<const INJECT: bool>(
                                 n = 2;
                             }
                             with_gc_retry(thread, ctx, &pinned[..n], |ctx| {
-                                ctx.space.heapprof().arm_store(method_idx.0, pc as u32 - 1);
+                                ctx.space
+                                    .obs()
+                                    .heap
+                                    .with(|h| h.arm_store(method_idx.0, pc as u32 - 1));
                                 ctx.space.store_ref(arr, index as usize, v, ctx.trusted)
                             })
                             .map(|barrier_cycles| thread.cycles += barrier_cycles)
@@ -1025,10 +1031,11 @@ pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepF
             thread.cycles += engine.scaled(COSTS.simple) * nfields as u64;
             let alloc = with_gc_retry(thread, ctx, &[], |ctx| {
                 // Arm inside the closure so a GC retry re-arms; the
-                // sink consumes the site only on a successful alloc.
-                ctx.space.heapprof().arm_alloc(method_idx.0, at, || {
-                    table.qualified_name(method_idx)
-                });
+                // plane consumes the site only on a successful alloc.
+                ctx.space
+                    .obs()
+                    .heap
+                    .with(|h| h.arm_alloc(method_idx.0, at, || table.qualified_name(method_idx)));
                 ctx.space.alloc_fields(ctx.heap, cidx.heap_class(), nfields)
             });
             match alloc {
@@ -1087,7 +1094,7 @@ pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepF
                         n = 2;
                     }
                     with_gc_retry(thread, ctx, &pinned[..n], |ctx| {
-                        ctx.space.heapprof().arm_store(method_idx.0, at);
+                        ctx.space.obs().heap.with(|h| h.arm_store(method_idx.0, at));
                         ctx.space.store_ref(statics, slot as usize, v, ctx.trusted)
                     })
                     .map(|barrier_cycles| thread.cycles += barrier_cycles)
@@ -1159,9 +1166,10 @@ pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepF
             };
             thread.cycles += engine.scaled(COSTS.simple) * (len as u64 / 8).max(1);
             let alloc = with_gc_retry(thread, ctx, &[], |ctx| {
-                ctx.space.heapprof().arm_alloc(method_idx.0, at, || {
-                    table.qualified_name(method_idx)
-                });
+                ctx.space
+                    .obs()
+                    .heap
+                    .with(|h| h.arm_alloc(method_idx.0, at, || table.qualified_name(method_idx)));
                 ctx.space
                     .alloc_array(ctx.heap, tag, elem_bytes, len as usize, fill)
             });
@@ -1253,9 +1261,10 @@ pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepF
             let joined = format!("{sa}{sb}");
             let string_tag = ctx.string_class.heap_class();
             match with_gc_retry(thread, ctx, &[], |ctx| {
-                ctx.space.heapprof().arm_alloc(method_idx.0, at, || {
-                    table.qualified_name(method_idx)
-                });
+                ctx.space
+                    .obs()
+                    .heap
+                    .with(|h| h.arm_alloc(method_idx.0, at, || table.qualified_name(method_idx)));
                 ctx.space.alloc_str(ctx.heap, string_tag, joined.as_str())
             }) {
                 Ok(obj) => thread.values.push(Value::Ref(obj)),
@@ -1336,9 +1345,10 @@ pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepF
                 engine.scaled(COSTS.string + COSTS.string_per_char * s.len() as u64);
             let string_tag = ctx.string_class.heap_class();
             match with_gc_retry(thread, ctx, &[], |ctx| {
-                ctx.space.heapprof().arm_alloc(method_idx.0, at, || {
-                    table.qualified_name(method_idx)
-                });
+                ctx.space
+                    .obs()
+                    .heap
+                    .with(|h| h.arm_alloc(method_idx.0, at, || table.qualified_name(method_idx)));
                 ctx.space.alloc_str(ctx.heap, string_tag, s.as_str())
             }) {
                 Ok(obj) => thread.values.push(Value::Ref(obj)),
@@ -1368,9 +1378,10 @@ pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepF
             thread.cycles += engine.scaled(COSTS.string_per_char * sub.len() as u64);
             let string_tag = ctx.string_class.heap_class();
             match with_gc_retry(thread, ctx, &[], |ctx| {
-                ctx.space.heapprof().arm_alloc(method_idx.0, at, || {
-                    table.qualified_name(method_idx)
-                });
+                ctx.space
+                    .obs()
+                    .heap
+                    .with(|h| h.arm_alloc(method_idx.0, at, || table.qualified_name(method_idx)));
                 ctx.space.alloc_str(ctx.heap, string_tag, sub.as_str())
             }) {
                 Ok(obj) => thread.values.push(Value::Ref(obj)),

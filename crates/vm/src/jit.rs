@@ -1838,8 +1838,9 @@ fn run_body(
                                     }
                                     with_gc_retry(thread, ctx, &pinned[..n], |ctx| {
                                         ctx.space
-                                            .heapprof()
-                                            .arm_store(method_idx.0, at as u32 - 1);
+                                            .obs()
+                                            .heap
+                                            .with(|h| h.arm_store(method_idx.0, at as u32 - 1));
                                         ctx.space.store_ref(arr, index as usize, v, ctx.trusted)
                                     })
                                     .map(|barrier_cycles| thread.cycles += barrier_cycles)
@@ -1893,8 +1894,9 @@ fn run_body(
                                     }
                                     with_gc_retry(thread, ctx, &pinned[..n], |ctx| {
                                         ctx.space
-                                            .heapprof()
-                                            .arm_store(method_idx.0, at as u32 - 1);
+                                            .obs()
+                                            .heap
+                                            .with(|h| h.arm_store(method_idx.0, at as u32 - 1));
                                         ctx.space.store_ref(obj, m.a as usize, v, ctx.trusted)
                                     })
                                     .map(|barrier_cycles| thread.cycles += barrier_cycles)

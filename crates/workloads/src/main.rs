@@ -9,16 +9,19 @@
 //!
 //! The seed fully determines the experiment (which mechanisms arm, where
 //! the injected OOM lands, which victims the termination sweep picks), so
-//! any failure reported here replays exactly. With `--trace <path>` the run
-//! records the kernel's structured event stream and writes it as a Chrome
-//! `trace_event` file (load in `chrome://tracing` / Perfetto); the JSON
-//! lines form is written alongside with a `.jsonl` suffix. With
-//! `--profile <base>` the virtual-time sampling profiler records the run
-//! and writes `<base>.folded` (Brendan-Gregg folded stacks), `<base>.svg`
+//! any failure reported here replays exactly. Each of `--trace`,
+//! `--profile` and `--heap-profile` switches on one plane of the kernel's
+//! observability handle (`os.obs()`), and the files are that plane's
+//! exports. With `--trace <path>` the run records the kernel's structured
+//! event stream and writes it as a Chrome `trace_event` file (load in
+//! `chrome://tracing` / Perfetto); the JSON lines form is written
+//! alongside with a `.jsonl` suffix. With `--profile <base>` the
+//! virtual-time sampling profiler records the run and writes
+//! `<base>.folded` (Brendan-Gregg folded stacks), `<base>.svg`
 //! (flamegraph) and `<base>.hist` (GC pause / syscall latency / quantum
-//! jitter histograms) — all byte-identical across reruns of the same seed.
-//! `--top` prints a `kaffeos-top` snapshot table before teardown. With
-//! `--heap-profile <base>` the heap observability plane records the run
+//! jitter histograms). `--top` prints a `kaffeos-top` snapshot table
+//! before teardown (and turns the profiler on for its TOP-METHOD column).
+//! With `--heap-profile <base>` the heap plane records the run
 //! and writes `<base>.alloc.folded` / `<base>.objects.folded` (allocation
 //! flamegraph inputs weighted by bytes / object counts),
 //! `<base>.alloc.svg`, `<base>.survival` (per-site tenure-vs-die-young
@@ -32,6 +35,7 @@
 
 use std::process::ExitCode;
 
+use kaffeos::trace::{HeapProfStore, ProfileStore, TraceBuffer};
 use kaffeos::{FaultPlan, KaffeOs, KaffeOsConfig, Pid, SpawnOpts};
 use kaffeos_workloads::lint::SHMER_SOURCE as SHMER;
 use kaffeos_workloads::spec;
@@ -133,40 +137,45 @@ fn run_faults(
         ));
     }
 
+    let obs = os.obs();
     if let Some(path) = trace_path {
-        std::fs::write(path, os.trace_chrome())
+        std::fs::write(path, obs.trace.read(TraceBuffer::chrome))
             .map_err(|e| format!("writing trace {path}: {e}"))?;
         let jsonl_path = format!("{path}.jsonl");
-        std::fs::write(&jsonl_path, os.trace_jsonl())
+        std::fs::write(&jsonl_path, obs.trace.read(TraceBuffer::jsonl))
             .map_err(|e| format!("writing trace {jsonl_path}: {e}"))?;
-        let metrics = os.metrics();
+        let (recorded, dropped) = obs
+            .trace
+            .read(|t| (t.metrics().events_recorded, t.metrics().events_dropped));
         println!(
-            "trace: {} events recorded ({} dropped by the ring) -> {path}, {jsonl_path}",
-            metrics.events_recorded, metrics.events_dropped
+            "trace: {recorded} events recorded ({dropped} dropped by the ring) -> {path}, {jsonl_path}"
         );
     }
 
     if let Some(base) = profile_base {
         for (suffix, body) in [
-            ("folded", os.profile_folded()),
-            ("svg", os.profile_flamegraph_svg()),
-            ("hist", os.profile_histograms()),
+            ("folded", obs.profile.read(ProfileStore::folded)),
+            ("svg", obs.profile.read(ProfileStore::flamegraph_svg)),
+            ("hist", obs.profile.read(ProfileStore::histograms_text)),
         ] {
             let path = format!("{base}.{suffix}");
             std::fs::write(&path, &body).map_err(|e| format!("writing profile {path}: {e}"))?;
         }
-        let sampled: u64 = os.profile_totals().values().map(|t| t.total()).sum();
+        let sampled: u64 = obs
+            .profile
+            .read(|p| p.totals().values().map(|t| t.total()).sum());
         println!("profile: {sampled} cycles sampled -> {base}.folded, {base}.svg, {base}.hist");
     }
 
     if let Some(base) = heap_profile_base {
+        let class = |tag| os.class_tag_name(tag);
         for (suffix, body) in [
-            ("alloc.folded", os.heapprof_folded_bytes()),
-            ("objects.folded", os.heapprof_folded_objects()),
-            ("alloc.svg", os.heapprof_flamegraph_svg()),
-            ("survival", os.heapprof_survival()),
-            ("timeline.jsonl", os.heapprof_timeline()),
-            ("heaphist", os.heapprof_histograms()),
+            ("alloc.folded", obs.heap.read(|h| h.folded_bytes(&class))),
+            ("objects.folded", obs.heap.read(|h| h.folded_objects(&class))),
+            ("alloc.svg", obs.heap.read(|h| h.flamegraph_svg(&class))),
+            ("survival", obs.heap.read(|h| h.survival_text(&class))),
+            ("timeline.jsonl", obs.heap.read(HeapProfStore::timeline_jsonl)),
+            ("heaphist", obs.heap.read(HeapProfStore::heap_hists_text)),
         ] {
             let path = format!("{base}.{suffix}");
             std::fs::write(&path, &body)
@@ -174,7 +183,7 @@ fn run_faults(
         }
         println!(
             "heap profile: {} timeline events -> {base}.alloc.folded, {base}.objects.folded, {base}.alloc.svg, {base}.survival, {base}.timeline.jsonl, {base}.heaphist",
-            os.space().heapprof().timeline_len()
+            obs.heap.read(HeapProfStore::timeline_len)
         );
     }
 

@@ -73,10 +73,10 @@ fn platform_virtual_times_are_ordered_like_the_paper() {
 }
 
 /// The observability planes — tracing, the profiler and the heap plane —
-/// are Option-sinks with no cycle model, so the Figure 3 numbers — virtual
-/// seconds (bit-for-bit), the clock, every barrier counter and the
-/// checksum — are identical with each plane off and on. Only what the plane
-/// records may differ: nothing when off, something when on.
+/// have no cycle model, so the Figure 3 numbers — virtual seconds
+/// (bit-for-bit), the clock, every barrier counter and the checksum — are
+/// identical with each plane off and on. Only what the plane records may
+/// differ: nothing when off, something when on.
 #[test]
 fn observability_planes_never_perturb_figure3_numbers() {
     use kaffeos::{ExitStatus, KaffeOs, KaffeOsConfig};
@@ -91,21 +91,21 @@ fn observability_planes_never_perturb_figure3_numbers() {
         (
             "trace",
             |c| c.trace = true,
-            |os| vec![os.trace_events().len()],
+            |os| vec![os.obs().trace.read(|t| t.events().count())],
         ),
         (
             "profile",
             |c| c.profile = true,
-            |os| vec![os.profile_folded().lines().count()],
+            |os| vec![os.obs().profile.read(|p| p.folded().lines().count())],
         ),
         (
             "heapprof",
             |c| c.heapprof = true,
             |os| {
-                vec![
-                    os.heapprof_folded_bytes().lines().count(),
-                    os.space().heapprof().timeline_len(),
-                ]
+                let class = |tag| os.class_tag_name(tag);
+                os.obs()
+                    .heap
+                    .read(|h| vec![h.folded_bytes(&class).lines().count(), h.timeline_len()])
             },
         ),
     ];

@@ -14,6 +14,7 @@
 //! exit status, clock) pins the tier through explicit configs instead and
 //! does not depend on the environment.
 
+use kaffeos::trace::{ProfileStore, TraceBuffer};
 use kaffeos::{KaffeOs, KaffeOsConfig};
 use kaffeos_vm::JitConfig;
 use kaffeos_workloads::runner::{platforms, run_spec, Platform, PlatformKind};
@@ -208,8 +209,8 @@ fn run_guest(jit: bool, src: &str, args: &str) -> GuestRun {
     os.run(Some(60_000_000));
     os.kernel_gc();
     GuestRun {
-        trace: os.trace_jsonl(),
-        profile: os.profile_folded(),
+        trace: os.obs().trace.read(TraceBuffer::jsonl),
+        profile: os.obs().profile.read(ProfileStore::folded),
         stdout: os.stdout(pid).to_vec(),
         status: os.status(pid),
         clock: os.clock(),
