@@ -29,7 +29,7 @@
 //!    (replacing the old blanket `Top`) and a devirtualization table the
 //!    VM's call op reads per call; because class loads only ever *add*
 //!    overrides, the kernel republishes (and thereby revokes) these facts
-//!    after every load batch.
+//!    after every load batch that adds one (see [`Analysis::run`]).
 //! 4. **Escape facts.** A per-method escape pass classifies every
 //!    allocation site as never-leaves-frame / never-leaves-process /
 //!    may-cross. Frame-local receivers let the interpreter and JIT elide
@@ -79,9 +79,10 @@
 //! debug builds re-run the full legality check inside
 //! `store_ref_elided`.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
 
-use kaffeos_vm::{ClassIdx, ClassTable, MethodIdx, Op, RConst, TypeDesc};
+use kaffeos_vm::{ClassIdx, ClassTable, LoadedClass, MethodIdx, Op, RConst, TypeDesc};
 
 /// Abstract heap region of a value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -351,10 +352,10 @@ fn may_throw(op: &Op) -> bool {
 }
 
 /// Analysis results plus the interprocedural summaries they were computed
-/// from. Re-running [`Analysis::run`] after more classes load re-reaches
-/// the global fixpoint (summaries only move up the lattice) and rebuilds
-/// every site verdict, so callers must republish elision bitmaps after
-/// each load batch.
+/// from. [`Analysis::run`] extends them over the methods loaded since the
+/// previous run, falling back to a full pass only when a load can change
+/// an old verdict; it returns the methods whose facts the caller must
+/// republish.
 #[derive(Debug, Default)]
 pub struct Analysis {
     /// Return-region summary per method (`None` = no return observed:
@@ -367,17 +368,26 @@ pub struct Analysis {
     statics: HashMap<(u32, u16), Region>,
     /// Join of every reference ever stored into any array element.
     array_elems: Option<Region>,
-    /// Every reference-store site, keyed by (method, pc).
-    sites: HashMap<(u32, u32), StoreSite>,
-    /// Diagnostics from the last `run`.
+    /// Every reference-store site, keyed by (method, pc): ordered, so one
+    /// method's sites are a range.
+    sites: BTreeMap<(u32, u32), StoreSite>,
+    /// Diagnostics for every analyzed method, sorted.
     pub lints: Vec<Lint>,
     /// Methods whose bytecode could not be followed (unverified input);
     /// they get no sites and no elisions.
     bailed: Vec<u32>,
     /// Set during a fixpoint pass when any global summary moved.
     changed: bool,
-    /// CHA reachable-target cache, keyed by (static class, vslot). Valid
-    /// for one hierarchy generation: rebuilt on every `run`.
+    /// Set during a fixpoint pass when a join raised a summary a method
+    /// below the watermark reads: an old return summary, a field or static
+    /// of an old class, or the array bucket.
+    old_raised: bool,
+    /// Methods covered by the previous run (the method watermark).
+    methods_seen: usize,
+    /// Classes covered by the previous run (the class watermark).
+    classes_seen: usize,
+    /// CHA reachable-target cache, keyed by (static class, vslot). Kept
+    /// across runs while loads add no override; cleared on a full pass.
     cha: HashMap<(u32, u16), ChaTargets>,
     /// Devirtualization tables: per method, pc-sorted `(pc, target)` for
     /// monomorphic `CallVirtual` sites.
@@ -417,45 +427,63 @@ pub fn analyze(table: &ClassTable) -> Analysis {
 }
 
 impl Analysis {
-    /// (Re)analyzes every method in `table` to a global fixpoint, then
-    /// rebuilds site verdicts and lints. Idempotent; summaries accumulated
-    /// by previous runs are kept (they only move up the lattice), so this
-    /// is also the incremental entry point after loading more classes.
-    pub fn run(&mut self, table: &ClassTable) {
-        self.summaries.resize(table.methods.len(), None);
-        self.sites.clear();
-        self.lints.clear();
-        self.bailed.clear();
-        // Hierarchy-generation state: class loads only ever add overrides,
-        // so these are recomputed from scratch against the current table.
-        self.cha.clear();
-        self.devirt.clear();
-        self.virt_sites = (0, 0);
-        self.mon_bitmaps.clear();
-        self.local_bitmaps.clear();
-        self.mon_ops = (0, 0);
-        self.alloc_escape.clear();
-        self.lock_names.clear();
-        self.lock_edges.clear();
-
-        // Phase 1: fixpoint over the call graph. Each pass re-analyzes
-        // every method, joining return regions and field stores into the
-        // global summaries; stop when a full pass changes nothing. The
-        // lattice is finite and all updates are joins, so this terminates.
-        loop {
-            self.changed = false;
-            for i in 0..table.methods.len() {
-                self.run_method(table, MethodIdx(i as u32));
-            }
-            if !self.changed {
-                break;
-            }
+    /// Brings the analysis up to date with `table` and returns the methods
+    /// whose facts may have changed: the methods loaded since the previous
+    /// run, or every method after a full pass (a range starting at 0).
+    ///
+    /// The run extends the fixpoint over the new methods only, then
+    /// collects their sites, devirtualization tables and escape verdicts;
+    /// old methods keep theirs, and the CHA cache is kept. It falls back
+    /// to a full pass — per-method results cleared, summaries kept, the
+    /// same loops over every method — when (i) a new class may add a CHA
+    /// target to an old `(class, vslot)` key (it overrides an inherited
+    /// slot, or its superclass chain cannot be walked), or (ii) the new
+    /// methods' fixpoint raised a summary an old method reads (an old
+    /// return summary, a field or static of an old class, or the array
+    /// bucket). An old method's abstract states read nothing else, so
+    /// when neither holds every old verdict equals a from-scratch run's,
+    /// and the new methods' fixpoint meets the same summaries a full run
+    /// would. A first run is the same code from watermark 0.
+    ///
+    /// Precondition: loaded code is immutable. Methods and classes are
+    /// only ever appended; a caller that mutates loaded code in place must
+    /// analyze the result with a fresh [`analyze`]. A table smaller than
+    /// the watermarks is taken to be another table and analyzed afresh.
+    pub fn run(&mut self, table: &ClassTable) -> Range<usize> {
+        let n = table.methods.len();
+        if n < self.methods_seen || table.classes.len() < self.classes_seen {
+            *self = Analysis::default();
+        }
+        self.summaries.resize(n, None);
+        let mut from = self.methods_seen;
+        let new_classes = table.classes.get(self.classes_seen..).unwrap_or_default();
+        if from > 0 && new_classes.iter().any(|c| may_add_cha_target(table, c)) {
+            from = 0;
+        }
+        if from > 0 && !self.fixpoint(table, from) {
+            from = 0;
+        }
+        if from == 0 {
+            self.sites.clear();
+            self.lints.clear();
+            self.bailed.clear();
+            self.cha.clear();
+            self.devirt.clear();
+            self.virt_sites = (0, 0);
+            self.mon_bitmaps.clear();
+            self.local_bitmaps.clear();
+            self.mon_ops = (0, 0);
+            self.alloc_escape.clear();
+            self.lock_names.clear();
+            self.lock_edges.clear();
+            self.fixpoint(table, 0);
         }
 
         // Phase 2: one collecting pass with the summaries frozen. The
         // escape pass runs after `collect_method` so it can consult the
         // freshly derived store-site regions when classifying escapes.
-        for i in 0..table.methods.len() {
+        let (lints_before, edges_before) = (self.lints.len(), self.lock_edges.len());
+        for i in from..n {
             let midx = MethodIdx(i as u32);
             match self.run_method(table, midx) {
                 None => self.bailed.push(i as u32),
@@ -466,11 +494,43 @@ impl Analysis {
                 }
             }
         }
-        self.deadlock_lints(table);
-        self.lints.sort_by(|a, b| {
-            (&a.class, &a.method, a.pc, a.kind.label())
-                .cmp(&(&b.class, &b.method, b.pc, b.kind.label()))
-        });
+        // The lock-order graph is global: new edges can close a cycle
+        // through old ones, so its lints are rederived whenever it grows.
+        if self.lock_edges.len() != edges_before {
+            self.lints.retain(|l| l.kind != LintKind::DeadlockCandidate);
+            self.deadlock_lints(table);
+        }
+        if self.lints.len() != lints_before || self.lock_edges.len() != edges_before {
+            self.lints.sort_by(|a, b| {
+                (&a.class, &a.method, a.pc, a.kind.label())
+                    .cmp(&(&b.class, &b.method, b.pc, b.kind.label()))
+            });
+        }
+        self.methods_seen = n;
+        self.classes_seen = table.classes.len();
+        from..n
+    }
+
+    /// Phase 1: fixpoint over the call graph. Each pass re-analyzes the
+    /// methods `from..`, joining return regions and field stores into the
+    /// global summaries; stop when a pass changes nothing. The lattice is
+    /// finite and all updates are joins, so this terminates. With
+    /// `from > 0`, returns `false` as soon as a join raises a summary a
+    /// method below `from` reads (the caller falls back to a full pass).
+    fn fixpoint(&mut self, table: &ClassTable, from: usize) -> bool {
+        self.old_raised = false;
+        loop {
+            self.changed = false;
+            for i in from..table.methods.len() {
+                self.run_method(table, MethodIdx(i as u32));
+                if from > 0 && self.old_raised {
+                    return false;
+                }
+            }
+            if !self.changed {
+                return true;
+            }
+        }
     }
 
     /// Static verdict for a store site, if the analysis saw one there.
@@ -496,8 +556,9 @@ impl Analysis {
         };
         let mut bitmap = vec![0u64; m.code.ops.len().div_ceil(64)];
         let mut any = false;
-        for site in self.sites.values() {
-            if site.method == method && site.verdict == Verdict::Elide {
+        let sites = self.sites.range((method.0, 0)..=(method.0, u32::MAX));
+        for site in sites.map(|(_, s)| s) {
+            if site.verdict == Verdict::Elide {
                 bitmap[(site.pc / 64) as usize] |= 1 << (site.pc % 64);
                 any = true;
             }
@@ -647,7 +708,7 @@ impl Analysis {
     }
 
     /// Transfer function for one op. Updates the global summaries (joins
-    /// only) and sets `self.changed` when they move.
+    /// only) and records every move with [`Analysis::raised`].
     fn transfer(
         &mut self,
         table: &ClassTable,
@@ -802,7 +863,7 @@ impl Analysis {
                     let next = cur.join(val);
                     if next != cur {
                         self.statics.insert(key, next);
-                        self.changed = true;
+                        self.raised(key.0 < self.classes_seen as u32);
                     }
                 }
             }
@@ -832,7 +893,8 @@ impl Analysis {
                 let next = self.array_elems.unwrap_or(Local).join(val);
                 if self.array_elems != Some(next) {
                     self.array_elems = Some(next);
-                    self.changed = true;
+                    // One global bucket: any old `ALoad` may read it.
+                    self.raised(true);
                 }
             }
             Op::CallStatic(idx) => {
@@ -873,9 +935,9 @@ impl Analysis {
             Op::CallVirtual(idx) => {
                 // Virtual dispatch sharpened by CHA: the result is the join
                 // over every reachable override's summary. A later class
-                // load can add overrides, but the kernel re-runs the
-                // analysis (and republishes every fact) after each load
-                // batch, so the summary is exact for the current hierarchy.
+                // load can add overrides, but such a load makes `run` fall
+                // back to a full pass (and the kernel republish every
+                // fact), so the summary is exact for the current hierarchy.
                 // Only a bailed hierarchy walk falls back to `Top`.
                 let RConst::VirtualMethod { class, vslot, nargs, .. } = rpool.get(idx as usize)?
                 else {
@@ -960,7 +1022,7 @@ impl Analysis {
 
     /// Reachable override targets for a `CallVirtual` through `(class,
     /// vslot)`: the vtable entries of every loaded class at-or-below
-    /// `class`. Cached per hierarchy generation.
+    /// `class`. Cached until a load adds an override (see `run`).
     fn cha_targets(&mut self, table: &ClassTable, class: ClassIdx, vslot: u16) -> &ChaTargets {
         self.cha.entry((class.0, vslot)).or_insert_with(|| {
             let mut targets = Vec::new();
@@ -1032,7 +1094,7 @@ impl Analysis {
         };
         if *slot != Some(next) {
             *slot = Some(next);
-            self.changed = true;
+            self.raised(midx.0 < self.methods_seen as u32);
         }
     }
 
@@ -1041,8 +1103,15 @@ impl Analysis {
         let next = cur.join(r);
         if next != cur {
             self.fields.insert(key, next);
-            self.changed = true;
+            self.raised(key.0 < self.classes_seen as u32);
         }
+    }
+
+    /// Records that a global summary moved; `old` says whether a method
+    /// below the watermark may read it.
+    fn raised(&mut self, old: bool) {
+        self.changed = true;
+        self.old_raised |= old;
     }
 
     // ---- collection --------------------------------------------------------
@@ -1918,6 +1987,26 @@ fn bounded_is_subclass(table: &ClassTable, a: ClassIdx, b: ClassIdx) -> Option<b
         }
     }
     None
+}
+
+/// Whether loading `c` may add a target to the CHA set of an already
+/// loaded `(class, vslot)` key: it overrides an inherited slot (its vtable
+/// does not start with its superclass's), or its superclass chain cannot
+/// be walked to the root, which makes the sites through it incomplete. A
+/// class that only appends slots adds nothing: each old key's set already
+/// holds its superclass's entry for that slot.
+fn may_add_cha_target(table: &ClassTable, c: &LoadedClass) -> bool {
+    // No class carries `u32::MAX`, so only a chain that reaches the root
+    // answers `Some(false)`.
+    if bounded_is_subclass(table, c.idx, ClassIdx(u32::MAX)) != Some(false) {
+        return true;
+    }
+    c.super_idx.is_some_and(|s| {
+        table
+            .classes
+            .get(s.0 as usize)
+            .is_none_or(|sc| !c.vtable.starts_with(&sc.vtable))
+    })
 }
 
 /// Walks up the superclass chain to the class that declared `slot`, so

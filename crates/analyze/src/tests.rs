@@ -132,6 +132,14 @@ fn static_call_summary_keeps_store_elidable() {
 /// (`MayCross` summary), `A.main` stores a fresh object into the call's
 /// result. Optional extra defs (e.g. an override) load after `A`.
 fn virtual_fixture(extra: Vec<ClassDef>) -> (ClassTable, u32) {
+    table_with(
+        IntrinsicRegistry::new(),
+        std::iter::once(class_a()).chain(extra).collect(),
+    )
+}
+
+/// The fixture's class `A`.
+fn class_a() -> ClassDef {
     let mut b = ClassBuilder::new("A").field("f", obj());
     let a = b.pool(Const::Class("A".to_string()));
     let o = b.pool(Const::Class("Object".to_string()));
@@ -143,29 +151,24 @@ fn virtual_fixture(extra: Vec<ClassDef>) -> (ClassTable, u32) {
         class: "A".to_string(),
         name: "get".to_string(),
     });
-    let def = b
-        .method(
-            MethodBuilder::instance("get")
-                .returns(TypeDesc::Class("A".to_string()))
-                .ops([Op::Load(0), Op::ReturnVal])
-                .build(),
-        )
-        .method(
-            MethodBuilder::of_static("main")
-                .ops([
-                    Op::New(a),
-                    Op::CallVirtual(get),
-                    Op::New(o),
-                    Op::PutField(f),
-                    Op::Return,
-                ])
-                .build(),
-        )
-        .build();
-    table_with(
-        IntrinsicRegistry::new(),
-        std::iter::once(def).chain(extra).collect(),
+    b.method(
+        MethodBuilder::instance("get")
+            .returns(TypeDesc::Class("A".to_string()))
+            .ops([Op::Load(0), Op::ReturnVal])
+            .build(),
     )
+    .method(
+        MethodBuilder::of_static("main")
+            .ops([
+                Op::New(a),
+                Op::CallVirtual(get),
+                Op::New(o),
+                Op::PutField(f),
+                Op::Return,
+            ])
+            .build(),
+    )
+    .build()
 }
 
 #[test]
@@ -665,6 +668,99 @@ fn syscall_under_lock_is_linted() {
     assert_eq!(lint.pc, 4);
     assert!(lint.msg.contains("sched.yield"), "{}", lint.msg);
     assert!(lint.msg.contains("LockA"), "{}", lint.msg);
+}
+
+/// Stores the parameter into `A.f` (pool 2 of a [`probe`]).
+const STORE_FIELD: [Op; 4] = [Op::New(0), Op::Load(0), Op::PutField(2), Op::Return];
+
+/// Stores the parameter into a fresh `Object[]` (pool 1 of a [`probe`]).
+const STORE_ELEM: [Op; 6] = [
+    Op::ConstInt(1),
+    Op::NewArray(1),
+    Op::ConstInt(0),
+    Op::Load(0),
+    Op::AStore,
+    Op::Return,
+];
+
+/// A class `name` beside `A` whose static `m(Object)` runs `ops`, with
+/// pool 0 = `A`, 1 = `Object`, 2 = `A.f`.
+fn probe<const N: usize>(name: &str, ops: [Op; N]) -> ClassDef {
+    let mut b = ClassBuilder::new(name);
+    b.pool(Const::Class("A".to_string()));
+    b.pool(Const::Class("Object".to_string()));
+    b.pool(Const::Field {
+        class: "A".to_string(),
+        name: "f".to_string(),
+    });
+    b.method(MethodBuilder::of_static("m").param(obj()).ops(ops).build())
+        .build()
+}
+
+/// Which path each load takes, as a count rather than a time: reloads of
+/// the same defs into fresh namespaces analyze exactly their own methods,
+/// while a load that adds an override, raises an old class's field or
+/// raises the array bucket re-runs over every method.
+#[test]
+fn run_reanalyzes_only_new_methods_unless_an_old_verdict_can_move() {
+    let (mut table, base) = table_with(IntrinsicRegistry::new(), Vec::new());
+    let mut an = crate::Analysis::default();
+    // Loads `defs` into `ns`, runs the analysis, and names the methods it
+    // reported changed: "new" (just the loaded ones) or "all". Whatever
+    // the path, the facts must equal a fresh run's.
+    let mut load = |table: &mut ClassTable, ns: u32, defs: Vec<ClassDef>| {
+        let before = table.methods.len();
+        for def in defs {
+            table.load_class(ns, def.into_arc()).unwrap();
+        }
+        let changed = an.run(table);
+        let fresh = analyze(table);
+        for i in 0..table.methods.len() as u32 {
+            let m = kaffeos_vm::MethodIdx(i);
+            assert_eq!(an.elision_bitmap(table, m), fresh.elision_bitmap(table, m));
+            assert_eq!(an.devirt_table(m), fresh.devirt_table(m));
+        }
+        let n = table.methods.len();
+        match changed {
+            r if r == (before..n) => "new",
+            r if r == (0..n) => "all",
+            _ => "other",
+        }
+    };
+    let mut spaces = Vec::new();
+    for k in 0..4 {
+        let ns = table.create_namespace(format!("p{k}"), Some(base));
+        assert_eq!(load(&mut table, ns, vec![class_a()]), "new", "reload {k}");
+        spaces.push(ns);
+    }
+    let ns = spaces[0];
+    assert_eq!(load(&mut table, ns, Vec::new()), "new", "empty load");
+
+    // A subclass that only appends a slot adds no CHA target.
+    let appender = ClassBuilder::new("C")
+        .extends("A")
+        .method(MethodBuilder::instance("other").op(Op::Return).build())
+        .build();
+    assert_eq!(load(&mut table, ns, vec![appender]), "new", "appending");
+
+    let sub = ClassBuilder::new("B")
+        .extends("A")
+        .method(
+            MethodBuilder::instance("get")
+                .returns(TypeDesc::Class("A".to_string()))
+                .ops([Op::Load(0), Op::ReturnVal])
+                .build(),
+        )
+        .build();
+    assert_eq!(load(&mut table, ns, vec![sub]), "all", "override");
+    let field = probe("F", STORE_FIELD);
+    assert_eq!(load(&mut table, ns, vec![field]), "all", "old field");
+    let elem = probe("E", STORE_ELEM);
+    assert_eq!(load(&mut table, ns, vec![elem]), "all", "array bucket");
+
+    // Once raised, the same stores move nothing: back to the new methods.
+    let again = vec![probe("F2", STORE_FIELD), probe("E2", STORE_ELEM)];
+    assert_eq!(load(&mut table, ns, again), "new", "repeated stores");
 }
 
 #[test]

@@ -325,10 +325,11 @@ pub struct KaffeOs {
     /// quanta. Observational only (throughput benchmarks); never feeds
     /// back into the clock, scheduling, or accounting.
     ops_executed: u64,
-    /// Kernel-owned static heap-flow analysis. Re-run (and its elision
-    /// bitmaps republished) after every class-load batch; summaries only
-    /// move up the lattice, so bitmaps monotonically shrink and the
-    /// republish is always sound.
+    /// Kernel-owned static heap-flow analysis. Extended over the methods
+    /// of every class-load batch (re-run in full only when the batch can
+    /// change an old verdict), and the facts it reports changed are
+    /// republished; summaries only move up the lattice, so bitmaps
+    /// monotonically shrink and the republish is always sound.
     analysis: kaffeos_analyze::Analysis,
     /// Store sites that raised a segmentation violation at runtime,
     /// drained from guest threads at each quantum boundary. The oracle the
@@ -443,25 +444,25 @@ impl KaffeOs {
         &self.config
     }
 
-    /// Re-runs the static analyzer (region, hierarchy, and escape passes)
-    /// over every loaded class and republishes per-method facts for **all**
-    /// methods: barrier-elision bitmaps, monitor-elision and dies-local
-    /// bitmaps, and devirtualized call-site tables. Must run after each
-    /// class-load batch (loads happen between quanta, so there is no window
-    /// where a stale fact executes): a new override or field store can only
-    /// *raise* region summaries — shrinking bitmaps and turning monomorphic
-    /// sites polymorphic, never the reverse.
+    /// Brings the static analyzer (region, hierarchy, and escape passes)
+    /// up to date with the loaded classes and republishes the per-method
+    /// facts it reports changed: barrier-elision bitmaps, monitor-elision
+    /// and dies-local bitmaps, and devirtualized call-site tables. Must run
+    /// after each class-load batch (loads happen between quanta, so there
+    /// is no window where a stale fact executes). Usually only the batch's
+    /// own methods change; a new override or a store that raises an old
+    /// summary makes the analyzer re-run in full, which can only shrink
+    /// bitmaps and turn monomorphic sites polymorphic, never the reverse.
     fn republish_elision(&mut self) {
         if !self.config.elide {
             return;
         }
-        self.analysis.run(&self.table);
-        let bitmaps: Vec<Vec<u64>> = (0..self.table.methods.len())
-            .map(|i| self.analysis.elision_bitmap(&self.table, MethodIdx(i as u32)))
-            .collect();
-        for (i, bm) in bitmaps.into_iter().enumerate() {
+        let changed = self.analysis.run(&self.table);
+        let full = changed.start == 0;
+        for i in changed {
             let midx = MethodIdx(i as u32);
-            self.table.set_elision(midx, bm);
+            let elide = self.analysis.elision_bitmap(&self.table, midx);
+            self.table.set_elision(midx, elide);
             self.table.set_analysis_facts(
                 midx,
                 self.analysis.monitor_bitmap(midx),
@@ -469,7 +470,11 @@ impl KaffeOs {
                 self.analysis.devirt_table(midx),
             );
         }
-        self.invalidate_stale_bodies();
+        // Compiled bodies attach only to methods analyzed before this
+        // batch, whose facts move only on a full pass.
+        if full {
+            self.invalidate_stale_bodies();
+        }
     }
 
     /// Invalidates compiled bodies whose baked-in analysis facts no longer
@@ -641,8 +646,8 @@ impl KaffeOs {
             }
             (heap, Some(ml), ns)
         };
-        // The spawn loaded classes (reloaded stdlib + image): re-analyze
-        // and republish elision bitmaps before anything runs.
+        // The spawn loaded classes (reloaded stdlib + image): analyze them
+        // and publish their facts before anything runs.
         self.republish_elision();
 
         let mut proc = Process {

@@ -264,6 +264,152 @@ fn elision_does_not_move_virtual_time() {
     }
 }
 
+/// The `spawn-churn` guests of the e2e benchmark (`guests/*.cup`).
+const PAGE: &str = r#"
+    class Main {
+        static int main(int i) {
+            int[] rows = new int[64];
+            for (int j = 0; j < rows.len(); j = j + 1) {
+                rows[j] = (i * 37 + j * 101) % 997;
+            }
+            for (int a = 1; a < rows.len(); a = a + 1) {
+                int key = rows[a];
+                int b = a - 1;
+                while (b >= 0 && rows[b] > key) {
+                    rows[b + 1] = rows[b];
+                    b = b - 1;
+                }
+                rows[b + 1] = key;
+            }
+            StringBuilder b = new StringBuilder();
+            b.add("<html><body><h1>page ");
+            b.add("" + i);
+            b.add("</h1>");
+            for (int j = 0; j < 16; j = j + 1) {
+                b.add("<p>row " + rows[j] + "</p>");
+            }
+            b.add("</body></html>");
+            String page = b.build();
+            return page.len() * 1000 + rows[7];
+        }
+    }
+"#;
+
+const FLAKY: &str = r#"
+    class Main {
+        static int main(int i) {
+            int acc = 0;
+            for (int j = 0; j < 400; j = j + 1) {
+                acc = acc + (i + j) * 7 % 31;
+            }
+            int[] a = new int[1];
+            return a[1 + acc % 5];
+        }
+    }
+"#;
+
+const SPIN: &str = r#"
+    class Spin {
+        static int main() {
+            while (true) { }
+            return 0;
+        }
+    }
+"#;
+
+/// A shared class with a reference field, and a store whose barrier is
+/// elidable only while that field's summary stays `Local`.
+const HOLDER: &str = r#"
+    class Holder {
+        Object ref;
+        static void copy() {
+            Holder a = new Holder();
+            Holder b = new Holder();
+            b.ref = a.ref;
+        }
+    }
+"#;
+
+/// Stores its parameter into the shared field: the first spawn raises the
+/// summary of an old class's field, so the analysis must re-run in full.
+const STORER: &str = r#"
+    class Main {
+        static int main(String s) {
+            Holder h = new Holder();
+            h.ref = s;
+            return 0;
+        }
+    }
+"#;
+
+/// A shared class whose `use` devirtualizes `get` until `Box2` loads.
+const BOX: &str =
+    "class Box { int v; int get() { return this.v; } static int use(Box b) { return b.get(); } }";
+
+/// Overrides `Box.get`: a new CHA target for an old site.
+const BOX2: &str = "class Box2 extends Box { int get() { return this.v + 1; } }";
+
+/// The incremental analysis the kernel keeps across loads publishes, for
+/// every method after every load, exactly the facts a from-scratch
+/// `analyze()` of the same table derives — over seeded interleavings of
+/// guest spawns, a shared class with a reference field, an image storing a
+/// parameter into it (fallback on a raised old summary) and an override
+/// of a devirtualized shared method (fallback on a new CHA target).
+#[test]
+fn incremental_analysis_matches_from_scratch() {
+    for seed in 1..=6u64 {
+        let mut os = KaffeOs::new(KaffeOsConfig::default());
+        for (image, source) in [("page", PAGE), ("flaky", FLAKY), ("spin", SPIN)] {
+            os.register_image(image, source).unwrap();
+        }
+        let (mut holder, mut boxed, mut box2) = (false, false, false);
+        let mut rng = seed;
+        for step in 0..14 {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let what = match (rng >> 33) % 8 {
+                0 | 1 => "page",
+                2 => "flaky",
+                3 => "spin",
+                4 if !holder => "holder",
+                4 => "storer",
+                5 if !boxed => "box",
+                5 if !box2 => "box2",
+                _ => "page",
+            };
+            match what {
+                "holder" => {
+                    os.load_shared_source(HOLDER).unwrap();
+                    os.register_image("storer", STORER).unwrap();
+                    holder = true;
+                }
+                "box" => {
+                    os.load_shared_source(BOX).unwrap();
+                    boxed = true;
+                }
+                "box2" => {
+                    os.load_shared_source(BOX2).unwrap();
+                    box2 = true;
+                }
+                image => {
+                    os.spawn(image, "3", Some(1 << 20)).unwrap();
+                }
+            }
+            let table = os.class_table();
+            let fresh = kaffeos::analyze::analyze(table);
+            for (i, m) in table.methods.iter().enumerate() {
+                let midx = kaffeos_vm::MethodIdx(i as u32);
+                let at = format!("seed {seed} step {step} ({what}): {}", m.qname);
+                assert_eq!(m.elide, fresh.elision_bitmap(table, midx), "elide, {at}");
+                assert_eq!(m.mon_elide, fresh.monitor_bitmap(midx), "mon_elide, {at}");
+                assert_eq!(m.local_elide, fresh.local_bitmap(midx), "local_elide, {at}");
+                assert_eq!(m.devirt, fresh.devirt_table(midx), "devirt, {at}");
+            }
+        }
+    }
+}
+
 /// Devirtualization and monitor elision actually fire on the sync-dense
 /// guest — and, like barrier elision, are invisible in virtual time: same
 /// trace, clock, and exit status with the analysis on and off, while the

@@ -10,20 +10,25 @@
 //! (Debug builds make this stronger: the interpreter's `debug_assert!`s on
 //! type confusion fire if the verifier ever lets a bad program through.)
 //!
-//! The static heap-flow analyzer rides along: every fuzzed table — and a
-//! variant with a verifier-rejected body forced into a loaded method — is
-//! analyzed, asserting the analyzer never panics on garbage it was never
-//! promised (it must bail per-method, not trust verifier invariants).
+//! The static heap-flow analyzer rides along. Every case loads into one
+//! growing table, and one `Analysis` follows it the way the kernel's does:
+//! each accepted class goes through the incremental `run`, whose facts
+//! must equal a fresh `analyze()` of the same table. A variant with a
+//! verifier-rejected body forced into a loaded method is analyzed afresh
+//! (mutating loaded code breaks the incremental precondition), asserting
+//! the analyzer never panics on garbage it was never promised (it must
+//! bail per-method, not trust verifier invariants).
 //!
 //! Instruction sequences come from a seeded SplitMix64 generator so every
 //! case replays exactly; a failing case names its seed.
 
 
+use kaffeos_analyze::Analysis;
 use kaffeos_heap::{HeapSpace, SpaceConfig, Value};
 use kaffeos_memlimit::Kind;
 use kaffeos_vm::{
-    step, ClassBuilder, ClassTable, Const, Engine, ExecCtx, IntrinsicRegistry, MethodBuilder, Op,
-    RunExit, Thread, TypeDesc,
+    step, ClassBuilder, ClassTable, Const, Engine, ExecCtx, IntrinsicRegistry, MethodBuilder,
+    MethodIdx, Op, RunExit, Thread, TypeDesc,
 };
 
 /// Deterministic SplitMix64 sequence generator.
@@ -167,8 +172,28 @@ fn base_classes() -> Vec<kaffeos_vm::ClassDef> {
     out
 }
 
+/// Every per-method fact the kernel publishes from an analysis.
+fn facts(an: &Analysis, table: &ClassTable, m: MethodIdx) -> Facts {
+    (
+        an.elision_bitmap(table, m),
+        an.monitor_bitmap(m),
+        an.local_bitmap(m),
+        an.devirt_table(m),
+    )
+}
+
+type Facts = (Vec<u64>, Vec<u64>, Vec<u64>, Vec<(u32, MethodIdx)>);
+
 #[test]
 fn accepted_bytecode_never_panics() {
+    // One table for all cases (each in its own namespace over the base
+    // classes) and one analysis following it incrementally.
+    let mut table = ClassTable::new(IntrinsicRegistry::new());
+    let base = table.create_namespace("base", None);
+    for def in base_classes() {
+        table.load_class(base, def.into_arc()).unwrap();
+    }
+    let mut incremental = Analysis::default();
     for case in 0..512u64 {
         let mut rng = Rng::new(0xF422 ^ case.wrapping_mul(0x9E37));
         let nops = 1 + rng.below(23) as usize;
@@ -181,11 +206,7 @@ fn accepted_bytecode_never_panics() {
             .create_child(root, Kind::Soft, 4 << 20, "fuzz")
             .unwrap();
         let heap = space.create_user_heap(kaffeos_heap::ProcTag(1), ml, "fuzz");
-        let mut table = ClassTable::new(IntrinsicRegistry::new());
-        let ns = table.create_namespace("fuzz", None);
-        for def in base_classes() {
-            table.load_class(ns, def.into_arc()).unwrap();
-        }
+        let ns = table.create_namespace(format!("fuzz{case}"), Some(base));
         // Fixed 8-entry constant pool covering every Const variant the
         // generated ops index into.
         let mut b = ClassBuilder::new("Fuzz");
@@ -225,13 +246,25 @@ fn accepted_bytecode_never_panics() {
         let loaded = table.load_class(ns, def.into_arc());
 
         // Whatever the verifier decided, the heap-flow analyzer must accept
-        // the table without panicking. Rejected classes are rolled back, so
-        // additionally force a *verifier-rejected* random body into an
-        // already-loaded method and re-analyze: the analyzer trusts no
-        // invariant the verifier establishes — it bails per-method instead.
-        let _ = kaffeos_analyze::analyze(&table);
+        // the table without panicking, and its incremental run must agree
+        // with a from-scratch one on every method. Rejected classes are
+        // rolled back, so additionally force a *verifier-rejected* random
+        // body into an already-loaded method and analyze afresh: the
+        // analyzer trusts no invariant the verifier establishes — it bails
+        // per-method instead.
+        incremental.run(&table);
+        let fresh = kaffeos_analyze::analyze(&table);
+        for i in 0..table.methods.len() as u32 {
+            let m = MethodIdx(i);
+            assert_eq!(
+                facts(&incremental, &table, m),
+                facts(&fresh, &table, m),
+                "case {case}: incremental facts of {} differ",
+                table.method(m).qname
+            );
+        }
         {
-            let target = table.lookup(ns, "Target").unwrap();
+            let target = table.lookup(base, "Target").unwrap();
             let victim = table.find_method(target, "make").unwrap();
             let mangled: Vec<Op> = (0..nops).map(|_| gen_op(&mut rng, 24)).collect();
             let saved =
@@ -282,4 +315,6 @@ fn accepted_bytecode_never_panics() {
             }
         }
     }
+    let accepted = table.classes.len() - base_classes().len();
+    assert!(accepted > 0, "no fuzzed class reached the incremental analysis");
 }
