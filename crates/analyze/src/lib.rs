@@ -261,10 +261,29 @@ impl core::fmt::Display for Lint {
 }
 
 /// Abstract machine state at one pc: a region per local and stack slot.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct AbsState {
     locals: Vec<Region>,
     stack: Vec<Region>,
+}
+
+impl AbsState {
+    /// Overwrites `self` with `src` field by field, reusing the buffers
+    /// (the derived `clone_from` would allocate a fresh state).
+    fn copy_from(&mut self, src: &AbsState) {
+        self.locals.clone_from(&src.locals);
+        self.stack.clone_from(&src.stack);
+    }
+}
+
+/// One method's per-pc states, indexed by pc, with `ops.len() + 1` slots
+/// (the last is the fall-off-the-end pc); `None` marks a pc no path
+/// reaches.
+type States<S> = Vec<Option<S>>;
+
+/// The state recorded at `pc`, if some path reaches it.
+fn state_at<S>(states: &[Option<S>], pc: u32) -> Option<&S> {
+    states.get(pc as usize)?.as_ref()
 }
 
 /// Abstract escape state at one pc. A slot holds `Some(site)` when it
@@ -280,13 +299,41 @@ struct AbsState {
 /// possible GC point inside the critical section — an elided monitor is
 /// absent from the monitor registry the collector scans, so a GC while it
 /// is held would trace observably fewer roots.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct EscState {
     locals: Vec<Option<u16>>,
     stack: Vec<Option<u16>>,
     clean: Vec<u64>,
     held: Vec<u16>,
     mon_held: Vec<(u16, bool)>,
+}
+
+impl EscState {
+    /// Overwrites `self` with `src` field by field, reusing the buffers.
+    fn copy_from(&mut self, src: &EscState) {
+        self.locals.clone_from(&src.locals);
+        self.stack.clone_from(&src.stack);
+        self.clean.clone_from(&src.clean);
+        self.held.clone_from(&src.held);
+        self.mon_held.clone_from(&src.mon_held);
+    }
+
+    /// Overwrites `self` with the state an exception handler observes when
+    /// `at` throws. Handler entry follows an exception-object allocation
+    /// (builtin throws materialise their exception), so no site is still
+    /// provably nursery-resident there, and every pending monitor has seen
+    /// a GC point.
+    fn enter_handler(&mut self, at: &EscState) {
+        self.locals.clone_from(&at.locals);
+        self.stack.clear();
+        self.stack.push(None);
+        self.clean.clear();
+        self.clean.resize(at.clean.len(), 0);
+        self.held.clone_from(&at.held);
+        self.mon_held.clear();
+        self.mon_held
+            .extend(at.mon_held.iter().map(|&(s, _)| (s, true)));
+    }
 }
 
 /// Empties the clean set: the op may trigger a nursery collection, after
@@ -407,6 +454,10 @@ pub struct Analysis {
     lock_names: Vec<String>,
     /// Lock-order edges: (held identity, acquired identity, method, pc).
     lock_edges: Vec<(u16, u16, u32, u32)>,
+    /// Region-pass interpretations (`run_method` calls) and fixpoint
+    /// passes so far.
+    #[cfg(test)]
+    counts: (usize, usize),
 }
 
 /// CHA result for one (static class, vslot) pair.
@@ -460,32 +511,39 @@ impl Analysis {
         if from > 0 && new_classes.iter().any(|c| may_add_cha_target(table, c)) {
             from = 0;
         }
-        if from > 0 && !self.fixpoint(table, from) {
-            from = 0;
-        }
-        if from == 0 {
-            self.sites.clear();
-            self.lints.clear();
-            self.bailed.clear();
-            self.cha.clear();
-            self.devirt.clear();
-            self.virt_sites = (0, 0);
-            self.mon_bitmaps.clear();
-            self.local_bitmaps.clear();
-            self.mon_ops = (0, 0);
-            self.alloc_escape.clear();
-            self.lock_names.clear();
-            self.lock_edges.clear();
-            self.fixpoint(table, 0);
-        }
+        let incremental = if from > 0 {
+            self.fixpoint(table, from)
+        } else {
+            None
+        };
+        let last_pass = match incremental {
+            Some(states) => states,
+            None => {
+                from = 0;
+                self.sites.clear();
+                self.lints.clear();
+                self.bailed.clear();
+                self.cha.clear();
+                self.devirt.clear();
+                self.virt_sites = (0, 0);
+                self.mon_bitmaps.clear();
+                self.local_bitmaps.clear();
+                self.mon_ops = (0, 0);
+                self.alloc_escape.clear();
+                self.lock_names.clear();
+                self.lock_edges.clear();
+                self.fixpoint(table, 0).unwrap_or_default()
+            }
+        };
 
-        // Phase 2: one collecting pass with the summaries frozen. The
-        // escape pass runs after `collect_method` so it can consult the
+        // Phase 2: collect from the fixpoint's last pass, whose states were
+        // computed against the final summaries (that pass changed none).
+        // The escape pass runs after `collect_method` so it can consult the
         // freshly derived store-site regions when classifying escapes.
         let (lints_before, edges_before) = (self.lints.len(), self.lock_edges.len());
-        for i in from..n {
+        for (i, states) in (from..n).zip(last_pass) {
             let midx = MethodIdx(i as u32);
-            match self.run_method(table, midx) {
+            match states {
                 None => self.bailed.push(i as u32),
                 Some(states) => {
                     self.collect_method(table, midx, &states);
@@ -514,21 +572,33 @@ impl Analysis {
     /// Phase 1: fixpoint over the call graph. Each pass re-analyzes the
     /// methods `from..`, joining return regions and field stores into the
     /// global summaries; stop when a pass changes nothing. The lattice is
-    /// finite and all updates are joins, so this terminates. With
-    /// `from > 0`, returns `false` as soon as a join raises a summary a
+    /// finite and all updates are joins, so this terminates. Returns the
+    /// last pass's states per method (`None` for a method that bailed):
+    /// that pass moved no summary, so they are the states at the fixpoint.
+    /// With `from > 0`, returns `None` as soon as a join raises a summary a
     /// method below `from` reads (the caller falls back to a full pass).
-    fn fixpoint(&mut self, table: &ClassTable, from: usize) -> bool {
+    fn fixpoint(
+        &mut self,
+        table: &ClassTable,
+        from: usize,
+    ) -> Option<Vec<Option<States<AbsState>>>> {
         self.old_raised = false;
+        let mut pass = Vec::with_capacity(table.methods.len() - from);
         loop {
+            #[cfg(test)]
+            {
+                self.counts.1 += 1;
+            }
             self.changed = false;
+            pass.clear();
             for i in from..table.methods.len() {
-                self.run_method(table, MethodIdx(i as u32));
+                pass.push(self.run_method(table, MethodIdx(i as u32)));
                 if from > 0 && self.old_raised {
-                    return false;
+                    return None;
                 }
             }
             if !self.changed {
-                return true;
+                return Some(pass);
             }
         }
     }
@@ -646,11 +716,11 @@ impl Analysis {
     /// Abstractly interprets one method: a verifier-shaped worklist over
     /// `AbsState`s. Returns the per-pc states, or `None` when the bytecode
     /// cannot be followed (ill-typed input — never panics).
-    fn run_method(
-        &mut self,
-        table: &ClassTable,
-        midx: MethodIdx,
-    ) -> Option<HashMap<u32, AbsState>> {
+    fn run_method(&mut self, table: &ClassTable, midx: MethodIdx) -> Option<States<AbsState>> {
+        #[cfg(test)]
+        {
+            self.counts.0 += 1;
+        }
         let m = table.methods.get(midx.0 as usize)?;
         let code = &m.code;
 
@@ -664,16 +734,18 @@ impl Analysis {
         }
         locals.resize(code.max_locals as usize, Region::Local);
 
-        let mut states: HashMap<u32, AbsState> = HashMap::new();
+        let mut states = vec![None; code.ops.len() + 1];
         let mut worklist: Vec<u32> = Vec::new();
-        let entry = AbsState {
+        // One scratch state for every visit, plus one for handler entries.
+        let mut state = AbsState {
             locals,
             stack: Vec::new(),
         };
-        merge_into(&mut states, &mut worklist, code.ops.len(), 0, entry)?;
+        let mut handler = AbsState::default();
+        merge_into(&mut states, &mut worklist, 0, &state)?;
 
         while let Some(pc) = worklist.pop() {
-            let mut state = states.get(&pc)?.clone();
+            state.copy_from(state_at(&states, pc)?);
             let Some(&op) = code.ops.get(pc as usize) else {
                 continue; // fall off the end: implicit return
             };
@@ -681,25 +753,19 @@ impl Analysis {
             // object (arbitrary provenance) as the only stack entry.
             for h in &code.handlers {
                 if pc >= h.start && pc < h.end {
-                    let hstate = AbsState {
-                        locals: state.locals.clone(),
-                        stack: vec![Region::MayCross],
-                    };
-                    merge_into(&mut states, &mut worklist, code.ops.len(), h.target, hstate)?;
+                    handler.locals.clone_from(&state.locals);
+                    handler.stack.clear();
+                    handler.stack.push(Region::MayCross);
+                    merge_into(&mut states, &mut worklist, h.target, &handler)?;
                 }
             }
             let class = table.classes.get(m.class.0 as usize)?;
-            let flow = self.transfer(table, midx, op, &class.rpool, &mut state)?;
-            match flow {
-                Flow::Fall => {
-                    merge_into(&mut states, &mut worklist, code.ops.len(), pc + 1, state)?;
-                }
-                Flow::JumpTo(t) => {
-                    merge_into(&mut states, &mut worklist, code.ops.len(), t, state)?;
-                }
+            match self.transfer(table, midx, op, &class.rpool, &mut state)? {
+                Flow::Fall => merge_into(&mut states, &mut worklist, pc + 1, &state)?,
+                Flow::JumpTo(t) => merge_into(&mut states, &mut worklist, t, &state)?,
                 Flow::BranchTo(t) => {
-                    merge_into(&mut states, &mut worklist, code.ops.len(), t, state.clone())?;
-                    merge_into(&mut states, &mut worklist, code.ops.len(), pc + 1, state)?;
+                    merge_into(&mut states, &mut worklist, t, &state)?;
+                    merge_into(&mut states, &mut worklist, pc + 1, &state)?;
                 }
                 Flow::Stop => {}
             }
@@ -1052,7 +1118,7 @@ impl Analysis {
         &mut self,
         table: &ClassTable,
         midx: MethodIdx,
-        states: &HashMap<u32, AbsState>,
+        states: &[Option<AbsState>],
     ) {
         let Some(m) = table.methods.get(midx.0 as usize) else {
             return;
@@ -1063,7 +1129,7 @@ impl Analysis {
         let mut entries = Vec::new();
         for (pc, op) in m.code.ops.iter().enumerate() {
             let Op::CallVirtual(idx) = *op else { continue };
-            if !states.contains_key(&(pc as u32)) {
+            if state_at(states, pc as u32).is_none() {
                 continue; // unreachable: never dispatched, never compiled
             }
             let Some(RConst::VirtualMethod { class: sclass, vslot, .. }) =
@@ -1122,7 +1188,7 @@ impl Analysis {
         &mut self,
         table: &ClassTable,
         midx: MethodIdx,
-        states: &HashMap<u32, AbsState>,
+        states: &[Option<AbsState>],
     ) {
         let Some(m) = table.methods.get(midx.0 as usize) else {
             return;
@@ -1146,7 +1212,7 @@ impl Analysis {
         // Store sites: classify from the state *before* each store op.
         for (pc, op) in code.ops.iter().enumerate() {
             let pc32 = pc as u32;
-            let Some(state) = states.get(&pc32) else {
+            let Some(state) = state_at(states, pc32) else {
                 continue;
             };
             let site = match *op {
@@ -1248,7 +1314,7 @@ impl Analysis {
         for pc in 0..code.ops.len() as u32 {
             let implicit_tail = pc as usize == code.ops.len() - 1
                 && matches!(code.ops[pc as usize], Op::Return);
-            let dead = !states.contains_key(&pc) && !implicit_tail;
+            let dead = state_at(states, pc).is_none() && !implicit_tail;
             match (dead, run_start) {
                 (true, None) => run_start = Some(pc),
                 (false, Some(start)) => {
@@ -1280,7 +1346,7 @@ impl Analysis {
                 Op::Jump(t) | Op::JumpIfTrue(t) | Op::JumpIfFalse(t) => t,
                 _ => continue,
             };
-            if target as usize > pc || !states.contains_key(&(pc as u32)) {
+            if target as usize > pc || state_at(states, pc as u32).is_none() {
                 continue;
             }
             let body = &code.ops[target as usize..=pc];
@@ -1382,43 +1448,35 @@ impl Analysis {
         site_name: &[String],
         esc: &mut [EscapeClass],
         mon_gc: &mut [bool],
-    ) -> Option<HashMap<u32, EscState>> {
+    ) -> Option<States<EscState>> {
         let m = table.methods.get(midx.0 as usize)?;
         let code = &m.code;
         let rpool = &table.classes.get(m.class.0 as usize)?.rpool;
         let nsites = site_pc.len();
         let site_of = |pc: u32| site_pc.binary_search(&pc).ok().map(|i| i as u16);
 
-        let entry = EscState {
+        let mut states = vec![None; code.ops.len() + 1];
+        let mut worklist: Vec<u32> = Vec::new();
+        // One scratch state for every visit, plus one for handler entries.
+        let mut state = EscState {
             locals: vec![None; code.max_locals as usize],
             stack: Vec::new(),
             clean: vec![0u64; nsites.div_ceil(64)],
             held: Vec::new(),
             mon_held: Vec::new(),
         };
-        let mut states: HashMap<u32, EscState> = HashMap::new();
-        let mut worklist: Vec<u32> = Vec::new();
-        esc_merge_into(&mut states, &mut worklist, code.ops.len(), 0, entry, esc)?;
+        let mut handler = EscState::default();
+        esc_merge_into(&mut states, &mut worklist, 0, &state, esc)?;
 
         while let Some(pc) = worklist.pop() {
-            let mut state = states.get(&pc)?.clone();
+            state.copy_from(state_at(&states, pc)?);
             let Some(&op) = code.ops.get(pc as usize) else {
                 continue;
             };
             for h in &code.handlers {
-                if pc >= h.start && pc < h.end && may_throw(code.ops.get(pc as usize)?) {
-                    // Handler entry follows an exception-object allocation
-                    // (builtin throws materialise their exception), so no
-                    // site is still provably nursery-resident there, and
-                    // every pending monitor has seen a GC point.
-                    let hstate = EscState {
-                        locals: state.locals.clone(),
-                        stack: vec![None],
-                        clean: vec![0; state.clean.len()],
-                        held: state.held.clone(),
-                        mon_held: state.mon_held.iter().map(|&(s, _)| (s, true)).collect(),
-                    };
-                    esc_merge_into(&mut states, &mut worklist, code.ops.len(), h.target, hstate, esc)?;
+                if pc >= h.start && pc < h.end && may_throw(&op) {
+                    handler.enter_handler(&state);
+                    esc_merge_into(&mut states, &mut worklist, h.target, &handler, esc)?;
                 }
             }
             let pop = |state: &mut EscState| state.stack.pop();
@@ -1688,22 +1746,11 @@ impl Analysis {
                 }
             }
             match flow {
-                Flow::Fall => {
-                    esc_merge_into(&mut states, &mut worklist, code.ops.len(), pc + 1, state, esc)?;
-                }
-                Flow::JumpTo(t) => {
-                    esc_merge_into(&mut states, &mut worklist, code.ops.len(), t, state, esc)?;
-                }
+                Flow::Fall => esc_merge_into(&mut states, &mut worklist, pc + 1, &state, esc)?,
+                Flow::JumpTo(t) => esc_merge_into(&mut states, &mut worklist, t, &state, esc)?,
                 Flow::BranchTo(t) => {
-                    esc_merge_into(
-                        &mut states,
-                        &mut worklist,
-                        code.ops.len(),
-                        t,
-                        state.clone(),
-                        esc,
-                    )?;
-                    esc_merge_into(&mut states, &mut worklist, code.ops.len(), pc + 1, state, esc)?;
+                    esc_merge_into(&mut states, &mut worklist, t, &state, esc)?;
+                    esc_merge_into(&mut states, &mut worklist, pc + 1, &state, esc)?;
                 }
                 Flow::Stop => {}
             }
@@ -1736,7 +1783,7 @@ impl Analysis {
         site_name: &[String],
         esc: &mut [EscapeClass],
         mon_gc: &[bool],
-        states: &HashMap<u32, EscState>,
+        states: &[Option<EscState>],
     ) {
         let Some(m) = table.methods.get(midx.0 as usize) else {
             return;
@@ -1754,7 +1801,7 @@ impl Analysis {
         let mut lock_lints: Vec<(u32, String)> = Vec::new();
         for (pc, op) in code.ops.iter().enumerate() {
             let pc32 = pc as u32;
-            let Some(state) = states.get(&pc32) else {
+            let Some(state) = state_at(states, pc32) else {
                 continue;
             };
             let n = state.stack.len();
@@ -1852,7 +1899,7 @@ impl Analysis {
             self.local_bitmaps.insert(midx.0, bitmap);
         }
         for (i, &pc) in site_pc.iter().enumerate() {
-            if states.contains_key(&pc) {
+            if state_at(states, pc).is_some() {
                 self.alloc_escape.insert((midx.0, pc), esc[i]);
             }
         }
@@ -2027,22 +2074,20 @@ fn declaring_class(table: &ClassTable, mut c: ClassIdx, slot: u16) -> Option<Cla
     None
 }
 
-/// Merges `state` into the recorded state at `pc`, queueing `pc` when the
-/// state is new or widened. Returns `None` on out-of-range targets or
+/// Joins `state` into the recorded state at `pc` in place, queueing `pc`
+/// when the state is new or widened; only a new state is cloned. Returns
+/// `None` on out-of-range targets (past the fall-off-the-end slot) or
 /// merge-shape mismatches (ill-formed input — the method is abandoned).
 fn merge_into(
-    states: &mut HashMap<u32, AbsState>,
+    states: &mut [Option<AbsState>],
     worklist: &mut Vec<u32>,
-    ops_len: usize,
     pc: u32,
-    state: AbsState,
+    state: &AbsState,
 ) -> Option<()> {
-    if pc as usize > ops_len {
-        return None;
-    }
-    match states.get_mut(&pc) {
+    let slot = states.get_mut(pc as usize)?;
+    match slot {
         None => {
-            states.insert(pc, state);
+            *slot = Some(state.clone());
             worklist.push(pc);
         }
         Some(existing) => {
@@ -2093,19 +2138,16 @@ fn merge_into(
 /// killed outright — elision must not change whether a path that never
 /// entered raises on its exit.
 fn esc_merge_into(
-    states: &mut HashMap<u32, EscState>,
+    states: &mut [Option<EscState>],
     worklist: &mut Vec<u32>,
-    ops_len: usize,
     pc: u32,
-    state: EscState,
+    state: &EscState,
     esc: &mut [EscapeClass],
 ) -> Option<()> {
-    if pc as usize > ops_len {
-        return None;
-    }
-    match states.get_mut(&pc) {
+    let slot = states.get_mut(pc as usize)?;
+    match slot {
         None => {
-            states.insert(pc, state);
+            *slot = Some(state.clone());
             worklist.push(pc);
         }
         Some(existing) => {

@@ -700,48 +700,63 @@ fn probe<const N: usize>(name: &str, ops: [Op; N]) -> ClassDef {
 /// Which path each load takes, as a count rather than a time: reloads of
 /// the same defs into fresh namespaces analyze exactly their own methods,
 /// while a load that adds an override, raises an old class's field or
-/// raises the array bucket re-runs over every method.
+/// raises the array bucket re-runs over every method. Each fixpoint pass
+/// interprets each method in its range once, and the collect pass reuses
+/// the last pass's states instead of interpreting again: a load of k
+/// methods that settles in one pass costs k region interpretations.
 #[test]
 fn run_reanalyzes_only_new_methods_unless_an_old_verdict_can_move() {
     let (mut table, base) = table_with(IntrinsicRegistry::new(), Vec::new());
     let mut an = crate::Analysis::default();
     // Loads `defs` into `ns`, runs the analysis, and names the methods it
-    // reported changed: "new" (just the loaded ones) or "all". Whatever
-    // the path, the facts must equal a fresh run's.
+    // reported changed — "new" (just the loaded ones) or "all" — with the
+    // number of `run_method` calls the run made. Whatever the path, the
+    // facts must equal a fresh run's.
     let mut load = |table: &mut ClassTable, ns: u32, defs: Vec<ClassDef>| {
         let before = table.methods.len();
         for def in defs {
             table.load_class(ns, def.into_arc()).unwrap();
         }
+        let (calls, passes) = an.counts;
         let changed = an.run(table);
+        let (calls, passes) = (an.counts.0 - calls, an.counts.1 - passes);
         let fresh = analyze(table);
-        for i in 0..table.methods.len() as u32 {
+        let n = table.methods.len();
+        assert_eq!(fresh.counts.0, fresh.counts.1 * n, "a full run: passes × n");
+        for i in 0..n as u32 {
             let m = kaffeos_vm::MethodIdx(i);
             assert_eq!(an.elision_bitmap(table, m), fresh.elision_bitmap(table, m));
             assert_eq!(an.devirt_table(m), fresh.devirt_table(m));
         }
-        let n = table.methods.len();
-        match changed {
+        let path = match changed {
             r if r == (before..n) => "new",
             r if r == (0..n) => "all",
             _ => "other",
+        };
+        if path == "new" {
+            assert_eq!(calls, passes * (n - before), "an incremental run: passes × k");
         }
+        (path, calls)
     };
     let mut spaces = Vec::new();
     for k in 0..4 {
         let ns = table.create_namespace(format!("p{k}"), Some(base));
-        assert_eq!(load(&mut table, ns, vec![class_a()]), "new", "reload {k}");
+        // `A.get`'s return summary is new, so the fixpoint takes a second
+        // pass over both methods to confirm it.
+        let reload = load(&mut table, ns, vec![class_a()]);
+        assert_eq!(reload, ("new", 4), "reload {k}");
         spaces.push(ns);
     }
     let ns = spaces[0];
-    assert_eq!(load(&mut table, ns, Vec::new()), "new", "empty load");
+    assert_eq!(load(&mut table, ns, Vec::new()), ("new", 0), "empty load");
 
-    // A subclass that only appends a slot adds no CHA target.
+    // A subclass that only appends a slot adds no CHA target, and its one
+    // method raises nothing: one pass, one interpretation.
     let appender = ClassBuilder::new("C")
         .extends("A")
         .method(MethodBuilder::instance("other").op(Op::Return).build())
         .build();
-    assert_eq!(load(&mut table, ns, vec![appender]), "new", "appending");
+    assert_eq!(load(&mut table, ns, vec![appender]), ("new", 1), "appending");
 
     let sub = ClassBuilder::new("B")
         .extends("A")
@@ -752,15 +767,16 @@ fn run_reanalyzes_only_new_methods_unless_an_old_verdict_can_move() {
                 .build(),
         )
         .build();
-    assert_eq!(load(&mut table, ns, vec![sub]), "all", "override");
+    assert_eq!(load(&mut table, ns, vec![sub]).0, "all", "override");
     let field = probe("F", STORE_FIELD);
-    assert_eq!(load(&mut table, ns, vec![field]), "all", "old field");
+    assert_eq!(load(&mut table, ns, vec![field]).0, "all", "old field");
     let elem = probe("E", STORE_ELEM);
-    assert_eq!(load(&mut table, ns, vec![elem]), "all", "array bucket");
+    assert_eq!(load(&mut table, ns, vec![elem]).0, "all", "array bucket");
 
-    // Once raised, the same stores move nothing: back to the new methods.
+    // Once raised, the same stores move nothing: back to the new methods,
+    // each interpreted once.
     let again = vec![probe("F2", STORE_FIELD), probe("E2", STORE_ELEM)];
-    assert_eq!(load(&mut table, ns, again), "new", "repeated stores");
+    assert_eq!(load(&mut table, ns, again), ("new", 2), "repeated stores");
 }
 
 #[test]

@@ -258,14 +258,10 @@ impl From<kaffeos_vm::VmError> for KernelError {
 pub struct ProcessReport {
     /// Process id.
     pub pid: Pid,
-    /// `image#pid` label.
-    pub name: String,
     /// Exit status, or `None` if still live.
     pub status: Option<ExitStatus>,
     /// CPU account (exec / GC / kernel cycles).
     pub cpu: CpuAccount,
-    /// Lines printed via `sys.print`.
-    pub stdout: Vec<String>,
 }
 
 /// Result of a [`KaffeOs::run`].
@@ -3121,13 +3117,11 @@ impl KaffeOs {
                 .iter()
                 .map(|p| ProcessReport {
                     pid: p.pid,
-                    name: p.name.clone(),
                     status: match &p.state {
                         ProcState::Dead(s) => Some(s.clone()),
                         _ => None,
                     },
                     cpu: p.cpu,
-                    stdout: p.stdout.clone(),
                 })
                 .collect(),
             barrier: self.space.barrier_stats(),

@@ -9,7 +9,6 @@
 //! instruction must see correctly-typed operands, locals may not be read
 //! before being written, and all jump targets must be in range.
 
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::bytecode::{Op, TypeDesc};
@@ -102,10 +101,19 @@ impl VType {
 }
 
 /// Abstract machine state at one pc.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct AbsState {
     locals: Vec<VType>,
     stack: Vec<VType>,
+}
+
+impl AbsState {
+    /// Overwrites `self` with `src` field by field, reusing both buffers
+    /// (the derived `clone_from` would allocate a fresh state).
+    fn copy_from(&mut self, src: &AbsState) {
+        self.locals.clone_from(&src.locals);
+        self.stack.clone_from(&src.stack);
+    }
 }
 
 struct Verifier<'a> {
@@ -115,7 +123,9 @@ struct Verifier<'a> {
     method_name: String,
     code: &'a crate::bytecode::Code,
     ret: Option<VType>,
-    states: HashMap<u32, AbsState>,
+    /// Recorded state per pc, `ops.len() + 1` slots: the last is the
+    /// fall-off-the-end pc.
+    states: Vec<Option<AbsState>>,
     worklist: Vec<u32>,
 }
 
@@ -176,23 +186,45 @@ fn verify_method(
         method_name: m.name.clone(),
         code: &m.code,
         ret,
-        states: HashMap::new(),
+        states: vec![None; m.code.ops.len() + 1],
         worklist: Vec::new(),
     };
-    v.merge_into(
-        0,
-        AbsState {
-            locals,
-            stack: Vec::new(),
-        },
-    )
-    .map_err(|msg| err(0, msg))?;
+    // One scratch state for every visit, plus one for handler entries.
+    let mut state = AbsState {
+        locals,
+        stack: Vec::new(),
+    };
+    let mut handler = AbsState::default();
+    v.merge_into(0, &state).map_err(|msg| err(0, msg))?;
     // Process in ascending-pc order so the *first* failure in program
     // order is reported deterministically, independent of merge order.
     while let Some(pc) = v.pop_min() {
-        v.flow_from(pc).map_err(|(at, msg)| err(at, msg))?;
+        v.flow_from(pc, &mut state, &mut handler)
+            .map_err(|(at, msg)| err(at, msg))?;
     }
     Ok(())
+}
+
+/// Least upper bound for merge points.
+fn join(table: &ClassTable, a: &VType, b: &VType) -> VType {
+    if a == b {
+        return a.clone();
+    }
+    match (a, b) {
+        (VType::Null, t) | (t, VType::Null) if t.is_reference() => t.clone(),
+        (VType::Obj(x), VType::Obj(y)) => {
+            // Walk x's superclass chain for the nearest common ancestor.
+            let mut cursor = Some(*x);
+            while let Some(cur) = cursor {
+                if table.is_subclass(*y, cur) {
+                    return VType::Obj(cur);
+                }
+                cursor = table.class(cur).super_idx;
+            }
+            VType::Conflict
+        }
+        _ => VType::Conflict,
+    }
 }
 
 /// Resolves a signature type descriptor to a lattice type.
@@ -236,38 +268,19 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    /// Least upper bound for merge points.
-    fn join(&self, a: &VType, b: &VType) -> VType {
-        if a == b {
-            return a.clone();
-        }
-        match (a, b) {
-            (VType::Null, t) | (t, VType::Null) if t.is_reference() => t.clone(),
-            (VType::Obj(x), VType::Obj(y)) => {
-                // Walk x's superclass chain for the nearest common ancestor.
-                let mut cursor = Some(*x);
-                while let Some(cur) = cursor {
-                    if self.table.is_subclass(*y, cur) {
-                        return VType::Obj(cur);
-                    }
-                    cursor = self.table.class(cur).super_idx;
-                }
-                VType::Conflict
-            }
-            _ => VType::Conflict,
-        }
-    }
-
-    fn merge_into(&mut self, pc: u32, state: AbsState) -> Result<(), String> {
-        if pc as usize > self.code.ops.len() {
+    /// Joins `state` into the recorded state at `pc` in place, queueing
+    /// `pc` when the state is new or widened. Only a new state is cloned.
+    fn merge_into(&mut self, pc: u32, state: &AbsState) -> Result<(), String> {
+        let table = self.table;
+        let Some(slot) = self.states.get_mut(pc as usize) else {
             return Err(format!("jump target {pc} out of range"));
-        }
-        match self.states.remove(&pc) {
+        };
+        match slot {
             None => {
-                self.states.insert(pc, state);
+                *slot = Some(state.clone());
                 self.worklist.push(pc);
             }
-            Some(mut existing) => {
+            Some(existing) => {
                 if existing.stack.len() != state.stack.len() {
                     return Err(format!(
                         "stack height mismatch at {pc}: {} vs {}",
@@ -276,42 +289,49 @@ impl<'a> Verifier<'a> {
                     ));
                 }
                 let mut changed = false;
-                let joined_locals: Vec<VType> = existing
-                    .locals
-                    .iter()
-                    .zip(&state.locals)
-                    .map(|(a, b)| {
-                        if a == &VType::Uninit || b == &VType::Uninit {
-                            VType::Uninit
-                        } else {
-                            self.join(a, b)
+                for (a, b) in existing.locals.iter_mut().zip(&state.locals) {
+                    if a == b {
+                        continue;
+                    }
+                    let j = if *a == VType::Uninit || *b == VType::Uninit {
+                        VType::Uninit
+                    } else {
+                        join(table, a, b)
+                    };
+                    if *a != j {
+                        *a = j;
+                        changed = true;
+                    }
+                }
+                for (a, b) in existing.stack.iter_mut().zip(&state.stack) {
+                    if a != b {
+                        let j = join(table, a, b);
+                        if *a != j {
+                            *a = j;
+                            changed = true;
                         }
-                    })
-                    .collect();
-                let joined_stack: Vec<VType> = existing
-                    .stack
-                    .iter()
-                    .zip(&state.stack)
-                    .map(|(a, b)| self.join(a, b))
-                    .collect();
-                if joined_locals != existing.locals || joined_stack != existing.stack {
-                    changed = true;
-                    existing.locals = joined_locals;
-                    existing.stack = joined_stack;
+                    }
                 }
                 if changed {
                     self.worklist.push(pc);
                 }
-                self.states.insert(pc, existing);
             }
         }
         Ok(())
     }
 
-    /// Processes one instruction: applies the transfer function to the
-    /// recorded state at `pc` and merges the results into the successors.
-    fn flow_from(&mut self, pc: u32) -> Result<(), (u32, String)> {
-        let mut state = self.states.get(&pc).expect("queued state").clone();
+    /// Processes one instruction: copies the recorded state at `pc` into
+    /// the scratch `state`, applies the transfer function, and merges the
+    /// result into the successors. `handler` is scratch for the state an
+    /// exception handler observes.
+    fn flow_from(
+        &mut self,
+        pc: u32,
+        state: &mut AbsState,
+        handler: &mut AbsState,
+    ) -> Result<(), (u32, String)> {
+        let recorded = self.states.get(pc as usize).and_then(Option::as_ref);
+        state.copy_from(recorded.ok_or_else(|| (pc, "no state queued here".to_string()))?);
         let Some(op) = self.code.ops.get(pc as usize).copied() else {
             // Fall off the end: implicit void return.
             if self.ret.is_some() {
@@ -321,30 +341,25 @@ impl<'a> Verifier<'a> {
         };
         // Exception handlers covering this pc observe the locals here with
         // a one-element stack holding the exception.
-        for h in self.code.handlers.clone() {
+        let code = self.code;
+        for h in &code.handlers {
             if pc >= h.start && pc < h.end {
                 let hcls = self.class_const(h.class).map_err(|msg| (pc, msg))?;
-                let hstate = AbsState {
-                    locals: state.locals.clone(),
-                    stack: vec![VType::Obj(hcls)],
-                };
-                self.merge_into(h.target, hstate).map_err(|msg| (pc, msg))?;
+                handler.locals.clone_from(&state.locals);
+                handler.stack.clear();
+                handler.stack.push(VType::Obj(hcls));
+                self.merge_into(h.target, handler).map_err(|msg| (pc, msg))?;
             }
         }
-        match self.transfer(pc, op, &mut state).map_err(|msg| (pc, msg))? {
-            Flow::Fall => {
-                self.merge_into(pc + 1, state).map_err(|msg| (pc, msg))?;
-            }
-            Flow::JumpTo(t) => {
-                self.merge_into(t, state).map_err(|msg| (pc, msg))?;
-            }
-            Flow::BranchTo(t) => {
-                self.merge_into(t, state.clone()).map_err(|msg| (pc, msg))?;
-                self.merge_into(pc + 1, state).map_err(|msg| (pc, msg))?;
-            }
-            Flow::Stop => {}
+        match self.transfer(pc, op, state).map_err(|msg| (pc, msg))? {
+            Flow::Fall => self.merge_into(pc + 1, state),
+            Flow::JumpTo(t) => self.merge_into(t, state),
+            Flow::BranchTo(t) => self
+                .merge_into(t, state)
+                .and_then(|()| self.merge_into(pc + 1, state)),
+            Flow::Stop => Ok(()),
         }
-        Ok(())
+        .map_err(|msg| (pc, msg))
     }
 
     fn class_const(&self, idx: u16) -> Result<ClassIdx, String> {

@@ -2,10 +2,11 @@
 //!
 //! Type safety is KaffeOS's memory-protection mechanism, so the verifier
 //! must be *sound*: any bytecode it accepts must execute without breaking
-//! the VM. This test throws random instruction sequences at the loader;
-//! most get rejected, and every accepted one is executed under a fuel cap
-//! and must terminate, trap, or preempt cleanly — never panic, never reach
-//! a `Fault`.
+//! the VM. This test throws random instruction sequences at the loader,
+//! most of which get rejected, and then mostly well-typed statement
+//! sequences with branches, loops and handlers, most of which get accepted.
+//! Every accepted one is executed under a fuel cap and must terminate,
+//! trap, or preempt cleanly — never panic, never reach a `Fault`.
 //!
 //! (Debug builds make this stronger: the interpreter's `debug_assert!`s on
 //! type confusion fire if the verifier ever lets a bad program through.)
@@ -21,15 +22,35 @@
 //!
 //! Instruction sequences come from a seeded SplitMix64 generator so every
 //! case replays exactly; a failing case names its seed.
-
+//!
+//! Every case's verdict (accepted, or the first error's pc, op and message)
+//! and every published fact is folded into one digest pinned to a
+//! constant: a rewrite of the verifier or the analyzer that changes which
+//! error is reported first, or any fact, fails here even when the result
+//! is still sound.
 
 use kaffeos_analyze::Analysis;
 use kaffeos_heap::{HeapSpace, SpaceConfig, Value};
 use kaffeos_memlimit::Kind;
 use kaffeos_vm::{
     step, ClassBuilder, ClassTable, Const, Engine, ExecCtx, IntrinsicRegistry, MethodBuilder,
-    MethodIdx, Op, RunExit, Thread, TypeDesc,
+    MethodIdx, Op, RunExit, Thread, TypeDesc, VmError,
 };
+
+/// Digest of every case's load verdict and facts. Change it only together
+/// with an intended change to what the verifier or the analyzer reports.
+const VERDICT_DIGEST: u64 = 0x3a64_8eb3_39e2_02f0;
+
+/// FNV-1a over the `Debug` rendering of each folded item.
+struct Digest(u64);
+
+impl Digest {
+    fn fold(&mut self, item: impl core::fmt::Debug) {
+        for b in format!("{item:?}").bytes() {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+}
 
 /// Deterministic SplitMix64 sequence generator.
 struct Rng(u64);
@@ -128,6 +149,130 @@ fn gen_op(rng: &mut Rng, code_len: u32) -> Op {
     }
 }
 
+/// Locals of the fuzzed `main(int)`: the parameter plus `.locals(3)`.
+const LOCALS: u64 = 4;
+
+/// What `gen_typed` knows a local holds on the straight-line path.
+#[derive(Clone, Copy, PartialEq)]
+enum Held {
+    Int,
+    Float,
+    Null,
+    Str,
+    Target,
+    Object,
+    Array,
+}
+
+/// A mostly well-typed body: statements that each start and end on an
+/// empty stack, so branches between statement boundaries always agree on
+/// stack height. Each statement is well-typed for the locals the straight
+/// line before it wrote, so a case is rejected only where a branch joins
+/// locals of different kinds (or at one of the raw random ops, one
+/// statement in twenty): the verifier's joins and visit order, not its
+/// underflow checks, decide the verdict. Monitors may be unbalanced. Half
+/// the bodies also get a catch-all handler `(start, end, target)` over a
+/// run of statements, whose block stores the exception into a local and
+/// jumps back to a boundary.
+fn gen_typed(rng: &mut Rng) -> (Vec<Op>, Option<(u32, u32, u32)>) {
+    use Held::*;
+    let is_ref = |k: Held| !matches!(k, Int | Float);
+    // Local 0 is the `Object` parameter: a may-cross region to the
+    // analyzer, so its joins with fresh local objects move verdicts.
+    let mut ty = [Object; LOCALS as usize];
+    let mut ops = Vec::new();
+    for l in 1..LOCALS as u16 {
+        let (op, kind) = match rng.below(4) {
+            0 => (Op::ConstInt(1), Int),
+            1 => (Op::ConstNull, Null),
+            2 => (Op::New(7), Target),
+            _ => (Op::ConstStr(0), Str),
+        };
+        ops.extend([op, Op::Store(l)]);
+        ty[l as usize] = kind;
+    }
+    let mut starts = Vec::new();
+    let mut jumps = Vec::new();
+    for _ in 0..4 + rng.below(9) {
+        starts.push(ops.len() as u32);
+        let (l, l2) = (rng.below(LOCALS) as u16, rng.below(LOCALS) as u16);
+        let (a, b) = (ty[l as usize], ty[l2 as usize]);
+        // Field and array statements use a local of the right kind when
+        // the straight line holds one.
+        let find = |want: Held| (0..LOCALS as u16).find(|&i| ty[i as usize] == want);
+        let (t, arr) = (find(Target).unwrap_or(l), find(Array).unwrap_or(l));
+        let (is_target, is_array) = (ty[t as usize] == Target, ty[arr as usize] == Array);
+        // The statement, and the local it writes with the kind written.
+        let (stmt, wrote): (Vec<Op>, Option<(u16, Held)>) = match rng.below(20) {
+            0 => (vec![Op::ConstInt(rng.below(5) as i64), Op::Store(l)], Some((l, Int))),
+            1 => (vec![Op::ConstFloat(0.5), Op::Store(l)], Some((l, Float))),
+            2 => (vec![Op::ConstNull, Op::Store(l)], Some((l, Null))),
+            3 => (vec![Op::ConstStr(0), Op::Store(l)], Some((l, Str))),
+            4 => (vec![Op::New(7), Op::Store(l)], Some((l, Target))),
+            5 => (vec![Op::New(1), Op::Store(l)], Some((l, Object))),
+            6 if a == Int && b == Int => {
+                (vec![Op::Load(l), Op::Load(l2), Op::Add, Op::Store(l)], None)
+            }
+            7 if a != Float => (vec![Op::Load(l), Op::JumpIfTrue(0)], None),
+            8 => (vec![Op::Jump(0)], None),
+            9 if is_ref(a) => (vec![Op::Load(l), Op::MonitorEnter], None),
+            10 if is_ref(a) => (vec![Op::Load(l), Op::MonitorExit], None),
+            11 if is_target && is_ref(b) => {
+                (vec![Op::Load(t), Op::Load(l2), Op::PutField(3)], None)
+            }
+            12 if is_target => (
+                vec![Op::Load(t), Op::GetField(3), Op::Store(l2)],
+                Some((l2, Object)),
+            ),
+            13 if is_target => (
+                vec![Op::Load(t), Op::ConstInt(1), Op::CallVirtual(5), Op::Store(l2)],
+                Some((l2, Int)),
+            ),
+            14 => (
+                vec![Op::ConstInt(4), Op::NewArray(1), Op::Store(l)],
+                Some((l, Array)),
+            ),
+            15 if is_array && is_ref(b) => (
+                vec![Op::Load(arr), Op::ConstInt(0), Op::Load(l2), Op::AStore],
+                None,
+            ),
+            16 if is_array => (
+                vec![Op::Load(arr), Op::ArrayLen, Op::Store(l2)],
+                Some((l2, Int)),
+            ),
+            17 => (vec![Op::CallStatic(6), Op::Store(l)], Some((l, Int))),
+            18 if a == Int => (vec![Op::Load(l), Op::PutStatic(4)], None),
+            19 => (vec![gen_op(rng, 24)], None),
+            _ => (vec![Op::Load(l), Op::Store(l2)], Some((l2, a))),
+        };
+        if let Some((l, kind)) = wrote {
+            ty[l as usize] = kind;
+        }
+        if matches!(stmt.last(), Some(Op::Jump(_) | Op::JumpIfTrue(_))) {
+            jumps.push(ops.len() + stmt.len() - 1);
+        }
+        ops.extend(stmt);
+    }
+    starts.push(ops.len() as u32);
+    ops.push(Op::Return);
+    let handler = (rng.below(2) == 0).then(|| {
+        let (i, j) = (rng.below(starts.len() as u64), rng.below(starts.len() as u64));
+        let target = ops.len() as u32;
+        jumps.push(ops.len() + 1);
+        ops.extend([Op::Store(rng.below(LOCALS) as u16), Op::Jump(0)]);
+        (starts[i.min(j) as usize], starts[i.max(j) as usize], target)
+    });
+    // Branch targets are statement boundaries, forward or backward.
+    for at in jumps {
+        let target = starts[rng.below(starts.len() as u64) as usize];
+        ops[at] = match ops[at] {
+            Op::Jump(_) => Op::Jump(target),
+            _ => Op::JumpIfTrue(target),
+        };
+    }
+    (ops, handler)
+}
+
 fn base_classes() -> Vec<kaffeos_vm::ClassDef> {
     let mut out = vec![
         ClassBuilder::root("Object").build(),
@@ -194,10 +339,25 @@ fn accepted_bytecode_never_panics() {
         table.load_class(base, def.into_arc()).unwrap();
     }
     let mut incremental = Analysis::default();
-    for case in 0..512u64 {
+    let mut digest = Digest(0xcbf2_9ce4_8422_2325);
+    // Cases below 512 are raw random ops into `main(int)`, which the
+    // verifier mostly rejects at their first instructions; the rest are
+    // `gen_typed` bodies of `main(Object)`, whose verdicts are decided at
+    // merge points.
+    for case in 0..768u64 {
         let mut rng = Rng::new(0xF422 ^ case.wrapping_mul(0x9E37));
         let nops = 1 + rng.below(23) as usize;
-        let ops: Vec<Op> = (0..nops).map(|_| gen_op(&mut rng, 24)).collect();
+        let typed = case >= 512;
+        let (ops, handler) = if typed {
+            gen_typed(&mut rng)
+        } else {
+            ((0..nops).map(|_| gen_op(&mut rng, 24)).collect(), None)
+        };
+        let (param, arg) = if typed {
+            (TypeDesc::Class("Object".to_string()), Value::Null)
+        } else {
+            (TypeDesc::Int, Value::Int(3))
+        };
 
         let mut space = HeapSpace::new(SpaceConfig::default());
         let root = space.root_memlimit();
@@ -233,17 +393,21 @@ fn accepted_bytecode_never_panics() {
             name: "make".to_string(),
         }); // 6
         b.pool(Const::Class("Target".to_string())); // 7
-        let def = b
-            .method(
-                MethodBuilder::of_static("main")
-                    .param(TypeDesc::Int)
-                    .locals(3)
-                    .ops(ops)
-                    .build(),
-            )
-            .build();
+        let mut main = MethodBuilder::of_static("main")
+            .param(param)
+            .locals(3)
+            .ops(ops);
+        if let Some((start, end, target)) = handler {
+            main = main.handler(start, end, target, 1);
+        }
+        let def = b.method(main.build()).build();
 
         let loaded = table.load_class(ns, def.into_arc());
+        match &loaded {
+            Ok(_) => digest.fold("ok"),
+            Err(VmError::Verify(e)) => digest.fold((e.pc, e.op, &e.msg)),
+            Err(other) => digest.fold(other.to_string()),
+        }
 
         // Whatever the verifier decided, the heap-flow analyzer must accept
         // the table without panicking, and its incremental run must agree
@@ -256,12 +420,14 @@ fn accepted_bytecode_never_panics() {
         let fresh = kaffeos_analyze::analyze(&table);
         for i in 0..table.methods.len() as u32 {
             let m = MethodIdx(i);
+            let published = facts(&incremental, &table, m);
             assert_eq!(
-                facts(&incremental, &table, m),
+                published,
                 facts(&fresh, &table, m),
                 "case {case}: incremental facts of {} differ",
                 table.method(m).qname
             );
+            digest.fold(published);
         }
         {
             let target = table.lookup(base, "Target").unwrap();
@@ -272,7 +438,10 @@ fn accepted_bytecode_never_panics() {
             let analysis = kaffeos_analyze::analyze(&table);
             // Either the mangled body analyzed cleanly or the method bailed;
             // in both cases the bitmap query stays total.
-            let _ = analysis.elision_bitmap(&table, victim);
+            digest.fold((
+                analysis.is_bailed(victim),
+                analysis.elision_bitmap(&table, victim),
+            ));
             table.methods[victim.0 as usize].code.ops = saved;
         }
 
@@ -283,7 +452,7 @@ fn accepted_bytecode_never_panics() {
             Ok(cidx) => {
                 // Accepted: must run cleanly under a fuel cap.
                 let midx = table.find_method(cidx, "main").unwrap();
-                let mut thread = Thread::new(1, &table, midx, vec![Value::Int(3)]);
+                let mut thread = Thread::new(1, &table, midx, vec![arg]);
                 let string_class = table.lookup(ns, "String").unwrap();
                 let mut statics = kaffeos_heap::FxHashMap::default();
                 let mut intern = kaffeos_heap::FxHashMap::default();
@@ -317,4 +486,10 @@ fn accepted_bytecode_never_panics() {
     }
     let accepted = table.classes.len() - base_classes().len();
     assert!(accepted > 0, "no fuzzed class reached the incremental analysis");
+    digest.fold((&incremental.lints, incremental.verdict_summary()));
+    assert_eq!(
+        digest.0, VERDICT_DIGEST,
+        "verdicts or facts changed: {:#018x}",
+        digest.0
+    );
 }
