@@ -25,19 +25,18 @@
 //!    line via the method debug tables.
 //! 3. **Hierarchy facts (CHA).** A class-hierarchy walk over the loaded
 //!    vtables computes, per `CallVirtual` site, the set of reachable
-//!    override targets. Monomorphic sites get sharpened call summaries
-//!    (replacing the old blanket `Top`) and a devirtualization table the
-//!    VM's call op reads per call; because class loads only ever *add*
-//!    overrides, the kernel republishes (and thereby revokes) these facts
-//!    after every load batch that adds one (see [`Analysis::run`]).
-//! 4. **Escape facts.** A per-method escape pass classifies every
-//!    allocation site as never-leaves-frame / never-leaves-process /
-//!    may-cross. Frame-local receivers let the interpreter and JIT elide
-//!    `MonitorEnter`/`MonitorExit` bookkeeping (no other thread can ever
-//!    observe the object), and stores into still-nursery-resident
-//!    receivers skip the remembered-set `note_store` probe. The same pass
-//!    builds a static lock-order graph powering the `deadlock-candidate`
-//!    and `lock-held-across-syscall` lints.
+//!    override targets. Virtual-call results join the summaries of every
+//!    reachable override (replacing the old blanket `Top`), which keeps
+//!    stores of those results elidable; because class loads only ever
+//!    *add* overrides, a load that adds one re-runs the analysis in full
+//!    (see [`Analysis::run`]).
+//! 4. **Escape facts (whole-program only).** [`analyze`] additionally
+//!    runs a per-method escape pass that classifies every allocation site
+//!    as never-leaves-frame / never-leaves-process / may-cross, and builds
+//!    a static lock-order graph powering the `deadlock-candidate` and
+//!    `lock-held-across-syscall` lints. These are summaries and lints for
+//!    `kaffeos-lint`; nothing at runtime reads them, so the kernel's
+//!    incremental [`Analysis::run`] on the spawn path never computes them.
 //!
 //! # The region lattice
 //!
@@ -288,24 +287,12 @@ fn state_at<S>(states: &[Option<S>], pc: u32) -> Option<&S> {
 
 /// Abstract escape state at one pc. A slot holds `Some(site)` when it
 /// provably refers to the object born at that allocation site on *every*
-/// path; `clean` is the set of sites with no possible GC point since
-/// their allocation (the object is still on its birth nursery page);
-/// `held` is the sorted set of lock identities statically held here;
-/// `mon_held` is the site-sorted multiset of pending tracked monitors:
-/// `(site, gc_seen)` for every `MonitorEnter` that ran with a tracked
-/// receiver and whose matching `MonitorExit` has not yet been seen.
-/// Losing track of such a site mid-critical-section would let the enter
-/// and exit disagree on elision, so merges kill it; `gc_seen` records a
-/// possible GC point inside the critical section — an elided monitor is
-/// absent from the monitor registry the collector scans, so a GC while it
-/// is held would trace observably fewer roots.
+/// path; `held` is the sorted set of lock identities statically held here.
 #[derive(Debug, Clone, Default, PartialEq)]
 struct EscState {
     locals: Vec<Option<u16>>,
     stack: Vec<Option<u16>>,
-    clean: Vec<u64>,
     held: Vec<u16>,
-    mon_held: Vec<(u16, bool)>,
 }
 
 impl EscState {
@@ -313,43 +300,24 @@ impl EscState {
     fn copy_from(&mut self, src: &EscState) {
         self.locals.clone_from(&src.locals);
         self.stack.clone_from(&src.stack);
-        self.clean.clone_from(&src.clean);
         self.held.clone_from(&src.held);
-        self.mon_held.clone_from(&src.mon_held);
     }
 
     /// Overwrites `self` with the state an exception handler observes when
-    /// `at` throws. Handler entry follows an exception-object allocation
-    /// (builtin throws materialise their exception), so no site is still
-    /// provably nursery-resident there, and every pending monitor has seen
-    /// a GC point.
+    /// `at` throws: its locals and held locks, with the thrown object
+    /// (untracked) as the only stack entry.
     fn enter_handler(&mut self, at: &EscState) {
         self.locals.clone_from(&at.locals);
         self.stack.clear();
         self.stack.push(None);
-        self.clean.clear();
-        self.clean.resize(at.clean.len(), 0);
         self.held.clone_from(&at.held);
-        self.mon_held.clear();
-        self.mon_held
-            .extend(at.mon_held.iter().map(|&(s, _)| (s, true)));
     }
-}
-
-/// Empties the clean set: the op may trigger a nursery collection, after
-/// which no tracked object is guaranteed to still sit on a nursery page.
-/// Every pending monitor is marked GC-tainted for the same reason.
-fn gc_point(state: &mut EscState) {
-    state.clean.iter_mut().for_each(|w| *w = 0);
-    state.mon_held.iter_mut().for_each(|e| e.1 = true);
 }
 
 /// Can this op raise a guest exception (and therefore enter an exception
 /// handler)? Conservative: only provably-total ops return `false`. Used
 /// to avoid propagating escape state into handlers from pcs that cannot
-/// reach them — handler entry implies an exception-object allocation, so
-/// an over-eager edge would GC-taint every `sync` body's pending monitor
-/// through the compiler-emitted release handler.
+/// reach them, which would merge away tracked sites for nothing.
 fn may_throw(op: &Op) -> bool {
     !matches!(
         op,
@@ -436,28 +404,20 @@ pub struct Analysis {
     /// CHA reachable-target cache, keyed by (static class, vslot). Kept
     /// across runs while loads add no override; cleared on a full pass.
     cha: HashMap<(u32, u16), ChaTargets>,
-    /// Devirtualization tables: per method, pc-sorted `(pc, target)` for
-    /// monomorphic `CallVirtual` sites.
-    devirt: HashMap<u32, Vec<(u32, MethodIdx)>>,
     /// Reachable `CallVirtual` site counts: (monomorphic, polymorphic).
     virt_sites: (usize, usize),
-    /// Monitor-elision bitmaps per method (escape pass).
-    mon_bitmaps: HashMap<u32, Vec<u64>>,
-    /// Dies-local store bitmaps per method (escape pass).
-    local_bitmaps: HashMap<u32, Vec<u64>>,
-    /// Monitor-op counts: (elidable, total).
-    mon_ops: (usize, usize),
-    /// Escape verdict per allocation site, keyed by (method, pc).
+    /// Escape verdict per allocation site, keyed by (method, pc). Filled
+    /// by [`analyze`] only, like the lock-order graph below.
     alloc_escape: HashMap<(u32, u32), EscapeClass>,
     /// Interned lock identities (allocation-site class names) for the
     /// static lock-order graph.
     lock_names: Vec<String>,
     /// Lock-order edges: (held identity, acquired identity, method, pc).
     lock_edges: Vec<(u16, u16, u32, u32)>,
-    /// Region-pass interpretations (`run_method` calls) and fixpoint
-    /// passes so far.
+    /// Region-pass interpretations (`run_method` calls), fixpoint passes
+    /// and escape-pass calls (`escape_method`) so far.
     #[cfg(test)]
-    counts: (usize, usize),
+    counts: (usize, usize, usize),
 }
 
 /// CHA result for one (static class, vslot) pair.
@@ -470,10 +430,20 @@ struct ChaTargets {
     complete: bool,
 }
 
-/// Runs the full analysis over every method currently loaded.
+/// Runs the whole-program analysis over every method currently loaded:
+/// [`Analysis::run`]'s region fixpoint, store sites and CHA, then the
+/// escape pass over every followable method, the lock-order graph and its
+/// lints. The result is a report; it is not meant to be `run` again.
 pub fn analyze(table: &ClassTable) -> Analysis {
     let mut a = Analysis::default();
     a.run(table);
+    for i in 0..table.methods.len() as u32 {
+        if !a.is_bailed(MethodIdx(i)) {
+            a.escape_method(table, MethodIdx(i));
+        }
+    }
+    a.deadlock_lints(table);
+    a.sort_lints();
     a
 }
 
@@ -483,10 +453,10 @@ impl Analysis {
     /// run, or every method after a full pass (a range starting at 0).
     ///
     /// The run extends the fixpoint over the new methods only, then
-    /// collects their sites, devirtualization tables and escape verdicts;
-    /// old methods keep theirs, and the CHA cache is kept. It falls back
-    /// to a full pass — per-method results cleared, summaries kept, the
-    /// same loops over every method — when (i) a new class may add a CHA
+    /// collects their store sites and virtual-site counts; old methods keep
+    /// theirs, and the CHA cache is kept. It falls back to a full pass —
+    /// per-method results cleared, summaries kept, the same loops over
+    /// every method — when (i) a new class may add a CHA
     /// target to an old `(class, vslot)` key (it overrides an inherited
     /// slot, or its superclass chain cannot be walked), or (ii) the new
     /// methods' fixpoint raised a summary an old method reads (an old
@@ -524,23 +494,14 @@ impl Analysis {
                 self.lints.clear();
                 self.bailed.clear();
                 self.cha.clear();
-                self.devirt.clear();
                 self.virt_sites = (0, 0);
-                self.mon_bitmaps.clear();
-                self.local_bitmaps.clear();
-                self.mon_ops = (0, 0);
-                self.alloc_escape.clear();
-                self.lock_names.clear();
-                self.lock_edges.clear();
                 self.fixpoint(table, 0).unwrap_or_default()
             }
         };
 
         // Phase 2: collect from the fixpoint's last pass, whose states were
         // computed against the final summaries (that pass changed none).
-        // The escape pass runs after `collect_method` so it can consult the
-        // freshly derived store-site regions when classifying escapes.
-        let (lints_before, edges_before) = (self.lints.len(), self.lock_edges.len());
+        let lints_before = self.lints.len();
         for (i, states) in (from..n).zip(last_pass) {
             let midx = MethodIdx(i as u32);
             match states {
@@ -548,21 +509,11 @@ impl Analysis {
                 Some(states) => {
                     self.collect_method(table, midx, &states);
                     self.collect_virtual_sites(table, midx, &states);
-                    self.escape_method(table, midx);
                 }
             }
         }
-        // The lock-order graph is global: new edges can close a cycle
-        // through old ones, so its lints are rederived whenever it grows.
-        if self.lock_edges.len() != edges_before {
-            self.lints.retain(|l| l.kind != LintKind::DeadlockCandidate);
-            self.deadlock_lints(table);
-        }
-        if self.lints.len() != lints_before || self.lock_edges.len() != edges_before {
-            self.lints.sort_by(|a, b| {
-                (&a.class, &a.method, a.pc, a.kind.label())
-                    .cmp(&(&b.class, &b.method, b.pc, b.kind.label()))
-            });
+        if self.lints.len() != lints_before {
+            self.sort_lints();
         }
         self.methods_seen = n;
         self.classes_seen = table.classes.len();
@@ -601,6 +552,14 @@ impl Analysis {
                 return Some(pass);
             }
         }
+    }
+
+    /// Sorts the diagnostics by class, method, pc and kind.
+    fn sort_lints(&mut self) {
+        self.lints.sort_by(|a, b| {
+            (&a.class, &a.method, a.pc, a.kind.label())
+                .cmp(&(&b.class, &b.method, b.pc, b.kind.label()))
+        });
     }
 
     /// Static verdict for a store site, if the analysis saw one there.
@@ -650,32 +609,9 @@ impl Analysis {
         (elided, self.sites.len())
     }
 
-    /// pc-sorted devirtualization table for a method: `(pc, target)` per
-    /// monomorphic `CallVirtual` site. Empty when nothing devirtualizes.
-    pub fn devirt_table(&self, method: MethodIdx) -> Vec<(u32, MethodIdx)> {
-        self.devirt.get(&method.0).cloned().unwrap_or_default()
-    }
-
-    /// Monitor-elision bitmap for a method: bit `pc` set ⇔ the monitor op
-    /// at `pc` acts on a proven frame-local receiver.
-    pub fn monitor_bitmap(&self, method: MethodIdx) -> Vec<u64> {
-        self.mon_bitmaps.get(&method.0).cloned().unwrap_or_default()
-    }
-
-    /// Dies-local bitmap for a method: bit `pc` set ⇔ the ref store at
-    /// `pc` writes into an object still on its birth nursery page.
-    pub fn local_bitmap(&self, method: MethodIdx) -> Vec<u64> {
-        self.local_bitmaps.get(&method.0).cloned().unwrap_or_default()
-    }
-
     /// Reachable `CallVirtual` sites: (monomorphic, polymorphic).
     pub fn devirt_counts(&self) -> (usize, usize) {
         self.virt_sites
-    }
-
-    /// Monitor ops across the program: (elidable, total).
-    pub fn monitor_counts(&self) -> (usize, usize) {
-        self.mon_ops
     }
 
     /// Escape verdict for the allocation site at `(method, pc)`.
@@ -702,12 +638,11 @@ impl Analysis {
     pub fn verdict_summary(&self) -> String {
         let (elided, stores) = self.elision_counts();
         let (mono, poly) = self.devirt_counts();
-        let (mon_elide, mon_total) = self.monitor_counts();
         let (frame, process, cross) = self.escape_counts();
         format!(
             "verdicts: stores {elided}/{stores} elidable; virtual sites {mono} monomorphic, \
-             {poly} polymorphic; monitors {mon_elide}/{mon_total} elidable; alloc sites \
-             {frame} frame-local, {process} process-local, {cross} may-cross"
+             {poly} polymorphic; alloc sites {frame} frame-local, {process} process-local, \
+             {cross} may-cross"
         )
     }
 
@@ -1112,8 +1047,7 @@ impl Analysis {
         })
     }
 
-    /// Counts reachable `CallVirtual` sites and records the pc-sorted
-    /// devirtualization table for the monomorphic ones.
+    /// Counts reachable `CallVirtual` sites, monomorphic and polymorphic.
     fn collect_virtual_sites(
         &mut self,
         table: &ClassTable,
@@ -1126,11 +1060,10 @@ impl Analysis {
         let Some(class) = table.classes.get(m.class.0 as usize) else {
             return;
         };
-        let mut entries = Vec::new();
         for (pc, op) in m.code.ops.iter().enumerate() {
             let Op::CallVirtual(idx) = *op else { continue };
             if state_at(states, pc as u32).is_none() {
-                continue; // unreachable: never dispatched, never compiled
+                continue; // unreachable: never dispatched
             }
             let Some(RConst::VirtualMethod { class: sclass, vslot, .. }) =
                 class.rpool.get(idx as usize)
@@ -1138,17 +1071,11 @@ impl Analysis {
                 continue;
             };
             let ts = self.cha_targets(table, *sclass, *vslot);
-            let mono = (ts.complete && ts.targets.len() == 1).then(|| ts.targets[0]);
-            match mono {
-                Some(target) => {
-                    self.virt_sites.0 += 1;
-                    entries.push((pc as u32, target));
-                }
-                None => self.virt_sites.1 += 1,
+            if ts.complete && ts.targets.len() == 1 {
+                self.virt_sites.0 += 1;
+            } else {
+                self.virt_sites.1 += 1;
             }
-        }
-        if !entries.is_empty() {
-            self.devirt.insert(midx.0, entries);
         }
     }
 
@@ -1375,12 +1302,15 @@ impl Analysis {
 
     // ---- escape pass -------------------------------------------------------
 
-    /// Intra-method escape analysis: classifies every allocation site,
-    /// derives the monitor-elision and dies-local store bitmaps, and
+    /// Intra-method escape analysis: classifies every allocation site and
     /// records lock-order edges / syscall-under-lock lints. A method whose
     /// bytecode cannot be followed simply contributes no facts (the region
     /// pass has already decided bail status).
     fn escape_method(&mut self, table: &ClassTable, midx: MethodIdx) {
+        #[cfg(test)]
+        {
+            self.counts.2 += 1;
+        }
         let Some(m) = table.methods.get(midx.0 as usize) else {
             return;
         };
@@ -1422,18 +1352,12 @@ impl Analysis {
                 _ => {}
             }
         }
-        let nsites = site_pc.len();
-        let mut esc = vec![EscapeClass::FrameLocal; nsites];
-        // Sites whose critical section may contain a GC point: still
-        // frame-local for reporting, but their monitors stay dynamic.
-        let mut mon_gc = vec![false; nsites];
-
-        let Some(states) =
-            self.escape_fixpoint(table, midx, &site_pc, &site_name, &mut esc, &mut mon_gc)
+        let mut esc = vec![EscapeClass::FrameLocal; site_pc.len()];
+        let Some(states) = self.escape_fixpoint(table, midx, &site_pc, &site_name, &mut esc)
         else {
             return;
         };
-        self.escape_collect(table, midx, &site_pc, &site_name, &mut esc, &mon_gc, &states);
+        self.escape_collect(table, midx, &site_pc, &site_name, &mut esc, &states);
     }
 
     /// Worklist fixpoint for the escape domain. Returns the per-pc states,
@@ -1447,12 +1371,10 @@ impl Analysis {
         site_pc: &[u32],
         site_name: &[String],
         esc: &mut [EscapeClass],
-        mon_gc: &mut [bool],
     ) -> Option<States<EscState>> {
         let m = table.methods.get(midx.0 as usize)?;
         let code = &m.code;
         let rpool = &table.classes.get(m.class.0 as usize)?.rpool;
-        let nsites = site_pc.len();
         let site_of = |pc: u32| site_pc.binary_search(&pc).ok().map(|i| i as u16);
 
         let mut states = vec![None; code.ops.len() + 1];
@@ -1461,9 +1383,7 @@ impl Analysis {
         let mut state = EscState {
             locals: vec![None; code.max_locals as usize],
             stack: Vec::new(),
-            clean: vec![0u64; nsites.div_ceil(64)],
             held: Vec::new(),
-            mon_held: Vec::new(),
         };
         let mut handler = EscState::default();
         esc_merge_into(&mut states, &mut worklist, 0, &state, esc)?;
@@ -1480,16 +1400,10 @@ impl Analysis {
                 }
             }
             let pop = |state: &mut EscState| state.stack.pop();
-            // Any op that may allocate is a GC point: every tracked site
-            // may be evacuated off its birth nursery page, so the clean
-            // set empties. Reference stores are included (a legal
-            // cross-heap edge allocates entry items and may OOM-retry).
             let mut flow = Flow::Fall;
             match op {
-                Op::ConstNull | Op::ConstInt(_) | Op::ConstFloat(_) => state.stack.push(None),
-                Op::ConstStr(_) => {
-                    gc_point(&mut state);
-                    state.stack.push(None);
+                Op::ConstNull | Op::ConstInt(_) | Op::ConstFloat(_) | Op::ConstStr(_) => {
+                    state.stack.push(None)
                 }
                 Op::Load(slot) => {
                     let v = *state.locals.get(slot as usize)?;
@@ -1541,7 +1455,9 @@ impl Analysis {
                 | Op::RefEq
                 | Op::RefNe
                 | Op::StrEq
-                | Op::StrCharAt => {
+                | Op::StrCharAt
+                | Op::StrConcat
+                | Op::ALoad => {
                     pop(&mut state)?;
                     pop(&mut state)?;
                     state.stack.push(None);
@@ -1552,26 +1468,18 @@ impl Analysis {
                 | Op::F2I
                 | Op::StrLen
                 | Op::ParseInt
-                | Op::ArrayLen => {
+                | Op::ArrayLen
+                | Op::Intern
+                | Op::ToStr
+                | Op::GetField(_)
+                | Op::InstanceOf(_) => {
                     pop(&mut state)?;
-                    state.stack.push(None);
-                }
-                Op::StrConcat => {
-                    pop(&mut state)?;
-                    pop(&mut state)?;
-                    gc_point(&mut state);
-                    state.stack.push(None);
-                }
-                Op::Intern | Op::ToStr => {
-                    pop(&mut state)?;
-                    gc_point(&mut state);
                     state.stack.push(None);
                 }
                 Op::Substr => {
                     pop(&mut state)?;
                     pop(&mut state)?;
                     pop(&mut state)?;
-                    gc_point(&mut state);
                     state.stack.push(None);
                 }
                 Op::Jump(t) => flow = Flow::JumpTo(t),
@@ -1590,17 +1498,10 @@ impl Analysis {
                     if matches!(op, Op::NewArray(_)) {
                         pop(&mut state)?;
                     }
-                    gc_point(&mut state);
-                    let s = site_of(pc)?;
-                    state.clean[(s / 64) as usize] |= 1 << (s % 64);
-                    state.stack.push(Some(s));
-                }
-                Op::GetField(_) | Op::InstanceOf(_) => {
-                    pop(&mut state)?;
-                    state.stack.push(None);
+                    state.stack.push(Some(site_of(pc)?));
                 }
                 Op::PutField(idx) => {
-                    let RConst::InstanceField { ty, .. } = rpool.get(idx as usize)? else {
+                    let RConst::InstanceField { .. } = rpool.get(idx as usize)? else {
                         return None;
                     };
                     let val = pop(&mut state)?;
@@ -1610,58 +1511,27 @@ impl Analysis {
                         // fixpoint only needs the conservative floor.
                         esc[s as usize] = esc[s as usize].max(EscapeClass::ProcessLocal);
                     }
-                    if ty.is_reference() {
-                        gc_point(&mut state);
-                    }
                 }
-                Op::GetStatic(_) => {
-                    // First touch may materialise the statics object.
-                    gc_point(&mut state);
-                    state.stack.push(None);
-                }
+                Op::GetStatic(_) => state.stack.push(None),
                 Op::PutStatic(idx) => {
-                    let RConst::StaticField { ty, .. } = rpool.get(idx as usize)? else {
+                    let RConst::StaticField { .. } = rpool.get(idx as usize)? else {
                         return None;
                     };
-                    let _ = ty;
-                    let val = pop(&mut state)?;
-                    if let Some(s) = val {
+                    if let Some(s) = pop(&mut state)? {
                         esc[s as usize] = esc[s as usize].max(EscapeClass::ProcessLocal);
                     }
-                    // Statics materialisation plus possible entry items.
-                    gc_point(&mut state);
                 }
                 Op::NullCheck => {
                     pop(&mut state)?;
                 }
                 Op::MonitorEnter => {
-                    let recv = pop(&mut state)?;
-                    if let Some(s) = recv {
-                        let at = match state.mon_held.binary_search_by_key(&s, |e| e.0) {
-                            Ok(i) | Err(i) => i,
-                        };
-                        state.mon_held.insert(at, (s, false));
-                    }
-                    let id = self.lock_identity(recv, site_name);
+                    let id = self.lock_identity(pop(&mut state)?, site_name);
                     if let Err(at) = state.held.binary_search(&id) {
                         state.held.insert(at, id);
                     }
                 }
                 Op::MonitorExit => {
-                    let recv = pop(&mut state)?;
-                    if let Some(s) = recv {
-                        match state.mon_held.binary_search_by_key(&s, |e| e.0) {
-                            Ok(at) => {
-                                if state.mon_held.remove(at).1 {
-                                    mon_gc[s as usize] = true;
-                                }
-                            }
-                            // Exit without a tracked pending enter:
-                            // defensive — never elide this site.
-                            Err(_) => mon_gc[s as usize] = true,
-                        }
-                    }
-                    let id = self.lock_identity(recv, site_name);
+                    let id = self.lock_identity(pop(&mut state)?, site_name);
                     if let Ok(at) = state.held.binary_search(&id) {
                         state.held.remove(at);
                     }
@@ -1670,11 +1540,6 @@ impl Analysis {
                     let v = pop(&mut state)?;
                     state.stack.push(v);
                 }
-                Op::ALoad => {
-                    pop(&mut state)?;
-                    pop(&mut state)?;
-                    state.stack.push(None);
-                }
                 Op::AStore => {
                     let val = pop(&mut state)?;
                     pop(&mut state)?; // index
@@ -1682,7 +1547,6 @@ impl Analysis {
                     if let Some(s) = val {
                         esc[s as usize] = esc[s as usize].max(EscapeClass::ProcessLocal);
                     }
-                    gc_point(&mut state); // element type unknown: assume ref
                 }
                 Op::CallStatic(idx) => {
                     let RConst::DirectMethod(target) = rpool.get(idx as usize)? else {
@@ -1695,7 +1559,6 @@ impl Analysis {
                             esc[s as usize] = esc[s as usize].max(EscapeClass::MayCross);
                         }
                     }
-                    gc_point(&mut state);
                     if ret {
                         state.stack.push(None);
                     }
@@ -1717,7 +1580,6 @@ impl Analysis {
                             esc[s as usize] = esc[s as usize].max(EscapeClass::MayCross);
                         }
                     }
-                    gc_point(&mut state);
                     if ret {
                         state.stack.push(None);
                     }
@@ -1733,7 +1595,6 @@ impl Analysis {
                             esc[s as usize] = esc[s as usize].max(EscapeClass::MayCross);
                         }
                     }
-                    gc_point(&mut state);
                     if ret {
                         state.stack.push(None);
                     }
@@ -1772,9 +1633,8 @@ impl Analysis {
     }
 
     /// Walks the ops once against the final fixpoint states: derives the
-    /// monitor/dies-local bitmaps, the per-site escape verdicts, the
-    /// lock-order edges, and the syscall-under-lock lints.
-    #[allow(clippy::too_many_arguments)]
+    /// per-site escape verdicts, the lock-order edges, and the
+    /// syscall-under-lock lints.
     fn escape_collect(
         &mut self,
         table: &ClassTable,
@@ -1782,7 +1642,6 @@ impl Analysis {
         site_pc: &[u32],
         site_name: &[String],
         esc: &mut [EscapeClass],
-        mon_gc: &[bool],
         states: &[Option<EscState>],
     ) {
         let Some(m) = table.methods.get(midx.0 as usize) else {
@@ -1794,10 +1653,8 @@ impl Analysis {
         let code = &m.code;
         let (class_name, method_name) = (class.name.clone(), m.name.clone());
 
-        // Pass A: escalate per-site verdicts using the store-site regions
-        // the region pass just derived, and record monitor candidates.
-        let mut mon_candidates: Vec<(u32, Option<u16>)> = Vec::new();
-        let mut local_pcs: Vec<u32> = Vec::new();
+        // Escalate per-site verdicts using the store-site regions the region
+        // pass derived.
         let mut lock_lints: Vec<(u32, String)> = Vec::new();
         for (pc, op) in code.ops.iter().enumerate() {
             let pc32 = pc as u32;
@@ -1805,11 +1662,9 @@ impl Analysis {
                 continue;
             };
             let n = state.stack.len();
-            let clean = |s: u16| (state.clean[(s / 64) as usize] >> (s % 64)) & 1 != 0;
             match *op {
                 Op::MonitorEnter => {
                     let recv = n.checked_sub(1).and_then(|i| state.stack[i]);
-                    mon_candidates.push((pc32, recv));
                     // Lock-order edges from every already-held identity to
                     // the one being acquired (self-edges excluded: monitors
                     // are re-entrant, so same-class nesting is routine).
@@ -1824,27 +1679,8 @@ impl Analysis {
                         }
                     }
                 }
-                Op::MonitorExit => {
-                    let recv = n.checked_sub(1).and_then(|i| state.stack[i]);
-                    mon_candidates.push((pc32, recv));
-                }
-                Op::PutField(_) if n >= 2 => {
-                    if let Some(r) = state.stack[n - 2] {
-                        if clean(r) && self.sites.contains_key(&(midx.0, pc32)) {
-                            local_pcs.push(pc32);
-                        }
-                    }
-                    if let Some(v) = state.stack[n - 1] {
-                        self.escalate_store(esc, v, midx, pc32);
-                    }
-                }
-                Op::AStore if n >= 3 => {
-                    if let Some(r) = state.stack[n - 3] {
-                        if clean(r) && self.sites.contains_key(&(midx.0, pc32)) {
-                            local_pcs.push(pc32);
-                        }
-                    }
-                    if let Some(v) = state.stack[n - 1] {
+                Op::PutField(_) | Op::AStore => {
+                    if let Some(&Some(v)) = state.stack.last() {
                         self.escalate_store(esc, v, midx, pc32);
                     }
                 }
@@ -1871,33 +1707,6 @@ impl Analysis {
             }
         }
 
-        // Pass B: resolve monitor candidates against the final verdicts.
-        let mut mon_bitmap = vec![0u64; code.ops.len().div_ceil(64)];
-        let mut any_mon = false;
-        for &(pc, recv) in &mon_candidates {
-            self.mon_ops.1 += 1;
-            // Elide only when the receiver never leaves the frame AND no
-            // GC point can fall inside the critical section: the monitor
-            // registry is a GC root set, so a collection while an elided
-            // monitor is held would trace observably fewer entries.
-            let elide = matches!(recv, Some(s)
-                if esc[s as usize] == EscapeClass::FrameLocal && !mon_gc[s as usize]);
-            if elide {
-                self.mon_ops.0 += 1;
-                mon_bitmap[(pc / 64) as usize] |= 1 << (pc % 64);
-                any_mon = true;
-            }
-        }
-        if any_mon {
-            self.mon_bitmaps.insert(midx.0, mon_bitmap);
-        }
-        if !local_pcs.is_empty() {
-            let mut bitmap = vec![0u64; code.ops.len().div_ceil(64)];
-            for pc in local_pcs {
-                bitmap[(pc / 64) as usize] |= 1 << (pc % 64);
-            }
-            self.local_bitmaps.insert(midx.0, bitmap);
-        }
         for (i, &pc) in site_pc.iter().enumerate() {
             if state_at(states, pc).is_some() {
                 self.alloc_escape.insert((midx.0, pc), esc[i]);
@@ -2121,22 +1930,15 @@ fn merge_into(
 
 /// Escape-domain counterpart of [`merge_into`]. When two paths disagree
 /// on a slot the merged slot drops to `None`, but the site whose identity
-/// was lost is *killed* (escalated to `MayCross`, disabling every monitor
-/// elision on it) only when some tracked occurrence of it **survives the
-/// merge** — another slot both paths agree on, or a pending tracked
-/// `MonitorEnter` on both paths (`mon_held`). A surviving alias is the
-/// hazard: it could reach a `MonitorExit` that elides while the matching
-/// enter ran unelided through the lost reference, or vice versa. When
-/// every occurrence dies in the same merge (the classic loop-head merge
-/// of a fresh loop-body allocation — plus its hidden `sync` alias —
+/// was lost is *killed* (escalated to `MayCross`) only when some tracked
+/// occurrence of it **survives the merge** in another slot both paths
+/// agree on: that alias would let later ops reason about an object the
+/// merge no longer tracks in full. When every occurrence dies in the same
+/// merge (the classic loop-head merge of a fresh loop-body allocation
 /// against the pre-loop `None`s), dropping them silently is sound: no
-/// reference to the old iteration's object remains tracked, so no later
-/// op can decide anything about it, and the next iteration's object
-/// starts its own fresh tracking. `clean` intersects; `held` (lock
-/// identities, for the deadlock lint — deliberately over-approximate)
-/// unions; `mon_held` intersects, and a site pending on only one path is
-/// killed outright — elision must not change whether a path that never
-/// entered raises on its exit.
+/// reference to the old iteration's object remains tracked, and the next
+/// iteration's object starts its own fresh tracking. `held` (lock
+/// identities, for the lock lints — deliberately over-approximate) unions.
 fn esc_merge_into(
     states: &mut [Option<EscState>],
     worklist: &mut Vec<u32>,
@@ -2157,42 +1959,6 @@ fn esc_merge_into(
                 return None;
             }
             let mut changed = false;
-            // Pending tracked enters must agree across paths: a site in
-            // the symmetric difference entered on one path only, and an
-            // elided exit on the never-entered path would swallow the
-            // IllegalState the dynamic op raises — killed outright.
-            if existing.mon_held != state.mon_held {
-                let (mut i, mut j) = (0usize, 0usize);
-                let mut inter = Vec::new();
-                while i < existing.mon_held.len() && j < state.mon_held.len() {
-                    let (a, b) = (existing.mon_held[i], state.mon_held[j]);
-                    match a.0.cmp(&b.0) {
-                        core::cmp::Ordering::Equal => {
-                            inter.push((a.0, a.1 || b.1));
-                            i += 1;
-                            j += 1;
-                        }
-                        core::cmp::Ordering::Less => {
-                            esc[a.0 as usize] = EscapeClass::MayCross;
-                            i += 1;
-                        }
-                        core::cmp::Ordering::Greater => {
-                            esc[b.0 as usize] = EscapeClass::MayCross;
-                            j += 1;
-                        }
-                    }
-                }
-                for &(s, _) in &existing.mon_held[i..] {
-                    esc[s as usize] = EscapeClass::MayCross;
-                }
-                for &(s, _) in &state.mon_held[j..] {
-                    esc[s as usize] = EscapeClass::MayCross;
-                }
-                if existing.mon_held != inter {
-                    existing.mon_held = inter;
-                    changed = true;
-                }
-            }
             let mut lost: Vec<u16> = Vec::new();
             let slots = existing
                 .locals
@@ -2211,17 +1977,8 @@ fn esc_merge_into(
             // A lost site with a surviving tracked occurrence is killed;
             // one whose every occurrence died here is silently forgotten.
             for s in lost {
-                if existing.locals.iter().chain(&existing.stack).any(|x| *x == Some(s))
-                    || existing.mon_held.iter().any(|e| e.0 == s)
-                {
+                if existing.locals.iter().chain(&existing.stack).any(|x| *x == Some(s)) {
                     esc[s as usize] = esc[s as usize].max(EscapeClass::MayCross);
-                }
-            }
-            for (a, b) in existing.clean.iter_mut().zip(&state.clean) {
-                let j = *a & *b;
-                if *a != j {
-                    *a = j;
-                    changed = true;
                 }
             }
             for &h in &state.held {

@@ -172,11 +172,10 @@ fn class_a() -> ClassDef {
 }
 
 #[test]
-fn monomorphic_virtual_call_is_sharpened_and_devirtualized() {
+fn monomorphic_virtual_call_is_sharpened() {
     let (table, ns) = virtual_fixture(Vec::new());
     let cls = table.lookup(ns, "A").unwrap();
     let main = table.find_method(cls, "main").unwrap();
-    let get = table.find_method(cls, "get").unwrap();
 
     let an = analyze(&table);
     // With no loaded override, CHA proves the only reachable target is
@@ -190,7 +189,6 @@ fn monomorphic_virtual_call_is_sharpened_and_devirtualized() {
         "sharpened site must not lint: {:?}",
         an.lints
     );
-    assert_eq!(an.devirt_table(main), vec![(1, get)]);
     assert_eq!(an.devirt_counts(), (1, 0));
 }
 
@@ -211,10 +209,9 @@ fn loaded_override_makes_the_site_polymorphic() {
 
     let an = analyze(&table);
     // Two reachable targets: the summaries still join (MayCross here),
-    // but nothing devirtualizes.
+    // but the site is no longer monomorphic.
     let site = an.site(main, 3).expect("store site");
     assert_eq!(site.recv, Region::MayCross);
-    assert!(an.devirt_table(main).is_empty());
     assert_eq!(an.devirt_counts(), (0, 1));
 }
 
@@ -381,7 +378,7 @@ fn join_laws_hold_exhaustively() {
 }
 
 #[test]
-fn cyclic_hierarchy_defeats_devirtualization_without_hanging() {
+fn cyclic_hierarchy_defeats_cha_without_hanging() {
     let sub = ClassBuilder::new("B")
         .extends("A")
         .method(
@@ -392,22 +389,19 @@ fn cyclic_hierarchy_defeats_devirtualization_without_hanging() {
         )
         .build();
     let (mut table, ns) = virtual_fixture(vec![sub]);
-    let a_cls = table.lookup(ns, "A").unwrap();
     let b_cls = table.lookup(ns, "B").unwrap();
-    let main = table.find_method(a_cls, "main").unwrap();
     // Corrupt the chain into a cycle: B's superclass is B itself. The
     // bounded subclass walk must bail (not spin), and CHA must treat the
     // site as unsharpenable rather than guess a target set.
     table.classes[b_cls.0 as usize].super_idx = Some(b_cls);
 
     let an = analyze(&table);
-    assert!(an.devirt_table(main).is_empty(), "cyclic chain must not devirtualize");
     let (mono, _poly) = an.devirt_counts();
-    assert_eq!(mono, 0);
+    assert_eq!(mono, 0, "cyclic chain must not count as monomorphic");
 }
 
 #[test]
-fn monitor_on_frame_local_receiver_is_elided() {
+fn monitor_on_unescaping_receiver_keeps_it_frame_local() {
     let mut b = ClassBuilder::new("A");
     let o = b.pool(Const::Class("Object".to_string()));
     let def = b
@@ -432,14 +426,10 @@ fn monitor_on_frame_local_receiver_is_elided() {
 
     let an = analyze(&table);
     assert_eq!(an.escape_class(m, 0), Some(EscapeClass::FrameLocal));
-    assert_eq!(an.monitor_counts(), (2, 2));
-    let bm = an.monitor_bitmap(m);
-    assert_ne!(bm[0] & (1 << 3), 0, "enter at pc 3 elidable");
-    assert_ne!(bm[0] & (1 << 5), 0, "exit at pc 5 elidable");
 }
 
 #[test]
-fn monitor_on_escaping_receiver_is_not_elided() {
+fn monitor_on_returned_receiver_may_cross() {
     let mut b = ClassBuilder::new("A");
     let o = b.pool(Const::Class("Object".to_string()));
     let def = b
@@ -465,11 +455,8 @@ fn monitor_on_escaping_receiver_is_not_elided() {
     let m = table.find_method(cls, "m").unwrap();
 
     let an = analyze(&table);
-    // The receiver is returned, so it may outlive the frame: both monitor
-    // ops must stay dynamic.
+    // The receiver is returned, so it may outlive the frame.
     assert_eq!(an.escape_class(m, 0), Some(EscapeClass::MayCross));
-    assert_eq!(an.monitor_counts(), (0, 2));
-    assert!(an.monitor_bitmap(m).is_empty());
 }
 
 #[test]
@@ -477,7 +464,7 @@ fn loop_allocated_receiver_stays_frame_local_across_back_edge() {
     // Regression for the merge rule: the loop-head merge sees the
     // pre-loop `None` against the back edge's fresh site. Since every
     // tracked occurrence dies in that merge, the site must be silently
-    // forgotten — not killed — and each iteration's monitor pair elides.
+    // forgotten — not killed.
     let mut b = ClassBuilder::new("A");
     let o = b.pool(Const::Class("Object".to_string()));
     let def = b
@@ -510,14 +497,10 @@ fn loop_allocated_receiver_stays_frame_local_across_back_edge() {
 
     let an = analyze(&table);
     assert_eq!(an.escape_class(m, 2), Some(EscapeClass::FrameLocal));
-    assert_eq!(an.monitor_counts(), (2, 2));
-    let bm = an.monitor_bitmap(m);
-    assert_ne!(bm[0] & (1 << 5), 0, "enter at pc 5 elidable");
-    assert_ne!(bm[0] & (1 << 7), 0, "exit at pc 7 elidable");
 }
 
 #[test]
-fn clean_receiver_store_gets_the_dies_local_bit() {
+fn parameter_store_into_fresh_receiver_is_not_elided() {
     let mut b = ClassBuilder::new("A").field("f", obj());
     let a = b.pool(Const::Class("A".to_string()));
     let f = b.pool(Const::Field {
@@ -537,16 +520,19 @@ fn clean_receiver_store_gets_the_dies_local_bit() {
     let m = table.find_method(cls, "m").unwrap();
 
     let an = analyze(&table);
-    // The store itself is not barrier-elidable (the value is a parameter,
-    // region MayCross), but the receiver is provably still on its birth
-    // nursery page — the dies-local and elide bits are independent.
+    // A fresh receiver is Local, but the value is a parameter (region
+    // MayCross): the store is not barrier-elidable.
     assert!(an.elision_bitmap(&table, m).is_empty());
-    let lm = an.local_bitmap(m);
-    assert_ne!(lm[0] & (1 << 2), 0, "dies-local bit at pc 2");
 }
 
 /// Two locks, two methods, opposite acquisition orders.
 fn deadlock_fixture() -> (ClassTable, u32) {
+    table_with(IntrinsicRegistry::new(), deadlock_defs())
+}
+
+/// The classes of [`deadlock_fixture`]: `LockA`, `LockB`, and `A` with
+/// `ab` / `ba`.
+fn deadlock_defs() -> Vec<ClassDef> {
     let mut b = ClassBuilder::new("A");
     let la = b.pool(Const::Class("LockA".to_string()));
     let lb = b.pool(Const::Class("LockB".to_string()));
@@ -571,14 +557,11 @@ fn deadlock_fixture() -> (ClassTable, u32) {
             .build()
     };
     let def = b.method(nest(la, lb)).method(nest(lb, la)).build();
-    table_with(
-        IntrinsicRegistry::new(),
-        vec![
-            ClassBuilder::new("LockA").build(),
-            ClassBuilder::new("LockB").build(),
-            def,
-        ],
-    )
+    vec![
+        ClassBuilder::new("LockA").build(),
+        ClassBuilder::new("LockB").build(),
+        def,
+    ]
 }
 
 #[test]
@@ -670,6 +653,38 @@ fn syscall_under_lock_is_linted() {
     assert!(lint.msg.contains("LockA"), "{}", lint.msg);
 }
 
+/// The escape pass and the lock lints are whole-program only: the
+/// incremental `run` the kernel calls on every spawn never enters the
+/// escape pass, not even for a batch full of allocations and monitors,
+/// while `analyze` over the same table still reports the escape classes and
+/// lock-order lints.
+#[test]
+fn spawn_path_run_makes_no_escape_pass_calls() {
+    let (mut table, base) = table_with(IntrinsicRegistry::new(), Vec::new());
+    let mut an = crate::Analysis::default();
+    an.run(&table);
+    for k in 0..4 {
+        // A spawn-sized batch: a fresh namespace loading its own copies.
+        let ns = table.create_namespace(format!("p{k}"), Some(base));
+        for def in deadlock_defs() {
+            table.load_class(ns, def.into_arc()).unwrap();
+        }
+        assert_eq!(an.run(&table).len(), 2, "the batch's two methods");
+    }
+    assert_eq!(an.counts.2, 0, "run must not call the escape pass");
+    assert!(an.lints.is_empty(), "run reports no lock lints: {:?}", an.lints);
+
+    let whole = analyze(&table);
+    assert_eq!(whole.counts.2, table.methods.len(), "one escape call per method");
+    let deadlocks = whole
+        .lints
+        .iter()
+        .filter(|l| l.kind == LintKind::DeadlockCandidate)
+        .count();
+    assert_eq!(deadlocks, 2 * 4, "both edges of the cycle, per copy");
+    assert_eq!(whole.escape_counts(), (16, 0, 0));
+}
+
 /// Stores the parameter into `A.f` (pool 2 of a [`probe`]).
 const STORE_FIELD: [Op; 4] = [Op::New(0), Op::Load(0), Op::PutField(2), Op::Return];
 
@@ -717,7 +732,7 @@ fn run_reanalyzes_only_new_methods_unless_an_old_verdict_can_move() {
         for def in defs {
             table.load_class(ns, def.into_arc()).unwrap();
         }
-        let (calls, passes) = an.counts;
+        let (calls, passes, _) = an.counts;
         let changed = an.run(table);
         let (calls, passes) = (an.counts.0 - calls, an.counts.1 - passes);
         let fresh = analyze(table);
@@ -726,8 +741,8 @@ fn run_reanalyzes_only_new_methods_unless_an_old_verdict_can_move() {
         for i in 0..n as u32 {
             let m = kaffeos_vm::MethodIdx(i);
             assert_eq!(an.elision_bitmap(table, m), fresh.elision_bitmap(table, m));
-            assert_eq!(an.devirt_table(m), fresh.devirt_table(m));
         }
+        assert_eq!(an.devirt_counts(), fresh.devirt_counts());
         let path = match changed {
             r if r == (before..n) => "new",
             r if r == (0..n) => "all",

@@ -323,9 +323,9 @@ pub struct KaffeOs {
     ops_executed: u64,
     /// Kernel-owned static heap-flow analysis. Extended over the methods
     /// of every class-load batch (re-run in full only when the batch can
-    /// change an old verdict), and the facts it reports changed are
-    /// republished; summaries only move up the lattice, so bitmaps
-    /// monotonically shrink and the republish is always sound.
+    /// change an old verdict), and the barrier-elision bitmaps it reports
+    /// changed are republished; summaries only move up the lattice, so
+    /// bitmaps monotonically shrink and the republish is always sound.
     analysis: kaffeos_analyze::Analysis,
     /// Store sites that raised a segmentation violation at runtime,
     /// drained from guest threads at each quantum boundary. The oracle the
@@ -440,15 +440,13 @@ impl KaffeOs {
         &self.config
     }
 
-    /// Brings the static analyzer (region, hierarchy, and escape passes)
-    /// up to date with the loaded classes and republishes the per-method
-    /// facts it reports changed: barrier-elision bitmaps, monitor-elision
-    /// and dies-local bitmaps, and devirtualized call-site tables. Must run
-    /// after each class-load batch (loads happen between quanta, so there
-    /// is no window where a stale fact executes). Usually only the batch's
-    /// own methods change; a new override or a store that raises an old
-    /// summary makes the analyzer re-run in full, which can only shrink
-    /// bitmaps and turn monomorphic sites polymorphic, never the reverse.
+    /// Brings the static analyzer (region and hierarchy passes) up to date
+    /// with the loaded classes and republishes the barrier-elision bitmaps
+    /// it reports changed. Must run after each class-load batch (loads
+    /// happen between quanta, so there is no window where a stale bitmap
+    /// executes). Usually only the batch's own methods change; a new
+    /// override or a store that raises an old summary makes the analyzer
+    /// re-run in full, which can only shrink bitmaps, never grow them.
     fn republish_elision(&mut self) {
         if !self.config.elide {
             return;
@@ -459,12 +457,6 @@ impl KaffeOs {
             let midx = MethodIdx(i as u32);
             let elide = self.analysis.elision_bitmap(&self.table, midx);
             self.table.set_elision(midx, elide);
-            self.table.set_analysis_facts(
-                midx,
-                self.analysis.monitor_bitmap(midx),
-                self.analysis.local_bitmap(midx),
-                self.analysis.devirt_table(midx),
-            );
         }
         // Compiled bodies attach only to methods analyzed before this
         // batch, whose facts move only on a full pass.
@@ -475,11 +467,10 @@ impl KaffeOs {
 
     /// Invalidates compiled bodies whose baked-in analysis facts no longer
     /// match the published ones (class reload / analyzer republish) — a
-    /// changed elision bitmap or a changed class definition. (A changed
-    /// devirtualization verdict needs nothing here: no body holds a call
-    /// target.) The method re-tiers from a cold counter and compiles under
-    /// its new cache key; other processes whose facts still match keep
-    /// sharing the old body under the old key.
+    /// changed elision bitmap or a changed class definition. The method
+    /// re-tiers from a cold counter and compiles under its new cache key;
+    /// other processes whose facts still match keep sharing the old body
+    /// under the old key.
     fn invalidate_stale_bodies(&mut self) {
         for proc in &mut self.procs {
             if matches!(proc.state, ProcState::Dead(_)) {
@@ -593,6 +584,19 @@ impl KaffeOs {
             .get(image)
             .cloned()
             .ok_or_else(|| KernelError::UnknownImage(image.to_string()))?;
+        // Resolve the entry point before creating anything, so a bad image
+        // leaves no heap, memlimit node or namespace behind: the image's
+        // class that declares a static `main` (conventionally `Main`, but
+        // images sharing a monolithic namespace need distinct entry class
+        // names) with a supported parameter list.
+        let entry = defs
+            .iter()
+            .find_map(|d| {
+                let m = d.methods.iter().find(|m| m.name == "main" && m.is_static)?;
+                Some((d.name.clone(), &m.params))
+            })
+            .ok_or_else(|| KernelError::BadEntry("image declares no static main".to_string()))
+            .and_then(|(name, params)| main_arg(params).map(|_| name))?;
         let pid = Pid(self.procs.len() as u32 + 1);
         let label = format!("{image}#{}", pid.0);
         self.space.obs().label(pid.0, &label);
@@ -633,20 +637,21 @@ impl KaffeOs {
             let ns = self
                 .table
                 .create_namespace(label.clone(), Some(self.shared_ns));
-            // Reloaded standard-library classes: per-process copies (§3.2).
-            for def in self.reloaded_defs.clone() {
-                self.table.load_class(ns, def)?;
-            }
-            for def in defs.iter() {
-                self.table.load_class(ns, def.clone())?;
-            }
             (heap, Some(ml), ns)
         };
-        // The spawn loaded classes (reloaded stdlib + image): analyze them
-        // and publish their facts before anything runs.
-        self.republish_elision();
+        let (midx, thread_args) = match self.enter_image(&defs, heap, ns, &entry, args) {
+            Ok(entered) => entered,
+            Err(e) => {
+                if let Some(ml) = memlimit {
+                    self.abandon_spawn(pid, heap, ml, ns);
+                }
+                return Err(e);
+            }
+        };
 
-        let mut proc = Process {
+        let tid = self.next_thread_id;
+        self.next_thread_id += 1;
+        self.procs.push(Process {
             pid,
             name: label,
             image: image.to_string(),
@@ -656,7 +661,7 @@ impl KaffeOs {
             ns,
             statics: FxHashMap::default(),
             intern: FxHashMap::default(),
-            threads: Vec::new(),
+            threads: vec![Thread::new(tid, &self.table, midx, thread_args)],
             parked: HashMap::new(),
             cpu: CpuAccount::default(),
             stdout: Vec::new(),
@@ -674,61 +679,95 @@ impl KaffeOs {
             spawn_args: args.to_string(),
             spawn_opts: opts,
             jit: kaffeos_vm::ProcJit::default(),
-            devirt_calls: 0,
-            monitors_elided: 0,
-        };
-
-        // Resolve the entry point: the image's class that declares a static
-        // `main` (conventionally `Main`, but images sharing a monolithic
-        // namespace need distinct entry class names).
-        let entry_name = defs
-            .iter()
-            .find(|d| d.methods.iter().any(|m| m.name == "main" && m.is_static))
-            .map(|d| d.name.clone())
-            .ok_or_else(|| KernelError::BadEntry("image declares no static main".to_string()))?;
-        let main_class = self
-            .table
-            .lookup(ns, &entry_name)
-            .ok_or_else(|| KernelError::BadEntry(format!("no class {entry_name}")))?;
-        let midx = self
-            .table
-            .find_method(main_class, "main")
-            .ok_or_else(|| KernelError::BadEntry(format!("no method {entry_name}.main")))?;
-        let m = self.table.method(midx);
-        if !m.is_static {
-            return Err(KernelError::BadEntry(
-                "Main.main must be static".to_string(),
-            ));
-        }
-        let thread_args: Vec<Value> = match m.params.as_slice() {
-            [] => vec![],
-            [kaffeos_vm::TypeDesc::Str] => {
-                let s = self
-                    .space
-                    .alloc_str(heap, self.string_class.heap_class(), args)
-                    .map_err(|_| KernelError::OutOfMemory)?;
-                vec![Value::Ref(s)]
-            }
-            [kaffeos_vm::TypeDesc::Int] => {
-                vec![Value::Int(args.trim().parse::<i64>().unwrap_or(0))]
-            }
-            other => {
-                return Err(KernelError::BadEntry(format!(
-                    "unsupported Main.main signature {other:?}"
-                )))
-            }
-        };
-        let tid = self.next_thread_id;
-        self.next_thread_id += 1;
-        proc.threads
-            .push(Thread::new(tid, &self.table, midx, thread_args));
-        self.procs.push(proc);
+        });
         self.run_queue.push_back((pid, 0));
         self.emit_event(pid.0, || kaffeos_trace::Payload::Spawn {
             pid: pid.0,
             image: image.to_string(),
         });
         Ok(pid)
+    }
+
+    /// The fallible half of a spawn: loads the per-process copies of the
+    /// reloaded library and the image into `ns` (monolithic spawns loaded
+    /// theirs already), publishes their analysis facts, and resolves the
+    /// entry method of class `entry` with its arguments on `heap`.
+    fn enter_image(
+        &mut self,
+        defs: &[Arc<ClassDef>],
+        heap: HeapId,
+        ns: u32,
+        entry: &str,
+        args: &str,
+    ) -> Result<(MethodIdx, Vec<Value>), KernelError> {
+        if !self.config.monolithic {
+            // Reloaded standard-library classes: per-process copies (§3.2).
+            for def in self.reloaded_defs.clone() {
+                self.table.load_class(ns, def)?;
+            }
+            for def in defs {
+                self.table.load_class(ns, def.clone())?;
+            }
+        }
+        // Analyze what the spawn loaded and publish its facts before
+        // anything runs.
+        self.republish_elision();
+
+        let main_class = self
+            .table
+            .lookup(ns, entry)
+            .ok_or_else(|| KernelError::BadEntry(format!("no class {entry}")))?;
+        let midx = self
+            .table
+            .find_method(main_class, "main")
+            .ok_or_else(|| KernelError::BadEntry(format!("no method {entry}.main")))?;
+        let m = self.table.method(midx);
+        if !m.is_static {
+            return Err(KernelError::BadEntry(
+                "Main.main must be static".to_string(),
+            ));
+        }
+        let thread_args = match main_arg(&m.params)? {
+            MainArg::None => vec![],
+            MainArg::Str => {
+                let s = self
+                    .space
+                    .alloc_str(heap, self.string_class.heap_class(), args)
+                    .map_err(|_| KernelError::OutOfMemory)?;
+                vec![Value::Ref(s)]
+            }
+            MainArg::Int => vec![Value::Int(args.trim().parse::<i64>().unwrap_or(0))],
+        };
+        Ok((midx, thread_args))
+    }
+
+    /// Releases what a failed per-process spawn created — its heap (merged
+    /// into the kernel heap like a reaped one), memlimit node and
+    /// namespace — so the pid's next spawn starts from a clean slate.
+    fn abandon_spawn(
+        &mut self,
+        pid: Pid,
+        heap: HeapId,
+        ml: kaffeos_memlimit::MemLimitId,
+        ns: u32,
+    ) {
+        match self.space.merge_into_kernel(heap) {
+            Ok(report) => {
+                self.kernel_cpu.gc += report.cycles;
+                self.clock += report.cycles;
+            }
+            Err(e) => self.kernel_fault(
+                kaffeos_trace::KernelFaultKind::HeapMerge,
+                format!("failed spawn {pid:?}: heap merge failed: {e:?}"),
+            ),
+        }
+        if let Err(e) = self.space.limits_mut().drain_and_remove(ml) {
+            self.kernel_fault(
+                kaffeos_trace::KernelFaultKind::MemlimitRemove,
+                format!("failed spawn {pid:?}: memlimit not removable: {e:?}"),
+            );
+        }
+        self.table.drop_namespace(ns);
     }
 
     fn image_loaded_mono(&self, defs: &Arc<Vec<Arc<ClassDef>>>) -> bool {
@@ -884,17 +923,7 @@ impl KaffeOs {
         let _ = writeln!(out, "jit_cache_hits:\t{}", p.jit.stats.hits);
         let _ = writeln!(out, "jit_shared_reuse:\t{}", p.jit.stats.reuse);
         let _ = writeln!(out, "jit_bytes:\t{}", p.jit.stats.bytes);
-        let _ = writeln!(out, "devirt_calls:\t{}", p.devirt_calls);
-        let _ = writeln!(out, "monitors_elided:\t{}", p.monitors_elided);
         out
-    }
-
-    /// `(devirtualized calls, monitor ops elided)` for a process — the
-    /// counters behind the two analysis lines in `proc.status`. `None` for
-    /// an unknown pid. Host observability only.
-    pub fn analysis_counters(&self, pid: Pid) -> Option<(u64, u64)> {
-        self.proc_index(pid)
-            .map(|idx| (self.procs[idx].devirt_calls, self.procs[idx].monitors_elided))
     }
 
     /// Per-process JIT statistics (methods compiled, shared-cache hits and
@@ -943,8 +972,8 @@ impl KaffeOs {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "{:>4} {:<14} {:<9} {:>12} {:>12} {:>10} {:>10} {:>10} {:>9} {:>13}  TOP-METHOD",
-            "PID", "NAME", "STATE", "EXEC", "GC", "KERNEL", "HEAP", "LIMIT", "JIT", "DEVIRT/ELIDE"
+            "{:>4} {:<14} {:<9} {:>12} {:>12} {:>10} {:>10} {:>10} {:>9}  TOP-METHOD",
+            "PID", "NAME", "STATE", "EXEC", "GC", "KERNEL", "HEAP", "LIMIT", "JIT"
         );
         for p in &self.procs {
             let (state, heap_used, heap_limit) = self.proc_state_and_heap(p);
@@ -960,12 +989,9 @@ impl KaffeOs {
             // Compiled methods plus shared-body reuses: "3+2" reads as
             // "3 compiled here, 2 picked up warm from the shared cache".
             let jit = format!("{}+{}", p.jit.stats.compiled, p.jit.stats.reuse);
-            // Devirtualized calls / elided monitor ops: the whole-program
-            // analysis' runtime payoff at a glance.
-            let devirt = format!("{}/{}", p.devirt_calls, p.monitors_elided);
             let _ = writeln!(
                 out,
-                "{:>4} {:<14} {:<9} {:>12} {:>12} {:>10} {:>10} {:>10} {:>9} {:>13}  {top}",
+                "{:>4} {:<14} {:<9} {:>12} {:>12} {:>10} {:>10} {:>10} {:>9}  {top}",
                 p.pid.0,
                 p.name,
                 state,
@@ -974,8 +1000,7 @@ impl KaffeOs {
                 p.cpu.kernel,
                 heap_used,
                 heap_limit,
-                jit,
-                devirt
+                jit
             );
         }
         out
@@ -2429,8 +2454,6 @@ impl KaffeOs {
         let drained = thread.drain_cycles();
         self.ops_executed += core::mem::take(&mut thread.ops);
         self.seg_sites.append(&mut thread.seg_sites);
-        let devirt_calls = core::mem::take(&mut thread.devirt_calls);
-        let monitors_elided = core::mem::take(&mut thread.monitors_elided);
         // Stack walk for the profiler, taken at the quantum boundary —
         // exactly where the drained cycles stopped accruing. Gated so a
         // disabled profiler allocates nothing.
@@ -2443,8 +2466,6 @@ impl KaffeOs {
         let proc = &mut self.procs[idx];
         proc.cpu.exec += drained.exec();
         proc.cpu.gc += drained.gc;
-        proc.devirt_calls += devirt_calls;
-        proc.monitors_elided += monitors_elided;
         self.clock += drained.total;
         // QuantumEnd keeps the quantum-*start* stamp still on the trace
         // plane; the Chrome exporter computes the end as `at + cycles`
@@ -3129,6 +3150,28 @@ impl KaffeOs {
             deadlocked,
             quanta: self.quanta,
         }
+    }
+}
+
+/// How an entry `main` receives the spawn's args string.
+enum MainArg {
+    /// `main()`: not at all.
+    None,
+    /// `main(String)`: as a string on the new process' heap.
+    Str,
+    /// `main(int)`: parsed (0 when it does not parse).
+    Int,
+}
+
+/// The [`MainArg`] for a `main` parameter list; `BadEntry` for any other.
+fn main_arg(params: &[kaffeos_vm::TypeDesc]) -> Result<MainArg, KernelError> {
+    match params {
+        [] => Ok(MainArg::None),
+        [kaffeos_vm::TypeDesc::Str] => Ok(MainArg::Str),
+        [kaffeos_vm::TypeDesc::Int] => Ok(MainArg::Int),
+        other => Err(KernelError::BadEntry(format!(
+            "unsupported Main.main signature {other:?}"
+        ))),
     }
 }
 

@@ -308,13 +308,6 @@ pub struct Process {
     /// Per-process JIT state: hot counters, attached compiled bodies, and
     /// tier statistics.
     pub jit: kaffeos_vm::ProcJit,
-    /// Virtual calls dispatched through statically devirtualized sites
-    /// (interpreter and JIT tiers combined). Monotone procfs counter,
-    /// drained from thread-local counters at each quantum boundary.
-    pub devirt_calls: u64,
-    /// Monitor operations whose lock bookkeeping the escape analysis
-    /// elided. Monotone procfs counter, drained like `devirt_calls`.
-    pub monitors_elided: u64,
 }
 
 impl Process {

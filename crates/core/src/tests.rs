@@ -31,6 +31,40 @@ mod lifecycle {
         assert!(report.clock > 0);
     }
 
+    /// A failed spawn leaves nothing behind: an image without a static
+    /// `main` or with an unsupported `main` signature is rejected before a
+    /// heap, memlimit node or namespace exists, and an entry argument that
+    /// does not fit the memlimit releases the heap and node it created.
+    /// The next good spawn then gets a fresh heap of its own.
+    #[test]
+    fn failed_spawn_leaks_no_domain() {
+        let mut os = os();
+        os.register_image("nomain", "class Foo { int x; }").unwrap();
+        os.register_image("twoargs", "class Main { static int main(int a, int b) { return a; } }")
+            .unwrap();
+        os.register_image("strarg", "class Main { static int main(String s) { return 1; } }")
+            .unwrap();
+        let heaps = os.heap_recounts().len();
+        let meminfo = os.meminfo_text();
+        let namespaces = os.class_table().namespaces.len();
+        for image in ["nomain", "twoargs"] {
+            let err = os.spawn(image, "", None).unwrap_err();
+            assert!(matches!(err, crate::KernelError::BadEntry(_)), "{image}: {err:?}");
+            assert_eq!(os.class_table().namespaces.len(), namespaces, "{image}");
+        }
+        let err = os.spawn("strarg", "an argument", Some(1)).unwrap_err();
+        assert!(matches!(err, crate::KernelError::OutOfMemory), "{err:?}");
+        assert_eq!(os.heap_recounts().len(), heaps);
+        assert_eq!(os.meminfo_text(), meminfo);
+        os.audit().expect("audit after failed spawns");
+
+        let pid = os.spawn("strarg", "x", None).unwrap();
+        assert_eq!(os.heap_recounts().len(), heaps + 1, "one fresh heap");
+        os.run(None);
+        assert_eq!(os.status(pid), Some(ExitStatus::Exited(1)));
+        os.audit().expect("audit after the good spawn");
+    }
+
     #[test]
     fn entry_point_signatures() {
         let mut os = os();

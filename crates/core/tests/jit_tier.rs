@@ -279,78 +279,13 @@ fn class_reload_invalidates_and_retiers() {
     os.audit().expect("audit after reload + retier");
 }
 
-/// A guest that exercises both sharpened shapes — a monomorphic virtual
-/// call and a frame-local `sync` — hot enough to tier up, then prints its
-/// own procfs status so the analysis counters round-trip unprivileged.
-const ANALYSIS_INSPECTOR: &str = r#"
-    class Worker {
-        int v;
-        int bump(int d) { return this.v + d; }
-    }
-    class Main {
-        static int main() {
-            int acc = 0;
-            for (int i = 0; i < 20000; i = i + 1) {
-                Worker w = new Worker();
-                w.v = i;
-                acc = acc + w.bump(1);
-                Object lock = new Object();
-                sync (lock) { acc = acc + 1; }
-            }
-            Sys.print(Proc.status(Proc.self_pid()));
-            return acc % 1000000007;
-        }
-    }
-"#;
-
-/// Tentpole observability: `devirt_calls` and `monitors_elided` reach
-/// `proc.status` (read from guest code, no privileged channel), agree with
-/// the kernel-side view, and surface in the `kaffeos-top` column.
+/// Loading an override for a hot virtual call's only target needs no
+/// invalidation: compiled bodies hold no call target — the shared
+/// runtime-op code dispatches through the vtable on every call — so the
+/// attached body survives the load and the answer and registry audit stay
+/// clean.
 #[test]
-fn analysis_counters_round_trip_through_procfs_and_top() {
-    let mut os = build_os(1 << 20);
-    os.register_image("inspector", ANALYSIS_INSPECTOR).unwrap();
-    let pid = os.spawn("inspector", "", Some(1 << 20)).unwrap();
-    os.run(None);
-    assert!(!os.is_alive(pid), "inspector must run to completion");
-
-    let stdout = os.stdout(pid).join("\n");
-    let devirt = parse_status_counter(&stdout, "devirt_calls:");
-    let elided = parse_status_counter(&stdout, "monitors_elided:");
-    assert!(devirt >= 1, "hot monomorphic call must devirtualize:\n{stdout}");
-    assert!(elided >= 2, "frame-local sync must elide both ops:\n{stdout}");
-    assert_eq!(elided % 2, 0, "enter/exit elisions must pair up:\n{stdout}");
-
-    // Kernel-side agreement: the guest printed mid-run, so the kernel's
-    // final (monotone) counters can only be larger.
-    let (k_devirt, k_elided) = os.analysis_counters(pid).expect("pid is known");
-    assert!(k_devirt >= devirt, "{k_devirt} < printed {devirt}");
-    assert!(k_elided >= elided, "{k_elided} < printed {elided}");
-
-    let top = os.top_text();
-    let header = top.lines().next().unwrap_or("");
-    assert!(
-        header.contains("DEVIRT/ELIDE"),
-        "top header lacks the DEVIRT/ELIDE column:\n{top}"
-    );
-    let row = top
-        .lines()
-        .find(|l| l.trim_start().starts_with(&pid.0.to_string()))
-        .unwrap_or_else(|| panic!("no top row for {pid:?}:\n{top}"));
-    assert!(
-        row.contains(&format!("{k_devirt}/{k_elided}")),
-        "top row lacks the devirt/elided cell ({k_devirt}/{k_elided}):\n{top}"
-    );
-}
-
-/// Tentpole soundness: loading an override for a devirtualized target
-/// needs no invalidation. Compiled bodies hold no call target — the shared
-/// runtime-op code reads the devirtualization verdict from the method
-/// record on every call — so the republish alone makes the site polymorphic
-/// again: the attached body survives, `devirt_calls` stops growing, and the
-/// answer and registry audit stay clean.
-#[test]
-fn override_load_keeps_bodies_and_stops_devirtualizing() {
+fn override_load_keeps_attached_bodies_and_the_answer() {
     let mut os = build_os(1 << 20);
     os.load_shared_source("class Box { int v; int get() { return this.v; } }")
         .unwrap();
@@ -373,14 +308,11 @@ fn override_load_keeps_bodies_and_stops_devirtualizing() {
     .unwrap();
     let pid = os.spawn("caller", "", Some(1 << 20)).unwrap();
 
-    // Run until tier-up has fired but the program is still mid-loop; the
-    // hot call must be running devirtualized.
+    // Run until tier-up has fired but the program is still mid-loop.
     os.run(Some(5_000_000));
     assert!(os.is_alive(pid), "caller must still be running");
     let mid = os.jit_stats(pid).unwrap();
     assert!(mid.compiled >= 1, "caller must have tiered up: {mid:?}");
-    let (devirt_mid, _) = os.analysis_counters(pid).expect("pid is known");
-    assert!(devirt_mid >= 1, "hot `b.get()` must be devirtualized");
 
     // Load an override: `Box.get` is no longer the only reachable target.
     os.load_shared_source("class Box2 extends Box { int get() { return this.v + 1; } }")
@@ -403,11 +335,6 @@ fn override_load_keeps_bodies_and_stops_devirtualizing() {
     assert_eq!(
         end.compiled, mid.compiled,
         "the attached bodies must survive the override load: {mid:?} -> {end:?}"
-    );
-    let (devirt_end, _) = os.analysis_counters(pid).expect("pid is known");
-    assert_eq!(
-        devirt_end, devirt_mid,
-        "the now-polymorphic site must stop counting devirtualized calls"
     );
     os.audit().expect("audit after override load");
 }

@@ -78,10 +78,9 @@ const SHMER: &str = r#"
     }
 "#;
 
-/// Monitor- and virtual-call-dense guest: a fresh lock synced every
-/// iteration (elidable) and a monomorphic `bump` call (devirtualizable) —
-/// the two shapes the hierarchy/escape passes sharpen, run here under
-/// fault injection so the debug-build re-validation asserts get exercised.
+/// Monitor- and virtual-call-dense guest: a fresh frame-local lock synced
+/// every iteration and a monomorphic `bump` call, run here under fault
+/// injection beside the barrier-heavy guests.
 const SYNCER: &str = r#"
     class Worker {
         int v;
@@ -190,17 +189,6 @@ fn every_dynamic_violation_is_statically_non_elidable() {
             assert!(
                 !os.class_table().method(site.method).elide_at(site.pc),
                 "seed {seed}: violation at an elided site {site:?}"
-            );
-            // Sharpened sites must never be the ones that blow up: a
-            // violating pc can be neither a devirtualized call nor an
-            // elided monitor op.
-            assert!(
-                os.class_table().method(site.method).devirt_at(site.pc).is_none(),
-                "seed {seed}: violation at a devirtualized site {site:?}"
-            );
-            assert!(
-                !os.class_table().method(site.method).mon_elide_at(site.pc),
-                "seed {seed}: violation at an elided monitor {site:?}"
             );
             match analysis.site(site.method, site.pc) {
                 None => assert!(
@@ -342,7 +330,8 @@ const STORER: &str = r#"
     }
 "#;
 
-/// A shared class whose `use` devirtualizes `get` until `Box2` loads.
+/// A shared class whose `use` calls `get` with one CHA target until `Box2`
+/// loads.
 const BOX: &str =
     "class Box { int v; int get() { return this.v; } static int use(Box b) { return b.get(); } }";
 
@@ -350,11 +339,12 @@ const BOX: &str =
 const BOX2: &str = "class Box2 extends Box { int get() { return this.v + 1; } }";
 
 /// The incremental analysis the kernel keeps across loads publishes, for
-/// every method after every load, exactly the facts a from-scratch
-/// `analyze()` of the same table derives — over seeded interleavings of
-/// guest spawns, a shared class with a reference field, an image storing a
-/// parameter into it (fallback on a raised old summary) and an override
-/// of a devirtualized shared method (fallback on a new CHA target).
+/// every method after every load, exactly the barrier-elision bitmap a
+/// from-scratch `analyze()` of the same table derives — over seeded
+/// interleavings of guest spawns, a shared class with a reference field,
+/// an image storing a parameter into it (fallback on a raised old
+/// summary) and an override of a monomorphic shared method (fallback on a
+/// new CHA target).
 #[test]
 fn incremental_analysis_matches_from_scratch() {
     for seed in 1..=6u64 {
@@ -402,47 +392,7 @@ fn incremental_analysis_matches_from_scratch() {
                 let midx = kaffeos_vm::MethodIdx(i as u32);
                 let at = format!("seed {seed} step {step} ({what}): {}", m.qname);
                 assert_eq!(m.elide, fresh.elision_bitmap(table, midx), "elide, {at}");
-                assert_eq!(m.mon_elide, fresh.monitor_bitmap(midx), "mon_elide, {at}");
-                assert_eq!(m.local_elide, fresh.local_bitmap(midx), "local_elide, {at}");
-                assert_eq!(m.devirt, fresh.devirt_table(midx), "devirt, {at}");
             }
         }
     }
-}
-
-/// Devirtualization and monitor elision actually fire on the sync-dense
-/// guest — and, like barrier elision, are invisible in virtual time: same
-/// trace, clock, and exit status with the analysis on and off, while the
-/// dynamic counters report real work only in the on-configuration.
-#[test]
-fn monitor_elision_and_devirt_are_host_only() {
-    let run = |elide: bool| {
-        let mut os = build_os(KaffeOsConfig {
-            trace: true,
-            elide,
-            ..KaffeOsConfig::default()
-        });
-        let pid = os.spawn("syncer", "3", None).unwrap();
-        os.run(Some(os.clock() + 500_000_000));
-        let status = os.status(pid);
-        assert!(
-            matches!(status, Some(ExitStatus::Exited(_))),
-            "syncer must finish: {status:?}"
-        );
-        (
-            os.obs().trace.read(TraceBuffer::jsonl),
-            os.clock(),
-            status,
-            os.analysis_counters(pid).expect("pid is known"),
-        )
-    };
-    let (trace_on, clock_on, status_on, (devirt, elided)) = run(true);
-    let (trace_off, clock_off, status_off, counters_off) = run(false);
-    assert!(devirt > 0, "no devirtualized calls on the syncer");
-    assert!(elided > 0, "no elided monitor ops on the syncer");
-    assert_eq!(elided % 2, 0, "enter/exit elisions must pair up");
-    assert_eq!(counters_off, (0, 0), "analysis off but counters moved");
-    assert_eq!(status_on, status_off);
-    assert_eq!(clock_on, clock_off, "devirt/elision moved the clock");
-    assert_eq!(trace_on, trace_off, "devirt/elision moved the trace");
 }

@@ -979,71 +979,9 @@ impl HeapSpace {
         Ok(cycles)
     }
 
-    /// [`store_ref_elided`] for a store additionally proven **dies-local**
-    /// by the escape pass: no GC point can have run between the receiver's
-    /// allocation and this store, so the receiver still sits on its birth
-    /// nursery page and the remembered-set probe ([`note_store`]) is a
-    /// guaranteed no-op — it is skipped entirely. Virtual accounting is
-    /// identical to [`store_ref`]; `note_store` is host-plane only, so
-    /// skipping it is invisible to the modelled plane by construction.
-    ///
-    /// Debug builds re-validate the static claim: the receiver's page must
-    /// still be a nursery page (user-heap allocations always open nursery
-    /// pages; only a collection moves survivors to mature ones).
-    ///
-    /// [`store_ref`]: HeapSpace::store_ref
-    /// [`store_ref_elided`]: HeapSpace::store_ref_elided
-    /// [`note_store`]: HeapSpace::note_store
-    pub fn store_ref_elided_local(
-        &mut self,
-        obj: ObjRef,
-        index: usize,
-        val: Value,
-    ) -> Result<u64, HeapError> {
-        debug_assert!(val.is_reference(), "primitive store through store_ref_elided_local");
-        let cycles = self.barrier.cycles();
-        self.stats.executed += 1;
-        self.stats.cycles += cycles;
-
-        #[cfg(debug_assertions)]
-        if self.barrier.enforces() {
-            let src_heap = self.heap_of(obj)?;
-            debug_assert!(
-                !self.get(obj)?.frozen,
-                "statically elided store into frozen object {obj:?}"
-            );
-            if let Value::Ref(target) = val {
-                let dst_heap = self.heap_of(target)?;
-                debug_assert_eq!(
-                    src_heap, dst_heap,
-                    "statically elided store crosses heaps ({obj:?} -> {target:?})"
-                );
-            }
-            debug_assert_eq!(
-                self.page_table[(obj.index >> PAGE_SHIFT) as usize].state,
-                PageState::Nursery,
-                "dies-local store into off-nursery receiver {obj:?}"
-            );
-        }
-
-        let o = self.get_mut(obj)?;
-        let slots: &mut [Value] = match &mut o.data {
-            ObjData::Fields(f) => f,
-            ObjData::Array { values, .. } => values,
-            ObjData::Str(_) => return Err(HeapError::KindMismatch(obj)),
-        };
-        let len = slots.len();
-        *slots
-            .get_mut(index)
-            .ok_or(HeapError::IndexOutOfBounds { obj, index, len })? = val;
-        Ok(cycles)
-    }
-
     /// Generational hook shared by the write-barrier choke points
     /// ([`store_ref`] and [`store_ref_elided`] — the analyzer's proven-Local
-    /// stores still funnel through the latter; only
-    /// [`store_ref_elided_local`], whose receiver is proven still
-    /// nursery-resident so the probe below cannot fire, skips it). When a
+    /// stores funnel through the latter). When a
     /// *mature* object of a user heap comes to reference a *nursery* object
     /// of the **same** heap, the source slot joins the heap's remembered
     /// set; minor collections then treat it as a scan root instead of
@@ -1056,7 +994,6 @@ impl HeapSpace {
     ///
     /// [`store_ref`]: HeapSpace::store_ref
     /// [`store_ref_elided`]: HeapSpace::store_ref_elided
-    /// [`store_ref_elided_local`]: HeapSpace::store_ref_elided_local
     #[inline]
     fn note_store(&mut self, obj: ObjRef, val: Value) {
         let Value::Ref(target) = val else { return };

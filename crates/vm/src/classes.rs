@@ -121,20 +121,6 @@ pub struct MethodRt {
     /// checks there (virtual cost unchanged). Empty until the analyzer
     /// publishes its verdicts via [`ClassTable::set_elision`].
     pub elide: Vec<u64>,
-    /// Monitor-elision bitmap: bit `pc` set means the `MonitorEnter` or
-    /// `MonitorExit` at `pc` acts on a receiver proven never to escape its
-    /// allocating frame, so the lock bookkeeping may be skipped (virtual
-    /// cost unchanged). Published via [`ClassTable::set_analysis_facts`].
-    pub mon_elide: Vec<u64>,
-    /// Dies-local bitmap: bit `pc` set means the reference store at `pc`
-    /// writes into an object still sitting on its birth nursery page, so
-    /// the remembered-set `note_store` probe may be skipped.
-    pub local_elide: Vec<u64>,
-    /// Devirtualization table: `(pc, target)` pairs, pc-sorted, for
-    /// `CallVirtual` sites whose reachable-override set is monomorphic
-    /// under the current class hierarchy. Republished (and thus revoked)
-    /// whenever a class load changes the hierarchy.
-    pub devirt: Vec<(u32, MethodIdx)>,
 }
 
 impl MethodRt {
@@ -146,42 +132,10 @@ impl MethodRt {
     /// Whether the store at instruction `pc` has an elided barrier.
     #[inline]
     pub fn elide_at(&self, pc: u32) -> bool {
-        bit_at(&self.elide, pc)
-    }
-
-    /// Whether the monitor op at instruction `pc` is elided.
-    #[inline]
-    pub fn mon_elide_at(&self, pc: u32) -> bool {
-        bit_at(&self.mon_elide, pc)
-    }
-
-    /// Whether the ref store at `pc` is proven dies-local (receiver still
-    /// nursery-resident), so `note_store` may be skipped.
-    #[inline]
-    pub fn local_elide_at(&self, pc: u32) -> bool {
-        bit_at(&self.local_elide, pc)
-    }
-
-    /// Devirtualized target for the `CallVirtual` at `pc`, if the site is
-    /// proven monomorphic under the current hierarchy.
-    #[inline]
-    pub fn devirt_at(&self, pc: u32) -> Option<MethodIdx> {
-        if self.devirt.is_empty() {
-            return None;
+        match self.elide.get((pc / 64) as usize) {
+            Some(w) => (w >> (pc % 64)) & 1 != 0,
+            None => false,
         }
-        self.devirt
-            .binary_search_by_key(&pc, |&(p, _)| p)
-            .ok()
-            .map(|i| self.devirt[i].1)
-    }
-}
-
-/// Bitmap probe shared by the per-pc fact tables.
-#[inline]
-fn bit_at(bits: &[u64], pc: u32) -> bool {
-    match bits.get((pc / 64) as usize) {
-        Some(w) => (w >> (pc % 64)) & 1 != 0,
-        None => false,
     }
 }
 
@@ -366,9 +320,6 @@ impl ClassTable {
                 code: m.code.clone(),
                 qname: format!("{}.{}", def.name, m.name),
                 elide: Vec::new(),
-                mon_elide: Vec::new(),
-                local_elide: Vec::new(),
-                devirt: Vec::new(),
             });
             methods.push(midx);
             if !m.is_static {
@@ -550,25 +501,6 @@ impl ClassTable {
     /// Bit `pc` set ⇒ the ref store at `pc` may skip its legality checks.
     pub fn set_elision(&mut self, idx: MethodIdx, bitmap: Vec<u64>) {
         self.methods[idx.0 as usize].elide = bitmap;
-    }
-
-    /// Publishes the hierarchy/escape facts for a method: the monitor
-    /// elision bitmap, the dies-local store bitmap, and the pc-sorted
-    /// devirtualization table. Like [`ClassTable::set_elision`], this is
-    /// only ever called between quanta (after a class-load batch), so the
-    /// interpreter and JIT observe each hierarchy generation atomically.
-    pub fn set_analysis_facts(
-        &mut self,
-        idx: MethodIdx,
-        mon_elide: Vec<u64>,
-        local_elide: Vec<u64>,
-        devirt: Vec<(u32, MethodIdx)>,
-    ) {
-        debug_assert!(devirt.windows(2).all(|w| w[0].0 < w[1].0));
-        let m = &mut self.methods[idx.0 as usize];
-        m.mon_elide = mon_elide;
-        m.local_elide = local_elide;
-        m.devirt = devirt;
     }
 
     /// `Class.method` display name for a method — the profiler's frame

@@ -177,12 +177,6 @@ pub struct Thread {
     /// Observational (drained by the kernel for the analyzer's dynamic
     /// soundness oracle); never feeds back into execution.
     pub seg_sites: Vec<SegSite>,
-    /// Virtual calls dispatched through a statically devirtualized site
-    /// since the last drain. Observational only.
-    pub devirt_calls: u64,
-    /// Monitor ops whose lock bookkeeping was statically elided since the
-    /// last drain. Observational only.
-    pub monitors_elided: u64,
 }
 
 impl Thread {
@@ -212,8 +206,6 @@ impl Thread {
             held_monitors: Vec::new(),
             ops: 0,
             seg_sites: Vec::new(),
-            devirt_calls: 0,
-            monitors_elided: 0,
         }
     }
 
@@ -780,20 +772,10 @@ fn run_dispatch<const INJECT: bool>(
                             // Statically proven Local→Local: skip the
                             // legality checks (and the GC-retry wrapper —
                             // the elided path debits no memlimit). Virtual
-                            // cost is unchanged. Dies-local receivers also
-                            // skip the remembered-set probe — except under
-                            // fault injection, whose forced per-op
-                            // collections promote nursery objects and void
-                            // the "no GC point since allocation" premise.
-                            if !INJECT && method.local_elide_at(pc as u32 - 1) {
-                                ctx.space
-                                    .store_ref_elided_local(obj, slot as usize, v)
-                                    .map(|barrier_cycles| thread.cycles += barrier_cycles)
-                            } else {
-                                ctx.space
-                                    .store_ref_elided(obj, slot as usize, v)
-                                    .map(|barrier_cycles| thread.cycles += barrier_cycles)
-                            }
+                            // cost is unchanged.
+                            ctx.space
+                                .store_ref_elided(obj, slot as usize, v)
+                                .map(|barrier_cycles| thread.cycles += barrier_cycles)
                         } else {
                             // Fixed-size pin buffer: no per-store heap allocation.
                             let mut pinned = [obj; 2];
@@ -877,17 +859,9 @@ fn run_dispatch<const INJECT: bool>(
                     }
                     let result = if v.is_reference() {
                         if method.elide_at(pc as u32 - 1) {
-                            // See PutField: dies-local is void under
-                            // fault injection's forced per-op collections.
-                            if !INJECT && method.local_elide_at(pc as u32 - 1) {
-                                ctx.space
-                                    .store_ref_elided_local(arr, index as usize, v)
-                                    .map(|barrier_cycles| thread.cycles += barrier_cycles)
-                            } else {
-                                ctx.space
-                                    .store_ref_elided(arr, index as usize, v)
-                                    .map(|barrier_cycles| thread.cycles += barrier_cycles)
-                            }
+                            ctx.space
+                                .store_ref_elided(arr, index as usize, v)
+                                .map(|barrier_cycles| thread.cycles += barrier_cycles)
                         } else {
                             let mut pinned = [arr; 2];
                             let mut n = 1;
@@ -966,8 +940,7 @@ fn run_dispatch<const INJECT: bool>(
 /// `TOp::Rt`. The caller has advanced the top frame's `pc`
 /// past `op` and written it back, so a raise, syscall resume or profiler
 /// sample sees the same frame either tier would show; fault injection's
-/// per-op hooks live in the caller (`ctx.gc_every_safepoint` is what
-/// selects the injected dispatch variant, so it stands in for `INJECT`).
+/// per-op hooks live in the caller.
 ///
 /// Inlined into both dispatch loops: as an out-of-line call it costs ~6%
 /// of `spec-alloc` guest throughput, whose programs live in these arms.
@@ -1204,18 +1177,6 @@ pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepF
                 Err(e) => throw!(heap_exception(e)),
             };
             let midx = table.class(recv_class).vtable[vslot as usize];
-            if let Some(target) = method.devirt_at(at) {
-                // Statically devirtualized site: the dynamic
-                // dispatch must agree with CHA's single target.
-                debug_assert_eq!(
-                    target, midx,
-                    "devirtualized site dispatched to a different override \
-                     ({:?} at pc {})",
-                    method_idx,
-                    at,
-                );
-                thread.devirt_calls += 1;
-            }
             return push_frame(thread, ctx, midx);
         }
         Op::CallSpecial(idx) => {
@@ -1412,22 +1373,6 @@ pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepF
             let Value::Ref(obj) = pop!(thread, stack_base) else {
                 throw!(npe("monitorenter on null"));
             };
-            if !ctx.gc_every_safepoint && method.mon_elide_at(at) {
-                // Receiver proven frame-local: no other thread can
-                // ever observe the object, so acquisition cannot
-                // contend and the bookkeeping is skipped. The
-                // virtual cost above is charged identically.
-                // Disabled under fault injection: a forced GC can
-                // land inside any critical section, and the elided
-                // monitor's absence from the registry would move
-                // the collector's virtual trace work.
-                debug_assert!(
-                    !ctx.monitors.contains_key(&obj),
-                    "statically elided monitorenter on a contended object {obj:?}"
-                );
-                thread.monitors_elided += 1;
-                return StepFlow::Next;
-            }
             match ctx.monitors.get_mut(&obj) {
                 None => {
                     ctx.monitors.insert(obj, (thread.id, 1));
@@ -1450,18 +1395,6 @@ pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepF
             let Value::Ref(obj) = pop!(thread, stack_base) else {
                 throw!(npe("monitorexit on null"));
             };
-            if !ctx.gc_every_safepoint && method.mon_elide_at(at) {
-                // Matching elided enter never registered the
-                // monitor; the exit is symmetric by construction
-                // (the escape pass elides per-object, all-or-none,
-                // and the fault-injection gate is fixed per `step`).
-                debug_assert!(
-                    !ctx.monitors.contains_key(&obj),
-                    "statically elided monitorexit on a registered monitor {obj:?}"
-                );
-                thread.monitors_elided += 1;
-                return StepFlow::Next;
-            }
             match ctx.monitors.get_mut(&obj) {
                 Some((owner, depth)) if *owner == thread.id => {
                     *depth -= 1;

@@ -49,7 +49,7 @@ use std::time::Instant;
 use kaffeos_heap::{FxHashMap, HeapError, Value};
 
 use crate::bytecode::Op;
-use crate::classes::{ClassTable, MethodIdx, RConst};
+use crate::classes::{ClassTable, MethodIdx, MethodRt, RConst};
 use crate::engine::{Engine, BASE_COSTS};
 use crate::interp::{
     do_return, heap_exception, npe, raise, rt_op, with_gc_retry, BuiltinEx, ExecCtx, RunExit,
@@ -141,33 +141,29 @@ fn fnv_u64(v: u64, h: u64) -> u64 {
 /// Identity of a compiled body in the process-shared cache. Two methods in
 /// different processes share a body exactly when all four components match:
 /// the class *definition* bytes, the method's position in it, the
-/// analyzer's elision verdicts (barrier, monitor, dies-local), and the
-/// resolution facts block micros bake in (instance-field slots). Call
-/// targets and devirtualization verdicts are not part of it: no body holds
-/// one, `rt_op` reads them from the method record on every call.
+/// analyzer's barrier-elision verdicts, and the resolution facts block
+/// micros bake in (instance-field slots). Call targets are not part of it:
+/// no body holds one, `rt_op` dispatches through the vtable on every call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MethodKey {
     /// FNV-1a of the declaring class definition (the "class bytes" hash).
     pub def_hash: u64,
     /// Position of the method in its class's declared-method list.
     pub ordinal: u32,
-    /// Fingerprint of the analyzer's per-site elision bitmaps.
+    /// Fingerprint of the analyzer's barrier-elision bitmap.
     pub elide_hash: u64,
     /// Fingerprint of the baked-in resolution facts.
     pub res_hash: u64,
 }
 
-/// Fingerprint of a method's elision bitmaps (canonical over the method's
-/// op count, so absent vs all-zero bitmaps hash alike). One byte per pc
-/// folds the barrier-elision, monitor-elision, and dies-local verdicts.
+/// Fingerprint of a method's barrier-elision bitmap (canonical over the
+/// method's op count, so absent vs all-zero bitmaps hash alike): one byte
+/// per pc.
 fn elide_fingerprint(table: &ClassTable, midx: MethodIdx) -> u64 {
     let m = table.method(midx);
     let mut h = FNV_OFFSET;
     for pc in 0..m.code.ops.len() as u32 {
-        let byte = m.elide_at(pc) as u8
-            | (m.mon_elide_at(pc) as u8) << 1
-            | (m.local_elide_at(pc) as u8) << 2;
-        h = fnv1a(&[byte], h);
+        h = fnv1a(&[m.elide_at(pc) as u8], h);
     }
     h
 }
@@ -303,8 +299,7 @@ enum MK {
 struct Micro {
     kind: MK,
     /// Fused encoding: low nibble = alu/cmp code, bits 4–5 = src-a kind,
-    /// bits 6–7 = src-b kind. For `AStore`/`PutFieldRef`, bit 0 = elide
-    /// and bit 1 = dies-local (skip the remembered-set note as well).
+    /// bits 6–7 = src-b kind. For `AStore`/`PutFieldRef`, bit 0 = elide.
     flags: u8,
     nops: u8,
     a: u16,
@@ -844,8 +839,7 @@ struct Compiler<'t> {
     engine: Engine,
     ops: &'t [Op],
     pool: &'t [RConst],
-    elide: Box<dyn Fn(u32) -> bool + 't>,
-    local_elide: Box<dyn Fn(u32) -> bool + 't>,
+    method: &'t MethodRt,
     t_ops: Vec<TOp>,
     micros: Vec<Micro>,
     consts: Vec<Value>,
@@ -936,7 +930,7 @@ impl<'t> Compiler<'t> {
             Op::AStore => (
                 MK::AStore,
                 0,
-                (self.elide)(pc as u32) as u8 | ((self.local_elide)(pc as u32) as u8) << 1,
+                self.method.elide_at(pc as u32) as u8,
             ),
             Op::GetField(idx) => {
                 let Some(RConst::InstanceField { slot, .. }) = self.pool.get(*idx as usize)
@@ -954,8 +948,7 @@ impl<'t> Compiler<'t> {
                     (
                         MK::PutFieldRef,
                         *slot,
-                        (self.elide)(pc as u32) as u8
-                            | ((self.local_elide)(pc as u32) as u8) << 1,
+                        self.method.elide_at(pc as u32) as u8,
                     )
                 } else {
                     (MK::PutFieldPrim, *slot, 0)
@@ -1205,8 +1198,7 @@ fn compile(table: &ClassTable, midx: MethodIdx, engine: Engine) -> Option<Compil
         engine,
         ops,
         pool: &lc.rpool,
-        elide: Box::new(move |pc| m.elide_at(pc)),
-        local_elide: Box::new(move |pc| m.local_elide_at(pc)),
+        method: m,
         t_ops: Vec::new(),
         micros: Vec::new(),
         consts: Vec::new(),
@@ -1820,15 +1812,9 @@ fn run_body(
                             }
                             let result = if v.is_reference() {
                                 if m.flags & 1 != 0 {
-                                    if m.flags & 2 != 0 {
-                                        ctx.space
-                                            .store_ref_elided_local(arr, index as usize, v)
-                                            .map(|bc| thread.cycles += bc)
-                                    } else {
-                                        ctx.space
-                                            .store_ref_elided(arr, index as usize, v)
-                                            .map(|bc| thread.cycles += bc)
-                                    }
+                                    ctx.space
+                                        .store_ref_elided(arr, index as usize, v)
+                                        .map(|bc| thread.cycles += bc)
                                 } else {
                                     let mut pinned = [arr; 2];
                                     let mut n = 1;
@@ -1876,15 +1862,9 @@ fn run_body(
                             };
                             let result = if matches!(m.kind, MK::PutFieldRef) {
                                 if m.flags & 1 != 0 {
-                                    if m.flags & 2 != 0 {
-                                        ctx.space
-                                            .store_ref_elided_local(obj, m.a as usize, v)
-                                            .map(|bc| thread.cycles += bc)
-                                    } else {
-                                        ctx.space
-                                            .store_ref_elided(obj, m.a as usize, v)
-                                            .map(|bc| thread.cycles += bc)
-                                    }
+                                    ctx.space
+                                        .store_ref_elided(obj, m.a as usize, v)
+                                        .map(|bc| thread.cycles += bc)
                                 } else {
                                     let mut pinned = [obj; 2];
                                     let mut n = 1;

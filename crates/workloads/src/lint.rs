@@ -53,7 +53,7 @@ pub struct LintReport {
     /// All reference-store sites seen.
     pub total_sites: usize,
     /// One-line verdict summary across all passes (store elision,
-    /// devirtualization, monitor elision, escape classes). Byte-stable for
+    /// monomorphic virtual sites, escape classes). Byte-stable for
     /// a fixed class table; CI double-runs the linter and compares it.
     pub verdicts: String,
 }

@@ -410,3 +410,19 @@ mod scenarios {
         assert_eq!(steady.stats.rejected_cap, 0);
     }
 }
+
+/// The whole-program analysis of the bundled guests is pinned: escape
+/// classes, virtual-site and store-elision counts, and no lock lint. The
+/// lint keys themselves are pinned by `ci/lint-allowlist.txt`.
+#[test]
+fn bundled_guests_keep_their_escape_classes_and_lock_lints() {
+    let report = crate::lint::lint_bundled();
+    assert_eq!(
+        report.verdicts,
+        "verdicts: stores 32/82 elidable; virtual sites 52 monomorphic, 0 polymorphic; \
+         alloc sites 10 frame-local, 3 process-local, 55 may-cross"
+    );
+    let lock_lint =
+        |l: &String| l.starts_with("deadlock-candidate") || l.starts_with("lock-held-across-syscall");
+    assert!(!report.lines.iter().any(lock_lint), "{:#?}", report.lines);
+}
