@@ -180,16 +180,16 @@ pub enum AuditViolation {
         /// The shared heap still charging it.
         name: String,
     },
-    /// A live process' memlimit debit disagrees with what its heap and
-    /// shared-heap charges actually account for.
-    ProcessAccounting {
-        /// The process.
-        pid: Pid,
+    /// A held domain's memlimit debit disagrees with what its heap and its
+    /// live members' shared-heap charges actually account for.
+    DomainAccounting {
+        /// The domain's label (`image#pid`, or `mono`).
+        domain: String,
         /// The memlimit's recorded debit.
         current: u64,
         /// Heap bytes + accounted entry/exit items.
         accounted: u64,
-        /// Shared-heap sizes charged to the process.
+        /// Shared-heap sizes charged to the domain's live members.
         shm_charged: u64,
     },
     /// A shared heap names a sharer that is not a live process — its
@@ -241,14 +241,14 @@ impl fmt::Display for AuditViolation {
             AuditViolation::DeadStillCharged { pid, name } => {
                 write!(f, "dead process {pid:?} still charged for shared heap {name}")
             }
-            AuditViolation::ProcessAccounting {
-                pid,
+            AuditViolation::DomainAccounting {
+                domain,
                 current,
                 accounted,
                 shm_charged,
             } => write!(
                 f,
-                "process {pid:?}: memlimit records {current} bytes but heap accounts \
+                "domain {domain}: memlimit records {current} bytes but heap accounts \
                  {accounted} + {shm_charged} shared"
             ),
             AuditViolation::ShmSharerDead { name, pid } => {

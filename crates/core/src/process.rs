@@ -241,6 +241,29 @@ pub enum ParkReason {
     Until(u64, i64),
 }
 
+/// A protection domain (§2–§3): the heap, memlimit node, class namespace,
+/// statics and string intern table that processes run in. Every KaffeOS
+/// process gets a domain of its own; the monolithic baseline is one domain
+/// that every guest joins. The last member to leave releases the domain.
+#[derive(Debug)]
+pub(crate) struct Domain {
+    /// The user heap every member allocates on.
+    pub heap: HeapId,
+    /// The memlimit node that the heap and the members' shared-heap
+    /// charges debit (a child of the root).
+    pub memlimit: MemLimitId,
+    /// Class-loader namespace (delegates to the shared namespace).
+    pub ns: u32,
+    /// Statics objects of the namespace's classes (heap residents, GC
+    /// roots).
+    pub statics: FxHashMap<ClassIdx, ObjRef>,
+    /// String intern table (§3.3).
+    pub intern: FxHashMap<String, ObjRef>,
+    /// Holders: the member processes, plus the kernel itself for the
+    /// monolithic domain. Zero once released.
+    pub members: u32,
+}
+
 /// A KaffeOS process.
 ///
 /// In the paper the process object is allocated on the new process' own
@@ -257,17 +280,9 @@ pub struct Process {
     pub image: String,
     /// Lifecycle state.
     pub state: ProcState,
-    /// The process heap (`None` only in monolithic mode, where everything
-    /// shares one heap).
-    pub heap: HeapId,
-    /// The process memlimit (`None` in monolithic mode).
-    pub memlimit: Option<MemLimitId>,
-    /// Class-loader namespace (delegates to the shared namespace).
-    pub ns: u32,
-    /// Per-process statics objects (process heap residents, GC roots).
-    pub statics: FxHashMap<ClassIdx, ObjRef>,
-    /// Per-process string intern table (§3.3).
-    pub intern: FxHashMap<String, ObjRef>,
+    /// Index in the kernel's domain table of the domain the process runs
+    /// in: its heap, memlimit node, namespace, statics and intern table.
+    pub domain: usize,
     /// Threads; slots are never reused within a process.
     pub threads: Vec<Thread>,
     /// Kernel-side park reasons per thread index.
@@ -324,18 +339,6 @@ impl Process {
         } else {
             v
         }
-    }
-
-    /// Roots contributed by this process beyond a single running thread:
-    /// all thread stacks, statics objects, and interned strings.
-    pub fn all_roots(&self) -> Vec<ObjRef> {
-        let mut roots: Vec<ObjRef> = Vec::new();
-        for t in &self.threads {
-            roots.extend(t.stack_roots());
-        }
-        roots.extend(self.statics.values().copied());
-        roots.extend(self.intern.values().copied());
-        roots
     }
 
     /// True if every thread has finished.

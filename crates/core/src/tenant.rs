@@ -248,7 +248,6 @@ pub(crate) struct PendingRestart {
 #[derive(Debug)]
 pub(crate) struct TenantState {
     pub id: TenantId,
-    pub name: String,
     pub policy: TenantPolicy,
     /// Live pids accounted to this tenant, in admission order.
     pub live: Vec<Pid>,
@@ -274,10 +273,9 @@ pub(crate) struct TenantState {
 }
 
 impl TenantState {
-    pub(crate) fn new(id: TenantId, name: String, policy: TenantPolicy) -> Self {
+    pub(crate) fn new(id: TenantId, policy: TenantPolicy) -> Self {
         TenantState {
             id,
-            name,
             policy,
             live: Vec::new(),
             queue: VecDeque::new(),

@@ -44,7 +44,7 @@ mod lifecycle {
             .unwrap();
         os.register_image("strarg", "class Main { static int main(String s) { return 1; } }")
             .unwrap();
-        let heaps = os.heap_recounts().len();
+        let heaps = os.space().recount_heaps().len();
         let meminfo = os.meminfo_text();
         let namespaces = os.class_table().namespaces.len();
         for image in ["nomain", "twoargs"] {
@@ -54,12 +54,12 @@ mod lifecycle {
         }
         let err = os.spawn("strarg", "an argument", Some(1)).unwrap_err();
         assert!(matches!(err, crate::KernelError::OutOfMemory), "{err:?}");
-        assert_eq!(os.heap_recounts().len(), heaps);
+        assert_eq!(os.space().recount_heaps().len(), heaps);
         assert_eq!(os.meminfo_text(), meminfo);
         os.audit().expect("audit after failed spawns");
 
         let pid = os.spawn("strarg", "x", None).unwrap();
-        assert_eq!(os.heap_recounts().len(), heaps + 1, "one fresh heap");
+        assert_eq!(os.space().recount_heaps().len(), heaps + 1, "one fresh heap");
         os.run(None);
         assert_eq!(os.status(pid), Some(ExitStatus::Exited(1)));
         os.audit().expect("audit after the good spawn");
@@ -924,6 +924,71 @@ mod monolithic {
             os.status(innocent)
         );
     }
+
+    /// `Sys.gc()` in a monolithic VM collects the one shared heap, so it
+    /// must root every guest's stacks and the shared statics: one guest's
+    /// static array and another guest's local array, held across a third
+    /// guest's collections, both survive. The same three guests pass under
+    /// KaffeOS, where each collection roots only its own domain.
+    #[test]
+    fn sys_gc_keeps_every_guests_live_objects() {
+        for config in [
+            KaffeOsConfig::monolithic(crate::Engine::JIT_IBM, 8 << 20),
+            KaffeOsConfig::default(),
+        ] {
+            let mut os = KaffeOs::new(config);
+            // Distinct entry classes: a monolithic namespace binds one `Main`.
+            os.register_image(
+                "keeper",
+                r#"
+                class Keeper {
+                    static int[] keep;
+                    static int main() {
+                        Keeper.keep = new int[10];
+                        Keeper.keep[5] = 42;
+                        Sys.gc();
+                        return Keeper.keep[5];
+                    }
+                }
+                "#,
+            )
+            .unwrap();
+            os.register_image(
+                "holder",
+                r#"
+                class Holder {
+                    static int main() {
+                        int[] mine = new int[10];
+                        mine[5] = 7;
+                        for (int i = 0; i < 20; i = i + 1) { Sys.yield(); }
+                        return mine[5];
+                    }
+                }
+                "#,
+            )
+            .unwrap();
+            os.register_image(
+                "collector",
+                r#"
+                class Collector {
+                    static int main() {
+                        for (int i = 0; i < 20; i = i + 1) { Sys.gc(); }
+                        return 0;
+                    }
+                }
+                "#,
+            )
+            .unwrap();
+            let keeper = os.spawn("keeper", "", None).unwrap();
+            let holder = os.spawn("holder", "", None).unwrap();
+            let collector = os.spawn("collector", "", None).unwrap();
+            os.run(None);
+            assert_eq!(os.status(keeper), Some(ExitStatus::Exited(42)));
+            assert_eq!(os.status(holder), Some(ExitStatus::Exited(7)));
+            assert_eq!(os.status(collector), Some(ExitStatus::Exited(0)));
+            os.audit().expect("audit after the collections");
+        }
+    }
 }
 
 mod accounting_integrity {
@@ -953,7 +1018,7 @@ mod accounting_integrity {
         );
         os.run(None);
         assert_eq!(os.status(pid), Some(ExitStatus::Exited(0)));
-        let stats = os.barrier_stats();
+        let stats = os.space().barrier_stats();
         assert!(
             stats.executed >= 100,
             "barriers counted: {}",

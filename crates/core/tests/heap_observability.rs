@@ -229,7 +229,8 @@ fn dump_recounts_reconcile_with_accounting_and_audit() {
         );
         // The kernel-side recount API carries the same ground truth.
         let api: Vec<(u64, u64, u64)> = os
-            .heap_recounts()
+            .space()
+            .recount_heaps()
             .iter()
             .map(|r| (r.heap as u64, r.live_bytes, r.live_objects))
             .collect();
@@ -349,7 +350,8 @@ fn heap_procfs_syscalls_round_trip_from_guest() {
     let objects = procfs_u64(&info, "objects").expect("objects line");
     let pages = procfs_u64(&info, "pages").expect("pages line");
     let rc = os
-        .heap_recounts()
+        .space()
+            .recount_heaps()
         .into_iter()
         .find(|r| r.heap as u64 == heap)
         .expect("recount for the inspector heap");

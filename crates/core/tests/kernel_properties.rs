@@ -263,7 +263,7 @@ fn identical_op_sequences_replay_identically() {
             }
             let statuses: Vec<_> = pids.iter().map(|&p| os.status(p)).collect();
             let audit = format!("{:?}", os.audit());
-            (os.clock(), os.barrier_stats().executed, statuses, audit)
+            (os.clock(), os.space().barrier_stats().executed, statuses, audit)
         };
         assert_eq!(
             run(&ops),

@@ -33,14 +33,11 @@ fn build_os() -> KaffeOs {
 /// Runs one cap-overflow episode and returns what the third spawn said.
 fn cap_episode() -> (TenantId, Result<Admission, KernelError>, String) {
     let mut os = build_os();
-    let t = os.create_tenant(
-        "capped",
-        TenantPolicy {
-            max_procs: 2,
-            queue_capacity: 0,
-            ..TenantPolicy::default()
-        },
-    );
+    let t = os.create_tenant(TenantPolicy {
+        max_procs: 2,
+        queue_capacity: 0,
+        ..TenantPolicy::default()
+    });
     for _ in 0..2 {
         match os.spawn_for_tenant(t, "spin", "", SpawnOpts::default()) {
             Ok(Admission::Admitted(_)) => {}
@@ -77,14 +74,11 @@ fn cap_rejection_is_deterministic_across_fresh_kernels() {
 fn queued_admissions_launch_fifo_in_ticket_order() {
     let run = || {
         let mut os = build_os();
-        let t = os.create_tenant(
-            "queued",
-            TenantPolicy {
-                max_procs: 1,
-                queue_capacity: 2,
-                ..TenantPolicy::default()
-            },
-        );
+        let t = os.create_tenant(TenantPolicy {
+            max_procs: 1,
+            queue_capacity: 2,
+            ..TenantPolicy::default()
+        });
         match os.spawn_for_tenant(t, "brief", "", SpawnOpts::default()) {
             Ok(Admission::Admitted(_)) => {}
             other => panic!("first spawn must admit, got {other:?}"),
@@ -145,7 +139,7 @@ fn restart_backoff_is_exact_across_fault_seeds() {
         };
         let mut os = build_os();
         os.install_faults(FaultPlan::from_seed(seed));
-        let t = os.create_tenant("crashy", policy);
+        let t = os.create_tenant(policy);
         match os.spawn_for_tenant(t, "crash", "", SpawnOpts::default()) {
             Ok(Admission::Admitted(_)) => {}
             other => panic!("seed {seed}: initial spawn must admit, got {other:?}"),
@@ -205,7 +199,7 @@ fn breaker_opens_at_threshold_and_closes_after_cooldown() {
         ..TenantPolicy::default()
     };
     let mut os = build_os();
-    let t = os.create_tenant("stormy", policy);
+    let t = os.create_tenant(policy);
     for _ in 0..2 {
         os.spawn_for_tenant(t, "crash", "", SpawnOpts::default())
             .unwrap();
@@ -251,20 +245,14 @@ fn overload_sheds_lowest_priority_and_restores_on_relief() {
         shed_high_bytes: 3 << 20,
         shed_low_bytes: 1 << 20,
     }));
-    let low = os.create_tenant(
-        "best-effort",
-        TenantPolicy {
-            priority: 10,
-            ..TenantPolicy::default()
-        },
-    );
-    let high = os.create_tenant(
-        "premium",
-        TenantPolicy {
-            priority: 100,
-            ..TenantPolicy::default()
-        },
-    );
+    let low = os.create_tenant(TenantPolicy {
+        priority: 10,
+        ..TenantPolicy::default()
+    });
+    let high = os.create_tenant(TenantPolicy {
+        priority: 100,
+        ..TenantPolicy::default()
+    });
     let hard2mb = SpawnOpts {
         mem_limit: Some(2 << 20),
         mem_hard: true,

@@ -580,7 +580,7 @@ fn drive(name: &'static str, seed: u64, setup: Setup) -> ScenarioReport {
     let mut names: Vec<&'static str> = Vec::new();
     let mut service_tenants: Vec<TenantId> = Vec::new();
     for svc in &setup.services {
-        let t = os.create_tenant(svc.name, svc.policy);
+        let t = os.create_tenant(svc.policy);
         names.push(svc.name);
         service_tenants.push(t);
         for _ in 0..svc.replicas {
@@ -594,7 +594,7 @@ fn drive(name: &'static str, seed: u64, setup: Setup) -> ScenarioReport {
     let phase = (seed % 7) * 100_000;
     let mut reqs: Vec<LiveRequestTenant> = Vec::new();
     for (i, spec) in setup.requests.iter().enumerate() {
-        let t = os.create_tenant(spec.name, spec.policy);
+        let t = os.create_tenant(spec.policy);
         names.push(spec.name);
         reqs.push(LiveRequestTenant {
             tenant: t,
