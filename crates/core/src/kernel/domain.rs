@@ -324,7 +324,6 @@ impl KaffeOs {
                     st.stats.heap_bytes_reaped += snap.bytes_used;
                     st.stats.heap_objects_reaped += snap.objects;
                     st.stats.heap_gcs += snap.gc_count;
-                    st.stats.heap_minor_gcs += snap.minor_gcs;
                 }
             }
         }

@@ -196,12 +196,9 @@ impl KaffeOs {
         let _ = writeln!(out, "bytes_used:\t{}", snap.bytes_used);
         let _ = writeln!(out, "objects:\t{}", snap.objects);
         let _ = writeln!(out, "pages:\t{}", snap.pages);
-        let _ = writeln!(out, "nursery_pages:\t{}", snap.nursery_pages);
-        let _ = writeln!(out, "remset:\t{}", snap.remset_size);
         let _ = writeln!(out, "entry_items:\t{}", snap.entry_items);
         let _ = writeln!(out, "exit_items:\t{}", snap.exit_items);
         let _ = writeln!(out, "gc_count:\t{}", snap.gc_count);
-        let _ = writeln!(out, "minor_gcs:\t{}", snap.minor_gcs);
         let _ = writeln!(out, "frozen:\t{}", snap.frozen);
         out
     }
@@ -218,7 +215,6 @@ impl KaffeOs {
         let _ = writeln!(out, "bytes_used:\t{}", snap.bytes_used);
         let _ = writeln!(out, "objects:\t{}", snap.objects);
         let _ = writeln!(out, "gc_count:\t{}", snap.gc_count);
-        let _ = writeln!(out, "minor_gcs:\t{}", snap.minor_gcs);
         let heap = &self.space.obs().heap;
         if heap.is_on() {
             // Per-site rows for this pid, in the store's sorted site order.
@@ -229,13 +225,11 @@ impl KaffeOs {
                 }
                 let _ = writeln!(
                     out,
-                    "  {leaf};{}\tallocs={} bytes={} died_young={} died_old={} tenured={}",
+                    "  {leaf};{}\tallocs={} bytes={} died={}",
                     self.class_tag_name(class),
                     s.allocs,
                     s.bytes,
-                    s.freed_minor,
-                    s.freed_full,
-                    s.tenured,
+                    s.freed,
                 );
             }
         }

@@ -61,7 +61,7 @@ pub mod sysno {
     /// (empty when profiling is disabled).
     pub const PROC_PROFILE: u16 = 21;
     /// `proc.heapinfo(pid) -> Str` — procfs-style heap layout text for one
-    /// process (pages, nursery split, entry/exit items, GC counts). Always
+    /// process (pages, entry/exit items, GC count). Always
     /// available; empty for an unknown pid.
     pub const PROC_HEAPINFO: u16 = 22;
     /// `proc.heapstats(pid) -> Str` — allocation/GC statistics for one

@@ -217,8 +217,6 @@ pub struct TenantStats {
     pub heap_objects_reaped: u64,
     /// Full collections run on this tenant's heaps (counted at reap).
     pub heap_gcs: u64,
-    /// Minor (nursery) collections on this tenant's heaps (at reap).
-    pub heap_minor_gcs: u64,
 }
 
 /// A spawn parked in the admission queue.

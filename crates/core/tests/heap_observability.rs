@@ -335,7 +335,27 @@ fn heap_procfs_syscalls_round_trip_from_guest() {
     let stdout = os.stdout(pid).join("\n");
     assert!(stdout.contains("pid:\t1"), "heapinfo pid line missing:\n{stdout}");
     assert!(stdout.contains("bytes_used:\t"), "heapinfo accounting missing:\n{stdout}");
-    assert!(stdout.contains("nursery_pages:\t"), "heapinfo layout missing:\n{stdout}");
+    // The first print is `proc.heapinfo`: pin its exact line list.
+    let heapinfo_keys: Vec<&str> = os.stdout(pid)[0]
+        .lines()
+        .map(|l| l.split('\t').next().unwrap_or(l))
+        .collect();
+    assert_eq!(
+        heapinfo_keys,
+        [
+            "pid:",
+            "heap:",
+            "label:",
+            "bytes_used:",
+            "objects:",
+            "pages:",
+            "entry_items:",
+            "exit_items:",
+            "gc_count:",
+            "frozen:",
+        ],
+        "heapinfo layout changed:\n{stdout}"
+    );
     assert!(stdout.contains("sites:"), "heapstats site table missing:\n{stdout}");
     assert!(stdout.contains("Main.main@b"), "heapstats lacks the allocating site:\n{stdout}");
     assert!(stdout.contains("allocs="), "heapstats lacks site counters:\n{stdout}");

@@ -12,9 +12,8 @@ use core::fmt;
 use kaffeos_memlimit::LimitAuditError;
 
 use crate::error::HeapError;
-use crate::heap::HeapKind;
 use crate::refs::{HeapId, ObjRef};
-use crate::space::{HeapSpace, PageState, PAGE_SHIFT, PAGE_SLOTS};
+use crate::space::{HeapSpace, PAGE_SHIFT, PAGE_SLOTS};
 
 /// Deterministic summary of a clean audit. Identical space states produce
 /// identical reports (plain counters, no addresses or timestamps), which the
@@ -121,17 +120,6 @@ pub enum SpaceAuditViolation {
         /// What went wrong.
         detail: &'static str,
     },
-    /// A remembered-set invariant broke: a mature→nursery edge is missing
-    /// from the remembered set, or a remembered source is not a live mature
-    /// object of its heap.
-    Remembered {
-        /// The heap whose remembered set is wrong.
-        heap: HeapId,
-        /// The source slot in question.
-        slot: u32,
-        /// What went wrong.
-        detail: &'static str,
-    },
 }
 
 impl fmt::Display for SpaceAuditViolation {
@@ -186,9 +174,6 @@ impl fmt::Display for SpaceAuditViolation {
             SpaceAuditViolation::AllocatorState { heap, detail } => {
                 write!(f, "heap {heap:?}: {detail}")
             }
-            SpaceAuditViolation::Remembered { heap, slot, detail } => {
-                write!(f, "heap {heap:?}: slot {slot}: {detail}")
-            }
         }
     }
 }
@@ -215,8 +200,7 @@ impl HeapSpace {
     /// 1. memlimit tree conservation ([`kaffeos_memlimit::MemLimitTree::audit`]);
     /// 2. per-heap object and byte counters match a recount of the heap's
     ///    pages, page/header ownership is consistent, per-page live-slot
-    ///    counters match a recount, and nursery pages appear only on user
-    ///    heaps;
+    ///    counters match a recount;
     /// 3. entry/exit conservation: every resolvable exit item has a remote
     ///    entry item, and every entry item's count equals the number of
     ///    exit items targeting it;
@@ -226,8 +210,7 @@ impl HeapSpace {
     ///    exactly one live heap (listed by it exactly once) or unowned,
     ///    empty and pooled exactly once — the full ownership-transition
     ///    story `open_page` / `merge_into_kernel` /
-    ///    [`HeapSpace::release_empty_pages`] / the minor collector's
-    ///    drained-nursery release maintain;
+    ///    [`HeapSpace::release_empty_pages`] maintain;
     /// 6. allocator state: each heap's bump cursor lies within a page it
     ///    owns, the cursor's unused tail is empty, and every recycled free
     ///    slot is an empty slot on a page the heap owns.
@@ -269,12 +252,6 @@ impl HeapSpace {
                         })
                     }
                     Some(_) => {}
-                }
-                if meta.state == PageState::Nursery && core.kind != HeapKind::User {
-                    return Err(SpaceAuditViolation::PageAccounting {
-                        page,
-                        detail: "nursery page on a non-user heap",
-                    });
                 }
                 let mut occupied = 0u32;
                 let start = (page * PAGE_SLOTS) as usize;
@@ -528,91 +505,5 @@ impl HeapSpace {
         }
 
         Ok(report)
-    }
-
-    /// Exhaustively verifies the generational invariants minor collections
-    /// rely on. O(space) — test support, not a production path:
-    ///
-    /// * every same-heap **mature→nursery** edge has its source slot in the
-    ///   heap's remembered set (the set may over-approximate, never under);
-    /// * every remembered source is a live mature object of its heap;
-    /// * nursery pages belong only to live user heaps.
-    ///
-    /// The nursery-soundness property tests run this after every minor
-    /// collection; a violation here means a later minor collection could
-    /// sweep a reachable young object.
-    pub fn check_nursery_invariants(&self) -> Result<(), SpaceAuditViolation> {
-        for (page, meta) in self.page_table.iter().enumerate() {
-            if meta.state != PageState::Nursery || meta.owner.is_none() {
-                continue;
-            }
-            let owner = meta.owner.expect("checked above");
-            let user = self.heap_alive(owner) && self.heap_core(owner).kind == HeapKind::User;
-            if !user {
-                return Err(SpaceAuditViolation::PageAccounting {
-                    page: page as u32,
-                    detail: "nursery page on a non-user heap",
-                });
-            }
-        }
-        let live: Vec<HeapId> = (0..self.heaps.len())
-            .filter_map(|i| {
-                let h = &self.heaps[i];
-                h.alive.then(|| h.id(i as u32))
-            })
-            .collect();
-        for &heap in &live {
-            let core = self.heap_core(heap);
-            for &page in &core.pages {
-                let meta = &self.page_table[page as usize];
-                if meta.state != PageState::Mature || meta.live == 0 {
-                    continue;
-                }
-                let start = page * PAGE_SLOTS;
-                for index in start..start + PAGE_SLOTS {
-                    let Some(obj) = self.slots[index as usize].obj.as_ref() else {
-                        continue;
-                    };
-                    let edge_into_nursery = obj.references().any(|t| {
-                        let m = &self.page_table[(t.index >> PAGE_SHIFT) as usize];
-                        m.state == PageState::Nursery && m.owner == Some(heap)
-                    });
-                    if edge_into_nursery && !core.remset.contains(&index) {
-                        return Err(SpaceAuditViolation::Remembered {
-                            heap,
-                            slot: index,
-                            detail: "mature→nursery edge missing from the remembered set",
-                        });
-                    }
-                }
-            }
-            for &src in &core.remset {
-                let meta = self.page_table.get((src >> PAGE_SHIFT) as usize);
-                let on_own_mature_page = meta
-                    .map(|m| m.owner == Some(heap) && m.state == PageState::Mature)
-                    .unwrap_or(false);
-                if !on_own_mature_page {
-                    return Err(SpaceAuditViolation::Remembered {
-                        heap,
-                        slot: src,
-                        detail: "remembered source is not on a mature page of its heap",
-                    });
-                }
-                let live_here = self
-                    .slots
-                    .get(src as usize)
-                    .and_then(|s| s.obj.as_ref())
-                    .map(|o| o.heap == heap)
-                    .unwrap_or(false);
-                if !live_here {
-                    return Err(SpaceAuditViolation::Remembered {
-                        heap,
-                        slot: src,
-                        detail: "remembered source is not a live object of its heap",
-                    });
-                }
-            }
-        }
-        Ok(())
     }
 }

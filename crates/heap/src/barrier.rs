@@ -6,13 +6,11 @@
 //! reclaimed, and to maintain entry/exit items for the legal cross-heap
 //! references. Illegal writes raise "segmentation violations".
 //!
-//! The same two choke points every reference store funnels through
-//! (`HeapSpace::store_ref`, and `store_ref_elided` for stores the static
-//! analyzer proved Local) also carry the **generational** hook: a same-heap
-//! mature→nursery store enrols the source slot in the heap's remembered
-//! set so minor collections need not scan mature pages. That hook is pure
-//! host bookkeeping — it charges none of the modelled cycles below and
-//! leaves every Table-1 number untouched.
+//! Every reference store funnels through one of two choke points:
+//! `HeapSpace::store_ref`, which runs the checks below, and
+//! `store_ref_elided` for stores the static analyzer proved same-heap.
+//! Both charge the same modelled cycles, so Table-1 numbers do not depend
+//! on elision.
 
 use crate::heap::HeapKind;
 use crate::layout::costs;

@@ -15,9 +15,8 @@
 //! * `space` — one header line: live heap count, page/slot totals, pool
 //!   size, barrier variant.
 //! * `heap` — per live heap: identity, accounting totals, sorted page
-//!   list, sorted remembered set, entry/exit item tables.
-//! * `page` — per owned page: owner, nursery/mature state, live count,
-//!   age.
+//!   list, entry/exit item tables.
+//! * `page` — per owned page: owner, live count.
 //! * `object` — per live object, in slot order: owner heap, class tag,
 //!   accounted bytes, payload shape, outgoing references.
 //! * `xedge` — per cross-heap reference, classified `may_cross` (into a
@@ -36,7 +35,7 @@
 use crate::heap::HeapKind;
 use crate::object::ObjData;
 use crate::refs::HeapId;
-use crate::space::{HeapSpace, PageState, PAGE_SHIFT};
+use crate::space::{HeapSpace, PAGE_SHIFT};
 
 /// Appends `s` as a JSON string literal (quotes + escapes) onto `out`.
 fn push_json_str(out: &mut String, s: &str) {
@@ -130,14 +129,13 @@ impl HeapSpace {
             out.push_str(&format!("{{\"type\":\"heap\",\"heap\":{i},\"label\":"));
             push_json_str(&mut out, &core.label);
             out.push_str(&format!(
-                ",\"kind\":\"{}\",\"owner\":{},\"bytes_used\":{},\"objects\":{},\"frozen\":{},\"gc_count\":{},\"minor_gcs\":{}",
+                ",\"kind\":\"{}\",\"owner\":{},\"bytes_used\":{},\"objects\":{},\"frozen\":{},\"gc_count\":{}",
                 kind_name(core.kind),
                 core.owner.0,
                 core.bytes_used,
                 core.objects,
                 core.frozen,
                 core.gc_count,
-                core.minor_gc_count,
             ));
             let mut pages = core.pages.clone();
             pages.sort_unstable();
@@ -147,16 +145,6 @@ impl HeapSpace {
                     out.push(',');
                 }
                 out.push_str(&p.to_string());
-            }
-            out.push(']');
-            let mut remset: Vec<u32> = core.remset.iter().copied().collect();
-            remset.sort_unstable();
-            out.push_str(",\"remset\":[");
-            for (n, s) in remset.iter().enumerate() {
-                if n > 0 {
-                    out.push(',');
-                }
-                out.push_str(&s.to_string());
             }
             out.push(']');
             out.push_str(",\"entries\":[");
@@ -184,15 +172,8 @@ impl HeapSpace {
         for (page, meta) in self.page_table.iter().enumerate() {
             let Some(owner) = meta.owner else { continue };
             out.push_str(&format!(
-                "{{\"type\":\"page\",\"page\":{},\"heap\":{},\"state\":\"{}\",\"live\":{},\"age\":{}}}\n",
-                page,
-                owner.index,
-                match meta.state {
-                    PageState::Nursery => "nursery",
-                    PageState::Mature => "mature",
-                },
-                meta.live,
-                meta.age,
+                "{{\"type\":\"page\",\"page\":{},\"heap\":{},\"live\":{}}}\n",
+                page, owner.index, meta.live,
             ));
         }
 
@@ -274,9 +255,99 @@ impl HeapSpace {
 
 #[cfg(test)]
 mod tests {
-    use crate::refs::ClassId;
+    use kaffeos_memlimit::Kind;
+
+    use crate::refs::{ClassId, ProcTag};
     use crate::space::{HeapSpace, SpaceConfig};
     use crate::value::Value;
+
+    /// Top-level keys of one hand-rolled JSON record, in order: strings at
+    /// object depth 1 that are followed by `:`. Nested objects and arrays
+    /// (entry/exit tables) are skipped.
+    fn top_keys(line: &str) -> Vec<String> {
+        let mut keys = Vec::new();
+        let mut depth = 0u32;
+        let mut chars = line.chars().peekable();
+        while let Some(c) = chars.next() {
+            match c {
+                '{' | '[' => depth += 1,
+                '}' | ']' => depth -= 1,
+                '"' => {
+                    let mut s = String::new();
+                    while let Some(c) = chars.next() {
+                        match c {
+                            '\\' => {
+                                chars.next();
+                            }
+                            '"' => break,
+                            c => s.push(c),
+                        }
+                    }
+                    if depth == 1 && chars.peek() == Some(&':') {
+                        keys.push(s);
+                    }
+                }
+                _ => {}
+            }
+        }
+        keys
+    }
+
+    #[test]
+    fn dump_record_key_sets_are_pinned() {
+        let mut space = HeapSpace::new(SpaceConfig::default());
+        let kernel = space.kernel_heap();
+        let root = space.root_memlimit();
+        let ml = space
+            .limits_mut()
+            .create_child(root, Kind::Soft, 1 << 20, "p1")
+            .unwrap();
+        let user = space.create_user_heap(ProcTag(1), ml, "p1");
+        let k = space.alloc_fields(kernel, ClassId(1), 1).unwrap();
+        let u = space.alloc_fields(user, ClassId(2), 1).unwrap();
+        // A trusted kernel→user store: an entry item, an exit item and an
+        // `xedge` record.
+        space.store_ref(k, 0, Value::Ref(u), true).unwrap();
+        let expected: &[(&str, &[&str])] = &[
+            ("space", &["type", "heaps", "pages", "pool_pages", "slots", "barrier"]),
+            (
+                "heap",
+                &[
+                    "type", "heap", "label", "kind", "owner", "bytes_used", "objects", "frozen",
+                    "gc_count", "pages", "entries", "exits",
+                ],
+            ),
+            ("page", &["type", "page", "heap", "live"]),
+            (
+                "object",
+                &[
+                    "type", "slot", "gen", "heap", "class", "bytes", "frozen", "shape", "len",
+                    "refs",
+                ],
+            ),
+            ("xedge", &["type", "src", "dst", "src_heap", "dst_heap", "class"]),
+            ("edges", &["type", "local", "may_cross", "shared_frozen"]),
+            ("recount", &["type", "heap", "live_bytes", "live_objects"]),
+        ];
+        let dump = space.dump_jsonl();
+        let mut seen = vec![false; expected.len()];
+        for line in dump.lines() {
+            let keys = top_keys(line);
+            let ty = line
+                .strip_prefix("{\"type\":\"")
+                .and_then(|rest| rest.split('"').next())
+                .unwrap();
+            let i = expected
+                .iter()
+                .position(|(name, _)| *name == ty)
+                .unwrap_or_else(|| panic!("unexpected record type {ty}: {line}"));
+            assert_eq!(keys, expected[i].1, "key set of a `{ty}` record: {line}");
+            seen[i] = true;
+        }
+        for (i, (name, _)) in expected.iter().enumerate() {
+            assert!(seen[i], "no `{name}` record in the dump:\n{dump}");
+        }
+    }
 
     #[test]
     fn dump_is_deterministic_and_reconciles() {

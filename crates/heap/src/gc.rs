@@ -13,13 +13,10 @@
 //! heap materialises an exit item so the referenced heap stays alive.
 
 use crate::error::HeapError;
-use crate::fxhash::FxHashSet;
 use crate::heap::HeapKind;
 use crate::layout::costs;
 use crate::refs::{HeapId, ObjRef, ProcTag};
-use crate::space::{
-    HeapSpace, PageMeta, PageState, PAGE_SHIFT, PAGE_SLOTS, PROMOTE_AGE, PROMOTE_MIN_LIVE,
-};
+use crate::space::{HeapSpace, PAGE_SHIFT, PAGE_SLOTS};
 
 /// Result of one collection of one heap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,43 +59,6 @@ pub struct GcScratch {
     slots: Vec<u32>,
     /// Dead exit items (phase 4).
     exits: Vec<ObjRef>,
-    /// Nursery page worklist (minor collections).
-    minor_pages: Vec<u32>,
-    /// Sorted remembered-set sources (minor collections).
-    remset_srcs: Vec<u32>,
-    /// Rebuilt remembered set, swapped into the heap core at the end of a
-    /// minor collection (the old set becomes next time's scratch).
-    remset_next: FxHashSet<u32>,
-}
-
-/// Result of one **minor** (nursery-only) collection of one user heap.
-///
-/// Minor collections are host-plane: they charge no modelled cycles, bump no
-/// `gc_count`, and emit no GC trace events — only the real memlimit credits
-/// for reclaimed bytes, exactly as if the objects had died in a full
-/// collection later. The modelled kernel never schedules one, so golden
-/// fixtures cannot observe them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MinorGcReport {
-    /// The collected heap.
-    pub heap: HeapId,
-    /// Nursery pages scanned.
-    pub nursery_pages: u64,
-    /// Nursery pages promoted to mature (old, dense pages whose long-lived
-    /// survivors are tenured in place).
-    pub pages_promoted: u64,
-    /// Drained nursery pages returned to the space's free-page pool, to
-    /// reopen later as fresh nursery pages.
-    pub pages_released: u64,
-    /// Objects reclaimed.
-    pub objects_freed: u64,
-    /// Bytes reclaimed (credited back to the heap's memlimit).
-    pub bytes_freed: u64,
-    /// Nursery objects that survived. Survivors are tenured only when their
-    /// page is promoted (old and dense); the rest stay in the nursery.
-    pub objects_live: u64,
-    /// Remembered-set sources scanned as roots.
-    pub remset_roots: u64,
 }
 
 /// Result of merging a heap into the kernel heap.
@@ -265,35 +225,10 @@ impl HeapSpace {
                     if let Some(dead) = dead {
                         self.payload_pool.recycle(dead.data);
                     }
-                    self.obs
-                        .heap
-                        .with(|h| h.record_free(index, kaffeos_trace::GcKind::Full));
+                    self.obs.heap.with(|h| h.record_free(index));
                 }
             }
             self.page_table[page as usize].live -= freed_on_page;
-        }
-        // Promotion: a full collection tenures the heap wholesale — every
-        // nursery page (including the current bump page) becomes mature, so
-        // the remembered set empties with nothing left to remember. Pure
-        // host-plane bookkeeping: no cycles, no *trace* events (the
-        // observability timeline, itself host-plane, does record the
-        // promotions and the survivors' tenure).
-        for &page in &pages {
-            let meta = &mut self.page_table[page as usize];
-            if meta.state != PageState::Nursery {
-                continue;
-            }
-            meta.state = PageState::Mature;
-            meta.age = 0;
-            self.obs.heap.with(|h| {
-                h.record_page_event(kaffeos_trace::PageEvent::Promote, page, heap.index);
-                let start = page * PAGE_SLOTS;
-                for index in start..start + PAGE_SLOTS {
-                    if self.slots[index as usize].obj.is_some() {
-                        h.record_tenure(index);
-                    }
-                }
-            });
         }
         {
             let core = self.heap_core_mut(heap);
@@ -302,7 +237,6 @@ impl HeapSpace {
             core.objects -= objects_freed;
             core.free_slots.extend(freed_slots.iter());
             core.gc_count += 1;
-            core.remset.clear();
         }
         if bytes_freed > 0 {
             if let Some(ml) = self.heap_core(heap).memlimit {
@@ -342,15 +276,9 @@ impl HeapSpace {
         self.obs
             .profile
             .with(|p| p.record_gc_pause(heap.index, cycles));
-        self.obs.heap.with(|h| {
-            h.record_gc(
-                heap.index,
-                kaffeos_trace::GcKind::Full,
-                bytes_freed,
-                objects_freed,
-                cycles,
-            )
-        });
+        self.obs
+            .heap
+            .with(|h| h.record_gc(heap.index, bytes_freed, objects_freed, cycles));
         self.record_heap_occupancy(heap);
         Ok(GcReport {
             heap,
@@ -378,356 +306,6 @@ impl HeapSpace {
         } else {
             debug_assert!(false, "marking stale ref {obj:?}");
         }
-    }
-
-    /// **Minor** collection of a user heap: scans only the heap's nursery
-    /// pages, seeded by caller roots, entry items, and the remembered set —
-    /// mature pages are never walked. After the sweep, drained nursery
-    /// pages are released to the free-page pool (to reopen as fresh nursery
-    /// pages), old dense pages are promoted to mature in place (page retag
-    /// — objects never move), and the rest stay nursery; the current bump
-    /// page is exempt and keeps feeding young allocations.
-    ///
-    /// §4.1's observation that separate kernel/user collection
-    /// "approximates a generational collector" is made literal here, one
-    /// level down: within a user heap, nursery pages are the young
-    /// generation and the remembered set plays the role entry items play
-    /// between heaps.
-    ///
-    /// Host-plane only: charges **zero modelled cycles**, emits no GC trace
-    /// events, records no pause, and bumps `minor_gc_count` rather than the
-    /// fixture-visible `gc_count`. Reclaimed bytes are really credited to
-    /// the memlimit — the objects are really dead, exactly as if they had
-    /// died in a later full collection. The modelled kernel never schedules
-    /// minor collections, so golden traces cannot observe one; every minor
-    /// collection is a strict prefix of what the next full collection would
-    /// have swept (the nursery-soundness tests assert minor+full ≡ full).
-    ///
-    /// Collecting the kernel or a shared heap is a no-op (they have no
-    /// nursery pages).
-    pub fn gc_minor(&mut self, heap: HeapId, roots: &[ObjRef]) -> Result<MinorGcReport, HeapError> {
-        let mut scratch = core::mem::take(&mut self.gc_scratch);
-        let result = self.gc_minor_with_scratch(heap, roots, &mut scratch);
-        self.gc_scratch = scratch;
-        result
-    }
-
-    fn gc_minor_with_scratch(
-        &mut self,
-        heap: HeapId,
-        roots: &[ObjRef],
-        scratch: &mut GcScratch,
-    ) -> Result<MinorGcReport, HeapError> {
-        self.check_heap(heap)?;
-
-        // Nursery worklist. Empty (kernel/shared heaps, or a user heap right
-        // after a full collection) means there is nothing to do.
-        scratch.minor_pages.clear();
-        {
-            let core = self.heap_core(heap);
-            scratch.minor_pages.extend(
-                core.pages
-                    .iter()
-                    .copied()
-                    .filter(|&p| self.page_table[p as usize].state == PageState::Nursery),
-            );
-        }
-        let nursery_pages = scratch.minor_pages.len() as u64;
-        if nursery_pages == 0 {
-            return Ok(MinorGcReport {
-                heap,
-                nursery_pages: 0,
-                pages_promoted: 0,
-                pages_released: 0,
-                objects_freed: 0,
-                bytes_freed: 0,
-                objects_live: 0,
-                remset_roots: 0,
-            });
-        }
-
-        // Seed 1: caller roots that land on a nursery page of this heap.
-        // Sorted for determinism, like the full collector.
-        scratch.roots.clear();
-        scratch.roots.extend_from_slice(roots);
-        scratch.roots.sort_unstable();
-        scratch.mark_stack.clear();
-        for i in 0..scratch.roots.len() {
-            let root = scratch.roots[i];
-            if self.get(root).is_err() {
-                debug_assert!(false, "stale GC root {root:?}");
-                continue;
-            }
-            if self.page_is_young(root.index, heap) {
-                self.mark_push(root, &mut scratch.mark_stack);
-            }
-        }
-
-        // Seed 2: entry items — cross-heap references into the nursery were
-        // shadowed with an entry item by the write barrier, so they are
-        // roots here just as in a full collection.
-        scratch.slots.clear();
-        scratch.slots.extend(
-            self.heap_core(heap)
-                .entries
-                .iter()
-                .filter(|(_, e)| e.refs > 0)
-                .map(|(&slot, _)| slot),
-        );
-        for i in 0..scratch.slots.len() {
-            let slot_index = scratch.slots[i];
-            if !self.page_is_young(slot_index, heap) {
-                continue;
-            }
-            let generation = self.slots[slot_index as usize].generation;
-            self.mark_push(
-                ObjRef {
-                    index: slot_index,
-                    generation,
-                },
-                &mut scratch.mark_stack,
-            );
-        }
-
-        // Seed 3: remembered set — same-heap mature objects the barrier saw
-        // store a reference to a nursery object. Their nursery referents are
-        // roots; the mature sources themselves are not marked (mature pages
-        // are not collected). Sorted for determinism.
-        scratch.remset_srcs.clear();
-        scratch
-            .remset_srcs
-            .extend(self.heap_core(heap).remset.iter().copied());
-        scratch.remset_srcs.sort_unstable();
-        let remset_roots = scratch.remset_srcs.len() as u64;
-        for i in 0..scratch.remset_srcs.len() {
-            let src = scratch.remset_srcs[i];
-            let Some(obj) = self.slots[src as usize].obj.as_ref() else {
-                debug_assert!(false, "remembered-set source {src} is not live");
-                continue;
-            };
-            debug_assert_eq!(obj.heap, heap, "remembered-set source on wrong heap");
-            scratch.refs.clear();
-            scratch.refs.extend(obj.references());
-            for j in 0..scratch.refs.len() {
-                let target = scratch.refs[j];
-                if self.page_is_young(target.index, heap) {
-                    self.mark_push(target, &mut scratch.mark_stack);
-                }
-            }
-        }
-
-        // Trace within the nursery. References out of it — to mature pages,
-        // other heaps, anywhere — are not followed: those targets are not
-        // being collected.
-        while let Some(obj) = scratch.mark_stack.pop() {
-            scratch.refs.clear();
-            scratch.refs.extend(self.get(obj)?.references());
-            for i in 0..scratch.refs.len() {
-                let target = scratch.refs[i];
-                if self.page_is_young(target.index, heap) {
-                    self.mark_push(target, &mut scratch.mark_stack);
-                }
-            }
-        }
-
-        // Sweep the nursery pages only.
-        let mut objects_freed = 0u64;
-        let mut bytes_freed = 0u64;
-        let mut objects_live = 0u64;
-        scratch.slots.clear();
-        for pi in 0..scratch.minor_pages.len() {
-            let page = scratch.minor_pages[pi];
-            if self.page_table[page as usize].live == 0 {
-                continue;
-            }
-            let start = page * PAGE_SLOTS;
-            let mut freed_on_page = 0u32;
-            for index in start..start + PAGE_SLOTS {
-                let slot = &mut self.slots[index as usize];
-                let Some(obj) = slot.obj.as_mut() else { continue };
-                if obj.marked {
-                    obj.marked = false;
-                    objects_live += 1;
-                } else {
-                    bytes_freed += obj.bytes as u64;
-                    objects_freed += 1;
-                    freed_on_page += 1;
-                    slot.generation = slot.generation.wrapping_add(1);
-                    let dead = slot.obj.take();
-                    scratch.slots.push(index);
-                    if let Some(dead) = dead {
-                        self.payload_pool.recycle(dead.data);
-                    }
-                    self.obs
-                        .heap
-                        .with(|h| h.record_free(index, kaffeos_trace::GcKind::Minor));
-                }
-            }
-            self.page_table[page as usize].live -= freed_on_page;
-        }
-        {
-            let core = self.heap_core_mut(heap);
-            core.bytes_used -= bytes_freed;
-            core.objects -= objects_freed;
-            core.minor_gc_count += 1;
-        }
-        if bytes_freed > 0 {
-            if let Some(ml) = self.heap_core(heap).memlimit {
-                self.limits.credit(ml, bytes_freed).map_err(|_| {
-                    HeapError::Internal("swept bytes were not debited at allocation")
-                })?;
-            }
-        }
-
-        // Decide each swept page's fate — except the current bump page,
-        // which keeps feeding young allocations:
-        //
-        // * **drained** (no survivors): released to the space's free-page
-        //   pool, to reopen later as a fresh nursery page. Its slot indices
-        //   must not reach the heap's free list — recycling individual dead
-        //   slots would quietly tenure young allocations once the page is
-        //   mature, which is exactly the failure mode page-granular reuse
-        //   exists to avoid.
-        // * **old and dense** (survived `PROMOTE_AGE` minor collections
-        //   still holding `PROMOTE_MIN_LIVE`+ objects): promoted to mature
-        //   in place, so its long-lived residents stop being re-marked.
-        //   Promotion creates mature→nursery edges the write barrier never
-        //   saw (a promoted survivor's references into a still-nursery
-        //   page), so promoted pages are scanned into the rebuilt
-        //   remembered set below; skipping that scan is exactly the
-        //   soundness hole `check_nursery_invariants` exists to catch.
-        // * otherwise: stays nursery. Sparse straggler pages are cheap to
-        //   re-scan, likely to drain next time, and keeping them young
-        //   means their recycled slots host young objects again.
-        let bump_page = self.heap_core(heap).bump_page();
-        let mut pages_promoted = 0u64;
-        let mut pages_released = 0u64;
-        for pi in 0..scratch.minor_pages.len() {
-            let page = scratch.minor_pages[pi];
-            if Some(page) == bump_page {
-                continue;
-            }
-            let meta = &mut self.page_table[page as usize];
-            if meta.live == 0 {
-                *meta = PageMeta {
-                    owner: None,
-                    state: PageState::Mature,
-                    live: 0,
-                    age: 0,
-                };
-                self.free_pages.push(page);
-                pages_released += 1;
-                self.obs.heap.with(|h| {
-                    h.record_page_event(kaffeos_trace::PageEvent::Release, page, heap.index)
-                });
-            } else {
-                meta.age = meta.age.saturating_add(1);
-                let promote = meta.age >= PROMOTE_AGE && meta.live >= PROMOTE_MIN_LIVE;
-                if promote {
-                    meta.state = PageState::Mature;
-                    meta.age = 0;
-                    pages_promoted += 1;
-                }
-                if promote {
-                    self.obs.heap.with(|h| {
-                        h.record_page_event(kaffeos_trace::PageEvent::Promote, page, heap.index);
-                        let start = page * PAGE_SLOTS;
-                        for index in start..start + PAGE_SLOTS {
-                            if self.slots[index as usize].obj.is_some() {
-                                h.record_tenure(index);
-                            }
-                        }
-                    });
-                }
-            }
-        }
-
-        // Merge this sweep's freed slots into the heap's free list, and (if
-        // pages were released) drop every index — pre-existing or freshly
-        // freed — that lives on a now-unowned page.
-        if pages_released > 0 {
-            let mut free_slots = core::mem::take(&mut self.heap_core_mut(heap).free_slots);
-            free_slots.retain(|&s| self.page_table[(s >> PAGE_SHIFT) as usize].owner.is_some());
-            let mut pages = core::mem::take(&mut self.heap_core_mut(heap).pages);
-            pages.retain(|&p| self.page_table[p as usize].owner == Some(heap));
-            let core = self.heap_core_mut(heap);
-            core.free_slots = free_slots;
-            core.pages = pages;
-            scratch
-                .slots
-                .retain(|&s| self.page_table[(s >> PAGE_SHIFT) as usize].owner.is_some());
-        }
-        self.heap_core_mut(heap)
-            .free_slots
-            .extend(scratch.slots.iter());
-
-        // Rebuild the remembered set against the *new* page states: keep
-        // old sources that still hold an edge into a (still-)nursery page,
-        // add promoted survivors that do.
-        scratch.remset_next.clear();
-        for i in 0..scratch.remset_srcs.len() {
-            let src = scratch.remset_srcs[i];
-            let Some(obj) = self.slots[src as usize].obj.as_ref() else {
-                continue;
-            };
-            if obj
-                .references()
-                .any(|t| self.page_is_young(t.index, heap))
-            {
-                scratch.remset_next.insert(src);
-            }
-        }
-        for pi in 0..scratch.minor_pages.len() {
-            let page = scratch.minor_pages[pi];
-            // Only pages promoted *this* cycle: still-nursery pages hold no
-            // remset candidates (their edges are traced by the next minor
-            // mark), and released pages hold no objects at all.
-            let meta = &self.page_table[page as usize];
-            if meta.state != PageState::Mature || meta.live == 0 {
-                continue;
-            }
-            let start = page * PAGE_SLOTS;
-            for index in start..start + PAGE_SLOTS {
-                let Some(obj) = self.slots[index as usize].obj.as_ref() else {
-                    continue;
-                };
-                if obj
-                    .references()
-                    .any(|t| self.page_is_young(t.index, heap))
-                {
-                    scratch.remset_next.insert(index);
-                }
-            }
-        }
-        core::mem::swap(&mut self.heap_core_mut(heap).remset, &mut scratch.remset_next);
-
-        self.obs.heap.with(|h| {
-            h.record_gc(
-                heap.index,
-                kaffeos_trace::GcKind::Minor,
-                bytes_freed,
-                objects_freed,
-                0,
-            )
-        });
-        self.record_heap_occupancy(heap);
-        Ok(MinorGcReport {
-            heap,
-            nursery_pages,
-            pages_promoted,
-            pages_released,
-            objects_freed,
-            bytes_freed,
-            objects_live,
-            remset_roots,
-        })
-    }
-
-    /// True if `index` sits on a nursery page owned by `heap`.
-    #[inline]
-    fn page_is_young(&self, index: u32, heap: HeapId) -> bool {
-        let meta = &self.page_table[(index >> PAGE_SHIFT) as usize];
-        meta.state == PageState::Nursery && meta.owner == Some(heap)
     }
 
     /// Removes `heap`'s exit item for `target`, decrementing the remote
@@ -792,14 +370,11 @@ impl HeapSpace {
             })?;
         }
 
-        // 2. Retag pages (ownership *and* generation state — merged pages
-        //    are kernel pages, and the kernel has no nursery) and object
-        //    headers onto the kernel heap. Wholly-empty pages carry no
-        //    headers to retag.
+        // 2. Retag pages and object headers onto the kernel heap.
+        //    Wholly-empty pages carry no headers to retag.
         for &page in &pages {
             let meta = &mut self.page_table[page as usize];
             meta.owner = Some(kernel);
-            meta.state = PageState::Mature;
             let live = meta.live;
             self.obs
                 .heap
@@ -930,7 +505,6 @@ impl HeapSpace {
         core.free_slots.clear();
         core.bump = 0;
         core.bump_end = 0;
-        core.remset.clear();
         core.bytes_used = 0;
         core.objects = 0;
         core.memlimit = None;

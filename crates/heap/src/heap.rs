@@ -2,7 +2,6 @@ use std::collections::BTreeMap;
 
 use kaffeos_memlimit::MemLimitId;
 
-use crate::fxhash::FxHashSet;
 use crate::refs::{HeapId, ObjRef, ProcTag};
 
 /// The three heap roles of Figure 2.
@@ -66,12 +65,6 @@ pub(crate) struct HeapCore {
     pub bump: u32,
     /// One past the last slot of the current bump page.
     pub bump_end: u32,
-    /// Remembered set for minor collections: slot indices of *mature*
-    /// objects of this heap holding at least one reference to a *nursery*
-    /// object of this heap. Maintained by the write-barrier choke points on
-    /// the host plane; rebuilt (filtered + extended by promotion scans) at
-    /// each minor collection and cleared by full collections and merge.
-    pub remset: FxHashSet<u32>,
     /// Accounted bytes currently allocated.
     pub bytes_used: u64,
     /// Live object count (including unreachable-but-unswept).
@@ -84,10 +77,6 @@ pub(crate) struct HeapCore {
     pub frozen: bool,
     /// Monotonic count of collections run on this heap.
     pub gc_count: u64,
-    /// Monotonic count of *minor* (nursery-only) collections. Kept separate
-    /// from `gc_count`, which golden fixtures observe: minor collections are
-    /// host-plane and must not move any virtual number.
-    pub minor_gc_count: u64,
 }
 
 impl HeapCore {
@@ -138,10 +127,4 @@ pub struct HeapSnapshot {
     pub frozen: bool,
     /// Collections run on this heap.
     pub gc_count: u64,
-    /// Minor (nursery-only) collections run on this heap.
-    pub minor_gcs: u64,
-    /// Pages currently in nursery state (always 0 for kernel/shared heaps).
-    pub nursery_pages: usize,
-    /// Slot indices currently in the heap's remembered set.
-    pub remset_size: usize,
 }

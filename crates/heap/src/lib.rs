@@ -45,13 +45,13 @@ pub use audit::{SpaceAuditReport, SpaceAuditViolation};
 pub use dump::HeapRecount;
 pub use barrier::{BarrierKind, BarrierStats, SegViolationKind};
 pub use error::HeapError;
-pub use fxhash::{FxHashMap, FxHashSet, FxHasher};
-pub use gc::{GcReport, MergeReport, MinorGcReport};
+pub use fxhash::{FxHashMap, FxHasher};
+pub use gc::{GcReport, MergeReport};
 pub use heap::{HeapKind, HeapSnapshot};
 pub use layout::{costs, SizeModel};
 pub use object::{ObjData, Object};
 pub use refs::{ClassId, HeapId, ObjRef, ProcTag};
-pub use space::{AllocFault, HeapSpace, PageState, SpaceConfig};
+pub use space::{AllocFault, HeapSpace, SpaceConfig};
 pub use value::Value;
 
 #[cfg(test)]

@@ -22,62 +22,24 @@ pub(crate) struct Slot {
     pub obj: Option<Object>,
 }
 
-/// Generational tag of a page.
-///
-/// User-heap pages open as **nursery** pages: bump allocation fills them
-/// with young objects, and a minor collection ([`HeapSpace::gc_minor`])
-/// scans only nursery pages plus the heap's remembered set. Objects never
-/// move (an `ObjRef` is an identity), so generations are page-granular and
-/// promotion is a page retag — exactly like the paper's merge-by-retag,
-/// one level down. After a minor sweep a nursery page either **drains**
-/// (no survivors: it is released to the free-page pool and will reopen as
-/// a fresh nursery page), **promotes** (it survived [`PROMOTE_AGE`] minor
-/// collections still holding at least [`PROMOTE_MIN_LIVE`] objects: its
-/// residents are long-lived, stop re-scanning them), or stays nursery
-/// (sparse stragglers keep cycling young, so their recycled slots keep
-/// hosting young objects). Kernel and shared heaps have no nursery: their
-/// pages open mature, and a full collection tenures a user heap wholesale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PageState {
-    /// Young objects; collected by minor collections.
-    Nursery,
-    /// Tenured objects; collected only by full collections.
-    Mature,
-}
-
-/// A nursery page promotes once it has survived this many minor
-/// collections…
-pub(crate) const PROMOTE_AGE: u8 = 2;
-/// …while still holding at least this many live objects. Sparser pages
-/// stay nursery: they are cheap to re-scan, likely to drain entirely, and
-/// keeping them young means their recycled slots host young objects again
-/// instead of quietly tenuring fresh allocations.
-pub(crate) const PROMOTE_MIN_LIVE: u32 = 64;
-
 /// Per-page bookkeeping in the space-wide page table.
 ///
 /// Ownership transitions are explicit and audited: a page is **unowned**
 /// (`owner == None`) only while it sits in the space's free-page pool; it
 /// is owned by exactly one heap otherwise. Pages change owner in exactly
-/// four places — fresh/pooled page claim in `open_page`, wholesale retag to
-/// the kernel in `merge_into_kernel`, explicit release via
-/// [`HeapSpace::release_empty_pages`], and drained-nursery release inside
-/// [`HeapSpace::gc_minor`] — and the audit's page-ownership recount checks
-/// both directions (owned pages are listed by their owner exactly once,
-/// unowned pages by nobody and pooled exactly once).
+/// three places — fresh/pooled page claim in `open_page`, wholesale retag
+/// to the kernel in `merge_into_kernel`, and explicit release via
+/// [`HeapSpace::release_empty_pages`] — and the audit's page-ownership
+/// recount checks both directions (owned pages are listed by their owner
+/// exactly once, unowned pages by nobody and pooled exactly once).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PageMeta {
     /// Owning heap, or `None` for a page in the free-page pool.
     pub owner: Option<HeapId>,
-    /// Nursery or mature (meaningful only while owned).
-    pub state: PageState,
     /// Occupied slots on this page. Maintained at allocation and sweep so
     /// collectors and `freeze_shared` can skip wholly-empty pages on the
     /// host while charging the unchanged per-slot cycle model arithmetically.
     pub live: u32,
-    /// Minor collections this page has survived with residents (nursery
-    /// pages only; promotion input).
-    pub age: u8,
 }
 
 /// Size-class free lists for object payload buffers (the MallocKit/ExVM
@@ -166,12 +128,10 @@ impl Default for SpaceConfig {
 #[derive(Debug)]
 pub struct HeapSpace {
     pub(crate) slots: Vec<Slot>,
-    /// Page index → ownership, nursery/mature state and occupancy. A page's
-    /// owner really can be `None` now: [`HeapSpace::release_empty_pages`]
-    /// returns empty pages to `free_pages`, where they sit unowned until
-    /// `open_page` hands them to another heap (this corrects the old
-    /// "never happens today" claim — see [`PageMeta`] for the audited
-    /// transition set).
+    /// Page index → ownership and occupancy. A page's owner is `None`
+    /// while it sits in `free_pages`, where [`HeapSpace::release_empty_pages`]
+    /// puts it until `open_page` hands it to another heap (see [`PageMeta`]
+    /// for the audited transition set).
     pub(crate) page_table: Vec<PageMeta>,
     /// Unowned pages available for reuse by any heap (LIFO).
     pub(crate) free_pages: Vec<u32>,
@@ -228,14 +188,12 @@ impl HeapSpace {
             free_slots: Vec::new(),
             bump: 0,
             bump_end: 0,
-            remset: crate::fxhash::FxHashSet::default(),
             bytes_used: 0,
             objects: 0,
             entries: BTreeMap::new(),
             exits: BTreeMap::new(),
             frozen: false,
             gc_count: 0,
-            minor_gc_count: 0,
         };
         HeapSpace {
             slots: Vec::new(),
@@ -377,14 +335,12 @@ impl HeapSpace {
             free_slots: Vec::new(),
             bump: 0,
             bump_end: 0,
-            remset: crate::fxhash::FxHashSet::default(),
             bytes_used: 0,
             objects: 0,
             entries: BTreeMap::new(),
             exits: BTreeMap::new(),
             frozen: false,
             gc_count: 0,
-            minor_gc_count: 0,
         };
         // Reuse a dead heap slot if any (generation already bumped at death).
         if let Some(index) = self.heaps.iter().position(|h| !h.alive) {
@@ -469,13 +425,6 @@ impl HeapSpace {
             exit_items: core.exits.len(),
             frozen: core.frozen,
             gc_count: core.gc_count,
-            minor_gcs: core.minor_gc_count,
-            nursery_pages: core
-                .pages
-                .iter()
-                .filter(|&&p| self.page_table[p as usize].state == PageState::Nursery)
-                .count(),
-            remset_size: core.remset.len(),
         })
     }
 
@@ -661,21 +610,13 @@ impl HeapSpace {
 
     /// Opens a new bump page for `heap` — reusing an unowned page from the
     /// free-page pool if available, growing the global slot table otherwise
-    /// — and hands out its first slot. User-heap pages open as nursery
-    /// pages; kernel and shared heaps allocate mature directly.
+    /// — and hands out its first slot.
     fn open_page(&mut self, heap: HeapId) -> u32 {
-        let state = if self.heap_core(heap).kind == HeapKind::User {
-            PageState::Nursery
-        } else {
-            PageState::Mature
-        };
         let page = if let Some(page) = self.free_pages.pop() {
             let meta = &mut self.page_table[page as usize];
             debug_assert!(meta.owner.is_none(), "pooled page still owned");
             debug_assert_eq!(meta.live, 0, "pooled page not empty");
             meta.owner = Some(heap);
-            meta.state = state;
-            meta.age = 0;
             page
         } else {
             let page = self.page_table.len() as u32;
@@ -683,9 +624,7 @@ impl HeapSpace {
             self.slots.extend((0..PAGE_SLOTS).map(|_| Slot::default()));
             self.page_table.push(PageMeta {
                 owner: Some(heap),
-                state,
                 live: 0,
-                age: 0,
             });
             page
         };
@@ -720,12 +659,7 @@ impl HeapSpace {
         for page in pages {
             let releasable = self.page_table[page as usize].live == 0 && Some(page) != bump_page;
             if releasable {
-                self.page_table[page as usize] = PageMeta {
-                    owner: None,
-                    state: PageState::Mature,
-                    live: 0,
-                    age: 0,
-                };
+                self.page_table[page as usize].owner = None;
                 self.free_pages.push(page);
                 self.obs.heap.with(|h| {
                     h.record_page_event(kaffeos_trace::PageEvent::Release, page, heap.index)
@@ -922,7 +856,6 @@ impl HeapSpace {
         *slots
             .get_mut(index)
             .ok_or(HeapError::IndexOutOfBounds { obj, index, len })? = val;
-        self.note_store(obj, val);
         Ok(cycles)
     }
 
@@ -975,40 +908,7 @@ impl HeapSpace {
         *slots
             .get_mut(index)
             .ok_or(HeapError::IndexOutOfBounds { obj, index, len })? = val;
-        self.note_store(obj, val);
         Ok(cycles)
-    }
-
-    /// Generational hook shared by the write-barrier choke points
-    /// ([`store_ref`] and [`store_ref_elided`] — the analyzer's proven-Local
-    /// stores funnel through the latter). When a
-    /// *mature* object of a user heap comes to reference a *nursery* object
-    /// of the **same** heap, the source slot joins the heap's remembered
-    /// set; minor collections then treat it as a scan root instead of
-    /// walking mature pages. Cross-heap references into a nursery are
-    /// already covered: they create entry items, which minor collections
-    /// use as roots.
-    ///
-    /// Host-plane only: charges no modelled cycles and emits no trace
-    /// events, so the virtual cost model cannot see it.
-    ///
-    /// [`store_ref`]: HeapSpace::store_ref
-    /// [`store_ref_elided`]: HeapSpace::store_ref_elided
-    #[inline]
-    fn note_store(&mut self, obj: ObjRef, val: Value) {
-        let Value::Ref(target) = val else { return };
-        let src = self.page_table[(obj.index >> PAGE_SHIFT) as usize];
-        let Some(dst) = self.page_table.get((target.index >> PAGE_SHIFT) as usize) else {
-            return;
-        };
-        if src.state == PageState::Mature
-            && dst.state == PageState::Nursery
-            && src.owner == dst.owner
-        {
-            if let Some(owner) = src.owner {
-                self.heaps[owner.index as usize].remset.insert(obj.index);
-            }
-        }
     }
 
     /// Ensures `src` holds an exit item for `target` (which lives on `dst`),
@@ -1153,24 +1053,15 @@ impl HeapSpace {
 
     // ----- internals shared with gc.rs -------------------------------------
 
-    /// Samples `heap`'s live page-state occupancy into the observability
-    /// timeline (nursery/mature page split, free-pool depth, live bytes and
-    /// objects). Host plane; no-op when the plane is disabled.
+    /// Samples `heap`'s occupancy into the observability timeline (owned
+    /// pages, free-pool depth, live bytes and objects). Host plane; no-op
+    /// when the plane is disabled.
     pub(crate) fn record_heap_occupancy(&self, heap: HeapId) {
         self.obs.heap.with(|h| {
             let core = self.heap_core(heap);
-            let mut nursery = 0u32;
-            let mut mature = 0u32;
-            for &page in &core.pages {
-                match self.page_table[page as usize].state {
-                    PageState::Nursery => nursery += 1,
-                    PageState::Mature => mature += 1,
-                }
-            }
             h.record_occupancy(
                 heap.index,
-                nursery,
-                mature,
+                core.pages.len() as u32,
                 self.free_pages.len() as u32,
                 core.bytes_used,
                 core.objects,

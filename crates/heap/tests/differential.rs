@@ -1,27 +1,26 @@
-//! Differential heap oracle: the paged bump allocator + nursery collector
-//! versus a naive flat-map reference model.
+//! Differential heap oracle: the paged bump allocator and per-heap
+//! mark-and-sweep collector versus a naive flat-map reference model.
 //!
 //! A seeded op-fuzzer drives the real [`HeapSpace`] and a deliberately
 //! simple reference model through the same operation sequence — allocation
 //! (with armed fault injection), reference/primitive stores across the
-//! Figure-2 legality matrix, full and minor collections, page release, and
-//! merge-into-kernel. The model knows nothing about pages, bump pointers,
-//! free lists, nurseries or remembered sets: it is a flat map of live
-//! objects plus naive entry/exit arithmetic and a mirrored memlimit. Any
-//! behavioural difference the paged allocator introduces — a slot recycled
-//! too early, a nursery sweep freeing a reachable object, a failed
-//! allocation mutating state, an entry item leaking across a merge — shows
-//! up as a divergence.
+//! Figure-2 legality matrix, full collections, page release, and
+//! merge-into-kernel. The model knows nothing about pages, bump pointers or
+//! free lists: it is a flat map of live objects plus naive entry/exit
+//! arithmetic and a mirrored memlimit. Any behavioural difference the paged
+//! allocator introduces — a slot recycled too early, a failed allocation
+//! mutating state, an entry item leaking across a merge — shows up as a
+//! divergence.
 //!
 //! Asserted per operation: identical error values (compared structurally
-//! via `Debug`, including `LimitExceeded` payloads), and — after minor
-//! collections — that every object the model would keep in a *full*
-//! collection still resolves with identical field values (a minor
-//! collection may only free a subset of what a full collection would).
-//! Asserted at each case's end, after full collections of every live heap:
-//! identical live sets (every model object resolves, field by field),
-//! `bytes_used`, object counts, entry/exit item counts, memlimit balances,
-//! and fault-fire counts; plus a clean space audit and nursery invariants.
+//! via `Debug`, including `LimitExceeded` payloads), and a clean space
+//! audit after every collection, page release and merge. Asserted at each
+//! case's end, after full collections of every live heap: identical live
+//! sets (every model object resolves, field by field), `bytes_used`, object
+//! counts, entry/exit item counts, memlimit balances, fault-fire counts,
+//! and a clean space audit. Each test also asserts that every op arm of the
+//! fuzzer fired at least once across its seeds, so renumbering the op table
+//! cannot silently drop an operation.
 //!
 //! Seeds replay exactly; a failure prints its seed. `DIFFERENTIAL_SEEDS`
 //! overrides the seed count (CI smoke uses 4; the default exceeds the
@@ -100,8 +99,7 @@ struct MHeap {
     /// Entry items: target -> (refs, accounted). The real table keys by
     /// slot index, but at any instant a slot has one live generation and
     /// entry items always reference live objects, so keying by `ObjRef` is
-    /// equivalent — and unambiguous once minor collections recycle slots
-    /// the model still remembers as garbage.
+    /// equivalent.
     entries: HashMap<ObjRef, (u64, bool)>,
     /// Mirrored hard memlimit: (current, limit). `None` for the kernel.
     ml: Option<(u64, u64)>,
@@ -458,46 +456,6 @@ impl Fixture {
         assert_eq!(real_err, model_err, "seed {seed:#x}: {op} diverged");
     }
 
-    /// Every object the model would keep in a *full* collection of heap `h`
-    /// must still resolve with identical field values. Run after minor
-    /// collections: a minor collection may free less than a full one, never
-    /// more, and must never corrupt a survivor.
-    fn assert_reachable_preserved(&self, seed: u64, h: usize) {
-        let (marked, _) = self.model.mark(h, &self.roots[h]);
-        for r in marked {
-            self.assert_object_matches(seed, r);
-        }
-    }
-
-    /// After a minor collection of heap `h`, removes from the model every
-    /// object the collection really freed — asserting each one was
-    /// unreachable in the model (a minor collection must free a *subset* of
-    /// what a full collection would) — and mirrors the memlimit credit, so
-    /// the model's OOM arithmetic stays exact between synchronisations.
-    fn prune_after_minor(&mut self, seed: u64, h: usize) {
-        let (marked, _) = self.model.mark(h, &self.roots[h]);
-        let marked: HashMap<ObjRef, ()> = marked.into_iter().map(|r| (r, ())).collect();
-        let freed: Vec<ObjRef> = self
-            .model
-            .objects
-            .iter()
-            .filter(|(r, o)| o.heap == h && self.space.get(**r).is_err())
-            .map(|(&r, _)| r)
-            .collect();
-        for r in freed {
-            assert!(
-                !marked.contains_key(&r),
-                "seed {seed:#x}: minor collection freed model-reachable {r:?}"
-            );
-            let obj = self.model.objects.remove(&r).expect("just listed");
-            self.model.heaps[h].bytes -= obj.bytes;
-            self.model.heaps[h].objects -= 1;
-            if let Some((current, limit)) = self.model.heaps[h].ml {
-                self.model.heaps[h].ml = Some((current - obj.bytes, limit));
-            }
-        }
-    }
-
     fn assert_object_matches(&self, seed: u64, r: ObjRef) {
         let model_obj = &self.model.objects[&r];
         let real = self
@@ -534,9 +492,6 @@ impl Fixture {
     fn audit_clean(&self, seed: u64) {
         if let Err(v) = self.space.audit() {
             panic!("seed {seed:#x}: space audit violation: {v}");
-        }
-        if let Err(v) = self.space.check_nursery_invariants() {
-            panic!("seed {seed:#x}: nursery invariant violation: {v}");
         }
     }
 
@@ -595,12 +550,54 @@ impl Fixture {
 
 // ----- the fuzzer -----------------------------------------------------------
 
-fn run_case(seed: u64, arm_faults: bool) -> u64 {
+/// The fuzzer's op arms, in op-table order; `run_case` counts how often
+/// each one really ran (an arm that `continue`s on a dead heap or an empty
+/// root set does not count).
+const ARMS: [&str; 9] = [
+    "alloc",
+    "store_ref",
+    "store_null",
+    "store_prim",
+    "drop_root",
+    "full_gc",
+    "release_pages",
+    "arm_fault",
+    "merge",
+];
+
+/// What one case did: per-arm hit counts (indexed like [`ARMS`]) and the
+/// injected allocation faults that fired.
+#[derive(Default)]
+struct CaseStats {
+    hits: [u64; ARMS.len()],
+    faults_fired: u64,
+}
+
+impl CaseStats {
+    fn add(&mut self, other: &CaseStats) {
+        for (a, b) in self.hits.iter_mut().zip(other.hits) {
+            *a += b;
+        }
+        self.faults_fired += other.faults_fired;
+    }
+
+    /// Asserts every arm fired, except those named in `unreachable`.
+    fn assert_arms_fired(&self, unreachable: &[&str]) {
+        for (name, &hits) in ARMS.iter().zip(&self.hits) {
+            if !unreachable.contains(name) {
+                assert!(hits > 0, "op arm `{name}` never fired across the seeds");
+            }
+        }
+    }
+}
+
+fn run_case(seed: u64, arm_faults: bool) -> CaseStats {
     let mut rng = Rng(seed);
     let mut f = fixture();
+    let mut stats = CaseStats::default();
     let nops = 800 + rng.below(800);
     for _ in 0..nops {
-        match rng.below(20) {
+        match rng.below(19) {
             // Allocation (fields, occasionally a string), any heap.
             0..=6 => {
                 let h = rng.below(NPROCS + 1);
@@ -609,6 +606,7 @@ fn run_case(seed: u64, arm_faults: bool) -> u64 {
                 }
                 let heap = f.heaps[h];
                 let ml_id = f.ml_id(h);
+                stats.hits[0] += 1;
                 if rng.below(10) == 0 {
                     let bytes = HEADER + 4 + 2 * 3; // "abc"
                     let real = f.space.alloc_str(heap, CLS, "abc");
@@ -663,6 +661,7 @@ fn run_case(seed: u64, arm_faults: bool) -> u64 {
                 let dst = f.roots[dh][rng.below(f.roots[dh].len())];
                 let index = rng.below(6); // may be out of bounds on purpose
                 let trusted = sh == NPROCS;
+                stats.hits[1] += 1;
                 let real = f.space.store_ref(src, index, Value::Ref(dst), trusted);
                 let model = f.model_store_ref(sh, dh, src, dst, index, trusted);
                 Fixture::assert_same_err(seed, "store_ref", &real, &model);
@@ -675,6 +674,7 @@ fn run_case(seed: u64, arm_faults: bool) -> u64 {
                 }
                 let src = f.roots[sh][rng.below(f.roots[sh].len())];
                 let index = rng.below(6);
+                stats.hits[2] += 1;
                 let real = f.space.store_ref(src, index, Value::Null, false);
                 let model = f.model_store_null(src, index);
                 Fixture::assert_same_err(seed, "store_null", &real, &model);
@@ -688,6 +688,7 @@ fn run_case(seed: u64, arm_faults: bool) -> u64 {
                 let src = f.roots[sh][rng.below(f.roots[sh].len())];
                 let index = rng.below(6);
                 let v = rng.next() as i64;
+                stats.hits[3] += 1;
                 let real = f.space.store_prim(src, index, Value::Int(v));
                 let model = f.model_store_prim(src, index, v);
                 Fixture::assert_same_err(seed, "store_prim", &real, &model);
@@ -698,30 +699,16 @@ fn run_case(seed: u64, arm_faults: bool) -> u64 {
                 if !f.roots[h].is_empty() {
                     let i = rng.below(f.roots[h].len());
                     f.roots[h].swap_remove(i);
+                    stats.hits[4] += 1;
                 }
-            }
-            // Minor collection: model state is untouched (a minor GC frees
-            // a subset of what a full GC would), but reachability, audit,
-            // and nursery invariants must hold.
-            16 => {
-                let h = rng.below(NPROCS);
-                if !f.model.heaps[h].alive {
-                    continue;
-                }
-                let roots = f.roots[h].clone();
-                f.space
-                    .gc_minor(f.heaps[h], &roots)
-                    .expect("minor collection of a live heap");
-                f.prune_after_minor(seed, h);
-                f.assert_reachable_preserved(seed, h);
-                f.audit_clean(seed);
             }
             // Full collection, mirrored in the model.
-            17 => {
+            16 => {
                 let h = rng.below(NPROCS + 1);
                 if !f.model.heaps[h].alive {
                     continue;
                 }
+                stats.hits[5] += 1;
                 let roots = f.roots[h].clone();
                 f.space
                     .gc(f.heaps[h], &roots)
@@ -730,11 +717,12 @@ fn run_case(seed: u64, arm_faults: bool) -> u64 {
                 f.audit_clean(seed);
             }
             // Page release: pure host-plane, invisible to the model.
-            18 => {
+            17 => {
                 let h = rng.below(NPROCS + 1);
                 if !f.model.heaps[h].alive {
                     continue;
                 }
+                stats.hits[6] += 1;
                 f.space
                     .release_empty_pages(f.heaps[h])
                     .expect("release on a live heap");
@@ -749,11 +737,13 @@ fn run_case(seed: u64, arm_faults: bool) -> u64 {
                     };
                     f.space.set_alloc_fault(fault);
                     f.model.fault = Some(fault);
+                    stats.hits[7] += 1;
                 } else if rng.below(4) == 0 {
                     let h = rng.below(NPROCS);
                     if !f.model.heaps[h].alive {
                         continue;
                     }
+                    stats.hits[8] += 1;
                     let report = f
                         .space
                         .merge_into_kernel(f.heaps[h])
@@ -783,7 +773,8 @@ fn run_case(seed: u64, arm_faults: bool) -> u64 {
     f.space.clear_alloc_fault();
     f.model.fault = None;
     f.sync_and_compare(seed);
-    f.model.faults_fired
+    stats.faults_fired = f.model.faults_fired;
+    stats
 }
 
 impl Fixture {
@@ -861,19 +852,22 @@ impl Fixture {
 
 #[test]
 fn differential_oracle_clean_seeds() {
+    let mut total = CaseStats::default();
     for case in 0..seed_count() {
-        run_case(0xD1FF_0000 ^ case, false);
+        total.add(&run_case(0xD1FF_0000 ^ case, false));
     }
+    total.assert_arms_fired(&["arm_fault"]);
 }
 
 #[test]
 fn differential_oracle_fault_seeds() {
-    let mut fired_total = 0;
+    let mut total = CaseStats::default();
     for case in 0..seed_count() {
-        fired_total += run_case(0xFA17_0000 ^ case, true);
+        total.add(&run_case(0xFA17_0000 ^ case, true));
     }
+    total.assert_arms_fired(&[]);
     assert!(
-        fired_total > 0,
+        total.faults_fired > 0,
         "fault seeds never fired an injected allocation fault"
     );
 }

@@ -15,14 +15,11 @@
 //!   [`HeapProfStore::record_alloc`] consumes it and attributes the object
 //!   to a `(pid, leaf, class)` site. Unarmed allocations (kernel-internal,
 //!   exception materialisation) fall to the `[vm]` pseudo-frame.
-//! * **Survival accounting** — sweeps report each freed slot with the
-//!   collection kind, and page promotion reports tenured slots, so every
-//!   site accumulates died-in-minor / died-in-full / tenured tallies: the
-//!   die-young-vs-tenure split the nursery policy is tuned by.
-//! * **GC/page timeline** — typed events for page claim/release/promote/
-//!   retag, per-collection records, and live page-state occupancy samples,
-//!   exported as JSON lines in event order. Full-GC pause cycles and
-//!   minor-GC reclaimed bytes feed per-heap [`LogHistogram`]s.
+//! * **Survival accounting** — sweeps report each freed slot, so every
+//!   site accumulates allocated / died / still-live tallies.
+//! * **GC/page timeline** — typed events for page claim/release/retag,
+//!   per-collection records, and occupancy samples, exported as JSON lines
+//!   in event order. GC pause cycles feed per-heap [`LogHistogram`]s.
 //! * **Cross-heap edge census** — the interpreter arms the store site
 //!   before a non-elided reference store; edge creation in
 //!   `ensure_cross_edge` charges the armed site's census row. Sites the
@@ -44,24 +41,6 @@ use crate::profile::{render_svg, FlameNode, PC_BUCKET};
 /// allocations, exception materialisation, harness setup).
 pub const VM_FRAME: &str = "[vm]";
 
-/// Which collector freed an object (survival accounting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GcKind {
-    /// Nursery-only minor collection (host plane).
-    Minor,
-    /// Full mark-and-sweep of the heap.
-    Full,
-}
-
-impl GcKind {
-    fn label(self) -> &'static str {
-        match self {
-            GcKind::Minor => "minor",
-            GcKind::Full => "full",
-        }
-    }
-}
-
 /// A page-lifecycle transition in the timeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PageEvent {
@@ -69,8 +48,6 @@ pub enum PageEvent {
     Claim,
     /// The page was returned to the free-page pool.
     Release,
-    /// A nursery page was promoted to mature in place.
-    Promote,
     /// The page was retagged to another heap (merge into the kernel).
     Retag,
 }
@@ -80,33 +57,22 @@ impl PageEvent {
         match self {
             PageEvent::Claim => "claim",
             PageEvent::Release => "release",
-            PageEvent::Promote => "promote",
             PageEvent::Retag => "retag",
         }
     }
 }
 
-/// Per-site survival tallies. `allocs - freed_minor - freed_full` objects
-/// are still live; `tenured` counts objects whose page left the nursery
-/// (promotion or full-GC wholesale tenure) while they were alive.
+/// Per-site survival tallies. `allocs - freed` objects are still live.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SiteStats {
     /// Objects allocated at this site.
     pub allocs: u64,
     /// Accounted bytes allocated at this site.
     pub bytes: u64,
-    /// Objects freed by minor collections (died young).
-    pub freed_minor: u64,
-    /// Bytes freed by minor collections.
-    pub freed_minor_bytes: u64,
-    /// Objects freed by full collections.
-    pub freed_full: u64,
-    /// Bytes freed by full collections.
-    pub freed_full_bytes: u64,
-    /// Objects tenured (page promoted while they lived).
-    pub tenured: u64,
-    /// Bytes tenured.
-    pub tenured_bytes: u64,
+    /// Objects freed by collections.
+    pub freed: u64,
+    /// Bytes freed by collections.
+    pub freed_bytes: u64,
 }
 
 /// One live object's attribution record, keyed by slot index.
@@ -115,7 +81,6 @@ struct LiveRec {
     /// `(pid, leaf frame id, class tag)` — the site key.
     site: (u32, u32, u32),
     bytes: u32,
-    tenured: bool,
 }
 
 /// Cross-heap edge creations charged to one store site.
@@ -154,7 +119,6 @@ enum TimelineEvent {
         clock: u64,
         pid: u32,
         heap: u32,
-        kind: GcKind,
         freed_bytes: u64,
         freed_objects: u64,
         cycles: u64,
@@ -162,8 +126,7 @@ enum TimelineEvent {
     Occupancy {
         clock: u64,
         heap: u32,
-        nursery_pages: u32,
-        mature_pages: u32,
+        pages: u32,
         pool_pages: u32,
         live_bytes: u64,
         live_objects: u64,
@@ -171,8 +134,8 @@ enum TimelineEvent {
 }
 
 /// The heap-profile store: interned allocation-site frames, the live-object
-/// table, per-site survival stats, the GC/page timeline, per-heap pause and
-/// reclaim histograms, and the cross-heap edge census.
+/// table, per-site survival stats, the GC/page timeline, per-heap pause
+/// histograms, and the cross-heap edge census.
 #[derive(Debug, Default)]
 pub struct HeapProfStore {
     names: Vec<String>,
@@ -188,8 +151,7 @@ pub struct HeapProfStore {
     /// Class tags seen at allocation sites (export resolves them to names).
     classes: BTreeMap<u32, ()>,
     timeline: Vec<TimelineEvent>,
-    full_pause: BTreeMap<u32, LogHistogram>,
-    minor_reclaim: BTreeMap<u32, LogHistogram>,
+    gc_pause: BTreeMap<u32, LogHistogram>,
     census: BTreeMap<(u32, u32), CensusCounts>,
 }
 
@@ -248,48 +210,17 @@ impl HeapProfStore {
         let stats = self.sites.entry(site).or_default();
         stats.allocs += 1;
         stats.bytes += bytes as u64;
-        self.live.insert(
-            slot,
-            LiveRec {
-                site,
-                bytes,
-                tenured: false,
-            },
-        );
+        self.live.insert(slot, LiveRec { site, bytes });
     }
 
-    /// Records that the object in `slot` was freed by a `kind` sweep.
-    pub fn record_free(&mut self, slot: u32, kind: GcKind) {
+    /// Records that the object in `slot` was freed by a sweep.
+    pub fn record_free(&mut self, slot: u32) {
         let Some(rec) = self.live.remove(&slot) else {
             return;
         };
         let stats = self.sites.entry(rec.site).or_default();
-        match kind {
-            GcKind::Minor => {
-                stats.freed_minor += 1;
-                stats.freed_minor_bytes += rec.bytes as u64;
-            }
-            GcKind::Full => {
-                stats.freed_full += 1;
-                stats.freed_full_bytes += rec.bytes as u64;
-            }
-        }
-    }
-
-    /// Records that the object in `slot` was tenured (its page left the
-    /// nursery while it was alive). Idempotent per object.
-    pub fn record_tenure(&mut self, slot: u32) {
-        let Some(rec) = self.live.get_mut(&slot) else {
-            return;
-        };
-        if rec.tenured {
-            return;
-        }
-        rec.tenured = true;
-        let (site, bytes) = (rec.site, rec.bytes);
-        let stats = self.sites.entry(site).or_default();
-        stats.tenured += 1;
-        stats.tenured_bytes += bytes as u64;
+        stats.freed += 1;
+        stats.freed_bytes += rec.bytes as u64;
     }
 
     /// Arms the store site for a potential cross-heap edge creation.
@@ -327,43 +258,25 @@ impl HeapProfStore {
         });
     }
 
-    /// Records one collection: a timeline entry plus the pause/reclaim
-    /// histogram sample (full GCs record pause cycles, minor GCs — which
-    /// charge zero modelled cycles — record reclaimed bytes instead).
-    pub fn record_gc(
-        &mut self,
-        heap: u32,
-        kind: GcKind,
-        freed_bytes: u64,
-        freed_objects: u64,
-        cycles: u64,
-    ) {
+    /// Records one collection: a timeline entry plus the pause histogram
+    /// sample.
+    pub fn record_gc(&mut self, heap: u32, freed_bytes: u64, freed_objects: u64, cycles: u64) {
         self.timeline.push(TimelineEvent::Gc {
             clock: self.clock,
             pid: self.ctx_pid,
             heap,
-            kind,
             freed_bytes,
             freed_objects,
             cycles,
         });
-        match kind {
-            GcKind::Full => self.full_pause.entry(heap).or_default().record(cycles),
-            GcKind::Minor => self
-                .minor_reclaim
-                .entry(heap)
-                .or_default()
-                .record(freed_bytes),
-        }
+        self.gc_pause.entry(heap).or_default().record(cycles);
     }
 
-    /// Records a live page-state occupancy sample for one heap.
-    #[allow(clippy::too_many_arguments)]
+    /// Records an occupancy sample for one heap.
     pub fn record_occupancy(
         &mut self,
         heap: u32,
-        nursery_pages: u32,
-        mature_pages: u32,
+        pages: u32,
         pool_pages: u32,
         live_bytes: u64,
         live_objects: u64,
@@ -371,8 +284,7 @@ impl HeapProfStore {
         self.timeline.push(TimelineEvent::Occupancy {
             clock: self.clock,
             heap,
-            nursery_pages,
-            mature_pages,
+            pages,
             pool_pages,
             live_bytes,
             live_objects,
@@ -451,29 +363,21 @@ impl HeapProfStore {
     }
 
     /// Per-site survival table: one sorted line per site with allocation,
-    /// died-young, died-full, tenured and still-live tallies.
+    /// died and still-live tallies.
     pub fn survival_text(&self, resolve_class: &dyn Fn(u32) -> String) -> String {
-        let mut out = String::from(
-            "# site survival: allocs bytes died_minor died_full tenured live\n",
-        );
+        let mut out = String::from("# site survival: allocs bytes died live\n");
         for (&(pid, leaf, class), s) in &self.sites {
-            let live = s.allocs - s.freed_minor - s.freed_full;
             let _ = writeln!(
                 out,
-                "{};{};{} allocs={} bytes={} died_minor={} died_minor_bytes={} \
-                 died_full={} died_full_bytes={} tenured={} tenured_bytes={} live={}",
+                "{};{};{} allocs={} bytes={} died={} died_bytes={} live={}",
                 self.pid_prefix(pid),
                 self.names[leaf as usize],
                 resolve_class(class),
                 s.allocs,
                 s.bytes,
-                s.freed_minor,
-                s.freed_minor_bytes,
-                s.freed_full,
-                s.freed_full_bytes,
-                s.tenured,
-                s.tenured_bytes,
-                live,
+                s.freed,
+                s.freed_bytes,
+                s.allocs - s.freed,
             );
         }
         out
@@ -502,7 +406,6 @@ impl HeapProfStore {
                     clock,
                     pid,
                     heap,
-                    kind,
                     freed_bytes,
                     freed_objects,
                     cycles,
@@ -510,16 +413,14 @@ impl HeapProfStore {
                     let _ = writeln!(
                         out,
                         "{{\"type\":\"gc\",\"clock\":{clock},\"pid\":{pid},\
-                         \"heap\":{heap},\"kind\":\"{}\",\"freed_bytes\":{freed_bytes},\
-                         \"freed_objects\":{freed_objects},\"cycles\":{cycles}}}",
-                        kind.label()
+                         \"heap\":{heap},\"freed_bytes\":{freed_bytes},\
+                         \"freed_objects\":{freed_objects},\"cycles\":{cycles}}}"
                     );
                 }
                 TimelineEvent::Occupancy {
                     clock,
                     heap,
-                    nursery_pages,
-                    mature_pages,
+                    pages,
                     pool_pages,
                     live_bytes,
                     live_objects,
@@ -527,8 +428,7 @@ impl HeapProfStore {
                     let _ = writeln!(
                         out,
                         "{{\"type\":\"occupancy\",\"clock\":{clock},\"heap\":{heap},\
-                         \"nursery_pages\":{nursery_pages},\"mature_pages\":{mature_pages},\
-                         \"pool_pages\":{pool_pages},\"live_bytes\":{live_bytes},\
+                         \"pages\":{pages},\"pool_pages\":{pool_pages},\"live_bytes\":{live_bytes},\
                          \"live_objects\":{live_objects}}}"
                     );
                 }
@@ -537,16 +437,12 @@ impl HeapProfStore {
         out
     }
 
-    /// Per-heap pause-attribution report: full-GC pause cycles and minor-GC
-    /// reclaimed bytes as [`LogHistogram`]s.
+    /// Per-heap pause-attribution report: GC pause cycles as
+    /// [`LogHistogram`]s.
     pub fn heap_hists_text(&self) -> String {
         let mut out = String::new();
-        for (heap, h) in &self.full_pause {
+        for (heap, h) in &self.gc_pause {
             let _ = writeln!(out, "# full gc pause cycles, heap {heap}");
-            h.render(&mut out);
-        }
-        for (heap, h) in &self.minor_reclaim {
-            let _ = writeln!(out, "# minor gc reclaimed bytes, heap {heap}");
             h.render(&mut out);
         }
         out
@@ -610,7 +506,7 @@ mod tests {
     }
 
     #[test]
-    fn survival_tracks_free_kind_and_tenure() {
+    fn survival_tracks_frees() {
         let mut p = HeapProfStore::default();
         p.set_context(2, 0);
         p.arm_alloc(1, 0, || "A.m".to_string());
@@ -619,21 +515,21 @@ mod tests {
         p.record_alloc(11, 1, 8);
         p.arm_alloc(1, 0, || unreachable!());
         p.record_alloc(12, 1, 8);
-        p.record_free(10, GcKind::Minor);
-        p.record_tenure(11);
-        p.record_tenure(11); // idempotent
-        p.record_free(11, GcKind::Full);
+        p.record_free(10);
+        p.record_free(11);
+        p.record_free(11); // already freed: ignored
         let stats = p.site_stats();
         assert_eq!(stats.len(), 1);
         let s = stats[0].1;
         assert_eq!(s.allocs, 3);
-        assert_eq!(s.freed_minor, 1);
-        assert_eq!(s.freed_full, 1);
-        assert_eq!(s.tenured, 1);
-        assert_eq!(s.tenured_bytes, 8);
+        assert_eq!(s.freed, 2);
+        assert_eq!(s.freed_bytes, 16);
         let text = p.survival_text(&resolve);
-        assert!(text.contains("allocs=3"), "{text}");
-        assert!(text.contains("live=1"), "{text}");
+        assert_eq!(
+            text,
+            "# site survival: allocs bytes died live\n\
+             pid2;A.m@b0;Class1 allocs=3 bytes=24 died=2 died_bytes=16 live=1\n"
+        );
     }
 
     #[test]
@@ -667,22 +563,24 @@ mod tests {
         let mut p = HeapProfStore::default();
         p.set_context(3, 500);
         p.record_page_event(PageEvent::Claim, 2, 1);
-        p.record_gc(1, GcKind::Minor, 128, 4, 0);
-        p.record_gc(1, GcKind::Full, 256, 8, 9000);
-        p.record_occupancy(1, 2, 3, 1, 4096, 60);
+        p.record_gc(1, 256, 8, 9000);
+        p.record_occupancy(1, 5, 1, 4096, 60);
         let text = p.timeline_jsonl();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4);
+        assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("\"event\":\"claim\""), "{text}");
-        assert!(lines[1].contains("\"kind\":\"minor\""), "{text}");
-        assert!(lines[2].contains("\"kind\":\"full\""), "{text}");
-        assert!(lines[3].contains("\"nursery_pages\":2"), "{text}");
-        let hists = p.heap_hists_text();
-        assert!(hists.contains("# full gc pause cycles, heap 1"), "{hists}");
-        assert!(
-            hists.contains("# minor gc reclaimed bytes, heap 1"),
-            "{hists}"
+        assert_eq!(
+            lines[1],
+            "{\"type\":\"gc\",\"clock\":500,\"pid\":3,\"heap\":1,\"freed_bytes\":256,\
+             \"freed_objects\":8,\"cycles\":9000}"
         );
+        assert_eq!(
+            lines[2],
+            "{\"type\":\"occupancy\",\"clock\":500,\"heap\":1,\"pages\":5,\"pool_pages\":1,\
+             \"live_bytes\":4096,\"live_objects\":60}"
+        );
+        let hists = p.heap_hists_text();
+        assert!(hists.starts_with("# full gc pause cycles, heap 1\n"), "{hists}");
     }
 
     #[test]

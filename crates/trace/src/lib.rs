@@ -36,7 +36,7 @@ pub mod heapprof;
 pub mod hist;
 pub mod profile;
 
-pub use heapprof::{CensusCounts, CensusSite, GcKind, HeapProfStore, PageEvent};
+pub use heapprof::{CensusCounts, CensusSite, HeapProfStore, PageEvent};
 pub use hist::LogHistogram;
 pub use profile::{PidTotals, ProfileStore, SampleKind};
 

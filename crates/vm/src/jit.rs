@@ -86,16 +86,32 @@ impl Default for JitConfig {
     }
 }
 
+/// The values [`JitConfig::parse`] accepts, for error messages.
+pub const JIT_GRAMMAR: &str = "off, on, or threshold=N";
+
 impl JitConfig {
-    /// Reads the `KAFFEOS_JIT` environment toggle: `off`/`0`/`false`
-    /// disables the tier, `on`/`1` enables it with defaults, and
-    /// `threshold=N` enables it with a custom hot threshold.
+    /// Reads the `KAFFEOS_JIT` environment toggle through
+    /// [`JitConfig::from_var`]. Panics on a value it cannot parse, so a
+    /// typo can never silently run the default tier.
     pub fn from_env() -> Self {
-        let mut cfg = JitConfig::default();
-        if let Ok(v) = std::env::var("KAFFEOS_JIT") {
-            cfg = Self::parse(&v).unwrap_or(cfg);
+        let v = match std::env::var("KAFFEOS_JIT") {
+            Ok(v) => Some(v),
+            Err(std::env::VarError::NotPresent) => None,
+            Err(e) => panic!("KAFFEOS_JIT: {e}"),
+        };
+        Self::from_var(v.as_deref()).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Resolves a `KAFFEOS_JIT` value: unset means the default tier,
+    /// `off`/`0`/`false` disables the tier, `on`/`1`/`true` enables it with
+    /// defaults, and `threshold=N` enables it with a custom hot threshold.
+    /// Anything else is an error naming the variable and the grammar.
+    pub fn from_var(v: Option<&str>) -> Result<Self, String> {
+        match v {
+            None => Ok(JitConfig::default()),
+            Some(v) => Self::parse(v)
+                .ok_or_else(|| format!("bad KAFFEOS_JIT value {v:?} (want {JIT_GRAMMAR})")),
         }
-        cfg
     }
 
     /// Parses a `--jit=` / `KAFFEOS_JIT=` value.

@@ -40,7 +40,7 @@ pub use interp::{
 pub use intrinsics::{IntrinsicDef, IntrinsicRegistry};
 pub use jit::{
     BodySlot, CacheStats, CodeCache, JitConfig, JitRt, MethodKey, ProcJit, ProcJitStats,
-    DEFAULT_CACHE_BYTES, DEFAULT_JIT_THRESHOLD,
+    DEFAULT_CACHE_BYTES, DEFAULT_JIT_THRESHOLD, JIT_GRAMMAR,
 };
 pub use verify::{method_descriptor, verify_class, VerifyError};
 

@@ -2411,3 +2411,32 @@ mod verifier_edge_cases {
         ));
     }
 }
+
+/// `KAFFEOS_JIT` resolution is a pure function of the value (no
+/// environment access here: other suites mutate the variable).
+#[test]
+fn jit_env_value_resolves_or_fails_loudly() {
+    use crate::jit::{JitConfig, DEFAULT_JIT_THRESHOLD, JIT_GRAMMAR};
+    let off = JitConfig {
+        enabled: false,
+        ..JitConfig::default()
+    };
+    assert_eq!(JitConfig::from_var(None), Ok(JitConfig::default()));
+    for v in ["off", "0", "false", " off "] {
+        assert_eq!(JitConfig::from_var(Some(v)), Ok(off), "{v:?}");
+    }
+    for v in ["on", "1", "true", ""] {
+        assert_eq!(JitConfig::from_var(Some(v)), Ok(JitConfig::default()), "{v:?}");
+    }
+    let t16 = JitConfig::from_var(Some("threshold=16")).unwrap();
+    assert!(t16.enabled);
+    assert_eq!(t16.threshold, 16);
+    assert_eq!(JitConfig::from_var(Some("threshold=0")).unwrap().threshold, 1);
+    assert_eq!(JitConfig::default().threshold, DEFAULT_JIT_THRESHOLD);
+    for v in ["OFF", "of", "threshold=", "threshold=x", "threshold=-1", "yes"] {
+        let err = JitConfig::from_var(Some(v)).unwrap_err();
+        assert!(err.contains("KAFFEOS_JIT"), "{v:?}: {err}");
+        assert!(err.contains(JIT_GRAMMAR), "{v:?}: {err}");
+        assert!(err.contains(&format!("{v:?}")), "{v:?}: {err}");
+    }
+}

@@ -24,9 +24,9 @@
 //! With `--heap-profile <base>` the heap plane records the run
 //! and writes `<base>.alloc.folded` / `<base>.objects.folded` (allocation
 //! flamegraph inputs weighted by bytes / object counts),
-//! `<base>.alloc.svg`, `<base>.survival` (per-site tenure-vs-die-young
-//! table), `<base>.timeline.jsonl` (GC/page events and occupancy samples)
-//! and `<base>.heaphist` (per-heap pause/reclaim histograms). With
+//! `<base>.alloc.svg`, `<base>.survival` (per-site allocated / died /
+//! live table), `<base>.timeline.jsonl` (GC/page events and occupancy
+//! samples) and `<base>.heaphist` (per-heap GC pause histograms). With
 //! `--heap-dump <path>` a deterministic whole-space snapshot is written
 //! mid-run (after the fault window) to `<path>` and again after teardown
 //! to `<path>.final`. All outputs are byte-identical across reruns of the
@@ -273,7 +273,7 @@ fn main() -> ExitCode {
     for arg in &args {
         if let Some(v) = arg.strip_prefix("--jit=") {
             if kaffeos_vm::JitConfig::parse(v).is_none() {
-                eprintln!("bad --jit value {v:?} (want off, on, or threshold=N)");
+                eprintln!("bad --jit value {v:?} (want {})", kaffeos_vm::JIT_GRAMMAR);
                 return ExitCode::FAILURE;
             }
             std::env::set_var("KAFFEOS_JIT", v);
