@@ -686,7 +686,7 @@ impl Analysis {
             };
             // Exception handlers observe the locals here with the thrown
             // object (arbitrary provenance) as the only stack entry.
-            for h in &code.handlers {
+            for h in code.handlers.iter() {
                 if pc >= h.start && pc < h.end {
                     handler.locals.clone_from(&state.locals);
                     handler.stack.clear();
@@ -1393,7 +1393,7 @@ impl Analysis {
             let Some(&op) = code.ops.get(pc as usize) else {
                 continue;
             };
-            for h in &code.handlers {
+            for h in code.handlers.iter() {
                 if pc >= h.start && pc < h.end && may_throw(&op) {
                     handler.enter_handler(&state);
                     esc_merge_into(&mut states, &mut worklist, h.target, &handler, esc)?;

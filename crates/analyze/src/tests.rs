@@ -810,7 +810,7 @@ fn analyzer_bails_but_never_panics_on_mangled_bytecode() {
         vec![Op::PutField(77), Op::Return],   // pool index out of range
         vec![Op::Dup, Op::Return],            // dup on empty stack
     ] {
-        table.methods[m.0 as usize].code.ops = bad;
+        table.methods[m.0 as usize].code.ops = bad.into();
         let an = analyze(&table);
         assert!(an.is_bailed(m), "mangled method must bail");
         assert!(an.elision_bitmap(&table, m).is_empty());

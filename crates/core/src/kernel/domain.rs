@@ -466,8 +466,11 @@ impl KaffeOs {
         for key in self.procs[idx].jit.attached_keys() {
             self.jit_cache.detach(&key);
         }
-        self.procs[idx].jit.bodies.clear();
-        self.procs[idx].jit.counters.clear();
+        // Release the tier table rather than clear it: it is indexed by
+        // the global method id, so it is as long as the method table was
+        // when the process tiered up.
+        self.procs[idx].jit.bodies = Vec::new();
+        self.procs[idx].jit.counters = Default::default();
         let status = if self.procs[idx].cpu_overrun && status == ExitStatus::Killed {
             ExitStatus::CpuLimitExceeded
         } else {

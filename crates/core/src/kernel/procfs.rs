@@ -60,6 +60,17 @@ impl KaffeOs {
         self.proc_index(pid).map(|idx| self.procs[idx].jit.stats)
     }
 
+    /// Tier-table storage (method slots plus counter buckets) that dead
+    /// processes still hold.
+    #[cfg(test)]
+    pub(crate) fn dead_tier_storage(&self) -> usize {
+        self.procs
+            .iter()
+            .filter(|p| matches!(p.state, ProcState::Dead(_)))
+            .map(|p| p.jit.bodies.capacity() + p.jit.counters.capacity())
+            .sum()
+    }
+
     /// Cumulative counters of the process-shared code cache.
     pub fn jit_cache_stats(&self) -> kaffeos_vm::CacheStats {
         self.jit_cache.stats

@@ -566,6 +566,68 @@ mod namespaces {
         assert!(shared >= 15, "stdlib loads at least 15 shared classes");
         assert_eq!(reloaded, 2);
     }
+
+    /// A reloaded class is the same class text bound again (§3.2): every
+    /// spawn of one image binds its own `Main`, and every one of those
+    /// binds the one ops allocation the image compiled.
+    #[test]
+    fn respawned_image_shares_one_code_allocation() {
+        let mut os = os();
+        os.register_image("one", "class Main { static int main() { return 3; } }")
+            .unwrap();
+        for _ in 0..1000 {
+            let pid = os.spawn("one", "", None).unwrap();
+            os.run(None);
+            assert_eq!(os.status(pid), Some(ExitStatus::Exited(3)));
+        }
+        let table = os.class_table();
+        let mains: Vec<_> = table
+            .classes
+            .iter()
+            .filter(|c| c.name == "Main")
+            .map(|c| &table.method(table.find_method(c.idx, "main").unwrap()).code)
+            .collect();
+        assert_eq!(mains.len(), 1000);
+        let first = mains[0];
+        assert!(
+            mains
+                .iter()
+                .all(|c| std::sync::Arc::ptr_eq(&c.ops, &first.ops)),
+            "every spawn's main shares the image's ops"
+        );
+    }
+}
+
+mod host_state {
+    use super::*;
+
+    /// A dead process gives its tier table back. The table is indexed by
+    /// the global method id, so without the release every reaped process
+    /// would keep a table as long as the method table was when it tiered
+    /// up.
+    #[test]
+    fn reaped_processes_release_their_tier_tables() {
+        let mut os = KaffeOs::new(KaffeOsConfig {
+            jit: kaffeos_vm::JitConfig::default(),
+            ..KaffeOsConfig::default()
+        });
+        os.register_image(
+            "hot",
+            "class Main { static int main() { int s = 0; int i = 0; \
+             while (i < 500) { s = s + i; i = i + 1; } return s % 100; } }",
+        )
+        .unwrap();
+        let mut tiered = 0;
+        for _ in 0..200 {
+            let pid = os.spawn("hot", "", None).unwrap();
+            os.run(None);
+            assert_eq!(os.status(pid), Some(ExitStatus::Exited(50)));
+            let stats = os.jit_stats(pid).unwrap();
+            tiered += stats.compiled + stats.hits;
+        }
+        assert!(tiered >= 200, "every spawn's main tiers up: {tiered}");
+        assert_eq!(os.dead_tier_storage(), 0);
+    }
 }
 
 mod shared_heaps {

@@ -347,9 +347,9 @@ impl<'a, 'b> ClassGen<'a, 'b> {
             is_static: m.is_static,
             code: Code {
                 max_locals: f.max_locals,
-                ops: f.ops,
-                handlers: f.handlers,
-                lines,
+                ops: f.ops.into(),
+                handlers: f.handlers.into(),
+                lines: lines.into(),
             },
         })
     }

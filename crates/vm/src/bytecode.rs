@@ -5,6 +5,8 @@
 //! classes, fields, and methods live in a per-class constant pool that the
 //! linker resolves at class-load time.
 
+use std::sync::Arc;
+
 /// Guest-visible type descriptors, used in field/method signatures and by
 /// the verifier.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -266,20 +268,22 @@ pub struct Handler {
     pub class: u16,
 }
 
-/// A method body.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// A method body. The three tables are immutable and shared: every
+/// namespace that binds the same definition holds the same allocations, so
+/// cloning a `Code` costs three refcount bumps.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Code {
     /// Number of local slots (parameters occupy the first slots).
     pub max_locals: u16,
     /// Instructions.
-    pub ops: Vec<Op>,
+    pub ops: Arc<[Op]>,
     /// Exception handlers, innermost first.
-    pub handlers: Vec<Handler>,
+    pub handlers: Arc<[Handler]>,
     /// Debug line table: `lines[pc]` is the 1-based source line the
     /// instruction at `pc` was compiled from, or 0 when unknown. Empty for
     /// hand-built bytecode (no debug info); when present, `lines.len() ==
     /// ops.len()`.
-    pub lines: Vec<u32>,
+    pub lines: Arc<[u32]>,
 }
 
 impl Code {

@@ -6,6 +6,10 @@
 //! shared text, consistent types for shared-heap objects) in every process,
 //! while reloaded classes get a fresh [`ClassIdx`] — and therefore fresh
 //! statics — per process (§3.2).
+//!
+//! A reloaded class is the same class text bound again, so the verifier's
+//! verdict on it is derived once per *load context* and shared: see
+//! [`Namespace::history`].
 
 use kaffeos_heap::FxHashMap;
 use std::sync::Arc;
@@ -191,7 +195,18 @@ pub struct Namespace {
     pub parent: Option<u32>,
     /// Classes loaded directly into this namespace.
     pub classes: FxHashMap<String, ClassIdx>,
+    /// Load-history id: which definitions this namespace bound, in which
+    /// order, over which parent histories. A fresh namespace is at 0.
+    /// Two namespaces with equal own and parent histories resolve every
+    /// name to a class of the same definition and shape, so a definition
+    /// the verifier accepted in one is accepted in the other.
+    pub(crate) history: u64,
 }
+
+/// A load history that never hits the verify memo and never gains an edge:
+/// the namespace was dropped, or it loaded over a parent whose history
+/// does not describe what the parent resolves.
+const UNKEYED: u64 = u64::MAX;
 
 /// Global table of namespaces, loaded classes, and methods.
 #[derive(Debug, Default)]
@@ -203,17 +218,31 @@ pub struct ClassTable {
     /// Every class-loader namespace.
     pub namespaces: Vec<Namespace>,
     intrinsics: IntrinsicRegistry,
+    /// Verify memo: (own history, parent's history, definition address) →
+    /// the history after binding the definition. An edge exists only once
+    /// `verify_class` accepted the definition from that context; the `Arc`
+    /// keeps its address from being reused while the edge exists.
+    verified: FxHashMap<(u64, u64, usize), (Arc<ClassDef>, u64)>,
+    /// Last history id handed out.
+    histories: u64,
+    /// `verify_class` runs made by `load_class`.
+    #[cfg(test)]
+    pub(crate) verifications: usize,
 }
 
 impl ClassTable {
     /// Creates a table with the given intrinsic surface.
     pub fn new(intrinsics: IntrinsicRegistry) -> Self {
         ClassTable {
-            classes: Vec::new(),
-            methods: Vec::new(),
-            namespaces: Vec::new(),
             intrinsics,
+            ..ClassTable::default()
         }
+    }
+
+    /// Edges in the verify memo.
+    #[cfg(test)]
+    pub(crate) fn verify_edges(&self) -> usize {
+        self.verified.len()
     }
 
     /// The intrinsic registry used at link time.
@@ -230,8 +259,23 @@ impl ClassTable {
             name: name.into(),
             parent,
             classes: FxHashMap::default(),
+            history: 0,
         });
         id
+    }
+
+    /// The parent half of `ns`'s load context: 0 for a root namespace (it
+    /// resolves through nothing, like a fresh parent), the parent's history
+    /// when the parent is a root, and [`UNKEYED`] otherwise — a parent that
+    /// delegates further resolves names its own history does not record.
+    fn parent_history(&self, ns: u32) -> u64 {
+        let Some(parent) = self.namespaces[ns as usize].parent else {
+            return 0;
+        };
+        match self.namespaces.get(parent as usize) {
+            Some(p) if p.parent.is_none() => p.history,
+            _ => UNKEYED,
+        }
     }
 
     /// Looks a class up in a namespace, delegating to the parent first.
@@ -250,7 +294,12 @@ impl ClassTable {
     /// The superclass and every class the constant pool references must be
     /// resolvable in `ns` (possibly via delegation). Loading the same def
     /// into two namespaces *reloads* it: distinct `ClassIdx`, distinct
-    /// statics (§3.2).
+    /// statics (§3.2). The verifier runs once per load context: a namespace
+    /// whose own and parent histories already bound this `def` takes the
+    /// recorded edge instead. The verifier sees the table only through
+    /// parent-first lookups from `ns` and the classes and methods they
+    /// return, which equal histories make the same up to a renaming of
+    /// [`ClassIdx`]; its verdict does not depend on that renaming.
     pub fn load_class(&mut self, ns: u32, def: Arc<ClassDef>) -> Result<ClassIdx, VmError> {
         if self
             .namespaces
@@ -361,10 +410,29 @@ impl ClassTable {
         };
         self.classes[idx.0 as usize].rpool = rpool;
 
-        if let Err(e) = verify_class(self, idx) {
-            self.unload_failed(ns, idx, &def.name);
-            return Err(e.into());
-        }
+        let own = self.namespaces[ns as usize].history;
+        let context = (own, self.parent_history(ns), Arc::as_ptr(&def) as usize);
+        let next = match self.verified.get(&context) {
+            Some(&(_, next)) => next,
+            None => {
+                #[cfg(test)]
+                {
+                    self.verifications += 1;
+                }
+                if let Err(e) = verify_class(self, idx) {
+                    self.unload_failed(ns, idx, &def.name);
+                    return Err(e.into());
+                }
+                if context.0 == UNKEYED || context.1 == UNKEYED {
+                    UNKEYED
+                } else {
+                    self.histories += 1;
+                    self.verified.insert(context, (def, self.histories));
+                    self.histories
+                }
+            }
+        };
+        self.namespaces[ns as usize].history = next;
         Ok(idx)
     }
 
@@ -528,11 +596,13 @@ impl ClassTable {
     /// this when a process is reaped — the class-unloading counterpart of
     /// merging the process heap (class *records* stay in the table because
     /// surviving objects may still carry their class ids; only resolution
-    /// through the dead namespace stops).
+    /// through the dead namespace stops). Its load history is retired, so
+    /// neither it nor a namespace delegating to it hits the verify memo.
     pub fn drop_namespace(&mut self, ns: u32) {
         if let Some(n) = self.namespaces.get_mut(ns as usize) {
             n.classes.clear();
             n.parent = None;
+            n.history = UNKEYED;
         }
     }
 }

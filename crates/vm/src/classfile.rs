@@ -239,9 +239,9 @@ impl MethodBuilder {
             is_static: self.is_static,
             code: Code {
                 max_locals: self.max_locals,
-                ops: self.ops,
-                handlers: self.handlers,
-                lines: Vec::new(),
+                ops: self.ops.into(),
+                handlers: self.handlers.into(),
+                lines: Arc::from([]),
             },
         }
     }

@@ -50,6 +50,7 @@ use kaffeos_heap::{FxHashMap, HeapError, Value};
 
 use crate::bytecode::Op;
 use crate::classes::{ClassTable, MethodIdx, MethodRt, RConst};
+use crate::classfile::ClassDef;
 use crate::engine::{Engine, BASE_COSTS};
 use crate::interp::{
     do_return, heap_exception, npe, raise, rt_op, with_gc_retry, BuiltinEx, ExecCtx, RunExit,
@@ -190,7 +191,7 @@ fn res_fingerprint(table: &ClassTable, midx: MethodIdx) -> u64 {
     let m = table.method(midx);
     let lc = table.class(m.class);
     let mut h = fnv_u64(m.code.ops.len() as u64, FNV_OFFSET);
-    for op in &m.code.ops {
+    for op in m.code.ops.iter() {
         if let Op::GetField(idx) | Op::PutField(idx) = *op {
             if let Some(RConst::InstanceField { slot, ty, .. }) = lc.rpool.get(idx as usize) {
                 h = fnv_u64(*slot as u64, h);
@@ -201,21 +202,24 @@ fn res_fingerprint(table: &ClassTable, midx: MethodIdx) -> u64 {
     h
 }
 
-/// Computes the shared-cache key for a method. `def_hashes` memoizes the
-/// class-definition hash by [`ClassIdx`] (safe: class-table slots are never
-/// reused, even across namespace drops).
-fn method_key(
-    table: &ClassTable,
-    midx: MethodIdx,
-    def_hashes: &mut FxHashMap<u32, u64>,
-) -> MethodKey {
+/// Class-definition hashes memoized by definition identity: every class
+/// that binds one `Arc<ClassDef>` shares one entry, and holding the `Arc`
+/// keeps its address from being reused while the entry exists.
+type DefHashes = FxHashMap<usize, (Arc<ClassDef>, u64)>;
+
+/// Computes the shared-cache key for a method, hashing its class's
+/// definition only the first time any class binds it.
+fn method_key(table: &ClassTable, midx: MethodIdx, def_hashes: &mut DefHashes) -> MethodKey {
     let m = table.method(midx);
     let lc = table.class(m.class);
-    let def_hash = *def_hashes.entry(m.class.0).or_insert_with(|| {
-        // `ClassDef` derives a deterministic `Debug`; its rendering is the
-        // portable stand-in for "class bytes".
-        fnv1a(format!("{:?}", lc.def).as_bytes(), FNV_OFFSET)
-    });
+    let (_, def_hash) = *def_hashes
+        .entry(Arc::as_ptr(&lc.def) as usize)
+        .or_insert_with(|| {
+            // `ClassDef` derives a deterministic `Debug`; its rendering is
+            // the portable stand-in for "class bytes".
+            let hash = fnv1a(format!("{:?}", lc.def).as_bytes(), FNV_OFFSET);
+            (lc.def.clone(), hash)
+        });
     let ordinal = lc
         .methods
         .iter()
@@ -421,7 +425,7 @@ pub struct CodeCache {
     capacity: u64,
     /// Cumulative counters.
     pub stats: CacheStats,
-    def_hashes: FxHashMap<u32, u64>,
+    def_hashes: DefHashes,
 }
 
 impl CodeCache {
@@ -433,13 +437,19 @@ impl CodeCache {
             bytes: 0,
             capacity,
             stats: CacheStats::default(),
-            def_hashes: FxHashMap::default(),
+            def_hashes: DefHashes::default(),
         }
     }
 
     /// Computes the cache key for a method (memoizing class-def hashes).
     pub fn key_for(&mut self, table: &ClassTable, midx: MethodIdx) -> MethodKey {
         method_key(table, midx, &mut self.def_hashes)
+    }
+
+    /// Definitions whose hash is memoized.
+    #[cfg(test)]
+    pub(crate) fn def_hash_entries(&self) -> usize {
+        self.def_hashes.len()
     }
 
     /// Attaches `pid` to the body for `key`, compiling it on a miss.
@@ -1203,7 +1213,7 @@ fn compile(table: &ClassTable, midx: MethodIdx, engine: Engine) -> Option<Compil
             boundary[*t as usize] = true;
         }
     }
-    for h in &m.code.handlers {
+    for h in m.code.handlers.iter() {
         if (h.target as usize) > ops.len() {
             return None;
         }

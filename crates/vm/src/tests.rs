@@ -1,4 +1,5 @@
 use kaffeos_heap::FxHashMap;
+use std::sync::Arc;
 
 use kaffeos_heap::{HeapSpace, SpaceConfig, Value};
 use kaffeos_memlimit::Kind;
@@ -1474,7 +1475,7 @@ mod verifier {
                     /*5*/ Op::Return,
                 ])
                 .build();
-            m.code.lines = vec![10, 10, 11, 11, 12, 12];
+            m.code.lines = Arc::from([10, 10, 11, 11, 12, 12]);
             ClassBuilder::new("Main").method(m).build()
         };
         for _ in 0..3 {
@@ -2409,6 +2410,216 @@ mod verifier_edge_cases {
             MethodBuilder::of_static("main")
                 .ops([/*0*/ Op::ConstInt(1), /*1*/ Op::Jump(0)]),
         ));
+    }
+}
+
+/// The loader verifies a definition once per load context: (own history,
+/// parent's history, definition). These tests pin both halves of the key
+/// and the two ways a context stops being memoised.
+mod verify_memo {
+    use super::*;
+    use crate::jit::CodeCache;
+
+    /// A root namespace holding the test standard library.
+    fn shared_table() -> (ClassTable, u32) {
+        let mut table = ClassTable::new(IntrinsicRegistry::new());
+        let shared = table.create_namespace("shared", None);
+        for def in base_classes() {
+            table.load_class(shared, def.into_arc()).unwrap();
+        }
+        (table, shared)
+    }
+
+    fn helper(ty: TypeDesc) -> Arc<ClassDef> {
+        ClassBuilder::new("Helper")
+            .field("f", ty)
+            .build()
+            .into_arc()
+    }
+
+    /// `static int m(Helper h) { return h.f + 1; }`: well typed only when
+    /// the `Helper` it resolves declares `int f`.
+    fn main_def() -> Arc<ClassDef> {
+        let mut b = ClassBuilder::new("Main");
+        let f = b.pool(Const::Field {
+            class: "Helper".to_string(),
+            name: "f".to_string(),
+        });
+        b.method(
+            MethodBuilder::of_static("m")
+                .param(TypeDesc::Class("Helper".to_string()))
+                .returns(TypeDesc::Int)
+                .ops([
+                    Op::Load(0),
+                    Op::GetField(f),
+                    Op::ConstInt(1),
+                    Op::Add,
+                    Op::ReturnVal,
+                ])
+                .build(),
+        )
+        .build()
+        .into_arc()
+    }
+
+    fn plain(name: &str) -> Arc<ClassDef> {
+        ClassBuilder::new(name)
+            .method(
+                MethodBuilder::of_static("main")
+                    .returns(TypeDesc::Int)
+                    .ops([Op::ConstInt(7), Op::ReturnVal])
+                    .build(),
+            )
+            .build()
+            .into_arc()
+    }
+
+    #[test]
+    fn a_thousand_fresh_namespaces_verify_each_definition_once() {
+        let (mut table, shared) = shared_table();
+        let (int_helper, main) = (helper(TypeDesc::Int), main_def());
+        let before = table.verifications;
+        for k in 0..1000 {
+            let ns = table.create_namespace(format!("p{k}"), Some(shared));
+            table.load_class(ns, int_helper.clone()).unwrap();
+            table.load_class(ns, main.clone()).unwrap();
+        }
+        assert_eq!(table.verifications - before, 2);
+    }
+
+    /// Keying by the definition alone is not exact: the same `Main` is
+    /// well typed after `Helper { int f; }` and ill typed after
+    /// `Helper { String f; }`.
+    #[test]
+    fn own_history_separates_differently_typed_helpers() {
+        let (mut table, shared) = shared_table();
+        let main = main_def();
+        let a = table.create_namespace("a", Some(shared));
+        table.load_class(a, helper(TypeDesc::Int)).unwrap();
+        table.load_class(a, main.clone()).unwrap();
+        let before = table.verifications;
+        let b = table.create_namespace("b", Some(shared));
+        table.load_class(b, helper(TypeDesc::Str)).unwrap();
+        let err = table.load_class(b, main).unwrap_err();
+        assert!(matches!(err, VmError::Verify(_)), "{err:?}");
+        assert_eq!(
+            table.verifications - before,
+            2,
+            "Helper and Main both verified"
+        );
+    }
+
+    /// The same `Main` resolves its `Helper` through two parents that
+    /// bound differently typed ones.
+    #[test]
+    fn parent_history_separates_differently_typed_parents() {
+        let mut table = ClassTable::new(IntrinsicRegistry::new());
+        let base: Vec<_> = base_classes().into_iter().map(ClassDef::into_arc).collect();
+        let parent = |table: &mut ClassTable, name: &str, ty: TypeDesc| {
+            let p = table.create_namespace(name, None);
+            for def in &base {
+                table.load_class(p, def.clone()).unwrap();
+            }
+            table.load_class(p, helper(ty)).unwrap();
+            p
+        };
+        let int_parent = parent(&mut table, "int", TypeDesc::Int);
+        let str_parent = parent(&mut table, "str", TypeDesc::Str);
+        let main = main_def();
+        let a = table.create_namespace("a", Some(int_parent));
+        table.load_class(a, main.clone()).unwrap();
+        let b = table.create_namespace("b", Some(str_parent));
+        let err = table.load_class(b, main).unwrap_err();
+        assert!(matches!(err, VmError::Verify(_)), "{err:?}");
+    }
+
+    /// A load into the parent between two child loads (a
+    /// `load_shared_source` between two spawns) forces a second
+    /// verification; the next child hits again.
+    #[test]
+    fn a_parent_load_between_child_loads_verifies_again() {
+        let (mut table, shared) = shared_table();
+        let main = plain("Main");
+        let child = |table: &mut ClassTable, k: u32| {
+            let ns = table.create_namespace(format!("c{k}"), Some(shared));
+            table.load_class(ns, main.clone()).unwrap();
+        };
+        let before = table.verifications;
+        child(&mut table, 0);
+        child(&mut table, 1);
+        assert_eq!(table.verifications - before, 1);
+        table.load_class(shared, plain("Extra")).unwrap();
+        child(&mut table, 2);
+        assert_eq!(table.verifications - before, 3, "Extra and Main verified");
+        child(&mut table, 3);
+        assert_eq!(table.verifications - before, 3);
+    }
+
+    /// A rejected definition adds no edge and leaves the namespace's
+    /// history where it was: the next load hits the edge a namespace that
+    /// never failed recorded.
+    #[test]
+    fn a_failed_verification_adds_no_edge() {
+        let (mut table, shared) = shared_table();
+        let (str_helper, main, extra) = (helper(TypeDesc::Str), main_def(), plain("Extra"));
+        let clean = table.create_namespace("clean", Some(shared));
+        table.load_class(clean, str_helper.clone()).unwrap();
+        table.load_class(clean, extra.clone()).unwrap();
+        let (edges, before) = (table.verify_edges(), table.verifications);
+        for k in 0..2 {
+            let ns = table.create_namespace(format!("f{k}"), Some(shared));
+            table.load_class(ns, str_helper.clone()).unwrap();
+            assert!(table.load_class(ns, main.clone()).is_err());
+            table.load_class(ns, extra.clone()).unwrap();
+        }
+        assert_eq!(table.verify_edges(), edges);
+        assert_eq!(
+            table.verifications - before,
+            2,
+            "only the rejected Main runs"
+        );
+    }
+
+    /// A dropped namespace, and a namespace delegating to one, verify every
+    /// load: neither can hit an edge, however fresh it looks.
+    #[test]
+    fn a_dropped_namespace_never_hits() {
+        let (mut table, shared) = shared_table();
+        let object = table
+            .class(table.lookup(shared, "Object").unwrap())
+            .def
+            .clone();
+        let main = plain("Main");
+        let dead = table.create_namespace("dead", Some(shared));
+        table.drop_namespace(dead);
+        let (edges, before) = (table.verify_edges(), table.verifications);
+        table.load_class(dead, object).unwrap();
+        for k in 0..2 {
+            let below = table.create_namespace(format!("below{k}"), Some(dead));
+            table.load_class(below, main.clone()).unwrap();
+        }
+        assert_eq!(table.verifications - before, 3);
+        assert_eq!(table.verify_edges(), edges);
+    }
+
+    /// The code cache hashes each definition once, however many classes
+    /// bind it.
+    #[test]
+    fn def_hash_memo_holds_one_entry_per_definition() {
+        let (mut table, shared) = shared_table();
+        let (one, two) = (plain("One"), plain("Two"));
+        let mut cache = CodeCache::new(1 << 20);
+        let mut keys = Vec::new();
+        for k in 0..100 {
+            let ns = table.create_namespace(format!("p{k}"), Some(shared));
+            for def in [&one, &two] {
+                let cls = table.load_class(ns, def.clone()).unwrap();
+                let m = table.find_method(cls, "main").unwrap();
+                keys.push(cache.key_for(&table, m));
+            }
+        }
+        assert_eq!(cache.def_hash_entries(), 2);
+        assert!(keys.chunks(2).all(|pair| pair == &keys[..2]));
     }
 }
 

@@ -342,7 +342,7 @@ impl<'a> Verifier<'a> {
         // Exception handlers covering this pc observe the locals here with
         // a one-element stack holding the exception.
         let code = self.code;
-        for h in &code.handlers {
+        for h in code.handlers.iter() {
             if pc >= h.start && pc < h.end {
                 let hcls = self.class_const(h.class).map_err(|msg| (pc, msg))?;
                 handler.locals.clone_from(&state.locals);

@@ -29,6 +29,8 @@
 //! the verifier or the analyzer that changes which error is reported
 //! first, or any fact, fails here even when the result is still sound.
 
+use std::sync::Arc;
+
 use kaffeos_analyze::Analysis;
 use kaffeos_heap::{HeapSpace, SpaceConfig, Value};
 use kaffeos_memlimit::Kind;
@@ -420,7 +422,7 @@ fn accepted_bytecode_never_panics() {
         {
             let target = table.lookup(base, "Target").unwrap();
             let victim = table.find_method(target, "make").unwrap();
-            let mangled: Vec<Op> = (0..nops).map(|_| gen_op(&mut rng, 24)).collect();
+            let mangled: Arc<[Op]> = (0..nops).map(|_| gen_op(&mut rng, 24)).collect();
             let saved =
                 std::mem::replace(&mut table.methods[victim.0 as usize].code.ops, mangled);
             let analysis = kaffeos_analyze::analyze(&table);
