@@ -8,16 +8,17 @@
 //! classifies every value by the **heap region** it may live on and every
 //! reference-store site by whether it can possibly cross a heap boundary.
 //!
-//! Two products fall out:
+//! Four products fall out. All of them are lint facts for
+//! `kaffeos-lint` and the soundness tests: nothing at runtime reads them,
+//! and every reference store takes the dynamic barrier whatever its
+//! verdict.
 //!
-//! 1. **Barrier elision.** A store proven `Local → Local` (both the
+//! 1. **Store verdicts.** A store proven `Local → Local` (both the
 //!    receiver and the stored value live on the running process's own
 //!    allocation heap, or are null) is same-heap into an unfrozen object
-//!    under every execution, so its legality checks are dead weight. The
-//!    analysis emits a per-method bitmap of such sites; the interpreter
-//!    skips the barrier's host-side checks there while charging the exact
-//!    same *virtual* cycle cost, so traces, profiles and Table-1 numbers
-//!    are unchanged.
+//!    under every execution: its verdict is [`Verdict::Elide`], meaning
+//!    its legality checks can never fire. [`Analysis::elision_counts`]
+//!    reports how many sites qualify.
 //! 2. **Cross-heap lints.** Sites that definitely or possibly violate the
 //!    matrix — writes into frozen shared objects, stores whose operands
 //!    escape local reasoning — plus unreachable code and
@@ -27,16 +28,12 @@
 //!    vtables computes, per `CallVirtual` site, the set of reachable
 //!    override targets. Virtual-call results join the summaries of every
 //!    reachable override (replacing the old blanket `Top`), which keeps
-//!    stores of those results elidable; because class loads only ever
-//!    *add* overrides, a load that adds one re-runs the analysis in full
-//!    (see [`Analysis::run`]).
-//! 4. **Escape facts (whole-program only).** [`analyze`] additionally
-//!    runs a per-method escape pass that classifies every allocation site
-//!    as never-leaves-frame / never-leaves-process / may-cross, and builds
-//!    a static lock-order graph powering the `deadlock-candidate` and
-//!    `lock-held-across-syscall` lints. These are summaries and lints for
-//!    `kaffeos-lint`; nothing at runtime reads them, so the kernel's
-//!    incremental [`Analysis::run`] on the spawn path never computes them.
+//!    stores of those results provably `Local`.
+//! 4. **Escape facts.** [`analyze`] runs a per-method escape pass that
+//!    classifies every allocation site as never-leaves-frame /
+//!    never-leaves-process / may-cross, and builds a static lock-order
+//!    graph powering the `deadlock-candidate` and
+//!    `lock-held-across-syscall` lints.
 //!
 //! # The region lattice
 //!
@@ -69,19 +66,17 @@
 //! exception objects enter as `MayCross`, virtual-call results as the
 //! join over every CHA-reachable override's summary (`Top` when the
 //! hierarchy walk bails), and any method whose bytecode cannot be
-//! followed (unverified input) is abandoned with no elisions. Field summaries are global monotone joins
-//! over every store site in the program, keyed by the *declaring* class
-//! of the field slot, so reads through a subclass or superclass receiver
-//! observe the same summary. The dynamic oracle closes the loop: the
-//! fault-sweep soundness test asserts every runtime segmentation
-//! violation lands on a site this crate classified as non-elidable, and
-//! debug builds re-run the full legality check inside
-//! `store_ref_elided`.
+//! followed (unverified input) is abandoned with no store sites. Field
+//! summaries are global monotone joins over every store site in the
+//! program, keyed by the *declaring* class of the field slot, so reads
+//! through a subclass or superclass receiver observe the same summary. The
+//! dynamic oracle closes the loop: the fault-sweep soundness test asserts
+//! every runtime segmentation violation lands on a site this crate did not
+//! classify as [`Verdict::Elide`].
 
 use std::collections::{BTreeMap, HashMap};
-use std::ops::Range;
 
-use kaffeos_vm::{ClassIdx, ClassTable, LoadedClass, MethodIdx, Op, RConst, TypeDesc};
+use kaffeos_vm::{ClassIdx, ClassTable, MethodIdx, Op, RConst, TypeDesc};
 
 /// Abstract heap region of a value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -124,7 +119,8 @@ impl Region {
 /// Static classification of one reference-store site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
-    /// Proven `Local → Local`: same-heap, unfrozen — barrier elidable.
+    /// Proven `Local → Local`: same-heap, unfrozen — the barrier's checks
+    /// can never fire here.
     Elide,
     /// Proven legal but cross-heap (needs its entry/exit items): the
     /// barrier must run.
@@ -367,10 +363,7 @@ fn may_throw(op: &Op) -> bool {
 }
 
 /// Analysis results plus the interprocedural summaries they were computed
-/// from. [`Analysis::run`] extends them over the methods loaded since the
-/// previous run, falling back to a full pass only when a load can change
-/// an old verdict; it returns the methods whose facts the caller must
-/// republish.
+/// from. Built by [`analyze`].
 #[derive(Debug, Default)]
 pub struct Analysis {
     /// Return-region summary per method (`None` = no return observed:
@@ -389,20 +382,11 @@ pub struct Analysis {
     /// Diagnostics for every analyzed method, sorted.
     pub lints: Vec<Lint>,
     /// Methods whose bytecode could not be followed (unverified input);
-    /// they get no sites and no elisions.
+    /// they get no sites.
     bailed: Vec<u32>,
     /// Set during a fixpoint pass when any global summary moved.
     changed: bool,
-    /// Set during a fixpoint pass when a join raised a summary a method
-    /// below the watermark reads: an old return summary, a field or static
-    /// of an old class, or the array bucket.
-    old_raised: bool,
-    /// Methods covered by the previous run (the method watermark).
-    methods_seen: usize,
-    /// Classes covered by the previous run (the class watermark).
-    classes_seen: usize,
-    /// CHA reachable-target cache, keyed by (static class, vslot). Kept
-    /// across runs while loads add no override; cleared on a full pass.
+    /// CHA reachable-target cache, keyed by (static class, vslot).
     cha: HashMap<(u32, u16), ChaTargets>,
     /// Reachable `CallVirtual` site counts: (monomorphic, polymorphic).
     virt_sites: (usize, usize),
@@ -431,9 +415,8 @@ struct ChaTargets {
 }
 
 /// Runs the whole-program analysis over every method currently loaded:
-/// [`Analysis::run`]'s region fixpoint, store sites and CHA, then the
-/// escape pass over every followable method, the lock-order graph and its
-/// lints. The result is a report; it is not meant to be `run` again.
+/// the region fixpoint, store sites and CHA, then the escape pass over
+/// every followable method, the lock-order graph and its lints.
 pub fn analyze(table: &ClassTable) -> Analysis {
     let mut a = Analysis::default();
     a.run(table);
@@ -448,61 +431,13 @@ pub fn analyze(table: &ClassTable) -> Analysis {
 }
 
 impl Analysis {
-    /// Brings the analysis up to date with `table` and returns the methods
-    /// whose facts may have changed: the methods loaded since the previous
-    /// run, or every method after a full pass (a range starting at 0).
-    ///
-    /// The run extends the fixpoint over the new methods only, then
-    /// collects their store sites and virtual-site counts; old methods keep
-    /// theirs, and the CHA cache is kept. It falls back to a full pass —
-    /// per-method results cleared, summaries kept, the same loops over
-    /// every method — when (i) a new class may add a CHA
-    /// target to an old `(class, vslot)` key (it overrides an inherited
-    /// slot, or its superclass chain cannot be walked), or (ii) the new
-    /// methods' fixpoint raised a summary an old method reads (an old
-    /// return summary, a field or static of an old class, or the array
-    /// bucket). An old method's abstract states read nothing else, so
-    /// when neither holds every old verdict equals a from-scratch run's,
-    /// and the new methods' fixpoint meets the same summaries a full run
-    /// would. A first run is the same code from watermark 0.
-    ///
-    /// Precondition: loaded code is immutable. Methods and classes are
-    /// only ever appended; a caller that mutates loaded code in place must
-    /// analyze the result with a fresh [`analyze`]. A table smaller than
-    /// the watermarks is taken to be another table and analyzed afresh.
-    pub fn run(&mut self, table: &ClassTable) -> Range<usize> {
-        let n = table.methods.len();
-        if n < self.methods_seen || table.classes.len() < self.classes_seen {
-            *self = Analysis::default();
-        }
-        self.summaries.resize(n, None);
-        let mut from = self.methods_seen;
-        let new_classes = table.classes.get(self.classes_seen..).unwrap_or_default();
-        if from > 0 && new_classes.iter().any(|c| may_add_cha_target(table, c)) {
-            from = 0;
-        }
-        let incremental = if from > 0 {
-            self.fixpoint(table, from)
-        } else {
-            None
-        };
-        let last_pass = match incremental {
-            Some(states) => states,
-            None => {
-                from = 0;
-                self.sites.clear();
-                self.lints.clear();
-                self.bailed.clear();
-                self.cha.clear();
-                self.virt_sites = (0, 0);
-                self.fixpoint(table, 0).unwrap_or_default()
-            }
-        };
-
-        // Phase 2: collect from the fixpoint's last pass, whose states were
-        // computed against the final summaries (that pass changed none).
-        let lints_before = self.lints.len();
-        for (i, states) in (from..n).zip(last_pass) {
+    /// The region and hierarchy passes: the fixpoint over every method,
+    /// then store sites and virtual-site counts collected from its last
+    /// pass, whose states were computed against the final summaries (that
+    /// pass changed none).
+    fn run(&mut self, table: &ClassTable) {
+        self.summaries.resize(table.methods.len(), None);
+        for (i, states) in self.fixpoint(table).into_iter().enumerate() {
             let midx = MethodIdx(i as u32);
             match states {
                 None => self.bailed.push(i as u32),
@@ -512,44 +447,26 @@ impl Analysis {
                 }
             }
         }
-        if self.lints.len() != lints_before {
-            self.sort_lints();
-        }
-        self.methods_seen = n;
-        self.classes_seen = table.classes.len();
-        from..n
     }
 
-    /// Phase 1: fixpoint over the call graph. Each pass re-analyzes the
-    /// methods `from..`, joining return regions and field stores into the
-    /// global summaries; stop when a pass changes nothing. The lattice is
-    /// finite and all updates are joins, so this terminates. Returns the
-    /// last pass's states per method (`None` for a method that bailed):
-    /// that pass moved no summary, so they are the states at the fixpoint.
-    /// With `from > 0`, returns `None` as soon as a join raises a summary a
-    /// method below `from` reads (the caller falls back to a full pass).
-    fn fixpoint(
-        &mut self,
-        table: &ClassTable,
-        from: usize,
-    ) -> Option<Vec<Option<States<AbsState>>>> {
-        self.old_raised = false;
-        let mut pass = Vec::with_capacity(table.methods.len() - from);
+    /// Fixpoint over the call graph. Each pass re-analyzes every method,
+    /// joining return regions and field stores into the global summaries;
+    /// stop when a pass changes nothing. The lattice is finite and all
+    /// updates are joins, so this terminates. Returns the last pass's
+    /// states per method (`None` for a method that bailed): that pass moved
+    /// no summary, so they are the states at the fixpoint.
+    fn fixpoint(&mut self, table: &ClassTable) -> Vec<Option<States<AbsState>>> {
         loop {
             #[cfg(test)]
             {
                 self.counts.1 += 1;
             }
             self.changed = false;
-            pass.clear();
-            for i in from..table.methods.len() {
-                pass.push(self.run_method(table, MethodIdx(i as u32)));
-                if from > 0 && self.old_raised {
-                    return None;
-                }
-            }
+            let pass: Vec<_> = (0..table.methods.len() as u32)
+                .map(|i| self.run_method(table, MethodIdx(i)))
+                .collect();
             if !self.changed {
-                return Some(pass);
+                return pass;
             }
         }
     }
@@ -575,28 +492,6 @@ impl Analysis {
     /// Whether the method's bytecode could not be followed.
     pub fn is_bailed(&self, method: MethodIdx) -> bool {
         self.bailed.contains(&method.0)
-    }
-
-    /// Barrier-elision bitmap for a method: bit `pc` set ⇔ the store at
-    /// `pc` is proven `Local → Local`. Empty when nothing is elidable.
-    pub fn elision_bitmap(&self, table: &ClassTable, method: MethodIdx) -> Vec<u64> {
-        let Some(m) = table.methods.get(method.0 as usize) else {
-            return Vec::new();
-        };
-        let mut bitmap = vec![0u64; m.code.ops.len().div_ceil(64)];
-        let mut any = false;
-        let sites = self.sites.range((method.0, 0)..=(method.0, u32::MAX));
-        for site in sites.map(|(_, s)| s) {
-            if site.verdict == Verdict::Elide {
-                bitmap[(site.pc / 64) as usize] |= 1 << (site.pc % 64);
-                any = true;
-            }
-        }
-        if any {
-            bitmap
-        } else {
-            Vec::new()
-        }
     }
 
     /// (elidable, total) reference-store sites across the whole program.
@@ -864,7 +759,7 @@ impl Analysis {
                     let next = cur.join(val);
                     if next != cur {
                         self.statics.insert(key, next);
-                        self.raised(key.0 < self.classes_seen as u32);
+                        self.changed = true;
                     }
                 }
             }
@@ -894,8 +789,7 @@ impl Analysis {
                 let next = self.array_elems.unwrap_or(Local).join(val);
                 if self.array_elems != Some(next) {
                     self.array_elems = Some(next);
-                    // One global bucket: any old `ALoad` may read it.
-                    self.raised(true);
+                    self.changed = true;
                 }
             }
             Op::CallStatic(idx) => {
@@ -935,11 +829,9 @@ impl Analysis {
             }
             Op::CallVirtual(idx) => {
                 // Virtual dispatch sharpened by CHA: the result is the join
-                // over every reachable override's summary. A later class
-                // load can add overrides, but such a load makes `run` fall
-                // back to a full pass (and the kernel republish every
-                // fact), so the summary is exact for the current hierarchy.
-                // Only a bailed hierarchy walk falls back to `Top`.
+                // over every reachable override's summary, exact for the
+                // loaded hierarchy. Only a bailed hierarchy walk falls back
+                // to `Top`.
                 let RConst::VirtualMethod { class, vslot, nargs, .. } = rpool.get(idx as usize)?
                 else {
                     return None;
@@ -1023,7 +915,7 @@ impl Analysis {
 
     /// Reachable override targets for a `CallVirtual` through `(class,
     /// vslot)`: the vtable entries of every loaded class at-or-below
-    /// `class`. Cached until a load adds an override (see `run`).
+    /// `class`.
     fn cha_targets(&mut self, table: &ClassTable, class: ClassIdx, vslot: u16) -> &ChaTargets {
         self.cha.entry((class.0, vslot)).or_insert_with(|| {
             let mut targets = Vec::new();
@@ -1087,7 +979,7 @@ impl Analysis {
         };
         if *slot != Some(next) {
             *slot = Some(next);
-            self.raised(midx.0 < self.methods_seen as u32);
+            self.changed = true;
         }
     }
 
@@ -1096,15 +988,8 @@ impl Analysis {
         let next = cur.join(r);
         if next != cur {
             self.fields.insert(key, next);
-            self.raised(key.0 < self.classes_seen as u32);
+            self.changed = true;
         }
-    }
-
-    /// Records that a global summary moved; `old` says whether a method
-    /// below the watermark may read it.
-    fn raised(&mut self, old: bool) {
-        self.changed = true;
-        self.old_raised |= old;
     }
 
     // ---- collection --------------------------------------------------------
@@ -1181,10 +1066,8 @@ impl Analysis {
                 Op::AStore => {
                     // Stack: [... arr idx val]. Element type is unknown
                     // statically; a primitive-element store is classified
-                    // too, harmlessly — its verdict is never consulted
-                    // (the interpreter only checks the bitmap for
-                    // reference values, and a Local/Local verdict for a
-                    // prim store elides nothing the barrier would do).
+                    // too, harmlessly: a prim store takes no barrier, so a
+                    // Local/Local verdict there claims nothing.
                     let n = state.stack.len();
                     if n < 3 {
                         continue;
@@ -1843,26 +1726,6 @@ fn bounded_is_subclass(table: &ClassTable, a: ClassIdx, b: ClassIdx) -> Option<b
         }
     }
     None
-}
-
-/// Whether loading `c` may add a target to the CHA set of an already
-/// loaded `(class, vslot)` key: it overrides an inherited slot (its vtable
-/// does not start with its superclass's), or its superclass chain cannot
-/// be walked to the root, which makes the sites through it incomplete. A
-/// class that only appends slots adds nothing: each old key's set already
-/// holds its superclass's entry for that slot.
-fn may_add_cha_target(table: &ClassTable, c: &LoadedClass) -> bool {
-    // No class carries `u32::MAX`, so only a chain that reaches the root
-    // answers `Some(false)`.
-    if bounded_is_subclass(table, c.idx, ClassIdx(u32::MAX)) != Some(false) {
-        return true;
-    }
-    c.super_idx.is_some_and(|s| {
-        table
-            .classes
-            .get(s.0 as usize)
-            .is_none_or(|sc| !c.vtable.starts_with(&sc.vtable))
-    })
 }
 
 /// Walks up the superclass chain to the class that declared `slot`, so

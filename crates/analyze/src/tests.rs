@@ -24,6 +24,11 @@ fn table_with(registry: IntrinsicRegistry, defs: Vec<ClassDef>) -> (ClassTable, 
     (table, ns)
 }
 
+/// Whether any store site of `m` got the `Elide` verdict.
+fn elides_any(an: &crate::Analysis, m: kaffeos_vm::MethodIdx) -> bool {
+    an.sites().any(|s| s.method == m && s.verdict == Verdict::Elide)
+}
+
 #[test]
 fn join_is_a_lattice() {
     use Region::*;
@@ -59,10 +64,11 @@ fn local_into_local_store_is_elided() {
 
     let an = analyze(&table);
     assert_eq!(an.site(m, 2).expect("store site").verdict, Verdict::Elide);
-    let bm = an.elision_bitmap(&table, m);
-    assert_eq!(bm.len(), 1);
-    assert_ne!(bm[0] & (1 << 2), 0, "bit for pc 2 must be set");
+    assert_eq!(an.elision_counts(), (1, 1));
     assert!(an.lints.is_empty(), "nothing to lint: {:?}", an.lints);
+    // The collect pass reuses the fixpoint's last states: every pass
+    // interprets each method exactly once, and nothing else interprets.
+    assert_eq!(an.counts.0, an.counts.1 * table.methods.len());
 }
 
 #[test]
@@ -89,7 +95,7 @@ fn parameter_store_is_not_elided() {
     let site = an.site(m, 2).expect("store site");
     assert_eq!(site.verdict, Verdict::Unknown);
     assert_eq!(site.val, Region::MayCross);
-    assert!(an.elision_bitmap(&table, m).is_empty());
+    assert!(!elides_any(&an, m));
 }
 
 #[test]
@@ -521,8 +527,8 @@ fn parameter_store_into_fresh_receiver_is_not_elided() {
 
     let an = analyze(&table);
     // A fresh receiver is Local, but the value is a parameter (region
-    // MayCross): the store is not barrier-elidable.
-    assert!(an.elision_bitmap(&table, m).is_empty());
+    // MayCross): the store is not proven Local → Local.
+    assert!(!elides_any(&an, m));
 }
 
 /// Two locks, two methods, opposite acquisition orders.
@@ -653,147 +659,6 @@ fn syscall_under_lock_is_linted() {
     assert!(lint.msg.contains("LockA"), "{}", lint.msg);
 }
 
-/// The escape pass and the lock lints are whole-program only: the
-/// incremental `run` the kernel calls on every spawn never enters the
-/// escape pass, not even for a batch full of allocations and monitors,
-/// while `analyze` over the same table still reports the escape classes and
-/// lock-order lints.
-#[test]
-fn spawn_path_run_makes_no_escape_pass_calls() {
-    let (mut table, base) = table_with(IntrinsicRegistry::new(), Vec::new());
-    let mut an = crate::Analysis::default();
-    an.run(&table);
-    for k in 0..4 {
-        // A spawn-sized batch: a fresh namespace loading its own copies.
-        let ns = table.create_namespace(format!("p{k}"), Some(base));
-        for def in deadlock_defs() {
-            table.load_class(ns, def.into_arc()).unwrap();
-        }
-        assert_eq!(an.run(&table).len(), 2, "the batch's two methods");
-    }
-    assert_eq!(an.counts.2, 0, "run must not call the escape pass");
-    assert!(an.lints.is_empty(), "run reports no lock lints: {:?}", an.lints);
-
-    let whole = analyze(&table);
-    assert_eq!(whole.counts.2, table.methods.len(), "one escape call per method");
-    let deadlocks = whole
-        .lints
-        .iter()
-        .filter(|l| l.kind == LintKind::DeadlockCandidate)
-        .count();
-    assert_eq!(deadlocks, 2 * 4, "both edges of the cycle, per copy");
-    assert_eq!(whole.escape_counts(), (16, 0, 0));
-}
-
-/// Stores the parameter into `A.f` (pool 2 of a [`probe`]).
-const STORE_FIELD: [Op; 4] = [Op::New(0), Op::Load(0), Op::PutField(2), Op::Return];
-
-/// Stores the parameter into a fresh `Object[]` (pool 1 of a [`probe`]).
-const STORE_ELEM: [Op; 6] = [
-    Op::ConstInt(1),
-    Op::NewArray(1),
-    Op::ConstInt(0),
-    Op::Load(0),
-    Op::AStore,
-    Op::Return,
-];
-
-/// A class `name` beside `A` whose static `m(Object)` runs `ops`, with
-/// pool 0 = `A`, 1 = `Object`, 2 = `A.f`.
-fn probe<const N: usize>(name: &str, ops: [Op; N]) -> ClassDef {
-    let mut b = ClassBuilder::new(name);
-    b.pool(Const::Class("A".to_string()));
-    b.pool(Const::Class("Object".to_string()));
-    b.pool(Const::Field {
-        class: "A".to_string(),
-        name: "f".to_string(),
-    });
-    b.method(MethodBuilder::of_static("m").param(obj()).ops(ops).build())
-        .build()
-}
-
-/// Which path each load takes, as a count rather than a time: reloads of
-/// the same defs into fresh namespaces analyze exactly their own methods,
-/// while a load that adds an override, raises an old class's field or
-/// raises the array bucket re-runs over every method. Each fixpoint pass
-/// interprets each method in its range once, and the collect pass reuses
-/// the last pass's states instead of interpreting again: a load of k
-/// methods that settles in one pass costs k region interpretations.
-#[test]
-fn run_reanalyzes_only_new_methods_unless_an_old_verdict_can_move() {
-    let (mut table, base) = table_with(IntrinsicRegistry::new(), Vec::new());
-    let mut an = crate::Analysis::default();
-    // Loads `defs` into `ns`, runs the analysis, and names the methods it
-    // reported changed — "new" (just the loaded ones) or "all" — with the
-    // number of `run_method` calls the run made. Whatever the path, the
-    // facts must equal a fresh run's.
-    let mut load = |table: &mut ClassTable, ns: u32, defs: Vec<ClassDef>| {
-        let before = table.methods.len();
-        for def in defs {
-            table.load_class(ns, def.into_arc()).unwrap();
-        }
-        let (calls, passes, _) = an.counts;
-        let changed = an.run(table);
-        let (calls, passes) = (an.counts.0 - calls, an.counts.1 - passes);
-        let fresh = analyze(table);
-        let n = table.methods.len();
-        assert_eq!(fresh.counts.0, fresh.counts.1 * n, "a full run: passes × n");
-        for i in 0..n as u32 {
-            let m = kaffeos_vm::MethodIdx(i);
-            assert_eq!(an.elision_bitmap(table, m), fresh.elision_bitmap(table, m));
-        }
-        assert_eq!(an.devirt_counts(), fresh.devirt_counts());
-        let path = match changed {
-            r if r == (before..n) => "new",
-            r if r == (0..n) => "all",
-            _ => "other",
-        };
-        if path == "new" {
-            assert_eq!(calls, passes * (n - before), "an incremental run: passes × k");
-        }
-        (path, calls)
-    };
-    let mut spaces = Vec::new();
-    for k in 0..4 {
-        let ns = table.create_namespace(format!("p{k}"), Some(base));
-        // `A.get`'s return summary is new, so the fixpoint takes a second
-        // pass over both methods to confirm it.
-        let reload = load(&mut table, ns, vec![class_a()]);
-        assert_eq!(reload, ("new", 4), "reload {k}");
-        spaces.push(ns);
-    }
-    let ns = spaces[0];
-    assert_eq!(load(&mut table, ns, Vec::new()), ("new", 0), "empty load");
-
-    // A subclass that only appends a slot adds no CHA target, and its one
-    // method raises nothing: one pass, one interpretation.
-    let appender = ClassBuilder::new("C")
-        .extends("A")
-        .method(MethodBuilder::instance("other").op(Op::Return).build())
-        .build();
-    assert_eq!(load(&mut table, ns, vec![appender]), ("new", 1), "appending");
-
-    let sub = ClassBuilder::new("B")
-        .extends("A")
-        .method(
-            MethodBuilder::instance("get")
-                .returns(TypeDesc::Class("A".to_string()))
-                .ops([Op::Load(0), Op::ReturnVal])
-                .build(),
-        )
-        .build();
-    assert_eq!(load(&mut table, ns, vec![sub]).0, "all", "override");
-    let field = probe("F", STORE_FIELD);
-    assert_eq!(load(&mut table, ns, vec![field]).0, "all", "old field");
-    let elem = probe("E", STORE_ELEM);
-    assert_eq!(load(&mut table, ns, vec![elem]).0, "all", "array bucket");
-
-    // Once raised, the same stores move nothing: back to the new methods,
-    // each interpreted once.
-    let again = vec![probe("F2", STORE_FIELD), probe("E2", STORE_ELEM)];
-    assert_eq!(load(&mut table, ns, again), ("new", 2), "repeated stores");
-}
-
 #[test]
 fn analyzer_bails_but_never_panics_on_mangled_bytecode() {
     let def = ClassBuilder::new("A")
@@ -813,6 +678,6 @@ fn analyzer_bails_but_never_panics_on_mangled_bytecode() {
         table.methods[m.0 as usize].code.ops = bad.into();
         let an = analyze(&table);
         assert!(an.is_bailed(m), "mangled method must bail");
-        assert!(an.elision_bitmap(&table, m).is_empty());
+        assert!(!elides_any(&an, m));
     }
 }

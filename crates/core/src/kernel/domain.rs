@@ -1,6 +1,5 @@
 //! Protection domains and the process lifecycle: image registration,
-//! class loading and the analyzer's republish, spawn, domain creation and
-//! release, kill and reap.
+//! class loading, spawn, domain creation and release, kill and reap.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -14,61 +13,6 @@ use crate::process::{CpuAccount, Domain, ExitStatus, Pid, ProcState, Process, Sp
 use crate::tenant::TenantId;
 
 impl KaffeOs {
-    /// Brings the static analyzer (region and hierarchy passes) up to date
-    /// with the loaded classes and republishes the barrier-elision bitmaps
-    /// it reports changed. Must run after each class-load batch (loads
-    /// happen between quanta, so there is no window where a stale bitmap
-    /// executes). Usually only the batch's own methods change; a new
-    /// override or a store that raises an old summary makes the analyzer
-    /// re-run in full, which can only shrink bitmaps, never grow them.
-    pub(super) fn republish_elision(&mut self) {
-        if !self.config.elide {
-            return;
-        }
-        let changed = self.analysis.run(&self.table);
-        let full = changed.start == 0;
-        for i in changed {
-            let midx = MethodIdx(i as u32);
-            let elide = self.analysis.elision_bitmap(&self.table, midx);
-            self.table.set_elision(midx, elide);
-        }
-        // Compiled bodies attach only to methods analyzed before this
-        // batch, whose facts move only on a full pass.
-        if full {
-            self.invalidate_stale_bodies();
-        }
-    }
-
-    /// Invalidates compiled bodies whose baked-in analysis facts no longer
-    /// match the published ones (class reload / analyzer republish) — a
-    /// changed elision bitmap or a changed class definition. The method
-    /// re-tiers from a cold counter and compiles under its new cache key;
-    /// other processes whose facts still match keep sharing the old body
-    /// under the old key.
-    fn invalidate_stale_bodies(&mut self) {
-        for proc in &mut self.procs {
-            if matches!(proc.state, ProcState::Dead(_)) {
-                continue;
-            }
-            // `attached()` walks in method order, so the invalidation
-            // sequence (and thus the cache's eviction clock) is
-            // deterministic.
-            let jit_cache = &mut self.jit_cache;
-            let table = &self.table;
-            let stale: Vec<(MethodIdx, kaffeos_vm::MethodKey)> = proc
-                .jit
-                .attached()
-                .filter(|(midx, ab)| jit_cache.key_for(table, *midx) != ab.key)
-                .map(|(midx, ab)| (midx, ab.key))
-                .collect();
-            for (midx, key) in stale {
-                *proc.jit.slot_mut(midx) = kaffeos_vm::BodySlot::Cold;
-                self.jit_cache.invalidate(&key);
-                proc.jit.counters.remove(&midx);
-            }
-        }
-    }
-
     /// Loads additional classes into the **shared namespace** (e.g. the
     /// shared message types processes communicate through).
     pub fn load_shared_source(&mut self, source: &str) -> Result<(), KernelError> {
@@ -77,7 +21,6 @@ impl KaffeOs {
             self.table.load_class(self.shared_ns, def.into_arc())?;
             self.shared_class_count += 1;
         }
-        self.republish_elision();
         Ok(())
     }
 
@@ -205,9 +148,8 @@ impl KaffeOs {
     }
 
     /// The fallible half of a spawn: binds the reloaded library and the
-    /// image in domain `d`, publishes their analysis facts, and resolves
-    /// the entry method of class `entry` with its arguments on the domain's
-    /// heap.
+    /// image in domain `d`, and resolves the entry method of class `entry`
+    /// with its arguments on the domain's heap.
     fn enter_image(
         &mut self,
         d: usize,
@@ -218,9 +160,6 @@ impl KaffeOs {
         // Reloaded standard-library classes: per-domain copies (§3.2).
         self.bind_classes(d, &self.reloaded_defs.clone())?;
         self.bind_classes(d, defs)?;
-        // Analyze what the spawn loaded and publish its facts before
-        // anything runs.
-        self.republish_elision();
         let (heap, ns) = (self.domains[d].heap, self.domains[d].ns);
 
         let main_class = self

@@ -15,7 +15,7 @@
 //! (admission, restarts, shedding), `audit` (fault injection and the
 //! invariant audit) and `procfs` (read-only renderers).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use kaffeos_heap::{BarrierKind, BarrierStats, FxHashMap, HeapSpace, ObjRef, ProcTag, SpaceConfig};
@@ -69,12 +69,10 @@ pub struct KaffeOsConfig {
     /// Record weighted stack samples at virtual-time edges (quantum ends,
     /// syscall dispatch, GC) plus latency histograms. Off by default.
     pub profile: bool,
-    /// Run the static heap-flow analyzer after every class-load batch and
-    /// publish barrier-elision bitmaps: reference stores proven
-    /// Local→Local skip the barrier's legality checks. Elision is
-    /// host-wall-clock only — the virtual cycle model (and therefore every
-    /// trace, profile, and Table-1 number) is bit-identical either way.
-    /// Debug builds re-check elided stores against the real barrier.
+    /// Ignored: every guest reference store takes the checked barrier, and
+    /// the kernel never runs the analyzer. The field remains only because
+    /// the `e2e` benchmark still sets it; the next change to the benchmark
+    /// deletes those two uses, and then this field.
     pub elide: bool,
     /// Heap observability plane: allocation-site profiling with survival
     /// stats, the GC/page timeline, and the live cross-heap edge census.
@@ -99,7 +97,7 @@ impl Default for KaffeOsConfig {
             kernel_gc_period: 50_000_000,
             trace: false,
             profile: false,
-            elide: true,
+            elide: false,
             heapprof: false,
             jit: kaffeos_vm::JitConfig::from_env(),
         }
@@ -302,16 +300,14 @@ pub struct KaffeOs {
     /// quanta. Observational only (throughput benchmarks); never feeds
     /// back into the clock, scheduling, or accounting.
     ops_executed: u64,
-    /// Kernel-owned static heap-flow analysis. Extended over the methods
-    /// of every class-load batch (re-run in full only when the batch can
-    /// change an old verdict), and the barrier-elision bitmaps it reports
-    /// changed are republished; summaries only move up the lattice, so
-    /// bitmaps monotonically shrink and the republish is always sound.
-    analysis: kaffeos_analyze::Analysis,
-    /// Store sites that raised a segmentation violation at runtime,
-    /// drained from guest threads at each quantum boundary. The oracle the
-    /// soundness tests check static verdicts against.
+    /// Distinct store sites that raised a segmentation violation at
+    /// runtime, in first-seen order, drained from guest threads at each
+    /// quantum boundary. The oracle the soundness tests check static
+    /// verdicts against. A site that violates again adds nothing, so a
+    /// guest catching violations in a loop cannot grow it.
     seg_sites: Vec<kaffeos_vm::SegSite>,
+    /// The members of `seg_sites`, for the first-seen check.
+    seg_seen: HashSet<kaffeos_vm::SegSite>,
     /// Tenant table, indexed by [`TenantId`] (dense, creation order).
     tenants: Vec<TenantState>,
     /// Machine-wide graceful-degradation watermarks, if installed.
@@ -320,7 +316,7 @@ pub struct KaffeOs {
     /// and restarts), awaiting `drain_tenant_launches`.
     tenant_launches: Vec<TenantLaunch>,
     /// Process-shared JIT code cache (the ShareJIT artifact): one compiled
-    /// body per `(class bytes, ordinal, elision, resolution)` key, shared
+    /// body per `(class bytes, ordinal, resolution)` key, shared
     /// by every process whose method matches.
     jit_cache: kaffeos_vm::CodeCache,
 }
@@ -377,8 +373,8 @@ impl KaffeOs {
             faults: None,
             kernel_faults: Vec::new(),
             ops_executed: 0,
-            analysis: kaffeos_analyze::Analysis::default(),
             seg_sites: Vec::new(),
+            seg_seen: HashSet::new(),
             tenants: Vec::new(),
             overload: None,
             tenant_launches: Vec::new(),
@@ -396,7 +392,6 @@ impl KaffeOs {
             os.bind_classes(mono, &os.reloaded_defs.clone())
                 .expect("reloaded stdlib must load");
         }
-        os.republish_elision();
         os
     }
 
@@ -412,9 +407,10 @@ impl KaffeOs {
         kaffeos_analyze::analyze(&self.table)
     }
 
-    /// Reference-store sites that raised a segmentation violation at
-    /// runtime, in execution order. Only *guest* stores appear here —
-    /// kernel-level injected writes bypass guest bytecode entirely.
+    /// Distinct reference-store sites that raised a segmentation violation
+    /// at runtime, each once, in the order each first fired. Only *guest*
+    /// stores appear here — kernel-level injected writes bypass guest
+    /// bytecode entirely.
     pub fn seg_violation_sites(&self) -> &[kaffeos_vm::SegSite] {
         &self.seg_sites
     }

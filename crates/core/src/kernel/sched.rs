@@ -322,7 +322,11 @@ impl KaffeOs {
         let exit = step(thread, &mut ctx, granted);
         let drained = thread.drain_cycles();
         self.ops_executed += core::mem::take(&mut thread.ops);
-        self.seg_sites.append(&mut thread.seg_sites);
+        for site in thread.seg_sites.drain(..) {
+            if self.seg_seen.insert(site) {
+                self.seg_sites.push(site);
+            }
+        }
         // Stack walk for the profiler, taken at the quantum boundary —
         // exactly where the drained cycles stopped accruing. Gated so a
         // disabled profiler allocates nothing.

@@ -204,86 +204,10 @@ fn eviction_is_deterministic_and_lru() {
     assert_eq!(snap_a, snap_b, "eviction order must replay identically");
 }
 
-/// Satellite: reloading a shared class invalidates stale bodies (the
-/// analyzer's verdicts changed under them), the process re-tiers, and the
-/// run finishes with the right answer and a clean audit.
-#[test]
-fn class_reload_invalidates_and_retiers() {
-    let mut os = build_os(1 << 20);
-    os.load_shared_source("class Box { Box next; int v; }").unwrap();
-    os.register_image(
-        "writer",
-        r#"
-        class Main {
-            static int main() {
-                Box b = new Box();
-                b.next = new Box();
-                int acc = 0;
-                for (int i = 0; i < 2000000; i = i + 1) {
-                    Box t = b.next;
-                    b.next = t;
-                    acc = acc + 1;
-                }
-                int acc2 = 0;
-                for (int i = 0; i < 5000; i = i + 1) {
-                    Box t = b.next;
-                    b.next = t;
-                    acc2 = acc2 + 1;
-                }
-                return acc + acc2;
-            }
-        }
-        "#,
-    )
-    .unwrap();
-    let pid = os.spawn("writer", "", Some(1 << 20)).unwrap();
-
-    // Run until tier-up has fired but the program is still mid-loop.
-    os.run(Some(5_000_000));
-    assert!(os.is_alive(pid), "writer must still be running");
-    let mid = os.jit_stats(pid).unwrap();
-    assert!(mid.compiled >= 1, "writer must have tiered up: {mid:?}");
-    assert_eq!(os.jit_cache_stats().invalidations, 0);
-
-    // Reload: a new shared class that stores a shared-heap object into
-    // `Box.next` flips the analyzer's verdict for that site, changing the
-    // fingerprint under the compiled body.
-    os.load_shared_source(
-        r#"
-        class Raiser {
-            static int poke(Box b) {
-                b.next = Shm.get("x", 0) as Box;
-                return 0;
-            }
-        }
-        "#,
-    )
-    .unwrap();
-    assert!(
-        os.jit_cache_stats().invalidations >= 1,
-        "reload must invalidate the stale body"
-    );
-
-    // The process re-tiers on the fresh key and finishes correctly.
-    os.run(None);
-    assert_eq!(
-        os.status(pid),
-        Some(kaffeos::ExitStatus::Exited(2_005_000)),
-        "writer must finish with the loop total"
-    );
-    let end = os.jit_stats(pid).unwrap();
-    assert!(
-        end.compiled > mid.compiled,
-        "writer must have re-tiered after the invalidation: {mid:?} -> {end:?}"
-    );
-    os.audit().expect("audit after reload + retier");
-}
-
-/// Loading an override for a hot virtual call's only target needs no
-/// invalidation: compiled bodies hold no call target — the shared
-/// runtime-op code dispatches through the vtable on every call — so the
-/// attached body survives the load and the answer and registry audit stay
-/// clean.
+/// Loading an override for a hot virtual call's only target leaves the
+/// attached body in place: compiled bodies hold no call target — the
+/// shared runtime-op code dispatches through the vtable on every call — so
+/// the answer and registry audit stay clean.
 #[test]
 fn override_load_keeps_attached_bodies_and_the_answer() {
     let mut os = build_os(1 << 20);
@@ -317,11 +241,6 @@ fn override_load_keeps_attached_bodies_and_the_answer() {
     // Load an override: `Box.get` is no longer the only reachable target.
     os.load_shared_source("class Box2 extends Box { int get() { return this.v + 1; } }")
         .unwrap();
-    assert_eq!(
-        os.jit_cache_stats().invalidations,
-        0,
-        "no compiled body embeds a call target, so none is stale"
-    );
 
     // The receiver is still a `Box`, so the answer is unchanged — the same
     // body keeps running and the site dispatches through the vtable.

@@ -434,7 +434,9 @@ impl<'a, 'b> ClassGen<'a, 'b> {
                     self.stmt(f, s)?;
                 }
                 f.ops.push(Op::Jump(head));
-                let ctx = f.loops.pop().expect("loop context");
+                let Some(ctx) = f.loops.pop() else {
+                    return Err(loop_lost(*line));
+                };
                 f.patch(jexit);
                 for b in ctx.breaks {
                     f.patch(b);
@@ -481,7 +483,9 @@ impl<'a, 'b> ClassGen<'a, 'b> {
                     self.stmt(f, update)?;
                 }
                 f.ops.push(Op::Jump(head));
-                let ctx = f.loops.pop().expect("loop context");
+                let Some(ctx) = f.loops.pop() else {
+                    return Err(loop_lost(*line));
+                };
                 if let Some(jexit) = jexit {
                     f.patch(jexit);
                 }
@@ -515,14 +519,14 @@ impl<'a, 'b> ClassGen<'a, 'b> {
                 Ok(())
             }
             Stmt::Break { line } => {
-                if f.loops.is_empty() {
+                let at = f.emit_patch(PatchKind::Always);
+                let Some(ctx) = f.loops.last_mut() else {
                     return Err(CompileError {
                         line: *line,
                         msg: "break outside a loop".to_string(),
                     });
-                }
-                let at = f.emit_patch(PatchKind::Always);
-                f.loops.last_mut().expect("loop").breaks.push(at);
+                };
+                ctx.breaks.push(at);
                 Ok(())
             }
             Stmt::Continue { line } => {
@@ -1230,13 +1234,12 @@ impl<'a, 'b> ClassGen<'a, 'b> {
                 msg: format!("unknown intrinsic {intr_name}"),
             });
         };
-        let def = self
-            .env
-            .table
-            .intrinsics()
-            .def(id)
-            .expect("id from registry")
-            .clone();
+        let Some(def) = self.env.table.intrinsics().def(id).cloned() else {
+            return Err(CompileError {
+                line,
+                msg: format!("intrinsic {intr_name} has no definition"),
+            });
+        };
         let params: Vec<Ty> = def.params.iter().map(desc_to_ty).collect();
         self.emit_args(f, args, &params, line)?;
         let idx = self.pool(Const::Intrinsic(intr_name));
@@ -1476,6 +1479,16 @@ impl<'a, 'b> ClassGen<'a, 'b> {
     }
 }
 
+/// A loop whose context was gone by the end of its body: codegen pushes
+/// one per loop and pops it there, so this is a compiler bug reported as a
+/// compile error rather than a host panic.
+fn loop_lost(line: u32) -> CompileError {
+    CompileError {
+        line,
+        msg: "loop context lost".to_string(),
+    }
+}
+
 /// Source line of a statement, if it has one (`Block` does not).
 fn stmt_line(s: &Stmt) -> Option<u32> {
     Some(match s {
@@ -1608,20 +1621,22 @@ impl FnGen {
     }
 
     fn declare(&mut self, name: &str, ty: Ty, line: u32) -> Result<u16, CompileError> {
-        let scope = self.scopes.last_mut().expect("scope");
+        let slot = self.next_local;
+        let Some(scope) = self.scopes.last_mut() else {
+            return Err(CompileError {
+                line,
+                msg: format!("variable {name} declared outside any scope"),
+            });
+        };
         if scope.contains_key(name) {
             return Err(CompileError {
                 line,
                 msg: format!("duplicate variable {name}"),
             });
         }
-        let slot = self.next_local;
+        scope.insert(name.to_string(), (slot, ty));
         self.next_local += 1;
         self.max_locals = self.max_locals.max(self.next_local);
-        self.scopes
-            .last_mut()
-            .expect("scope")
-            .insert(name.to_string(), (slot, ty));
         Ok(slot)
     }
 

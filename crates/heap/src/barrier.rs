@@ -6,11 +6,9 @@
 //! reclaimed, and to maintain entry/exit items for the legal cross-heap
 //! references. Illegal writes raise "segmentation violations".
 //!
-//! Every reference store funnels through one of two choke points:
-//! `HeapSpace::store_ref`, which runs the checks below, and
-//! `store_ref_elided` for stores the static analyzer proved same-heap.
-//! Both charge the same modelled cycles, so Table-1 numbers do not depend
-//! on elision.
+//! Every reference store funnels through one choke point,
+//! `HeapSpace::store_ref`, which runs the checks below and charges the
+//! modelled cycles of the configured barrier.
 
 use crate::heap::HeapKind;
 use crate::layout::costs;
@@ -88,7 +86,7 @@ impl BarrierKind {
 }
 
 /// Why a reference store was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SegViolationKind {
     /// A reference from one user heap to a different user heap.
     UserToUser,

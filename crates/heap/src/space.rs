@@ -859,58 +859,6 @@ impl HeapSpace {
         Ok(cycles)
     }
 
-    /// Stores a reference whose barrier was **statically elided**: the
-    /// analyzer proved the store is same-heap into an unfrozen object, so
-    /// the legality checks are skipped on the host. The *virtual* cost
-    /// model is unchanged — the store still counts as one executed barrier
-    /// and returns the same modelled cycle cost as [`store_ref`], so
-    /// traces, profiles, and Table-1 numbers are byte-identical whether or
-    /// not elision is enabled.
-    ///
-    /// Debug builds re-run the full legality check and panic if the static
-    /// verdict was wrong (the soundness tests run in debug mode).
-    ///
-    /// [`store_ref`]: HeapSpace::store_ref
-    pub fn store_ref_elided(
-        &mut self,
-        obj: ObjRef,
-        index: usize,
-        val: Value,
-    ) -> Result<u64, HeapError> {
-        debug_assert!(val.is_reference(), "primitive store through store_ref_elided");
-        let cycles = self.barrier.cycles();
-        self.stats.executed += 1;
-        self.stats.cycles += cycles;
-
-        #[cfg(debug_assertions)]
-        if self.barrier.enforces() {
-            let src_heap = self.heap_of(obj)?;
-            debug_assert!(
-                !self.get(obj)?.frozen,
-                "statically elided store into frozen object {obj:?}"
-            );
-            if let Value::Ref(target) = val {
-                let dst_heap = self.heap_of(target)?;
-                debug_assert_eq!(
-                    src_heap, dst_heap,
-                    "statically elided store crosses heaps ({obj:?} -> {target:?})"
-                );
-            }
-        }
-
-        let o = self.get_mut(obj)?;
-        let slots: &mut [Value] = match &mut o.data {
-            ObjData::Fields(f) => f,
-            ObjData::Array { values, .. } => values,
-            ObjData::Str(_) => return Err(HeapError::KindMismatch(obj)),
-        };
-        let len = slots.len();
-        *slots
-            .get_mut(index)
-            .ok_or(HeapError::IndexOutOfBounds { obj, index, len })? = val;
-        Ok(cycles)
-    }
-
     /// Ensures `src` holds an exit item for `target` (which lives on `dst`),
     /// creating the exit item and bumping the remote entry item if absent.
     /// Exit items are charged to the source heap, entry items to the heap

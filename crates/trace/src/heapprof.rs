@@ -21,10 +21,10 @@
 //!   per-collection records, and occupancy samples, exported as JSON lines
 //!   in event order. GC pause cycles feed per-heap [`LogHistogram`]s.
 //! * **Cross-heap edge census** — the interpreter arms the store site
-//!   before a non-elided reference store; edge creation in
-//!   `ensure_cross_edge` charges the armed site's census row. Sites the
-//!   analyzer proved Local never arm (they take the elided path), so every
-//!   census row must land on a non-Elide verdict — the cross-validation
+//!   before every guest reference store; edge creation in
+//!   `ensure_cross_edge` charges the armed site's census row. A store the
+//!   analyzer proved `Local → Local` can never create an edge, so every
+//!   census row must land on a non-`Elide` verdict — the cross-validation
 //!   the soundness test enforces.
 //!
 //! All rendered output iterates `BTreeMap`s or sorts first; class ids are

@@ -119,27 +119,12 @@ pub struct MethodRt {
     /// [`ClassTable::qualified_name`]) — built once at load time so the
     /// profiler's miss path never formats.
     pub qname: String,
-    /// Barrier-elision bitmap from the static heap-flow analyzer: bit `pc`
-    /// set means the reference store at instruction `pc` is proven
-    /// Local→Local, so the interpreter may skip the barrier's legality
-    /// checks there (virtual cost unchanged). Empty until the analyzer
-    /// publishes its verdicts via [`ClassTable::set_elision`].
-    pub elide: Vec<u64>,
 }
 
 impl MethodRt {
     /// Locals consumed by arguments (receiver + params).
     pub fn arg_slots(&self) -> usize {
         self.params.len() + usize::from(!self.is_static)
-    }
-
-    /// Whether the store at instruction `pc` has an elided barrier.
-    #[inline]
-    pub fn elide_at(&self, pc: u32) -> bool {
-        match self.elide.get((pc / 64) as usize) {
-            Some(w) => (w >> (pc % 64)) & 1 != 0,
-            None => false,
-        }
     }
 }
 
@@ -368,7 +353,6 @@ impl ClassTable {
                 is_static: m.is_static,
                 code: m.code.clone(),
                 qname: format!("{}.{}", def.name, m.name),
-                elide: Vec::new(),
             });
             methods.push(midx);
             if !m.is_static {
@@ -563,12 +547,6 @@ impl ClassTable {
     /// Method record by index.
     pub fn method(&self, idx: MethodIdx) -> &MethodRt {
         &self.methods[idx.0 as usize]
-    }
-
-    /// Publishes an analyzer-computed barrier-elision bitmap for a method.
-    /// Bit `pc` set ⇒ the ref store at `pc` may skip its legality checks.
-    pub fn set_elision(&mut self, idx: MethodIdx, bitmap: Vec<u64>) {
-        self.methods[idx.0 as usize].elide = bitmap;
     }
 
     /// `Class.method` display name for a method — the profiler's frame

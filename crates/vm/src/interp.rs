@@ -98,7 +98,7 @@ pub enum VmException {
 /// store handlers and drained by the kernel — the static analyzer's
 /// soundness tests cross-check every one of these against the static
 /// verdict for the same site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SegSite {
     /// Method whose store raised the violation.
     pub method: MethodIdx,
@@ -768,45 +768,12 @@ fn run_dispatch<const INJECT: bool>(
                         throw!(npe("field store on null"));
                     };
                     let result = if is_ref {
-                        if method.elide_at(pc as u32 - 1) {
-                            // Statically proven Local→Local: skip the
-                            // legality checks (and the GC-retry wrapper —
-                            // the elided path debits no memlimit). Virtual
-                            // cost is unchanged.
-                            ctx.space
-                                .store_ref_elided(obj, slot as usize, v)
-                                .map(|barrier_cycles| thread.cycles += barrier_cycles)
-                        } else {
-                            // Fixed-size pin buffer: no per-store heap allocation.
-                            let mut pinned = [obj; 2];
-                            let mut n = 1;
-                            if let Some(r) = v.as_ref() {
-                                pinned[1] = r;
-                                n = 2;
-                            }
-                            with_gc_retry(thread, ctx, &pinned[..n], |ctx| {
-                                // Census attribution: only non-elided guest
-                                // stores arm, so every recorded cross edge
-                                // maps to a non-Elide analyzer verdict.
-                                ctx.space
-                                    .obs()
-                                    .heap
-                                    .with(|h| h.arm_store(method_idx.0, pc as u32 - 1));
-                                ctx.space.store_ref(obj, slot as usize, v, ctx.trusted)
-                            })
-                            .map(|barrier_cycles| thread.cycles += barrier_cycles)
-                        }
+                        let at = pc as u32 - 1;
+                        store_ref_checked(thread, ctx, method_idx, at, obj, slot as usize, v)
                     } else {
                         ctx.space.store_prim(obj, slot as usize, v)
                     };
                     if let Err(e) = result {
-                        if let HeapError::SegViolation(kind) = e {
-                            thread.seg_sites.push(SegSite {
-                                method: method_idx,
-                                pc: pc as u32 - 1,
-                                kind,
-                            });
-                        }
                         throw!(heap_exception(e));
                     }
                 }
@@ -858,37 +825,12 @@ fn run_dispatch<const INJECT: bool>(
                         ));
                     }
                     let result = if v.is_reference() {
-                        if method.elide_at(pc as u32 - 1) {
-                            ctx.space
-                                .store_ref_elided(arr, index as usize, v)
-                                .map(|barrier_cycles| thread.cycles += barrier_cycles)
-                        } else {
-                            let mut pinned = [arr; 2];
-                            let mut n = 1;
-                            if let Some(r) = v.as_ref() {
-                                pinned[1] = r;
-                                n = 2;
-                            }
-                            with_gc_retry(thread, ctx, &pinned[..n], |ctx| {
-                                ctx.space
-                                    .obs()
-                                    .heap
-                                    .with(|h| h.arm_store(method_idx.0, pc as u32 - 1));
-                                ctx.space.store_ref(arr, index as usize, v, ctx.trusted)
-                            })
-                            .map(|barrier_cycles| thread.cycles += barrier_cycles)
-                        }
+                        let at = pc as u32 - 1;
+                        store_ref_checked(thread, ctx, method_idx, at, arr, index as usize, v)
                     } else {
                         ctx.space.store_prim(arr, index as usize, v)
                     };
                     if let Err(e) = result {
-                        if let HeapError::SegViolation(kind) = e {
-                            thread.seg_sites.push(SegSite {
-                                method: method_idx,
-                                pc: pc as u32 - 1,
-                                kind,
-                            });
-                        }
                         throw!(heap_exception(e));
                     }
                 }
@@ -952,7 +894,6 @@ pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepF
         return StepFlow::Exit(RunExit::Finished(None));
     };
     let method_idx = top.method;
-    let method = table.method(method_idx);
     let class = table.class(top.class);
     let stack_base = top.stack_base as usize;
     // Site of `op`, for allocation/store attribution and the analyzer's
@@ -1055,34 +996,11 @@ pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepF
                 Err(ex) => throw!(ex),
             };
             let result = if is_ref {
-                if method.elide_at(at) {
-                    ctx.space
-                        .store_ref_elided(statics, slot as usize, v)
-                        .map(|barrier_cycles| thread.cycles += barrier_cycles)
-                } else {
-                    let mut pinned = [statics; 2];
-                    let mut n = 1;
-                    if let Some(r) = v.as_ref() {
-                        pinned[1] = r;
-                        n = 2;
-                    }
-                    with_gc_retry(thread, ctx, &pinned[..n], |ctx| {
-                        ctx.space.obs().heap.with(|h| h.arm_store(method_idx.0, at));
-                        ctx.space.store_ref(statics, slot as usize, v, ctx.trusted)
-                    })
-                    .map(|barrier_cycles| thread.cycles += barrier_cycles)
-                }
+                store_ref_checked(thread, ctx, method_idx, at, statics, slot as usize, v)
             } else {
                 ctx.space.store_prim(statics, slot as usize, v)
             };
             if let Err(e) = result {
-                if let HeapError::SegViolation(kind) = e {
-                    thread.seg_sites.push(SegSite {
-                        method: method_idx,
-                        pc: at,
-                        kind,
-                    });
-                }
                 throw!(heap_exception(e));
             }
         }
@@ -1419,6 +1337,50 @@ pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepF
         _ => fault!("{op:?} is not a runtime op"),
     }
     StepFlow::Next
+}
+
+/// The write barrier every guest reference store takes (§2): stores `v`
+/// into slot `index` of `obj` through [`HeapSpace::store_ref`] and charges
+/// its modelled cycles. The receiver and the value stay pinned across the
+/// GC retry, and the heap census is armed with the store site `(method,
+/// pc)` so a cross-heap edge the store creates is attributed to it. A
+/// segmentation violation is recorded as a [`SegSite`] before it is
+/// returned. The interpreter's three store ops and the template JIT's two
+/// store micros all run this one sequence; it stays inline because an
+/// out-of-line call here costs measurably on allocation-heavy guests.
+#[inline(always)]
+pub(crate) fn store_ref_checked(
+    thread: &mut Thread,
+    ctx: &mut ExecCtx<'_>,
+    method: MethodIdx,
+    pc: u32,
+    obj: ObjRef,
+    index: usize,
+    v: Value,
+) -> Result<(), HeapError> {
+    // Fixed-size pin buffer: no per-store heap allocation.
+    let mut pinned = [obj; 2];
+    let mut n = 1;
+    if let Some(r) = v.as_ref() {
+        pinned[1] = r;
+        n = 2;
+    }
+    let result = with_gc_retry(thread, ctx, &pinned[..n], |ctx| {
+        ctx.space.obs().heap.with(|h| h.arm_store(method.0, pc));
+        ctx.space.store_ref(obj, index, v, ctx.trusted)
+    });
+    match result {
+        Ok(barrier_cycles) => {
+            thread.cycles += barrier_cycles;
+            Ok(())
+        }
+        Err(e) => {
+            if let HeapError::SegViolation(kind) = e {
+                thread.seg_sites.push(SegSite { method, pc, kind });
+            }
+            Err(e)
+        }
+    }
 }
 
 /// Runs a heap operation; on `OutOfMemory`, collects the process heap (the

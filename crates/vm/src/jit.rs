@@ -5,9 +5,9 @@
 //! straight-line *template* form: runs of simple ops become **blocks** of
 //! pre-scaled micro-ops (superinstruction fusion folds load/load/op/store
 //! and compare-and-branch sequences into single micros) with field slots
-//! and barrier-elision verdicts resolved once at compile time. Every other
-//! op — allocation, calls, returns, statics, strings, monitors, throws —
-//! compiles to a bare [`TOp::Rt`] that the executor runs by calling the
+//! resolved once at compile time. Every other op — allocation, calls,
+//! returns, statics, strings, monitors, throws — compiles to a bare
+//! [`TOp::Rt`] that the executor runs by calling the
 //! interpreter's own `rt_op` on the frame's real `Op` stream: the runtime
 //! ops are implemented exactly once.
 //!
@@ -33,11 +33,11 @@
 //! Compiled bodies are process-independent — block micros name no class,
 //! method or statics object, and `TOp::Rt` reads the running frame's own
 //! constant pool — and live in a process-shared [`CodeCache`] keyed by
-//! `(class-def hash, method ordinal, elision fingerprint, resolution
-//! fingerprint)` with refcounted entries, deterministic eviction, and
-//! invalidation on analyzer republish / class reload — the ShareJIT
-//! argument: N processes, one compilation of the hot loop. Tier-up
-//! decisions are a pure function of the program and seed
+//! `(class-def hash, method ordinal, resolution fingerprint)` with
+//! refcounted entries and deterministic eviction — the ShareJIT argument:
+//! N processes, one compilation of the hot loop. Loaded code never
+//! changes, so a key never goes stale and no body is ever invalidated.
+//! Tier-up decisions are a pure function of the program and seed
 //! (counters advance identically in the fault-injected interpreter variant,
 //! which never *enters* compiled code but performs the same cache
 //! bookkeeping), and compilation charges zero virtual cycles.
@@ -46,15 +46,15 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use kaffeos_heap::{FxHashMap, HeapError, Value};
+use kaffeos_heap::{FxHashMap, Value};
 
 use crate::bytecode::Op;
-use crate::classes::{ClassTable, MethodIdx, MethodRt, RConst};
+use crate::classes::{ClassTable, MethodIdx, RConst};
 use crate::classfile::ClassDef;
 use crate::engine::{Engine, BASE_COSTS};
 use crate::interp::{
-    do_return, heap_exception, npe, raise, rt_op, with_gc_retry, BuiltinEx, ExecCtx, RunExit,
-    SegSite, StepFlow, Thread, VmException,
+    do_return, heap_exception, npe, raise, rt_op, store_ref_checked, BuiltinEx, ExecCtx, RunExit,
+    StepFlow, Thread, VmException,
 };
 
 /// Default hot-method threshold (invocations + taken back-edges before a
@@ -156,33 +156,19 @@ fn fnv_u64(v: u64, h: u64) -> u64 {
 }
 
 /// Identity of a compiled body in the process-shared cache. Two methods in
-/// different processes share a body exactly when all four components match:
-/// the class *definition* bytes, the method's position in it, the
-/// analyzer's barrier-elision verdicts, and the resolution facts block
-/// micros bake in (instance-field slots). Call targets are not part of it:
-/// no body holds one, `rt_op` dispatches through the vtable on every call.
+/// different processes share a body exactly when all three components
+/// match: the class *definition* bytes, the method's position in it, and
+/// the resolution facts block micros bake in (instance-field slots). Call
+/// targets are not part of it: no body holds one, `rt_op` dispatches
+/// through the vtable on every call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MethodKey {
     /// FNV-1a of the declaring class definition (the "class bytes" hash).
     pub def_hash: u64,
     /// Position of the method in its class's declared-method list.
     pub ordinal: u32,
-    /// Fingerprint of the analyzer's barrier-elision bitmap.
-    pub elide_hash: u64,
     /// Fingerprint of the baked-in resolution facts.
     pub res_hash: u64,
-}
-
-/// Fingerprint of a method's barrier-elision bitmap (canonical over the
-/// method's op count, so absent vs all-zero bitmaps hash alike): one byte
-/// per pc.
-fn elide_fingerprint(table: &ClassTable, midx: MethodIdx) -> u64 {
-    let m = table.method(midx);
-    let mut h = FNV_OFFSET;
-    for pc in 0..m.code.ops.len() as u32 {
-        h = fnv1a(&[m.elide_at(pc) as u8], h);
-    }
-    h
 }
 
 /// Fingerprint of the resolution facts block micros embed: per field
@@ -229,7 +215,6 @@ fn method_key(table: &ClassTable, midx: MethodIdx, def_hashes: &mut DefHashes) -
     MethodKey {
         def_hash,
         ordinal,
-        elide_hash: elide_fingerprint(table, midx),
         res_hash: res_fingerprint(table, midx),
     }
 }
@@ -319,7 +304,7 @@ enum MK {
 struct Micro {
     kind: MK,
     /// Fused encoding: low nibble = alu/cmp code, bits 4–5 = src-a kind,
-    /// bits 6–7 = src-b kind. For `AStore`/`PutFieldRef`, bit 0 = elide.
+    /// bits 6–7 = src-b kind.
     flags: u8,
     nops: u8,
     a: u16,
@@ -409,8 +394,6 @@ pub struct CacheStats {
     pub hits: u64,
     /// Entries evicted under byte pressure.
     pub evictions: u64,
-    /// Invalidations (class reload / analyzer republish).
-    pub invalidations: u64,
     /// Wall nanoseconds spent compiling (host-only; amortization metric).
     pub compile_nanos: u64,
 }
@@ -492,24 +475,6 @@ impl CodeCache {
     pub fn detach(&mut self, key: &MethodKey) {
         if let Some(e) = self.entries.get_mut(key) {
             e.refs = e.refs.saturating_sub(1);
-        }
-    }
-
-    /// Invalidates one attachment of `key` (class reload / republish):
-    /// drops the reference and removes the entry once unreferenced.
-    pub fn invalidate(&mut self, key: &MethodKey) {
-        self.stats.invalidations += 1;
-        let remove = match self.entries.get_mut(key) {
-            Some(e) => {
-                e.refs = e.refs.saturating_sub(1);
-                e.refs == 0
-            }
-            None => false,
-        };
-        if remove {
-            if let Some(e) = self.entries.remove(key) {
-                self.bytes -= e.body.bytes;
-            }
         }
     }
 
@@ -627,7 +592,7 @@ impl ProcJit {
     }
 
     /// Mutable tier state for `midx`, growing the table as needed.
-    pub fn slot_mut(&mut self, midx: MethodIdx) -> &mut BodySlot {
+    pub(crate) fn slot_mut(&mut self, midx: MethodIdx) -> &mut BodySlot {
         let idx = midx.0 as usize;
         if idx >= self.bodies.len() {
             self.bodies.resize(idx + 1, BodySlot::Cold);
@@ -635,7 +600,7 @@ impl ProcJit {
         &mut self.bodies[idx]
     }
 
-    /// `(method, attachment)` pairs in method order (invalidation walk).
+    /// `(method, attachment)` pairs in method order.
     pub fn attached(&self) -> impl Iterator<Item = (MethodIdx, &Arc<AttachedBody>)> {
         self.bodies.iter().enumerate().filter_map(|(i, s)| match s {
             BodySlot::Hot(ab) => Some((MethodIdx(i as u32), ab)),
@@ -865,7 +830,6 @@ struct Compiler<'t> {
     engine: Engine,
     ops: &'t [Op],
     pool: &'t [RConst],
-    method: &'t MethodRt,
     t_ops: Vec<TOp>,
     micros: Vec<Micro>,
     consts: Vec<Value>,
@@ -953,11 +917,7 @@ impl<'t> Compiler<'t> {
             Op::NullCheck => m(MK::NullCheck),
             Op::ArrayLen => m(MK::ArrayLen),
             Op::ALoad => m(MK::ALoad),
-            Op::AStore => (
-                MK::AStore,
-                0,
-                self.method.elide_at(pc as u32) as u8,
-            ),
+            Op::AStore => m(MK::AStore),
             Op::GetField(idx) => {
                 let Some(RConst::InstanceField { slot, .. }) = self.pool.get(*idx as usize)
                 else {
@@ -971,11 +931,7 @@ impl<'t> Compiler<'t> {
                     return false;
                 };
                 if ty.is_reference() {
-                    (
-                        MK::PutFieldRef,
-                        *slot,
-                        self.method.elide_at(pc as u32) as u8,
-                    )
+                    (MK::PutFieldRef, *slot, 0)
                 } else {
                     (MK::PutFieldPrim, *slot, 0)
                 }
@@ -1224,7 +1180,6 @@ fn compile(table: &ClassTable, midx: MethodIdx, engine: Engine) -> Option<Compil
         engine,
         ops,
         pool: &lc.rpool,
-        method: m,
         t_ops: Vec::new(),
         micros: Vec::new(),
         consts: Vec::new(),
@@ -1837,37 +1792,12 @@ fn run_body(
                                 );
                             }
                             let result = if v.is_reference() {
-                                if m.flags & 1 != 0 {
-                                    ctx.space
-                                        .store_ref_elided(arr, index as usize, v)
-                                        .map(|bc| thread.cycles += bc)
-                                } else {
-                                    let mut pinned = [arr; 2];
-                                    let mut n = 1;
-                                    if let Some(r) = v.as_ref() {
-                                        pinned[1] = r;
-                                        n = 2;
-                                    }
-                                    with_gc_retry(thread, ctx, &pinned[..n], |ctx| {
-                                        ctx.space
-                                            .obs()
-                                            .heap
-                                            .with(|h| h.arm_store(method_idx.0, at as u32 - 1));
-                                        ctx.space.store_ref(arr, index as usize, v, ctx.trusted)
-                                    })
-                                    .map(|barrier_cycles| thread.cycles += barrier_cycles)
-                                }
+                                let pc = at as u32 - 1;
+                                store_ref_checked(thread, ctx, method_idx, pc, arr, index as usize, v)
                             } else {
                                 ctx.space.store_prim(arr, index as usize, v)
                             };
                             if let Err(e) = result {
-                                if let HeapError::SegViolation(kind) = e {
-                                    thread.seg_sites.push(SegSite {
-                                        method: method_idx,
-                                        pc: at as u32 - 1,
-                                        kind,
-                                    });
-                                }
                                 jthrow!('body, at, heap_exception(e));
                             }
                         }
@@ -1887,37 +1817,12 @@ fn run_body(
                                 jthrow!('body, at, npe("field store on null"));
                             };
                             let result = if matches!(m.kind, MK::PutFieldRef) {
-                                if m.flags & 1 != 0 {
-                                    ctx.space
-                                        .store_ref_elided(obj, m.a as usize, v)
-                                        .map(|bc| thread.cycles += bc)
-                                } else {
-                                    let mut pinned = [obj; 2];
-                                    let mut n = 1;
-                                    if let Some(r) = v.as_ref() {
-                                        pinned[1] = r;
-                                        n = 2;
-                                    }
-                                    with_gc_retry(thread, ctx, &pinned[..n], |ctx| {
-                                        ctx.space
-                                            .obs()
-                                            .heap
-                                            .with(|h| h.arm_store(method_idx.0, at as u32 - 1));
-                                        ctx.space.store_ref(obj, m.a as usize, v, ctx.trusted)
-                                    })
-                                    .map(|barrier_cycles| thread.cycles += barrier_cycles)
-                                }
+                                let pc = at as u32 - 1;
+                                store_ref_checked(thread, ctx, method_idx, pc, obj, m.a as usize, v)
                             } else {
                                 ctx.space.store_prim(obj, m.a as usize, v)
                             };
                             if let Err(e) = result {
-                                if let HeapError::SegViolation(kind) = e {
-                                    thread.seg_sites.push(SegSite {
-                                        method: method_idx,
-                                        pc: at as u32 - 1,
-                                        kind,
-                                    });
-                                }
                                 jthrow!('body, at, heap_exception(e));
                             }
                         }

@@ -12,31 +12,28 @@
 //! type confusion fire if the verifier ever lets a bad program through.)
 //!
 //! The static heap-flow analyzer rides along. Every case loads into one
-//! growing table, and one `Analysis` follows it the way the kernel's does:
-//! each accepted class goes through the incremental `run`, whose facts
-//! must equal a fresh `analyze()` of the same table. A variant with a
-//! verifier-rejected body forced into a loaded method is analyzed afresh
-//! (mutating loaded code breaks the incremental precondition), asserting
-//! the analyzer never panics on garbage it was never promised (it must
-//! bail per-method, not trust verifier invariants).
+//! growing table, which `analyze()` then covers whole. A variant with a
+//! verifier-rejected body forced into a loaded method is analyzed too,
+//! asserting the analyzer never panics on garbage it was never promised
+//! (it must bail per-method, not trust verifier invariants).
 //!
 //! Instruction sequences come from a seeded SplitMix64 generator so every
 //! case replays exactly; a failing case names its seed.
 //!
 //! Every case's verdict (accepted, or the first error's pc, op and message),
-//! every published fact, and the final whole-program lints and verdict
+//! every method's `Elide` sites, and the final whole-program lints and verdict
 //! summary are folded into one digest pinned to a constant: a rewrite of
 //! the verifier or the analyzer that changes which error is reported
 //! first, or any fact, fails here even when the result is still sound.
 
 use std::sync::Arc;
 
-use kaffeos_analyze::Analysis;
+use kaffeos_analyze::{Analysis, Verdict};
 use kaffeos_heap::{HeapSpace, SpaceConfig, Value};
 use kaffeos_memlimit::Kind;
 use kaffeos_vm::{
     step, ClassBuilder, ClassTable, Const, Engine, ExecCtx, IntrinsicRegistry, MethodBuilder,
-    MethodIdx, Op, RunExit, Thread, TypeDesc, VmError,
+    Op, RunExit, Thread, TypeDesc, VmError,
 };
 
 /// Digest of every case's load verdict and facts. Change it only together
@@ -52,6 +49,21 @@ impl Digest {
             self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
         }
     }
+}
+
+/// Every method's `Elide` store sites as a bitmap over its pcs (bit `pc`
+/// set ⇔ the store at `pc` got the verdict; empty when none did), indexed
+/// by method: the per-method fact the digest folds.
+fn elide_bits(table: &ClassTable, analysis: &Analysis) -> Vec<Vec<u64>> {
+    let mut bits = vec![Vec::new(); table.methods.len()];
+    for site in analysis.sites().filter(|s| s.verdict == Verdict::Elide) {
+        let b: &mut Vec<u64> = &mut bits[site.method.0 as usize];
+        if b.is_empty() {
+            b.resize(table.method(site.method).code.ops.len().div_ceil(64), 0);
+        }
+        b[(site.pc / 64) as usize] |= 1 << (site.pc % 64);
+    }
+    bits
 }
 
 /// Deterministic SplitMix64 sequence generator.
@@ -321,14 +333,13 @@ fn base_classes() -> Vec<kaffeos_vm::ClassDef> {
 
 #[test]
 fn accepted_bytecode_never_panics() {
-    // One table for all cases (each in its own namespace over the base
-    // classes) and one analysis following it incrementally.
+    // One table for all cases, each in its own namespace over the base
+    // classes.
     let mut table = ClassTable::new(IntrinsicRegistry::new());
     let base = table.create_namespace("base", None);
     for def in base_classes() {
         table.load_class(base, def.into_arc()).unwrap();
     }
-    let mut incremental = Analysis::default();
     let mut digest = Digest(0xcbf2_9ce4_8422_2325);
     // Cases below 512 are raw random ops into `main(int)`, which the
     // verifier mostly rejects at their first instructions; the rest are
@@ -400,24 +411,13 @@ fn accepted_bytecode_never_panics() {
         }
 
         // Whatever the verifier decided, the heap-flow analyzer must accept
-        // the table without panicking, and its incremental run must agree
-        // with a from-scratch one on every method. Rejected classes are
-        // rolled back, so additionally force a *verifier-rejected* random
-        // body into an already-loaded method and analyze afresh: the
-        // analyzer trusts no invariant the verifier establishes — it bails
-        // per-method instead.
-        incremental.run(&table);
-        let fresh = kaffeos_analyze::analyze(&table);
-        for i in 0..table.methods.len() as u32 {
-            let m = MethodIdx(i);
-            let published = incremental.elision_bitmap(&table, m);
-            assert_eq!(
-                published,
-                fresh.elision_bitmap(&table, m),
-                "case {case}: incremental facts of {} differ",
-                table.method(m).qname
-            );
-            digest.fold(published);
+        // the table without panicking. Rejected classes are rolled back, so
+        // additionally force a *verifier-rejected* random body into an
+        // already-loaded method and analyze that: the analyzer trusts no
+        // invariant the verifier establishes — it bails per-method instead.
+        let analysis = kaffeos_analyze::analyze(&table);
+        for bits in elide_bits(&table, &analysis) {
+            digest.fold(bits);
         }
         {
             let target = table.lookup(base, "Target").unwrap();
@@ -427,11 +427,9 @@ fn accepted_bytecode_never_panics() {
                 std::mem::replace(&mut table.methods[victim.0 as usize].code.ops, mangled);
             let analysis = kaffeos_analyze::analyze(&table);
             // Either the mangled body analyzed cleanly or the method bailed;
-            // in both cases the bitmap query stays total.
-            digest.fold((
-                analysis.is_bailed(victim),
-                analysis.elision_bitmap(&table, victim),
-            ));
+            // in both cases its sites stay well-formed.
+            let bits = elide_bits(&table, &analysis).swap_remove(victim.0 as usize);
+            digest.fold((analysis.is_bailed(victim), bits));
             table.methods[victim.0 as usize].code.ops = saved;
         }
 
@@ -475,7 +473,7 @@ fn accepted_bytecode_never_panics() {
         }
     }
     let accepted = table.classes.len() - base_classes().len();
-    assert!(accepted > 0, "no fuzzed class reached the incremental analysis");
+    assert!(accepted > 0, "no fuzzed class reached the analysis");
     let whole = kaffeos_analyze::analyze(&table);
     digest.fold((&whole.lints, whole.verdict_summary()));
     assert_eq!(

@@ -560,12 +560,7 @@ pub fn run_scenario(name: &str, seed: u64) -> Option<ScenarioReport> {
 }
 
 fn drive(name: &'static str, seed: u64, setup: Setup) -> ScenarioReport {
-    let mut os = KaffeOs::new(KaffeOsConfig {
-        // Elision is host-wall-clock-only analysis re-run on every spawn;
-        // scenarios spawn a process per request, so keep it off.
-        elide: false,
-        ..KaffeOsConfig::default()
-    });
+    let mut os = KaffeOs::new(KaffeOsConfig::default());
     for src in &setup.shared_sources {
         os.load_shared_source(src).expect("shared source compiles");
     }
