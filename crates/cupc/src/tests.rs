@@ -322,6 +322,31 @@ fn strings_concat_and_builtins() {
 }
 
 #[test]
+fn char_at_out_of_range_raises_on_both_sides() {
+    // Both ends raise, with the index in the message.
+    let src = r#"
+        class Main {
+            static int main(int i) {
+                String s = "abc";
+                try {
+                    return s.charAt(i);
+                } catch (IndexOutOfBoundsException e) {
+                    if (e.msg.eq("string index " + i)) { return -1; }
+                    return -2;
+                }
+            }
+        }
+    "#;
+    let mut host = Host::new();
+    host.compile_and_load(src);
+    let at = |host: &mut Host, i: i64| host.run_int(vec![Value::Int(i)]);
+    assert_eq!(at(&mut host, 0), 'a' as i64);
+    assert_eq!(at(&mut host, 2), 'c' as i64);
+    assert_eq!(at(&mut host, -1), -1);
+    assert_eq!(at(&mut host, 3), -1);
+}
+
+#[test]
 fn string_identity_semantics() {
     // `==` is reference equality; literals are interned per process, so the
     // literal equals itself but not a computed string (§3.3).

@@ -199,7 +199,7 @@ impl HeapSpace {
                 match &obj.data {
                     ObjData::Fields(_) => "fields",
                     ObjData::Array { .. } => "array",
-                    ObjData::Str(_) => "str",
+                    ObjData::Str { .. } => "str",
                 },
                 obj.data.len(),
             ));

@@ -77,10 +77,17 @@ impl SizeModel {
         let payload = match data {
             ObjData::Fields(fields) => fields.len() as u64 * self.field as u64,
             // Arrays carry a 4-byte length word plus typed elements.
-            ObjData::Array { elem_bytes, values } => 4 + values.len() as u64 * *elem_bytes as u64,
-            // Strings: length word plus UTF-16-ish 2 bytes/char (JDK 1.1).
-            ObjData::Str(s) => 4 + 2 * s.chars().count() as u64,
+            ObjData::Array {
+                elem_bytes, values, ..
+            } => 4 + values.len() as u64 * *elem_bytes as u64,
+            ObjData::Str { chars, .. } => return self.str_bytes(*chars),
         };
         (self.header + self.heap_word) as u64 + payload
+    }
+
+    /// Accounted size of a string of `chars` chars: length word plus
+    /// UTF-16-ish 2 bytes/char (JDK 1.1).
+    pub fn str_bytes(&self, chars: u32) -> u64 {
+        (self.header + self.heap_word) as u64 + 4 + 2 * chars as u64
     }
 }

@@ -13,12 +13,23 @@ pub enum ObjData {
     Array {
         /// Accounted size per element (1/2/4/8 under the 32-bit model).
         elem_bytes: u8,
+        /// False for `int[]`/`float[]`: the elements can never hold a
+        /// reference, so the collector does not scan them and
+        /// `store_ref` refuses them.
+        refs: bool,
         /// Element values.
         values: Box<[Value]>,
     },
     /// Immutable string payload. Strings are objects so they live on a heap,
     /// are accounted, and participate in per-process interning (§3.3).
-    Str(Box<str>),
+    Str {
+        /// The characters.
+        text: Box<str>,
+        /// `text.chars().count()`, computed once at allocation (saturating
+        /// at `u32::MAX`, far past any memlimit). Equal to `text.len()`
+        /// exactly when the string is ASCII.
+        chars: u32,
+    },
 }
 
 impl ObjData {
@@ -27,7 +38,7 @@ impl ObjData {
         match self {
             ObjData::Fields(f) => f.len(),
             ObjData::Array { values, .. } => values.len(),
-            ObjData::Str(_) => 0,
+            ObjData::Str { .. } => 0,
         }
     }
 
@@ -35,6 +46,35 @@ impl ObjData {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
+
+/// Char `index` of a string whose char count is `chars`: a byte index when
+/// the string is ASCII, a walk from the start otherwise.
+pub(crate) fn str_char_at(text: &str, chars: u32, index: usize) -> Option<char> {
+    if chars as usize == text.len() {
+        text.as_bytes().get(index).map(|&b| b as char)
+    } else {
+        text.chars().nth(index)
+    }
+}
+
+/// Chars `[start, end)` of a string whose char count is `chars`, or `None`
+/// unless `start <= end <= chars`. ASCII strings slice by byte; others walk
+/// from the start to `end`.
+pub(crate) fn str_slice(text: &str, chars: u32, start: usize, end: usize) -> Option<&str> {
+    if start > end || end > chars as usize {
+        return None;
+    }
+    if chars as usize == text.len() {
+        return text.get(start..end);
+    }
+    let mut offsets = text.char_indices().map(|(at, _)| at).chain([text.len()]);
+    let from = offsets.nth(start)?;
+    let to = match end - start {
+        0 => from,
+        n => offsets.nth(n - 1)?,
+    };
+    text.get(from..to)
 }
 
 /// One heap object: header plus payload.
@@ -64,11 +104,14 @@ pub struct Object {
 
 impl Object {
     /// Iterates the non-null references held in this object's slots.
+    /// Primitive arrays hold none and are not scanned.
     pub fn references(&self) -> impl Iterator<Item = crate::refs::ObjRef> + '_ {
         let slots: &[Value] = match &self.data {
             ObjData::Fields(f) => f,
-            ObjData::Array { values, .. } => values,
-            ObjData::Str(_) => &[],
+            ObjData::Array {
+                refs: true, values, ..
+            } => values,
+            ObjData::Array { refs: false, .. } | ObjData::Str { .. } => &[],
         };
         slots.iter().filter_map(|v| v.as_ref())
     }

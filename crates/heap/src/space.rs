@@ -93,7 +93,7 @@ impl PayloadPool {
         match data {
             ObjData::Fields(f) => self.put(f),
             ObjData::Array { values, .. } => self.put(values),
-            ObjData::Str(_) => {}
+            ObjData::Str { .. } => {}
         }
     }
 }
@@ -478,7 +478,8 @@ impl HeapSpace {
     }
 
     /// Allocates an array of `len` elements of accounted size `elem_bytes`,
-    /// filled with `fill`.
+    /// filled with `fill`. A primitive `fill` makes a primitive array: its
+    /// elements are never traced and never take a reference.
     pub fn alloc_array(
         &mut self,
         heap: HeapId,
@@ -489,6 +490,7 @@ impl HeapSpace {
     ) -> Result<ObjRef, HeapError> {
         let data = ObjData::Array {
             elem_bytes,
+            refs: fill.is_reference(),
             values: self.payload_pool.take(len, fill),
         };
         self.alloc(heap, class, data)
@@ -501,7 +503,24 @@ impl HeapSpace {
         class: ClassId,
         s: impl Into<Box<str>>,
     ) -> Result<ObjRef, HeapError> {
-        self.alloc(heap, class, ObjData::Str(s.into()))
+        self.alloc_string(heap, class, &mut String::from(s.into()))
+    }
+
+    /// Allocates a string object whose payload is `text`'s own buffer,
+    /// counting its chars once. The buffer moves only on success: after an
+    /// `OutOfMemory`, `text` is intact, so a caller can retry with it once a
+    /// collection has run.
+    pub fn alloc_string(
+        &mut self,
+        heap: HeapId,
+        class: ClassId,
+        text: &mut String,
+    ) -> Result<ObjRef, HeapError> {
+        let chars = u32::try_from(text.chars().count()).unwrap_or(u32::MAX);
+        let bytes = self.size_model.str_bytes(chars) as u32;
+        self.admit(heap, bytes)?;
+        let text = core::mem::take(text).into_boxed_str();
+        Ok(self.place(heap, class, bytes, ObjData::Str { text, chars }))
     }
 
     /// Allocates an object with explicit payload. Fails with `OutOfMemory`
@@ -513,11 +532,19 @@ impl HeapSpace {
         class: ClassId,
         data: ObjData,
     ) -> Result<ObjRef, HeapError> {
+        let bytes = self.size_model.object_bytes(&data) as u32;
+        self.admit(heap, bytes)?;
+        Ok(self.place(heap, class, bytes, data))
+    }
+
+    /// Every failure point of an allocation of `bytes` on `heap`, ending in
+    /// the memlimit debit.
+    #[inline]
+    fn admit(&mut self, heap: HeapId, bytes: u32) -> Result<(), HeapError> {
         self.check_heap(heap)?;
         if self.heap_core(heap).frozen {
             return Err(HeapError::BadHeapState(heap));
         }
-        let bytes = self.size_model.object_bytes(&data) as u32;
         // Fault injection: every allocation attempt consumes one index, and
         // an armed fault fails the attempt *before* any state changes, so an
         // injected OOM is indistinguishable from a genuine limit miss.
@@ -550,6 +577,12 @@ impl HeapSpace {
         if let Some(ml) = self.heap_core(heap).memlimit {
             self.limits.debit(ml, bytes as u64)?;
         }
+        Ok(())
+    }
+
+    /// Places an admitted object of accounted size `bytes` on `heap`.
+    #[inline]
+    fn place(&mut self, heap: HeapId, class: ClassId, bytes: u32, data: ObjData) -> ObjRef {
         // Slot acquisition is infallible (recycled slot, bump pointer, or a
         // fresh page), so every failure point — fault injection and the
         // memlimit debit — precedes any heap state change: a failed
@@ -575,10 +608,10 @@ impl HeapSpace {
         self.obs
             .heap
             .with(|h| h.record_alloc(index, class.0, bytes));
-        Ok(ObjRef {
+        ObjRef {
             index,
             generation: self.slots[index as usize].generation,
-        })
+        }
     }
 
     /// Hands out a slot for `heap`: recycled slot if one is free, else a
@@ -734,7 +767,7 @@ impl HeapSpace {
         let slots: &[Value] = match &o.data {
             ObjData::Fields(f) => f,
             ObjData::Array { values, .. } => values,
-            ObjData::Str(_) => return Err(HeapError::KindMismatch(obj)),
+            ObjData::Str { .. } => return Err(HeapError::KindMismatch(obj)),
         };
         slots
             .get(index)
@@ -754,7 +787,7 @@ impl HeapSpace {
         Ok(match &self.get(obj)?.data {
             ObjData::Fields(f) => f,
             ObjData::Array { values, .. } => values,
-            ObjData::Str(_) => &[],
+            ObjData::Str { .. } => &[],
         })
     }
 
@@ -767,7 +800,7 @@ impl HeapSpace {
         Ok(match &mut self.get_mut(obj)?.data {
             ObjData::Fields(f) => f,
             ObjData::Array { values, .. } => values,
-            ObjData::Str(_) => &mut [],
+            ObjData::Str { .. } => &mut [],
         })
     }
 
@@ -784,7 +817,7 @@ impl HeapSpace {
         let slots: &mut [Value] = match &mut o.data {
             ObjData::Fields(f) => f,
             ObjData::Array { values, .. } => values,
-            ObjData::Str(_) => return Err(HeapError::KindMismatch(obj)),
+            ObjData::Str { .. } => return Err(HeapError::KindMismatch(obj)),
         };
         let len = slots.len();
         *slots
@@ -796,7 +829,8 @@ impl HeapSpace {
     /// Stores a reference (or null) into a reference-typed field or element,
     /// running the **write barrier**: every call counts as one executed
     /// barrier, the Figure-2 legality matrix is enforced, and a legal
-    /// cross-heap store creates/retains the entry/exit item pair.
+    /// cross-heap store creates/retains the entry/exit item pair. A string
+    /// or primitive array is a `KindMismatch`, after the barrier ran.
     ///
     /// Returns the modelled cycle cost of the barrier so the caller can
     /// charge it to the running process.
@@ -849,8 +883,12 @@ impl HeapSpace {
         let o = self.get_mut(obj)?;
         let slots: &mut [Value] = match &mut o.data {
             ObjData::Fields(f) => f,
-            ObjData::Array { values, .. } => values,
-            ObjData::Str(_) => return Err(HeapError::KindMismatch(obj)),
+            ObjData::Array {
+                refs: true, values, ..
+            } => values,
+            ObjData::Array { refs: false, .. } | ObjData::Str { .. } => {
+                return Err(HeapError::KindMismatch(obj))
+            }
         };
         let len = slots.len();
         *slots
@@ -963,7 +1001,40 @@ impl HeapSpace {
     /// String payload of a string object.
     pub fn str_value(&self, obj: ObjRef) -> Result<&str, HeapError> {
         match &self.get(obj)?.data {
-            ObjData::Str(s) => Ok(s),
+            ObjData::Str { text, .. } => Ok(text),
+            _ => Err(HeapError::KindMismatch(obj)),
+        }
+    }
+
+    /// Char count of a string object, stored at allocation.
+    #[inline]
+    pub fn str_len(&self, obj: ObjRef) -> Result<usize, HeapError> {
+        match &self.get(obj)?.data {
+            ObjData::Str { chars, .. } => Ok(*chars as usize),
+            _ => Err(HeapError::KindMismatch(obj)),
+        }
+    }
+
+    /// Char `index` of a string object, or `None` past its end. O(1) for
+    /// ASCII strings; O(index) otherwise.
+    #[inline]
+    pub fn str_char_at(&self, obj: ObjRef, index: usize) -> Result<Option<char>, HeapError> {
+        match &self.get(obj)?.data {
+            ObjData::Str { text, chars } => Ok(crate::object::str_char_at(text, *chars, index)),
+            _ => Err(HeapError::KindMismatch(obj)),
+        }
+    }
+
+    /// Chars `[start, end)` of a string object, or `None` unless
+    /// `start <= end <= len`. O(1) for ASCII strings; O(end) otherwise.
+    pub fn str_slice(
+        &self,
+        obj: ObjRef,
+        start: usize,
+        end: usize,
+    ) -> Result<Option<&str>, HeapError> {
+        match &self.get(obj)?.data {
+            ObjData::Str { text, chars } => Ok(crate::object::str_slice(text, *chars, start, end)),
             _ => Err(HeapError::KindMismatch(obj)),
         }
     }

@@ -840,3 +840,131 @@ mod gc_scratch {
         }
     }
 }
+
+/// Payload shapes: strings carry their char count, and primitive arrays
+/// are neither traced by the collector nor accepted by `store_ref`.
+mod payloads {
+    use super::*;
+    use crate::gc::GcReport;
+    use crate::{ObjData, Object};
+
+    #[test]
+    fn object_and_payload_sizes_are_pinned() {
+        // The char count and the array's `refs` flag fit in padding.
+        assert_eq!(core::mem::size_of::<ObjData>(), 24);
+        assert_eq!(core::mem::size_of::<Object>(), 48);
+    }
+
+    #[test]
+    fn string_bytes_are_four_plus_two_per_char() {
+        for (text, chars) in [
+            ("", 0),
+            ("hello", 5),
+            ("héllo", 5),
+            ("日本語", 3),
+            ("a😀b", 3),
+        ] {
+            let mut s = space();
+            let (h, ml) = user_heap(&mut s, 1, 1 << 20);
+            let st = s.alloc_str(h, CLS, text).unwrap();
+            assert_eq!(s.limits().current(ml), 8 + 4 + 2 * chars, "{text:?}");
+            assert_eq!(s.str_len(st).unwrap(), chars as usize, "{text:?}");
+            assert_eq!(s.str_value(st).unwrap(), text);
+        }
+    }
+
+    #[test]
+    fn string_accessors_index_by_char() {
+        let mut s = space();
+        let (h, _) = user_heap(&mut s, 1, 1 << 20);
+        let st = s.alloc_str(h, CLS, "aé日😀").unwrap();
+        let at: Vec<_> = (0..5).map(|i| s.str_char_at(st, i).unwrap()).collect();
+        assert_eq!(at, [Some('a'), Some('é'), Some('日'), Some('😀'), None]);
+        assert_eq!(s.str_char_at(st, usize::MAX).unwrap(), None);
+        assert_eq!(s.str_slice(st, 1, 3).unwrap(), Some("é日"));
+        assert_eq!(s.str_slice(st, 4, 4).unwrap(), Some(""));
+        assert_eq!(s.str_slice(st, 0, 4).unwrap(), Some("aé日😀"));
+        assert_eq!(s.str_slice(st, 3, 2).unwrap(), None);
+        assert_eq!(s.str_slice(st, 0, 5).unwrap(), None);
+        let fields = s.alloc_fields(h, CLS, 1).unwrap();
+        assert_eq!(s.str_len(fields), Err(HeapError::KindMismatch(fields)));
+        assert_eq!(
+            s.str_char_at(fields, 0),
+            Err(HeapError::KindMismatch(fields))
+        );
+        assert_eq!(
+            s.str_slice(fields, 0, 0),
+            Err(HeapError::KindMismatch(fields))
+        );
+    }
+
+    #[test]
+    fn a_failed_string_allocation_leaves_the_text_to_retry() {
+        let mut s = space();
+        let (h, _) = user_heap(&mut s, 1, 16);
+        let mut text = String::from("too long for sixteen bytes");
+        let err = s.alloc_string(h, CLS, &mut text).unwrap_err();
+        assert!(matches!(err, HeapError::OutOfMemory(_)));
+        assert_eq!(text, "too long for sixteen bytes");
+        let mut short = String::from("ok");
+        let st = s.alloc_string(h, CLS, &mut short).unwrap();
+        assert_eq!((s.str_value(st).unwrap(), short.as_str()), ("ok", ""));
+    }
+
+    #[test]
+    fn primitive_arrays_collect_to_the_same_report() {
+        let mut s = space();
+        let (h, _) = user_heap(&mut s, 1, 1 << 20);
+        let ints = s.alloc_array(h, CLS, 4, 4096, Value::Int(0)).unwrap();
+        let floats = s.alloc_array(h, CLS, 8, 16, Value::Float(0.0)).unwrap();
+        let refs = s.alloc_array(h, CLS, 4, 2, Value::Null).unwrap();
+        let _garbage = s.alloc_array(h, CLS, 4, 4096, Value::Int(0)).unwrap();
+        s.store_ref(refs, 0, Value::Ref(ints), false).unwrap();
+        s.store_ref(refs, 1, Value::Ref(floats), false).unwrap();
+        let report = s.gc(h, &[refs]).unwrap();
+        // Skipping primitive slots must not move any figure of the report.
+        let expected = GcReport {
+            heap: h,
+            charged_to: crate::ProcTag(1),
+            cycles: 3178,
+            objects_freed: 1,
+            bytes_freed: 16396,
+            objects_live: 3,
+            exit_items_freed: 0,
+            roots: 1,
+        };
+        assert_eq!(report, expected);
+    }
+
+    #[test]
+    fn primitive_array_slots_are_never_traced() {
+        let mut s = space();
+        let (h, _) = user_heap(&mut s, 1, 1 << 20);
+        let ints = s.alloc_array(h, CLS, 4, 1, Value::Int(0)).unwrap();
+        let orphan = s.alloc_fields(h, CLS, 1).unwrap();
+        // Plant a reference behind the barrier's back: only a scan of the
+        // int array's slots could keep `orphan` alive.
+        s.value_slots_mut(ints).unwrap()[0] = Value::Ref(orphan);
+        assert_eq!(s.get(ints).unwrap().references().count(), 0);
+        let report = s.gc(h, &[ints]).unwrap();
+        assert_eq!((report.objects_live, report.objects_freed), (1, 1));
+        assert_eq!(s.get(orphan).err(), Some(HeapError::StaleRef(orphan)));
+    }
+
+    #[test]
+    fn store_ref_into_a_primitive_array_is_a_kind_mismatch() {
+        let mut s = space();
+        let (h, _) = user_heap(&mut s, 1, 1 << 20);
+        let target = s.alloc_fields(h, CLS, 1).unwrap();
+        for (elem_bytes, fill) in [(4, Value::Int(7)), (8, Value::Float(0.5))] {
+            let arr = s.alloc_array(h, CLS, elem_bytes, 3, fill).unwrap();
+            for v in [Value::Ref(target), Value::Null] {
+                assert_eq!(
+                    s.store_ref(arr, 1, v, false),
+                    Err(HeapError::KindMismatch(arr))
+                );
+            }
+            assert_eq!(s.value_slots(arr).unwrap(), &[fill; 3]);
+        }
+    }
+}

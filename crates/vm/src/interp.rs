@@ -28,6 +28,8 @@
 //! the cached-pc loop executes the same ops charging the same cycles, so
 //! GC root order, scan sizes, and every virtual number are unchanged.
 
+use std::fmt::Write;
+
 use kaffeos_heap::{HeapError, HeapId, HeapSpace, ObjRef, Value};
 
 use crate::bytecode::Op;
@@ -1133,19 +1135,10 @@ pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepF
         Op::StrConcat => {
             let b = pop!(thread, stack_base);
             let a = pop!(thread, stack_base);
-            let sa = render(ctx, a);
-            let sb = render(ctx, b);
-            thread.cycles += engine
-                .scaled(COSTS.string + COSTS.string_per_char * (sa.len() + sb.len()) as u64);
-            let joined = format!("{sa}{sb}");
-            let string_tag = ctx.string_class.heap_class();
-            match with_gc_retry(thread, ctx, &[], |ctx| {
-                ctx.space
-                    .obs()
-                    .heap
-                    .with(|h| h.arm_alloc(method_idx.0, at, || table.qualified_name(method_idx)));
-                ctx.space.alloc_str(ctx.heap, string_tag, joined.as_str())
-            }) {
+            let joined = render(ctx, &[a, b]);
+            thread.cycles +=
+                engine.scaled(COSTS.string + COSTS.string_per_char * joined.len() as u64);
+            match alloc_guest_string(thread, ctx, method_idx, at, joined) {
                 Ok(obj) => thread.values.push(Value::Ref(obj)),
                 Err(e) => throw!(heap_exception(e)),
             }
@@ -1155,11 +1148,8 @@ pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepF
             let Value::Ref(s) = pop!(thread, stack_base) else {
                 throw!(npe("length of null string"));
             };
-            match ctx.space.str_value(s) {
-                Ok(v) => {
-                    let n = v.chars().count() as i64;
-                    thread.values.push(Value::Int(n));
-                }
+            match ctx.space.str_len(s) {
+                Ok(n) => thread.values.push(Value::Int(n as i64)),
                 Err(e) => throw!(heap_exception(e)),
             }
         }
@@ -1169,8 +1159,10 @@ pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepF
             let Value::Ref(s) = pop!(thread, stack_base) else {
                 throw!(npe("charAt on null string"));
             };
-            let ch = match ctx.space.str_value(s) {
-                Ok(v) => v.chars().nth(index.max(0) as usize),
+            // A negative index maps past any end.
+            let i = usize::try_from(index).unwrap_or(usize::MAX);
+            let ch = match ctx.space.str_char_at(s, i) {
+                Ok(ch) => ch,
                 Err(e) => throw!(heap_exception(e)),
             };
             match ch {
@@ -1219,17 +1211,10 @@ pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepF
         }
         Op::ToStr => {
             let v = pop!(thread, stack_base);
-            let s = render(ctx, v);
+            let text = render(ctx, &[v]);
             thread.cycles +=
-                engine.scaled(COSTS.string + COSTS.string_per_char * s.len() as u64);
-            let string_tag = ctx.string_class.heap_class();
-            match with_gc_retry(thread, ctx, &[], |ctx| {
-                ctx.space
-                    .obs()
-                    .heap
-                    .with(|h| h.arm_alloc(method_idx.0, at, || table.qualified_name(method_idx)));
-                ctx.space.alloc_str(ctx.heap, string_tag, s.as_str())
-            }) {
+                engine.scaled(COSTS.string + COSTS.string_per_char * text.len() as u64);
+            match alloc_guest_string(thread, ctx, method_idx, at, text) {
                 Ok(obj) => thread.values.push(Value::Ref(obj)),
                 Err(e) => throw!(heap_exception(e)),
             }
@@ -1241,28 +1226,24 @@ pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepF
             let Value::Ref(s) = pop!(thread, stack_base) else {
                 throw!(npe("substring of null"));
             };
-            let text = match ctx.space.str_value(s) {
-                Ok(v) => v.to_string(),
+            let n = match ctx.space.str_len(s) {
+                Ok(n) => n,
                 Err(e) => throw!(heap_exception(e)),
             };
-            let chars: Vec<char> = text.chars().collect();
-            let n = chars.len() as i64;
-            if start < 0 || end < start || end > n {
+            // `s` is a live string (`str_len` above), so only the range
+            // can fail.
+            let sub = match (usize::try_from(start), usize::try_from(end)) {
+                (Ok(a), Ok(b)) => ctx.space.str_slice(s, a, b).ok().flatten(),
+                _ => None,
+            };
+            let Some(sub) = sub.map(str::to_owned) else {
                 throw!(VmException::Builtin(
                     BuiltinEx::IndexOutOfBounds,
                     format!("substring [{start}, {end}) of length {n}"),
                 ));
-            }
-            let sub: String = chars[start as usize..end as usize].iter().collect();
+            };
             thread.cycles += engine.scaled(COSTS.string_per_char * sub.len() as u64);
-            let string_tag = ctx.string_class.heap_class();
-            match with_gc_retry(thread, ctx, &[], |ctx| {
-                ctx.space
-                    .obs()
-                    .heap
-                    .with(|h| h.arm_alloc(method_idx.0, at, || table.qualified_name(method_idx)));
-                ctx.space.alloc_str(ctx.heap, string_tag, sub.as_str())
-            }) {
+            match alloc_guest_string(thread, ctx, method_idx, at, sub) {
                 Ok(obj) => thread.values.push(Value::Ref(obj)),
                 Err(e) => throw!(heap_exception(e)),
             }
@@ -1440,7 +1421,7 @@ pub(crate) fn value_instance_of(ctx: &ExecCtx<'_>, v: Value, target: ClassIdx) -
         Value::Ref(obj) => match ctx.space.get(obj) {
             Ok(o) => match &o.data {
                 // Arrays and strings: exact-tag classes only.
-                kaffeos_heap::ObjData::Fields(_) | kaffeos_heap::ObjData::Str(_) => {
+                kaffeos_heap::ObjData::Fields(_) | kaffeos_heap::ObjData::Str { .. } => {
                     let id = o.class;
                     if id == INT_ARRAY_CLASS || id == FLOAT_ARRAY_CLASS || id == REF_ARRAY_CLASS {
                         return false;
@@ -1455,40 +1436,73 @@ pub(crate) fn value_instance_of(ctx: &ExecCtx<'_>, v: Value, target: ClassIdx) -
     }
 }
 
-/// Renders a value for string concatenation / `ToStr`.
-pub(crate) fn render(ctx: &ExecCtx<'_>, v: Value) -> String {
-    match v {
-        Value::Null => "null".to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) => {
-            if f == f.trunc() && f.is_finite() && f.abs() < 1e15 {
-                format!("{f:.1}")
-            } else {
-                format!("{f}")
+/// Renders `values` end to end into one buffer, for string concatenation
+/// and `ToStr`. The buffer is sized up front for the string operands.
+pub(crate) fn render(ctx: &ExecCtx<'_>, values: &[Value]) -> String {
+    let size = |v: &Value| match *v {
+        Value::Ref(obj) => ctx.space.str_value(obj).map_or(0, str::len),
+        _ => 0,
+    };
+    let mut out = String::with_capacity(values.iter().map(size).sum());
+    for &v in values {
+        // Writing into a `String` cannot fail.
+        let _ = match v {
+            Value::Null => out.write_str("null"),
+            Value::Int(i) => write!(out, "{i}"),
+            Value::Float(f) => {
+                if f == f.trunc() && f.is_finite() && f.abs() < 1e15 {
+                    write!(out, "{f:.1}")
+                } else {
+                    write!(out, "{f}")
+                }
             }
-        }
-        Value::Ref(obj) => match ctx.space.get(obj) {
-            Ok(o) => match &o.data {
-                kaffeos_heap::ObjData::Str(s) => s.to_string(),
-                kaffeos_heap::ObjData::Array { values, .. } => {
-                    format!("array[{}]", values.len())
-                }
-                kaffeos_heap::ObjData::Fields(_) => {
-                    let id = o.class;
-                    if id == INT_ARRAY_CLASS || id == FLOAT_ARRAY_CLASS || id == REF_ARRAY_CLASS {
-                        "array".to_string()
-                    } else {
-                        format!(
-                            "{}@{}",
-                            ctx.table.class(ctx.table.from_heap_class(id)).name,
-                            obj.index()
-                        )
+            Value::Ref(obj) => match ctx.space.get(obj) {
+                Ok(o) => match &o.data {
+                    kaffeos_heap::ObjData::Str { text, .. } => out.write_str(text),
+                    kaffeos_heap::ObjData::Array { values, .. } => {
+                        write!(out, "array[{}]", values.len())
                     }
-                }
+                    kaffeos_heap::ObjData::Fields(_) => {
+                        let id = o.class;
+                        if id == INT_ARRAY_CLASS || id == FLOAT_ARRAY_CLASS || id == REF_ARRAY_CLASS
+                        {
+                            out.write_str("array")
+                        } else {
+                            write!(
+                                out,
+                                "{}@{}",
+                                ctx.table.class(ctx.table.from_heap_class(id)).name,
+                                obj.index()
+                            )
+                        }
+                    }
+                },
+                Err(_) => out.write_str("<stale>"),
             },
-            Err(_) => "<stale>".to_string(),
-        },
+        };
     }
+    out
+}
+
+/// Allocates a string object holding `text` for the op at `at` of
+/// `method`. The buffer itself becomes the payload; an allocation retried
+/// after a collection still has it.
+fn alloc_guest_string(
+    thread: &mut Thread,
+    ctx: &mut ExecCtx<'_>,
+    method: MethodIdx,
+    at: u32,
+    mut text: String,
+) -> Result<ObjRef, HeapError> {
+    let table = ctx.table;
+    let string_tag = ctx.string_class.heap_class();
+    with_gc_retry(thread, ctx, &[], |ctx| {
+        ctx.space
+            .obs()
+            .heap
+            .with(|h| h.arm_alloc(method.0, at, || table.qualified_name(method)));
+        ctx.space.alloc_string(ctx.heap, string_tag, &mut text)
+    })
 }
 
 /// Returns (allocating lazily) the statics object for `class` in the

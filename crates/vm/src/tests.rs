@@ -2651,3 +2651,175 @@ fn jit_env_value_resolves_or_fails_loudly() {
         assert!(err.contains(&format!("{v:?}")), "{v:?}: {err}");
     }
 }
+
+/// The string runtime ops against a plain-Rust oracle over `chars()`:
+/// values, exceptions and messages for ASCII and non-ASCII strings, at and
+/// past both ends.
+mod string_oracle {
+    use super::*;
+
+    #[derive(Debug, PartialEq)]
+    enum Out {
+        Int(i64),
+        Str(String),
+        Raised(String, String),
+    }
+
+    fn bounds(msg: String) -> Out {
+        Out::Raised("IndexOutOfBoundsException".to_string(), msg)
+    }
+
+    fn oracle_len(s: &str) -> Out {
+        Out::Int(s.chars().count() as i64)
+    }
+
+    fn oracle_char_at(s: &str, i: i64) -> Out {
+        match usize::try_from(i).ok().and_then(|i| s.chars().nth(i)) {
+            Some(c) => Out::Int(c as i64),
+            None => bounds(format!("string index {i}")),
+        }
+    }
+
+    fn oracle_substring(s: &str, a: i64, b: i64) -> Out {
+        let chars: Vec<char> = s.chars().collect();
+        let n = chars.len() as i64;
+        if a < 0 || b < a || b > n {
+            return bounds(format!("substring [{a}, {b}) of length {n}"));
+        }
+        Out::Str(chars[a as usize..b as usize].iter().collect())
+    }
+
+    fn string_ops_class() -> ClassDef {
+        let str_to_int = |name: &str, ops: Vec<Op>| {
+            MethodBuilder::of_static(name)
+                .param(TypeDesc::Str)
+                .returns(TypeDesc::Int)
+                .ops(ops)
+                .build()
+        };
+        ClassBuilder::new("Main")
+            .method(str_to_int(
+                "len",
+                vec![Op::Load(0), Op::StrLen, Op::ReturnVal],
+            ))
+            .method(
+                MethodBuilder::of_static("at")
+                    .param(TypeDesc::Str)
+                    .param(TypeDesc::Int)
+                    .returns(TypeDesc::Int)
+                    .ops([Op::Load(0), Op::Load(1), Op::StrCharAt, Op::ReturnVal])
+                    .build(),
+            )
+            .method(
+                MethodBuilder::of_static("sub")
+                    .param(TypeDesc::Str)
+                    .param(TypeDesc::Int)
+                    .param(TypeDesc::Int)
+                    .returns(TypeDesc::Str)
+                    .ops([
+                        Op::Load(0),
+                        Op::Load(1),
+                        Op::Load(2),
+                        Op::Substr,
+                        Op::ReturnVal,
+                    ])
+                    .build(),
+            )
+            .build()
+    }
+
+    fn outcome(vm: &mut TestVm, method: &str, args: Vec<Value>) -> Out {
+        match vm.run("Main", method, args) {
+            RunExit::Finished(Some(Value::Int(v))) => Out::Int(v),
+            RunExit::Finished(Some(Value::Ref(r))) => {
+                Out::Str(vm.space.str_value(r).unwrap().to_string())
+            }
+            RunExit::Unhandled(VmException::Guest(ex)) => {
+                let class = vm.table.from_heap_class(vm.space.class_of(ex).unwrap());
+                let Value::Ref(msg) = vm.space.load(ex, 0).unwrap() else {
+                    panic!("{method}: exception without a message");
+                };
+                Out::Raised(
+                    vm.table.class(class).name.clone(),
+                    vm.space.str_value(msg).unwrap().to_string(),
+                )
+            }
+            other => panic!("{method}: unexpected exit {other:?}"),
+        }
+    }
+
+    /// A string of `n` chars drawn from a seeded mix of 1-, 2-, 3- and
+    /// 4-byte UTF-8 chars.
+    fn mixed(n: usize, mut seed: u64) -> String {
+        const POOL: [char; 10] = ['a', 'Z', '7', ' ', 'é', 'ß', '日', '本', '😀', '🎉'];
+        (0..n)
+            .map(|_| {
+                seed = seed
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                POOL[(seed >> 33) as usize % POOL.len()]
+            })
+            .collect()
+    }
+
+    fn check(text: &str, pairs: &[(i64, i64)]) {
+        let mut vm = TestVm::new();
+        vm.load(string_ops_class()).unwrap();
+        let tag = vm.string_class.heap_class();
+        let s = Value::Ref(vm.space.alloc_str(vm.heap, tag, text).unwrap());
+        let n = text.chars().count() as i64;
+        assert_eq!(
+            outcome(&mut vm, "len", vec![s]),
+            oracle_len(text),
+            "len {text:?}"
+        );
+        for i in -1..=n + 1 {
+            assert_eq!(
+                outcome(&mut vm, "at", vec![s, Value::Int(i)]),
+                oracle_char_at(text, i),
+                "charAt({i}) of {text:?}"
+            );
+        }
+        for &(a, b) in pairs {
+            assert_eq!(
+                outcome(&mut vm, "sub", vec![s, Value::Int(a), Value::Int(b)]),
+                oracle_substring(text, a, b),
+                "substring({a}, {b}) of {text:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn short_strings_match_the_oracle_at_every_index() {
+        for text in [
+            "",
+            "hello, world",
+            "café",
+            "日本語のテキスト",
+            "a😀b🎉",
+            "é",
+        ] {
+            let n = text.chars().count() as i64;
+            let pairs: Vec<_> = (-1..=n + 1)
+                .flat_map(|a| (-1..=n + 1).map(move |b| (a, b)))
+                .collect();
+            check(text, &pairs);
+        }
+    }
+
+    #[test]
+    fn a_long_mixed_string_matches_the_oracle() {
+        let text = mixed(1000, 7);
+        assert_eq!(text.chars().count(), 1000);
+        assert!(text.len() > 1000, "the sample must not be ASCII");
+        let mut seed = 0x5eed_u64;
+        let mut draw = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % 1003) as i64 - 1
+        };
+        let pairs: Vec<_> = (0..1000).map(|_| (draw(), draw())).collect();
+        check(&text, &pairs);
+    }
+}
