@@ -339,64 +339,3 @@ pub fn lex(source: &str) -> Result<Vec<Token>, CompileError> {
     });
     Ok(tokens)
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn lexes_mixed_tokens() {
-        let toks = lex("class A { int x = 42; float f = 2.5; } // end").unwrap();
-        let kinds: Vec<&TokenKind> = toks.iter().map(|t| &t.kind).collect();
-        assert!(matches!(kinds[0], TokenKind::Class));
-        assert!(matches!(kinds[1], TokenKind::Ident(s) if s == "A"));
-        assert!(kinds.contains(&&TokenKind::Int(42)));
-        assert!(kinds.contains(&&TokenKind::Float(2.5)));
-        assert_eq!(kinds.last(), Some(&&TokenKind::Eof));
-    }
-
-    #[test]
-    fn lexes_strings_with_escapes() {
-        let toks = lex(r#""a\nb\"c""#).unwrap();
-        assert_eq!(toks[0].kind, TokenKind::Str("a\nb\"c".to_string()));
-    }
-
-    #[test]
-    fn tracks_lines() {
-        let toks = lex("a\nb\nc").unwrap();
-        assert_eq!(toks[0].line, 1);
-        assert_eq!(toks[1].line, 2);
-        assert_eq!(toks[2].line, 3);
-    }
-
-    #[test]
-    fn two_char_operators() {
-        let toks = lex("<= >= == != && || << >>").unwrap();
-        let kinds: Vec<&TokenKind> = toks.iter().map(|t| &t.kind).collect();
-        assert_eq!(
-            kinds[..8],
-            [
-                &TokenKind::Le,
-                &TokenKind::Ge,
-                &TokenKind::EqEq,
-                &TokenKind::NotEq,
-                &TokenKind::AndAnd,
-                &TokenKind::OrOr,
-                &TokenKind::Shl,
-                &TokenKind::Shr
-            ]
-        );
-    }
-
-    #[test]
-    fn rejects_unterminated_string() {
-        assert!(lex("\"abc").is_err());
-    }
-
-    #[test]
-    fn block_comments_skip_lines() {
-        let toks = lex("/* a\nb\nc */ x").unwrap();
-        assert!(matches!(&toks[0].kind, TokenKind::Ident(s) if s == "x"));
-        assert_eq!(toks[0].line, 3);
-    }
-}

@@ -4,14 +4,69 @@ use crate::ast::*;
 use crate::lexer::{Token, TokenKind};
 use crate::CompileError;
 
+/// Deepest nesting the parser accepts. A nested statement, a nested
+/// expression (parenthesised, an index or an argument), a unary operator
+/// and a dimension of an array type each count one level, and so does
+/// every node an operator or postfix chain stacks on its first operand.
+/// Deeper source is a `CompileError`, so neither the parser nor a later
+/// walk of the tree (codegen, and dropping it) can exhaust the host stack.
+/// 128 is ten times the deepest shipped guest (13), and at about 14 KB of
+/// stack per level in an unoptimised build (1.3 KB optimised) the parser
+/// and codegen still fit a 2 MiB thread stack.
+pub(crate) const MAX_DEPTH: u32 = 128;
+
 struct Parser<'a> {
     toks: &'a [Token],
     pos: usize,
+    /// Statements and expressions currently being parsed around the cursor.
+    nesting: u32,
 }
 
-/// Parses a whole compilation unit (a list of class declarations).
+/// An expression with the depth of its tree (a leaf has depth 1).
+type Parsed = (Expr, u32);
+
+/// Binary operators by precedence level, loosest first; every level is
+/// left-associative.
+const BINARY_LEVELS: [&[(TokenKind, BinOp)]; 10] = [
+    &[(TokenKind::OrOr, BinOp::Or)],
+    &[(TokenKind::AndAnd, BinOp::And)],
+    &[(TokenKind::Pipe, BinOp::BitOr)],
+    &[(TokenKind::Caret, BinOp::BitXor)],
+    &[(TokenKind::Amp, BinOp::BitAnd)],
+    &[(TokenKind::EqEq, BinOp::Eq), (TokenKind::NotEq, BinOp::Ne)],
+    &[
+        (TokenKind::Lt, BinOp::Lt),
+        (TokenKind::Le, BinOp::Le),
+        (TokenKind::Gt, BinOp::Gt),
+        (TokenKind::Ge, BinOp::Ge),
+    ],
+    &[(TokenKind::Shl, BinOp::Shl), (TokenKind::Shr, BinOp::Shr)],
+    &[
+        (TokenKind::Plus, BinOp::Add),
+        (TokenKind::Minus, BinOp::Sub),
+    ],
+    &[
+        (TokenKind::Star, BinOp::Mul),
+        (TokenKind::Slash, BinOp::Div),
+        (TokenKind::Percent, BinOp::Rem),
+    ],
+];
+
+/// Parses a whole compilation unit (a list of class declarations). The
+/// tokens must end in `Eof`, as [`crate::lex`]'s do; the cursor never moves
+/// past it.
 pub fn parse_program(toks: &[Token]) -> Result<Vec<ClassDecl>, CompileError> {
-    let mut p = Parser { toks, pos: 0 };
+    if toks.last().map(|t| &t.kind) != Some(&TokenKind::Eof) {
+        return Err(CompileError {
+            line: toks.last().map_or(1, |t| t.line),
+            msg: "token stream does not end in Eof".to_string(),
+        });
+    }
+    let mut p = Parser {
+        toks,
+        pos: 0,
+        nesting: 0,
+    };
     let mut classes = Vec::new();
     while !p.at(TokenKind::Eof) {
         classes.push(p.class_decl()?);
@@ -53,7 +108,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect(&mut self, kind: TokenKind, what: &str) -> Result<(), CompileError> {
+    fn expect_tok(&mut self, kind: TokenKind, what: &str) -> Result<(), CompileError> {
         if self.eat(kind) {
             Ok(())
         } else {
@@ -66,6 +121,33 @@ impl<'a> Parser<'a> {
             line: self.line(),
             msg,
         }
+    }
+
+    /// Refuses source nested past [`MAX_DEPTH`] at `depth`.
+    fn check_depth(&self, depth: u32) -> Result<(), CompileError> {
+        if depth > MAX_DEPTH {
+            return Err(self.error(format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(())
+    }
+
+    /// Runs `parse` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, CompileError>,
+    ) -> Result<T, CompileError> {
+        self.check_depth(self.nesting + 1)?;
+        self.nesting += 1;
+        let parsed = parse(self);
+        self.nesting -= 1;
+        parsed
+    }
+
+    /// `e`, a node whose deepest child has tree depth `child`, unless it
+    /// would nest past [`MAX_DEPTH`] where it stands.
+    fn node(&self, child: u32, e: Expr) -> Result<Parsed, CompileError> {
+        self.check_depth(self.nesting + child + 1)?;
+        Ok((e, child + 1))
     }
 
     fn ident(&mut self, what: &str) -> Result<String, CompileError> {
@@ -82,14 +164,14 @@ impl<'a> Parser<'a> {
 
     fn class_decl(&mut self) -> Result<ClassDecl, CompileError> {
         let line = self.line();
-        self.expect(TokenKind::Class, "`class`")?;
+        self.expect_tok(TokenKind::Class, "`class`")?;
         let name = self.ident("class name")?;
         let extends = if self.eat(TokenKind::Extends) {
             Some(self.ident("superclass name")?)
         } else {
             None
         };
-        self.expect(TokenKind::LBrace, "`{`")?;
+        self.expect_tok(TokenKind::LBrace, "`{`")?;
         let mut fields = Vec::new();
         let mut methods = Vec::new();
         while !self.eat(TokenKind::RBrace) {
@@ -162,7 +244,7 @@ impl<'a> Parser<'a> {
                 line,
             });
         } else {
-            self.expect(TokenKind::Semi, "`;` after field")?;
+            self.expect_tok(TokenKind::Semi, "`;` after field")?;
             fields.push(FieldDecl {
                 name,
                 ty,
@@ -174,7 +256,7 @@ impl<'a> Parser<'a> {
     }
 
     fn params(&mut self) -> Result<Vec<(String, Ty)>, CompileError> {
-        self.expect(TokenKind::LParen, "`(`")?;
+        self.expect_tok(TokenKind::LParen, "`(`")?;
         let mut params = Vec::new();
         if !self.at(TokenKind::RParen) {
             loop {
@@ -186,7 +268,7 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        self.expect(TokenKind::RParen, "`)`")?;
+        self.expect_tok(TokenKind::RParen, "`)`")?;
         Ok(params)
     }
 
@@ -205,7 +287,10 @@ impl<'a> Parser<'a> {
             other => return Err(self.error(format!("expected a type, found {other:?}"))),
         };
         let mut ty = base;
+        let mut dims = 0;
         while self.at(TokenKind::LBracket) && *self.peek2() == TokenKind::RBracket {
+            dims += 1;
+            self.check_depth(dims)?;
             self.bump();
             self.bump();
             ty = Ty::Array(Box::new(ty));
@@ -216,7 +301,7 @@ impl<'a> Parser<'a> {
     // ---- statements -------------------------------------------------------
 
     fn block(&mut self) -> Result<Vec<Stmt>, CompileError> {
-        self.expect(TokenKind::LBrace, "`{`")?;
+        self.expect_tok(TokenKind::LBrace, "`{`")?;
         let mut stmts = Vec::new();
         while !self.eat(TokenKind::RBrace) {
             stmts.push(self.stmt()?);
@@ -225,14 +310,18 @@ impl<'a> Parser<'a> {
     }
 
     fn stmt(&mut self) -> Result<Stmt, CompileError> {
+        self.nested(Self::stmt_here)
+    }
+
+    fn stmt_here(&mut self) -> Result<Stmt, CompileError> {
         let line = self.line();
         match self.peek().clone() {
             TokenKind::LBrace => Ok(Stmt::Block(self.block()?)),
             TokenKind::If => {
                 self.bump();
-                self.expect(TokenKind::LParen, "`(`")?;
+                self.expect_tok(TokenKind::LParen, "`(`")?;
                 let cond = self.expr()?;
-                self.expect(TokenKind::RParen, "`)`")?;
+                self.expect_tok(TokenKind::RParen, "`)`")?;
                 let then_body = self.block_or_stmt()?;
                 let else_body = if self.eat(TokenKind::Else) {
                     if self.at(TokenKind::If) {
@@ -252,33 +341,33 @@ impl<'a> Parser<'a> {
             }
             TokenKind::While => {
                 self.bump();
-                self.expect(TokenKind::LParen, "`(`")?;
+                self.expect_tok(TokenKind::LParen, "`(`")?;
                 let cond = self.expr()?;
-                self.expect(TokenKind::RParen, "`)`")?;
+                self.expect_tok(TokenKind::RParen, "`)`")?;
                 let body = self.block_or_stmt()?;
                 Ok(Stmt::While { cond, body, line })
             }
             TokenKind::For => {
                 self.bump();
-                self.expect(TokenKind::LParen, "`(`")?;
+                self.expect_tok(TokenKind::LParen, "`(`")?;
                 let init = if self.at(TokenKind::Semi) {
                     None
                 } else {
                     Some(self.simple_stmt()?)
                 };
-                self.expect(TokenKind::Semi, "`;` after for-init")?;
+                self.expect_tok(TokenKind::Semi, "`;` after for-init")?;
                 let cond = if self.at(TokenKind::Semi) {
                     None
                 } else {
                     Some(self.expr()?)
                 };
-                self.expect(TokenKind::Semi, "`;` after for-condition")?;
+                self.expect_tok(TokenKind::Semi, "`;` after for-condition")?;
                 let update = if self.at(TokenKind::RParen) {
                     None
                 } else {
                     Some(self.simple_stmt()?)
                 };
-                self.expect(TokenKind::RParen, "`)`")?;
+                self.expect_tok(TokenKind::RParen, "`)`")?;
                 let body = self.block_or_stmt()?;
                 Ok(Stmt::For {
                     init: Box::new(init),
@@ -295,23 +384,23 @@ impl<'a> Parser<'a> {
                 } else {
                     Some(self.expr()?)
                 };
-                self.expect(TokenKind::Semi, "`;` after return")?;
+                self.expect_tok(TokenKind::Semi, "`;` after return")?;
                 Ok(Stmt::Return { value, line })
             }
             TokenKind::Break => {
                 self.bump();
-                self.expect(TokenKind::Semi, "`;` after break")?;
+                self.expect_tok(TokenKind::Semi, "`;` after break")?;
                 Ok(Stmt::Break { line })
             }
             TokenKind::Continue => {
                 self.bump();
-                self.expect(TokenKind::Semi, "`;` after continue")?;
+                self.expect_tok(TokenKind::Semi, "`;` after continue")?;
                 Ok(Stmt::Continue { line })
             }
             TokenKind::Throw => {
                 self.bump();
                 let value = self.expr()?;
-                self.expect(TokenKind::Semi, "`;` after throw")?;
+                self.expect_tok(TokenKind::Semi, "`;` after throw")?;
                 Ok(Stmt::Throw { value, line })
             }
             TokenKind::Try => {
@@ -321,10 +410,10 @@ impl<'a> Parser<'a> {
                 while self.at(TokenKind::Catch) {
                     let cline = self.line();
                     self.bump();
-                    self.expect(TokenKind::LParen, "`(`")?;
+                    self.expect_tok(TokenKind::LParen, "`(`")?;
                     let class = self.ident("exception class")?;
                     let var = self.ident("exception variable")?;
-                    self.expect(TokenKind::RParen, "`)`")?;
+                    self.expect_tok(TokenKind::RParen, "`)`")?;
                     let cbody = self.block()?;
                     catches.push(CatchClause {
                         class,
@@ -344,15 +433,15 @@ impl<'a> Parser<'a> {
             }
             TokenKind::Sync => {
                 self.bump();
-                self.expect(TokenKind::LParen, "`(`")?;
+                self.expect_tok(TokenKind::LParen, "`(`")?;
                 let lock = self.expr()?;
-                self.expect(TokenKind::RParen, "`)`")?;
+                self.expect_tok(TokenKind::RParen, "`)`")?;
                 let body = self.block()?;
                 Ok(Stmt::Sync { lock, body, line })
             }
             _ => {
                 let s = self.simple_stmt()?;
-                self.expect(TokenKind::Semi, "`;`")?;
+                self.expect_tok(TokenKind::Semi, "`;`")?;
                 Ok(s)
             }
         }
@@ -416,494 +505,182 @@ impl<'a> Parser<'a> {
     // ---- expressions --------------------------------------------------------
 
     fn expr(&mut self) -> Result<Expr, CompileError> {
-        self.or_expr()
+        Ok(self.nested_expr()?.0)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.and_expr()?;
-        while self.at(TokenKind::OrOr) {
+    fn nested_expr(&mut self) -> Result<Parsed, CompileError> {
+        self.nested(|p| p.binary(0))
+    }
+
+    /// Operands joined by binary operators of `BINARY_LEVELS[min_level..]`,
+    /// by precedence climbing: a chain of one level is built in a loop, and
+    /// only a tighter operator on the right recurses.
+    fn binary(&mut self, min_level: usize) -> Result<Parsed, CompileError> {
+        let (mut lhs, mut depth) = self.unary_expr()?;
+        while let Some((level, op)) = self.binary_op().filter(|&(level, _)| level >= min_level) {
             let line = self.line();
             self.bump();
-            let rhs = self.and_expr()?;
-            lhs = Expr::Binary {
-                op: BinOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                line,
-            };
+            let (rhs, rhs_depth) = self.binary(level + 1)?;
+            (lhs, depth) = self.node(
+                depth.max(rhs_depth),
+                Expr::Binary {
+                    op,
+                    lhs: Box::new(lhs),
+                    rhs: Box::new(rhs),
+                    line,
+                },
+            )?;
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
-    fn and_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.bitor_expr()?;
-        while self.at(TokenKind::AndAnd) {
-            let line = self.line();
-            self.bump();
-            let rhs = self.bitor_expr()?;
-            lhs = Expr::Binary {
-                op: BinOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                line,
-            };
-        }
-        Ok(lhs)
+    /// The binary operator at the cursor and its precedence level.
+    fn binary_op(&self) -> Option<(usize, BinOp)> {
+        BINARY_LEVELS.iter().enumerate().find_map(|(level, ops)| {
+            let (_, op) = ops.iter().find(|(kind, _)| self.peek() == kind)?;
+            Some((level, *op))
+        })
     }
 
-    fn bitor_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.bitxor_expr()?;
-        while self.at(TokenKind::Pipe) {
-            let line = self.line();
-            self.bump();
-            let rhs = self.bitxor_expr()?;
-            lhs = Expr::Binary {
-                op: BinOp::BitOr,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                line,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn bitxor_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.bitand_expr()?;
-        while self.at(TokenKind::Caret) {
-            let line = self.line();
-            self.bump();
-            let rhs = self.bitand_expr()?;
-            lhs = Expr::Binary {
-                op: BinOp::BitXor,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                line,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn bitand_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.equality_expr()?;
-        while self.at(TokenKind::Amp) {
-            let line = self.line();
-            self.bump();
-            let rhs = self.equality_expr()?;
-            lhs = Expr::Binary {
-                op: BinOp::BitAnd,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                line,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn equality_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.relational_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::EqEq => BinOp::Eq,
-                TokenKind::NotEq => BinOp::Ne,
-                _ => break,
-            };
-            let line = self.line();
-            self.bump();
-            let rhs = self.relational_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                line,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn relational_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.shift_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Lt => BinOp::Lt,
-                TokenKind::Le => BinOp::Le,
-                TokenKind::Gt => BinOp::Gt,
-                TokenKind::Ge => BinOp::Ge,
-                _ => break,
-            };
-            let line = self.line();
-            self.bump();
-            let rhs = self.shift_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                line,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn shift_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.additive_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Shl => BinOp::Shl,
-                TokenKind::Shr => BinOp::Shr,
-                _ => break,
-            };
-            let line = self.line();
-            self.bump();
-            let rhs = self.additive_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                line,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn additive_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.multiplicative_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Plus => BinOp::Add,
-                TokenKind::Minus => BinOp::Sub,
-                _ => break,
-            };
-            let line = self.line();
-            self.bump();
-            let rhs = self.multiplicative_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                line,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn multiplicative_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Star => BinOp::Mul,
-                TokenKind::Slash => BinOp::Div,
-                TokenKind::Percent => BinOp::Rem,
-                _ => break,
-            };
-            let line = self.line();
-            self.bump();
-            let rhs = self.unary_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-                line,
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn unary_expr(&mut self) -> Result<Expr, CompileError> {
+    fn unary_expr(&mut self) -> Result<Parsed, CompileError> {
         let line = self.line();
-        if self.eat(TokenKind::Minus) {
-            let operand = self.unary_expr()?;
-            return Ok(Expr::Unary {
-                op: UnOp::Neg,
+        let op = if self.eat(TokenKind::Minus) {
+            UnOp::Neg
+        } else if self.eat(TokenKind::Not) {
+            UnOp::Not
+        } else {
+            return self.postfix_expr();
+        };
+        let (operand, depth) = self.nested(Self::unary_expr)?;
+        self.node(
+            depth,
+            Expr::Unary {
+                op,
                 operand: Box::new(operand),
                 line,
-            });
-        }
-        if self.eat(TokenKind::Not) {
-            let operand = self.unary_expr()?;
-            return Ok(Expr::Unary {
-                op: UnOp::Not,
-                operand: Box::new(operand),
-                line,
-            });
-        }
-        self.postfix_expr()
+            },
+        )
     }
 
-    fn postfix_expr(&mut self) -> Result<Expr, CompileError> {
-        let mut e = self.primary_expr()?;
+    fn postfix_expr(&mut self) -> Result<Parsed, CompileError> {
+        let (mut e, mut depth) = self.primary_expr()?;
         loop {
             let line = self.line();
-            if self.eat(TokenKind::Dot) {
+            (e, depth) = if self.eat(TokenKind::Dot) {
                 let name = self.ident("member name")?;
                 if self.at(TokenKind::LParen) {
-                    let args = self.args()?;
-                    e = Expr::Call {
-                        recv: Box::new(e),
+                    let (args, args_depth) = self.args()?;
+                    let recv = Box::new(e);
+                    let call = Expr::Call {
+                        recv,
                         method: name,
                         args,
                         line,
                     };
+                    self.node(depth.max(args_depth), call)?
                 } else {
-                    e = Expr::Field {
-                        recv: Box::new(e),
-                        name,
-                        line,
-                    };
+                    let recv = Box::new(e);
+                    self.node(depth, Expr::Field { recv, name, line })?
                 }
             } else if self.eat(TokenKind::LBracket) {
-                let idx = self.expr()?;
-                self.expect(TokenKind::RBracket, "`]`")?;
-                e = Expr::Index {
+                let (idx, idx_depth) = self.nested_expr()?;
+                self.expect_tok(TokenKind::RBracket, "`]`")?;
+                let index = Expr::Index {
                     arr: Box::new(e),
                     idx: Box::new(idx),
                     line,
                 };
+                self.node(depth.max(idx_depth), index)?
             } else if self.eat(TokenKind::As) {
                 let class = self.ident("class name after `as`")?;
-                e = Expr::Cast {
-                    value: Box::new(e),
-                    class,
-                    line,
-                };
+                let value = Box::new(e);
+                self.node(depth, Expr::Cast { value, class, line })?
             } else if self.eat(TokenKind::Is) {
                 let class = self.ident("class name after `is`")?;
-                e = Expr::InstanceOf {
-                    value: Box::new(e),
-                    class,
-                    line,
-                };
+                let value = Box::new(e);
+                self.node(depth, Expr::InstanceOf { value, class, line })?
             } else {
                 break;
-            }
+            };
         }
-        Ok(e)
+        Ok((e, depth))
     }
 
-    fn args(&mut self) -> Result<Vec<Expr>, CompileError> {
-        self.expect(TokenKind::LParen, "`(`")?;
+    /// A parenthesised argument list and the depth of its deepest argument.
+    fn args(&mut self) -> Result<(Vec<Expr>, u32), CompileError> {
+        self.expect_tok(TokenKind::LParen, "`(`")?;
         let mut args = Vec::new();
+        let mut depth = 0;
         if !self.at(TokenKind::RParen) {
             loop {
-                args.push(self.expr()?);
+                let (arg, arg_depth) = self.nested_expr()?;
+                args.push(arg);
+                depth = depth.max(arg_depth);
                 if !self.eat(TokenKind::Comma) {
                     break;
                 }
             }
         }
-        self.expect(TokenKind::RParen, "`)`")?;
-        Ok(args)
+        self.expect_tok(TokenKind::RParen, "`)`")?;
+        Ok((args, depth))
     }
 
-    fn primary_expr(&mut self) -> Result<Expr, CompileError> {
+    fn primary_expr(&mut self) -> Result<Parsed, CompileError> {
         let line = self.line();
-        match self.peek().clone() {
-            TokenKind::Int(v) => {
-                self.bump();
-                Ok(Expr::IntLit(v, line))
-            }
-            TokenKind::Float(v) => {
-                self.bump();
-                Ok(Expr::FloatLit(v, line))
-            }
-            TokenKind::Str(s) => {
-                self.bump();
-                Ok(Expr::StrLit(s, line))
-            }
-            TokenKind::True => {
-                self.bump();
-                Ok(Expr::BoolLit(true, line))
-            }
-            TokenKind::False => {
-                self.bump();
-                Ok(Expr::BoolLit(false, line))
-            }
-            TokenKind::Null => {
-                self.bump();
-                Ok(Expr::Null(line))
-            }
-            TokenKind::This => {
-                self.bump();
-                Ok(Expr::This(line))
-            }
+        let leaf = match self.peek().clone() {
+            TokenKind::Int(v) => Expr::IntLit(v, line),
+            TokenKind::Float(v) => Expr::FloatLit(v, line),
+            TokenKind::Str(s) => Expr::StrLit(s, line),
+            TokenKind::True => Expr::BoolLit(true, line),
+            TokenKind::False => Expr::BoolLit(false, line),
+            TokenKind::Null => Expr::Null(line),
+            TokenKind::This => Expr::This(line),
             TokenKind::LParen => {
                 self.bump();
-                let e = self.expr()?;
-                self.expect(TokenKind::RParen, "`)`")?;
-                Ok(e)
+                let inner = self.nested_expr()?;
+                self.expect_tok(TokenKind::RParen, "`)`")?;
+                return Ok(inner);
             }
             TokenKind::New => {
                 self.bump();
                 // `new C(args)` or `new ty[len]` (possibly multi-dim base).
                 let base = self.ty()?;
-                if self.at(TokenKind::LParen) {
+                return if self.at(TokenKind::LParen) {
                     let Ty::Class(class) = base else {
                         return Err(self.error("`new` of a non-class type".to_string()));
                     };
-                    let args = self.args()?;
-                    Ok(Expr::New { class, args, line })
+                    let (args, depth) = self.args()?;
+                    self.node(depth, Expr::New { class, args, line })
                 } else if self.eat(TokenKind::LBracket) {
-                    let len = self.expr()?;
-                    self.expect(TokenKind::RBracket, "`]`")?;
-                    Ok(Expr::NewArray {
+                    let (len, depth) = self.nested_expr()?;
+                    self.expect_tok(TokenKind::RBracket, "`]`")?;
+                    let new_array = Expr::NewArray {
                         elem: base,
                         len: Box::new(len),
                         line,
-                    })
+                    };
+                    self.node(depth, new_array)
                 } else {
                     Err(self.error("expected `(` or `[` after `new`".to_string()))
-                }
+                };
             }
             TokenKind::Ident(name) => {
                 self.bump();
-                if self.at(TokenKind::LParen) {
-                    let args = self.args()?;
-                    Ok(Expr::SelfCall {
+                return if self.at(TokenKind::LParen) {
+                    let (args, depth) = self.args()?;
+                    let call = Expr::SelfCall {
                         method: name,
                         args,
                         line,
-                    })
+                    };
+                    self.node(depth, call)
                 } else {
-                    Ok(Expr::Var(name, line))
-                }
+                    self.node(0, Expr::Var(name, line))
+                };
             }
-            other => Err(self.error(format!("unexpected token {other:?} in expression"))),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::lexer::lex;
-
-    fn parse(src: &str) -> Vec<ClassDecl> {
-        parse_program(&lex(src).unwrap()).unwrap()
-    }
-
-    #[test]
-    fn parses_class_with_members() {
-        let classes = parse(
-            "class A extends B { static int total; String name; \
-             int get(int x) { return x; } void run() { } init(int a) { } }",
-        );
-        assert_eq!(classes.len(), 1);
-        let c = &classes[0];
-        assert_eq!(c.name, "A");
-        assert_eq!(c.extends.as_deref(), Some("B"));
-        assert_eq!(c.fields.len(), 2);
-        assert!(c.fields[0].is_static);
-        assert_eq!(c.methods.len(), 3);
-        assert_eq!(c.methods[2].name, "init");
-        assert!(!c.methods[2].is_static);
-    }
-
-    #[test]
-    fn parses_constructor_with_class_name() {
-        let classes = parse("class P { int x; P(int x) { this.x = x; } }");
-        assert_eq!(classes[0].methods[0].name, "init");
-    }
-
-    #[test]
-    fn parses_control_flow() {
-        let classes = parse(
-            "class A { void f(int n) { \
-               if (n > 0) { n = n - 1; } else { n = 0; } \
-               while (n < 10) { n = n + 1; } \
-               for (int i = 0; i < n; i = i + 1) { n = n + i; } \
-               try { n = n / 0; } catch (Exception e) { n = 0; } \
-               sync (this) { n = 1; } \
-             } }",
-        );
-        assert_eq!(classes[0].methods[0].body.len(), 5);
-    }
-
-    #[test]
-    fn precedence_mul_before_add() {
-        let classes = parse("class A { int f() { return 1 + 2 * 3; } }");
-        let Stmt::Return { value: Some(e), .. } = &classes[0].methods[0].body[0] else {
-            panic!("expected return");
+            other => return Err(self.error(format!("unexpected token {other:?} in expression"))),
         };
-        let Expr::Binary {
-            op: BinOp::Add,
-            rhs,
-            ..
-        } = e
-        else {
-            panic!("expected +, got {e:?}");
-        };
-        assert!(matches!(**rhs, Expr::Binary { op: BinOp::Mul, .. }));
-    }
-
-    #[test]
-    fn array_types_and_indexing() {
-        let classes = parse(
-            "class A { int[] buf; int f() { int[][] m = null; \
-             int[] a = new int[4]; a[0] = 1; return a[0]; } }",
-        );
-        assert_eq!(classes[0].fields[0].ty, Ty::Array(Box::new(Ty::Int)));
-        let Stmt::VarDecl { ty, .. } = &classes[0].methods[0].body[0] else {
-            panic!();
-        };
-        assert_eq!(*ty, Ty::Array(Box::new(Ty::Array(Box::new(Ty::Int)))));
-    }
-
-    #[test]
-    fn distinguishes_decl_from_expression() {
-        let classes = parse("class A { int f(int a) { a = 1; int b = 2; f(a); return b; } }");
-        let body = &classes[0].methods[0].body;
-        assert!(matches!(body[0], Stmt::Assign { .. }));
-        assert!(matches!(body[1], Stmt::VarDecl { .. }));
-        assert!(matches!(body[2], Stmt::Expr(Expr::SelfCall { .. })));
-    }
-
-    #[test]
-    fn postfix_chains() {
-        let classes = parse("class A { int f(A a) { return a.b.c(1)[2].d; } }");
-        let Stmt::Return { value: Some(e), .. } = &classes[0].methods[0].body[0] else {
-            panic!();
-        };
-        assert!(matches!(e, Expr::Field { .. }));
-    }
-
-    #[test]
-    fn cast_and_instanceof() {
-        let classes = parse("class A { bool f(Object o) { A a = o as A; return o is A; } }");
-        let body = &classes[0].methods[0].body;
-        assert!(matches!(
-            body[0],
-            Stmt::VarDecl {
-                init: Some(Expr::Cast { .. }),
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn rejects_try_without_catch() {
-        let toks = lex("class A { void f() { try { } } }").unwrap();
-        assert!(parse_program(&toks).is_err());
-    }
-
-    #[test]
-    fn dangling_else_binds_inner() {
-        let classes = parse(
-            "class A { int f(int x) { if (x > 0) if (x > 1) return 2; else return 1; return 0; } }",
-        );
-        let Stmt::If {
-            then_body,
-            else_body,
-            ..
-        } = &classes[0].methods[0].body[0]
-        else {
-            panic!();
-        };
-        assert!(else_body.is_empty(), "outer if has no else");
-        let Stmt::If {
-            else_body: inner_else,
-            ..
-        } = &then_body[0]
-        else {
-            panic!();
-        };
-        assert!(!inner_else.is_empty(), "inner if owns the else");
+        self.bump();
+        self.node(0, leaf)
     }
 }

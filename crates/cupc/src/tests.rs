@@ -1110,3 +1110,325 @@ mod more_compile_errors {
         expect_error("class A extends Ghost { }", "unknown superclass");
     }
 }
+
+/// The lexer on its own: tokens, escapes and lines.
+mod lexer {
+    use crate::lexer::{lex, TokenKind};
+
+    #[test]
+    fn lexes_mixed_tokens() {
+        let toks = lex("class A { int x = 42; float f = 2.5; } // end").unwrap();
+        let kinds: Vec<&TokenKind> = toks.iter().map(|t| &t.kind).collect();
+        assert!(matches!(kinds[0], TokenKind::Class));
+        assert!(matches!(kinds[1], TokenKind::Ident(s) if s == "A"));
+        assert!(kinds.contains(&&TokenKind::Int(42)));
+        assert!(kinds.contains(&&TokenKind::Float(2.5)));
+        assert_eq!(kinds.last(), Some(&&TokenKind::Eof));
+    }
+
+    #[test]
+    fn lexes_strings_with_escapes() {
+        let toks = lex(r#""a\nb\"c""#).unwrap();
+        assert_eq!(toks[0].kind, TokenKind::Str("a\nb\"c".to_string()));
+    }
+
+    #[test]
+    fn tracks_lines() {
+        let toks = lex("a\nb\nc").unwrap();
+        assert_eq!(toks[0].line, 1);
+        assert_eq!(toks[1].line, 2);
+        assert_eq!(toks[2].line, 3);
+    }
+
+    #[test]
+    fn two_char_operators() {
+        let toks = lex("<= >= == != && || << >>").unwrap();
+        let kinds: Vec<&TokenKind> = toks.iter().map(|t| &t.kind).collect();
+        assert_eq!(
+            kinds[..8],
+            [
+                &TokenKind::Le,
+                &TokenKind::Ge,
+                &TokenKind::EqEq,
+                &TokenKind::NotEq,
+                &TokenKind::AndAnd,
+                &TokenKind::OrOr,
+                &TokenKind::Shl,
+                &TokenKind::Shr
+            ]
+        );
+    }
+
+    #[test]
+    fn rejects_unterminated_string() {
+        assert!(lex("\"abc").is_err());
+    }
+
+    #[test]
+    fn block_comments_skip_lines() {
+        let toks = lex("/* a\nb\nc */ x").unwrap();
+        assert!(matches!(&toks[0].kind, TokenKind::Ident(s) if s == "x"));
+        assert_eq!(toks[0].line, 3);
+    }
+}
+
+/// The parser on its own: the trees it builds and the source it refuses.
+mod parser {
+    use crate::ast::*;
+    use crate::lexer::lex;
+    use crate::parser::parse_program;
+
+    fn parse(src: &str) -> Vec<ClassDecl> {
+        parse_program(&lex(src).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn parses_class_with_members() {
+        let classes = parse(
+            "class A extends B { static int total; String name; \
+             int get(int x) { return x; } void run() { } init(int a) { } }",
+        );
+        assert_eq!(classes.len(), 1);
+        let c = &classes[0];
+        assert_eq!(c.name, "A");
+        assert_eq!(c.extends.as_deref(), Some("B"));
+        assert_eq!(c.fields.len(), 2);
+        assert!(c.fields[0].is_static);
+        assert_eq!(c.methods.len(), 3);
+        assert_eq!(c.methods[2].name, "init");
+        assert!(!c.methods[2].is_static);
+    }
+
+    #[test]
+    fn parses_constructor_with_class_name() {
+        let classes = parse("class P { int x; P(int x) { this.x = x; } }");
+        assert_eq!(classes[0].methods[0].name, "init");
+    }
+
+    #[test]
+    fn parses_control_flow() {
+        let classes = parse(
+            "class A { void f(int n) { \
+               if (n > 0) { n = n - 1; } else { n = 0; } \
+               while (n < 10) { n = n + 1; } \
+               for (int i = 0; i < n; i = i + 1) { n = n + i; } \
+               try { n = n / 0; } catch (Exception e) { n = 0; } \
+               sync (this) { n = 1; } \
+             } }",
+        );
+        assert_eq!(classes[0].methods[0].body.len(), 5);
+    }
+
+    #[test]
+    fn precedence_mul_before_add() {
+        let classes = parse("class A { int f() { return 1 + 2 * 3; } }");
+        let Stmt::Return { value: Some(e), .. } = &classes[0].methods[0].body[0] else {
+            panic!("expected return");
+        };
+        let Expr::Binary {
+            op: BinOp::Add,
+            rhs,
+            ..
+        } = e
+        else {
+            panic!("expected +, got {e:?}");
+        };
+        assert!(matches!(**rhs, Expr::Binary { op: BinOp::Mul, .. }));
+    }
+
+    #[test]
+    fn array_types_and_indexing() {
+        let classes = parse(
+            "class A { int[] buf; int f() { int[][] m = null; \
+             int[] a = new int[4]; a[0] = 1; return a[0]; } }",
+        );
+        assert_eq!(classes[0].fields[0].ty, Ty::Array(Box::new(Ty::Int)));
+        let Stmt::VarDecl { ty, .. } = &classes[0].methods[0].body[0] else {
+            panic!();
+        };
+        assert_eq!(*ty, Ty::Array(Box::new(Ty::Array(Box::new(Ty::Int)))));
+    }
+
+    #[test]
+    fn distinguishes_decl_from_expression() {
+        let classes = parse("class A { int f(int a) { a = 1; int b = 2; f(a); return b; } }");
+        let body = &classes[0].methods[0].body;
+        assert!(matches!(body[0], Stmt::Assign { .. }));
+        assert!(matches!(body[1], Stmt::VarDecl { .. }));
+        assert!(matches!(body[2], Stmt::Expr(Expr::SelfCall { .. })));
+    }
+
+    #[test]
+    fn postfix_chains() {
+        let classes = parse("class A { int f(A a) { return a.b.c(1)[2].d; } }");
+        let Stmt::Return { value: Some(e), .. } = &classes[0].methods[0].body[0] else {
+            panic!();
+        };
+        assert!(matches!(e, Expr::Field { .. }));
+    }
+
+    #[test]
+    fn cast_and_instanceof() {
+        let classes = parse("class A { bool f(Object o) { A a = o as A; return o is A; } }");
+        let body = &classes[0].methods[0].body;
+        assert!(matches!(
+            body[0],
+            Stmt::VarDecl {
+                init: Some(Expr::Cast { .. }),
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn rejects_tokens_without_eof() {
+        assert!(parse_program(&[]).is_err());
+        let mut toks = lex("class A { }").unwrap();
+        toks.pop();
+        assert!(parse_program(&toks).is_err());
+    }
+
+    #[test]
+    fn rejects_try_without_catch() {
+        let toks = lex("class A { void f() { try { } } }").unwrap();
+        assert!(parse_program(&toks).is_err());
+    }
+
+    #[test]
+    fn dangling_else_binds_inner() {
+        let classes = parse(
+            "class A { int f(int x) { if (x > 0) if (x > 1) return 2; else return 1; return 0; } }",
+        );
+        let Stmt::If {
+            then_body,
+            else_body,
+            ..
+        } = &classes[0].methods[0].body[0]
+        else {
+            panic!();
+        };
+        assert!(else_body.is_empty(), "outer if has no else");
+        let Stmt::If {
+            else_body: inner_else,
+            ..
+        } = &then_body[0]
+        else {
+            panic!();
+        };
+        assert!(!inner_else.is_empty(), "inner if owns the else");
+    }
+}
+
+/// Source nested past the parser's bound is a `CompileError`, never a host
+/// stack overflow: the parser counts every level it nests, and refuses a
+/// tree the parser would build iteratively but codegen and `Drop` would
+/// walk recursively (a long operator chain).
+mod nesting_bound {
+    use super::*;
+    use crate::parser::MAX_DEPTH;
+
+    fn main_returning(expr: &str) -> String {
+        format!("class Main {{ static int main() {{ return {expr}; }} }}")
+    }
+
+    fn expect_too_deep(src: &str) {
+        let host = Host::new();
+        let err = compile(src, &host.table, host.ns).unwrap_err();
+        assert!(err.msg.contains("nested deeper than"), "{err:?}");
+    }
+
+    #[test]
+    fn deep_parentheses_are_refused() {
+        let n = 3_000;
+        expect_too_deep(&main_returning(&format!(
+            "{}1{}",
+            "(".repeat(n),
+            ")".repeat(n)
+        )));
+    }
+
+    #[test]
+    fn deep_blocks_are_refused() {
+        let n = 10_000;
+        expect_too_deep(&format!(
+            "class Main {{ static void main() {{ {}{} }} }}",
+            "{".repeat(n),
+            "}".repeat(n)
+        ));
+    }
+
+    #[test]
+    fn long_unary_chains_are_refused() {
+        expect_too_deep(&main_returning(&format!("{}1", "-".repeat(30_000))));
+    }
+
+    #[test]
+    fn long_operator_chains_are_refused() {
+        expect_too_deep(&main_returning(&vec!["1"; 100_000].join(" + ")));
+    }
+
+    #[test]
+    fn deep_array_types_are_refused() {
+        expect_too_deep(&format!(
+            "class Main {{ static void main() {{ int{} a = null; }} }}",
+            "[]".repeat(10_000)
+        ));
+    }
+
+    #[test]
+    fn deep_else_if_chains_are_refused() {
+        let chain = "if (x == 0) { x = 1; } else ".repeat(5_000);
+        expect_too_deep(&format!(
+            "class Main {{ static void main() {{ int x = 0; {chain}{{ x = 2; }} }} }}"
+        ));
+    }
+
+    /// Each shape nested just under the bound compiles and runs, within
+    /// the 2 MiB stack of a test thread even in an unoptimised build.
+    #[test]
+    fn source_just_under_the_bound_compiles_and_runs() {
+        let n = MAX_DEPTH as usize - 8;
+        let sum = vec!["1"; n].join(" + ");
+        assert_eq!(run_main_int(&main_returning(&sum), vec![]), n as i64);
+        let parens = format!("{}-(2 * 3){}", "(".repeat(n), ")".repeat(n));
+        assert_eq!(run_main_int(&main_returning(&parens), vec![]), -6);
+        let negations = format!("{}7", "-".repeat(n));
+        assert_eq!(run_main_int(&main_returning(&negations), vec![]), 7);
+        let blocks = format!(
+            "class Main {{ static int main() {{ int x = 0; {}x = x + 5;{} return x; }} }}",
+            "{ ".repeat(n),
+            " }".repeat(n)
+        );
+        assert_eq!(run_main_int(&blocks, vec![]), 5);
+        let ifs = format!(
+            "class Main {{ static int main() {{ int x = 0; {}x = 9;{} return x; }} }}",
+            "if (x == 0) { ".repeat(n),
+            " }".repeat(n)
+        );
+        assert_eq!(run_main_int(&ifs, vec![]), 9);
+    }
+
+    /// A guest nested the way the shipped ones are (the deepest of them
+    /// reaches 13 levels) compiles and runs.
+    #[test]
+    fn shipped_guest_nesting_compiles_and_runs() {
+        let src = r#"
+            class Main {
+                static int main() {
+                    int total = 0;
+                    for (int i = 0; i < 4; i = i + 1) {
+                        while (total < 100) {
+                            if (i > 1) {
+                                try {
+                                    total = total + ((i * 2 + 1) * (i - 1) + -(-(i % 3)));
+                                } catch (Exception e) { total = 0; }
+                            } else { total = total + 1; break; }
+                        }
+                    }
+                    return total;
+                }
+            }
+        "#;
+        assert_eq!(run_main_int(src, vec![]), 100);
+    }
+}

@@ -198,7 +198,9 @@ impl HeapSpace {
                 obj.frozen,
                 match &obj.data {
                     ObjData::Fields(_) => "fields",
-                    ObjData::Array { .. } => "array",
+                    ObjData::Refs { .. } | ObjData::Ints { .. } | ObjData::Floats { .. } => {
+                        "array"
+                    }
                     ObjData::Str { .. } => "str",
                 },
                 obj.data.len(),

@@ -9,7 +9,6 @@
 //! is slot-sized) plus typed array element sizes.
 
 use crate::barrier::BarrierKind;
-use crate::object::ObjData;
 
 /// Modelled machine cycle costs (500 MHz Pentium III of §4).
 pub mod costs {
@@ -72,17 +71,16 @@ impl SizeModel {
         }
     }
 
-    /// Accounted size of an object with the given payload.
-    pub fn object_bytes(&self, data: &ObjData) -> u64 {
-        let payload = match data {
-            ObjData::Fields(fields) => fields.len() as u64 * self.field as u64,
-            // Arrays carry a 4-byte length word plus typed elements.
-            ObjData::Array {
-                elem_bytes, values, ..
-            } => 4 + values.len() as u64 * *elem_bytes as u64,
-            ObjData::Str { chars, .. } => return self.str_bytes(*chars),
-        };
-        (self.header + self.heap_word) as u64 + payload
+    /// Accounted size of an instance of `nfields` fields.
+    pub fn fields_bytes(&self, nfields: usize) -> u64 {
+        (self.header + self.heap_word) as u64 + nfields as u64 * self.field as u64
+    }
+
+    /// Accounted size of an array of `len` elements of `elem_bytes` each:
+    /// a 4-byte length word plus the typed elements, whatever the host
+    /// holds per element.
+    pub fn array_bytes(&self, elem_bytes: u8, len: usize) -> u64 {
+        (self.header + self.heap_word) as u64 + 4 + len as u64 * elem_bytes as u64
     }
 
     /// Accounted size of a string of `chars` chars: length word plus

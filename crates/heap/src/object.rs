@@ -7,18 +7,31 @@ pub enum ObjData {
     /// Instance fields, in declaration order (the VM resolves names to
     /// indices at class-load time).
     Fields(Box<[Value]>),
-    /// Array of `values.len()` elements. `elem_bytes` is the accounted size
-    /// per element (1 for `byte[]`, 2 for `char[]`, 4 for `int[]`/`T[]`,
-    /// 8 for `float[]` under the 32-bit layout model).
-    Array {
-        /// Accounted size per element (1/2/4/8 under the 32-bit model).
+    /// Array of references (`T[]`, `str[]`, nested arrays): the only array
+    /// shape the collector traces and `store_ref` writes. `elem_bytes` is
+    /// the accounted size per element (4 under the 32-bit model).
+    Refs {
+        /// Accounted size per element.
         elem_bytes: u8,
-        /// False for `int[]`/`float[]`: the elements can never hold a
-        /// reference, so the collector does not scan them and
-        /// `store_ref` refuses them.
-        refs: bool,
-        /// Element values.
+        /// Element values, each `Null` or a `Ref`.
         values: Box<[Value]>,
+    },
+    /// Unboxed `int[]` (accounted 4 bytes per element): the host holds 8
+    /// bytes per element, and a fresh array's zeroed memory comes straight
+    /// from the allocator. It can hold no reference, so nothing traces it.
+    Ints {
+        /// Accounted size per element.
+        elem_bytes: u8,
+        /// Element values.
+        values: Box<[i64]>,
+    },
+    /// Unboxed `float[]` (accounted 8 bytes per element), like
+    /// [`ObjData::Ints`].
+    Floats {
+        /// Accounted size per element.
+        elem_bytes: u8,
+        /// Element values.
+        values: Box<[f64]>,
     },
     /// Immutable string payload. Strings are objects so they live on a heap,
     /// are accounted, and participate in per-process interning (§3.3).
@@ -33,11 +46,13 @@ pub enum ObjData {
 }
 
 impl ObjData {
-    /// Number of value slots (fields or elements); 0 for strings.
+    /// Number of slots (fields or elements); 0 for strings.
     pub fn len(&self) -> usize {
         match self {
             ObjData::Fields(f) => f.len(),
-            ObjData::Array { values, .. } => values.len(),
+            ObjData::Refs { values, .. } => values.len(),
+            ObjData::Ints { values, .. } => values.len(),
+            ObjData::Floats { values, .. } => values.len(),
             ObjData::Str { .. } => 0,
         }
     }
@@ -104,14 +119,11 @@ pub struct Object {
 
 impl Object {
     /// Iterates the non-null references held in this object's slots.
-    /// Primitive arrays hold none and are not scanned.
+    /// Only fields and reference arrays have any.
     pub fn references(&self) -> impl Iterator<Item = crate::refs::ObjRef> + '_ {
         let slots: &[Value] = match &self.data {
-            ObjData::Fields(f) => f,
-            ObjData::Array {
-                refs: true, values, ..
-            } => values,
-            ObjData::Array { refs: false, .. } | ObjData::Str { .. } => &[],
+            ObjData::Fields(f) | ObjData::Refs { values: f, .. } => f,
+            ObjData::Ints { .. } | ObjData::Floats { .. } | ObjData::Str { .. } => &[],
         };
         slots.iter().filter_map(|v| v.as_ref())
     }

@@ -42,12 +42,15 @@ pub(crate) struct PageMeta {
     pub live: u32,
 }
 
-/// Size-class free lists for object payload buffers (the MallocKit/ExVM
-/// shape, host-only). Sweeping an object returns its `Box<[Value]>` payload
-/// to the exact-length class; the next allocation of that shape pops the
-/// buffer and refills it instead of going to the host allocator. Purely a
-/// host optimisation: accounted bytes are computed from payload *contents*,
-/// which are identical either way.
+/// Size-class free lists for the boxed payload buffers of instances and
+/// reference arrays (the MallocKit/ExVM shape, host-only). Sweeping such an
+/// object returns its `Box<[Value]>` to the exact-length class; the next
+/// allocation of that shape pops the buffer and refills it instead of going
+/// to the host allocator. Unboxed `int[]`/`float[]` buffers are not pooled:
+/// they go back to the allocator, whose zeroed memory is cheaper than a
+/// refill and leaves the pages of a large array that is never written
+/// untouched. Purely a host optimisation: accounted bytes are computed
+/// before the payload is built, and are identical either way.
 #[derive(Debug, Default)]
 pub(crate) struct PayloadPool {
     /// `classes[len]` holds recycled buffers of exactly `len` slots.
@@ -91,10 +94,15 @@ impl PayloadPool {
     /// Recycles the payload of a swept object.
     pub(crate) fn recycle(&mut self, data: ObjData) {
         match data {
-            ObjData::Fields(f) => self.put(f),
-            ObjData::Array { values, .. } => self.put(values),
-            ObjData::Str { .. } => {}
+            ObjData::Fields(f) | ObjData::Refs { values: f, .. } => self.put(f),
+            ObjData::Ints { .. } | ObjData::Floats { .. } | ObjData::Str { .. } => {}
         }
+    }
+
+    /// Buffers of exactly `len` slots parked in the pool.
+    #[cfg(test)]
+    pub(crate) fn parked(&self, len: usize) -> usize {
+        self.classes.get(len).map_or(0, Vec::len)
     }
 }
 
@@ -466,20 +474,27 @@ impl HeapSpace {
 
     // ----- allocation -----------------------------------------------------
 
-    /// Allocates an instance with `nfields` fields, all null/zero.
+    /// Allocates an instance with `nfields` fields, all null/zero. The
+    /// payload is built only once the allocation is admitted, so a refused
+    /// one leaves the pool as it was.
     pub fn alloc_fields(
         &mut self,
         heap: HeapId,
         class: ClassId,
         nfields: usize,
     ) -> Result<ObjRef, HeapError> {
+        let bytes = saturate(self.size_model.fields_bytes(nfields));
+        self.admit(heap, bytes)?;
         let data = ObjData::Fields(self.payload_pool.take(nfields, Value::Null));
-        self.alloc(heap, class, data)
+        Ok(self.place(heap, class, bytes, data))
     }
 
     /// Allocates an array of `len` elements of accounted size `elem_bytes`,
-    /// filled with `fill`. A primitive `fill` makes a primitive array: its
-    /// elements are never traced and never take a reference.
+    /// filled with `fill`, whose kind picks the payload shape: an `Int`
+    /// fill makes an unboxed [`ObjData::Ints`], a `Float` fill an unboxed
+    /// [`ObjData::Floats`], and a reference fill an [`ObjData::Refs`]. A
+    /// zero fill takes zeroed memory from the allocator. As in
+    /// [`HeapSpace::alloc_fields`], the payload is built after admission.
     pub fn alloc_array(
         &mut self,
         heap: HeapId,
@@ -488,12 +503,23 @@ impl HeapSpace {
         len: usize,
         fill: Value,
     ) -> Result<ObjRef, HeapError> {
-        let data = ObjData::Array {
-            elem_bytes,
-            refs: fill.is_reference(),
-            values: self.payload_pool.take(len, fill),
+        let bytes = saturate(self.size_model.array_bytes(elem_bytes, len));
+        self.admit(heap, bytes)?;
+        let data = match fill {
+            Value::Int(i) => ObjData::Ints {
+                elem_bytes,
+                values: vec![i; len].into_boxed_slice(),
+            },
+            Value::Float(f) => ObjData::Floats {
+                elem_bytes,
+                values: vec![f; len].into_boxed_slice(),
+            },
+            Value::Null | Value::Ref(_) => ObjData::Refs {
+                elem_bytes,
+                values: self.payload_pool.take(len, fill),
+            },
         };
-        self.alloc(heap, class, data)
+        Ok(self.place(heap, class, bytes, data))
     }
 
     /// Allocates a string object.
@@ -517,28 +543,16 @@ impl HeapSpace {
         text: &mut String,
     ) -> Result<ObjRef, HeapError> {
         let chars = u32::try_from(text.chars().count()).unwrap_or(u32::MAX);
-        let bytes = self.size_model.str_bytes(chars) as u32;
+        let bytes = saturate(self.size_model.str_bytes(chars));
         self.admit(heap, bytes)?;
         let text = core::mem::take(text).into_boxed_str();
         Ok(self.place(heap, class, bytes, ObjData::Str { text, chars }))
     }
 
-    /// Allocates an object with explicit payload. Fails with `OutOfMemory`
-    /// if the heap's memlimit chain cannot cover the accounted size, and
-    /// with `BadHeapState` on frozen shared heaps (their size is fixed).
-    pub fn alloc(
-        &mut self,
-        heap: HeapId,
-        class: ClassId,
-        data: ObjData,
-    ) -> Result<ObjRef, HeapError> {
-        let bytes = self.size_model.object_bytes(&data) as u32;
-        self.admit(heap, bytes)?;
-        Ok(self.place(heap, class, bytes, data))
-    }
-
-    /// Every failure point of an allocation of `bytes` on `heap`, ending in
-    /// the memlimit debit.
+    /// Every failure point of an allocation of `bytes` on `heap`: a dead
+    /// heap, a frozen shared heap (`BadHeapState`: its size is fixed), an
+    /// injected fault, and last the memlimit debit (`OutOfMemory`). Every
+    /// allocator calls it before it builds the payload.
     #[inline]
     fn admit(&mut self, heap: HeapId, bytes: u32) -> Result<(), HeapError> {
         self.check_heap(heap)?;
@@ -760,69 +774,55 @@ impl HeapSpace {
         }
     }
 
-    /// Loads a field or array element.
+    /// Loads a field or array element: one object lookup, one bounds
+    /// check.
     #[inline]
     pub fn load(&self, obj: ObjRef, index: usize) -> Result<Value, HeapError> {
-        let o = self.get(obj)?;
-        let slots: &[Value] = match &o.data {
-            ObjData::Fields(f) => f,
-            ObjData::Array { values, .. } => values,
+        let data = &self.get(obj)?.data;
+        let v = match data {
+            ObjData::Fields(slots) | ObjData::Refs { values: slots, .. } => {
+                slots.get(index).copied()
+            }
+            ObjData::Ints { values, .. } => values.get(index).map(|&i| Value::Int(i)),
+            ObjData::Floats { values, .. } => values.get(index).map(|&f| Value::Float(f)),
             ObjData::Str { .. } => return Err(HeapError::KindMismatch(obj)),
         };
-        slots
-            .get(index)
-            .copied()
-            .ok_or(HeapError::IndexOutOfBounds {
-                obj,
-                index,
-                len: slots.len(),
-            })
-    }
-
-    /// Value slots of an object (fields or array elements) — one object
-    /// lookup for readers that bounds-check and load themselves. Strings
-    /// have no value slots, matching [`HeapSpace::slot_count`]'s zero.
-    #[inline]
-    pub fn value_slots(&self, obj: ObjRef) -> Result<&[Value], HeapError> {
-        Ok(match &self.get(obj)?.data {
-            ObjData::Fields(f) => f,
-            ObjData::Array { values, .. } => values,
-            ObjData::Str { .. } => &[],
+        v.ok_or_else(|| HeapError::IndexOutOfBounds {
+            obj,
+            index,
+            len: data.len(),
         })
     }
 
-    /// Mutable value slots, for *primitive* stores only: writing a
-    /// reference through this bypasses the write barrier, so callers must
-    /// check `val.is_reference()` first (as [`HeapSpace::store_prim`]
-    /// asserts).
-    #[inline]
-    pub fn value_slots_mut(&mut self, obj: ObjRef) -> Result<&mut [Value], HeapError> {
-        Ok(match &mut self.get_mut(obj)?.data {
-            ObjData::Fields(f) => f,
-            ObjData::Array { values, .. } => values,
-            ObjData::Str { .. } => &mut [],
-        })
-    }
-
-    /// Stores a primitive into a field or element. No barrier: primitive
-    /// fields of shared objects stay mutable after freezing (§2), and
-    /// primitive stores can never create cross-heap references.
-    #[inline]
+    /// Stores a primitive into a field or element: one object lookup, the
+    /// bounds check before the kind check. No barrier: primitive fields of
+    /// shared objects stay mutable after freezing (§2), and primitive
+    /// stores can never create cross-heap references. An `int[]` takes
+    /// only `Int`s and a `float[]` only `Float`s; any other value is a
+    /// `KindMismatch` that leaves the element as it was. Always inlined:
+    /// it sits on both tiers' field and array store paths, and its checks
+    /// of five payload shapes otherwise keep it out of their dispatch
+    /// loops.
+    #[inline(always)]
     pub fn store_prim(&mut self, obj: ObjRef, index: usize, val: Value) -> Result<(), HeapError> {
         debug_assert!(
             !matches!(val, Value::Ref(_)),
             "reference store through store_prim"
         );
-        let o = self.get_mut(obj)?;
-        let slots: &mut [Value] = match &mut o.data {
-            ObjData::Fields(f) => f,
-            ObjData::Array { values, .. } => values,
-            ObjData::Str { .. } => return Err(HeapError::KindMismatch(obj)),
-        };
-        let len = slots.len();
-        *slots
-            .get_mut(index)
-            .ok_or(HeapError::IndexOutOfBounds { obj, index, len })? = val;
+        let data = &mut self.get_mut(obj)?.data;
+        if let ObjData::Str { .. } = data {
+            return Err(HeapError::KindMismatch(obj));
+        }
+        let len = data.len();
+        if index >= len {
+            return Err(HeapError::IndexOutOfBounds { obj, index, len });
+        }
+        match (data, val) {
+            (ObjData::Fields(slots) | ObjData::Refs { values: slots, .. }, _) => slots[index] = val,
+            (ObjData::Ints { values, .. }, Value::Int(i)) => values[index] = i,
+            (ObjData::Floats { values, .. }, Value::Float(f)) => values[index] = f,
+            _ => return Err(HeapError::KindMismatch(obj)),
+        }
         Ok(())
     }
 
@@ -882,11 +882,8 @@ impl HeapSpace {
 
         let o = self.get_mut(obj)?;
         let slots: &mut [Value] = match &mut o.data {
-            ObjData::Fields(f) => f,
-            ObjData::Array {
-                refs: true, values, ..
-            } => values,
-            ObjData::Array { refs: false, .. } | ObjData::Str { .. } => {
+            ObjData::Fields(f) | ObjData::Refs { values: f, .. } => f,
+            ObjData::Ints { .. } | ObjData::Floats { .. } | ObjData::Str { .. } => {
                 return Err(HeapError::KindMismatch(obj))
             }
         };
@@ -1105,4 +1102,12 @@ impl HeapSpace {
         debug_assert!(self.heap_alive(heap), "access to dead heap {heap:?}");
         &mut self.heaps[heap.index as usize]
     }
+}
+
+/// An accounted size as the `u32` an object header holds, saturating so
+/// that a size past 4 GiB is refused by any memlimit rather than wrapping
+/// to a small one.
+#[inline]
+fn saturate(bytes: u64) -> u32 {
+    u32::try_from(bytes).unwrap_or(u32::MAX)
 }

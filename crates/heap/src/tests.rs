@@ -842,7 +842,8 @@ mod gc_scratch {
 }
 
 /// Payload shapes: strings carry their char count, and primitive arrays
-/// are neither traced by the collector nor accepted by `store_ref`.
+/// are unboxed: never traced, refused by `store_ref`, and typed for
+/// `store_prim`.
 mod payloads {
     use super::*;
     use crate::gc::GcReport;
@@ -850,7 +851,7 @@ mod payloads {
 
     #[test]
     fn object_and_payload_sizes_are_pinned() {
-        // The char count and the array's `refs` flag fit in padding.
+        // A boxed slice plus the char count or `elem_bytes` in padding.
         assert_eq!(core::mem::size_of::<ObjData>(), 24);
         assert_eq!(core::mem::size_of::<Object>(), 48);
     }
@@ -941,14 +942,16 @@ mod payloads {
         let mut s = space();
         let (h, _) = user_heap(&mut s, 1, 1 << 20);
         let ints = s.alloc_array(h, CLS, 4, 1, Value::Int(0)).unwrap();
+        let floats = s.alloc_array(h, CLS, 8, 1, Value::Float(0.0)).unwrap();
+        s.store_prim(ints, 0, Value::Int(5)).unwrap();
         let orphan = s.alloc_fields(h, CLS, 1).unwrap();
-        // Plant a reference behind the barrier's back: only a scan of the
-        // int array's slots could keep `orphan` alive.
-        s.value_slots_mut(ints).unwrap()[0] = Value::Ref(orphan);
+        // An unboxed array has no slot a reference could sit in.
         assert_eq!(s.get(ints).unwrap().references().count(), 0);
-        let report = s.gc(h, &[ints]).unwrap();
-        assert_eq!((report.objects_live, report.objects_freed), (1, 1));
+        assert_eq!(s.get(floats).unwrap().references().count(), 0);
+        let report = s.gc(h, &[ints, floats]).unwrap();
+        assert_eq!((report.objects_live, report.objects_freed), (2, 1));
         assert_eq!(s.get(orphan).err(), Some(HeapError::StaleRef(orphan)));
+        assert_eq!(s.load(ints, 0), Ok(Value::Int(5)));
     }
 
     #[test]
@@ -964,7 +967,92 @@ mod payloads {
                     Err(HeapError::KindMismatch(arr))
                 );
             }
-            assert_eq!(s.value_slots(arr).unwrap(), &[fill; 3]);
+            let elems: Vec<_> = (0..3).map(|i| s.load(arr, i).unwrap()).collect();
+            assert_eq!(elems, [fill; 3]);
         }
+    }
+
+    #[test]
+    fn a_wrong_kind_primitive_store_is_a_kind_mismatch() {
+        let mut s = space();
+        let (h, _) = user_heap(&mut s, 1, 1 << 20);
+        let ints = s.alloc_array(h, CLS, 4, 2, Value::Int(3)).unwrap();
+        let floats = s.alloc_array(h, CLS, 8, 2, Value::Float(1.5)).unwrap();
+        for (arr, wrong, kept) in [
+            (ints, Value::Float(2.0), Value::Int(3)),
+            (ints, Value::Null, Value::Int(3)),
+            (floats, Value::Int(2), Value::Float(1.5)),
+            (floats, Value::Null, Value::Float(1.5)),
+        ] {
+            assert_eq!(
+                s.store_prim(arr, 1, wrong),
+                Err(HeapError::KindMismatch(arr))
+            );
+            assert_eq!(s.load(arr, 1), Ok(kept));
+        }
+        // Bounds come before kinds.
+        assert_eq!(
+            s.store_prim(ints, 2, Value::Float(2.0)),
+            Err(HeapError::IndexOutOfBounds {
+                obj: ints,
+                index: 2,
+                len: 2
+            })
+        );
+        s.store_prim(ints, 1, Value::Int(-9)).unwrap();
+        s.store_prim(floats, 0, Value::Float(-0.25)).unwrap();
+        assert_eq!(s.load(ints, 1), Ok(Value::Int(-9)));
+        assert_eq!(s.load(floats, 0), Ok(Value::Float(-0.25)));
+    }
+
+    #[test]
+    fn primitive_arrays_are_accounted_by_element_size() {
+        for len in [0usize, 1, 5, 4096] {
+            let mut s = space();
+            let (h, ml) = user_heap(&mut s, 1, 1 << 20);
+            s.alloc_array(h, CLS, 4, len, Value::Int(0)).unwrap();
+            let ints = 8 + 4 + 4 * len as u64;
+            assert_eq!(s.limits().current(ml), ints, "int[{len}]");
+            s.alloc_array(h, CLS, 8, len, Value::Float(0.0)).unwrap();
+            let floats = 8 + 4 + 8 * len as u64;
+            assert_eq!(s.limits().current(ml), ints + floats, "float[{len}]");
+        }
+    }
+
+    #[test]
+    fn a_refused_allocation_leaves_the_pooled_buffer() {
+        let mut s = space();
+        let (h, _) = user_heap(&mut s, 1, 1 << 20);
+        s.alloc_fields(h, CLS, 3).unwrap();
+        s.alloc_array(h, CLS, 4, 3, Value::Null).unwrap();
+        s.gc(h, &[]).unwrap();
+        assert_eq!(s.payload_pool.parked(3), 2);
+        for _ in 0..2 {
+            s.set_alloc_fault(crate::AllocFault {
+                at: s.alloc_count(),
+                persistent: false,
+            });
+            let refused = s.alloc_fields(h, CLS, 3).unwrap_err();
+            assert!(matches!(refused, HeapError::OutOfMemory(_)));
+            s.set_alloc_fault(crate::AllocFault {
+                at: s.alloc_count(),
+                persistent: false,
+            });
+            let refused = s.alloc_array(h, CLS, 4, 3, Value::Null).unwrap_err();
+            assert!(matches!(refused, HeapError::OutOfMemory(_)));
+            assert_eq!(s.payload_pool.parked(3), 2);
+        }
+        s.alloc_fields(h, CLS, 3).unwrap();
+        assert_eq!(s.payload_pool.parked(3), 1);
+    }
+
+    #[test]
+    fn an_array_past_four_gib_is_refused_not_wrapped() {
+        let mut s = space();
+        let (h, ml) = user_heap(&mut s, 1, 1 << 20);
+        // 8 + 4 + 8 * 2^29 bytes would wrap to 12 in a `u32`.
+        let err = s.alloc_array(h, CLS, 8, 1 << 29, Value::Float(0.0));
+        assert!(matches!(err, Err(HeapError::OutOfMemory(_))));
+        assert_eq!(s.limits().current(ml), 0);
     }
 }

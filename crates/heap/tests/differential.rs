@@ -132,9 +132,9 @@ impl Model {
         }
     }
 
-    /// Mirrors `HeapSpace::alloc`: fault check, then memlimit debit, then —
-    /// infallibly — the object materialises. Returns the exact error the
-    /// real space must produce.
+    /// Mirrors `HeapSpace::admit` and `place`: fault check, then memlimit
+    /// debit, then — infallibly — the object materialises. Returns the
+    /// exact error the real space must produce.
     fn alloc(
         &mut self,
         h: usize,

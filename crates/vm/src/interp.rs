@@ -794,19 +794,9 @@ fn run_dispatch<const INJECT: bool>(
                     let Value::Ref(arr) = pop!(thread, stack_base) else {
                         throw!(npe("array load on null"));
                     };
-                    let len = match ctx.space.slot_count(arr) {
-                        Ok(n) => n,
-                        Err(e) => throw!(heap_exception(e)),
-                    };
-                    if index < 0 || index as usize >= len {
-                        throw!(VmException::Builtin(
-                            BuiltinEx::IndexOutOfBounds,
-                            format!("index {index} out of bounds for length {len}"),
-                        ));
-                    }
-                    match ctx.space.load(arr, index as usize) {
+                    match load_elem(ctx, arr, index) {
                         Ok(v) => thread.values.push(v),
-                        Err(e) => throw!(heap_exception(e)),
+                        Err(e) => throw!(e),
                     }
                 }
                 Op::AStore => {
@@ -816,24 +806,9 @@ fn run_dispatch<const INJECT: bool>(
                     let Value::Ref(arr) = pop!(thread, stack_base) else {
                         throw!(npe("array store on null"));
                     };
-                    let len = match ctx.space.slot_count(arr) {
-                        Ok(n) => n,
-                        Err(e) => throw!(heap_exception(e)),
-                    };
-                    if index < 0 || index as usize >= len {
-                        throw!(VmException::Builtin(
-                            BuiltinEx::IndexOutOfBounds,
-                            format!("index {index} out of bounds for length {len}"),
-                        ));
-                    }
-                    let result = if v.is_reference() {
-                        let at = pc as u32 - 1;
-                        store_ref_checked(thread, ctx, method_idx, at, arr, index as usize, v)
-                    } else {
-                        ctx.space.store_prim(arr, index as usize, v)
-                    };
-                    if let Err(e) = result {
-                        throw!(heap_exception(e));
+                    let at = pc as u32 - 1;
+                    if let Err(e) = store_elem(thread, ctx, method_idx, at, arr, index, v) {
+                        throw!(e);
                     }
                 }
                 Op::ArrayLen => {
@@ -1404,6 +1379,80 @@ pub(crate) fn npe(msg: &str) -> VmException {
     VmException::Builtin(BuiltinEx::NullPointer, msg.to_string())
 }
 
+/// Loads element `index` of `arr` for both tiers' array loads.
+#[inline]
+pub(crate) fn load_elem(ctx: &ExecCtx<'_>, arr: ObjRef, index: i64) -> Result<Value, VmException> {
+    ctx.space
+        .load(arr, elem_index(index))
+        .map_err(|e| elem_exception(e, index))
+}
+
+/// Stores `v` into element `index` of `arr` for both tiers' array stores.
+/// A primitive takes one heap call with one object lookup, inlined into
+/// the dispatch loops; a reference goes through [`store_elem_ref`].
+#[inline(always)]
+pub(crate) fn store_elem(
+    thread: &mut Thread,
+    ctx: &mut ExecCtx<'_>,
+    method: MethodIdx,
+    pc: u32,
+    arr: ObjRef,
+    index: i64,
+    v: Value,
+) -> Result<(), VmException> {
+    let at = elem_index(index);
+    let result = if v.is_reference() {
+        store_elem_ref(thread, ctx, method, pc, arr, at, v)
+    } else {
+        ctx.space.store_prim(arr, at, v)
+    };
+    result.map_err(|e| elem_exception(e, index))
+}
+
+/// Stores reference `v` into element `at` of `arr` through the write
+/// barrier, once the index is known to be in bounds (so an out-of-bounds
+/// store runs no barrier).
+#[inline(never)]
+fn store_elem_ref(
+    thread: &mut Thread,
+    ctx: &mut ExecCtx<'_>,
+    method: MethodIdx,
+    pc: u32,
+    arr: ObjRef,
+    at: usize,
+    v: Value,
+) -> Result<(), HeapError> {
+    let len = ctx.space.slot_count(arr)?;
+    if at >= len {
+        return Err(HeapError::IndexOutOfBounds {
+            obj: arr,
+            index: at,
+            len,
+        });
+    }
+    store_ref_checked(thread, ctx, method, pc, arr, at, v)
+}
+
+/// A guest array index as a heap index; a negative one maps past every
+/// array's end.
+#[inline]
+fn elem_index(index: i64) -> usize {
+    usize::try_from(index).unwrap_or(usize::MAX)
+}
+
+/// Maps a heap error of an element access at guest `index` onto the guest
+/// exception model: out of bounds is the guest's `IndexOutOfBounds`, with
+/// the signed index in its message.
+fn elem_exception(e: HeapError, index: i64) -> VmException {
+    match e {
+        HeapError::IndexOutOfBounds { len, .. } => VmException::Builtin(
+            BuiltinEx::IndexOutOfBounds,
+            format!("index {index} out of bounds for length {len}"),
+        ),
+        other => heap_exception(other),
+    }
+}
+
 /// Maps a heap error onto the guest-visible exception model.
 pub(crate) fn heap_exception(e: HeapError) -> VmException {
     match e {
@@ -1428,7 +1477,9 @@ pub(crate) fn value_instance_of(ctx: &ExecCtx<'_>, v: Value, target: ClassIdx) -
                     }
                     ctx.table.is_subclass(ctx.table.from_heap_class(id), target)
                 }
-                kaffeos_heap::ObjData::Array { .. } => false,
+                kaffeos_heap::ObjData::Refs { .. }
+                | kaffeos_heap::ObjData::Ints { .. }
+                | kaffeos_heap::ObjData::Floats { .. } => false,
             },
             Err(_) => false,
         },
@@ -1459,8 +1510,10 @@ pub(crate) fn render(ctx: &ExecCtx<'_>, values: &[Value]) -> String {
             Value::Ref(obj) => match ctx.space.get(obj) {
                 Ok(o) => match &o.data {
                     kaffeos_heap::ObjData::Str { text, .. } => out.write_str(text),
-                    kaffeos_heap::ObjData::Array { values, .. } => {
-                        write!(out, "array[{}]", values.len())
+                    data @ (kaffeos_heap::ObjData::Refs { .. }
+                    | kaffeos_heap::ObjData::Ints { .. }
+                    | kaffeos_heap::ObjData::Floats { .. }) => {
+                        write!(out, "array[{}]", data.len())
                     }
                     kaffeos_heap::ObjData::Fields(_) => {
                         let id = o.class;

@@ -53,8 +53,8 @@ use crate::classes::{ClassTable, MethodIdx, RConst};
 use crate::classfile::ClassDef;
 use crate::engine::{Engine, BASE_COSTS};
 use crate::interp::{
-    do_return, heap_exception, npe, raise, rt_op, store_ref_checked, BuiltinEx, ExecCtx, RunExit,
-    StepFlow, Thread, VmException,
+    do_return, heap_exception, load_elem, npe, raise, rt_op, store_elem, store_ref_checked,
+    BuiltinEx, ExecCtx, RunExit, StepFlow, Thread, VmException,
 };
 
 /// Default hot-method threshold (invocations + taken back-edges before a
@@ -1731,22 +1731,10 @@ fn run_body(
                             let Value::Ref(arr) = vpop!() else {
                                 mthrow!('body, at, npe("array load on null"));
                             };
-                            let slots = match ctx.space.value_slots(arr) {
-                                Ok(s) => s,
-                                Err(e) => mthrow!('body, at, heap_exception(e)),
-                            };
-                            let len = slots.len();
-                            if index < 0 || index as usize >= len {
-                                mthrow!('body, 
-                                    at,
-                                    VmException::Builtin(
-                                        BuiltinEx::IndexOutOfBounds,
-                                        format!("index {index} out of bounds for length {len}"),
-                                    )
-                                );
+                            match load_elem(ctx, arr, index) {
+                                Ok(v) => thread.values.push(v),
+                                Err(e) => mthrow!('body, at, e),
                             }
-                            let v = slots[index as usize];
-                            thread.values.push(v);
                         }
                         MK::AStore => {
                             flush!();
@@ -1755,50 +1743,9 @@ fn run_body(
                             let Value::Ref(arr) = vpop!() else {
                                 jthrow!('body, at, npe("array store on null"));
                             };
-                            // Primitive fast path: one object lookup, no
-                            // barrier (same order of checks as store_prim).
-                            if !v.is_reference() {
-                                let slots = match ctx.space.value_slots_mut(arr) {
-                                    Ok(s) => s,
-                                    Err(e) => jthrow!('body, at, heap_exception(e)),
-                                };
-                                let len = slots.len();
-                                if index < 0 || index as usize >= len {
-                                    jthrow!('body, 
-                                        at,
-                                        VmException::Builtin(
-                                            BuiltinEx::IndexOutOfBounds,
-                                            format!(
-                                                "index {index} out of bounds for length {len}"
-                                            ),
-                                        )
-                                    );
-                                }
-                                slots[index as usize] = v;
-                                mi += 1;
-                                continue 'micros;
-                            }
-                            let len = match ctx.space.slot_count(arr) {
-                                Ok(n) => n,
-                                Err(e) => jthrow!('body, at, heap_exception(e)),
-                            };
-                            if index < 0 || index as usize >= len {
-                                jthrow!('body, 
-                                    at,
-                                    VmException::Builtin(
-                                        BuiltinEx::IndexOutOfBounds,
-                                        format!("index {index} out of bounds for length {len}"),
-                                    )
-                                );
-                            }
-                            let result = if v.is_reference() {
-                                let pc = at as u32 - 1;
-                                store_ref_checked(thread, ctx, method_idx, pc, arr, index as usize, v)
-                            } else {
-                                ctx.space.store_prim(arr, index as usize, v)
-                            };
-                            if let Err(e) = result {
-                                jthrow!('body, at, heap_exception(e));
+                            let pc = at as u32 - 1;
+                            if let Err(e) = store_elem(thread, ctx, method_idx, pc, arr, index, v) {
+                                jthrow!('body, at, e);
                             }
                         }
                         MK::GetField => {
@@ -1877,22 +1824,10 @@ fn run_body(
                             let Value::Ref(arr) = varr else {
                                 mthrow!('body, at, npe("array load on null"));
                             };
-                            let slots = match ctx.space.value_slots(arr) {
-                                Ok(s) => s,
-                                Err(e) => mthrow!('body, at, heap_exception(e)),
-                            };
-                            let len = slots.len();
-                            if index < 0 || index as usize >= len {
-                                mthrow!('body, 
-                                    at,
-                                    VmException::Builtin(
-                                        BuiltinEx::IndexOutOfBounds,
-                                        format!("index {index} out of bounds for length {len}"),
-                                    )
-                                );
+                            match load_elem(ctx, arr, index) {
+                                Ok(v) => thread.values.push(v),
+                                Err(e) => mthrow!('body, at, e),
                             }
-                            let v = slots[index as usize];
-                            thread.values.push(v);
                         }
                         MK::FusedGet => {
                             let kb = (m.flags >> 6) & 3;

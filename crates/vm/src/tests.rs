@@ -2823,3 +2823,315 @@ mod string_oracle {
         check(&text, &pairs);
     }
 }
+
+/// The array ops as Cup compiles them (`new int[n]`, `a[i]`, `a[i] = v`,
+/// `a.len()`, `"" + a`, `"" + a[i]`) against a plain-Rust oracle, for
+/// `int[]` and `float[]` of lengths 0, 1 and 5 at every index from -1 to
+/// n + 1, with the tier off and on: values, exception classes and messages.
+mod array_oracle {
+    use super::*;
+    use crate::jit::{CodeCache, JitRt, ProcJit};
+
+    #[derive(Debug, PartialEq)]
+    enum Out {
+        Int(i64),
+        Float(f64),
+        Str(String),
+        Array(kaffeos_heap::ObjRef),
+        Done,
+        Raised(String, String),
+    }
+
+    /// The two unboxed element kinds.
+    #[derive(Clone, Copy)]
+    enum Kind {
+        Ints,
+        Floats,
+    }
+
+    impl Kind {
+        fn name(self) -> &'static str {
+            match self {
+                Kind::Ints => "int",
+                Kind::Floats => "float",
+            }
+        }
+
+        fn elem(self) -> TypeDesc {
+            match self {
+                Kind::Ints => TypeDesc::Int,
+                Kind::Floats => TypeDesc::Float,
+            }
+        }
+
+        /// A fresh array's elements.
+        fn zero(self) -> Value {
+            match self {
+                Kind::Ints => Value::Int(0),
+                Kind::Floats => Value::Float(0.0),
+            }
+        }
+
+        fn value(self, i: i64) -> Value {
+            match self {
+                Kind::Ints if i == 0 => Value::Int(i64::MIN),
+                Kind::Ints => Value::Int(i * 7 - 3),
+                Kind::Floats if i == 0 => Value::Float(-0.0),
+                Kind::Floats => Value::Float(i as f64 * 1.25 - 2.0),
+            }
+        }
+
+        fn out(self, v: Value) -> Out {
+            match v {
+                Value::Int(i) => Out::Int(i),
+                Value::Float(f) => Out::Float(f),
+                other => panic!("{other:?} in a {} array", self.name()),
+            }
+        }
+    }
+
+    fn bounds(i: i64, n: i64) -> Out {
+        Out::Raised(
+            "IndexOutOfBoundsException".to_string(),
+            format!("index {i} out of bounds for length {n}"),
+        )
+    }
+
+    /// The guest's rendering of a primitive.
+    fn render(v: Value) -> String {
+        match v {
+            Value::Int(i) => i.to_string(),
+            Value::Float(f) if f == f.trunc() && f.is_finite() && f.abs() < 1e15 => {
+                format!("{f:.1}")
+            }
+            Value::Float(f) => f.to_string(),
+            other => panic!("render {other:?}"),
+        }
+    }
+
+    /// Name, parameters, return type and body of one array-op method.
+    type OpMethod = (&'static str, Vec<TypeDesc>, Option<TypeDesc>, Vec<Op>);
+
+    /// `Main` with one static method per array op for `kind`, each called
+    /// through a `via_` wrapper so that the tier sees it invoked.
+    fn array_ops_class(kind: Kind) -> ClassDef {
+        let arr = TypeDesc::Array(Box::new(kind.elem()));
+        let (a, int) = (arr.clone(), TypeDesc::Int);
+        let mut b = ClassBuilder::new("Main");
+        let elem = b.pool(Const::Str(kind.name().to_string()));
+        let ops: [OpMethod; 7] = [
+            (
+                "make",
+                vec![int.clone()],
+                Some(arr.clone()),
+                vec![Op::Load(0), Op::NewArray(elem), Op::ReturnVal],
+            ),
+            // `a[i]` with both operands in locals (the tier fuses it) and
+            // with a computed index (the tier's plain load).
+            (
+                "at",
+                vec![a.clone(), int.clone()],
+                Some(kind.elem()),
+                vec![Op::Load(0), Op::Load(1), Op::ALoad, Op::ReturnVal],
+            ),
+            (
+                "at_computed",
+                vec![a.clone(), int.clone()],
+                Some(kind.elem()),
+                vec![
+                    Op::Load(0),
+                    Op::Load(1),
+                    Op::ConstInt(0),
+                    Op::Add,
+                    Op::ALoad,
+                    Op::ReturnVal,
+                ],
+            ),
+            (
+                "set",
+                vec![a.clone(), int.clone(), kind.elem()],
+                None,
+                vec![
+                    Op::Load(0),
+                    Op::Load(1),
+                    Op::Load(2),
+                    Op::AStore,
+                    Op::Return,
+                ],
+            ),
+            (
+                "len",
+                vec![a.clone()],
+                Some(int.clone()),
+                vec![Op::Load(0), Op::ArrayLen, Op::ReturnVal],
+            ),
+            (
+                "show",
+                vec![a.clone()],
+                Some(TypeDesc::Str),
+                vec![Op::Load(0), Op::ToStr, Op::ReturnVal],
+            ),
+            (
+                "show_at",
+                vec![a, int],
+                Some(TypeDesc::Str),
+                vec![
+                    Op::Load(0),
+                    Op::Load(1),
+                    Op::ALoad,
+                    Op::ToStr,
+                    Op::ReturnVal,
+                ],
+            ),
+        ];
+        for (name, params, ret, body) in ops {
+            let target = b.pool(Const::Method {
+                class: "Main".to_string(),
+                name: name.to_string(),
+            });
+            let mut call: Vec<Op> = (0..params.len() as u16).map(Op::Load).collect();
+            call.push(Op::CallStatic(target));
+            call.push(if ret.is_some() {
+                Op::ReturnVal
+            } else {
+                Op::Return
+            });
+            for (name, ops) in [(name.to_string(), body), (format!("via_{name}"), call)] {
+                let mut m = MethodBuilder::of_static(&name);
+                for p in &params {
+                    m = m.param(p.clone());
+                }
+                if let Some(r) = &ret {
+                    m = m.returns(r.clone());
+                }
+                b = b.method(m.ops(ops).build());
+            }
+        }
+        b.build()
+    }
+
+    /// A test VM plus the tier's per-process state and code cache.
+    struct Tiered {
+        vm: TestVm,
+        jit: Option<(ProcJit, CodeCache)>,
+    }
+
+    impl Tiered {
+        fn new(kind: Kind, tier: bool) -> Self {
+            let mut vm = TestVm::new();
+            vm.load(array_ops_class(kind)).unwrap();
+            let jit = tier.then(|| (ProcJit::default(), CodeCache::new(1 << 20)));
+            Tiered { vm, jit }
+        }
+
+        fn call(&mut self, method: &str, args: Vec<Value>) -> Out {
+            let mut thread = self.vm.spawn("Main", &format!("via_{method}"), args);
+            let vm = &mut self.vm;
+            let exit = step(
+                &mut thread,
+                &mut ExecCtx {
+                    space: &mut vm.space,
+                    table: &vm.table,
+                    ns: vm.ns,
+                    heap: vm.heap,
+                    trusted: false,
+                    engine: Engine::KAFFEOS,
+                    statics: &mut vm.statics,
+                    intern: &mut vm.intern,
+                    string_class: vm.string_class,
+                    monitors: &mut vm.monitors,
+                    extra_roots: &[],
+                    extra_scan_slots: 0,
+                    gc_every_safepoint: false,
+                    jit: self.jit.as_mut().map(|(proc, cache)| JitRt {
+                        proc,
+                        cache,
+                        threshold: 1,
+                        pid: 1,
+                    }),
+                },
+                u64::MAX,
+            );
+            match exit {
+                RunExit::Finished(None) => Out::Done,
+                RunExit::Finished(Some(Value::Int(v))) => Out::Int(v),
+                RunExit::Finished(Some(Value::Float(v))) => Out::Float(v),
+                RunExit::Finished(Some(Value::Ref(r))) => match vm.space.str_value(r) {
+                    Ok(s) => Out::Str(s.to_string()),
+                    Err(_) => Out::Array(r),
+                },
+                RunExit::Unhandled(VmException::Guest(ex)) => {
+                    let class = vm.table.from_heap_class(vm.space.class_of(ex).unwrap());
+                    let Value::Ref(msg) = vm.space.load(ex, 0).unwrap() else {
+                        panic!("{method}: exception without a message");
+                    };
+                    Out::Raised(
+                        vm.table.class(class).name.clone(),
+                        vm.space.str_value(msg).unwrap().to_string(),
+                    )
+                }
+                other => panic!("{method}: unexpected exit {other:?}"),
+            }
+        }
+    }
+
+    fn check(kind: Kind, n: i64, tier: bool) {
+        let mut t = Tiered::new(kind, tier);
+        let label = format!("{}[{n}], tier {tier}", kind.name());
+        let Out::Array(arr) = t.call("make", vec![Value::Int(n)]) else {
+            panic!("{label}: make returned no array");
+        };
+        let arr = Value::Ref(arr);
+        assert_eq!(t.call("len", vec![arr]), Out::Int(n), "{label}: len");
+        assert_eq!(
+            t.call("show", vec![arr]),
+            Out::Str(format!("array[{n}]")),
+            "{label}: render"
+        );
+        let in_range = |i: i64| (0..n).contains(&i);
+        let loads = ["at", "at_computed"];
+        for i in -1..=n + 1 {
+            let zero = if in_range(i) {
+                kind.out(kind.zero())
+            } else {
+                bounds(i, n)
+            };
+            for m in loads {
+                let got = t.call(m, vec![arr, Value::Int(i)]);
+                assert_eq!(got, zero, "{label}: fresh {m}({i})");
+            }
+        }
+        for i in -1..=n + 1 {
+            let stored = if in_range(i) { Out::Done } else { bounds(i, n) };
+            let got = t.call("set", vec![arr, Value::Int(i), kind.value(i)]);
+            assert_eq!(got, stored, "{label}: set({i})");
+        }
+        for i in -1..=n + 1 {
+            let (value, shown) = if in_range(i) {
+                (kind.out(kind.value(i)), Out::Str(render(kind.value(i))))
+            } else {
+                (bounds(i, n), bounds(i, n))
+            };
+            for m in loads {
+                let got = t.call(m, vec![arr, Value::Int(i)]);
+                assert_eq!(got, value, "{label}: {m}({i})");
+            }
+            let got = t.call("show_at", vec![arr, Value::Int(i)]);
+            assert_eq!(got, shown, "{label}: show_at({i})");
+        }
+        if let Some((proc, _)) = &t.jit {
+            assert!(proc.stats.compiled >= 5, "{label}: {:?}", proc.stats);
+        }
+    }
+
+    #[test]
+    fn int_and_float_arrays_match_the_oracle_at_every_index() {
+        for kind in [Kind::Ints, Kind::Floats] {
+            for n in [0, 1, 5] {
+                for tier in [false, true] {
+                    check(kind, n, tier);
+                }
+            }
+        }
+    }
+}
