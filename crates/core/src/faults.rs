@@ -216,12 +216,10 @@ pub enum AuditViolation {
         /// How many were accepted.
         count: u64,
     },
-    /// The shared JIT code cache's registry drifted from the processes'
-    /// attachments (refcount mismatch, missing body, or byte-account
-    /// drift).
-    CodeCache {
-        /// What broke.
-        detail: String,
+    /// A dead process still holds compiled JIT bodies.
+    DeadHoldsBodies {
+        /// The process.
+        pid: Pid,
     },
 }
 
@@ -263,8 +261,8 @@ impl fmt::Display for AuditViolation {
             AuditViolation::IllegalWriteAccepted { count } => {
                 write!(f, "barrier accepted {count} illegal cross-heap writes")
             }
-            AuditViolation::CodeCache { detail } => {
-                write!(f, "code cache: {detail}")
+            AuditViolation::DeadHoldsBodies { pid } => {
+                write!(f, "dead process {pid:?} still holds compiled bodies")
             }
         }
     }

@@ -219,65 +219,16 @@ impl KaffeOs {
             }
         }
 
-        // Code-cache conservation: every refcount in the shared cache must
-        // equal the number of live attachments (dead processes detach at
-        // reap), every attached key must still be resident (eviction only
-        // claims refs == 0 entries; invalidation drops the attachment
-        // first), and the cache's byte account must match its entries.
-        {
-            let mut attached: std::collections::BTreeMap<kaffeos_vm::MethodKey, u32> =
-                std::collections::BTreeMap::new();
-            for p in &self.procs {
-                if matches!(p.state, ProcState::Dead(_)) {
-                    if p.jit.attached().next().is_some() {
-                        return Err(AuditViolation::CodeCache {
-                            detail: format!("dead process {:?} still holds attachments", p.pid),
-                        });
-                    }
-                    continue;
-                }
-                for key in p.jit.attached_keys() {
-                    *attached.entry(key).or_insert(0) += 1;
-                }
-            }
-            let mut cache_bytes = 0u64;
-            let mut cached: std::collections::BTreeMap<kaffeos_vm::MethodKey, u32> =
-                std::collections::BTreeMap::new();
-            for (key, refs, bytes, _creator) in self.jit_cache.snapshot() {
-                cached.insert(key, refs);
-                cache_bytes += bytes;
-            }
-            for (key, n) in &attached {
-                match cached.get(key) {
-                    None => {
-                        return Err(AuditViolation::CodeCache {
-                            detail: format!("attached body {key:?} missing from cache"),
-                        })
-                    }
-                    Some(refs) if refs != n => {
-                        return Err(AuditViolation::CodeCache {
-                            detail: format!(
-                                "refcount drift on {key:?}: cache says {refs}, {n} attached"
-                            ),
-                        })
-                    }
-                    Some(_) => {}
-                }
-            }
-            for (key, refs) in &cached {
-                if *refs != attached.get(key).copied().unwrap_or(0) {
-                    return Err(AuditViolation::CodeCache {
-                        detail: format!("cache entry {key:?} has {refs} refs but no attachments"),
-                    });
-                }
-            }
-            if cache_bytes != self.jit_cache.bytes() {
-                return Err(AuditViolation::CodeCache {
-                    detail: format!(
-                        "byte account drift: entries sum to {cache_bytes}, cache says {}",
-                        self.jit_cache.bytes()
-                    ),
-                });
+        // Reap releases a process's tier table, so a dead process holds no
+        // compiled body.
+        for p in &self.procs {
+            if matches!(p.state, ProcState::Dead(_))
+                && p.jit
+                    .bodies
+                    .iter()
+                    .any(|s| matches!(s, kaffeos_vm::BodySlot::Hot(_)))
+            {
+                return Err(AuditViolation::DeadHoldsBodies { pid: p.pid });
             }
         }
 

@@ -398,16 +398,10 @@ impl KaffeOs {
         let (domain, tenant) = (self.procs[idx].domain, self.procs[idx].tenant);
         self.leave_domain(domain, pid, tenant);
         self.procs[idx].parked.clear();
-        // Detach compiled bodies from the shared cache. Entries stay
-        // resident at refcount zero (warm cache — the ShareJIT payoff: a
-        // respawned process re-attaches without recompiling); eviction only
-        // reclaims them under byte pressure.
-        for key in self.procs[idx].jit.attached_keys() {
-            self.jit_cache.detach(&key);
-        }
         // Release the tier table rather than clear it: it is indexed by
         // the global method id, so it is as long as the method table was
-        // when the process tiered up.
+        // when the process tiered up. Its bodies stay in the kernel's memo,
+        // where a respawned process finds them without recompiling.
         self.procs[idx].jit.bodies = Vec::new();
         self.procs[idx].jit.counters = Default::default();
         let status = if self.procs[idx].cpu_overrun && status == ExitStatus::Killed {

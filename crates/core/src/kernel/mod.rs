@@ -78,7 +78,7 @@ pub struct KaffeOsConfig {
     /// stats, the GC/page timeline, and the live cross-heap edge census.
     /// Off by default.
     pub heapprof: bool,
-    /// Template-JIT tier (threshold, shared code-cache capacity). The tier
+    /// Template-JIT tier (on/off and hot threshold). The tier
     /// changes wall-clock speed only: the virtual cycle model, traces,
     /// profiles, and every golden number are bit-identical with it on or
     /// off. Defaults honour the `KAFFEOS_JIT` environment toggle.
@@ -315,10 +315,10 @@ pub struct KaffeOs {
     /// Launches the tenant engine performed on its own (queued admissions
     /// and restarts), awaiting `drain_tenant_launches`.
     tenant_launches: Vec<TenantLaunch>,
-    /// Process-shared JIT code cache (the ShareJIT artifact): one compiled
-    /// body per `(class bytes, ordinal, resolution)` key, shared
-    /// by every process whose method matches.
-    jit_cache: kaffeos_vm::CodeCache,
+    /// The JIT's compile-once memo (the ShareJIT artifact): one compiled
+    /// body per (method code, field layout), shared by every process that
+    /// tiers the method up.
+    jit_memo: kaffeos_vm::BodyMemo,
 }
 
 impl KaffeOs {
@@ -348,7 +348,6 @@ impl KaffeOs {
         }
         let string_class = table.lookup(shared_ns, "String").expect("String loaded");
 
-        let config_jit_cache_bytes = config.jit.cache_bytes;
         let mut os = KaffeOs {
             space,
             table,
@@ -378,7 +377,7 @@ impl KaffeOs {
             tenants: Vec::new(),
             overload: None,
             tenant_launches: Vec::new(),
-            jit_cache: kaffeos_vm::CodeCache::new(config_jit_cache_bytes),
+            jit_memo: kaffeos_vm::BodyMemo::default(),
         };
         if os.config.monolithic {
             // The monolithic baseline (IBM/n) is one domain that every guest

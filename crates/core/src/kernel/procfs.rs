@@ -71,26 +71,10 @@ impl KaffeOs {
             .sum()
     }
 
-    /// Cumulative counters of the process-shared code cache.
-    pub fn jit_cache_stats(&self) -> kaffeos_vm::CacheStats {
-        self.jit_cache.stats
-    }
-
-    /// `(bodies cached, bytes cached, byte capacity)` of the shared code
-    /// cache.
-    pub fn jit_cache_usage(&self) -> (usize, u64, u64) {
-        (
-            self.jit_cache.len(),
-            self.jit_cache.bytes(),
-            self.jit_cache.capacity(),
-        )
-    }
-
-    /// Deterministic shared-cache registry snapshot in key order:
-    /// `(key, refcount, body bytes, creator pid)`. Lifecycle tests compare
-    /// this across replays; it never feeds virtual state.
-    pub fn jit_cache_snapshot(&self) -> Vec<(kaffeos_vm::MethodKey, u32, u64, u32)> {
-        self.jit_cache.snapshot()
+    /// `(bodies, bytes)` the JIT's compile-once memo holds: every body
+    /// any process compiled, each counted once however many share it.
+    pub fn jit_cache_usage(&self) -> (usize, u64) {
+        self.jit_memo.usage()
     }
 
     /// The whole memlimit tree rendered as indented text — the text
@@ -125,7 +109,8 @@ impl KaffeOs {
                 .map(|(frame, _)| frame)
                 .unwrap_or_else(|| "-".to_string());
             // Compiled methods plus shared-body reuses: "3+2" reads as
-            // "3 compiled here, 2 picked up warm from the shared cache".
+            // "3 compiled here, 2 bodies another process compiled, taken
+            // from the kernel's body memo".
             let jit = format!("{}+{}", p.jit.stats.compiled, p.jit.stats.reuse);
             let _ = writeln!(
                 out,

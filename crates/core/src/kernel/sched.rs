@@ -291,11 +291,11 @@ impl KaffeOs {
         let domain = &mut self.domains[self.procs[idx].domain];
         let proc = &mut self.procs[idx];
         let thread = &mut proc.threads[tidx];
-        // The JIT runtime borrows the per-process state and the shared
-        // cache together; `None` keeps the tier fully out of the loop.
+        // The JIT runtime borrows the per-process state and the kernel's
+        // body memo together; `None` keeps the tier fully out of the loop.
         let jit = jit_enabled.then_some(kaffeos_vm::JitRt {
             proc: &mut proc.jit,
-            cache: &mut self.jit_cache,
+            memo: &mut self.jit_memo,
             threshold: jit_threshold,
             pid: pid_u32,
         });

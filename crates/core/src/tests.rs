@@ -628,6 +628,39 @@ mod host_state {
         assert!(tiered >= 200, "every spawn's main tiers up: {tiered}");
         assert_eq!(os.dead_tier_storage(), 0);
     }
+
+    /// The verifier bounds its per-pc states before allocating them. A
+    /// straight-line `main` with 4 000 locals (8 000 ops × 4 000 locals of
+    /// recorded state, which peaked at ~500 MB before the bound) fails
+    /// `spawn` with a verify error; the audit stays clean and the kernel
+    /// keeps serving. 70 000 locals do not compile at all.
+    #[test]
+    fn a_frame_too_wide_to_verify_fails_spawn() {
+        use crate::KernelError;
+        let wide = |n: usize| {
+            let decls: String = (0..n).map(|i| format!("int v{i} = {i};\n")).collect();
+            format!("class Main {{ static int main() {{\n{decls}return 0; }} }}")
+        };
+        let mut os = KaffeOs::new(KaffeOsConfig::default());
+        match os.register_image("huge", &wide(70_000)) {
+            Err(KernelError::Compile(e)) => assert!(e.msg.contains("too many local"), "{e}"),
+            other => panic!("70 000 locals must not compile: {other:?}"),
+        }
+        os.register_image("wide", &wide(4_000)).unwrap();
+        match os.spawn("wide", "", None) {
+            Err(KernelError::Vm(kaffeos_vm::VmError::Verify(e))) => {
+                assert!(e.msg.contains("state slots"), "{e}")
+            }
+            other => panic!("the wide frame must fail verification: {other:?}"),
+        }
+        os.audit().expect("audit after the refused spawn");
+        os.register_image("ok", "class Main { static int main() { return 7; } }")
+            .unwrap();
+        let pid = os.spawn("ok", "", None).unwrap();
+        os.run(None);
+        assert_eq!(os.status(pid), Some(ExitStatus::Exited(7)));
+        os.audit().expect("audit after a later spawn");
+    }
 }
 
 mod shared_heaps {

@@ -1,25 +1,24 @@
-//! Acceptance suite for the template-JIT tier and the process-shared code
-//! cache: the procfs/top observability surface, cache lifecycle
-//! (deterministic eviction, invalidation on class reload), and registry
-//! conservation under the seeded kill-storm fault sweep.
+//! Acceptance suite for the template-JIT tier and the kernel's
+//! compile-once body memo: the procfs/top observability surface,
+//! cross-process reuse, bodies surviving a class load, and the memo and
+//! reap under the seeded kill-storm fault sweep.
 //!
 //! Everything here is host observability layered over a virtual machine
 //! whose *virtual* behaviour the tier must not perturb; the differential
 //! oracle in `kaffeos-workloads` checks that side. These tests check the
-//! tier's own bookkeeping: counters that reach procfs, refcounts in the
-//! shared registry, and the auditor's cache-conservation pass.
+//! tier's own bookkeeping: counters that reach procfs, the memo's size,
+//! and the auditor's check that dead processes hold no body.
 
 use kaffeos::{FaultPlan, KaffeOs, KaffeOsConfig, Pid};
 use kaffeos_vm::JitConfig;
 
 /// A kernel with the tier pinned on (threshold 64) regardless of the
 /// `KAFFEOS_JIT` environment, so the suite is hermetic.
-fn build_os(cache_bytes: u64) -> KaffeOs {
+fn build_os() -> KaffeOs {
     KaffeOs::new(KaffeOsConfig {
         jit: JitConfig {
             enabled: true,
             threshold: 64,
-            cache_bytes,
         },
         ..KaffeOsConfig::default()
     })
@@ -39,8 +38,8 @@ const INSPECTOR: &str = r#"
     }
 "#;
 
-/// A hot image parameterised by `k` so each variant has distinct class
-/// bytes — and therefore a distinct set of shared-cache keys.
+/// A hot image parameterised by `k`, so each variant compiles to a class
+/// definition of its own.
 fn hot_image(k: u64) -> String {
     format!(
         "class Main {{
@@ -69,7 +68,7 @@ fn parse_status_counter(stdout: &str, key: &str) -> u64 {
 /// own `proc.status` read — no privileged channel involved.
 #[test]
 fn jit_procfs_round_trips_from_guest() {
-    let mut os = build_os(1 << 20);
+    let mut os = build_os();
     os.register_image("inspector", INSPECTOR).unwrap();
     let pid = os.spawn("inspector", "", Some(1 << 20)).unwrap();
     os.run(None);
@@ -98,18 +97,18 @@ fn jit_procfs_round_trips_from_guest() {
 #[test]
 fn top_column_shows_compiles_and_shared_reuse() {
     // Cold: one process alone pays every compilation; warm: a re-spawn of
-    // the same image attaches the cached bodies instead.
-    let mut cold = build_os(1 << 20);
+    // the same image attaches the memoized bodies instead.
+    let mut cold = build_os();
     cold.register_image("hot", &hot_image(1)).unwrap();
     cold.spawn("hot", "", Some(1 << 20)).unwrap();
     cold.run(None);
-    let hot = cold.jit_cache_stats().compiles;
+    let hot = cold.jit_cache_usage().0 as u64;
     assert!(hot >= 1, "the hot loop must tier up");
     cold.spawn("hot", "", Some(1 << 20)).unwrap();
     cold.run(None);
-    assert_eq!(cold.jit_cache_stats().compiles, hot, "warm repeat compiled");
+    assert_eq!(cold.jit_cache_usage().0 as u64, hot, "warm repeat compiled");
 
-    let mut os = build_os(1 << 20);
+    let mut os = build_os();
     os.register_image("hot", &hot_image(1)).unwrap();
     let pids: Vec<Pid> = (0..4)
         .map(|_| os.spawn("hot", "", Some(1 << 20)).unwrap())
@@ -117,7 +116,7 @@ fn top_column_shows_compiles_and_shared_reuse() {
     os.run(None);
     let stats: Vec<_> = pids.iter().map(|&p| os.jit_stats(p).unwrap()).collect();
     let compiled: u64 = stats.iter().map(|s| s.compiled).sum();
-    assert_eq!(os.jit_cache_stats().compiles, hot, "{stats:?}");
+    assert_eq!(os.jit_cache_usage().0 as u64, hot, "{stats:?}");
     assert_eq!(compiled, hot, "{stats:?}");
     assert_eq!(
         stats.iter().map(|s| s.reuse).sum::<u64>(),
@@ -140,77 +139,13 @@ fn top_column_shows_compiles_and_shared_reuse() {
     }
 }
 
-/// Runs the six distinct hot images sequentially on one kernel and returns
-/// `(final snapshot debug, evictions, bytes, capacity)`.
-fn eviction_run(cache_bytes: u64) -> (String, u64, u64, u64) {
-    let mut os = build_os(cache_bytes);
-    for k in 0..6u64 {
-        let name = format!("hot{k}");
-        os.register_image(&name, &hot_image(k)).unwrap();
-        os.spawn(&name, "", Some(1 << 20)).unwrap();
-        os.run(None);
-    }
-    let (_, bytes, capacity) = os.jit_cache_usage();
-    (
-        format!("{:?}", os.jit_cache_snapshot()),
-        os.jit_cache_stats().evictions,
-        bytes,
-        capacity,
-    )
-}
-
-/// Satellite: eviction under byte pressure is LRU in key order, never
-/// touches referenced bodies, and replays identically.
-#[test]
-fn eviction_is_deterministic_and_lru() {
-    // Calibrate: measure the uncontended footprint of the six images, then
-    // rerun with room for roughly two and a half of them.
-    let (_, evictions, all_bytes, _) = eviction_run(u64::MAX);
-    assert_eq!(evictions, 0, "uncontended run must not evict");
-    assert!(all_bytes > 0);
-    let capacity = all_bytes * 5 / 12;
-
-    let (snap_a, evictions, bytes, cap) = eviction_run(capacity);
-    assert!(evictions >= 1, "constrained run must evict");
-    assert!(
-        bytes <= cap,
-        "cache must end within capacity: {bytes} > {cap}"
-    );
-    // LRU: the oldest images' bodies (creators 1..=3, long unreferenced)
-    // are the victims; the most recent images survive.
-    let mut os = build_os(capacity);
-    for k in 0..6u64 {
-        let name = format!("hot{k}");
-        os.register_image(&name, &hot_image(k)).unwrap();
-        os.spawn(&name, "", Some(1 << 20)).unwrap();
-        os.run(None);
-    }
-    let snapshot = os.jit_cache_snapshot();
-    assert!(
-        snapshot.iter().all(|(_, _, _, creator)| *creator > 3),
-        "LRU must evict the oldest processes' bodies first: {snapshot:?}"
-    );
-    assert!(
-        snapshot.iter().any(|(_, _, _, creator)| *creator == 6),
-        "the newest image's bodies must survive: {snapshot:?}"
-    );
-    // All processes are dead, so every surviving entry is unreferenced
-    // (warm cache) — that is what makes it evictable next time.
-    assert!(snapshot.iter().all(|(_, refs, _, _)| *refs == 0));
-
-    // Byte-identical replay: eviction order is a pure function of the
-    // program sequence.
-    let (snap_b, _, _, _) = eviction_run(capacity);
-    assert_eq!(snap_a, snap_b, "eviction order must replay identically");
-}
-
 /// Loading an override for a hot virtual call's only target leaves the
 /// attached body in place: compiled bodies hold no call target — the
 /// shared runtime-op code dispatches through the vtable on every call — so
-/// the answer and registry audit stay clean.
+/// the answer and the audit stay clean.
 #[test]
 fn override_load_keeps_attached_bodies_and_the_answer() {
-    let mut os = build_os(1 << 20);
+    let mut os = build_os();
     os.load_shared_source("class Box { int v; int get() { return this.v; } }")
         .unwrap();
     os.register_image(
@@ -259,23 +194,23 @@ fn override_load_keeps_attached_bodies_and_the_answer() {
 }
 
 /// Satellite: the 8-seed kill-storm sweep. Processes holding shared bodies
-/// are killed at seeded quantum boundaries; afterwards the audit's
-/// cache-registry conservation pass must hold, every surviving entry must
-/// be unreferenced, and identical seeds must replay to identical
-/// registries.
+/// are killed at seeded quantum boundaries; afterwards the audit must be
+/// clean (it checks that no dead process holds a body), and identical
+/// seeds must replay to an identical memo and identical per-process JIT
+/// counters.
 #[test]
 fn kill_storm_conserves_the_cache_registry() {
     let mut total_kills = 0;
     for seed in 0..8u64 {
         let run = |seed: u64| {
-            let mut os = build_os(1 << 20);
+            let mut os = build_os();
             os.register_image("hot", &hot_image(7)).unwrap();
-            for _ in 0..3 {
-                os.spawn("hot", "", Some(1 << 20)).unwrap();
-            }
+            let pids: Vec<Pid> = (0..3)
+                .map(|_| os.spawn("hot", "", Some(1 << 20)).unwrap())
+                .collect();
             os.install_faults(FaultPlan::from_seed(seed));
             os.run(None);
-            for pid in [Pid(1), Pid(2), Pid(3)] {
+            for &pid in &pids {
                 let _ = os.kill(pid);
             }
             os.run(None);
@@ -283,16 +218,22 @@ fn kill_storm_conserves_the_cache_registry() {
                 Ok(r) => r,
                 Err(v) => panic!("seed {seed:#x}: audit failed: {v}"),
             };
-            let snapshot = os.jit_cache_snapshot();
             assert!(
-                snapshot.iter().all(|(_, refs, _, _)| *refs == 0),
-                "seed {seed:#x}: dead processes left references: {snapshot:?}"
+                pids.iter().all(|&p| !os.is_alive(p)),
+                "seed {seed:#x}: every process must be dead"
             );
-            (format!("{snapshot:?}"), report.kills_injected)
+            let (bodies, bytes) = os.jit_cache_usage();
+            let stats: Vec<_> = pids.iter().map(|&p| os.jit_stats(p)).collect();
+            let compiled: u64 = stats.iter().flatten().map(|s| s.compiled).sum();
+            assert_eq!(
+                compiled, bodies as u64,
+                "seed {seed:#x}: every memo entry was compiled by exactly one process"
+            );
+            (format!("{bodies} {bytes} {stats:?}"), report.kills_injected)
         };
-        let (snap_a, kills) = run(seed);
-        let (snap_b, kills_b) = run(seed);
-        assert_eq!(snap_a, snap_b, "seed {seed:#x}: registry must replay");
+        let (memo_a, kills) = run(seed);
+        let (memo_b, kills_b) = run(seed);
+        assert_eq!(memo_a, memo_b, "seed {seed:#x}: memo must replay");
         assert_eq!(kills, kills_b, "seed {seed:#x}: kill count must replay");
         total_kills += kills;
     }

@@ -231,7 +231,6 @@ impl<'a> Env<'a> {
         false
     }
 
-
     /// May a value of type `from` be used where `to` is expected?
     fn assignable(&self, from: &ETy, to: &Ty) -> bool {
         match (from, to) {
@@ -255,6 +254,7 @@ impl<'a> Env<'a> {
             env: self,
             decl,
             pool: Vec::new(),
+            pool_index: HashMap::new(),
         };
         gen.run()
     }
@@ -265,15 +265,30 @@ struct ClassGen<'a, 'b> {
     env: &'b Env<'a>,
     decl: &'b ClassDecl,
     pool: Vec<Const>,
+    /// Each pool entry's index, so interning does not scan the pool.
+    pool_index: HashMap<Const, u16>,
 }
 
 impl<'a, 'b> ClassGen<'a, 'b> {
-    fn pool(&mut self, c: Const) -> u16 {
-        if let Some(i) = self.pool.iter().position(|e| *e == c) {
-            return i as u16;
+    /// Interns `c` in the class's constant pool. Ops index the pool with a
+    /// `u16`, so a class that needs more than 65 536 entries is an error,
+    /// not an index that wraps onto another entry.
+    fn pool(&mut self, f: &FnGen, c: Const) -> Result<u16, CompileError> {
+        if let Some(&i) = self.pool_index.get(&c) {
+            return Ok(i);
         }
-        self.pool.push(c);
-        (self.pool.len() - 1) as u16
+        let Ok(i) = u16::try_from(self.pool.len()) else {
+            return Err(CompileError {
+                line: f.line(),
+                msg: format!(
+                    "class {} needs more than 65536 constant-pool entries",
+                    self.decl.name
+                ),
+            });
+        };
+        self.pool.push(c.clone());
+        self.pool_index.insert(c, i);
+        Ok(i)
     }
 
     fn run(&mut self) -> Result<ClassDef, CompileError> {
@@ -584,7 +599,7 @@ impl<'a, 'b> ClassGen<'a, 'b> {
                             msg: format!("unknown exception class {}", c.class),
                         });
                     }
-                    let cls = self.pool(Const::Class(c.class.clone()));
+                    let cls = self.pool(f, Const::Class(c.class.clone()))?;
                     let target = f.here();
                     f.handlers.push(Handler {
                         start,
@@ -631,7 +646,7 @@ impl<'a, 'b> ClassGen<'a, 'b> {
                 let jend = f.emit_patch(PatchKind::Always);
                 // Exception path: release the monitor, rethrow.
                 if start != end && self.env.class_exists("Exception") {
-                    let cls = self.pool(Const::Class("Exception".to_string()));
+                    let cls = self.pool(f, Const::Class("Exception".to_string()))?;
                     let target = f.here();
                     f.handlers.push(Handler {
                         start,
@@ -715,10 +730,13 @@ impl<'a, 'b> ClassGen<'a, 'b> {
                         }
                         let got = self.expr(f, value)?;
                         self.coerce(f, &got, &ty, *line)?;
-                        let idx = self.pool(Const::Field {
-                            class: class_name.clone(),
-                            name: name.clone(),
-                        });
+                        let idx = self.pool(
+                            f,
+                            Const::Field {
+                                class: class_name.clone(),
+                                name: name.clone(),
+                            },
+                        )?;
                         f.ops.push(Op::PutStatic(idx));
                         return Ok(());
                     }
@@ -744,10 +762,13 @@ impl<'a, 'b> ClassGen<'a, 'b> {
                 }
                 let got = self.expr(f, value)?;
                 self.coerce(f, &got, &ty, *line)?;
-                let idx = self.pool(Const::Field {
-                    class: class_name,
-                    name: name.clone(),
-                });
+                let idx = self.pool(
+                    f,
+                    Const::Field {
+                        class: class_name,
+                        name: name.clone(),
+                    },
+                )?;
                 f.ops.push(Op::PutField(idx));
                 Ok(())
             }
@@ -793,10 +814,13 @@ impl<'a, 'b> ClassGen<'a, 'b> {
                 msg: format!("unknown variable or field {name}"),
             });
         };
-        let idx = self.pool(Const::Field {
-            class: class_name,
-            name: name.to_string(),
-        });
+        let idx = self.pool(
+            f,
+            Const::Field {
+                class: class_name,
+                name: name.to_string(),
+            },
+        )?;
         if is_static {
             let got = self.expr(f, value)?;
             self.coerce(f, &got, &ty, line)?;
@@ -844,7 +868,7 @@ impl<'a, 'b> ClassGen<'a, 'b> {
                 Ok(ETy::T(Ty::Float))
             }
             Expr::StrLit(s, _) => {
-                let idx = self.pool(Const::Str(s.clone()));
+                let idx = self.pool(f, Const::Str(s.clone()))?;
                 f.ops.push(Op::ConstStr(idx));
                 Ok(ETy::T(Ty::Str))
             }
@@ -879,10 +903,13 @@ impl<'a, 'b> ClassGen<'a, 'b> {
                         msg: format!("unknown variable {name}"),
                     });
                 };
-                let idx = self.pool(Const::Field {
-                    class: class_name,
-                    name: name.clone(),
-                });
+                let idx = self.pool(
+                    f,
+                    Const::Field {
+                        class: class_name,
+                        name: name.clone(),
+                    },
+                )?;
                 if is_static {
                     f.ops.push(Op::GetStatic(idx));
                 } else {
@@ -939,10 +966,13 @@ impl<'a, 'b> ClassGen<'a, 'b> {
                                 msg: format!("{class_name}.{name} is not static"),
                             });
                         }
-                        let idx = self.pool(Const::Field {
-                            class: class_name.clone(),
-                            name: name.clone(),
-                        });
+                        let idx = self.pool(
+                            f,
+                            Const::Field {
+                                class: class_name.clone(),
+                                name: name.clone(),
+                            },
+                        )?;
                         f.ops.push(Op::GetStatic(idx));
                         return Ok(ETy::T(ty));
                     }
@@ -966,10 +996,13 @@ impl<'a, 'b> ClassGen<'a, 'b> {
                         msg: format!("{class_name}.{name} is static; use the class name"),
                     });
                 }
-                let idx = self.pool(Const::Field {
-                    class: class_name,
-                    name: name.clone(),
-                });
+                let idx = self.pool(
+                    f,
+                    Const::Field {
+                        class: class_name,
+                        name: name.clone(),
+                    },
+                )?;
                 f.ops.push(Op::GetField(idx));
                 Ok(ETy::T(ty))
             }
@@ -1005,7 +1038,7 @@ impl<'a, 'b> ClassGen<'a, 'b> {
                         msg: "cast of a non-reference".to_string(),
                     });
                 }
-                let idx = self.pool(Const::Class(class.clone()));
+                let idx = self.pool(f, Const::Class(class.clone()))?;
                 f.ops.push(Op::CheckCast(idx));
                 Ok(ETy::T(Ty::Class(class.clone())))
             }
@@ -1023,7 +1056,7 @@ impl<'a, 'b> ClassGen<'a, 'b> {
                         msg: "`is` on a non-reference".to_string(),
                     });
                 }
-                let idx = self.pool(Const::Class(class.clone()));
+                let idx = self.pool(f, Const::Class(class.clone()))?;
                 f.ops.push(Op::InstanceOf(idx));
                 Ok(ETy::T(Ty::Bool))
             }
@@ -1046,8 +1079,8 @@ impl<'a, 'b> ClassGen<'a, 'b> {
                     });
                 }
                 let idx = match elem {
-                    Ty::Class(name) => self.pool(Const::Class(name.clone())),
-                    other => self.pool(Const::Str(array_elem_desc(other))),
+                    Ty::Class(name) => self.pool(f, Const::Class(name.clone()))?,
+                    other => self.pool(f, Const::Str(array_elem_desc(other)))?,
                 };
                 f.ops.push(Op::NewArray(idx));
                 Ok(ETy::T(Ty::Array(Box::new(elem.clone()))))
@@ -1066,7 +1099,7 @@ impl<'a, 'b> ClassGen<'a, 'b> {
                         msg: format!("unknown class {class}"),
                     });
                 }
-                let cls_idx = self.pool(Const::Class(class.clone()));
+                let cls_idx = self.pool(f, Const::Class(class.clone()))?;
                 f.ops.push(Op::New(cls_idx));
                 let ctor = self.env.method_of(class, "init");
                 match ctor {
@@ -1086,10 +1119,13 @@ impl<'a, 'b> ClassGen<'a, 'b> {
                             let got = self.expr(f, arg)?;
                             self.coerce(f, &got, want, *line)?;
                         }
-                        let init_idx = self.pool(Const::Method {
-                            class: class.clone(),
-                            name: "init".to_string(),
-                        });
+                        let init_idx = self.pool(
+                            f,
+                            Const::Method {
+                                class: class.clone(),
+                                name: "init".to_string(),
+                            },
+                        )?;
                         f.ops.push(Op::CallSpecial(init_idx));
                     }
                     None if args.is_empty() => {}
@@ -1120,10 +1156,13 @@ impl<'a, 'b> ClassGen<'a, 'b> {
                     f.ops.push(Op::Load(0));
                 }
                 self.emit_args(f, args, &sig.params, *line)?;
-                let idx = self.pool(Const::Method {
-                    class: class_name,
-                    name: method.clone(),
-                });
+                let idx = self.pool(
+                    f,
+                    Const::Method {
+                        class: class_name,
+                        name: method.clone(),
+                    },
+                )?;
                 if sig.is_static {
                     f.ops.push(Op::CallStatic(idx));
                 } else {
@@ -1159,10 +1198,13 @@ impl<'a, 'b> ClassGen<'a, 'b> {
                             });
                         }
                         self.emit_args(f, args, &sig.params, *line)?;
-                        let idx = self.pool(Const::Method {
-                            class: ns_name.clone(),
-                            name: method.clone(),
-                        });
+                        let idx = self.pool(
+                            f,
+                            Const::Method {
+                                class: ns_name.clone(),
+                                name: method.clone(),
+                            },
+                        )?;
                         f.ops.push(Op::CallStatic(idx));
                         return Ok(sig.ret.map(ETy::T));
                     }
@@ -1202,10 +1244,13 @@ impl<'a, 'b> ClassGen<'a, 'b> {
                             });
                         }
                         self.emit_args(f, args, &sig.params, *line)?;
-                        let idx = self.pool(Const::Method {
-                            class: class_name.clone(),
-                            name: method.clone(),
-                        });
+                        let idx = self.pool(
+                            f,
+                            Const::Method {
+                                class: class_name.clone(),
+                                name: method.clone(),
+                            },
+                        )?;
                         f.ops.push(Op::CallVirtual(idx));
                         Ok(sig.ret.map(ETy::T))
                     }
@@ -1215,7 +1260,10 @@ impl<'a, 'b> ClassGen<'a, 'b> {
                     }),
                 }
             }
-            _ => unreachable!("call_like on non-call expression"),
+            _ => Err(CompileError {
+                line: f.line(),
+                msg: "internal: call_like on a non-call expression".to_string(),
+            }),
         }
     }
 
@@ -1242,7 +1290,7 @@ impl<'a, 'b> ClassGen<'a, 'b> {
         };
         let params: Vec<Ty> = def.params.iter().map(desc_to_ty).collect();
         self.emit_args(f, args, &params, line)?;
-        let idx = self.pool(Const::Intrinsic(intr_name));
+        let idx = self.pool(f, Const::Intrinsic(intr_name))?;
         f.ops.push(Op::Syscall(idx));
         Ok(def.ret.as_ref().map(|t| ETy::T(desc_to_ty(t))))
     }
@@ -1443,7 +1491,12 @@ impl<'a, 'b> ClassGen<'a, 'b> {
             BinOp::Ge => (Op::CmpGe, Ty::Bool),
             BinOp::Eq => (Op::CmpEq, Ty::Bool),
             BinOp::Ne => (Op::CmpNe, Ty::Bool),
-            BinOp::And | BinOp::Or => unreachable!("handled above"),
+            BinOp::And | BinOp::Or => {
+                return Err(CompileError {
+                    line,
+                    msg: format!("internal: {op:?} reached arithmetic lowering"),
+                })
+            }
         };
         f.ops.push(result.0);
         Ok(ETy::T(result.1))
@@ -1554,6 +1607,11 @@ impl FnGen {
         self.ops.len() as u32
     }
 
+    /// Source line of the statement being compiled (0 before the first).
+    fn line(&self) -> u32 {
+        self.line_marks.last().map_or(0, |&(_, line)| line)
+    }
+
     /// Records that instructions emitted from here on come from `line`.
     fn mark_line(&mut self, line: u32) {
         let at = self.ops.len() as u32;
@@ -1634,8 +1692,15 @@ impl FnGen {
                 msg: format!("duplicate variable {name}"),
             });
         }
+        // `max_locals` is a `u16` too, so the last usable slot is 65 534.
+        let Some(next) = slot.checked_add(1) else {
+            return Err(CompileError {
+                line,
+                msg: format!("too many local variables (at most {}): {name}", u16::MAX),
+            });
+        };
         scope.insert(name.to_string(), (slot, ty));
-        self.next_local += 1;
+        self.next_local = next;
         self.max_locals = self.max_locals.max(self.next_local);
         Ok(slot)
     }

@@ -1432,3 +1432,76 @@ mod nesting_bound {
         assert_eq!(run_main_int(src, vec![]), 100);
     }
 }
+
+/// Limits of the class-file format reached from source: the `u16`
+/// constant-pool index and the `u16` local-slot count.
+mod format_limits {
+    use super::*;
+    use kaffeos_vm::{Const, Op};
+
+    /// `class Main { static void main() { Sys.print("s0"); … } }` printing
+    /// `n` distinct strings.
+    fn printer(n: usize) -> String {
+        let prints: String = (0..n).map(|i| format!("Sys.print(\"s{i}\");\n")).collect();
+        format!("class Main {{ static void main() {{\n{prints}}} }}")
+    }
+
+    /// 65 536 strings plus the `print` intrinsic need 65 537 pool entries:
+    /// a `CompileError`, not an index that wraps back onto `"s0"`.
+    #[test]
+    fn a_pool_past_65536_entries_is_refused() {
+        let host = Host::new();
+        let err = compile(&printer(65_536), &host.table, host.ns).unwrap_err();
+        assert!(err.msg.contains("65536 constant-pool entries"), "{err:?}");
+        assert_eq!(err.line, 65_537, "the first print past the bound: {err:?}");
+    }
+
+    /// A pool of exactly 65 536 entries compiles, and its last string is
+    /// indexed by the last `u16`.
+    #[test]
+    fn a_pool_of_65536_entries_compiles() {
+        let host = Host::new();
+        let defs = compile(&printer(65_535), &host.table, host.ns).unwrap();
+        let main = &defs[0];
+        assert_eq!(main.pool.len(), 65_536);
+        let last = main.methods[0]
+            .code
+            .ops
+            .iter()
+            .rev()
+            .find_map(|op| match op {
+                Op::ConstStr(i) => Some(*i),
+                _ => None,
+            })
+            .unwrap();
+        assert_eq!(last, u16::MAX);
+        assert_eq!(main.pool[last as usize], Const::Str("s65534".to_string()));
+    }
+
+    /// Interning stays one entry per constant however often it recurs.
+    #[test]
+    fn repeated_constants_share_one_pool_entry() {
+        let host = Host::new();
+        let src = format!(
+            "class Main {{ static void main() {{ {} }} }}",
+            "Sys.print(\"a\"); Sys.print(\"b\"); ".repeat(1_000)
+        );
+        let defs = compile(&src, &host.table, host.ns).unwrap();
+        assert_eq!(defs[0].pool.len(), 3, "{:?}", defs[0].pool);
+    }
+
+    /// Local slots are `u16` and `max_locals` counts them, so the
+    /// 65 536th local is a `CompileError`, not a slot counter that wraps.
+    #[test]
+    fn more_than_65535_locals_are_refused() {
+        let decls: String = (0..70_000).map(|i| format!("int v{i} = 0;\n")).collect();
+        let src = format!("class Main {{ static void main() {{\n{decls}}} }}");
+        let host = Host::new();
+        let err = compile(&src, &host.table, host.ns).unwrap_err();
+        assert!(err.msg.contains("too many local variables"), "{err:?}");
+        assert!(
+            err.msg.contains("v65535"),
+            "the 65 536th declaration: {err:?}"
+        );
+    }
+}

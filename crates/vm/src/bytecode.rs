@@ -44,7 +44,7 @@ impl TypeDesc {
 }
 
 /// Constant-pool entries (symbolic; the linker resolves them).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Const {
     /// String literal (interned per process at first use, §3.3).
     Str(String),

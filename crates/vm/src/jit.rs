@@ -1,4 +1,4 @@
-//! Template JIT tier with a cross-process shared code cache (ShareJIT).
+//! Template JIT tier with a cross-process compile-once body memo (ShareJIT).
 //!
 //! Hot methods (invocation + loop back-edge counters past a per-run
 //! threshold) are compiled from the verified [`Op`] stream into a
@@ -32,25 +32,27 @@
 //!
 //! Compiled bodies are process-independent — block micros name no class,
 //! method or statics object, and `TOp::Rt` reads the running frame's own
-//! constant pool — and live in a process-shared [`CodeCache`] keyed by
-//! `(class-def hash, method ordinal, resolution fingerprint)` with
-//! refcounted entries and deterministic eviction — the ShareJIT argument:
-//! N processes, one compilation of the hot loop. Loaded code never
-//! changes, so a key never goes stale and no body is ever invalidated.
+//! constant pool — so the kernel keeps one [`BodyMemo`] for all of them:
+//! the ShareJIT argument, N processes, one compilation of the hot loop.
+//! A body is keyed by the method's shared code allocation (one per class
+//! definition, shared by every load of it) and the fingerprint of the
+//! field slots its micros bake in. Loaded code never changes, so a key
+//! never goes stale, no body is ever invalidated, and none is evicted: the
+//! memo holds one body per (definition, method, field layout), and the
+//! definitions themselves live as long as the kernel. A process's tier
+//! table holds its bodies directly; reap drops the table.
 //! Tier-up decisions are a pure function of the program and seed
 //! (counters advance identically in the fault-injected interpreter variant,
-//! which never *enters* compiled code but performs the same cache
+//! which never *enters* compiled code but performs the same memo
 //! bookkeeping), and compilation charges zero virtual cycles.
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
 use std::sync::Arc;
-use std::time::Instant;
 
 use kaffeos_heap::{FxHashMap, Value};
 
 use crate::bytecode::Op;
 use crate::classes::{ClassTable, MethodIdx, RConst};
-use crate::classfile::ClassDef;
 use crate::engine::{Engine, BASE_COSTS};
 use crate::interp::{
     do_return, heap_exception, load_elem, npe, raise, rt_op, store_elem, store_ref_checked,
@@ -62,9 +64,6 @@ use crate::interp::{
 /// `KAFFEOS_JIT=threshold=N` or `workloads --jit=threshold=N`.
 pub const DEFAULT_JIT_THRESHOLD: u32 = 64;
 
-/// Default shared code-cache capacity in (modelled) body bytes.
-pub const DEFAULT_CACHE_BYTES: u64 = 1 << 20;
-
 /// JIT tier configuration (kernel-level; fixed for a run so tier-up stays
 /// deterministic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,8 +72,6 @@ pub struct JitConfig {
     pub enabled: bool,
     /// Hot counter threshold (≥1).
     pub threshold: u32,
-    /// Shared code-cache capacity in body bytes.
-    pub cache_bytes: u64,
 }
 
 impl Default for JitConfig {
@@ -82,7 +79,6 @@ impl Default for JitConfig {
         JitConfig {
             enabled: true,
             threshold: DEFAULT_JIT_THRESHOLD,
-            cache_bytes: DEFAULT_CACHE_BYTES,
         }
     }
 }
@@ -129,7 +125,6 @@ impl JitConfig {
                 Some(JitConfig {
                     enabled: true,
                     threshold: n.max(1),
-                    ..JitConfig::default()
                 })
             }
         }
@@ -137,38 +132,18 @@ impl JitConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Fingerprints and the shared cache key
+// The memo key
 // ---------------------------------------------------------------------------
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
 
-fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
-    for &b in bytes {
+fn fnv_u64(v: u64, mut h: u64) -> u64 {
+    for b in v.to_le_bytes() {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
-}
-
-fn fnv_u64(v: u64, h: u64) -> u64 {
-    fnv1a(&v.to_le_bytes(), h)
-}
-
-/// Identity of a compiled body in the process-shared cache. Two methods in
-/// different processes share a body exactly when all three components
-/// match: the class *definition* bytes, the method's position in it, and
-/// the resolution facts block micros bake in (instance-field slots). Call
-/// targets are not part of it: no body holds one, `rt_op` dispatches
-/// through the vtable on every call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct MethodKey {
-    /// FNV-1a of the declaring class definition (the "class bytes" hash).
-    pub def_hash: u64,
-    /// Position of the method in its class's declared-method list.
-    pub ordinal: u32,
-    /// Fingerprint of the baked-in resolution facts.
-    pub res_hash: u64,
 }
 
 /// Fingerprint of the resolution facts block micros embed: per field
@@ -186,37 +161,6 @@ fn res_fingerprint(table: &ClassTable, midx: MethodIdx) -> u64 {
         }
     }
     h
-}
-
-/// Class-definition hashes memoized by definition identity: every class
-/// that binds one `Arc<ClassDef>` shares one entry, and holding the `Arc`
-/// keeps its address from being reused while the entry exists.
-type DefHashes = FxHashMap<usize, (Arc<ClassDef>, u64)>;
-
-/// Computes the shared-cache key for a method, hashing its class's
-/// definition only the first time any class binds it.
-fn method_key(table: &ClassTable, midx: MethodIdx, def_hashes: &mut DefHashes) -> MethodKey {
-    let m = table.method(midx);
-    let lc = table.class(m.class);
-    let (_, def_hash) = *def_hashes
-        .entry(Arc::as_ptr(&lc.def) as usize)
-        .or_insert_with(|| {
-            // `ClassDef` derives a deterministic `Debug`; its rendering is
-            // the portable stand-in for "class bytes".
-            let hash = fnv1a(format!("{:?}", lc.def).as_bytes(), FNV_OFFSET);
-            (lc.def.clone(), hash)
-        });
-    let ordinal = lc
-        .methods
-        .iter()
-        .position(|&mi| mi == midx)
-        .map(|p| p as u32)
-        .unwrap_or(u32::MAX);
-    MethodKey {
-        def_hash,
-        ordinal,
-        res_hash: res_fingerprint(table, midx),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -333,9 +277,9 @@ enum TOp {
 
 const _: () = assert!(core::mem::size_of::<TOp>() <= 16, "TOp grew");
 
-/// A compiled, process-independent method body.
+/// A compiled, process-independent method body (opaque outside the VM).
 #[derive(Debug)]
-pub(crate) struct CompiledBody {
+pub struct CompiledBody {
     t_ops: Vec<TOp>,
     micros: Vec<Micro>,
     consts: Vec<Value>,
@@ -346,193 +290,46 @@ pub(crate) struct CompiledBody {
     entries: Vec<u32>,
     /// `src_pc[tix]` = pc of the template op's first original op.
     src_pc: Vec<u32>,
-    /// Modelled size of the body in cache bytes.
+    /// Modelled size of the body in bytes.
     bytes: u64,
 }
 
-/// A body attached to one process.
-#[derive(Debug, Clone)]
-pub struct AttachedBody {
-    /// Cache key the attachment holds a reference on.
-    pub key: MethodKey,
-    /// The shared template.
-    pub(crate) body: Arc<CompiledBody>,
-}
-
 // ---------------------------------------------------------------------------
-// The process-shared code cache
+// The compile-once body memo
 // ---------------------------------------------------------------------------
 
-/// How an attach was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AttachKind {
-    /// The body was compiled now (cache miss).
-    Compiled,
-    /// An existing body was reused; `cross` means it was compiled by a
-    /// different process (the ShareJIT win).
-    Hit {
-        /// Compiled by another process.
-        cross: bool,
-    },
+/// The kernel's compile-once memo (the ShareJIT artifact): one body per
+/// (method code allocation, resolution fingerprint), shared by every
+/// process that tiers the method up, and never evicted.
+///
+/// The code allocation is the `Arc<[Op]>` every load of a class definition
+/// shares, so two processes of one image meet at the same key; the
+/// fingerprint splits it when the definition binds over different field
+/// layouts. Each entry holds a clone of that `Arc`, so the address cannot
+/// be reused while the key exists. The memo grows by at most one entry per
+/// (definition, method, field layout), and the image registry and the
+/// loader's verify memo already pin every definition for the kernel's
+/// lifetime.
+#[derive(Debug, Default)]
+pub struct BodyMemo {
+    bodies: FxHashMap<(usize, u64), Memoized>,
+    bytes: u64,
 }
 
 #[derive(Debug)]
-struct CacheEntry {
+struct Memoized {
+    /// Pins the code allocation whose address is the key.
+    _code: Arc<[Op]>,
     body: Arc<CompiledBody>,
-    refs: u32,
-    last_use: u64,
+    /// The process that compiled the body (cross-process reuse
+    /// attribution).
     creator: u32,
 }
 
-/// Cumulative cache counters (host observability; never feed back into
-/// virtual state).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Bodies compiled (cache misses that produced a template).
-    pub compiles: u64,
-    /// Attaches satisfied by an existing body.
-    pub hits: u64,
-    /// Entries evicted under byte pressure.
-    pub evictions: u64,
-    /// Wall nanoseconds spent compiling (host-only; amortization metric).
-    pub compile_nanos: u64,
-}
-
-/// The process-shared code cache: refcounted templates keyed by
-/// [`MethodKey`], deterministic LRU eviction among unreferenced entries.
-#[derive(Debug)]
-pub struct CodeCache {
-    entries: BTreeMap<MethodKey, CacheEntry>,
-    tick: u64,
-    bytes: u64,
-    capacity: u64,
-    /// Cumulative counters.
-    pub stats: CacheStats,
-    def_hashes: DefHashes,
-}
-
-impl CodeCache {
-    /// Creates a cache with the given byte capacity.
-    pub fn new(capacity: u64) -> Self {
-        CodeCache {
-            entries: BTreeMap::new(),
-            tick: 0,
-            bytes: 0,
-            capacity,
-            stats: CacheStats::default(),
-            def_hashes: DefHashes::default(),
-        }
-    }
-
-    /// Computes the cache key for a method (memoizing class-def hashes).
-    pub fn key_for(&mut self, table: &ClassTable, midx: MethodIdx) -> MethodKey {
-        method_key(table, midx, &mut self.def_hashes)
-    }
-
-    /// Definitions whose hash is memoized.
-    #[cfg(test)]
-    pub(crate) fn def_hash_entries(&self) -> usize {
-        self.def_hashes.len()
-    }
-
-    /// Attaches `pid` to the body for `key`, compiling it on a miss.
-    /// Increments the entry's refcount. Returns `None` if compilation
-    /// bailed (the method stays interpreter-only).
-    pub(crate) fn attach(
-        &mut self,
-        pid: u32,
-        key: MethodKey,
-        compile_fn: impl FnOnce() -> Option<CompiledBody>,
-    ) -> Option<(Arc<CompiledBody>, AttachKind)> {
-        self.tick += 1;
-        if let Some(e) = self.entries.get_mut(&key) {
-            e.refs += 1;
-            e.last_use = self.tick;
-            self.stats.hits += 1;
-            return Some((e.body.clone(), AttachKind::Hit { cross: e.creator != pid }));
-        }
-        let t0 = Instant::now();
-        let body = compile_fn()?;
-        self.stats.compile_nanos += t0.elapsed().as_nanos() as u64;
-        self.stats.compiles += 1;
-        let body = Arc::new(body);
-        self.bytes += body.bytes;
-        self.entries.insert(
-            key,
-            CacheEntry {
-                body: body.clone(),
-                refs: 1,
-                last_use: self.tick,
-                creator: pid,
-            },
-        );
-        self.evict_to_capacity(Some(key));
-        Some((body, AttachKind::Compiled))
-    }
-
-    /// Releases one reference on `key`. The entry *stays cached* at zero
-    /// references (a warm cache is the point); it becomes evictable.
-    pub fn detach(&mut self, key: &MethodKey) {
-        if let Some(e) = self.entries.get_mut(key) {
-            e.refs = e.refs.saturating_sub(1);
-        }
-    }
-
-    /// Deterministic eviction: while over capacity, remove the
-    /// least-recently-used unreferenced entry (ties broken by key order),
-    /// never the just-inserted one.
-    fn evict_to_capacity(&mut self, keep: Option<MethodKey>) {
-        while self.bytes > self.capacity {
-            let victim = self
-                .entries
-                .iter()
-                .filter(|(k, e)| e.refs == 0 && Some(**k) != keep)
-                .min_by_key(|(k, e)| (e.last_use, **k))
-                .map(|(k, _)| *k);
-            match victim {
-                Some(k) => {
-                    if let Some(e) = self.entries.remove(&k) {
-                        self.bytes -= e.body.bytes;
-                        self.stats.evictions += 1;
-                    }
-                }
-                None => break,
-            }
-        }
-    }
-
-    /// Current cached bytes.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
-
-    /// Byte capacity.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Number of cached bodies.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when no bodies are cached.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// True if `key` is cached.
-    pub fn contains(&self, key: &MethodKey) -> bool {
-        self.entries.contains_key(key)
-    }
-
-    /// Deterministic snapshot for audits and tests:
-    /// `(key, refs, body bytes, creator pid)` in key order.
-    pub fn snapshot(&self) -> Vec<(MethodKey, u32, u64, u32)> {
-        self.entries
-            .iter()
-            .map(|(k, e)| (*k, e.refs, e.body.bytes, e.creator))
-            .collect()
+impl BodyMemo {
+    /// `(bodies, modelled bytes)` of everything compiled so far.
+    pub fn usage(&self) -> (usize, u64) {
+        (self.bodies.len(), self.bytes)
     }
 }
 
@@ -543,9 +340,9 @@ impl CodeCache {
 /// Per-process JIT statistics (procfs / kaffeos-top surface).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProcJitStats {
-    /// Methods this process compiled itself (cache misses).
+    /// Methods this process compiled itself (memo misses).
     pub compiled: u64,
-    /// Attaches satisfied from the shared cache.
+    /// Tier-ups satisfied by a body already in the memo.
     pub hits: u64,
     /// Of `hits`, bodies compiled by a *different* process (shared reuse).
     pub reuse: u64,
@@ -568,7 +365,7 @@ pub enum BodySlot {
     /// frozen so the attempt never repeats.
     Rejected,
     /// Compiled and attached (one `Arc` bump to hand to the executor).
-    Hot(Arc<AttachedBody>),
+    Hot(Arc<CompiledBody>),
 }
 
 /// Per-process JIT state: hot counters, attached bodies, stats.
@@ -599,31 +396,15 @@ impl ProcJit {
         }
         &mut self.bodies[idx]
     }
-
-    /// `(method, attachment)` pairs in method order.
-    pub fn attached(&self) -> impl Iterator<Item = (MethodIdx, &Arc<AttachedBody>)> {
-        self.bodies.iter().enumerate().filter_map(|(i, s)| match s {
-            BodySlot::Hot(ab) => Some((MethodIdx(i as u32), ab)),
-            _ => None,
-        })
-    }
-
-    /// Keys this process currently holds cache references on, in
-    /// deterministic order (reap/audit walk).
-    pub fn attached_keys(&self) -> Vec<MethodKey> {
-        let mut keys: Vec<MethodKey> = self.attached().map(|(_, ab)| ab.key).collect();
-        keys.sort();
-        keys
-    }
 }
 
 /// The JIT runtime handle threaded through [`ExecCtx`] for one quantum:
-/// the running process's state plus the kernel's shared cache.
+/// the running process's state plus the kernel's body memo.
 pub struct JitRt<'a> {
     /// Per-process state.
     pub proc: &'a mut ProcJit,
-    /// The process-shared code cache.
-    pub cache: &'a mut CodeCache,
+    /// The kernel's compile-once memo.
+    pub memo: &'a mut BodyMemo,
     /// Hot threshold for this run.
     pub threshold: u32,
     /// Running process id (cross-process reuse attribution).
@@ -1263,27 +1044,43 @@ fn compile(table: &ClassTable, midx: MethodIdx, engine: Engine) -> Option<Compil
 // Tier-up hooks (run identically in the fast and fault-injected variants)
 // ---------------------------------------------------------------------------
 
+/// Attaches `midx`'s body from the memo, compiling it on a miss. A body
+/// the compiler bails on is not memoized: the method stays interpreted in
+/// this process, and another process that tiers it up bails on its own.
 fn compile_and_attach(table: &ClassTable, engine: Engine, jit: &mut JitRt<'_>, midx: MethodIdx) {
-    let key = jit.cache.key_for(table, midx);
-    match jit.cache.attach(jit.pid, key, || compile(table, midx, engine)) {
-        Some((body, kind)) => {
-            match kind {
-                AttachKind::Compiled => jit.proc.stats.compiled += 1,
-                AttachKind::Hit { cross } => {
-                    jit.proc.stats.hits += 1;
-                    if cross {
-                        jit.proc.stats.reuse += 1;
-                    }
-                }
+    let code = &table.method(midx).code.ops;
+    let key = (Arc::as_ptr(code).cast::<Op>() as usize, res_fingerprint(table, midx));
+    let stats = &mut jit.proc.stats;
+    let body = match jit.memo.bodies.entry(key) {
+        Entry::Occupied(e) => {
+            let m = e.get();
+            stats.hits += 1;
+            if m.creator != jit.pid {
+                stats.reuse += 1;
             }
-            jit.proc.stats.bytes += body.bytes;
-            *jit.proc.slot_mut(midx) = BodySlot::Hot(Arc::new(AttachedBody { key, body }));
+            m.body.clone()
         }
-        None => {
-            jit.proc.stats.rejected += 1;
-            *jit.proc.slot_mut(midx) = BodySlot::Rejected;
-        }
-    }
+        Entry::Vacant(e) => match compile(table, midx, engine) {
+            Some(body) => {
+                stats.compiled += 1;
+                jit.memo.bytes += body.bytes;
+                let body = Arc::new(body);
+                e.insert(Memoized {
+                    _code: code.clone(),
+                    body: body.clone(),
+                    creator: jit.pid,
+                });
+                body
+            }
+            None => {
+                stats.rejected += 1;
+                *jit.proc.slot_mut(midx) = BodySlot::Rejected;
+                return;
+            }
+        },
+    };
+    stats.bytes += body.bytes;
+    *jit.proc.slot_mut(midx) = BodySlot::Hot(body);
 }
 
 /// Invocation hook (called from `push_frame` in *both* dispatch variants so
@@ -1309,7 +1106,7 @@ pub(crate) fn note_invoke(ctx: &mut ExecCtx<'_>, midx: MethodIdx) {
 /// Taken-back-edge hook. Returns `true` when a compiled body is attached
 /// for `midx` — the fast variant then re-enters it at the branch target
 /// (on-stack replacement); the injected variant ignores the result but
-/// performs the identical counter/cache bookkeeping.
+/// performs the identical counter/memo bookkeeping.
 #[inline]
 pub(crate) fn note_backedge(ctx: &mut ExecCtx<'_>, midx: MethodIdx) -> bool {
     let table = ctx.table;
@@ -1365,14 +1162,14 @@ pub(crate) fn try_enter(
     // segment: call-dense code bounces between the same few frames every
     // dozen ops, and a linear scan over at most four entries is far cheaper
     // than re-borrowing the tier table and bumping the `Arc` each time.
-    let mut seen: [(u32, Option<Arc<AttachedBody>>); 4] =
+    let mut seen: [(u32, Option<Arc<CompiledBody>>); 4] =
         [(u32::MAX, None), (u32::MAX, None), (u32::MAX, None), (u32::MAX, None)];
     let mut victim = 0usize;
     loop {
         let top = thread.frames.last()?;
         let midx = top.method;
         let pc = top.pc as usize;
-        let ab: Arc<AttachedBody> = match seen.iter().position(|(m, _)| *m == midx.0) {
+        let ab: Arc<CompiledBody> = match seen.iter().position(|(m, _)| *m == midx.0) {
             Some(i) => seen[i].1.clone()?,
             None => {
                 let jit = ctx.jit.as_ref()?;
@@ -1386,7 +1183,7 @@ pub(crate) fn try_enter(
                 seen[i].1.clone()?
             }
         };
-        let tix = *ab.body.entries.get(pc)?;
+        let tix = *ab.entries.get(pc)?;
         if tix == u32::MAX {
             return None;
         }
@@ -1448,14 +1245,14 @@ fn alu_eval(code: u8, va: Value, vb: Value) -> Option<Value> {
 fn run_body(
     thread: &mut Thread,
     ctx: &mut ExecCtx<'_>,
-    mut ab: Arc<AttachedBody>,
+    mut ab: Arc<CompiledBody>,
     mut tix: u32,
     fuel: u64,
     start_cycles: u64,
 ) -> BodyFlow {
     let table = ctx.table;
     'method: loop {
-    let body = &*ab.body;
+    let body = &*ab;
     // The dispatch loop only enters with a live frame; if it is somehow
     // gone, hand control back rather than assert in the hot tier.
     let Some(top) = thread.frames.last() else {
@@ -1930,7 +1727,7 @@ fn run_body(
     let BodySlot::Hot(nab) = jit.proc.slot(midx) else {
         return BodyFlow::Frame;
     };
-    match nab.body.entries.get(pc) {
+    match nab.entries.get(pc) {
         Some(&t) if t != u32::MAX => {
             tix = t;
             ab = nab.clone();

@@ -2418,7 +2418,6 @@ mod verifier_edge_cases {
 /// and the two ways a context stops being memoised.
 mod verify_memo {
     use super::*;
-    use crate::jit::CodeCache;
 
     /// A root namespace holding the test standard library.
     fn shared_table() -> (ClassTable, u32) {
@@ -2600,26 +2599,6 @@ mod verify_memo {
         }
         assert_eq!(table.verifications - before, 3);
         assert_eq!(table.verify_edges(), edges);
-    }
-
-    /// The code cache hashes each definition once, however many classes
-    /// bind it.
-    #[test]
-    fn def_hash_memo_holds_one_entry_per_definition() {
-        let (mut table, shared) = shared_table();
-        let (one, two) = (plain("One"), plain("Two"));
-        let mut cache = CodeCache::new(1 << 20);
-        let mut keys = Vec::new();
-        for k in 0..100 {
-            let ns = table.create_namespace(format!("p{k}"), Some(shared));
-            for def in [&one, &two] {
-                let cls = table.load_class(ns, def.clone()).unwrap();
-                let m = table.find_method(cls, "main").unwrap();
-                keys.push(cache.key_for(&table, m));
-            }
-        }
-        assert_eq!(cache.def_hash_entries(), 2);
-        assert!(keys.chunks(2).all(|pair| pair == &keys[..2]));
     }
 }
 
@@ -2830,7 +2809,7 @@ mod string_oracle {
 /// n + 1, with the tier off and on: values, exception classes and messages.
 mod array_oracle {
     use super::*;
-    use crate::jit::{CodeCache, JitRt, ProcJit};
+    use crate::jit::{BodyMemo, JitRt, ProcJit};
 
     #[derive(Debug, PartialEq)]
     enum Out {
@@ -3010,17 +2989,17 @@ mod array_oracle {
         b.build()
     }
 
-    /// A test VM plus the tier's per-process state and code cache.
+    /// A test VM plus the tier's per-process state and body memo.
     struct Tiered {
         vm: TestVm,
-        jit: Option<(ProcJit, CodeCache)>,
+        jit: Option<(ProcJit, BodyMemo)>,
     }
 
     impl Tiered {
         fn new(kind: Kind, tier: bool) -> Self {
             let mut vm = TestVm::new();
             vm.load(array_ops_class(kind)).unwrap();
-            let jit = tier.then(|| (ProcJit::default(), CodeCache::new(1 << 20)));
+            let jit = tier.then(|| (ProcJit::default(), BodyMemo::default()));
             Tiered { vm, jit }
         }
 
@@ -3043,9 +3022,9 @@ mod array_oracle {
                     extra_roots: &[],
                     extra_scan_slots: 0,
                     gc_every_safepoint: false,
-                    jit: self.jit.as_mut().map(|(proc, cache)| JitRt {
+                    jit: self.jit.as_mut().map(|(proc, memo)| JitRt {
                         proc,
-                        cache,
+                        memo,
                         threshold: 1,
                         pid: 1,
                     }),
@@ -3133,5 +3112,221 @@ mod array_oracle {
                 }
             }
         }
+    }
+}
+
+/// The JIT's compile-once memo: one body per (method code, field layout),
+/// shared across namespaces that load one definition.
+mod body_memo {
+    use super::*;
+    use crate::jit::{BodyMemo, BodySlot, CompiledBody, JitRt, ProcJit};
+
+    /// Runs `class.method()` in namespace `ns` with the tier on at
+    /// threshold 1, and returns the answer.
+    fn run_tiered(
+        vm: &mut TestVm,
+        ns: u32,
+        jit: &mut ProcJit,
+        memo: &mut BodyMemo,
+        class: &str,
+        method: &str,
+    ) -> i64 {
+        vm.ns = ns;
+        let mut thread = vm.spawn(class, method, vec![]);
+        let mut ctx = vm.ctx();
+        ctx.jit = Some(JitRt {
+            proc: jit,
+            memo,
+            threshold: 1,
+            pid: ns,
+        });
+        match step(&mut thread, &mut ctx, u64::MAX) {
+            RunExit::Finished(Some(Value::Int(v))) => v,
+            other => panic!("{class}.{method}: unexpected exit {other:?}"),
+        }
+    }
+
+    /// The body attached for `class.method` in namespace `ns`.
+    fn body(vm: &TestVm, ns: u32, jit: &ProcJit, class: &str, method: &str) -> Arc<CompiledBody> {
+        let cls = vm.table.lookup(ns, class).unwrap();
+        let m = vm.table.find_method(cls, method).unwrap();
+        match jit.slot(m) {
+            BodySlot::Hot(b) => b.clone(),
+            other => panic!("{class}.{method} did not tier up: {other:?}"),
+        }
+    }
+
+    /// `Base` in one of two layouts: `{ int x; }`, or `{ int y; int x; }`
+    /// where `init` also sets `y` to 100.
+    fn base(with_y: bool) -> Arc<ClassDef> {
+        let mut b = ClassBuilder::new("Base");
+        if with_y {
+            b = b.field("y", TypeDesc::Int);
+        }
+        b = b.field("x", TypeDesc::Int);
+        let field = |b: &mut ClassBuilder, name: &str| {
+            b.pool(Const::Field {
+                class: "Base".to_string(),
+                name: name.to_string(),
+            })
+        };
+        let mut ops = Vec::new();
+        if with_y {
+            let y = field(&mut b, "y");
+            ops.extend([Op::Load(0), Op::ConstInt(100), Op::PutField(y)]);
+        }
+        let x = field(&mut b, "x");
+        ops.extend([Op::Load(0), Op::ConstInt(3), Op::PutField(x), Op::Return]);
+        b.method(MethodBuilder::instance("init").ops(ops).build())
+            .build()
+            .into_arc()
+    }
+
+    /// `class Sub extends Base { int f; static int m() { Sub s = new Sub();
+    /// s.init(); s.f = 4; return s.x * ten() + s.f; } static int ten() {
+    /// return 10; } }` plus `run()`, which calls `m` so the tier sees it
+    /// invoked. `m` answers 34 in either layout, and only if its field
+    /// slots match the layout it runs in.
+    fn sub() -> Arc<ClassDef> {
+        let mut b = ClassBuilder::new("Sub")
+            .extends("Base")
+            .field("f", TypeDesc::Int);
+        let cls = b.pool(Const::Class("Sub".to_string()));
+        let init = b.pool(Const::Method {
+            class: "Base".to_string(),
+            name: "init".to_string(),
+        });
+        let x = b.pool(Const::Field {
+            class: "Base".to_string(),
+            name: "x".to_string(),
+        });
+        let f = b.pool(Const::Field {
+            class: "Sub".to_string(),
+            name: "f".to_string(),
+        });
+        let [m, ten] = ["m", "ten"].map(|name| {
+            b.pool(Const::Method {
+                class: "Sub".to_string(),
+                name: name.to_string(),
+            })
+        });
+        b.method(
+            MethodBuilder::of_static("m")
+                .returns(TypeDesc::Int)
+                .locals(1)
+                .ops([
+                    Op::New(cls),
+                    Op::Store(0),
+                    Op::Load(0),
+                    Op::CallVirtual(init),
+                    Op::Load(0),
+                    Op::ConstInt(4),
+                    Op::PutField(f),
+                    Op::Load(0),
+                    Op::GetField(x),
+                    Op::CallStatic(ten),
+                    Op::Mul,
+                    Op::Load(0),
+                    Op::GetField(f),
+                    Op::Add,
+                    Op::ReturnVal,
+                ])
+                .build(),
+        )
+        .method(
+            MethodBuilder::of_static("ten")
+                .returns(TypeDesc::Int)
+                .ops([Op::ConstInt(10), Op::ReturnVal])
+                .build(),
+        )
+        .method(
+            MethodBuilder::of_static("run")
+                .returns(TypeDesc::Int)
+                .ops([Op::CallStatic(m), Op::ReturnVal])
+                .build(),
+        )
+        .build()
+        .into_arc()
+    }
+
+    /// One definition bound over two field layouts gets a body per
+    /// layout, and each answers correctly; its method without field
+    /// accesses (`ten`) shares one body between the two.
+    #[test]
+    fn one_definition_over_two_field_layouts_gets_two_bodies() {
+        let mut vm = TestVm::new();
+        let shared = vm.ns;
+        let sub = sub();
+        let mut memo = BodyMemo::default();
+        let mut runs = Vec::new();
+        for with_y in [false, true] {
+            let ns = vm
+                .table
+                .create_namespace(format!("y{with_y}"), Some(shared));
+            vm.table.load_class(ns, base(with_y)).unwrap();
+            vm.table.load_class(ns, sub.clone()).unwrap();
+            let mut jit = ProcJit::default();
+            let answer = run_tiered(&mut vm, ns, &mut jit, &mut memo, "Sub", "run");
+            assert_eq!(answer, 34, "layout with_y={with_y}");
+            runs.push((ns, jit));
+        }
+        let ((a, ja), (b, jb)) = (&runs[0], &runs[1]);
+        assert!(!Arc::ptr_eq(
+            &body(&vm, *a, ja, "Sub", "m"),
+            &body(&vm, *b, jb, "Sub", "m")
+        ));
+        assert!(Arc::ptr_eq(
+            &body(&vm, *a, ja, "Sub", "ten"),
+            &body(&vm, *b, jb, "Sub", "ten")
+        ));
+        assert_eq!(jb.stats.hits, 1, "only `ten` is reused: {:?}", jb.stats);
+        // m ×2, init ×2 (two definitions of `Base`), ten ×1.
+        assert_eq!(memo.usage().0, 5);
+    }
+
+    /// 1 000 re-spawns of one definition compile its hot method once: the
+    /// memo holds one entry, and every process runs the same body.
+    #[test]
+    fn respawns_share_one_memoized_body() {
+        let mut vm = TestVm::new();
+        let shared = vm.ns;
+        // `static int main() { int i = 0; while (i < 10) i = i + 1; return i; }`
+        let main = main_class(
+            MethodBuilder::of_static("main")
+                .returns(TypeDesc::Int)
+                .locals(1)
+                .ops([
+                    /*0*/ Op::ConstInt(0),
+                    /*1*/ Op::Store(0),
+                    /*2*/ Op::Load(0),
+                    /*3*/ Op::ConstInt(10),
+                    /*4*/ Op::CmpLt,
+                    /*5*/ Op::JumpIfFalse(11),
+                    /*6*/ Op::Load(0),
+                    /*7*/ Op::ConstInt(1),
+                    /*8*/ Op::Add,
+                    /*9*/ Op::Store(0),
+                    /*10*/ Op::Jump(2),
+                    /*11*/ Op::Load(0),
+                    /*12*/ Op::ReturnVal,
+                ]),
+        )
+        .into_arc();
+        let mut memo = BodyMemo::default();
+        let mut first: Option<Arc<CompiledBody>> = None;
+        for k in 0..1000 {
+            let ns = vm.table.create_namespace(format!("p{k}"), Some(shared));
+            vm.table.load_class(ns, main.clone()).unwrap();
+            let mut jit = ProcJit::default();
+            assert_eq!(
+                run_tiered(&mut vm, ns, &mut jit, &mut memo, "Main", "main"),
+                10
+            );
+            let b = body(&vm, ns, &jit, "Main", "main");
+            let first = first.get_or_insert_with(|| b.clone());
+            assert!(Arc::ptr_eq(first, &b), "spawn {k} runs a body of its own");
+            assert_eq!(jit.stats.compiled, (k == 0) as u64);
+        }
+        assert_eq!(memo.usage().0, 1);
     }
 }

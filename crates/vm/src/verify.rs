@@ -116,6 +116,12 @@ impl AbsState {
     }
 }
 
+/// Most local-variable states one method may make the verifier record:
+/// `(ops + 1) × max_locals`, at 16 bytes each. 2^20 slots (16 MiB) is
+/// 264× the largest method among the shipped guests (208 ops × 19
+/// locals); DESIGN §3.3.
+const MAX_STATE_SLOTS: u64 = 1 << 20;
+
 struct Verifier<'a> {
     table: &'a ClassTable,
     class: ClassIdx,
@@ -160,6 +166,20 @@ fn verify_method(
             msg,
         })
     };
+
+    // The verifier records one state per pc, each as wide as the frame:
+    // bound that product before allocating any of it.
+    let slots = (m.code.ops.len() as u64 + 1) * m.code.max_locals as u64;
+    if slots > MAX_STATE_SLOTS {
+        return Err(err(
+            0,
+            format!(
+                "{} ops x {} locals need {slots} state slots, over the bound of {MAX_STATE_SLOTS}",
+                m.code.ops.len(),
+                m.code.max_locals
+            ),
+        ));
+    }
 
     // Entry state: receiver + parameters occupy the first locals.
     let mut locals = Vec::with_capacity(m.code.max_locals as usize);
