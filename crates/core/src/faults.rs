@@ -216,11 +216,6 @@ pub enum AuditViolation {
         /// How many were accepted.
         count: u64,
     },
-    /// A dead process still holds compiled JIT bodies.
-    DeadHoldsBodies {
-        /// The process.
-        pid: Pid,
-    },
 }
 
 impl fmt::Display for AuditViolation {
@@ -260,9 +255,6 @@ impl fmt::Display for AuditViolation {
             }
             AuditViolation::IllegalWriteAccepted { count } => {
                 write!(f, "barrier accepted {count} illegal cross-heap writes")
-            }
-            AuditViolation::DeadHoldsBodies { pid } => {
-                write!(f, "dead process {pid:?} still holds compiled bodies")
             }
         }
     }

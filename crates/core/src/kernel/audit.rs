@@ -219,19 +219,6 @@ impl KaffeOs {
             }
         }
 
-        // Reap releases a process's tier table, so a dead process holds no
-        // compiled body.
-        for p in &self.procs {
-            if matches!(p.state, ProcState::Dead(_))
-                && p.jit
-                    .bodies
-                    .iter()
-                    .any(|s| matches!(s, kaffeos_vm::BodySlot::Hot(_)))
-            {
-                return Err(AuditViolation::DeadHoldsBodies { pid: p.pid });
-            }
-        }
-
         let live = self
             .procs
             .iter()

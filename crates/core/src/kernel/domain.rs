@@ -104,6 +104,7 @@ impl KaffeOs {
             };
             self.create_domain(ProcTag(pid.0), kind, bytes, &label)?
         };
+        let lowered = self.table.lowering_totals();
         let (midx, thread_args) = match self.enter_image(domain, &defs, &entry, args) {
             Ok(entered) => entered,
             Err(e) => {
@@ -137,7 +138,7 @@ impl KaffeOs {
             tenant: opts.tenant,
             spawn_args: args.to_string(),
             spawn_opts: opts,
-            jit: kaffeos_vm::ProcJit::default(),
+            jit: self.table.lowering_totals().since(lowered),
         });
         self.run_queue.push_back((pid, 0));
         self.emit_event(pid.0, || kaffeos_trace::Payload::Spawn {
@@ -398,12 +399,6 @@ impl KaffeOs {
         let (domain, tenant) = (self.procs[idx].domain, self.procs[idx].tenant);
         self.leave_domain(domain, pid, tenant);
         self.procs[idx].parked.clear();
-        // Release the tier table rather than clear it: it is indexed by
-        // the global method id, so it is as long as the method table was
-        // when the process tiered up. Its bodies stay in the kernel's memo,
-        // where a respawned process finds them without recompiling.
-        self.procs[idx].jit.bodies = Vec::new();
-        self.procs[idx].jit.counters = Default::default();
         let status = if self.procs[idx].cpu_overrun && status == ExitStatus::Killed {
             ExitStatus::CpuLimitExceeded
         } else {

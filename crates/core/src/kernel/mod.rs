@@ -78,11 +78,6 @@ pub struct KaffeOsConfig {
     /// stats, the GC/page timeline, and the live cross-heap edge census.
     /// Off by default.
     pub heapprof: bool,
-    /// Template-JIT tier (on/off and hot threshold). The tier
-    /// changes wall-clock speed only: the virtual cycle model, traces,
-    /// profiles, and every golden number are bit-identical with it on or
-    /// off. Defaults honour the `KAFFEOS_JIT` environment toggle.
-    pub jit: kaffeos_vm::JitConfig,
 }
 
 impl Default for KaffeOsConfig {
@@ -99,7 +94,6 @@ impl Default for KaffeOsConfig {
             profile: false,
             elide: false,
             heapprof: false,
-            jit: kaffeos_vm::JitConfig::from_env(),
         }
     }
 }
@@ -315,10 +309,6 @@ pub struct KaffeOs {
     /// Launches the tenant engine performed on its own (queued admissions
     /// and restarts), awaiting `drain_tenant_launches`.
     tenant_launches: Vec<TenantLaunch>,
-    /// The JIT's compile-once memo (the ShareJIT artifact): one compiled
-    /// body per (method code, field layout), shared by every process that
-    /// tiers the method up.
-    jit_memo: kaffeos_vm::BodyMemo,
 }
 
 impl KaffeOs {
@@ -329,7 +319,7 @@ impl KaffeOs {
             user_budget: config.user_budget,
         });
         space.set_obs(Obs::new(config.trace, config.profile, config.heapprof));
-        let mut table = ClassTable::new(build_registry());
+        let mut table = ClassTable::with_engine(build_registry(), config.engine);
         let shared_ns = table.create_namespace("shared", None);
         let shared_class_count =
             stdlib::load_shared_stdlib(&mut table, shared_ns).expect("stdlib must load");
@@ -377,7 +367,6 @@ impl KaffeOs {
             tenants: Vec::new(),
             overload: None,
             tenant_launches: Vec::new(),
-            jit_memo: kaffeos_vm::BodyMemo::default(),
         };
         if os.config.monolithic {
             // The monolithic baseline (IBM/n) is one domain that every guest

@@ -46,35 +46,25 @@ impl KaffeOs {
         let _ = writeln!(out, "heap_used:\t{heap_used}");
         let _ = writeln!(out, "heap_limit:\t{heap_limit}");
         let _ = writeln!(out, "net_sent:\t{}", p.net_sent);
-        let _ = writeln!(out, "jit_compiled:\t{}", p.jit.stats.compiled);
-        let _ = writeln!(out, "jit_cache_hits:\t{}", p.jit.stats.hits);
-        let _ = writeln!(out, "jit_shared_reuse:\t{}", p.jit.stats.reuse);
-        let _ = writeln!(out, "jit_bytes:\t{}", p.jit.stats.bytes);
+        let _ = writeln!(out, "jit_compiled:\t{}", p.jit.compiled);
+        let _ = writeln!(out, "jit_cache_hits:\t{}", p.jit.hits);
+        let _ = writeln!(out, "jit_shared_reuse:\t{}", p.jit.reuse);
+        let _ = writeln!(out, "jit_bytes:\t{}", p.jit.bytes);
         out
     }
 
-    /// Per-process JIT statistics (methods compiled, shared-cache hits and
-    /// cross-process reuse, template bytes referenced). `None` for an
-    /// unknown pid. Host observability only — never feeds virtual state.
+    /// Per-process lowering statistics: methods the spawn's class loads
+    /// lowered, linked from the memo, and reused from another namespace's
+    /// lowering, and the template bytes linked. `None` for an unknown pid.
+    /// Host observability only — never feeds virtual state.
     pub fn jit_stats(&self, pid: Pid) -> Option<kaffeos_vm::ProcJitStats> {
-        self.proc_index(pid).map(|idx| self.procs[idx].jit.stats)
+        self.proc_index(pid).map(|idx| self.procs[idx].jit)
     }
 
-    /// Tier-table storage (method slots plus counter buckets) that dead
-    /// processes still hold.
-    #[cfg(test)]
-    pub(crate) fn dead_tier_storage(&self) -> usize {
-        self.procs
-            .iter()
-            .filter(|p| matches!(p.state, ProcState::Dead(_)))
-            .map(|p| p.jit.bodies.capacity() + p.jit.counters.capacity())
-            .sum()
-    }
-
-    /// `(bodies, bytes)` the JIT's compile-once memo holds: every body
-    /// any process compiled, each counted once however many share it.
+    /// `(bodies, bytes)` the class table's lower-once memo holds: every
+    /// body any load lowered, each counted once however many share it.
     pub fn jit_cache_usage(&self) -> (usize, u64) {
-        self.jit_memo.usage()
+        self.table.body_usage()
     }
 
     /// The whole memlimit tree rendered as indented text — the text
@@ -108,10 +98,10 @@ impl KaffeOs {
                 .next()
                 .map(|(frame, _)| frame)
                 .unwrap_or_else(|| "-".to_string());
-            // Compiled methods plus shared-body reuses: "3+2" reads as
-            // "3 compiled here, 2 bodies another process compiled, taken
-            // from the kernel's body memo".
-            let jit = format!("{}+{}", p.jit.stats.compiled, p.jit.stats.reuse);
+            // Lowered methods plus shared-body reuses: "3+2" reads as
+            // "3 lowered by this spawn, 2 bodies another namespace's load
+            // lowered, linked from the class table's memo".
+            let jit = format!("{}+{}", p.jit.compiled, p.jit.reuse);
             let _ = writeln!(
                 out,
                 "{:>4} {:<14} {:<9} {:>12} {:>12} {:>10} {:>10} {:>10} {:>9}  {top}",

@@ -282,30 +282,17 @@ impl KaffeOs {
                 .sum();
             (roots, slots)
         };
-        let engine = self.config.engine;
         // Weighted round-robin: a process' quantum is proportional to its
         // CPU share, giving coarse proportional CPU scheduling.
         let time_slice = self.config.time_slice * self.procs[idx].cpu_share as u64 / 100;
-        let jit_enabled = self.config.jit.enabled;
-        let jit_threshold = self.config.jit.threshold;
         let domain = &mut self.domains[self.procs[idx].domain];
-        let proc = &mut self.procs[idx];
-        let thread = &mut proc.threads[tidx];
-        // The JIT runtime borrows the per-process state and the kernel's
-        // body memo together; `None` keeps the tier fully out of the loop.
-        let jit = jit_enabled.then_some(kaffeos_vm::JitRt {
-            proc: &mut proc.jit,
-            memo: &mut self.jit_memo,
-            threshold: jit_threshold,
-            pid: pid_u32,
-        });
+        let thread = &mut self.procs[idx].threads[tidx];
         let mut ctx = ExecCtx {
             space: &mut self.space,
             table: &self.table,
             ns: domain.ns,
             heap: domain.heap,
             trusted: false,
-            engine,
             statics: &mut domain.statics,
             intern: &mut domain.intern,
             string_class: self.string_class,
@@ -316,7 +303,6 @@ impl KaffeOs {
                 .faults
                 .as_ref()
                 .is_some_and(|plan| plan.gc_every_safepoint),
-            jit,
         };
         let granted = time_slice.max(1);
         let exit = step(thread, &mut ctx, granted);

@@ -320,9 +320,9 @@ pub struct Process {
     /// The resource policy the process was spawned with (respawns reuse
     /// it verbatim).
     pub spawn_opts: SpawnOpts,
-    /// Per-process JIT state: hot counters, attached compiled bodies, and
-    /// tier statistics.
-    pub jit: kaffeos_vm::ProcJit,
+    /// What the spawn's class loads lowered and linked (template bodies
+    /// are the class table's; a process holds none).
+    pub jit: kaffeos_vm::ProcJitStats,
 }
 
 impl Process {

@@ -601,32 +601,28 @@ mod namespaces {
 mod host_state {
     use super::*;
 
-    /// A dead process gives its tier table back. The table is indexed by
-    /// the global method id, so without the release every reaped process
-    /// would keep a table as long as the method table was when it tiered
-    /// up.
+    /// A respawn adds no template body: 200 spawns of one image link the
+    /// bodies the first spawn lowered, so the class table's memo stays as
+    /// the first spawn left it.
     #[test]
-    fn reaped_processes_release_their_tier_tables() {
-        let mut os = KaffeOs::new(KaffeOsConfig {
-            jit: kaffeos_vm::JitConfig::default(),
-            ..KaffeOsConfig::default()
-        });
+    fn respawns_add_no_template_bodies() {
+        let mut os = KaffeOs::new(KaffeOsConfig::default());
         os.register_image(
             "hot",
             "class Main { static int main() { int s = 0; int i = 0; \
              while (i < 500) { s = s + i; i = i + 1; } return s % 100; } }",
         )
         .unwrap();
-        let mut tiered = 0;
-        for _ in 0..200 {
+        let mut after_first = None;
+        for k in 0..200 {
             let pid = os.spawn("hot", "", None).unwrap();
             os.run(None);
             assert_eq!(os.status(pid), Some(ExitStatus::Exited(50)));
             let stats = os.jit_stats(pid).unwrap();
-            tiered += stats.compiled + stats.hits;
+            assert_eq!(stats.compiled, (k == 0) as u64, "spawn {k}: {stats:?}");
+            let usage = *after_first.get_or_insert(os.jit_cache_usage());
+            assert_eq!(os.jit_cache_usage(), usage, "spawn {k}");
         }
-        assert!(tiered >= 200, "every spawn's main tiers up: {tiered}");
-        assert_eq!(os.dead_tier_storage(), 0);
     }
 
     /// The verifier bounds its per-pc states before allocating them. A
@@ -660,6 +656,32 @@ mod host_state {
         os.run(None);
         assert_eq!(os.status(pid), Some(ExitStatus::Exited(7)));
         os.audit().expect("audit after a later spawn");
+    }
+
+    /// The template lowering indexes template ops with `u16`, so the
+    /// verifier refuses a method past `MAX_METHOD_OPS` before allocating:
+    /// a straight-line `main` of 65 604 ops fails `spawn` with a verify
+    /// error, the audit stays clean and the kernel keeps serving.
+    #[test]
+    fn a_method_too_long_to_lower_fails_spawn() {
+        use crate::KernelError;
+        // `x = x + 1;` is four ops: Load, ConstInt, Add, Store.
+        let body = "x = x + 1;\n".repeat(16_400);
+        let src = format!("class Main {{ static int main() {{ int x = 0;\n{body}return x; }} }}");
+        let mut os = KaffeOs::new(KaffeOsConfig::default());
+        os.register_image("long", &src).unwrap();
+        match os.spawn("long", "", None) {
+            Err(KernelError::Vm(kaffeos_vm::VmError::Verify(e))) => {
+                assert!(e.msg.contains("template lowering"), "{e}")
+            }
+            other => panic!("the long method must fail verification: {other:?}"),
+        }
+        os.audit().expect("audit after the refused spawn");
+        os.register_image("ok", "class Main { static int main() { return 7; } }")
+            .unwrap();
+        let pid = os.spawn("ok", "", None).unwrap();
+        os.run(None);
+        assert_eq!(os.status(pid), Some(ExitStatus::Exited(7)));
     }
 }
 

@@ -5,7 +5,7 @@ use kaffeos_heap::FxHashMap;
 use kaffeos_heap::{HeapSpace, SpaceConfig, Value};
 use kaffeos_memlimit::Kind;
 use kaffeos_vm::{
-    step, ClassBuilder, ClassTable, Engine, ExecCtx, IntrinsicRegistry, RunExit, Thread, TypeDesc,
+    step, ClassBuilder, ClassTable, ExecCtx, IntrinsicRegistry, RunExit, Thread, TypeDesc,
     VmException,
 };
 
@@ -119,7 +119,6 @@ impl Host {
                     ns: self.ns,
                     heap: self.heap,
                     trusted: false,
-                    engine: Engine::KAFFEOS,
                     statics: &mut self.statics,
                     intern: &mut self.intern,
                     string_class: self.string_class,
@@ -127,7 +126,6 @@ impl Host {
                     extra_roots: &[],
                     extra_scan_slots: 0,
                     gc_every_safepoint: false,
-                    jit: None,
                 };
                 step(&mut thread, &mut ctx, u64::MAX)
             };

@@ -800,9 +800,9 @@ impl HeapSpace {
     /// stores can never create cross-heap references. An `int[]` takes
     /// only `Int`s and a `float[]` only `Float`s; any other value is a
     /// `KindMismatch` that leaves the element as it was. Always inlined:
-    /// it sits on both tiers' field and array store paths, and its checks
-    /// of five payload shapes otherwise keep it out of their dispatch
-    /// loops.
+    /// it sits on the executor's field and array store paths, and its
+    /// checks of five payload shapes otherwise keep it out of the dispatch
+    /// loop.
     #[inline(always)]
     pub fn store_prim(&mut self, obj: ObjRef, index: usize, val: Value) -> Result<(), HeapError> {
         debug_assert!(

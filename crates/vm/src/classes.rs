@@ -16,7 +16,9 @@ use std::sync::Arc;
 
 use crate::bytecode::{Const, TypeDesc};
 use crate::classfile::ClassDef;
+use crate::engine::Engine;
 use crate::intrinsics::IntrinsicRegistry;
+use crate::jit::{BodyMemo, CompiledBody, ProcJitStats};
 use crate::verify::verify_class;
 use crate::VmError;
 
@@ -119,6 +121,9 @@ pub struct MethodRt {
     /// [`ClassTable::qualified_name`]) — built once at load time so the
     /// profiler's miss path never formats.
     pub qname: String,
+    /// The linked template body the executor runs, shared through the
+    /// table's lower-once memo.
+    pub(crate) body: Arc<CompiledBody>,
 }
 
 impl MethodRt {
@@ -210,18 +215,47 @@ pub struct ClassTable {
     verified: FxHashMap<(u64, u64, usize), (Arc<ClassDef>, u64)>,
     /// Last history id handed out.
     histories: u64,
+    /// Cycle model the table's threads run under.
+    engine: Engine,
+    /// Lower-once memo of every linked template body.
+    bodies: BodyMemo,
     /// `verify_class` runs made by `load_class`.
     #[cfg(test)]
     pub(crate) verifications: usize,
 }
 
 impl ClassTable {
-    /// Creates a table with the given intrinsic surface.
+    /// Creates a table with the given intrinsic surface whose threads run
+    /// under the KaffeOS cycle model.
     pub fn new(intrinsics: IntrinsicRegistry) -> Self {
+        Self::with_engine(intrinsics, Engine::KAFFEOS)
+    }
+
+    /// Creates a table whose threads run under `engine`'s cycle model; its
+    /// template bodies are pre-scaled for it.
+    pub fn with_engine(intrinsics: IntrinsicRegistry, engine: Engine) -> Self {
         ClassTable {
             intrinsics,
+            engine,
             ..ClassTable::default()
         }
+    }
+
+    /// The cycle model this table's threads run under.
+    pub fn engine(&self) -> Engine {
+        self.engine
+    }
+
+    /// `(bodies, modelled bytes)` the lower-once memo holds: one body per
+    /// (definition, method, field layout) ever loaded.
+    pub fn body_usage(&self) -> (usize, u64) {
+        self.bodies.usage()
+    }
+
+    /// Lowering counters summed over every load so far; a difference of
+    /// two readings attributes the loads between them.
+    pub fn lowering_totals(&self) -> ProcJitStats {
+        self.bodies.totals()
     }
 
     /// Edges in the verify memo.
@@ -353,6 +387,7 @@ impl ClassTable {
                 is_static: m.is_static,
                 code: m.code.clone(),
                 qname: format!("{}.{}", def.name, m.name),
+                body: Arc::default(),
             });
             methods.push(midx);
             if !m.is_static {
@@ -417,7 +452,20 @@ impl ClassTable {
             }
         };
         self.namespaces[ns as usize].history = next;
+        self.link_bodies(ns, idx);
         Ok(idx)
+    }
+
+    /// Gives each method of the verified class `idx`, just loaded into
+    /// `ns`, its template body from the memo, lowering it on a miss.
+    fn link_bodies(&mut self, ns: u32, idx: ClassIdx) {
+        let mut memo = core::mem::take(&mut self.bodies);
+        for i in 0..self.classes[idx.0 as usize].methods.len() {
+            let midx = self.classes[idx.0 as usize].methods[i];
+            let body = memo.link(self, midx, ns);
+            self.methods[midx.0 as usize].body = body;
+        }
+        self.bodies = memo;
     }
 
     /// Rolls back a failed load (the class must be the most recent one).

@@ -79,6 +79,13 @@ pub struct Engine {
     pub lock_extra: u64,
 }
 
+/// The KaffeOS cycle model, the kernel's default.
+impl Default for Engine {
+    fn default() -> Self {
+        Engine::KAFFEOS
+    }
+}
+
 impl Engine {
     /// The IBM JDK JIT analogue — the fast commercial baseline.
     pub const JIT_IBM: Engine = Engine {

@@ -1,6 +1,6 @@
-//! The bytecode interpreter.
+//! Threads, frames and the runtime ops.
 //!
-//! One interpreter, engine-parameterised: every instruction charges
+//! One execution model, engine-parameterised: every instruction charges
 //! modelled cycles (base cost × engine CPI), reference stores run the heap
 //! write barrier, and **safe points** (taken on branches, calls, allocation
 //! and throws) honour preemption fuel and deferred termination — user-mode
@@ -9,6 +9,10 @@
 //!
 //! Anything privileged exits as [`RunExit::Syscall`]; the kernel services
 //! the request and resumes the thread.
+//!
+//! [`step`] runs a thread through the template executor (`jit.rs`), the
+//! VM's one dispatch loop, which calls back into [`rt_op`] here for every
+//! op that needs the runtime.
 //!
 //! # Host representation
 //!
@@ -19,14 +23,13 @@
 //! a call allocates nothing once the vectors reach their high-water mark —
 //! the `Vec<Frame>`/`Vec<Value>` capacity reuse *is* the frame pool.
 //!
-//! The dispatch loop ([`run_dispatch`]) caches the top frame's state (pc,
-//! code slice, constant pool, stack bases) in locals and reloads it only
-//! when the frame changes; `frame.pc` is written back before any exit or
-//! helper that can observe it (raise, syscall, preemption, the profiler).
-//! All of this is host-side layout only: iterating `values` front to back
-//! visits exactly the slots (and order) the old per-frame vectors did, and
-//! the cached-pc loop executes the same ops charging the same cycles, so
-//! GC root order, scan sizes, and every virtual number are unchanged.
+//! The executor caches the top frame's state (pc, body, stack bases) in
+//! locals and reloads it only when the frame changes; `frame.pc` is
+//! written back before any exit or helper that can observe it (raise,
+//! syscall, preemption, the profiler). All of this is host-side layout
+//! only: iterating `values` front to back visits exactly the slots (and
+//! order) the old per-frame vectors did, so GC root order, scan sizes, and
+//! every virtual number are unchanged.
 
 use std::fmt::Write;
 
@@ -34,14 +37,14 @@ use kaffeos_heap::{HeapError, HeapId, HeapSpace, ObjRef, Value};
 
 use crate::bytecode::Op;
 use crate::classes::{ClassIdx, ClassTable, MethodIdx, RConst};
-use crate::engine::{Engine, OpCosts, BASE_COSTS};
+use crate::engine::{OpCosts, BASE_COSTS};
 
 /// Deepest call stack before `StackOverflowError`.
 pub const MAX_FRAMES: usize = 256;
 
-// The dispatch loop copies one `Op` and pushes/pops 16-byte `Value`s on
-// nearly every instruction; these compile-time bounds keep future opcode or
-// value variants from silently fattening both hot structs.
+// The executor copies `Op`s into runtime ops and pushes/pops 16-byte
+// `Value`s on nearly every instruction; these compile-time bounds keep
+// future opcode or value variants from silently fattening both hot structs.
 const _: () = assert!(core::mem::size_of::<Op>() <= 16, "Op grew past 16 bytes");
 const _: () = assert!(
     core::mem::size_of::<Value>() <= 16,
@@ -316,8 +319,6 @@ pub struct ExecCtx<'a> {
     /// True only when running trusted code in kernel mode (may create
     /// kernel→user references).
     pub trusted: bool,
-    /// Active cycle model.
-    pub engine: Engine,
     /// Per-process statics objects, keyed by class (lazily created here on
     /// first static access; they are GC roots the kernel must pass to `gc`).
     pub statics: &'a mut kaffeos_heap::FxHashMap<ClassIdx, ObjRef>,
@@ -339,10 +340,6 @@ pub struct ExecCtx<'a> {
     /// collections are not charged to the guest so CPU accounting stays
     /// comparable with un-injected runs.
     pub gc_every_safepoint: bool,
-    /// Template-JIT runtime for the current process (`None` disables the
-    /// tier). Tier-up counters and cache bookkeeping advance identically in
-    /// both dispatch variants; only the fast variant *enters* compiled code.
-    pub jit: Option<crate::jit::JitRt<'a>>,
 }
 
 /// Heap class tags for primitive arrays (distinct from any `ClassIdx`).
@@ -377,11 +374,11 @@ pub fn step(thread: &mut Thread, ctx: &mut ExecCtx<'_>, fuel: u64) -> RunExit {
     }
 
     // The injected variant re-runs fault hooks at every safe point; the
-    // fast variant hoists the (quantum-invariant) checks out of the loop.
+    // other hoists the (quantum-invariant) checks out of the loop.
     let exit = if ctx.gc_every_safepoint {
-        run_dispatch::<true>(thread, ctx, fuel, start_cycles)
+        crate::jit::execute::<true>(thread, ctx, fuel, start_cycles)
     } else {
-        run_dispatch::<false>(thread, ctx, fuel, start_cycles)
+        crate::jit::execute::<false>(thread, ctx, fuel, start_cycles)
     };
     match &exit {
         RunExit::Finished(_) | RunExit::Unhandled(_) => thread.state = ThreadState::Done,
@@ -405,7 +402,7 @@ macro_rules! pop {
 }
 
 /// Honours a termination request: releases monitors, drops all frames.
-fn honour_kill(thread: &mut Thread, ctx: &mut ExecCtx<'_>) -> RunExit {
+pub(crate) fn honour_kill(thread: &mut Thread, ctx: &mut ExecCtx<'_>) -> RunExit {
     release_all_monitors(thread, ctx);
     thread.frames.clear();
     thread.values.clear();
@@ -414,7 +411,7 @@ fn honour_kill(thread: &mut Thread, ctx: &mut ExecCtx<'_>) -> RunExit {
 }
 
 /// Fault-injection hook: one forced collection of the process heap, traced.
-fn forced_gc(thread: &mut Thread, ctx: &mut ExecCtx<'_>) -> Result<(), HeapError> {
+pub(crate) fn forced_gc(thread: &mut Thread, ctx: &mut ExecCtx<'_>) -> Result<(), HeapError> {
     let mut roots = thread.stack_roots();
     roots.extend(ctx.statics.values().copied());
     roots.extend(ctx.intern.values().copied());
@@ -427,446 +424,20 @@ fn forced_gc(thread: &mut Thread, ctx: &mut ExecCtx<'_>) -> Result<(), HeapError
     ctx.space.gc(ctx.heap, &roots).map(|_| ())
 }
 
-/// The dispatch loop. `INJECT` compiles in the per-safe-point fault hooks
-/// (forced GC, kill re-check); the fast variant checks termination once per
-/// quantum — the kernel only flips `kill_requested`/`kernel_depth` between
-/// quanta, so the per-op check of the injected loop observes exactly the
-/// same values. Virtual behaviour (ops executed, cycles charged, preemption
-/// boundaries) is identical in both variants.
-fn run_dispatch<const INJECT: bool>(
-    thread: &mut Thread,
-    ctx: &mut ExecCtx<'_>,
-    fuel: u64,
-    start_cycles: u64,
-) -> RunExit {
-    let engine = ctx.engine;
-    // Copy the shared table reference out of `ctx` so per-frame method and
-    // pool borrows are independent of later `&mut ctx` uses.
-    let table = ctx.table;
-
-    if !INJECT && thread.kill_requested && thread.kernel_depth == 0 {
-        return honour_kill(thread, ctx);
-    }
-
-    'frame: loop {
-        // Tier dispatch: run the top frame's compiled body if one is
-        // attached and the pc is a template-op entry. The injected variant
-        // never enters compiled code (its per-safe-point hooks need the
-        // op-by-op loop); tier-up bookkeeping still matches because the
-        // back-edge/invoke hooks below run in both variants.
-        if !INJECT {
-            if let Some(exit) = crate::jit::try_enter(thread, ctx, fuel, start_cycles) {
-                return exit;
-            }
-        }
-        // (Re)load the top frame's hot state into locals; it stays valid
-        // until the frame set changes (call, return, unwind, exit).
-        let Some(top) = thread.frames.last() else {
-            return RunExit::Finished(None);
-        };
-        let method_idx = top.method;
-        let method = table.method(top.method);
-        let class = table.class(top.class);
-        let ops: &[Op] = &method.code.ops;
-        let locals_base = top.locals_base as usize;
-        let stack_base = top.stack_base as usize;
-        let mut pc = top.pc as usize;
-
-        // Write the cached pc back to the frame — required before any exit
-        // or helper that observes `frame.pc` (raise, profiler, resume).
-        macro_rules! sync_pc {
-            () => {
-                if let Some(f) = thread.frames.last_mut() {
-                    f.pc = pc as u32;
-                }
-            };
-        }
-        // Exception dispatch: unwind to a handler (and reload the frame
-        // state) or exit with the escaping exception.
-        macro_rules! throw {
-            ($ex:expr) => {{
-                sync_pc!();
-                match raise(thread, ctx, $ex) {
-                    None => continue 'frame,
-                    Some(exit) => return exit,
-                }
-            }};
-        }
-        // Runtime-op / frame-changing helper result: next op, reload state
-        // or exit.
-        macro_rules! flow {
-            ($f:expr) => {{
-                sync_pc!();
-                match $f {
-                    StepFlow::Next => continue,
-                    StepFlow::Continue => continue 'frame,
-                    StepFlow::Exit(exit) => return exit,
-                    StepFlow::Raise(ex) => match raise(thread, ctx, ex) {
-                        None => continue 'frame,
-                        Some(exit) => return exit,
-                    },
-                }
-            }};
-        }
-        macro_rules! fault {
-            ($($msg:tt)*) => {{
-                sync_pc!();
-                return RunExit::Fault(crate::VmError::BadBytecode(format!($($msg)*)));
-            }};
-        }
-
-        loop {
-            if INJECT {
-                // Fault injection: a forced collection at every safe point
-                // shakes out GC-unsafety (missing roots, premature sweeps)
-                // that normal allocation-triggered collections would rarely
-                // reach. Kill/fuel are then re-checked per op, exactly like
-                // the pre-hoisting interpreter loop.
-                if let Err(e) = forced_gc(thread, ctx) {
-                    sync_pc!();
-                    return RunExit::Fault(crate::VmError::Heap(e));
-                }
-                if thread.kill_requested && thread.kernel_depth == 0 {
-                    return honour_kill(thread, ctx);
-                }
-            }
-            // Safe point: preemption fuel.
-            if thread.cycles - start_cycles >= fuel {
-                sync_pc!();
-                return RunExit::Preempted;
-            }
-
-            thread.ops += 1;
-            let Some(&op) = ops.get(pc) else {
-                // Falling off the end of a void method is an implicit return.
-                flow!(do_return(thread, None));
-            };
-            pc += 1;
-
-            match op {
-                // ----- constants & locals ------------------------------------
-                Op::ConstNull => {
-                    thread.cycles += engine.scaled(COSTS.local);
-                    thread.values.push(Value::Null);
-                }
-                Op::ConstInt(v) => {
-                    thread.cycles += engine.scaled(COSTS.local);
-                    thread.values.push(Value::Int(v));
-                }
-                Op::ConstFloat(v) => {
-                    thread.cycles += engine.scaled(COSTS.local);
-                    thread.values.push(Value::Float(v));
-                }
-                Op::Load(slot) => {
-                    thread.cycles += engine.scaled(COSTS.local);
-                    let v = thread.values[locals_base + slot as usize];
-                    thread.values.push(v);
-                }
-                Op::Store(slot) => {
-                    thread.cycles += engine.scaled(COSTS.local);
-                    let v = pop!(thread, stack_base);
-                    thread.values[locals_base + slot as usize] = v;
-                }
-                Op::Pop => {
-                    thread.cycles += engine.scaled(COSTS.simple);
-                    let _ = pop!(thread, stack_base);
-                }
-                Op::Dup => {
-                    thread.cycles += engine.scaled(COSTS.simple);
-                    debug_assert!(
-                        thread.values.len() > stack_base,
-                        "Dup on empty operand stack"
-                    );
-                    let v = *thread.values.last().unwrap_or(&Value::Null);
-                    thread.values.push(v);
-                }
-                Op::Swap => {
-                    thread.cycles += engine.scaled(COSTS.simple);
-                    let len = thread.values.len();
-                    if len >= stack_base + 2 {
-                        thread.values.swap(len - 1, len - 2);
-                    }
-                }
-
-                // ----- integer arithmetic --------------------------------------
-                Op::Add
-                | Op::Sub
-                | Op::Mul
-                | Op::And
-                | Op::Or
-                | Op::Xor
-                | Op::Shl
-                | Op::Shr => {
-                    thread.cycles += engine.scaled(COSTS.simple);
-                    let b = pop!(thread, stack_base).as_int();
-                    let a = pop!(thread, stack_base).as_int();
-                    let r = match op {
-                        Op::Add => a.wrapping_add(b),
-                        Op::Sub => a.wrapping_sub(b),
-                        Op::Mul => a.wrapping_mul(b),
-                        Op::And => a & b,
-                        Op::Or => a | b,
-                        Op::Xor => a ^ b,
-                        Op::Shl => a.wrapping_shl(b as u32 & 63),
-                        Op::Shr => a.wrapping_shr(b as u32 & 63),
-                        _ => unreachable!(),
-                    };
-                    thread.values.push(Value::Int(r));
-                }
-                Op::Div | Op::Rem => {
-                    thread.cycles += engine.scaled(COSTS.simple * 4);
-                    let b = pop!(thread, stack_base).as_int();
-                    let a = pop!(thread, stack_base).as_int();
-                    if b == 0 {
-                        throw!(VmException::Builtin(
-                            BuiltinEx::Arithmetic,
-                            "division by zero".to_string(),
-                        ));
-                    }
-                    let r = if op == Op::Div {
-                        a.wrapping_div(b)
-                    } else {
-                        a.wrapping_rem(b)
-                    };
-                    thread.values.push(Value::Int(r));
-                }
-                Op::Neg => {
-                    thread.cycles += engine.scaled(COSTS.simple);
-                    let a = pop!(thread, stack_base).as_int();
-                    thread.values.push(Value::Int(a.wrapping_neg()));
-                }
-
-                // ----- float arithmetic -------------------------------------------
-                Op::FAdd | Op::FSub | Op::FMul | Op::FDiv => {
-                    thread.cycles += engine.scaled(COSTS.simple * 2);
-                    let b = pop!(thread, stack_base).as_float();
-                    let a = pop!(thread, stack_base).as_float();
-                    let r = match op {
-                        Op::FAdd => a + b,
-                        Op::FSub => a - b,
-                        Op::FMul => a * b,
-                        Op::FDiv => a / b,
-                        _ => unreachable!(),
-                    };
-                    thread.values.push(Value::Float(r));
-                }
-                Op::FNeg => {
-                    thread.cycles += engine.scaled(COSTS.simple);
-                    let a = pop!(thread, stack_base).as_float();
-                    thread.values.push(Value::Float(-a));
-                }
-                Op::I2F => {
-                    thread.cycles += engine.scaled(COSTS.simple);
-                    let a = pop!(thread, stack_base).as_int();
-                    thread.values.push(Value::Float(a as f64));
-                }
-                Op::F2I => {
-                    thread.cycles += engine.scaled(COSTS.simple);
-                    let a = pop!(thread, stack_base).as_float();
-                    thread.values.push(Value::Int(a as i64));
-                }
-
-                // ----- comparisons ---------------------------------------------------
-                Op::CmpEq | Op::CmpNe | Op::CmpLt | Op::CmpLe | Op::CmpGt | Op::CmpGe => {
-                    thread.cycles += engine.scaled(COSTS.simple);
-                    let b = pop!(thread, stack_base).as_int();
-                    let a = pop!(thread, stack_base).as_int();
-                    let r = match op {
-                        Op::CmpEq => a == b,
-                        Op::CmpNe => a != b,
-                        Op::CmpLt => a < b,
-                        Op::CmpLe => a <= b,
-                        Op::CmpGt => a > b,
-                        Op::CmpGe => a >= b,
-                        _ => unreachable!(),
-                    };
-                    thread.values.push(Value::Int(r as i64));
-                }
-                Op::FCmpEq | Op::FCmpLt | Op::FCmpLe | Op::FCmpGt | Op::FCmpGe => {
-                    thread.cycles += engine.scaled(COSTS.simple);
-                    let b = pop!(thread, stack_base).as_float();
-                    let a = pop!(thread, stack_base).as_float();
-                    let r = match op {
-                        Op::FCmpEq => a == b,
-                        Op::FCmpLt => a < b,
-                        Op::FCmpLe => a <= b,
-                        Op::FCmpGt => a > b,
-                        Op::FCmpGe => a >= b,
-                        _ => unreachable!(),
-                    };
-                    thread.values.push(Value::Int(r as i64));
-                }
-                Op::RefEq | Op::RefNe => {
-                    thread.cycles += engine.scaled(COSTS.simple);
-                    let b = pop!(thread, stack_base);
-                    let a = pop!(thread, stack_base);
-                    let eq = match (a, b) {
-                        (Value::Null, Value::Null) => true,
-                        (Value::Ref(x), Value::Ref(y)) => x == y,
-                        _ => false,
-                    };
-                    let r = if op == Op::RefEq { eq } else { !eq };
-                    thread.values.push(Value::Int(r as i64));
-                }
-
-                // ----- control flow ---------------------------------------------------
-                Op::Jump(target) => {
-                    thread.cycles += engine.scaled(COSTS.branch);
-                    let back = (target as usize) < pc;
-                    pc = target as usize;
-                    // Taken back-edge: bump the hot counter (both variants,
-                    // identically); the fast variant re-enters at the
-                    // branch target once a body is attached (OSR).
-                    if back && crate::jit::note_backedge(ctx, method_idx) && !INJECT {
-                        sync_pc!();
-                        continue 'frame;
-                    }
-                }
-                Op::JumpIfTrue(target) => {
-                    thread.cycles += engine.scaled(COSTS.branch);
-                    if pop!(thread, stack_base).is_truthy() {
-                        let back = (target as usize) < pc;
-                        pc = target as usize;
-                        if back && crate::jit::note_backedge(ctx, method_idx) && !INJECT {
-                            sync_pc!();
-                            continue 'frame;
-                        }
-                    }
-                }
-                Op::JumpIfFalse(target) => {
-                    thread.cycles += engine.scaled(COSTS.branch);
-                    if !pop!(thread, stack_base).is_truthy() {
-                        let back = (target as usize) < pc;
-                        pc = target as usize;
-                        if back && crate::jit::note_backedge(ctx, method_idx) && !INJECT {
-                            sync_pc!();
-                            continue 'frame;
-                        }
-                    }
-                }
-                // ----- objects -----------------------------------------------------------
-                Op::GetField(idx) => {
-                    thread.cycles += engine.scaled(COSTS.field);
-                    let RConst::InstanceField { slot, .. } = class.rpool[idx as usize] else {
-                        fault!("GetField on bad pool entry {idx}");
-                    };
-                    let Value::Ref(obj) = pop!(thread, stack_base) else {
-                        throw!(npe("field access on null"));
-                    };
-                    match ctx.space.load(obj, slot as usize) {
-                        Ok(v) => thread.values.push(v),
-                        Err(e) => throw!(heap_exception(e)),
-                    }
-                }
-                Op::PutField(idx) => {
-                    thread.cycles += engine.scaled(COSTS.field);
-                    let RConst::InstanceField { slot, ref ty, .. } = class.rpool[idx as usize]
-                    else {
-                        fault!("PutField on bad pool entry {idx}");
-                    };
-                    let is_ref = ty.is_reference();
-                    let v = pop!(thread, stack_base);
-                    let Value::Ref(obj) = pop!(thread, stack_base) else {
-                        throw!(npe("field store on null"));
-                    };
-                    let result = if is_ref {
-                        let at = pc as u32 - 1;
-                        store_ref_checked(thread, ctx, method_idx, at, obj, slot as usize, v)
-                    } else {
-                        ctx.space.store_prim(obj, slot as usize, v)
-                    };
-                    if let Err(e) = result {
-                        throw!(heap_exception(e));
-                    }
-                }
-                Op::NullCheck => {
-                    thread.cycles += engine.scaled(COSTS.simple);
-                    let v = pop!(thread, stack_base);
-                    if !matches!(v, Value::Ref(_)) {
-                        throw!(npe("explicit null check"));
-                    }
-                }
-
-                // ----- arrays -------------------------------------------------------------
-                Op::ALoad => {
-                    thread.cycles += engine.scaled(COSTS.field);
-                    let index = pop!(thread, stack_base).as_int();
-                    let Value::Ref(arr) = pop!(thread, stack_base) else {
-                        throw!(npe("array load on null"));
-                    };
-                    match load_elem(ctx, arr, index) {
-                        Ok(v) => thread.values.push(v),
-                        Err(e) => throw!(e),
-                    }
-                }
-                Op::AStore => {
-                    thread.cycles += engine.scaled(COSTS.field);
-                    let v = pop!(thread, stack_base);
-                    let index = pop!(thread, stack_base).as_int();
-                    let Value::Ref(arr) = pop!(thread, stack_base) else {
-                        throw!(npe("array store on null"));
-                    };
-                    let at = pc as u32 - 1;
-                    if let Err(e) = store_elem(thread, ctx, method_idx, at, arr, index, v) {
-                        throw!(e);
-                    }
-                }
-                Op::ArrayLen => {
-                    thread.cycles += engine.scaled(COSTS.simple);
-                    let Value::Ref(arr) = pop!(thread, stack_base) else {
-                        throw!(npe("array length of null"));
-                    };
-                    match ctx.space.slot_count(arr) {
-                        Ok(n) => thread.values.push(Value::Int(n as i64)),
-                        Err(e) => throw!(heap_exception(e)),
-                    }
-                }
-
-                // ----- everything that needs the runtime ----------------------------
-                Op::ConstStr(_)
-                | Op::Return
-                | Op::ReturnVal
-                | Op::New(_)
-                | Op::GetStatic(_)
-                | Op::PutStatic(_)
-                | Op::InstanceOf(_)
-                | Op::CheckCast(_)
-                | Op::NewArray(_)
-                | Op::CallStatic(_)
-                | Op::CallVirtual(_)
-                | Op::CallSpecial(_)
-                | Op::Syscall(_)
-                | Op::Throw
-                | Op::StrConcat
-                | Op::StrLen
-                | Op::StrCharAt
-                | Op::StrEq
-                | Op::Intern
-                | Op::ToStr
-                | Op::Substr
-                | Op::ParseInt
-                | Op::MonitorEnter
-                | Op::MonitorExit => flow!(rt_op(thread, ctx, op)),
-            }
-        }
-    }
-}
-
 /// The runtime ops — everything that allocates, calls, returns, throws,
 /// touches statics, strings or monitors, or leaves for the kernel. This is
-/// the only implementation: the dispatch loop routes these ops here and so
-/// does the JIT executor, which compiles each of them to a bare
-/// `TOp::Rt`. The caller has advanced the top frame's `pc`
-/// past `op` and written it back, so a raise, syscall resume or profiler
-/// sample sees the same frame either tier would show; fault injection's
-/// per-op hooks live in the caller.
+/// the only implementation: the lowering turns each of them into a bare
+/// `TOp::Rt`, which the executor runs here. The caller has advanced the
+/// top frame's `pc` past `op` and written it back, so a raise, syscall
+/// resume or profiler sample sees the frame as of after the op; fault
+/// injection's per-op hooks live in the caller.
 ///
-/// Inlined into both dispatch loops: as an out-of-line call it costs ~6%
-/// of `spec-alloc` guest throughput, whose programs live in these arms.
+/// Inlined into the executor: as an out-of-line call it costs ~6% of
+/// `spec-alloc` guest throughput, whose programs live in these arms.
 #[inline(always)]
 pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepFlow {
-    let engine = ctx.engine;
     let table = ctx.table;
+    let engine = table.engine();
     let Some(&top) = thread.frames.last() else {
         return StepFlow::Exit(RunExit::Finished(None));
     };
@@ -1288,8 +859,7 @@ pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepF
             }
         }
 
-        // Block ops never reach here: the dispatch loop and the template
-        // compiler both keep them inline.
+        // Block ops never reach here: the lowering keeps them in blocks.
         _ => fault!("{op:?} is not a runtime op"),
     }
     StepFlow::Next
@@ -1301,9 +871,9 @@ pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepF
 /// GC retry, and the heap census is armed with the store site `(method,
 /// pc)` so a cross-heap edge the store creates is attributed to it. A
 /// segmentation violation is recorded as a [`SegSite`] before it is
-/// returned. The interpreter's three store ops and the template JIT's two
-/// store micros all run this one sequence; it stays inline because an
-/// out-of-line call here costs measurably on allocation-heavy guests.
+/// returned. `PutStatic` and the two store micros all run this one
+/// sequence; it stays inline because an out-of-line call here costs
+/// measurably on allocation-heavy guests.
 #[inline(always)]
 pub(crate) fn store_ref_checked(
     thread: &mut Thread,
@@ -1379,7 +949,7 @@ pub(crate) fn npe(msg: &str) -> VmException {
     VmException::Builtin(BuiltinEx::NullPointer, msg.to_string())
 }
 
-/// Loads element `index` of `arr` for both tiers' array loads.
+/// Loads element `index` of `arr` for the array-load micros.
 #[inline]
 pub(crate) fn load_elem(ctx: &ExecCtx<'_>, arr: ObjRef, index: i64) -> Result<Value, VmException> {
     ctx.space
@@ -1387,9 +957,9 @@ pub(crate) fn load_elem(ctx: &ExecCtx<'_>, arr: ObjRef, index: i64) -> Result<Va
         .map_err(|e| elem_exception(e, index))
 }
 
-/// Stores `v` into element `index` of `arr` for both tiers' array stores.
+/// Stores `v` into element `index` of `arr` for the array-store micro.
 /// A primitive takes one heap call with one object lookup, inlined into
-/// the dispatch loops; a reference goes through [`store_elem_ref`].
+/// the executor; a reference goes through [`store_elem_ref`].
 #[inline(always)]
 pub(crate) fn store_elem(
     thread: &mut Thread,
@@ -1569,7 +1139,7 @@ pub(crate) fn statics_object(
         return Ok(obj);
     }
     let n = ctx.table.class(class).static_fields.len();
-    thread.cycles += ctx.engine.scaled(COSTS.alloc);
+    thread.cycles += ctx.table.engine().scaled(COSTS.alloc);
     let obj = with_gc_retry(thread, ctx, &[], |ctx| {
         ctx.space.alloc_fields(ctx.heap, class.heap_class(), n)
     })
@@ -1624,7 +1194,8 @@ pub(crate) fn intern_string(
         return Ok(obj);
     }
     thread.cycles += ctx
-        .engine
+        .table
+        .engine()
         .scaled(COSTS.string + COSTS.string_per_char * text.len() as u64);
     let string_tag = ctx.string_class.heap_class();
     let obj = with_gc_retry(thread, ctx, &[], |ctx| {
@@ -1640,11 +1211,11 @@ pub(crate) fn intern_string(
 /// allocation happens once the thread's vectors reach their high-water
 /// mark.
 pub(crate) fn push_frame(thread: &mut Thread, ctx: &mut ExecCtx<'_>, midx: MethodIdx) -> StepFlow {
-    crate::jit::note_invoke(ctx, midx);
     let m = ctx.table.method(midx);
     let nargs = m.arg_slots();
     thread.cycles += ctx
-        .engine
+        .table
+        .engine()
         .scaled(COSTS.call + COSTS.call_per_arg * nargs as u64);
     if thread.frames.len() >= MAX_FRAMES {
         return StepFlow::Raise(VmException::Builtin(
@@ -1696,7 +1267,8 @@ pub(crate) fn do_return(thread: &mut Thread, value: Option<Value>) -> StepFlow {
 pub(crate) fn raise(thread: &mut Thread, ctx: &mut ExecCtx<'_>, ex: VmException) -> Option<RunExit> {
     // Kaffe99's slow dispatch materialises a full stack trace on every
     // throw — real work the fast dispatch (Kaffe00/KaffeOS) avoids.
-    if ctx.engine.slow_throw {
+    let engine = ctx.table.engine();
+    if engine.slow_throw {
         let trace: Vec<String> = thread
             .frames
             .iter()
@@ -1781,7 +1353,7 @@ pub(crate) fn raise(thread: &mut Thread, ctx: &mut ExecCtx<'_>, ex: VmException)
             }
         });
         if let Some(h) = handler.copied() {
-            thread.cycles += ctx.engine.throw_cost(frames_examined);
+            thread.cycles += engine.throw_cost(frames_examined);
             if let Some(frame) = thread.frames.last_mut() {
                 // Clear this frame's operand stack, then deliver the
                 // exception.
@@ -1799,7 +1371,7 @@ pub(crate) fn raise(thread: &mut Thread, ctx: &mut ExecCtx<'_>, ex: VmException)
             thread.values.truncate(dead.locals_base as usize);
         }
     }
-    thread.cycles += ctx.engine.throw_cost(frames_examined);
+    thread.cycles += engine.throw_cost(frames_examined);
     // Report the materialised guest object when there is one, so callers
     // observe a uniform exception model.
     Some(RunExit::Unhandled(match obj {

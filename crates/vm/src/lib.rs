@@ -38,10 +38,7 @@ pub use interp::{
     VmException, FLOAT_ARRAY_CLASS, INT_ARRAY_CLASS, MAX_FRAMES, REF_ARRAY_CLASS,
 };
 pub use intrinsics::{IntrinsicDef, IntrinsicRegistry};
-pub use jit::{
-    BodyMemo, BodySlot, CompiledBody, JitConfig, JitRt, ProcJit, ProcJitStats,
-    DEFAULT_JIT_THRESHOLD, JIT_GRAMMAR,
-};
+pub use jit::ProcJitStats;
 pub use verify::{method_descriptor, verify_class, VerifyError};
 
 /// Errors raised while loading, linking, or running guest code.

@@ -59,6 +59,10 @@ impl TestVm {
     }
 
     fn with_registry(registry: IntrinsicRegistry) -> Self {
+        Self::with_engine(registry, Engine::KAFFEOS)
+    }
+
+    fn with_engine(registry: IntrinsicRegistry, engine: Engine) -> Self {
         let mut space = HeapSpace::new(SpaceConfig::default());
         let root = space.root_memlimit();
         let ml = space
@@ -66,7 +70,7 @@ impl TestVm {
             .create_child(root, Kind::Soft, 16 << 20, "test-proc")
             .unwrap();
         let heap = space.create_user_heap(kaffeos_heap::ProcTag(1), ml, "test-heap");
-        let mut table = ClassTable::new(registry);
+        let mut table = ClassTable::with_engine(registry, engine);
         let ns = table.create_namespace("test", None);
         for def in base_classes() {
             table.load_class(ns, def.into_arc()).unwrap();
@@ -96,7 +100,6 @@ impl TestVm {
             ns: self.ns,
             heap: self.heap,
             trusted: false,
-            engine: Engine::KAFFEOS,
             statics: &mut self.statics,
             intern: &mut self.intern,
             string_class: self.string_class,
@@ -104,7 +107,6 @@ impl TestVm {
             extra_roots: &[],
             extra_scan_slots: 0,
             gc_every_safepoint: false,
-            jit: None,
         }
     }
 
@@ -121,6 +123,29 @@ impl TestVm {
         let mut thread = self.spawn(class, method, args);
         let mut ctx = self.ctx();
         step(&mut thread, &mut ctx, u64::MAX)
+    }
+
+    /// The fuel-split oracle: runs `class.method(args)` from two fresh
+    /// threads up to their first stop at or past `SPLIT_FUEL` cycles — in
+    /// one `step`, where blocks run fused, and one op per `step` (fuel 1),
+    /// where every block runs plain — and asserts both charge the same
+    /// cycles and ops. Returns both exits, fused first.
+    fn run_split(&mut self, class: &str, method: &str, args: Vec<Value>) -> (RunExit, RunExit) {
+        let mut fused = self.spawn(class, method, args.clone());
+        let exit = step(&mut fused, &mut self.ctx(), SPLIT_FUEL);
+        let mut plain = self.spawn(class, method, args);
+        let split = loop {
+            match step(&mut plain, &mut self.ctx(), 1) {
+                RunExit::Preempted if plain.cycles < SPLIT_FUEL => {}
+                other => break other,
+            }
+        };
+        assert_eq!(
+            (plain.cycles, plain.ops),
+            (fused.cycles, fused.ops),
+            "{class}.{method}: one op per step charged differently"
+        );
+        (exit, split)
     }
 
     fn run_int(&mut self, class: &str, method: &str, args: Vec<Value>) -> i64 {
@@ -144,6 +169,9 @@ impl TestVm {
 }
 
 /// Builds a class `Main` holding one static method `main`.
+/// Cycles a fuel-split run may take before it stops preempted.
+const SPLIT_FUEL: u64 = 50_000_000;
+
 fn main_class(m: MethodBuilder) -> ClassDef {
     ClassBuilder::new("Main").method(m.build()).build()
 }
@@ -717,7 +745,6 @@ mod statics_and_reloading {
                 ns,
                 heap,
                 trusted: false,
-                engine: Engine::KAFFEOS,
                 statics,
                 intern,
                 string_class,
@@ -725,7 +752,6 @@ mod statics_and_reloading {
                 extra_roots: &[],
                 extra_scan_slots: 0,
                 gc_every_safepoint: false,
-                jit: None,
             };
             match step(&mut thread, &mut ctx, u64::MAX) {
                 RunExit::Finished(Some(Value::Int(v))) => v,
@@ -1766,40 +1792,25 @@ mod engines {
         )
     }
 
-    fn cycles_for(vm: &mut TestVm, engine: Engine, arg: i64) -> u64 {
-        let cidx = vm.table.lookup(vm.ns, "Main").unwrap();
-        let midx = vm.table.find_method(cidx, "main").unwrap();
-        let mut thread = Thread::new(50, &vm.table, midx, vec![Value::Int(arg)]);
-        let mut ctx = ExecCtx {
-            space: &mut vm.space,
-            table: &vm.table,
-            ns: vm.ns,
-            heap: vm.heap,
-            trusted: false,
-            engine,
-            statics: &mut vm.statics,
-            intern: &mut vm.intern,
-            string_class: vm.string_class,
-            monitors: &mut vm.monitors,
-            extra_roots: &[],
-            extra_scan_slots: 0,
-            gc_every_safepoint: false,
-            jit: None,
-        };
-        match step(&mut thread, &mut ctx, u64::MAX) {
-            RunExit::Finished(_) => thread.cycles,
+    /// The answer of `Main.main(arg)` of `class` on a VM of `engine`, and
+    /// the cycles it took.
+    fn run_on(class: ClassDef, engine: Engine, arg: i64) -> (i64, u64) {
+        let mut vm = TestVm::with_engine(IntrinsicRegistry::new(), engine);
+        vm.load(class).unwrap();
+        let mut thread = vm.spawn("Main", "main", vec![Value::Int(arg)]);
+        match step(&mut thread, &mut vm.ctx(), u64::MAX) {
+            RunExit::Finished(Some(Value::Int(v))) => (v, thread.cycles),
             other => panic!("unexpected {other:?}"),
         }
     }
 
     #[test]
     fn engine_cpi_ordering_matches_paper() {
-        let mut vm = TestVm::new();
-        vm.load(sum_loop_class()).unwrap();
-        let ibm = cycles_for(&mut vm, Engine::JIT_IBM, 500);
-        let k00 = cycles_for(&mut vm, Engine::KAFFE00, 500);
-        let kos = cycles_for(&mut vm, Engine::KAFFEOS, 500);
-        let k99 = cycles_for(&mut vm, Engine::KAFFE99, 500);
+        let cycles = |engine| run_on(sum_loop_class(), engine, 500).1;
+        let ibm = cycles(Engine::JIT_IBM);
+        let k00 = cycles(Engine::KAFFE00);
+        let kos = cycles(Engine::KAFFEOS);
+        let k99 = cycles(Engine::KAFFE99);
         assert!(
             ibm < k00 && k00 < kos && kos < k99,
             "cycle ordering: ibm={ibm} k00={k00} kaffeos={kos} k99={k99}"
@@ -1815,7 +1826,6 @@ mod engines {
 
     #[test]
     fn slow_throw_engine_charges_more_for_exceptions() {
-        let mut vm = TestVm::new();
         let mut b = ClassBuilder::new("Main");
         let exc_cls = b.pool(Const::Class("Exception".to_string()));
         let cls = b
@@ -1846,35 +1856,10 @@ mod engines {
                     .build(),
             )
             .build();
-        vm.load(cls).unwrap();
-
-        let run = |vm: &mut TestVm, engine: Engine| {
-            let cidx = vm.table.lookup(vm.ns, "Main").unwrap();
-            let midx = vm.table.find_method(cidx, "main").unwrap();
-            let mut thread = Thread::new(60, &vm.table, midx, vec![Value::Int(200)]);
-            let mut ctx = ExecCtx {
-                space: &mut vm.space,
-                table: &vm.table,
-                ns: vm.ns,
-                heap: vm.heap,
-                trusted: false,
-                engine,
-                statics: &mut vm.statics,
-                intern: &mut vm.intern,
-                string_class: vm.string_class,
-                monitors: &mut vm.monitors,
-                extra_roots: &[],
-                extra_scan_slots: 0,
-                gc_every_safepoint: false,
-                jit: None,
-            };
-            match step(&mut thread, &mut ctx, u64::MAX) {
-                RunExit::Finished(Some(Value::Int(200))) => thread.cycles,
-                other => panic!("unexpected {other:?}"),
-            }
-        };
-        let fast = run(&mut vm, Engine::KAFFEOS);
-        let slow = run(&mut vm, Engine::KAFFE99);
+        let (answer, fast) = run_on(cls.clone(), Engine::KAFFEOS, 200);
+        assert_eq!(answer, 200);
+        let (answer, slow) = run_on(cls, Engine::KAFFE99, 200);
+        assert_eq!(answer, 200);
         // The jack effect: exception-heavy code is disproportionately
         // slower on the slow-dispatch engine (beyond the plain CPI gap of
         // about 1.13x between these two engines).
@@ -2602,32 +2587,153 @@ mod verify_memo {
     }
 }
 
-/// `KAFFEOS_JIT` resolution is a pure function of the value (no
-/// environment access here: other suites mutate the variable).
-#[test]
-fn jit_env_value_resolves_or_fails_loudly() {
-    use crate::jit::{JitConfig, DEFAULT_JIT_THRESHOLD, JIT_GRAMMAR};
-    let off = JitConfig {
-        enabled: false,
-        ..JitConfig::default()
-    };
-    assert_eq!(JitConfig::from_var(None), Ok(JitConfig::default()));
-    for v in ["off", "0", "false", " off "] {
-        assert_eq!(JitConfig::from_var(Some(v)), Ok(off), "{v:?}");
+/// The fuel-split oracle over every fused micro kind: one method whose loop
+/// runs each fusion pattern (moves, ALU and ALU-store pairs and chains,
+/// fused loads, field gets, compare-and-branch of either sense over
+/// locals, constants and the stack, a fused `Div` that raises into a
+/// handler), run in one `step` and one op per `step`.
+mod fuel_split {
+    use super::*;
+
+    fn mix_class() -> ClassDef {
+        let mut b = ClassBuilder::new("Main");
+        let holder = b.pool(Const::Class("Holder".to_string()));
+        let v = b.pool(Const::Field {
+            class: "Holder".to_string(),
+            name: "v".to_string(),
+        });
+        let int = b.pool(Const::Str("int".to_string()));
+        let arith = b.pool(Const::Class("ArithmeticException".to_string()));
+        // Locals: 0 n, 1 i, 2 acc, 3 f, 4 arr, 5 obj, 6 k, 7 zero.
+        let ops = [
+            /* 0*/ Op::ConstInt(0),
+            /* 1*/ Op::Store(1),
+            /* 2*/ Op::ConstInt(0),
+            /* 3*/ Op::Store(2),
+            /* 4*/ Op::ConstFloat(0.5),
+            /* 5*/ Op::Store(3),
+            /* 6*/ Op::ConstInt(8),
+            /* 7*/ Op::NewArray(int),
+            /* 8*/ Op::Store(4),
+            /* 9*/ Op::New(holder),
+            /*10*/ Op::Store(5),
+            /*11*/ Op::ConstInt(0),
+            /*12*/ Op::Store(7),
+            // head: k = i & 7; arr[k] = i * 3; obj.v = acc
+            /*13*/ Op::Load(1),
+            /*14*/ Op::ConstInt(7),
+            /*15*/ Op::And,
+            /*16*/ Op::Store(6),
+            /*17*/ Op::Load(4),
+            /*18*/ Op::Load(6),
+            /*19*/ Op::Load(1),
+            /*20*/ Op::ConstInt(3),
+            /*21*/ Op::Mul,
+            /*22*/ Op::AStore,
+            /*23*/ Op::Load(5),
+            /*24*/ Op::Load(2),
+            /*25*/ Op::PutField(v),
+            // acc = acc + arr[k]
+            /*26*/ Op::Load(2),
+            /*27*/ Op::Load(4),
+            /*28*/ Op::Load(6),
+            /*29*/ Op::ALoad,
+            /*30*/ Op::Add,
+            /*31*/ Op::Store(2),
+            // if (obj.v > 100) acc = acc / 3
+            /*32*/ Op::Load(5),
+            /*33*/ Op::GetField(v),
+            /*34*/ Op::ConstInt(100),
+            /*35*/ Op::CmpGt,
+            /*36*/ Op::JumpIfFalse(41),
+            /*37*/ Op::Load(2),
+            /*38*/ Op::ConstInt(3),
+            /*39*/ Op::Div,
+            /*40*/ Op::Store(2),
+            // f = f * 1.5; if (!(f < 1000)) { f = 0.5; k = i }
+            /*41*/ Op::Load(3),
+            /*42*/ Op::ConstFloat(1.5),
+            /*43*/ Op::FMul,
+            /*44*/ Op::Store(3),
+            /*45*/ Op::Load(3),
+            /*46*/ Op::ConstFloat(1000.0),
+            /*47*/ Op::FCmpLt,
+            /*48*/ Op::JumpIfTrue(53),
+            /*49*/ Op::ConstFloat(0.5),
+            /*50*/ Op::Store(3),
+            /*51*/ Op::Load(1),
+            /*52*/ Op::Store(6),
+            // acc = (acc + acc * acc) % 1000003; k = acc | (acc ^ acc)
+            /*53*/ Op::Load(2),
+            /*54*/ Op::Dup,
+            /*55*/ Op::Dup,
+            /*56*/ Op::Mul,
+            /*57*/ Op::Add,
+            /*58*/ Op::ConstInt(1_000_003),
+            /*59*/ Op::Rem,
+            /*60*/ Op::Store(2),
+            /*61*/ Op::Load(2),
+            /*62*/ Op::Dup,
+            /*63*/ Op::Dup,
+            /*64*/ Op::Xor,
+            /*65*/ Op::Or,
+            /*66*/ Op::Store(6),
+            // acc / zero raises into the handler at 72
+            /*67*/ Op::Load(2),
+            /*68*/ Op::Load(7),
+            /*69*/ Op::Div,
+            /*70*/ Op::Pop,
+            /*71*/ Op::Jump(73),
+            /*72*/ Op::Pop,
+            // i = i + 1; if (i < n) goto head
+            /*73*/ Op::Load(1),
+            /*74*/ Op::ConstInt(1),
+            /*75*/ Op::Add,
+            /*76*/ Op::Store(1),
+            /*77*/ Op::Load(1),
+            /*78*/ Op::Load(0),
+            /*79*/ Op::CmpLt,
+            /*80*/ Op::JumpIfTrue(13),
+            // a compare of two stack operands
+            /*81*/ Op::Load(1),
+            /*82*/ Op::Load(0),
+            /*83*/ Op::Load(1),
+            /*84*/ Op::Sub,
+            /*85*/ Op::CmpGe,
+            /*86*/ Op::JumpIfFalse(87),
+            /*87*/ Op::Load(2),
+            /*88*/ Op::ReturnVal,
+        ];
+        b.method(
+            MethodBuilder::of_static("mix")
+                .param(TypeDesc::Int)
+                .returns(TypeDesc::Int)
+                .locals(7)
+                .ops(ops)
+                .handler(67, 70, 72, arith)
+                .build(),
+        )
+        .build()
     }
-    for v in ["on", "1", "true", ""] {
-        assert_eq!(JitConfig::from_var(Some(v)), Ok(JitConfig::default()), "{v:?}");
-    }
-    let t16 = JitConfig::from_var(Some("threshold=16")).unwrap();
-    assert!(t16.enabled);
-    assert_eq!(t16.threshold, 16);
-    assert_eq!(JitConfig::from_var(Some("threshold=0")).unwrap().threshold, 1);
-    assert_eq!(JitConfig::default().threshold, DEFAULT_JIT_THRESHOLD);
-    for v in ["OFF", "of", "threshold=", "threshold=x", "threshold=-1", "yes"] {
-        let err = JitConfig::from_var(Some(v)).unwrap_err();
-        assert!(err.contains("KAFFEOS_JIT"), "{v:?}: {err}");
-        assert!(err.contains(JIT_GRAMMAR), "{v:?}: {err}");
-        assert!(err.contains(&format!("{v:?}")), "{v:?}: {err}");
+
+    #[test]
+    fn every_fused_micro_matches_one_op_per_step() {
+        let mut vm = TestVm::new();
+        vm.load(ClassBuilder::new("Holder").field("v", TypeDesc::Int).build())
+            .unwrap();
+        vm.load(mix_class()).unwrap();
+        let mut answers = Vec::new();
+        for n in [1, 2, 7, 40] {
+            let (fused, plain) = vm.run_split("Main", "mix", vec![Value::Int(n)]);
+            assert_eq!(plain, fused, "mix({n}): fuel split");
+            let RunExit::Finished(Some(Value::Int(acc))) = fused else {
+                panic!("mix({n}): {fused:?}");
+            };
+            answers.push(acc);
+        }
+        // Distinct answers: the loop ran a different number of times each.
+        answers.dedup();
+        assert_eq!(answers.len(), 4, "{answers:?}");
     }
 }
 
@@ -2707,8 +2813,17 @@ mod string_oracle {
             .build()
     }
 
+    /// The outcome of `Main.method(args)`, which the fused and the
+    /// one-op-per-step run must agree on.
     fn outcome(vm: &mut TestVm, method: &str, args: Vec<Value>) -> Out {
-        match vm.run("Main", method, args) {
+        let (fused, plain) = vm.run_split("Main", method, args);
+        let out = decode(vm, method, fused);
+        assert_eq!(decode(vm, method, plain), out, "{method}: fuel split");
+        out
+    }
+
+    fn decode(vm: &mut TestVm, method: &str, exit: RunExit) -> Out {
+        match exit {
             RunExit::Finished(Some(Value::Int(v))) => Out::Int(v),
             RunExit::Finished(Some(Value::Ref(r))) => {
                 Out::Str(vm.space.str_value(r).unwrap().to_string())
@@ -2806,10 +2921,10 @@ mod string_oracle {
 /// The array ops as Cup compiles them (`new int[n]`, `a[i]`, `a[i] = v`,
 /// `a.len()`, `"" + a`, `"" + a[i]`) against a plain-Rust oracle, for
 /// `int[]` and `float[]` of lengths 0, 1 and 5 at every index from -1 to
-/// n + 1, with the tier off and on: values, exception classes and messages.
+/// n + 1, fused and one op per step: values, exception classes and
+/// messages.
 mod array_oracle {
     use super::*;
-    use crate::jit::{BodyMemo, JitRt, ProcJit};
 
     #[derive(Debug, PartialEq)]
     enum Out {
@@ -2892,7 +3007,7 @@ mod array_oracle {
     type OpMethod = (&'static str, Vec<TypeDesc>, Option<TypeDesc>, Vec<Op>);
 
     /// `Main` with one static method per array op for `kind`, each called
-    /// through a `via_` wrapper so that the tier sees it invoked.
+    /// through a `via_` wrapper, so the op runs in a callee frame.
     fn array_ops_class(kind: Kind) -> ClassDef {
         let arr = TypeDesc::Array(Box::new(kind.elem()));
         let (a, int) = (arr.clone(), TypeDesc::Int);
@@ -2905,8 +3020,8 @@ mod array_oracle {
                 Some(arr.clone()),
                 vec![Op::Load(0), Op::NewArray(elem), Op::ReturnVal],
             ),
-            // `a[i]` with both operands in locals (the tier fuses it) and
-            // with a computed index (the tier's plain load).
+            // `a[i]` with both operands in locals (one fused micro) and
+            // with a computed index (the plain load micro).
             (
                 "at",
                 vec![a.clone(), int.clone()],
@@ -2989,48 +3104,32 @@ mod array_oracle {
         b.build()
     }
 
-    /// A test VM plus the tier's per-process state and body memo.
-    struct Tiered {
+    /// A test VM with `Main` loaded for one element kind.
+    struct Arrays {
         vm: TestVm,
-        jit: Option<(ProcJit, BodyMemo)>,
     }
 
-    impl Tiered {
-        fn new(kind: Kind, tier: bool) -> Self {
+    impl Arrays {
+        fn new(kind: Kind) -> Self {
             let mut vm = TestVm::new();
             vm.load(array_ops_class(kind)).unwrap();
-            let jit = tier.then(|| (ProcJit::default(), BodyMemo::default()));
-            Tiered { vm, jit }
+            Arrays { vm }
         }
 
+        /// `via_method(args)`, fused and one op per step, which must agree
+        /// up to the identity of a returned array.
         fn call(&mut self, method: &str, args: Vec<Value>) -> Out {
-            let mut thread = self.vm.spawn("Main", &format!("via_{method}"), args);
+            let (fused, plain) = self.vm.run_split("Main", &format!("via_{method}"), args);
+            let out = self.decode(method, fused);
+            match (&out, self.decode(method, plain)) {
+                (Out::Array(_), Out::Array(_)) => {}
+                (out, split) => assert_eq!(&split, out, "{method}: fuel split"),
+            }
+            out
+        }
+
+        fn decode(&mut self, method: &str, exit: RunExit) -> Out {
             let vm = &mut self.vm;
-            let exit = step(
-                &mut thread,
-                &mut ExecCtx {
-                    space: &mut vm.space,
-                    table: &vm.table,
-                    ns: vm.ns,
-                    heap: vm.heap,
-                    trusted: false,
-                    engine: Engine::KAFFEOS,
-                    statics: &mut vm.statics,
-                    intern: &mut vm.intern,
-                    string_class: vm.string_class,
-                    monitors: &mut vm.monitors,
-                    extra_roots: &[],
-                    extra_scan_slots: 0,
-                    gc_every_safepoint: false,
-                    jit: self.jit.as_mut().map(|(proc, memo)| JitRt {
-                        proc,
-                        memo,
-                        threshold: 1,
-                        pid: 1,
-                    }),
-                },
-                u64::MAX,
-            );
             match exit {
                 RunExit::Finished(None) => Out::Done,
                 RunExit::Finished(Some(Value::Int(v))) => Out::Int(v),
@@ -3054,9 +3153,9 @@ mod array_oracle {
         }
     }
 
-    fn check(kind: Kind, n: i64, tier: bool) {
-        let mut t = Tiered::new(kind, tier);
-        let label = format!("{}[{n}], tier {tier}", kind.name());
+    fn check(kind: Kind, n: i64) {
+        let mut t = Arrays::new(kind);
+        let label = format!("{}[{n}]", kind.name());
         let Out::Array(arr) = t.call("make", vec![Value::Int(n)]) else {
             panic!("{label}: make returned no array");
         };
@@ -3098,62 +3197,38 @@ mod array_oracle {
             let got = t.call("show_at", vec![arr, Value::Int(i)]);
             assert_eq!(got, shown, "{label}: show_at({i})");
         }
-        if let Some((proc, _)) = &t.jit {
-            assert!(proc.stats.compiled >= 5, "{label}: {:?}", proc.stats);
-        }
     }
 
     #[test]
     fn int_and_float_arrays_match_the_oracle_at_every_index() {
         for kind in [Kind::Ints, Kind::Floats] {
             for n in [0, 1, 5] {
-                for tier in [false, true] {
-                    check(kind, n, tier);
-                }
+                check(kind, n);
             }
         }
     }
 }
 
-/// The JIT's compile-once memo: one body per (method code, field layout),
-/// shared across namespaces that load one definition.
+/// The lower-once memo: one body per (method code, field layout), shared
+/// across namespaces that load one definition.
 mod body_memo {
     use super::*;
-    use crate::jit::{BodyMemo, BodySlot, CompiledBody, JitRt, ProcJit};
+    use crate::jit::CompiledBody;
 
-    /// Runs `class.method()` in namespace `ns` with the tier on at
-    /// threshold 1, and returns the answer.
-    fn run_tiered(
-        vm: &mut TestVm,
-        ns: u32,
-        jit: &mut ProcJit,
-        memo: &mut BodyMemo,
-        class: &str,
-        method: &str,
-    ) -> i64 {
+    /// Runs `class.method()` in namespace `ns` and returns the answer.
+    fn run_in(vm: &mut TestVm, ns: u32, class: &str, method: &str) -> i64 {
         vm.ns = ns;
-        let mut thread = vm.spawn(class, method, vec![]);
-        let mut ctx = vm.ctx();
-        ctx.jit = Some(JitRt {
-            proc: jit,
-            memo,
-            threshold: 1,
-            pid: ns,
-        });
-        match step(&mut thread, &mut ctx, u64::MAX) {
+        match vm.run(class, method, vec![]) {
             RunExit::Finished(Some(Value::Int(v))) => v,
             other => panic!("{class}.{method}: unexpected exit {other:?}"),
         }
     }
 
-    /// The body attached for `class.method` in namespace `ns`.
-    fn body(vm: &TestVm, ns: u32, jit: &ProcJit, class: &str, method: &str) -> Arc<CompiledBody> {
+    /// The body linked for `class.method` in namespace `ns`.
+    fn body(vm: &TestVm, ns: u32, class: &str, method: &str) -> Arc<CompiledBody> {
         let cls = vm.table.lookup(ns, class).unwrap();
         let m = vm.table.find_method(cls, method).unwrap();
-        match jit.slot(m) {
-            BodySlot::Hot(b) => b.clone(),
-            other => panic!("{class}.{method} did not tier up: {other:?}"),
-        }
+        vm.table.method(m).body.clone()
     }
 
     /// `Base` in one of two layouts: `{ int x; }`, or `{ int y; int x; }`
@@ -3184,9 +3259,9 @@ mod body_memo {
 
     /// `class Sub extends Base { int f; static int m() { Sub s = new Sub();
     /// s.init(); s.f = 4; return s.x * ten() + s.f; } static int ten() {
-    /// return 10; } }` plus `run()`, which calls `m` so the tier sees it
-    /// invoked. `m` answers 34 in either layout, and only if its field
-    /// slots match the layout it runs in.
+    /// return 10; } }` plus `run()`, which calls `m`. `m` answers 34 in
+    /// either layout, and only if its field slots match the layout it runs
+    /// in.
     fn sub() -> Arc<ClassDef> {
         let mut b = ClassBuilder::new("Sub")
             .extends("Base")
@@ -3250,42 +3325,38 @@ mod body_memo {
     }
 
     /// One definition bound over two field layouts gets a body per
-    /// layout, and each answers correctly; its method without field
-    /// accesses (`ten`) shares one body between the two.
+    /// layout, and each answers correctly; its methods without field
+    /// accesses (`ten`, `run`) share one body between the two.
     #[test]
     fn one_definition_over_two_field_layouts_gets_two_bodies() {
         let mut vm = TestVm::new();
         let shared = vm.ns;
         let sub = sub();
-        let mut memo = BodyMemo::default();
-        let mut runs = Vec::new();
+        let before = vm.table.body_usage().0;
+        let mut loads = Vec::new();
         for with_y in [false, true] {
             let ns = vm
                 .table
                 .create_namespace(format!("y{with_y}"), Some(shared));
+            let start = vm.table.lowering_totals();
             vm.table.load_class(ns, base(with_y)).unwrap();
             vm.table.load_class(ns, sub.clone()).unwrap();
-            let mut jit = ProcJit::default();
-            let answer = run_tiered(&mut vm, ns, &mut jit, &mut memo, "Sub", "run");
+            loads.push((ns, vm.table.lowering_totals().since(start)));
+            let answer = run_in(&mut vm, ns, "Sub", "run");
             assert_eq!(answer, 34, "layout with_y={with_y}");
-            runs.push((ns, jit));
         }
-        let ((a, ja), (b, jb)) = (&runs[0], &runs[1]);
-        assert!(!Arc::ptr_eq(
-            &body(&vm, *a, ja, "Sub", "m"),
-            &body(&vm, *b, jb, "Sub", "m")
-        ));
-        assert!(Arc::ptr_eq(
-            &body(&vm, *a, ja, "Sub", "ten"),
-            &body(&vm, *b, jb, "Sub", "ten")
-        ));
-        assert_eq!(jb.stats.hits, 1, "only `ten` is reused: {:?}", jb.stats);
-        // m ×2, init ×2 (two definitions of `Base`), ten ×1.
-        assert_eq!(memo.usage().0, 5);
+        let ((a, _), (b, lb)) = (loads[0], loads[1]);
+        assert!(!Arc::ptr_eq(&body(&vm, a, "Sub", "m"), &body(&vm, b, "Sub", "m")));
+        for shared in ["ten", "run"] {
+            assert!(Arc::ptr_eq(&body(&vm, a, "Sub", shared), &body(&vm, b, "Sub", shared)));
+        }
+        assert_eq!((lb.hits, lb.reuse), (2, 2), "only `ten` and `run` are reused: {lb:?}");
+        // m ×2, init ×2 (two definitions of `Base`), ten ×1, run ×1.
+        assert_eq!(vm.table.body_usage().0 - before, 6);
     }
 
-    /// 1 000 re-spawns of one definition compile its hot method once: the
-    /// memo holds one entry, and every process runs the same body.
+    /// 1 000 re-spawns of one definition lower its method once: the memo
+    /// holds one entry, and every namespace runs the same body.
     #[test]
     fn respawns_share_one_memoized_body() {
         let mut vm = TestVm::new();
@@ -3312,21 +3383,19 @@ mod body_memo {
                 ]),
         )
         .into_arc();
-        let mut memo = BodyMemo::default();
+        let before = vm.table.body_usage().0;
         let mut first: Option<Arc<CompiledBody>> = None;
         for k in 0..1000 {
             let ns = vm.table.create_namespace(format!("p{k}"), Some(shared));
+            let start = vm.table.lowering_totals();
             vm.table.load_class(ns, main.clone()).unwrap();
-            let mut jit = ProcJit::default();
-            assert_eq!(
-                run_tiered(&mut vm, ns, &mut jit, &mut memo, "Main", "main"),
-                10
-            );
-            let b = body(&vm, ns, &jit, "Main", "main");
+            let lowered = vm.table.lowering_totals().since(start);
+            assert_eq!(run_in(&mut vm, ns, "Main", "main"), 10);
+            let b = body(&vm, ns, "Main", "main");
             let first = first.get_or_insert_with(|| b.clone());
             assert!(Arc::ptr_eq(first, &b), "spawn {k} runs a body of its own");
-            assert_eq!(jit.stats.compiled, (k == 0) as u64);
+            assert_eq!(lowered.compiled, (k == 0) as u64);
         }
-        assert_eq!(memo.usage().0, 1);
+        assert_eq!(vm.table.body_usage().0 - before, 1);
     }
 }

@@ -13,6 +13,7 @@ use std::rc::Rc;
 
 use crate::bytecode::{Op, TypeDesc};
 use crate::classes::{ClassIdx, ClassTable, MethodIdx, RConst};
+use crate::jit::MAX_METHOD_OPS;
 
 /// A verification failure: which method, where, and why.
 #[derive(Debug, Clone, PartialEq)]
@@ -167,6 +168,17 @@ fn verify_method(
         })
     };
 
+    // The template lowering indexes template ops with `u16`: a longer
+    // method has no body to run.
+    if m.code.ops.len() > MAX_METHOD_OPS {
+        return Err(err(
+            0,
+            format!(
+                "{} ops, over the template lowering's bound of {MAX_METHOD_OPS}",
+                m.code.ops.len()
+            ),
+        ));
+    }
     // The verifier records one state per pc, each as wide as the frame:
     // bound that product before allocating any of it.
     let slots = (m.code.ops.len() as u64 + 1) * m.code.max_locals as u64;

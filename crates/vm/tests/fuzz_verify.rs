@@ -8,8 +8,14 @@
 //! Every accepted one is executed under a fuel cap and must terminate,
 //! trap, or preempt cleanly — never panic, never reach a `Fault`.
 //!
-//! (Debug builds make this stronger: the interpreter's `debug_assert!`s on
-//! type confusion fire if the verifier ever lets a bad program through.)
+//! (Debug builds make this stronger: the VM's `debug_assert!`s on type
+//! confusion fire if the verifier ever lets a bad program through.)
+//!
+//! Every accepted case also runs through the fuel-split oracle: a second
+//! fresh thread on a fresh heap, stepped one op per `step` (fuel 1, so
+//! every block runs its plain micros) up to the first run's stop, must
+//! stop alike and charge the same cycles and ops as the first run, whose
+//! blocks ran fused.
 //!
 //! The static heap-flow analyzer rides along. Every case loads into one
 //! growing table, which `analyze()` then covers whole. A variant with a
@@ -32,8 +38,8 @@ use kaffeos_analyze::{Analysis, Verdict};
 use kaffeos_heap::{HeapSpace, SpaceConfig, Value};
 use kaffeos_memlimit::Kind;
 use kaffeos_vm::{
-    step, ClassBuilder, ClassTable, Const, Engine, ExecCtx, IntrinsicRegistry, MethodBuilder,
-    Op, RunExit, Thread, TypeDesc, VmError,
+    step, ClassBuilder, ClassTable, Const, ExecCtx, IntrinsicRegistry, MethodBuilder,
+    Op, RunExit, Thread, TypeDesc, VmError, VmException,
 };
 
 /// Digest of every case's load verdict and facts. Change it only together
@@ -331,6 +337,39 @@ fn base_classes() -> Vec<kaffeos_vm::ClassDef> {
     out
 }
 
+/// Cycles each accepted case runs for.
+const FUEL: u64 = 200_000;
+
+/// A fresh heap space with one 4 MiB user heap, as every run starts from.
+fn fresh_space() -> (HeapSpace, kaffeos_heap::HeapId) {
+    let mut space = HeapSpace::new(SpaceConfig::default());
+    let root = space.root_memlimit();
+    let ml = space
+        .limits_mut()
+        .create_child(root, Kind::Soft, 4 << 20, "fuzz")
+        .unwrap();
+    let heap = space.create_user_heap(kaffeos_heap::ProcTag(1), ml, "fuzz");
+    (space, heap)
+}
+
+/// A run's stop with object identities erased: two runs allocate the same
+/// objects at different addresses.
+fn stop_shape(exit: &RunExit) -> String {
+    let erase = |v: &Value| match v {
+        Value::Ref(_) => "ref".to_string(),
+        other => format!("{other:?}"),
+    };
+    match exit {
+        RunExit::Finished(Some(v)) => format!("Finished({})", erase(v)),
+        RunExit::Unhandled(VmException::Guest(_)) => "Unhandled(guest)".to_string(),
+        RunExit::Blocked(_) => "Blocked".to_string(),
+        RunExit::Syscall { id, args } => {
+            format!("Syscall({id}, {:?})", args.iter().map(erase).collect::<Vec<_>>())
+        }
+        other => format!("{other:?}"),
+    }
+}
+
 #[test]
 fn accepted_bytecode_never_panics() {
     // One table for all cases, each in its own namespace over the base
@@ -360,13 +399,7 @@ fn accepted_bytecode_never_panics() {
             (TypeDesc::Int, Value::Int(3))
         };
 
-        let mut space = HeapSpace::new(SpaceConfig::default());
-        let root = space.root_memlimit();
-        let ml = space
-            .limits_mut()
-            .create_child(root, Kind::Soft, 4 << 20, "fuzz")
-            .unwrap();
-        let heap = space.create_user_heap(kaffeos_heap::ProcTag(1), ml, "fuzz");
+        let (mut space, heap) = fresh_space();
         let ns = table.create_namespace(format!("fuzz{case}"), Some(base));
         // Fixed 8-entry constant pool covering every Const variant the
         // generated ops index into.
@@ -440,35 +473,58 @@ fn accepted_bytecode_never_panics() {
             Ok(cidx) => {
                 // Accepted: must run cleanly under a fuel cap.
                 let midx = table.find_method(cidx, "main").unwrap();
-                let mut thread = Thread::new(1, &table, midx, vec![arg]);
-                let string_class = table.lookup(ns, "String").unwrap();
-                let mut statics = kaffeos_heap::FxHashMap::default();
-                let mut intern = kaffeos_heap::FxHashMap::default();
-                let mut monitors = kaffeos_heap::FxHashMap::default();
-                let mut ctx = ExecCtx {
-                    space: &mut space,
-                    table: &table,
-                    ns,
-                    heap,
-                    trusted: false,
-                    engine: Engine::KAFFEOS,
-                    statics: &mut statics,
-                    intern: &mut intern,
-                    string_class,
-                    monitors: &mut monitors,
-                    extra_roots: &[],
-                    extra_scan_slots: 0,
-                    gc_every_safepoint: false,
-                    jit: None,
+                let run = |space: &mut HeapSpace, heap, fuel| {
+                    let mut thread = Thread::new(1, &table, midx, vec![arg]);
+                    let mut statics = kaffeos_heap::FxHashMap::default();
+                    let mut intern = kaffeos_heap::FxHashMap::default();
+                    let mut monitors = kaffeos_heap::FxHashMap::default();
+                    let mut ctx = ExecCtx {
+                        space,
+                        table: &table,
+                        ns,
+                        heap,
+                        trusted: false,
+                        statics: &mut statics,
+                        intern: &mut intern,
+                        string_class: table.lookup(ns, "String").unwrap(),
+                        monitors: &mut monitors,
+                        extra_roots: &[],
+                        extra_scan_slots: 0,
+                        gc_every_safepoint: false,
+                    };
+                    // Steps of `fuel` cycles up to the first stop at or past
+                    // `FUEL` cycles, which one step of `FUEL` also stops at.
+                    let exit = loop {
+                        match step(&mut thread, &mut ctx, fuel) {
+                            RunExit::Preempted if thread.cycles < FUEL => {}
+                            other => break other,
+                        }
+                    };
+                    (exit, thread)
                 };
-                let exit = step(&mut thread, &mut ctx, 200_000);
+                let (exit, thread) = run(&mut space, heap, FUEL);
                 assert!(
                     !matches!(exit, RunExit::Fault(_)),
                     "case {case}: verifier accepted bytecode that faulted: {exit:?}"
                 );
                 // A GC over whatever the program built must also be safe.
-                let roots = thread.stack_roots();
-                ctx.space.gc(heap, &roots).unwrap();
+                space.gc(heap, &thread.stack_roots()).unwrap();
+
+                // The fuel-split oracle: one op per step runs every block
+                // plain, so it must reach the same stop with the same
+                // virtual charge as the fused run.
+                let (mut space, heap) = fresh_space();
+                let (split, split_thread) = run(&mut space, heap, 1);
+                assert_eq!(
+                    stop_shape(&split),
+                    stop_shape(&exit),
+                    "case {case}: one op per step stopped elsewhere"
+                );
+                assert_eq!(
+                    (split_thread.cycles, split_thread.ops),
+                    (thread.cycles, thread.ops),
+                    "case {case}: one op per step charged differently"
+                );
             }
         }
     }

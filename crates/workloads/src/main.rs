@@ -244,7 +244,7 @@ fn run_scenarios(which: &str, seed: u64, out: Option<&str>) -> Result<(), String
 fn usage() -> ExitCode {
     eprintln!(
         "usage: kaffeos-workloads --faults seed=<N> [--trace <path>] [--profile <base>] \
-       [--heap-profile <base>] [--heap-dump <path>] [--top] [--jit=off|on|threshold=N]"
+       [--heap-profile <base>] [--heap-dump <path>] [--top]"
     );
     eprintln!("       kaffeos-workloads --scenario <name|all|list> seed=<N> [--out <path>]");
     eprintln!("       kaffeos-workloads --lint [--allowlist <path>]");
@@ -265,20 +265,6 @@ fn usage() -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `--jit=off|on|threshold=N` overrides the `KAFFEOS_JIT` environment
-    // toggle for this run. Every kernel built below reads the variable via
-    // `KaffeOsConfig::default()`, so setting it up front covers faults,
-    // scenarios and lint alike. Default: on, threshold 64
-    // (`kaffeos_vm::DEFAULT_JIT_THRESHOLD`).
-    for arg in &args {
-        if let Some(v) = arg.strip_prefix("--jit=") {
-            if kaffeos_vm::JitConfig::parse(v).is_none() {
-                eprintln!("bad --jit value {v:?} (want {})", kaffeos_vm::JIT_GRAMMAR);
-                return ExitCode::FAILURE;
-            }
-            std::env::set_var("KAFFEOS_JIT", v);
-        }
-    }
     if args.iter().any(|a| a == "--lint") {
         return kaffeos_workloads::lint::run_lint_cli(&args);
     }
