@@ -23,15 +23,17 @@ use kaffeos_memlimit::Kind;
 use kaffeos_trace::Obs;
 use kaffeos_vm::{ClassDef, ClassTable, Engine};
 
+pub(crate) use image::BootImage;
+
 use crate::faults::FaultPlan;
 use crate::process::{CpuAccount, Domain, ExitStatus, Pid, ProcState, Process};
 use crate::shm::ShmRegistry;
 use crate::stdlib;
-use crate::syscalls::build_registry;
 use crate::tenant::{OverloadPolicy, TenantId, TenantLaunch, TenantState};
 
 mod audit;
 mod domain;
+mod image;
 mod procfs;
 mod sched;
 mod syscall;
@@ -312,53 +314,38 @@ pub struct KaffeOs {
 }
 
 impl KaffeOs {
-    /// Boots a VM: heap space, shared namespace, standard library.
+    /// Boots a VM: heap space and a clone of the engine's boot image (the
+    /// shared namespace and the standard library, built once per host
+    /// process).
     pub fn new(config: KaffeOsConfig) -> Self {
         let mut space = HeapSpace::new(SpaceConfig {
             barrier: config.barrier,
             user_budget: config.user_budget,
         });
         space.set_obs(Obs::new(config.trace, config.profile, config.heapprof));
-        let mut table = ClassTable::with_engine(build_registry(), config.engine);
-        let shared_ns = table.create_namespace("shared", None);
-        let shared_class_count =
-            stdlib::load_shared_stdlib(&mut table, shared_ns).expect("stdlib must load");
-        // Template namespace: shared + reloaded classes, for compiling
-        // images at registration time.
-        let template_ns = table.create_namespace("template", Some(shared_ns));
-        let reloaded_defs: Vec<Arc<ClassDef>> = stdlib::compile_reloaded(&table, template_ns)
-            .expect("reloaded stdlib must compile")
-            .into_iter()
-            .map(|d| d.into_arc())
-            .collect();
-        for def in &reloaded_defs {
-            table
-                .load_class(template_ns, def.clone())
-                .expect("reloaded stdlib must load");
-        }
-        let string_class = table.lookup(shared_ns, "String").expect("String loaded");
+        let image = BootImage::get(config.engine).expect("standard library must boot");
 
         let mut os = KaffeOs {
             space,
-            table,
+            table: image.table.clone(),
             config,
-            shared_ns,
-            template_ns,
-            string_class,
+            shared_ns: image.shared_ns,
+            template_ns: image.template_ns,
+            string_class: image.string_class,
             monitors: FxHashMap::default(),
             procs: Vec::new(),
             run_queue: VecDeque::new(),
             clock: 0,
             quanta: 0,
             programs: HashMap::new(),
-            reloaded_defs,
+            reloaded_defs: image.reloaded_defs.clone(),
             shm: ShmRegistry::new(),
             kernel_cpu: CpuAccount::default(),
             next_thread_id: 1,
             last_kernel_gc: 0,
             domains: Vec::new(),
             reaped: 0,
-            shared_class_count,
+            shared_class_count: image.shared_class_count,
             faults: None,
             kernel_faults: Vec::new(),
             ops_executed: 0,

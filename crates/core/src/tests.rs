@@ -685,6 +685,120 @@ mod host_state {
     }
 }
 
+mod boot_image {
+    use super::*;
+    use crate::kernel::BootImage;
+    use crate::Engine;
+    use kaffeos_vm::{ClassTable, ProcJitStats};
+    use std::sync::Arc;
+
+    /// Everything boot puts in a table: namespace, class and method
+    /// counts, the body memo's readings, and the `Debug` rendering of the
+    /// `shared` and `template` namespaces (ids 0 and 1, in boot order).
+    fn shape(table: &ClassTable) -> (usize, usize, usize, (usize, u64), ProcJitStats, String) {
+        (
+            table.namespaces.len(),
+            table.classes.len(),
+            table.methods.len(),
+            table.body_usage(),
+            table.lowering_totals(),
+            format!("{:?}", &table.namespaces[..2]),
+        )
+    }
+
+    /// Every method of `image` has its ops allocation in `table` too: the
+    /// table was cloned from the image, not compiled again.
+    fn shares_code(table: &ClassTable, image: &ClassTable) -> bool {
+        image
+            .methods
+            .iter()
+            .zip(&table.methods)
+            .all(|(a, b)| Arc::ptr_eq(&a.code.ops, &b.code.ops))
+    }
+
+    /// A kernel boots from a copy of the image, never the image itself:
+    /// after kernel A loads a shared class, spawns and reaps a process and
+    /// drops the boot namespaces, kernel B still boots to exactly what a
+    /// from-scratch build gives, lowering nothing of its own.
+    #[test]
+    fn a_mutated_kernel_leaves_the_next_boot_pristine() {
+        let fresh = BootImage::build(Engine::KAFFEOS).unwrap();
+        let mut a = os();
+        assert_eq!(shape(&a.table), shape(&fresh.table));
+        a.load_shared_source("class Msg { int x; }").unwrap();
+        let pid = spawn_src(&mut a, "one", "class Main { static int main() { return 3; } }", None);
+        a.run(None);
+        assert_eq!(a.status(pid), Some(ExitStatus::Exited(3)));
+        a.table.drop_namespace(0);
+        a.table.drop_namespace(1);
+        assert_ne!(shape(&a.table), shape(&fresh.table));
+
+        let b = os();
+        assert_eq!(shape(&b.table), shape(&fresh.table));
+        assert_eq!(b.class_sharing_counts().0, fresh.shared_class_count);
+        assert_eq!(a.class_sharing_counts().0, fresh.shared_class_count + 1);
+        let image = BootImage::get(Engine::KAFFEOS).unwrap();
+        assert_eq!(b.table.lowering_totals(), image.table.lowering_totals());
+        assert!(shares_code(&b.table, &image.table), "boot compiled again");
+        assert!(!shares_code(&fresh.table, &image.table));
+    }
+
+    /// Template costs are pre-scaled per engine, so each engine boots from
+    /// its own image: kernels alternating between two engines in one host
+    /// process each keep their engine's virtual clock for the same guest.
+    #[test]
+    fn alternating_engines_keep_their_own_clocks() {
+        let src = "class Main { static int main() { int s = 0; int i = 0; \
+                   while (i < 300) { s = s + i; i = i + 1; } return s % 100; } }";
+        let clock = |engine: Engine| {
+            let mut os = KaffeOs::new(KaffeOsConfig {
+                engine,
+                ..Default::default()
+            });
+            let pid = spawn_src(&mut os, "sum", src, None);
+            os.run(None);
+            assert_eq!(os.status(pid), Some(ExitStatus::Exited(50)));
+            os.clock()
+        };
+        let first = [clock(Engine::KAFFEOS), clock(Engine::KAFFE99)];
+        assert_ne!(first[0], first[1]);
+        for _ in 0..3 {
+            assert_eq!([clock(Engine::KAFFEOS), clock(Engine::KAFFE99)], first);
+        }
+    }
+
+    /// Concurrent first boots under one engine build its image once: every
+    /// kernel shares one code allocation per method. Kaffe00 is booted by
+    /// no other test in this crate, so these are its first boots.
+    #[test]
+    fn concurrent_first_boots_build_one_image() {
+        let config = || KaffeOsConfig {
+            engine: Engine::KAFFE00,
+            ..Default::default()
+        };
+        // A kernel stays on its thread; its tables' ops allocations cross.
+        let booted: Vec<Vec<Arc<[kaffeos_vm::Op]>>> = std::thread::scope(|s| {
+            let boots: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        let os = KaffeOs::new(config());
+                        os.table.methods.iter().map(|m| m.code.ops.clone()).collect()
+                    })
+                })
+                .collect();
+            boots.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let image = BootImage::get(Engine::KAFFE00).unwrap();
+        for ops in &booted {
+            assert_eq!(ops.len(), image.table.methods.len());
+            assert!(
+                image.table.methods.iter().zip(ops).all(|(m, o)| Arc::ptr_eq(&m.code.ops, o)),
+                "a second image was built"
+            );
+        }
+    }
+}
+
 mod shared_heaps {
     use super::*;
 

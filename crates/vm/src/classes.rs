@@ -199,7 +199,7 @@ pub struct Namespace {
 const UNKEYED: u64 = u64::MAX;
 
 /// Global table of namespaces, loaded classes, and methods.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct ClassTable {
     /// Every loaded class, indexed by [`ClassIdx`].
     pub classes: Vec<LoadedClass>,

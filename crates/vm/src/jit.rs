@@ -238,7 +238,7 @@ pub(crate) struct CompiledBody {
 /// for the table's lifetime, so the address cannot be reused while the
 /// key exists. The memo grows by at most one entry per (definition,
 /// method, field layout).
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct BodyMemo {
     bodies: FxHashMap<(usize, u64), Memoized>,
     bytes: u64,
@@ -246,7 +246,7 @@ pub(crate) struct BodyMemo {
     totals: ProcJitStats,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Memoized {
     body: Arc<CompiledBody>,
     /// The namespace whose load lowered the body (cross-namespace reuse

@@ -23,6 +23,11 @@
 //! asserting the analyzer never panics on garbage it was never promised
 //! (it must bail per-method, not trust verifier invariants).
 //!
+//! A second case family, `compare_and_branch_cases_split_alike`, emits
+//! comparison + conditional-branch sequences in every shape the lowering
+//! fuses into one compare-and-branch micro, so the oracle also covers
+//! those micros against their plain ops.
+//!
 //! Instruction sequences come from a seeded SplitMix64 generator so every
 //! case replays exactly; a failing case names its seed.
 //!
@@ -31,6 +36,8 @@
 //! summary are folded into one digest pinned to a constant: a rewrite of
 //! the verifier or the analyzer that changes which error is reported
 //! first, or any fact, fails here even when the result is still sound.
+//! The compare-and-branch family folds each case's verdict, stop and
+//! charge into a digest of its own.
 
 use std::sync::Arc;
 
@@ -39,12 +46,17 @@ use kaffeos_heap::{HeapSpace, SpaceConfig, Value};
 use kaffeos_memlimit::Kind;
 use kaffeos_vm::{
     step, ClassBuilder, ClassTable, Const, ExecCtx, IntrinsicRegistry, MethodBuilder,
-    Op, RunExit, Thread, TypeDesc, VmError, VmException,
+    MethodIdx, Op, RunExit, Thread, TypeDesc, VmError, VmException,
 };
 
 /// Digest of every case's load verdict and facts. Change it only together
 /// with an intended change to what the verifier or the analyzer reports.
 const VERDICT_DIGEST: u64 = 0x4dfa_3c6c_2071_d249;
+
+/// Digest of every compare-and-branch case's verdict, stop and charge.
+/// Change it only together with an intended change to what the verifier
+/// reports, what a comparison computes or what an op costs.
+const CMP_DIGEST: u64 = 0x31a2_d5d4_bcd3_f8bc;
 
 /// FNV-1a over the `Debug` rendering of each folded item.
 struct Digest(u64);
@@ -293,6 +305,110 @@ fn gen_typed(rng: &mut Rng) -> (Vec<Op>, Option<(u32, u32, u32)>) {
     (ops, handler)
 }
 
+/// An int operand of a compare-and-branch case: local 0 or 1, or a small
+/// constant.
+fn int_operand(rng: &mut Rng) -> Op {
+    match rng.below(3) {
+        0 => Op::ConstInt(rng.below(7) as i64 - 3),
+        _ => Op::Load(rng.below(2) as u16),
+    }
+}
+
+/// A float operand of a compare-and-branch case: local 2 or 3, or a small
+/// constant.
+fn float_operand(rng: &mut Rng) -> Op {
+    match rng.below(3) {
+        0 => Op::ConstFloat(rng.below(5) as f64 * 0.5 - 1.0),
+        _ => Op::Load(2 + rng.below(2) as u16),
+    }
+}
+
+const INT_CMPS: [Op; 6] = [Op::CmpEq, Op::CmpNe, Op::CmpLt, Op::CmpLe, Op::CmpGt, Op::CmpGe];
+const FLOAT_CMPS: [Op; 5] = [Op::FCmpEq, Op::FCmpLt, Op::FCmpLe, Op::FCmpGt, Op::FCmpGe];
+
+/// A compare-and-branch body for `main(int) -> int` over two int locals
+/// (0, 1) and two float locals (2, 3). Statements start and end on an
+/// empty stack and branch to statement boundaries, forward or backward.
+/// Comparisons come in each shape the lowering fuses with the branch
+/// after them (both operands loaded, the left one computed, both
+/// computed) and unfused, their result stored; other statements step a
+/// local, so some loops count to an exit and some run to the fuel cap.
+/// One statement in sixteen compares an int with a float, which the
+/// verifier rejects.
+fn gen_cmp(rng: &mut Rng) -> Vec<Op> {
+    let mut ops = vec![
+        Op::ConstInt(rng.below(9) as i64 - 4),
+        Op::Store(1),
+        Op::ConstFloat(rng.below(9) as f64 * 0.25),
+        Op::Store(2),
+        Op::ConstFloat(rng.below(9) as f64 * -0.25),
+        Op::Store(3),
+    ];
+    let mut starts = Vec::new();
+    let mut jumps = Vec::new();
+    for _ in 0..4 + rng.below(9) {
+        starts.push(ops.len() as u32);
+        let float = rng.below(2) == 0;
+        let operand = |rng: &mut Rng| {
+            if float {
+                float_operand(rng)
+            } else {
+                int_operand(rng)
+            }
+        };
+        let cmp = if float {
+            FLOAT_CMPS[rng.below(5) as usize]
+        } else {
+            INT_CMPS[rng.below(6) as usize]
+        };
+        let branch = match rng.below(2) {
+            0 => Op::JumpIfTrue(0),
+            _ => Op::JumpIfFalse(0),
+        };
+        let (one, add, neg) = if float {
+            (Op::ConstFloat(1.0), Op::FAdd, Op::FNeg)
+        } else {
+            (Op::ConstInt(1), Op::Add, Op::Neg)
+        };
+        let stmt = match rng.below(16) {
+            0..=5 => vec![operand(rng), operand(rng), cmp, branch],
+            6 | 7 => vec![operand(rng), one, add, operand(rng), cmp, branch],
+            8 | 9 => vec![operand(rng), neg, operand(rng), neg, cmp, branch],
+            10 => vec![operand(rng), operand(rng), cmp, Op::Store(1)],
+            11 | 12 if float => {
+                let l = 2 + rng.below(2) as u16;
+                let op = [Op::FAdd, Op::FSub, Op::FDiv][rng.below(3) as usize];
+                vec![Op::Load(l), float_operand(rng), op, Op::Store(l)]
+            }
+            11 | 12 => {
+                let l = rng.below(2) as u16;
+                let op = [Op::Add, Op::Sub, Op::Add, Op::Div][rng.below(4) as usize];
+                vec![Op::Load(l), int_operand(rng), op, Op::Store(l)]
+            }
+            13 | 14 => vec![Op::Jump(0)],
+            _ => vec![int_operand(rng), float_operand(rng), cmp, branch],
+        };
+        if matches!(
+            stmt.last(),
+            Some(Op::Jump(_) | Op::JumpIfTrue(_) | Op::JumpIfFalse(_))
+        ) {
+            jumps.push(ops.len() + stmt.len() - 1);
+        }
+        ops.extend(stmt);
+    }
+    starts.push(ops.len() as u32);
+    ops.extend([Op::Load(1), Op::ReturnVal]);
+    for at in jumps {
+        let target = starts[rng.below(starts.len() as u64) as usize];
+        ops[at] = match ops[at] {
+            Op::Jump(_) => Op::Jump(target),
+            Op::JumpIfTrue(_) => Op::JumpIfTrue(target),
+            _ => Op::JumpIfFalse(target),
+        };
+    }
+    ops
+}
+
 fn base_classes() -> Vec<kaffeos_vm::ClassDef> {
     let mut out = vec![
         ClassBuilder::root("Object").build(),
@@ -370,6 +486,72 @@ fn stop_shape(exit: &RunExit) -> String {
     }
 }
 
+/// Runs an accepted case's `main` to its first stop at or past `FUEL`
+/// cycles, which must not be a `Fault`, and collects what it built. Then
+/// the fuel-split oracle: a fresh thread on a fresh heap, stepped one op
+/// per `step` (fuel 1, so every block runs its plain micros), must reach
+/// the same stop with the same cycles and ops as the first run, whose
+/// blocks ran fused. Returns the stop's shape and the charge.
+fn run_split(
+    table: &ClassTable,
+    ns: u32,
+    midx: MethodIdx,
+    arg: Value,
+    case: u64,
+) -> (String, u64, u64) {
+    let run = |space: &mut HeapSpace, heap, fuel| {
+        let mut thread = Thread::new(1, table, midx, vec![arg]);
+        let mut statics = kaffeos_heap::FxHashMap::default();
+        let mut intern = kaffeos_heap::FxHashMap::default();
+        let mut monitors = kaffeos_heap::FxHashMap::default();
+        let mut ctx = ExecCtx {
+            space,
+            table,
+            ns,
+            heap,
+            trusted: false,
+            statics: &mut statics,
+            intern: &mut intern,
+            string_class: table.lookup(ns, "String").unwrap(),
+            monitors: &mut monitors,
+            extra_roots: &[],
+            extra_scan_slots: 0,
+            gc_every_safepoint: false,
+        };
+        // Steps of `fuel` cycles up to the first stop at or past `FUEL`
+        // cycles, which one step of `FUEL` also stops at.
+        let exit = loop {
+            match step(&mut thread, &mut ctx, fuel) {
+                RunExit::Preempted if thread.cycles < FUEL => {}
+                other => break other,
+            }
+        };
+        (exit, thread)
+    };
+    let (mut space, heap) = fresh_space();
+    let (exit, thread) = run(&mut space, heap, FUEL);
+    assert!(
+        !matches!(exit, RunExit::Fault(_)),
+        "case {case}: verifier accepted bytecode that faulted: {exit:?}"
+    );
+    // A GC over whatever the program built must also be safe.
+    space.gc(heap, &thread.stack_roots()).unwrap();
+
+    let (mut space, heap) = fresh_space();
+    let (split, split_thread) = run(&mut space, heap, 1);
+    assert_eq!(
+        stop_shape(&split),
+        stop_shape(&exit),
+        "case {case}: one op per step stopped elsewhere"
+    );
+    assert_eq!(
+        (split_thread.cycles, split_thread.ops),
+        (thread.cycles, thread.ops),
+        "case {case}: one op per step charged differently"
+    );
+    (stop_shape(&exit), thread.cycles, thread.ops)
+}
+
 #[test]
 fn accepted_bytecode_never_panics() {
     // One table for all cases, each in its own namespace over the base
@@ -399,7 +581,6 @@ fn accepted_bytecode_never_panics() {
             (TypeDesc::Int, Value::Int(3))
         };
 
-        let (mut space, heap) = fresh_space();
         let ns = table.create_namespace(format!("fuzz{case}"), Some(base));
         // Fixed 8-entry constant pool covering every Const variant the
         // generated ops index into.
@@ -473,58 +654,7 @@ fn accepted_bytecode_never_panics() {
             Ok(cidx) => {
                 // Accepted: must run cleanly under a fuel cap.
                 let midx = table.find_method(cidx, "main").unwrap();
-                let run = |space: &mut HeapSpace, heap, fuel| {
-                    let mut thread = Thread::new(1, &table, midx, vec![arg]);
-                    let mut statics = kaffeos_heap::FxHashMap::default();
-                    let mut intern = kaffeos_heap::FxHashMap::default();
-                    let mut monitors = kaffeos_heap::FxHashMap::default();
-                    let mut ctx = ExecCtx {
-                        space,
-                        table: &table,
-                        ns,
-                        heap,
-                        trusted: false,
-                        statics: &mut statics,
-                        intern: &mut intern,
-                        string_class: table.lookup(ns, "String").unwrap(),
-                        monitors: &mut monitors,
-                        extra_roots: &[],
-                        extra_scan_slots: 0,
-                        gc_every_safepoint: false,
-                    };
-                    // Steps of `fuel` cycles up to the first stop at or past
-                    // `FUEL` cycles, which one step of `FUEL` also stops at.
-                    let exit = loop {
-                        match step(&mut thread, &mut ctx, fuel) {
-                            RunExit::Preempted if thread.cycles < FUEL => {}
-                            other => break other,
-                        }
-                    };
-                    (exit, thread)
-                };
-                let (exit, thread) = run(&mut space, heap, FUEL);
-                assert!(
-                    !matches!(exit, RunExit::Fault(_)),
-                    "case {case}: verifier accepted bytecode that faulted: {exit:?}"
-                );
-                // A GC over whatever the program built must also be safe.
-                space.gc(heap, &thread.stack_roots()).unwrap();
-
-                // The fuel-split oracle: one op per step runs every block
-                // plain, so it must reach the same stop with the same
-                // virtual charge as the fused run.
-                let (mut space, heap) = fresh_space();
-                let (split, split_thread) = run(&mut space, heap, 1);
-                assert_eq!(
-                    stop_shape(&split),
-                    stop_shape(&exit),
-                    "case {case}: one op per step stopped elsewhere"
-                );
-                assert_eq!(
-                    (split_thread.cycles, split_thread.ops),
-                    (thread.cycles, thread.ops),
-                    "case {case}: one op per step charged differently"
-                );
+                run_split(&table, ns, midx, arg, case);
             }
         }
     }
@@ -535,6 +665,48 @@ fn accepted_bytecode_never_panics() {
     assert_eq!(
         digest.0, VERDICT_DIGEST,
         "verdicts or facts changed: {:#018x}",
+        digest.0
+    );
+}
+
+/// The compare-and-branch family: every case loads into its own namespace
+/// over the base classes; every accepted one runs through the fuel-split
+/// oracle, so each fused compare-and-branch micro is checked against its
+/// plain ops.
+#[test]
+fn compare_and_branch_cases_split_alike() {
+    let mut table = ClassTable::new(IntrinsicRegistry::new());
+    let base = table.create_namespace("base", None);
+    for def in base_classes() {
+        table.load_class(base, def.into_arc()).unwrap();
+    }
+    let mut digest = Digest(0xcbf2_9ce4_8422_2325);
+    let mut accepted = 0;
+    for case in 0..256u64 {
+        let mut rng = Rng::new(0xC3A9 ^ case.wrapping_mul(0x9E37));
+        let main = MethodBuilder::of_static("main")
+            .param(TypeDesc::Int)
+            .returns(TypeDesc::Int)
+            .locals(3)
+            .ops(gen_cmp(&mut rng))
+            .build();
+        let def = ClassBuilder::new("Cmp").method(main).build();
+        let ns = table.create_namespace(format!("cmp{case}"), Some(base));
+        match table.load_class(ns, def.into_arc()) {
+            Ok(cidx) => {
+                accepted += 1;
+                let midx = table.find_method(cidx, "main").unwrap();
+                let arg = Value::Int(rng.below(7) as i64 - 3);
+                digest.fold(run_split(&table, ns, midx, arg, case));
+            }
+            Err(VmError::Verify(e)) => digest.fold((e.pc, e.op, &e.msg)),
+            Err(other) => digest.fold(other.to_string()),
+        }
+    }
+    assert!(accepted >= 128, "only {accepted} of 256 cases verified");
+    assert_eq!(
+        digest.0, CMP_DIGEST,
+        "compare-and-branch verdicts, stops or charges changed: {:#018x}",
         digest.0
     );
 }
