@@ -404,34 +404,16 @@ impl KaffeOs {
             .space
             .create_shared_heap(ProcTag(pid.0), shm_ml, format!("shm:{name}"));
 
-        // Populate: `count` instances of the shared class, fields zeroed.
-        let nfields = self.table.class(class).instance_fields.len();
-        let field_types: Vec<kaffeos_vm::TypeDesc> = self
-            .table
-            .class(class)
-            .instance_fields
-            .iter()
-            .map(|f| f.ty.clone())
-            .collect();
+        // Populate: `count` instances of the shared class, each a copy of
+        // its typed-zero template.
+        let template = self.table.class(class).template.clone();
         let mut objects = Vec::with_capacity(count as usize);
         for _ in 0..count {
-            match self.space.alloc_fields(heap, class.heap_class(), nfields) {
-                Ok(obj) => {
-                    for (slot, ty) in field_types.iter().enumerate() {
-                        let default = match ty {
-                            kaffeos_vm::TypeDesc::Int => Value::Int(0),
-                            kaffeos_vm::TypeDesc::Float => Value::Float(0.0),
-                            _ => continue,
-                        };
-                        if let Err(e) = self.space.store_prim(obj, slot, default) {
-                            self.kernel_fault(
-                                kaffeos_trace::KernelFaultKind::ShmCreate,
-                                format!("shm.create({name}): zeroing a fresh object failed: {e:?}"),
-                            );
-                        }
-                    }
-                    objects.push(obj);
-                }
+            match self
+                .space
+                .alloc_fields_from(heap, class.heap_class(), &template.instance)
+            {
+                Ok(obj) => objects.push(obj),
                 Err(_) => {
                     // Creation failed: merge the half-built heap away and
                     // remove its memlimit.

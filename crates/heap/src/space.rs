@@ -77,6 +77,17 @@ impl PayloadPool {
         vec![fill; len].into_boxed_slice()
     }
 
+    /// Pops a recycled buffer of exactly `init.len()` slots and copies
+    /// `init` into it, or allocates a fresh copy of `init`.
+    fn take_copy(&mut self, init: &[Value]) -> Box<[Value]> {
+        if let Some(mut buf) = self.classes.get_mut(init.len()).and_then(|c| c.pop()) {
+            self.held -= core::mem::size_of_val(init);
+            buf.copy_from_slice(init);
+            return buf;
+        }
+        Box::from(init)
+    }
+
     /// Parks a dead object's buffer for reuse, unless over budget.
     fn put(&mut self, buf: Box<[Value]>) {
         let len = buf.len();
@@ -486,6 +497,24 @@ impl HeapSpace {
         let bytes = saturate(self.size_model.fields_bytes(nfields));
         self.admit(heap, bytes)?;
         let data = ObjData::Fields(self.payload_pool.take(nfields, Value::Null));
+        Ok(self.place(heap, class, bytes, data))
+    }
+
+    /// Allocates an instance with one field per value of `init`, holding
+    /// a copy of it: a class's typed-zero template, so `int` and `float`
+    /// fields start as `Int(0)` and `Float(0.0)` and reference fields as
+    /// null. Accounted like [`HeapSpace::alloc_fields`] of `init.len()`
+    /// fields, and the payload is built only once the allocation is
+    /// admitted.
+    pub fn alloc_fields_from(
+        &mut self,
+        heap: HeapId,
+        class: ClassId,
+        init: &[Value],
+    ) -> Result<ObjRef, HeapError> {
+        let bytes = saturate(self.size_model.fields_bytes(init.len()));
+        self.admit(heap, bytes)?;
+        let data = ObjData::Fields(self.payload_pool.take_copy(init));
         Ok(self.place(heap, class, bytes, data))
     }
 

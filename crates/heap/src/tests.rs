@@ -1047,6 +1047,30 @@ mod payloads {
     }
 
     #[test]
+    fn a_template_allocation_copies_its_values_into_fresh_and_pooled_buffers() {
+        let mut s = space();
+        let (h, ml) = user_heap(&mut s, 1, 1 << 20);
+        let init = [Value::Int(0), Value::Float(0.0), Value::Null];
+        let read = |s: &HeapSpace, obj| (0..3).map(|i| s.load(obj, i).unwrap()).collect::<Vec<_>>();
+
+        let fresh = s.alloc_fields_from(h, CLS, &init).unwrap();
+        assert_eq!(read(&s, fresh), init);
+        assert_eq!(s.limits().current(ml), s.size_model().fields_bytes(3));
+
+        // Dirty a three-slot buffer, let the collector park it, then take
+        // it: the copy must overwrite every slot.
+        let dirty = s.alloc_fields(h, CLS, 3).unwrap();
+        s.store_prim(dirty, 0, Value::Int(7)).unwrap();
+        s.store_prim(dirty, 1, Value::Float(2.5)).unwrap();
+        s.store_ref(dirty, 2, Value::Ref(fresh), false).unwrap();
+        s.gc(h, &[fresh]).unwrap();
+        assert_eq!(s.payload_pool.parked(3), 1);
+        let pooled = s.alloc_fields_from(h, CLS, &init).unwrap();
+        assert_eq!(s.payload_pool.parked(3), 0, "the parked buffer was not taken");
+        assert_eq!(read(&s, pooled), init);
+    }
+
+    #[test]
     fn an_array_past_four_gib_is_refused_not_wrapped() {
         let mut s = space();
         let (h, ml) = user_heap(&mut s, 1, 1 << 20);

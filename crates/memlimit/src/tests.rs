@@ -279,3 +279,59 @@ fn shared_heap_charging_pattern() {
     assert_eq!(t.current(p1), 0);
     assert_eq!(t.current(p2), 100);
 }
+
+/// Every node's `current`, in slot order.
+fn currents(t: &MemLimitTree, ids: &[crate::MemLimitId]) -> Vec<u64> {
+    ids.iter().map(|&id| t.current(id)).collect()
+}
+
+/// `Charge` events the tree's trace plane has recorded.
+fn charges(plane: &kaffeos_trace::Plane<kaffeos_trace::TraceBuffer>) -> usize {
+    plane.read(|b| {
+        b.events()
+            .filter(|e| matches!(e.payload, kaffeos_trace::Payload::Charge { .. }))
+            .count()
+    })
+}
+
+#[test]
+fn debit_failing_at_a_hard_ancestor_changes_nothing() {
+    let (mut t, root) = tree();
+    let plane = kaffeos_trace::Plane::new(true);
+    t.set_trace(plane.clone());
+    let hard = t.create_child(root, Kind::Hard, 300, "hard").unwrap();
+    let mid = t.create_child(hard, Kind::Soft, 1000, "mid").unwrap();
+    let leaf = t.create_child(mid, Kind::Soft, 1000, "leaf").unwrap();
+    t.debit(leaf, 250).unwrap();
+    let nodes = [root, hard, mid, leaf];
+    let before = currents(&t, &nodes);
+    let events = charges(&plane);
+
+    let err = t.debit(leaf, 100).unwrap_err();
+    assert_eq!((err.node, err.available), (hard, 50));
+    assert_eq!(currents(&t, &nodes), before, "a failed debit moved a node");
+    assert_eq!(charges(&plane), events, "a failed debit recorded a charge");
+    t.audit().unwrap();
+}
+
+#[test]
+fn debit_failing_at_the_root_over_a_soft_chain_changes_nothing() {
+    let (mut t, root) = tree();
+    let plane = kaffeos_trace::Plane::new(true);
+    t.set_trace(plane.clone());
+    let other = t.create_child(root, Kind::Soft, 1000, "other").unwrap();
+    let a = t.create_child(root, Kind::Soft, 1000, "a").unwrap();
+    let b = t.create_child(a, Kind::Soft, 1000, "b").unwrap();
+    let c = t.create_child(b, Kind::Soft, 1000, "c").unwrap();
+    t.debit(other, 900).unwrap();
+    t.debit(c, 50).unwrap();
+    let nodes = [root, other, a, b, c];
+    let before = currents(&t, &nodes);
+    let events = charges(&plane);
+
+    let err = t.debit(c, 100).unwrap_err();
+    assert_eq!((err.node, err.available), (root, 50));
+    assert_eq!(currents(&t, &nodes), before, "a failed debit moved a node");
+    assert_eq!(charges(&plane), events, "a failed debit recorded a charge");
+    t.audit().unwrap();
+}

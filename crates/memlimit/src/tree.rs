@@ -164,15 +164,12 @@ impl MemLimitTree {
     /// offending node is reported.
     pub fn debit(&mut self, id: MemLimitId, bytes: u64) -> Result<(), LimitExceeded> {
         debug_assert!(self.is_alive(id), "debit on dead memlimit {id:?}");
-        let mut done: Vec<MemLimitId> = Vec::new();
         let mut cursor = Some(id);
         while let Some(cur) = cursor {
             let node = self.node_mut(cur);
             let available = node.limit.saturating_sub(node.current);
             if bytes > available {
-                for undo in done {
-                    self.node_mut(undo).current -= bytes;
-                }
+                self.undo_debit(id, cur, bytes);
                 return Err(LimitExceeded {
                     node: cur,
                     requested: bytes,
@@ -180,7 +177,6 @@ impl MemLimitTree {
                 });
             }
             node.current += bytes;
-            done.push(cur);
             // A hard node absorbs the debit: its own reservation was taken
             // from the parent at creation time.
             cursor = if node.kind == Kind::Hard {
@@ -200,6 +196,22 @@ impl MemLimitTree {
             })
         });
         Ok(())
+    }
+
+    /// Rolls back a debit of `bytes` that failed at `failed`: walks the
+    /// same path again from `id` and takes `bytes` back from every node
+    /// below `failed`, so a failed debit needs no record of where it went.
+    fn undo_debit(&mut self, id: MemLimitId, failed: MemLimitId, bytes: u64) {
+        let mut cursor = id;
+        while cursor != failed {
+            let node = self.node_mut(cursor);
+            node.current -= bytes;
+            // Every node below `failed` on the path is soft; it has one.
+            match node.parent {
+                Some(parent) => cursor = parent,
+                None => return,
+            }
+        }
     }
 
     /// Credits `bytes` back to `id`, percolating exactly as [`debit`] does.

@@ -11,12 +11,12 @@
 //! verdict on it is derived once per *load context* and shared: see
 //! [`Namespace::history`].
 
-use kaffeos_heap::FxHashMap;
+use kaffeos_heap::{FxHashMap, Value};
 use std::sync::Arc;
 
 use crate::bytecode::{Const, TypeDesc};
 use crate::classfile::ClassDef;
-use crate::engine::Engine;
+use crate::engine::{Engine, BASE_COSTS};
 use crate::intrinsics::IntrinsicRegistry;
 use crate::jit::{BodyMemo, CompiledBody, ProcJitStats};
 use crate::verify::verify_class;
@@ -102,6 +102,20 @@ pub enum RConst {
     },
 }
 
+/// What a call to a method needs, fixed when its class is loaded. Eight
+/// bytes: every method record of every spawn carries one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FrameShape {
+    /// Locals the arguments fill (receiver + params); the verifier holds
+    /// them within `max_locals`.
+    pub(crate) args: u16,
+    /// Locals of the frame ([`crate::bytecode::Code::max_locals`]).
+    pub(crate) max_locals: u16,
+    /// Cycles a call charges: `call + call_per_arg × args`, pre-scaled for
+    /// the table's engine.
+    pub(crate) call_cycles: u32,
+}
+
 /// Runtime method record in the global table.
 #[derive(Debug, Clone)]
 pub struct MethodRt {
@@ -124,6 +138,8 @@ pub struct MethodRt {
     /// The linked template body the executor runs, shared through the
     /// table's lower-once memo.
     pub(crate) body: Arc<CompiledBody>,
+    /// The frame a call pushes and the cycles it charges.
+    pub(crate) shape: FrameShape,
 }
 
 impl MethodRt {
@@ -158,6 +174,42 @@ pub struct LoadedClass {
     pub vslots: FxHashMap<String, u16>,
     /// Resolved constant pool.
     pub rpool: Vec<RConst>,
+    /// What `new` and the statics object copy and charge.
+    pub template: Arc<ClassTemplate>,
+}
+
+/// A class's `new` charge and typed-zero payloads (`Int(0)` for `int`,
+/// `Float(0.0)` for `float`, null for a reference), fixed at load. One
+/// template serves every class of the same field types: every reload of
+/// a definition, and every clone of the table, shares it.
+#[derive(Debug)]
+pub struct ClassTemplate {
+    /// Cycles `new` charges before it allocates: `alloc` plus `simple` per
+    /// instance field, each pre-scaled for the table's engine.
+    pub new_cycles: u64,
+    /// The instance fields' zeros, slot-ordered (inherited slots first):
+    /// the payload `new` copies.
+    pub instance: Box<[Value]>,
+    /// The static fields' zeros: the statics object's payload.
+    pub statics: Box<[Value]>,
+}
+
+/// The typed zero of a field type.
+fn typed_zero(ty: &TypeDesc) -> Value {
+    match ty {
+        TypeDesc::Int => Value::Int(0),
+        TypeDesc::Float => Value::Float(0.0),
+        _ => Value::Null,
+    }
+}
+
+/// A field's kind in a template key: 0 null, 1 `Int`, 2 `Float`.
+fn zero_kind(f: &FieldInfo) -> u8 {
+    match typed_zero(&f.ty) {
+        Value::Int(_) => 1,
+        Value::Float(_) => 2,
+        _ => 0,
+    }
 }
 
 impl LoadedClass {
@@ -219,6 +271,9 @@ pub struct ClassTable {
     engine: Engine,
     /// Lower-once memo of every linked template body.
     bodies: BodyMemo,
+    /// Every distinct class template, keyed by the kinds of its instance
+    /// zeros, a separator, and the kinds of its statics zeros.
+    templates: FxHashMap<Box<[u8]>, Arc<ClassTemplate>>,
     /// `verify_class` runs made by `load_class`.
     #[cfg(test)]
     pub(crate) verifications: usize,
@@ -256,6 +311,25 @@ impl ClassTable {
     /// two readings attributes the loads between them.
     pub fn lowering_totals(&self) -> ProcJitStats {
         self.bodies.totals()
+    }
+
+    /// The template of a class with these instance and static fields.
+    fn template(&mut self, instance: &[FieldInfo], statics: &[FieldInfo]) -> Arc<ClassTemplate> {
+        let kinds = instance.iter().map(zero_kind);
+        let key: Box<[u8]> = kinds.chain([3]).chain(statics.iter().map(zero_kind)).collect();
+        let engine = self.engine;
+        let zeros = |fields: &[FieldInfo]| fields.iter().map(|f| typed_zero(&f.ty)).collect();
+        self.templates
+            .entry(key)
+            .or_insert_with(|| {
+                Arc::new(ClassTemplate {
+                    new_cycles: engine.scaled(BASE_COSTS.alloc)
+                        + engine.scaled(BASE_COSTS.simple) * instance.len() as u64,
+                    instance: zeros(instance),
+                    statics: zeros(statics),
+                })
+            })
+            .clone()
     }
 
     /// Edges in the verify memo.
@@ -376,9 +450,17 @@ impl ClassTable {
             }
             None => (Vec::new(), FxHashMap::default()),
         };
+        let engine = self.engine;
         let mut methods = Vec::new();
         for m in &def.methods {
             let midx = MethodIdx(self.methods.len() as u32);
+            let args = m.params.len() as u64 + u64::from(!m.is_static);
+            let call_cycles = engine.scaled(BASE_COSTS.call + BASE_COSTS.call_per_arg * args);
+            let shape = FrameShape {
+                args: u16::try_from(args).unwrap_or(u16::MAX),
+                max_locals: m.code.max_locals,
+                call_cycles: u32::try_from(call_cycles).unwrap_or(u32::MAX),
+            };
             self.methods.push(MethodRt {
                 class: idx,
                 name: m.name.clone(),
@@ -388,6 +470,7 @@ impl ClassTable {
                 code: m.code.clone(),
                 qname: format!("{}.{}", def.name, m.name),
                 body: Arc::default(),
+                shape,
             });
             methods.push(midx);
             if !m.is_static {
@@ -400,6 +483,8 @@ impl ClassTable {
                 }
             }
         }
+
+        let template = self.template(&instance_fields, &static_fields);
 
         // Register the class before resolving the pool so self-references
         // (including recursive types) resolve.
@@ -418,6 +503,7 @@ impl ClassTable {
             vtable,
             vslots,
             rpool: Vec::new(),
+            template,
         });
 
         let rpool = match self.resolve_pool(ns, &def) {

@@ -355,8 +355,6 @@ const COSTS: OpCosts = BASE_COSTS;
 pub(crate) enum StepFlow {
     /// The op retired in the current frame; run the next one.
     Next,
-    /// The frame set changed (call, return); reload the top frame.
-    Continue,
     Exit(RunExit),
     Raise(VmException),
 }
@@ -424,9 +422,10 @@ pub(crate) fn forced_gc(thread: &mut Thread, ctx: &mut ExecCtx<'_>) -> Result<()
     ctx.space.gc(ctx.heap, &roots).map(|_| ())
 }
 
-/// The runtime ops — everything that allocates, calls, returns, throws,
-/// touches statics, strings or monitors, or leaves for the kernel. This is
-/// the only implementation: the lowering turns each of them into a bare
+/// The runtime ops — everything that allocates, throws, touches statics,
+/// strings or monitors, or leaves for the kernel. Calls and returns are not
+/// among them: they are template ops the executor runs itself. This is the
+/// only implementation: the lowering turns each of them into a bare
 /// `TOp::Rt`, which the executor runs here. The caller has advanced the
 /// top frame's `pc` past `op` and written it back, so a raise, syscall
 /// resume or profiler sample sees the frame as of after the op; fault
@@ -472,25 +471,14 @@ pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepF
             }
         }
 
-        // ----- returns --------------------------------------------------------
-        Op::Return => {
-            thread.cycles += engine.scaled(COSTS.ret);
-            return do_return(thread, None);
-        }
-        Op::ReturnVal => {
-            thread.cycles += engine.scaled(COSTS.ret);
-            let v = pop!(thread, stack_base);
-            return do_return(thread, Some(v));
-        }
-
         // ----- objects -----------------------------------------------------------
         Op::New(idx) => {
-            thread.cycles += engine.scaled(COSTS.alloc);
             let RConst::Class(cidx) = class.rpool[idx as usize] else {
                 fault!("New on non-Class pool entry {idx}");
             };
-            let nfields = table.class(cidx).instance_fields.len();
-            thread.cycles += engine.scaled(COSTS.simple) * nfields as u64;
+            // The class's link-time facts: its charge and its typed zeros.
+            let template = &table.class(cidx).template;
+            thread.cycles += template.new_cycles;
             let alloc = with_gc_retry(thread, ctx, &[], |ctx| {
                 // Arm inside the closure so a GC retry re-arms; the
                 // plane consumes the site only on a successful alloc.
@@ -498,15 +486,11 @@ pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepF
                     .obs()
                     .heap
                     .with(|h| h.arm_alloc(method_idx.0, at, || table.qualified_name(method_idx)));
-                ctx.space.alloc_fields(ctx.heap, cidx.heap_class(), nfields)
+                ctx.space
+                    .alloc_fields_from(ctx.heap, cidx.heap_class(), &template.instance)
             });
             match alloc {
-                Ok(obj) => {
-                    if let Err(e) = init_default_fields(ctx, cidx, obj, false) {
-                        throw!(heap_exception(e));
-                    }
-                    thread.values.push(Value::Ref(obj));
-                }
+                Ok(obj) => thread.values.push(Value::Ref(obj)),
                 Err(e) => throw!(heap_exception(e)),
             }
         }
@@ -618,43 +602,7 @@ pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepF
             }
         }
 
-        // ----- calls -----------------------------------------------------------------
-        Op::CallStatic(idx) => {
-            let RConst::DirectMethod(midx) = class.rpool[idx as usize] else {
-                fault!("CallStatic on bad pool entry {idx}");
-            };
-            return push_frame(thread, ctx, midx);
-        }
-        Op::CallVirtual(idx) => {
-            let RConst::VirtualMethod { vslot, nargs, .. } = class.rpool[idx as usize]
-            else {
-                fault!("CallVirtual on bad pool entry {idx}");
-            };
-            // Receiver sits below the arguments.
-            if thread.values.len() - stack_base < nargs as usize {
-                fault!("virtual call with short stack");
-            }
-            let recv_pos = thread.values.len() - nargs as usize;
-            let Value::Ref(recv) = thread.values[recv_pos] else {
-                throw!(npe("virtual call on null"));
-            };
-            let recv_class = match ctx.space.class_of(recv) {
-                Ok(id) => table.from_heap_class(id),
-                Err(e) => throw!(heap_exception(e)),
-            };
-            let midx = table.class(recv_class).vtable[vslot as usize];
-            return push_frame(thread, ctx, midx);
-        }
-        Op::CallSpecial(idx) => {
-            let RConst::VirtualMethod {
-                class: cidx, vslot, ..
-            } = class.rpool[idx as usize]
-            else {
-                fault!("CallSpecial on bad pool entry {idx}");
-            };
-            let midx = table.class(cidx).vtable[vslot as usize];
-            return push_frame(thread, ctx, midx);
-        }
+        // ----- kernel calls ----------------------------------------------------------
         Op::Syscall(idx) => {
             thread.cycles += engine.scaled(COSTS.call);
             let RConst::Intrinsic { id, nargs, .. } = class.rpool[idx as usize] else {
@@ -1138,46 +1086,16 @@ pub(crate) fn statics_object(
     if let Some(&obj) = ctx.statics.get(&class) {
         return Ok(obj);
     }
-    let n = ctx.table.class(class).static_fields.len();
-    thread.cycles += ctx.table.engine().scaled(COSTS.alloc);
+    let table = ctx.table;
+    let template = &table.class(class).template.statics;
+    thread.cycles += table.engine().scaled(COSTS.alloc);
     let obj = with_gc_retry(thread, ctx, &[], |ctx| {
-        ctx.space.alloc_fields(ctx.heap, class.heap_class(), n)
+        ctx.space
+            .alloc_fields_from(ctx.heap, class.heap_class(), template)
     })
     .map_err(heap_exception)?;
-    init_default_fields(ctx, class, obj, true).map_err(heap_exception)?;
     ctx.statics.insert(class, obj);
     Ok(obj)
-}
-
-/// Writes typed zero values into a freshly allocated instance or statics
-/// object: `int` fields become `Int(0)`, `float` fields `Float(0.0)`,
-/// reference fields stay null. Without this a `GetField` on an untouched
-/// `int` field would surface `Null` where the verifier proved `Int`.
-pub(crate) fn init_default_fields(
-    ctx: &mut ExecCtx<'_>,
-    class: ClassIdx,
-    obj: ObjRef,
-    statics: bool,
-) -> Result<(), HeapError> {
-    let lc = ctx.table.class(class);
-    let fields = if statics {
-        &lc.static_fields
-    } else {
-        &lc.instance_fields
-    };
-    // Collect to avoid borrowing the table across the space mutation.
-    let prim_inits: Vec<(usize, Value)> = fields
-        .iter()
-        .filter_map(|f| match f.ty {
-            crate::bytecode::TypeDesc::Int => Some((f.slot as usize, Value::Int(0))),
-            crate::bytecode::TypeDesc::Float => Some((f.slot as usize, Value::Float(0.0))),
-            _ => None,
-        })
-        .collect();
-    for (slot, v) in prim_inits {
-        ctx.space.store_prim(obj, slot, v)?;
-    }
-    Ok(())
 }
 
 /// Interns `text` in the process intern table (§3.3: interning is
@@ -1206,65 +1124,13 @@ pub(crate) fn intern_string(
     Ok(obj)
 }
 
-/// Pops arguments and pushes a callee frame. The callee's leading locals
-/// overlay the caller's pushed arguments in place — no values move, no
-/// allocation happens once the thread's vectors reach their high-water
-/// mark.
-pub(crate) fn push_frame(thread: &mut Thread, ctx: &mut ExecCtx<'_>, midx: MethodIdx) -> StepFlow {
-    let m = ctx.table.method(midx);
-    let nargs = m.arg_slots();
-    thread.cycles += ctx
-        .table
-        .engine()
-        .scaled(COSTS.call + COSTS.call_per_arg * nargs as u64);
-    if thread.frames.len() >= MAX_FRAMES {
-        return StepFlow::Raise(VmException::Builtin(
-            BuiltinEx::StackOverflow,
-            format!("{} frames", thread.frames.len()),
-        ));
-    }
-    debug_assert!(
-        thread
-            .frames
-            .last()
-            .map(|f| thread.values.len() - f.stack_base as usize >= nargs)
-            .unwrap_or(true),
-        "call with short operand stack (verifier bug)"
-    );
-    let locals_base = thread.values.len().saturating_sub(nargs);
-    thread
-        .values
-        .resize(locals_base + m.code.max_locals as usize, Value::Null);
-    thread.frames.push(Frame {
-        method: midx,
-        class: m.class,
-        pc: 0,
-        locals_base: locals_base as u32,
-        stack_base: (locals_base + m.code.max_locals as usize) as u32,
-    });
-    StepFlow::Continue
-}
-
-/// Pops the top frame, delivering `value` to the caller (or finishing the
-/// thread).
-pub(crate) fn do_return(thread: &mut Thread, value: Option<Value>) -> StepFlow {
-    if let Some(f) = thread.frames.pop() {
-        thread.values.truncate(f.locals_base as usize);
-    }
-    match thread.frames.last() {
-        Some(_) => {
-            if let Some(v) = value {
-                thread.values.push(v);
-            }
-            StepFlow::Continue
-        }
-        None => StepFlow::Exit(RunExit::Finished(value)),
-    }
-}
-
 /// Exception dispatch: walks frames top-down for a matching handler.
 /// Returns `Some(exit)` if the exception escaped (thread is done).
-pub(crate) fn raise(thread: &mut Thread, ctx: &mut ExecCtx<'_>, ex: VmException) -> Option<RunExit> {
+pub(crate) fn raise(
+    thread: &mut Thread,
+    ctx: &mut ExecCtx<'_>,
+    ex: VmException,
+) -> Option<RunExit> {
     // Kaffe99's slow dispatch materialises a full stack trace on every
     // throw — real work the fast dispatch (Kaffe00/KaffeOS) avoids.
     let engine = ctx.table.engine();

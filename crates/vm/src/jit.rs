@@ -4,11 +4,17 @@
 //! verified [`Op`] stream into a straight-line *template* body: runs of
 //! simple ops become **blocks** of pre-scaled micro-ops (superinstruction
 //! fusion folds load/load/op/store and compare-and-branch sequences into
-//! single micros) with field slots resolved at lowering time. Every other
-//! op — allocation, calls, returns, statics, strings, monitors, throws —
-//! lowers to a bare [`TOp::Rt`] that the executor runs by calling
-//! `interp::rt_op` on the frame's real `Op` stream: the runtime ops are
-//! implemented exactly once, and so is every block op, as one micro arm.
+//! single micros) with field slots resolved at lowering time. Calls and
+//! returns lower to their own template ops, which the executor runs
+//! itself: a call pushes the callee's frame from the shape its class load
+//! fixed ([`crate::classes::FrameShape`]: argument slots, locals, the
+//! pre-scaled call charge) and switches the executor's per-frame state in
+//! place, and a return switches it back to the caller. Every other op —
+//! allocation, statics, strings, monitors, throws — lowers to a bare
+//! [`TOp::Rt`] that the executor runs by calling `interp::rt_op` on the
+//! frame's real `Op` stream. Each op is implemented exactly once: a runtime
+//! op as an `rt_op` arm, a call or return as an executor arm, and every
+//! block op as one micro arm.
 //!
 //! Each block also carries its **plain** lowering, one micro per op. The
 //! executor runs a block's fused micros when the preemption-fuel guard
@@ -30,12 +36,12 @@
 //! table's threads run under.
 //!
 //! Bodies are process-independent — block micros name no class, method or
-//! statics object, and `TOp::Rt` reads the running frame's own constant
-//! pool — so the class table keeps one [`BodyMemo`] for all of them: the
-//! ShareJIT argument, N processes of one image, one lowering of each
-//! method. A body is keyed by the method's shared code allocation (one per
-//! class definition, shared by every load of it) and the fingerprint of
-//! the field slots its micros bake in. Loaded code never changes, so a
+//! statics object, and call and runtime ops read the running frame's own
+//! constant pool — so the class table keeps one [`BodyMemo`] for all of
+//! them: the ShareJIT argument, N processes of one image, one lowering of
+//! each method. A body is keyed by the method's shared code allocation
+//! (one per class definition, shared by every load of it) and the
+//! fingerprint of the field slots its micros bake in. Loaded code never changes, so a
 //! key never goes stale and no body is ever invalidated or evicted.
 //! Lowering charges zero virtual cycles.
 
@@ -47,8 +53,9 @@ use crate::bytecode::Op;
 use crate::classes::{ClassTable, MethodIdx, RConst};
 use crate::engine::{Engine, BASE_COSTS};
 use crate::interp::{
-    do_return, forced_gc, heap_exception, honour_kill, load_elem, npe, raise, rt_op, store_elem,
-    store_ref_checked, BuiltinEx, ExecCtx, RunExit, StepFlow, Thread, VmException,
+    forced_gc, heap_exception, honour_kill, load_elem, npe, raise, rt_op, store_elem,
+    store_ref_checked, BuiltinEx, ExecCtx, Frame, RunExit, StepFlow, Thread, VmException,
+    MAX_FRAMES,
 };
 
 /// Most ops one method may have: template-op indices are `u16` inside
@@ -197,9 +204,28 @@ enum TOp {
         cost2: u32,
         p0: u32,
     },
-    /// Any non-blockable op, or the implicit return at `pc == ops.len()`:
-    /// executed by the interpreter's `rt_op` on the frame's real `Op`.
+    /// `CallStatic`, `CallSpecial` or `CallVirtual` through entry `idx` of
+    /// the running frame's constant pool; the executor pushes the callee's
+    /// frame from its link-time shape.
+    Call { kind: CallKind, idx: u16 },
+    /// `Return`, `ReturnVal` (`value`), or the implicit return at
+    /// `pc == ops.len()`; `cycles` is its pre-scaled charge (none for the
+    /// implicit return).
+    Ret { value: bool, cycles: u32 },
+    /// Any other non-blockable op: executed by the interpreter's `rt_op` on
+    /// the frame's real `Op`.
     Rt,
+}
+
+/// How a [`TOp::Call`] finds its callee.
+#[derive(Debug, Clone, Copy)]
+enum CallKind {
+    /// The pool's `DirectMethod`.
+    Static,
+    /// The named class's vtable entry: constructors and `super` calls.
+    Special,
+    /// The receiver's vtable entry.
+    Virtual,
 }
 
 const _: () = assert!(core::mem::size_of::<TOp>() <= 16, "TOp grew");
@@ -813,6 +839,7 @@ fn lower(table: &ClassTable, midx: MethodIdx) -> CompiledBody {
         branch_fixups: Vec::new(),
     };
 
+    let ret = u32::try_from(l.engine.scaled(BASE_COSTS.ret)).unwrap_or(u32::MAX);
     let mut pc = 0usize;
     while pc < ops.len() {
         if blockable(&ops[pc], l.pool) {
@@ -832,14 +859,32 @@ fn lower(table: &ClassTable, midx: MethodIdx) -> CompiledBody {
             l.lower_block(pc, end);
             pc = end;
         } else {
-            l.t_ops.push(TOp::Rt);
+            let call = |kind, idx| TOp::Call { kind, idx };
+            l.t_ops.push(match ops[pc] {
+                Op::CallStatic(idx) => call(CallKind::Static, idx),
+                Op::CallSpecial(idx) => call(CallKind::Special, idx),
+                Op::CallVirtual(idx) => call(CallKind::Virtual, idx),
+                Op::Return => TOp::Ret {
+                    value: false,
+                    cycles: ret,
+                },
+                Op::ReturnVal => TOp::Ret {
+                    value: true,
+                    cycles: ret,
+                },
+                _ => TOp::Rt,
+            });
             l.src_pc.push(pc as u32);
             pc += 1;
         }
     }
-    // Implicit return at pc == ops.len() (falling off the end), then the
-    // end sentinel that bounds the last template op.
-    l.t_ops.push(TOp::Rt);
+    // Implicit return at pc == ops.len() (falling off the end), which
+    // charges nothing, then the end sentinel that bounds the last template
+    // op.
+    l.t_ops.push(TOp::Ret {
+        value: false,
+        cycles: 0,
+    });
     l.src_pc.push(ops.len() as u32);
     l.src_pc.push(ops.len() as u32 + 1);
 
@@ -926,48 +971,89 @@ pub(crate) fn execute<const INJECT: bool>(
         return honour_kill(thread, ctx);
     }
 
-    'frame: loop {
-        // (Re)load the top frame's state; it stays valid until the frame
-        // set changes (call, return, unwind, exit).
-        let Some(top) = thread.frames.last() else {
-            return RunExit::Finished(None);
-        };
-        let method_idx = top.method;
-        let method = table.method(method_idx);
-        let body: &CompiledBody = &method.body;
-        let ops: &[Op] = &method.code.ops;
-        let locals_base = top.locals_base as usize;
-        let stack_base = top.stack_base as usize;
-        let pc = top.pc as usize;
-        let Some(&t) = body.entries.get(pc) else {
-            return RunExit::Fault(crate::VmError::BadBytecode(format!(
-                "no template op at pc {pc} of {}",
-                method.qname
-            )));
-        };
-        let mut tix = t;
-        // A frame resumed inside a block (after a preemption there) runs
-        // the rest of that block plain.
-        let mut resume = (body.src_pc[tix as usize] as usize != pc).then_some(pc);
+    // The running frame's state: its method, body, code, resolved pool,
+    // stack bases, and the template op at its pc. It stays valid until the
+    // frame set changes.
+    let mut method_idx: MethodIdx;
+    let mut body: &CompiledBody;
+    let mut ops: &[Op];
+    let mut pool: &[RConst];
+    let mut locals_base: usize;
+    let mut stack_base: usize;
+    let mut tix: u32;
+    // A frame resumed inside a block (after a preemption there) runs the
+    // rest of that block plain.
+    let mut resume: Option<usize>;
 
-        // Exception dispatch at `$pc`: unwind to a handler (and reload the
-        // frame) or exit with the escaping exception.
-        macro_rules! raise_at {
-            ($pc:expr, $ex:expr) => {{
-                sync(thread, $pc);
-                match raise(thread, ctx, $ex) {
-                    None => continue 'frame,
-                    Some(exit) => return exit,
-                }
-            }};
-        }
-        macro_rules! vpop {
-            () => {
-                thread.values.pop().unwrap_or(Value::Null)
+    // Switches the state to the top frame at its stored pc; returns when
+    // no frame is left.
+    macro_rules! load_top {
+        () => {{
+            let Some(&top) = thread.frames.last() else {
+                return RunExit::Finished(None);
             };
-        }
+            method_idx = top.method;
+            let method = table.method(method_idx);
+            body = &method.body;
+            ops = &method.code.ops;
+            pool = &table.class(top.class).rpool;
+            locals_base = top.locals_base as usize;
+            stack_base = top.stack_base as usize;
+            let pc = top.pc as usize;
+            let Some(&t) = body.entries.get(pc) else {
+                return RunExit::Fault(crate::VmError::BadBytecode(format!(
+                    "no template op at pc {pc} of {}",
+                    method.qname
+                )));
+            };
+            tix = t;
+            resume = (body.src_pc[tix as usize] as usize != pc).then_some(pc);
+        }};
+    }
+    macro_rules! vpop {
+        () => {
+            thread.values.pop().unwrap_or(Value::Null)
+        };
+    }
+    // The safe point before a call, return or runtime op at `$pc`: fault
+    // injection's hooks, then the fuel check.
+    macro_rules! safepoint {
+        ($pc:expr) => {{
+            if INJECT {
+                if let Some(exit) = injected_safepoint(thread, ctx, $pc) {
+                    return exit;
+                }
+            }
+            if thread.cycles - start_cycles >= fuel {
+                sync(thread, $pc);
+                return RunExit::Preempted;
+            }
+        }};
+    }
+    macro_rules! fault {
+        ($($msg:tt)*) => {
+            return RunExit::Fault(crate::VmError::BadBytecode(format!($($msg)*)))
+        };
+    }
 
+    // Entry, and after an unwind: the state comes from the top frame.
+    // Calls and returns switch it in place. Unwinds come back here so the
+    // many raise sites share one switch: a copy at each costs the block
+    // micros their registers.
+    'frame: loop {
+        load_top!();
         loop {
+            // Exception dispatch at `$pc`: unwind to a handler (and switch to
+            // its frame) or exit with the escaping exception.
+            macro_rules! raise_at {
+                ($pc:expr, $ex:expr) => {{
+                    sync(thread, $pc);
+                    match raise(thread, ctx, $ex) {
+                        None => continue 'frame,
+                        Some(exit) => return exit,
+                    }
+                }};
+            }
             let src = body.src_pc[tix as usize] as usize;
             match body.t_ops[tix as usize] {
                 TOp::Block {
@@ -1404,27 +1490,107 @@ pub(crate) fn execute<const INJECT: bool>(
                     thread.cycles += cyc_acc;
                     tix = next;
                 }
-                TOp::Rt => {
-                    if INJECT {
-                        if let Some(exit) = injected_safepoint(thread, ctx, src) {
-                            return exit;
-                        }
-                    }
-                    if thread.cycles - start_cycles >= fuel {
-                        sync(thread, src);
-                        return RunExit::Preempted;
-                    }
-                    // `rt_op` runs the op (or the implicit return past the
-                    // last one) on the real frame, its pc past the op.
+                TOp::Call { kind, idx } => {
+                    safepoint!(src);
                     thread.ops += 1;
                     sync(thread, src + 1);
-                    let flow = match ops.get(src) {
-                        Some(&op) => rt_op(thread, ctx, op),
-                        None => do_return(thread, None),
+                    let entry = pool.get(idx as usize);
+                    let midx = match (kind, entry) {
+                        (CallKind::Static, Some(&RConst::DirectMethod(midx))) => midx,
+                        (
+                            CallKind::Special,
+                            Some(&RConst::VirtualMethod {
+                                class: cidx, vslot, ..
+                            }),
+                        ) => table.class(cidx).vtable[vslot as usize],
+                        (CallKind::Virtual, Some(&RConst::VirtualMethod { vslot, nargs, .. })) => {
+                            // Receiver sits below the arguments.
+                            if thread.values.len() - stack_base < nargs as usize {
+                                fault!("virtual call with short stack");
+                            }
+                            let recv_pos = thread.values.len() - nargs as usize;
+                            let Value::Ref(recv) = thread.values[recv_pos] else {
+                                raise_at!(src + 1, npe("virtual call on null"));
+                            };
+                            let recv_class = match ctx.space.class_of(recv) {
+                                Ok(id) => table.from_heap_class(id),
+                                Err(e) => raise_at!(src + 1, heap_exception(e)),
+                            };
+                            table.class(recv_class).vtable[vslot as usize]
+                        }
+                        _ => fault!("{kind:?} call on bad pool entry {idx}"),
                     };
-                    match flow {
+                    let callee = table.method(midx);
+                    let shape = callee.shape;
+                    thread.cycles += u64::from(shape.call_cycles);
+                    if thread.frames.len() >= MAX_FRAMES {
+                        raise_at!(
+                            src + 1,
+                            VmException::Builtin(
+                                BuiltinEx::StackOverflow,
+                                format!("{} frames", thread.frames.len()),
+                            )
+                        );
+                    }
+                    // The callee's leading locals overlay the caller's
+                    // pushed arguments in place: no values move, and
+                    // nothing is allocated once the thread's vectors reach
+                    // their high-water mark.
+                    debug_assert!(
+                        thread.values.len() - stack_base >= shape.args as usize,
+                        "call with short operand stack (verifier bug)"
+                    );
+                    let callee_locals = thread.values.len().saturating_sub(shape.args as usize);
+                    let callee_stack = callee_locals + shape.max_locals as usize;
+                    thread.values.resize(callee_stack, Value::Null);
+                    thread.frames.push(Frame {
+                        method: midx,
+                        class: callee.class,
+                        pc: 0,
+                        locals_base: callee_locals as u32,
+                        stack_base: callee_stack as u32,
+                    });
+                    // Switch to the callee at its first template op.
+                    method_idx = midx;
+                    body = &callee.body;
+                    ops = &callee.code.ops;
+                    pool = &table.class(callee.class).rpool;
+                    locals_base = callee_locals;
+                    stack_base = callee_stack;
+                    if body.t_ops.is_empty() {
+                        fault!("no template op at pc 0 of {}", callee.qname);
+                    }
+                    tix = 0;
+                    resume = None;
+                }
+                TOp::Ret { value, cycles } => {
+                    safepoint!(src);
+                    thread.ops += 1;
+                    sync(thread, src + 1);
+                    thread.cycles += cycles as u64;
+                    let value = value.then(|| vpop!());
+                    if let Some(f) = thread.frames.pop() {
+                        thread.values.truncate(f.locals_base as usize);
+                    }
+                    if thread.frames.is_empty() {
+                        return RunExit::Finished(value);
+                    }
+                    if let Some(v) = value {
+                        thread.values.push(v);
+                    }
+                    load_top!();
+                }
+                TOp::Rt => {
+                    safepoint!(src);
+                    // `rt_op` runs the op on the real frame, its pc past
+                    // the op.
+                    thread.ops += 1;
+                    sync(thread, src + 1);
+                    let Some(&op) = ops.get(src) else {
+                        fault!("no op at pc {src} of {}", table.method(method_idx).qname);
+                    };
+                    match rt_op(thread, ctx, op) {
                         StepFlow::Next => tix += 1,
-                        StepFlow::Continue => continue 'frame,
                         StepFlow::Exit(exit) => return exit,
                         StepFlow::Raise(ex) => raise_at!(src + 1, ex),
                     }

@@ -2735,6 +2735,259 @@ mod fuel_split {
         answers.dedup();
         assert_eq!(answers.len(), 4, "{answers:?}");
     }
+
+    /// `Shape` (an `int` field, a constructor, a void method that falls off
+    /// its end) and `Square`, which overrides `area`.
+    fn shape_classes() -> [ClassDef; 2] {
+        let mut b = ClassBuilder::new("Shape").field("n", TypeDesc::Int);
+        let n = b.pool(Const::Field {
+            class: "Shape".to_string(),
+            name: "n".to_string(),
+        });
+        let shape = b
+            .method(
+                MethodBuilder::instance("init")
+                    .param(TypeDesc::Int)
+                    .ops([Op::Load(0), Op::Load(1), Op::PutField(n), Op::Return])
+                    .build(),
+            )
+            .method(
+                MethodBuilder::instance("area")
+                    .returns(TypeDesc::Int)
+                    .ops([Op::Load(0), Op::GetField(n), Op::ReturnVal])
+                    .build(),
+            )
+            // No `Return`: the implicit return past the last op.
+            .method(
+                MethodBuilder::instance("bump")
+                    .ops([
+                        Op::Load(0),
+                        Op::Load(0),
+                        Op::GetField(n),
+                        Op::ConstInt(1),
+                        Op::Add,
+                        Op::PutField(n),
+                    ])
+                    .build(),
+            )
+            .build();
+        let mut b = ClassBuilder::new("Square").extends("Shape");
+        let n = b.pool(Const::Field {
+            class: "Square".to_string(),
+            name: "n".to_string(),
+        });
+        let square = b
+            .method(
+                MethodBuilder::instance("area")
+                    .returns(TypeDesc::Int)
+                    .ops([
+                        Op::Load(0),
+                        Op::GetField(n),
+                        Op::Load(0),
+                        Op::GetField(n),
+                        Op::Mul,
+                        Op::ReturnVal,
+                    ])
+                    .build(),
+            )
+            .build();
+        [shape, square]
+    }
+
+    /// `Main`: `calls(n)` loops over static, special and virtual calls
+    /// (void, value and implicit returns), `catcher` catches an exception
+    /// `thrower` raises two frames down, and `guard` catches the
+    /// `StackOverflowError` of unbounded recursion.
+    fn calls_class() -> ClassDef {
+        let mut b = ClassBuilder::new("Main");
+        let method = |b: &mut ClassBuilder, class: &str, name: &str| {
+            b.pool(Const::Method {
+                class: class.to_string(),
+                name: name.to_string(),
+            })
+        };
+        let square = b.pool(Const::Class("Square".to_string()));
+        let init = method(&mut b, "Shape", "init");
+        let area = method(&mut b, "Shape", "area");
+        let bump = method(&mut b, "Shape", "bump");
+        let nop = method(&mut b, "Main", "nop");
+        let catcher = method(&mut b, "Main", "catcher");
+        let middle = method(&mut b, "Main", "middle");
+        let thrower = method(&mut b, "Main", "thrower");
+        let guard = method(&mut b, "Main", "guard");
+        let deep = method(&mut b, "Main", "deep");
+        let arith = b.pool(Const::Class("ArithmeticException".to_string()));
+        let overflow = b.pool(Const::Class("StackOverflowError".to_string()));
+        let int_to_int = |name: &str, ops: Vec<Op>| {
+            MethodBuilder::of_static(name)
+                .param(TypeDesc::Int)
+                .returns(TypeDesc::Int)
+                .ops(ops)
+        };
+        b.method(
+            // Locals: 0 n, 1 i, 2 acc, 3 s.
+            int_to_int(
+                "calls",
+                vec![
+                    /* 0*/ Op::ConstInt(0),
+                    /* 1*/ Op::Store(1),
+                    /* 2*/ Op::ConstInt(0),
+                    /* 3*/ Op::Store(2),
+                    // head: s = new Square; s.init(i); s.bump(); nop()
+                    /* 4*/ Op::Load(1),
+                    /* 5*/ Op::Load(0),
+                    /* 6*/ Op::CmpLt,
+                    /* 7*/ Op::JumpIfFalse(31),
+                    /* 8*/ Op::New(square),
+                    /* 9*/ Op::Store(3),
+                    /*10*/ Op::Load(3),
+                    /*11*/ Op::Load(1),
+                    /*12*/ Op::CallSpecial(init),
+                    /*13*/ Op::Load(3),
+                    /*14*/ Op::CallVirtual(bump),
+                    /*15*/ Op::CallStatic(nop),
+                    // acc = acc + s.area() + catcher(i % 3)
+                    /*16*/ Op::Load(2),
+                    /*17*/ Op::Load(3),
+                    /*18*/ Op::CallVirtual(area),
+                    /*19*/ Op::Add,
+                    /*20*/ Op::Load(1),
+                    /*21*/ Op::ConstInt(3),
+                    /*22*/ Op::Rem,
+                    /*23*/ Op::CallStatic(catcher),
+                    /*24*/ Op::Add,
+                    /*25*/ Op::Store(2),
+                    /*26*/ Op::Load(1),
+                    /*27*/ Op::ConstInt(1),
+                    /*28*/ Op::Add,
+                    /*29*/ Op::Store(1),
+                    /*30*/ Op::Jump(4),
+                    // acc + guard()
+                    /*31*/ Op::Load(2),
+                    /*32*/ Op::CallStatic(guard),
+                    /*33*/ Op::Add,
+                    /*34*/ Op::ReturnVal,
+                ],
+            )
+            .locals(3)
+            .build(),
+        )
+        .method(MethodBuilder::of_static("nop").op(Op::Return).build())
+        .method(
+            // catcher(x) = middle(x), or 100 when it raises.
+            int_to_int(
+                "catcher",
+                vec![
+                    Op::Load(0),
+                    Op::CallStatic(middle),
+                    Op::ReturnVal,
+                    Op::Pop,
+                    Op::ConstInt(100),
+                    Op::ReturnVal,
+                ],
+            )
+            .handler(0, 2, 3, arith)
+            .build(),
+        )
+        .method(
+            int_to_int(
+                "middle",
+                vec![
+                    Op::Load(0),
+                    Op::CallStatic(thrower),
+                    Op::ConstInt(1),
+                    Op::Add,
+                    Op::ReturnVal,
+                ],
+            )
+            .build(),
+        )
+        .method(
+            // 60 / x: raises for x = 0.
+            int_to_int(
+                "thrower",
+                vec![Op::ConstInt(60), Op::Load(0), Op::Div, Op::ReturnVal],
+            )
+            .build(),
+        )
+        .method(
+            // guard() = deep(0), or -1 when the stack overflows.
+            MethodBuilder::of_static("guard")
+                .returns(TypeDesc::Int)
+                .ops([
+                    Op::ConstInt(0),
+                    Op::CallStatic(deep),
+                    Op::ReturnVal,
+                    Op::Pop,
+                    Op::ConstInt(-1),
+                    Op::ReturnVal,
+                ])
+                .handler(0, 2, 3, overflow)
+                .build(),
+        )
+        .method(
+            int_to_int(
+                "deep",
+                vec![
+                    Op::Load(0),
+                    Op::ConstInt(1),
+                    Op::Add,
+                    Op::CallStatic(deep),
+                    Op::ReturnVal,
+                ],
+            )
+            .build(),
+        )
+        .build()
+    }
+
+    /// Runs `Main.method(args)` one op per `step` to its end and folds
+    /// every stop — frame depth, pc, cycles and ops — into one digest.
+    fn trajectory(vm: &mut TestVm, method: &str, args: Vec<Value>) -> (RunExit, u64) {
+        let mut thread = vm.spawn("Main", method, args);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        loop {
+            let exit = step(&mut thread, &mut vm.ctx(), 1);
+            let pc = thread.frames.last().map_or(u32::MAX, |f| f.pc);
+            for v in [thread.frames.len() as u64, pc as u64, thread.cycles, thread.ops] {
+                h = (h ^ v).wrapping_mul(0x100_0000_01b3);
+            }
+            if exit != RunExit::Preempted {
+                return (exit, h);
+            }
+        }
+    }
+
+    #[test]
+    fn calls_returns_and_unwinds_match_one_op_per_step() {
+        let mut vm = TestVm::new();
+        for def in shape_classes() {
+            vm.load(def).unwrap();
+        }
+        vm.load(calls_class()).unwrap();
+        let mut digests = Vec::new();
+        // calls(n) = sum over i < n of (i + 1)^2 + catcher(i % 3), minus 1.
+        for (n, answer) in [(0, -1), (1, 100), (2, 165), (5, 407)] {
+            let (fused, plain) = vm.run_split("Main", "calls", vec![Value::Int(n)]);
+            assert_eq!(plain, fused, "calls({n}): fuel split");
+            assert_eq!(fused, RunExit::Finished(Some(Value::Int(answer))), "calls({n})");
+            let (exit, digest) = trajectory(&mut vm, "calls", vec![Value::Int(n)]);
+            assert_eq!(exit, fused, "calls({n}): trajectory");
+            digests.push(digest);
+        }
+        // Every stop of the one-op-per-step runs, as the cycle model and
+        // the safe points placed them before calls and returns became
+        // template ops: a charge or a fuel check that moves changes it.
+        assert_eq!(digests, CALLS_TRAJECTORIES, "{digests:#x?}");
+    }
+
+    /// The digests of `calls_returns_and_unwinds_match_one_op_per_step`.
+    const CALLS_TRAJECTORIES: [u64; 4] = [
+        0x77a4_6275_a7d1_d025,
+        0xfabe_f921_9581_26a3,
+        0x6f12_09cc_2cfd_9c78,
+        0xa7e1_86f2_9cca_fec4,
+    ];
 }
 
 /// The string runtime ops against a plain-Rust oracle over `chars()`:
@@ -3397,5 +3650,131 @@ mod body_memo {
             assert_eq!(lowered.compiled, (k == 0) as u64);
         }
         assert_eq!(vm.table.body_usage().0 - before, 1);
+    }
+}
+
+/// `new` and the statics object copy their class's typed-zero template
+/// (DESIGN §17), into a fresh buffer or one the payload pool recycled.
+mod class_templates {
+    use super::*;
+    use kaffeos_heap::ObjRef;
+
+    /// `Base` has an `int`, a `float` and a reference field, and statics of
+    /// the same three types; `Sub` adds an `int` and a `float`.
+    fn load_classes(vm: &mut TestVm) {
+        vm.load(
+            ClassBuilder::new("Base")
+                .field("i", TypeDesc::Int)
+                .field("f", TypeDesc::Float)
+                .field("r", TypeDesc::Str)
+                .static_field("si", TypeDesc::Int)
+                .static_field("sf", TypeDesc::Float)
+                .static_field("sr", TypeDesc::Str)
+                .build(),
+        )
+        .unwrap();
+        vm.load(
+            ClassBuilder::new("Sub")
+                .extends("Base")
+                .field("j", TypeDesc::Int)
+                .field("g", TypeDesc::Float)
+                .build(),
+        )
+        .unwrap();
+        let mut b = ClassBuilder::new("Main");
+        let base = b.pool(Const::Class("Base".to_string()));
+        let sub = b.pool(Const::Class("Sub".to_string()));
+        let si = b.pool(Const::Field {
+            class: "Base".to_string(),
+            name: "si".to_string(),
+        });
+        let make = |name: &str, class: &str, idx: u16| {
+            MethodBuilder::of_static(name)
+                .returns(TypeDesc::Class(class.to_string()))
+                .ops([Op::New(idx), Op::ReturnVal])
+                .build()
+        };
+        let main = b
+            .method(make("base", "Base", base))
+            .method(make("sub", "Sub", sub))
+            .method(
+                MethodBuilder::of_static("statics")
+                    .returns(TypeDesc::Int)
+                    .ops([Op::GetStatic(si), Op::ReturnVal])
+                    .build(),
+            )
+            .build();
+        vm.load(main).unwrap();
+    }
+
+    const BASE: [Value; 3] = [Value::Int(0), Value::Float(0.0), Value::Null];
+    const SUB: [Value; 5] = [
+        Value::Int(0),
+        Value::Float(0.0),
+        Value::Null,
+        Value::Int(0),
+        Value::Float(0.0),
+    ];
+
+    fn new_object(vm: &mut TestVm, method: &str) -> ObjRef {
+        match vm.run("Main", method, vec![]) {
+            RunExit::Finished(Some(Value::Ref(obj))) => obj,
+            other => panic!("Main.{method}: {other:?}"),
+        }
+    }
+
+    fn slots(vm: &TestVm, obj: ObjRef) -> Vec<Value> {
+        let n = vm.space.slot_count(obj).unwrap();
+        (0..n).map(|i| vm.space.load(obj, i).unwrap()).collect()
+    }
+
+    /// The statics object of `Base`, created by a `GetStatic`.
+    fn statics(vm: &mut TestVm) -> Vec<Value> {
+        assert_eq!(vm.run_int("Main", "statics", vec![]), 0);
+        let base = vm.table.lookup(vm.ns, "Base").unwrap();
+        let obj = vm.statics[&base];
+        slots(vm, obj)
+    }
+
+    #[test]
+    fn fresh_objects_and_statics_hold_typed_zeros() {
+        let mut vm = TestVm::new();
+        load_classes(&mut vm);
+        let base = new_object(&mut vm, "base");
+        assert_eq!(slots(&vm, base), BASE);
+        // The subclass's template carries the inherited slots' defaults.
+        let sub = new_object(&mut vm, "sub");
+        assert_eq!(slots(&vm, sub), SUB);
+        assert_eq!(statics(&mut vm), BASE);
+    }
+
+    #[test]
+    fn recycled_buffers_are_overwritten_with_typed_zeros() {
+        let mut vm = TestVm::new();
+        load_classes(&mut vm);
+        // Dirty two three-slot buffers and a five-slot one, then let the
+        // collector park them all in the payload pool.
+        for method in ["base", "base", "sub"] {
+            let obj = new_object(&mut vm, method);
+            let n = vm.space.slot_count(obj).unwrap();
+            for i in 0..n {
+                match slots(&vm, obj)[i] {
+                    Value::Int(_) => vm.space.store_prim(obj, i, Value::Int(7)).unwrap(),
+                    Value::Float(_) => vm.space.store_prim(obj, i, Value::Float(2.5)).unwrap(),
+                    _ => {
+                        vm.space.store_ref(obj, i, Value::Ref(obj), false).unwrap();
+                    }
+                }
+            }
+            for (v, zero) in slots(&vm, obj).into_iter().zip(SUB) {
+                assert_ne!(v, zero, "Main.{method}: a slot stayed zero");
+            }
+        }
+        vm.space.gc(vm.heap, &[]).unwrap();
+        let base = new_object(&mut vm, "base");
+        assert_eq!(slots(&vm, base), BASE);
+        assert_eq!(statics(&mut vm), BASE);
+        let sub = new_object(&mut vm, "sub");
+        assert_eq!(slots(&vm, sub), SUB);
     }
 }
