@@ -552,7 +552,7 @@ impl Analysis {
             self.counts.0 += 1;
         }
         let m = table.methods.get(midx.0 as usize)?;
-        let code = &m.code;
+        let code = &table.decl(midx).code;
 
         let mut locals = Vec::with_capacity(code.max_locals as usize);
         // Receiver and parameters arrive from arbitrary call sites.
@@ -701,8 +701,8 @@ impl Analysis {
             Op::Return => return Some(Flow::Stop),
             Op::ReturnVal => {
                 let r = pop(state)?;
-                let m = table.methods.get(midx.0 as usize)?;
-                if m.ret.as_ref().is_some_and(TypeDesc::is_reference) {
+                table.methods.get(midx.0 as usize)?;
+                if table.decl(midx).ret.as_ref().is_some_and(TypeDesc::is_reference) {
                     self.join_summary(midx, r);
                 }
                 return Some(Flow::Stop);
@@ -798,7 +798,7 @@ impl Analysis {
                 };
                 let target = *target;
                 let m = table.methods.get(target.0 as usize)?;
-                let (nargs, ret) = (m.arg_slots(), m.ret.clone());
+                let (nargs, ret) = (m.arg_slots(), table.decl(target).ret.clone());
                 for _ in 0..nargs {
                     pop(state)?;
                 }
@@ -819,7 +819,8 @@ impl Analysis {
                     .get(class.0 as usize)?
                     .vtable
                     .get(*vslot as usize)?;
-                let ret = table.methods.get(target.0 as usize)?.ret.clone();
+                table.methods.get(target.0 as usize)?;
+                let ret = table.decl(target).ret.clone();
                 for _ in 0..*nargs {
                     pop(state)?;
                 }
@@ -842,7 +843,8 @@ impl Analysis {
                     .vtable
                     .get(*vslot as usize)?;
                 let (class, vslot) = (*class, *vslot);
-                let ret = table.methods.get(target.0 as usize)?.ret.clone();
+                table.methods.get(target.0 as usize)?;
+                let ret = table.decl(target).ret.clone();
                 for _ in 0..*nargs {
                     pop(state)?;
                 }
@@ -952,7 +954,7 @@ impl Analysis {
         let Some(class) = table.classes.get(m.class.0 as usize) else {
             return;
         };
-        for (pc, op) in m.code.ops.iter().enumerate() {
+        for (pc, op) in table.decl(midx).code.ops.iter().enumerate() {
             let Op::CallVirtual(idx) = *op else { continue };
             if state_at(states, pc as u32).is_none() {
                 continue; // unreachable: never dispatched
@@ -1005,17 +1007,18 @@ impl Analysis {
         let Some(m) = table.methods.get(midx.0 as usize) else {
             return;
         };
-        let code = &m.code;
+        let decl = table.decl(midx);
+        let code = &decl.code;
         let class_name = table
             .classes
             .get(m.class.0 as usize)
-            .map(|c| c.name.clone())
+            .map(|c| c.name().to_string())
             .unwrap_or_default();
 
         let lint = |kind: LintKind, pc: u32, msg: String| Lint {
             kind,
             class: class_name.clone(),
-            method: m.name.clone(),
+            method: decl.name.clone(),
             pc,
             line: code.line_for(pc),
             msg,
@@ -1197,7 +1200,8 @@ impl Analysis {
         let Some(m) = table.methods.get(midx.0 as usize) else {
             return;
         };
-        let interesting = m.code.ops.iter().any(|o| {
+        let code = &table.decl(midx).code;
+        let interesting = code.ops.iter().any(|o| {
             matches!(
                 o,
                 Op::New(_) | Op::NewArray(_) | Op::MonitorEnter | Op::MonitorExit
@@ -1214,14 +1218,14 @@ impl Analysis {
         // the allocated class name (arrays share one bucket).
         let mut site_pc: Vec<u32> = Vec::new();
         let mut site_name: Vec<String> = Vec::new();
-        for (pc, op) in m.code.ops.iter().enumerate() {
+        for (pc, op) in code.ops.iter().enumerate() {
             match *op {
                 Op::New(idx) => {
                     let name = match class.rpool.get(idx as usize) {
                         Some(RConst::Class(c)) => table
                             .classes
                             .get(c.0 as usize)
-                            .map(|lc| lc.name.clone())
+                            .map(|lc| lc.name().to_string())
                             .unwrap_or_else(|| "?".to_string()),
                         _ => "?".to_string(),
                     };
@@ -1256,7 +1260,7 @@ impl Analysis {
         esc: &mut [EscapeClass],
     ) -> Option<States<EscState>> {
         let m = table.methods.get(midx.0 as usize)?;
-        let code = &m.code;
+        let code = &table.decl(midx).code;
         let rpool = &table.classes.get(m.class.0 as usize)?.rpool;
         let site_of = |pc: u32| site_pc.binary_search(&pc).ok().map(|i| i as u16);
 
@@ -1436,7 +1440,7 @@ impl Analysis {
                         return None;
                     };
                     let tm = table.methods.get(target.0 as usize)?;
-                    let (nargs, ret) = (tm.arg_slots(), tm.ret.is_some());
+                    let (nargs, ret) = (tm.arg_slots(), table.decl(*target).ret.is_some());
                     for _ in 0..nargs {
                         if let Some(s) = pop(&mut state)? {
                             esc[s as usize] = esc[s as usize].max(EscapeClass::MayCross);
@@ -1457,7 +1461,8 @@ impl Analysis {
                         .get(class.0 as usize)?
                         .vtable
                         .get(*vslot as usize)?;
-                    let ret = table.methods.get(target.0 as usize)?.ret.is_some();
+                    table.methods.get(target.0 as usize)?;
+                    let ret = table.decl(target).ret.is_some();
                     for _ in 0..*nargs {
                         if let Some(s) = pop(&mut state)? {
                             esc[s as usize] = esc[s as usize].max(EscapeClass::MayCross);
@@ -1533,8 +1538,9 @@ impl Analysis {
         let Some(class) = table.classes.get(m.class.0 as usize) else {
             return;
         };
-        let code = &m.code;
-        let (class_name, method_name) = (class.name.clone(), m.name.clone());
+        let decl = table.decl(midx);
+        let code = &decl.code;
+        let (class_name, method_name) = (class.name().to_string(), decl.name.clone());
 
         // Escalate per-site verdicts using the store-site regions the region
         // pass derived.
@@ -1665,10 +1671,11 @@ impl Analysis {
             let Some(m) = table.methods.get(mid as usize) else {
                 continue;
             };
+            let decl = table.decl(MethodIdx(mid));
             let class_name = table
                 .classes
                 .get(m.class.0 as usize)
-                .map(|c| c.name.clone())
+                .map(|c| c.name().to_string())
                 .unwrap_or_default();
             let (a, b) = (
                 self.lock_names.get(from as usize).map_or("?", String::as_str),
@@ -1677,9 +1684,9 @@ impl Analysis {
             self.lints.push(Lint {
                 kind: LintKind::DeadlockCandidate,
                 class: class_name,
-                method: m.name.clone(),
+                method: decl.name.clone(),
                 pc,
-                line: m.code.line_for(pc),
+                line: decl.code.line_for(pc),
                 msg: format!("lock-order cycle: {a} -> {b}"),
             });
         }
@@ -1736,12 +1743,13 @@ fn declaring_class(table: &ClassTable, mut c: ClassIdx, slot: u16) -> Option<Cla
     // rather than spinning.
     for _ in 0..=table.classes.len() {
         let lc = table.classes.get(c.0 as usize)?;
-        match lc.super_idx {
-            Some(s) if (slot as usize) < table.classes.get(s.0 as usize)?.instance_fields.len() => {
-                c = s;
-            }
-            _ => return Some(c),
+        let Some(s) = lc.super_idx else {
+            return Some(c);
+        };
+        if (slot as usize) >= table.classes.get(s.0 as usize)?.link.instance_fields.len() {
+            return Some(c);
         }
+        c = s;
     }
     None
 }

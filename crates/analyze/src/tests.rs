@@ -2,8 +2,19 @@
 
 use crate::{analyze, EscapeClass, LintKind, Region, Verdict};
 use kaffeos_vm::{
-    ClassBuilder, ClassDef, ClassTable, Const, IntrinsicRegistry, MethodBuilder, Op, TypeDesc,
+    ClassBuilder, ClassDef, ClassTable, Code, Const, IntrinsicRegistry, MethodBuilder, MethodIdx,
+    Op, TypeDesc,
 };
+use std::sync::Arc;
+
+/// A loaded method's code, made writable: its class's linked definition
+/// and class text are copied first when shared.
+fn code_mut(table: &mut ClassTable, m: MethodIdx) -> &mut Code {
+    let rt = table.method(m);
+    let (class, slot) = (rt.class.0 as usize, rt.slot as usize);
+    let link = Arc::make_mut(&mut table.classes[class].link);
+    &mut Arc::make_mut(&mut link.def).methods[slot].code
+}
 
 fn obj() -> TypeDesc {
     TypeDesc::Class("Object".to_string())
@@ -675,7 +686,7 @@ fn analyzer_bails_but_never_panics_on_mangled_bytecode() {
         vec![Op::PutField(77), Op::Return],   // pool index out of range
         vec![Op::Dup, Op::Return],            // dup on empty stack
     ] {
-        table.methods[m.0 as usize].code.ops = bad.into();
+        code_mut(&mut table, m).ops = bad.into();
         let an = analyze(&table);
         assert!(an.is_bailed(m), "mangled method must bail");
         assert!(!elides_any(&an, m));

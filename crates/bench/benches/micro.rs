@@ -5,27 +5,11 @@
 //! then timed over a fixed number of iterations with `std::time::Instant`.
 //! Run with `cargo bench -p kaffeos-bench --bench micro`.
 
-use std::time::Instant;
-
+use kaffeos_bench::bench;
 use kaffeos_heap::{BarrierKind, ClassId, HeapSpace, ProcTag, SpaceConfig, Value};
 use kaffeos_memlimit::Kind;
 
 const CLS: ClassId = ClassId(1);
-
-/// Times `iters` runs of `f` after `warmup` unrecorded runs and prints
-/// mean ns/iteration.
-fn bench(name: &str, warmup: u32, iters: u32, mut f: impl FnMut()) {
-    for _ in 0..warmup {
-        f();
-    }
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    let total = start.elapsed();
-    let per = total.as_nanos() as f64 / iters as f64;
-    println!("{name:<44} {per:>14.1} ns/iter  ({iters} iters)");
-}
 
 fn user_heap(space: &mut HeapSpace) -> kaffeos_heap::HeapId {
     let root = space.root_memlimit();

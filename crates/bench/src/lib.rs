@@ -24,3 +24,17 @@ pub fn quick_mode() -> bool {
 pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
 }
+
+/// Times `iters` runs of `f` after `warmup` unrecorded runs and prints
+/// mean ns/iteration: the `micro` and `ablations` harnesses' timer.
+pub fn bench(name: &str, warmup: u32, iters: u32, mut f: impl FnMut()) {
+    for _ in 0..warmup {
+        f();
+    }
+    let start = std::time::Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    let per = start.elapsed().as_nanos() as f64 / iters as f64;
+    println!("{name:<44} {per:>14.1} ns/iter  ({iters} iters)");
+}

@@ -171,7 +171,7 @@ impl KaffeOs {
             .table
             .find_method(main_class, "main")
             .ok_or_else(|| KernelError::BadEntry(format!("no method {entry}.main")))?;
-        let m = self.table.method(midx);
+        let m = self.table.decl(midx);
         if !m.is_static {
             return Err(KernelError::BadEntry(
                 "Main.main must be static".to_string(),

@@ -6,11 +6,12 @@
 //! `shared` namespace and the reloaded library into the `template`
 //! namespace. Each kernel then boots from its own clone of that table.
 //!
-//! A clone copies class, method and namespace records, not code: class
-//! definitions, op streams and template bodies are `Arc`s that every clone
-//! shares with the image. The verify memo and the body memo are keyed by
-//! the addresses of those same `Arc`s, and the image holds them for the
-//! life of the host process, so both memos stay valid in every clone.
+//! A clone copies class, method and namespace records, not code: linked
+//! definitions, with their class text, layouts and template bodies, are
+//! `Arc`s that every clone shares with the image. The link memo is keyed
+//! by the addresses of the class definitions those `Arc`s hold, and the
+//! image holds them for the life of the host process, so the memo stays
+//! valid in every clone.
 //!
 //! Template bodies are pre-scaled for the table's cycle model, so there is
 //! one image per [`Engine`]. The image is never mutated once built, and

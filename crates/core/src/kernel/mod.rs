@@ -390,8 +390,9 @@ impl KaffeOs {
         &self.seg_sites
     }
 
-    /// The global class table (read-only): loaded classes, methods, and
-    /// the *published* elision bitmaps the interpreter actually consults.
+    /// The global class table (read-only): namespaces, and the class and
+    /// method bindings of every load with the linked definitions they
+    /// share.
     pub fn class_table(&self) -> &ClassTable {
         &self.table
     }

@@ -61,8 +61,9 @@ impl KaffeOs {
         self.proc_index(pid).map(|idx| self.procs[idx].jit)
     }
 
-    /// `(bodies, bytes)` the class table's lower-once memo holds: every
-    /// body any load lowered, each counted once however many share it.
+    /// `(bodies, bytes)` the class table's link memo holds: every body of
+    /// every definition linked once per load context, each counted once
+    /// however many loads share it.
     pub fn jit_cache_usage(&self) -> (usize, u64) {
         self.table.body_usage()
     }
@@ -136,7 +137,7 @@ impl KaffeOs {
             return "Object[]".to_string();
         }
         if (tag as usize) < self.table.classes.len() {
-            self.table.class(self.table.from_heap_class(id)).name.clone()
+            self.table.class(self.table.from_heap_class(id)).name().to_string()
         } else {
             format!("class#{tag}")
         }

@@ -508,8 +508,8 @@ impl KaffeOs {
                     .map(|id| {
                         self.table
                             .class(self.table.from_heap_class(id))
-                            .name
-                            .clone()
+                            .name()
+                            .to_string()
                     })
                     .unwrap_or_else(|| "<stale>".to_string());
                 let message = self

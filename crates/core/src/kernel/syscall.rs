@@ -255,7 +255,7 @@ impl KaffeOs {
             .table
             .find_method(cidx, method)
             .ok_or_else(|| format!("proc.thread: unknown method {class}.{method}"))?;
-        let m = self.table.method(midx);
+        let m = self.table.decl(midx);
         if !m.is_static {
             return Err(format!("proc.thread: {class}.{method} must be static"));
         }
@@ -406,12 +406,12 @@ impl KaffeOs {
 
         // Populate: `count` instances of the shared class, each a copy of
         // its typed-zero template.
-        let template = self.table.class(class).template.clone();
+        let link = self.table.class(class).link.clone();
         let mut objects = Vec::with_capacity(count as usize);
         for _ in 0..count {
             match self
                 .space
-                .alloc_fields_from(heap, class.heap_class(), &template.instance)
+                .alloc_fields_from(heap, class.heap_class(), &link.template.instance)
             {
                 Ok(obj) => objects.push(obj),
                 Err(_) => {

@@ -584,8 +584,8 @@ mod namespaces {
         let mains: Vec<_> = table
             .classes
             .iter()
-            .filter(|c| c.name == "Main")
-            .map(|c| &table.method(table.find_method(c.idx, "main").unwrap()).code)
+            .filter(|c| c.name() == "Main")
+            .map(|c| &table.decl(table.find_method(c.idx, "main").unwrap()).code)
             .collect();
         assert_eq!(mains.len(), 1000);
         let first = mains[0];
@@ -689,11 +689,11 @@ mod boot_image {
     use super::*;
     use crate::kernel::BootImage;
     use crate::Engine;
-    use kaffeos_vm::{ClassTable, ProcJitStats};
+    use kaffeos_vm::{ClassTable, MethodIdx, ProcJitStats};
     use std::sync::Arc;
 
     /// Everything boot puts in a table: namespace, class and method
-    /// counts, the body memo's readings, and the `Debug` rendering of the
+    /// counts, the link memo's readings, and the `Debug` rendering of the
     /// `shared` and `template` namespaces (ids 0 and 1, in boot order).
     fn shape(table: &ClassTable) -> (usize, usize, usize, (usize, u64), ProcJitStats, String) {
         (
@@ -709,11 +709,9 @@ mod boot_image {
     /// Every method of `image` has its ops allocation in `table` too: the
     /// table was cloned from the image, not compiled again.
     fn shares_code(table: &ClassTable, image: &ClassTable) -> bool {
-        image
-            .methods
-            .iter()
-            .zip(&table.methods)
-            .all(|(a, b)| Arc::ptr_eq(&a.code.ops, &b.code.ops))
+        (0..image.methods.len() as u32)
+            .map(MethodIdx)
+            .all(|m| Arc::ptr_eq(&image.decl(m).code.ops, &table.decl(m).code.ops))
     }
 
     /// A kernel boots from a copy of the image, never the image itself:
@@ -782,7 +780,9 @@ mod boot_image {
                 .map(|_| {
                     s.spawn(|| {
                         let os = KaffeOs::new(config());
-                        os.table.methods.iter().map(|m| m.code.ops.clone()).collect()
+                        (0..os.table.methods.len() as u32)
+                            .map(|m| os.table.decl(MethodIdx(m)).code.ops.clone())
+                            .collect()
                     })
                 })
                 .collect();
@@ -792,7 +792,9 @@ mod boot_image {
         for ops in &booted {
             assert_eq!(ops.len(), image.table.methods.len());
             assert!(
-                image.table.methods.iter().zip(ops).all(|(m, o)| Arc::ptr_eq(&m.code.ops, o)),
+                ops.iter()
+                    .enumerate()
+                    .all(|(m, o)| Arc::ptr_eq(&image.table.decl(MethodIdx(m as u32)).code.ops, o)),
                 "a second image was built"
             );
         }

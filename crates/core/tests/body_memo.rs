@@ -1,7 +1,7 @@
-//! Acceptance suite for template bodies and the class table's lower-once
-//! memo: the procfs/top observability surface, cross-process reuse,
-//! bodies surviving a later class load, and the memo under the seeded
-//! kill-storm fault sweep.
+//! Acceptance suite for template bodies and the class table's link memo:
+//! the procfs/top observability surface, cross-process reuse, bodies
+//! surviving a later class load, and the memo under the seeded kill-storm
+//! fault sweep.
 //!
 //! Everything here is host observability over a virtual machine whose
 //! virtual numbers the lowering must not perturb; the fuel-split oracles

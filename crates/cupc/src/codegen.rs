@@ -171,7 +171,7 @@ impl<'a> Env<'a> {
         }
         let idx = self.table.lookup(self.ns, name)?;
         let sup = self.table.class(idx).super_idx?;
-        Some(self.table.class(sup).name.clone())
+        Some(self.table.class(sup).name().to_string())
     }
 
     /// Field lookup, walking up the hierarchy. Returns (type, is_static).
@@ -206,7 +206,7 @@ impl<'a> Env<'a> {
                 }
             } else if let Some(idx) = self.table.lookup(self.ns, &cur) {
                 if let Some(midx) = self.table.find_method(idx, method) {
-                    let m = self.table.method(midx);
+                    let m = self.table.decl(midx);
                     return Some(MethodSig {
                         params: m.params.iter().map(desc_to_ty).collect(),
                         ret: m.ret.as_ref().map(desc_to_ty),

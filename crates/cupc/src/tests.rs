@@ -161,7 +161,7 @@ impl Host {
                 let cidx = self
                     .table
                     .from_heap_class(self.space.class_of(obj).unwrap());
-                self.table.class(cidx).name.clone()
+                self.table.class(cidx).name().to_string()
             }
             other => panic!("expected unhandled exception, got {other:?}"),
         }

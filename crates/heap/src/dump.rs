@@ -32,29 +32,12 @@
 //! callers that know the class table (the kernel) prepend a `classmap`
 //! line mapping tags to names.
 
+use kaffeos_trace::push_json_str;
+
 use crate::heap::HeapKind;
 use crate::object::ObjData;
 use crate::refs::HeapId;
 use crate::space::{HeapSpace, PAGE_SHIFT};
-
-/// Appends `s` as a JSON string literal (quotes + escapes) onto `out`.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
 
 fn kind_name(kind: HeapKind) -> &'static str {
     match kind {

@@ -781,8 +781,8 @@ impl Obs {
 // Exporters
 // ---------------------------------------------------------------------------
 
-/// Escapes `s` for inclusion in a JSON string literal.
-fn push_json_str(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal (quotes + escapes) onto `out`.
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

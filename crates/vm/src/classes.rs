@@ -7,18 +7,20 @@
 //! while reloaded classes get a fresh [`ClassIdx`] — and therefore fresh
 //! statics — per process (§3.2).
 //!
-//! A reloaded class is the same class text bound again, so the verifier's
-//! verdict on it is derived once per *load context* and shared: see
-//! [`Namespace::history`].
+//! A reloaded class is the same class text bound again, so everything a
+//! load derives from it — layout, the verifier's verdict, template bodies
+//! — is derived once per *load context* ([`Namespace::history`]) into a
+//! shared [`LinkedClass`], and each load adds only its small bindings
+//! ([`LoadedClass`], [`MethodRt`]).
 
 use kaffeos_heap::{FxHashMap, Value};
 use std::sync::Arc;
 
-use crate::bytecode::{Const, TypeDesc};
-use crate::classfile::ClassDef;
+use crate::bytecode::{Const, Op, TypeDesc};
+use crate::classfile::{ClassDef, MethodDef};
 use crate::engine::{Engine, BASE_COSTS};
 use crate::intrinsics::IntrinsicRegistry;
-use crate::jit::{BodyMemo, CompiledBody, ProcJitStats};
+use crate::jit::{lower, CompiledBody, ProcJitStats};
 use crate::verify::verify_class;
 use crate::VmError;
 
@@ -116,73 +118,94 @@ pub(crate) struct FrameShape {
     pub(crate) call_cycles: u32,
 }
 
-/// Runtime method record in the global table.
+/// A method's per-load binding in the global table. Its declaration is
+/// its definition's [`MethodDef`] ([`ClassTable::decl`]); its body, frame
+/// shape and op stream are shared with its linked definition and held
+/// inline, so a call reads each from the record in one load.
 #[derive(Debug, Clone)]
 pub struct MethodRt {
     /// Declaring class.
     pub class: ClassIdx,
-    /// Method name (no overloading: names are unique per class).
-    pub name: String,
-    /// Parameter types (receiver excluded).
-    pub params: Vec<TypeDesc>,
-    /// Return type, `None` for void.
-    pub ret: Option<TypeDesc>,
-    /// Static vs instance.
-    pub is_static: bool,
-    /// Verified body.
-    pub code: crate::bytecode::Code,
-    /// Cached `Class.method` display name (see
-    /// [`ClassTable::qualified_name`]) — built once at load time so the
-    /// profiler's miss path never formats.
-    pub qname: String,
-    /// The linked template body the executor runs, shared through the
-    /// table's lower-once memo.
+    /// Position in the declaring definition's `methods` (and its linked
+    /// definition's).
+    pub slot: u32,
+    /// The linked template body the executor runs.
     pub(crate) body: Arc<CompiledBody>,
     /// The frame a call pushes and the cycles it charges.
     pub(crate) shape: FrameShape,
+    /// The declaration's op stream, which runtime ops run.
+    pub(crate) ops: Arc<[Op]>,
 }
 
 impl MethodRt {
     /// Locals consumed by arguments (receiver + params).
     pub fn arg_slots(&self) -> usize {
-        self.params.len() + usize::from(!self.is_static)
+        self.shape.args as usize
     }
 }
 
-/// A loaded, linked class.
+/// A class's per-load binding: what differs between two loads of one
+/// linked definition.
 #[derive(Debug, Clone)]
 pub struct LoadedClass {
-    /// The class "file" this load came from (text shared across loads).
-    pub def: Arc<ClassDef>,
+    /// The definition as linked in this load's context, shared by every
+    /// load over the same context.
+    pub link: Arc<LinkedClass>,
     /// This load's identity.
     pub idx: ClassIdx,
     /// Namespace that loaded it.
     pub namespace: u32,
-    /// Class name.
-    pub name: String,
     /// Superclass, `None` only for the root class.
     pub super_idx: Option<ClassIdx>,
+    /// The record of its first declared method; the records of the rest
+    /// follow it in declaration order.
+    pub(crate) first_method: u32,
+    /// Virtual dispatch table (inherited slots first).
+    pub vtable: Vec<MethodIdx>,
+    /// Resolved constant pool.
+    pub rpool: Vec<RConst>,
+}
+
+/// A class definition linked in one load context (DESIGN §12): its field
+/// layout, dispatch slots, template, and every method's frame shape and
+/// template body. Built, verified and lowered once per context, and held
+/// by the table's link memo for every later load over that context.
+#[derive(Debug, Clone)]
+pub struct LinkedClass {
+    /// The class "file" it was linked from.
+    pub def: Arc<ClassDef>,
     /// Instance fields including inherited ones, slot-ordered.
     pub instance_fields: Vec<FieldInfo>,
     /// Static fields declared by this class, slot-ordered.
     pub static_fields: Vec<FieldInfo>,
-    /// Declared methods.
-    pub methods: Vec<MethodIdx>,
-    /// Virtual dispatch table (inherited slots first).
-    pub vtable: Vec<MethodIdx>,
-    /// Method name → vtable slot.
-    pub vslots: FxHashMap<String, u16>,
-    /// Resolved constant pool.
-    pub rpool: Vec<RConst>,
+    /// Method name → vtable slot, inherited names included.
+    pub(crate) vslots: FxHashMap<String, u16>,
     /// What `new` and the statics object copy and charge.
-    pub template: Arc<ClassTemplate>,
+    pub template: ClassTemplate,
+    /// One entry per declared method, in declaration order.
+    pub(crate) methods: Box<[LinkedMethod]>,
+    /// The namespace whose load linked it (cross-namespace reuse
+    /// attribution).
+    creator: u32,
+}
+
+/// One method of a [`LinkedClass`].
+#[derive(Debug, Clone)]
+pub(crate) struct LinkedMethod {
+    /// `Class.method` display name (see [`ClassTable::qualified_name`]),
+    /// built once per link so the profiler's miss path never formats.
+    qname: String,
+    /// The vtable slot of an instance method.
+    vslot: Option<u16>,
+    /// The frame a call pushes and the cycles it charges.
+    pub(crate) shape: FrameShape,
+    /// The template body, lowered once the class verified.
+    pub(crate) body: Arc<CompiledBody>,
 }
 
 /// A class's `new` charge and typed-zero payloads (`Int(0)` for `int`,
-/// `Float(0.0)` for `float`, null for a reference), fixed at load. One
-/// template serves every class of the same field types: every reload of
-/// a definition, and every clone of the table, shares it.
-#[derive(Debug)]
+/// `Float(0.0)` for `float`, null for a reference), fixed at link time.
+#[derive(Debug, Clone)]
 pub struct ClassTemplate {
     /// Cycles `new` charges before it allocates: `alloc` plus `simple` per
     /// instance field, each pre-scaled for the table's engine.
@@ -203,24 +226,26 @@ fn typed_zero(ty: &TypeDesc) -> Value {
     }
 }
 
-/// A field's kind in a template key: 0 null, 1 `Int`, 2 `Float`.
-fn zero_kind(f: &FieldInfo) -> u8 {
-    match typed_zero(&f.ty) {
-        Value::Int(_) => 1,
-        Value::Float(_) => 2,
-        _ => 0,
-    }
-}
-
 impl LoadedClass {
+    /// Class name.
+    pub fn name(&self) -> &str {
+        &self.link.def.name
+    }
+
+    /// Its method records, in declaration order.
+    pub fn methods(&self) -> impl Iterator<Item = MethodIdx> {
+        let n = self.link.methods.len() as u32;
+        (self.first_method..self.first_method + n).map(MethodIdx)
+    }
+
     /// Finds an instance field slot by name.
     pub fn instance_field(&self, name: &str) -> Option<&FieldInfo> {
-        self.instance_fields.iter().find(|f| f.name == name)
+        self.link.instance_fields.iter().find(|f| f.name == name)
     }
 
     /// Finds a static field slot by name.
     pub fn static_field(&self, name: &str) -> Option<&FieldInfo> {
-        self.static_fields.iter().find(|f| f.name == name)
+        self.link.static_fields.iter().find(|f| f.name == name)
     }
 }
 
@@ -241,11 +266,12 @@ pub struct Namespace {
     /// order, over which parent histories. A fresh namespace is at 0.
     /// Two namespaces with equal own and parent histories resolve every
     /// name to a class of the same definition and shape, so a definition
-    /// the verifier accepted in one is accepted in the other.
+    /// links to the same layout and bodies in both, and the verifier
+    /// accepts it in one exactly when it accepts it in the other.
     pub(crate) history: u64,
 }
 
-/// A load history that never hits the verify memo and never gains an edge:
+/// A load history that never hits the link memo and never gains an edge:
 /// the namespace was dropped, or it loaded over a parent whose history
 /// does not describe what the parent resolves.
 const UNKEYED: u64 = u64::MAX;
@@ -260,20 +286,19 @@ pub struct ClassTable {
     /// Every class-loader namespace.
     pub namespaces: Vec<Namespace>,
     intrinsics: IntrinsicRegistry,
-    /// Verify memo: (own history, parent's history, definition address) →
-    /// the history after binding the definition. An edge exists only once
-    /// `verify_class` accepted the definition from that context; the `Arc`
-    /// keeps its address from being reused while the edge exists.
-    verified: FxHashMap<(u64, u64, usize), (Arc<ClassDef>, u64)>,
+    /// The link memo: (own history, parent's history, definition address)
+    /// → the definition as linked from that context, and the history
+    /// after binding it. An edge exists only once `verify_class` accepted
+    /// the definition from that context; the linked definition holds the
+    /// `Arc` whose address keys it, so the address is not reused while the
+    /// edge exists.
+    linked: FxHashMap<(u64, u64, usize), (Arc<LinkedClass>, u64)>,
     /// Last history id handed out.
     histories: u64,
     /// Cycle model the table's threads run under.
     engine: Engine,
-    /// Lower-once memo of every linked template body.
-    bodies: BodyMemo,
-    /// Every distinct class template, keyed by the kinds of its instance
-    /// zeros, a separator, and the kinds of its statics zeros.
-    templates: FxHashMap<Box<[u8]>, Arc<ClassTemplate>>,
+    /// Lowering counters summed over every load.
+    lowering: ProcJitStats,
     /// `verify_class` runs made by `load_class`.
     #[cfg(test)]
     pub(crate) verifications: usize,
@@ -301,41 +326,25 @@ impl ClassTable {
         self.engine
     }
 
-    /// `(bodies, modelled bytes)` the lower-once memo holds: one body per
-    /// (definition, method, field layout) ever loaded.
+    /// `(bodies, modelled bytes)` the link memo holds: one body per method
+    /// of each definition, per load context it was linked in.
     pub fn body_usage(&self) -> (usize, u64) {
-        self.bodies.usage()
+        self.linked
+            .values()
+            .flat_map(|(link, _)| link.methods.iter())
+            .fold((0, 0), |(n, bytes), m| (n + 1, bytes + m.body.bytes()))
     }
 
     /// Lowering counters summed over every load so far; a difference of
     /// two readings attributes the loads between them.
     pub fn lowering_totals(&self) -> ProcJitStats {
-        self.bodies.totals()
+        self.lowering
     }
 
-    /// The template of a class with these instance and static fields.
-    fn template(&mut self, instance: &[FieldInfo], statics: &[FieldInfo]) -> Arc<ClassTemplate> {
-        let kinds = instance.iter().map(zero_kind);
-        let key: Box<[u8]> = kinds.chain([3]).chain(statics.iter().map(zero_kind)).collect();
-        let engine = self.engine;
-        let zeros = |fields: &[FieldInfo]| fields.iter().map(|f| typed_zero(&f.ty)).collect();
-        self.templates
-            .entry(key)
-            .or_insert_with(|| {
-                Arc::new(ClassTemplate {
-                    new_cycles: engine.scaled(BASE_COSTS.alloc)
-                        + engine.scaled(BASE_COSTS.simple) * instance.len() as u64,
-                    instance: zeros(instance),
-                    statics: zeros(statics),
-                })
-            })
-            .clone()
-    }
-
-    /// Edges in the verify memo.
+    /// Edges in the link memo.
     #[cfg(test)]
     pub(crate) fn verify_edges(&self) -> usize {
-        self.verified.len()
+        self.linked.len()
     }
 
     /// The intrinsic registry used at link time.
@@ -387,12 +396,14 @@ impl ClassTable {
     /// The superclass and every class the constant pool references must be
     /// resolvable in `ns` (possibly via delegation). Loading the same def
     /// into two namespaces *reloads* it: distinct `ClassIdx`, distinct
-    /// statics (§3.2). The verifier runs once per load context: a namespace
-    /// whose own and parent histories already bound this `def` takes the
-    /// recorded edge instead. The verifier sees the table only through
-    /// parent-first lookups from `ns` and the classes and methods they
-    /// return, which equal histories make the same up to a renaming of
-    /// [`ClassIdx`]; its verdict does not depend on that renaming.
+    /// statics (§3.2). The definition is linked, verified and lowered once
+    /// per load context: a namespace whose own and parent histories already
+    /// bound this `def` takes the recorded [`LinkedClass`] and builds only
+    /// its bindings. The verifier and the lowering see the table only
+    /// through parent-first lookups from `ns` and the classes and methods
+    /// they return, which equal histories make the same up to a renaming of
+    /// [`ClassIdx`] and [`MethodIdx`]; neither result depends on that
+    /// renaming.
     pub fn load_class(&mut self, ns: u32, def: Arc<ClassDef>) -> Result<ClassIdx, VmError> {
         if self
             .namespaces
@@ -417,156 +428,200 @@ impl ClassTable {
             None => None,
         };
 
-        let idx = ClassIdx(self.classes.len() as u32);
-
-        // Instance field layout: inherited slots first.
-        let mut instance_fields: Vec<FieldInfo> = match super_idx {
-            Some(s) => self.classes[s.0 as usize].instance_fields.clone(),
-            None => Vec::new(),
-        };
-        let mut static_fields: Vec<FieldInfo> = Vec::new();
-        for f in &def.fields {
-            if f.is_static {
-                static_fields.push(FieldInfo {
-                    name: f.name.clone(),
-                    ty: f.ty.clone(),
-                    slot: static_fields.len() as u16,
-                });
-            } else {
-                instance_fields.push(FieldInfo {
-                    name: f.name.clone(),
-                    ty: f.ty.clone(),
-                    slot: instance_fields.len() as u16,
-                });
-            }
-        }
-
-        // Methods and vtable: start from the superclass vtable; overriding
-        // replaces the inherited slot, new virtuals append.
-        let (mut vtable, mut vslots) = match super_idx {
-            Some(s) => {
-                let sc = &self.classes[s.0 as usize];
-                (sc.vtable.clone(), sc.vslots.clone())
-            }
-            None => (Vec::new(), FxHashMap::default()),
-        };
-        let engine = self.engine;
-        let mut methods = Vec::new();
-        for m in &def.methods {
-            let midx = MethodIdx(self.methods.len() as u32);
-            let args = m.params.len() as u64 + u64::from(!m.is_static);
-            let call_cycles = engine.scaled(BASE_COSTS.call + BASE_COSTS.call_per_arg * args);
-            let shape = FrameShape {
-                args: u16::try_from(args).unwrap_or(u16::MAX),
-                max_locals: m.code.max_locals,
-                call_cycles: u32::try_from(call_cycles).unwrap_or(u32::MAX),
-            };
-            self.methods.push(MethodRt {
-                class: idx,
-                name: m.name.clone(),
-                params: m.params.clone(),
-                ret: m.ret.clone(),
-                is_static: m.is_static,
-                code: m.code.clone(),
-                qname: format!("{}.{}", def.name, m.name),
-                body: Arc::default(),
-                shape,
-            });
-            methods.push(midx);
-            if !m.is_static {
-                if let Some(&slot) = vslots.get(&m.name) {
-                    vtable[slot as usize] = midx;
-                } else {
-                    let slot = vtable.len() as u16;
-                    vtable.push(midx);
-                    vslots.insert(m.name.clone(), slot);
-                }
-            }
-        }
-
-        let template = self.template(&instance_fields, &static_fields);
-
-        // Register the class before resolving the pool so self-references
-        // (including recursive types) resolve.
-        self.namespaces[ns as usize]
-            .classes
-            .insert(def.name.clone(), idx);
-        self.classes.push(LoadedClass {
-            def: def.clone(),
-            idx,
-            namespace: ns,
-            name: def.name.clone(),
-            super_idx,
-            instance_fields,
-            static_fields,
-            methods,
-            vtable,
-            vslots,
-            rpool: Vec::new(),
-            template,
-        });
-
-        let rpool = match self.resolve_pool(ns, &def) {
-            Ok(p) => p,
-            Err(e) => {
-                self.unload_failed(ns, idx, &def.name);
-                return Err(e);
-            }
-        };
-        self.classes[idx.0 as usize].rpool = rpool;
-
         let own = self.namespaces[ns as usize].history;
         let context = (own, self.parent_history(ns), Arc::as_ptr(&def) as usize);
-        let next = match self.verified.get(&context) {
-            Some(&(_, next)) => next,
+        let (link, hit) = match self.linked.get(&context) {
+            Some((link, next)) => (link.clone(), Some(*next)),
+            None => (Arc::new(self.link_class(ns, def, super_idx)), None),
+        };
+        let idx = self.bind(ns, link, super_idx)?;
+        let next = match hit {
+            Some(next) => {
+                let link = &self.classes[idx.0 as usize].link;
+                let n = link.methods.len() as u64;
+                let totals = &mut self.lowering;
+                totals.hits += n;
+                if link.creator != ns {
+                    totals.reuse += n;
+                }
+                totals.bytes += link.methods.iter().map(|m| m.body.bytes()).sum::<u64>();
+                next
+            }
             None => {
                 #[cfg(test)]
                 {
                     self.verifications += 1;
                 }
                 if let Err(e) = verify_class(self, idx) {
-                    self.unload_failed(ns, idx, &def.name);
+                    self.unload_failed(ns, idx);
                     return Err(e.into());
                 }
+                self.lower_class(idx);
                 if context.0 == UNKEYED || context.1 == UNKEYED {
                     UNKEYED
                 } else {
                     self.histories += 1;
-                    self.verified.insert(context, (def, self.histories));
+                    let link = self.classes[idx.0 as usize].link.clone();
+                    self.linked.insert(context, (link, self.histories));
                     self.histories
                 }
             }
         };
         self.namespaces[ns as usize].history = next;
-        self.link_bodies(ns, idx);
         Ok(idx)
     }
 
-    /// Gives each method of the verified class `idx`, just loaded into
-    /// `ns`, its template body from the memo, lowering it on a miss.
-    fn link_bodies(&mut self, ns: u32, idx: ClassIdx) {
-        let mut memo = core::mem::take(&mut self.bodies);
-        for i in 0..self.classes[idx.0 as usize].methods.len() {
-            let midx = self.classes[idx.0 as usize].methods[i];
-            let body = memo.link(self, midx, ns);
-            self.methods[midx.0 as usize].body = body;
+    /// Links `def`, loaded into `ns` over superclass `super_idx`: its field
+    /// layout (inherited slots first), dispatch slots (overriding keeps the
+    /// inherited slot, new virtuals append), template and frame shapes.
+    /// The bodies are placeholders until [`ClassTable::lower_class`].
+    fn link_class(&self, ns: u32, def: Arc<ClassDef>, super_idx: Option<ClassIdx>) -> LinkedClass {
+        let sup = super_idx.map(|s| &*self.classes[s.0 as usize].link);
+        let mut instance_fields = sup.map_or_else(Vec::new, |s| s.instance_fields.clone());
+        let mut vslots = sup.map_or_else(FxHashMap::default, |s| s.vslots.clone());
+        let mut static_fields: Vec<FieldInfo> = Vec::new();
+        for f in &def.fields {
+            let fields = if f.is_static {
+                &mut static_fields
+            } else {
+                &mut instance_fields
+            };
+            fields.push(FieldInfo {
+                name: f.name.clone(),
+                ty: f.ty.clone(),
+                slot: fields.len() as u16,
+            });
         }
-        self.bodies = memo;
+
+        let engine = self.engine;
+        let methods = def
+            .methods
+            .iter()
+            .map(|m| {
+                let args = m.params.len() as u64 + u64::from(!m.is_static);
+                let call_cycles = engine.scaled(BASE_COSTS.call + BASE_COSTS.call_per_arg * args);
+                let vslot = (!m.is_static).then(|| {
+                    let next = vslots.len() as u16;
+                    *vslots.entry(m.name.clone()).or_insert(next)
+                });
+                LinkedMethod {
+                    qname: format!("{}.{}", def.name, m.name),
+                    vslot,
+                    shape: FrameShape {
+                        args: u16::try_from(args).unwrap_or(u16::MAX),
+                        max_locals: m.code.max_locals,
+                        call_cycles: u32::try_from(call_cycles).unwrap_or(u32::MAX),
+                    },
+                    body: Arc::default(),
+                }
+            })
+            .collect();
+
+        let zeros = |fields: &[FieldInfo]| fields.iter().map(|f| typed_zero(&f.ty)).collect();
+        let template = ClassTemplate {
+            new_cycles: engine.scaled(BASE_COSTS.alloc)
+                + engine.scaled(BASE_COSTS.simple) * instance_fields.len() as u64,
+            instance: zeros(&instance_fields),
+            statics: zeros(&static_fields),
+        };
+        LinkedClass {
+            def,
+            instance_fields,
+            static_fields,
+            vslots,
+            template,
+            methods,
+            creator: ns,
+        }
+    }
+
+    /// Binds `link` into `ns` over superclass `super_idx`: appends its class
+    /// and method records, builds its vtable, and resolves its pool. The
+    /// class is registered before its pool resolves, so self-references
+    /// (including recursive types) resolve.
+    fn bind(
+        &mut self,
+        ns: u32,
+        link: Arc<LinkedClass>,
+        super_idx: Option<ClassIdx>,
+    ) -> Result<ClassIdx, VmError> {
+        let idx = ClassIdx(self.classes.len() as u32);
+        let first_method = self.methods.len() as u32;
+        let mut vtable = match super_idx {
+            Some(s) => self.classes[s.0 as usize].vtable.clone(),
+            None => Vec::new(),
+        };
+        // Every slot past the inherited ones is a method of this class.
+        vtable.resize(link.vslots.len(), MethodIdx(first_method));
+        for (i, m) in link.methods.iter().enumerate() {
+            let midx = MethodIdx(first_method + i as u32);
+            if let Some(slot) = m.vslot {
+                vtable[slot as usize] = midx;
+            }
+            self.methods.push(MethodRt {
+                class: idx,
+                slot: i as u32,
+                body: m.body.clone(),
+                shape: m.shape,
+                ops: link.def.methods[i].code.ops.clone(),
+            });
+        }
+        self.namespaces[ns as usize]
+            .classes
+            .insert(link.def.name.clone(), idx);
+        self.classes.push(LoadedClass {
+            link,
+            idx,
+            namespace: ns,
+            super_idx,
+            first_method,
+            vtable,
+            rpool: Vec::new(),
+        });
+
+        let pool = &self.classes[idx.0 as usize].link.def.pool;
+        match pool.iter().map(|c| self.resolve_const(ns, c)).collect() {
+            Ok(rpool) => {
+                self.classes[idx.0 as usize].rpool = rpool;
+                Ok(idx)
+            }
+            Err(e) => {
+                self.unload_failed(ns, idx);
+                Err(e)
+            }
+        }
+    }
+
+    /// Lowers every method of the verified class `idx` into the body its
+    /// record and its linked definition share.
+    fn lower_class(&mut self, idx: ClassIdx) {
+        let bodies: Vec<Arc<CompiledBody>> = self.classes[idx.0 as usize]
+            .methods()
+            .map(|midx| Arc::new(lower(self, midx)))
+            .collect();
+        let cls = &mut self.classes[idx.0 as usize];
+        let first = cls.first_method as usize;
+        for (rt, body) in self.methods[first..].iter_mut().zip(&bodies) {
+            rt.body = body.clone();
+        }
+        // The record holds the only reference until the memo records it,
+        // so this writes in place.
+        let link = Arc::make_mut(&mut cls.link);
+        for (m, body) in link.methods.iter_mut().zip(bodies) {
+            self.lowering.compiled += 1;
+            self.lowering.bytes += body.bytes();
+            m.body = body;
+        }
     }
 
     /// Rolls back a failed load (the class must be the most recent one).
-    fn unload_failed(&mut self, ns: u32, idx: ClassIdx, name: &str) {
+    fn unload_failed(&mut self, ns: u32, idx: ClassIdx) {
         debug_assert_eq!(idx.0 as usize, self.classes.len() - 1);
-        self.namespaces[ns as usize].classes.remove(name);
         if let Some(cls) = self.classes.pop() {
+            self.namespaces[ns as usize].classes.remove(&cls.link.def.name);
             // Methods were appended contiguously.
-            self.methods
-                .truncate(self.methods.len() - cls.methods.len());
+            self.methods.truncate(cls.first_method as usize);
         }
-    }
-
-    fn resolve_pool(&self, ns: u32, def: &ClassDef) -> Result<Vec<RConst>, VmError> {
-        def.pool.iter().map(|c| self.resolve_const(ns, c)).collect()
     }
 
     fn resolve_const(&self, ns: u32, c: &Const) -> Result<RConst, VmError> {
@@ -616,12 +671,12 @@ impl ClassTable {
                     member: name.clone(),
                 };
                 let midx = self.find_method(cidx, name).ok_or_else(unknown)?;
-                let m = &self.methods[midx.0 as usize];
+                let m = self.decl(midx);
                 if m.is_static {
                     RConst::DirectMethod(midx)
                 } else {
                     let lc = &self.classes[cidx.0 as usize];
-                    let vslot = *lc.vslots.get(name).ok_or_else(unknown)?;
+                    let vslot = *lc.link.vslots.get(name).ok_or_else(unknown)?;
                     RConst::VirtualMethod {
                         class: cidx,
                         vslot,
@@ -651,10 +706,8 @@ impl ClassTable {
         let mut cursor = Some(class);
         while let Some(cur) = cursor {
             let lc = &self.classes[cur.0 as usize];
-            for &m in &lc.methods {
-                if self.methods[m.0 as usize].name == name {
-                    return Some(m);
-                }
+            if let Some(i) = lc.link.def.methods.iter().position(|m| m.name == name) {
+                return Some(MethodIdx(lc.first_method + i as u32));
             }
             cursor = lc.super_idx;
         }
@@ -683,11 +736,18 @@ impl ClassTable {
         &self.methods[idx.0 as usize]
     }
 
+    /// A method's declaration: name, signature and code.
+    pub fn decl(&self, idx: MethodIdx) -> &MethodDef {
+        let m = self.method(idx);
+        &self.class(m.class).link.def.methods[m.slot as usize]
+    }
+
     /// `Class.method` display name for a method — the profiler's frame
     /// label. Namespaces are deliberately omitted: per-process class loads
     /// of the same source share one hot name in the flamegraph.
     pub fn qualified_name(&self, idx: MethodIdx) -> String {
-        self.method(idx).qname.clone()
+        let m = self.method(idx);
+        self.class(m.class).link.methods[m.slot as usize].qname.clone()
     }
 
     /// The class behind a heap-layer tag.
@@ -709,7 +769,7 @@ impl ClassTable {
     /// merging the process heap (class *records* stay in the table because
     /// surviving objects may still carry their class ids; only resolution
     /// through the dead namespace stops). Its load history is retired, so
-    /// neither it nor a namespace delegating to it hits the verify memo.
+    /// neither it nor a namespace delegating to it hits the link memo.
     pub fn drop_namespace(&mut self, ns: u32) {
         if let Some(n) = self.namespaces.get_mut(ns as usize) {
             n.classes.clear();

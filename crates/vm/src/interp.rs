@@ -190,7 +190,7 @@ impl Thread {
         let m = table.method(method);
         debug_assert_eq!(args.len(), m.arg_slots(), "bad arg count for thread entry");
         let mut values = args;
-        values.resize(m.code.max_locals as usize, Value::Null);
+        values.resize(m.shape.max_locals as usize, Value::Null);
         let stack_base = values.len() as u32;
         Thread {
             id,
@@ -477,7 +477,7 @@ pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepF
                 fault!("New on non-Class pool entry {idx}");
             };
             // The class's link-time facts: its charge and its typed zeros.
-            let template = &table.class(cidx).template;
+            let template = &table.class(cidx).link.template;
             thread.cycles += template.new_cycles;
             let alloc = with_gc_retry(thread, ctx, &[], |ctx| {
                 // Arm inside the closure so a GC retry re-arms; the
@@ -558,7 +558,7 @@ pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepF
             if !matches!(v, Value::Null) && !value_instance_of(ctx, v, target) {
                 throw!(VmException::Builtin(
                     BuiltinEx::ClassCast,
-                    format!("cannot cast to {}", table.class(target).name),
+                    format!("cannot cast to {}", table.class(target).name()),
                 ));
             }
         }
@@ -1042,7 +1042,7 @@ pub(crate) fn render(ctx: &ExecCtx<'_>, values: &[Value]) -> String {
                             write!(
                                 out,
                                 "{}@{}",
-                                ctx.table.class(ctx.table.from_heap_class(id)).name,
+                                ctx.table.class(ctx.table.from_heap_class(id)).name(),
                                 obj.index()
                             )
                         }
@@ -1087,7 +1087,7 @@ pub(crate) fn statics_object(
         return Ok(obj);
     }
     let table = ctx.table;
-    let template = &table.class(class).template.statics;
+    let template = &table.class(class).link.template.statics;
     thread.cycles += table.engine().scaled(COSTS.alloc);
     let obj = with_gc_retry(thread, ctx, &[], |ctx| {
         ctx.space
@@ -1139,8 +1139,8 @@ pub(crate) fn raise(
             .frames
             .iter()
             .map(|f| {
-                let m = ctx.table.method(f.method);
-                format!("{}.{}:{}", ctx.table.class(f.class).name, m.name, f.pc)
+                let m = ctx.table.decl(f.method);
+                format!("{}.{}:{}", ctx.table.class(f.class).name(), m.name, f.pc)
             })
             .collect();
         std::hint::black_box(&trace);
@@ -1155,21 +1155,23 @@ pub(crate) fn raise(
                 Ok(id) => ctx.table.from_heap_class(id),
                 Err(_) => return Some(RunExit::Unhandled(ex)),
             };
-            (Some(*obj), ctx.table.class(cidx).name.clone())
+            (Some(*obj), ctx.table.class(cidx).name().to_string())
         }
         VmException::Builtin(kind, msg) => {
             let name = kind.class_name().to_string();
             match ctx.table.lookup(ctx.ns, &name) {
                 Some(cidx) => {
-                    let nfields = ctx.table.class(cidx).instance_fields.len();
-                    // Exception object + message; if even this allocation
-                    // fails the exception becomes uncatchable (matching a
-                    // JVM's behaviour when OOM handling itself OOMs).
+                    let zeros = &ctx.table.class(cidx).link.template.instance;
+                    // Exception object (a copy of its class's typed-zero
+                    // template, as `new` makes) + message; if even this
+                    // allocation fails the exception becomes uncatchable
+                    // (matching a JVM's behaviour when OOM handling itself
+                    // OOMs).
                     let alloc = ctx
                         .space
-                        .alloc_fields(ctx.heap, cidx.heap_class(), nfields)
+                        .alloc_fields_from(ctx.heap, cidx.heap_class(), zeros)
                         .and_then(|obj| {
-                            if nfields > 0 {
+                            if !zeros.is_empty() {
                                 let m = ctx.space.alloc_str(
                                     ctx.heap,
                                     ctx.string_class.heap_class(),
@@ -1193,7 +1195,7 @@ pub(crate) fn raise(
     while let Some(frame) = thread.frames.last() {
         frames_examined += 1;
         let class = ctx.table.class(frame.class);
-        let method = ctx.table.method(frame.method);
+        let method = ctx.table.decl(frame.method);
         // pc was advanced past the faulting instruction.
         let at = frame.pc.saturating_sub(1);
         let handler = method.code.handlers.iter().find(|h| {
@@ -1213,7 +1215,7 @@ pub(crate) fn raise(
                 }
                 // Unmaterialised builtin: match by name chain.
                 None => {
-                    ctx.table.class(hcls).name == class_name
+                    ctx.table.class(hcls).name() == class_name
                         || class_name_inherits(ctx, &class_name, hcls)
                 }
             }

@@ -1,15 +1,16 @@
 //! Template lowering and the VM's one executor.
 //!
-//! Every method is lowered once, when its class is loaded, from the
-//! verified [`Op`] stream into a straight-line *template* body: runs of
-//! simple ops become **blocks** of pre-scaled micro-ops (superinstruction
-//! fusion folds load/load/op/store and compare-and-branch sequences into
-//! single micros) with field slots resolved at lowering time. Calls and
-//! returns lower to their own template ops, which the executor runs
-//! itself: a call pushes the callee's frame from the shape its class load
-//! fixed ([`crate::classes::FrameShape`]: argument slots, locals, the
-//! pre-scaled call charge) and switches the executor's per-frame state in
-//! place, and a return switches it back to the caller. Every other op —
+//! Every method is lowered once per load context, when its class is
+//! linked, from the verified [`Op`] stream into a straight-line *template*
+//! body: runs of simple ops become **blocks** of pre-scaled micro-ops
+//! (superinstruction fusion folds load/load/op/store and compare-and-branch
+//! sequences into single micros) with field slots resolved at lowering
+//! time. Calls and returns lower to their own template ops, which the
+//! executor runs itself: a call pushes the callee's frame from the shape
+//! its class load fixed ([`crate::classes::FrameShape`]: argument slots,
+//! locals, the pre-scaled call charge) and switches the executor's
+//! per-frame state in place, and a return switches it back to the caller.
+//! Every other op —
 //! allocation, statics, strings, monitors, throws — lowers to a bare
 //! [`TOp::Rt`] that the executor runs by calling `interp::rt_op` on the
 //! frame's real `Op` stream. Each op is implemented exactly once: a runtime
@@ -37,17 +38,15 @@
 //!
 //! Bodies are process-independent — block micros name no class, method or
 //! statics object, and call and runtime ops read the running frame's own
-//! constant pool — so the class table keeps one [`BodyMemo`] for all of
-//! them: the ShareJIT argument, N processes of one image, one lowering of
-//! each method. A body is keyed by the method's shared code allocation
-//! (one per class definition, shared by every load of it) and the
-//! fingerprint of the field slots its micros bake in. Loaded code never changes, so a
-//! key never goes stale and no body is ever invalidated or evicted.
+//! constant pool — so a body belongs to its class's linked definition
+//! ([`crate::classes::LinkedClass`]), which the class table's link memo
+//! shares between every load over the same load context: the ShareJIT
+//! argument, N processes of one image, one lowering of each method. The
+//! context fixes every field slot a body's micros bake in. Loaded code
+//! never changes, so a body is never invalidated or evicted.
 //! Lowering charges zero virtual cycles.
 
-use std::sync::Arc;
-
-use kaffeos_heap::{FxHashMap, Value};
+use kaffeos_heap::Value;
 
 use crate::bytecode::Op;
 use crate::classes::{ClassTable, MethodIdx, RConst};
@@ -62,38 +61,6 @@ use crate::interp::{
 /// branch micros, and a body has one template op per op plus the implicit
 /// return. The verifier refuses longer methods before allocating.
 pub(crate) const MAX_METHOD_OPS: usize = u16::MAX as usize - 1;
-
-// ---------------------------------------------------------------------------
-// The memo key
-// ---------------------------------------------------------------------------
-
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-fn fnv_u64(v: u64, mut h: u64) -> u64 {
-    for b in v.to_le_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Fingerprint of the resolution facts block micros embed: per field
-/// access, the instance-field slot and whether it holds a reference.
-fn res_fingerprint(table: &ClassTable, midx: MethodIdx) -> u64 {
-    let m = table.method(midx);
-    let lc = table.class(m.class);
-    let mut h = fnv_u64(m.code.ops.len() as u64, FNV_OFFSET);
-    for op in m.code.ops.iter() {
-        if let Op::GetField(idx) | Op::PutField(idx) = *op {
-            if let Some(RConst::InstanceField { slot, ty, .. }) = lc.rpool.get(idx as usize) {
-                h = fnv_u64(*slot as u64, h);
-                h = fnv_u64(ty.is_reference() as u64, h);
-            }
-        }
-    }
-    h
-}
 
 // ---------------------------------------------------------------------------
 // Template form
@@ -249,83 +216,10 @@ pub(crate) struct CompiledBody {
     bytes: u64,
 }
 
-// ---------------------------------------------------------------------------
-// The lower-once body memo
-// ---------------------------------------------------------------------------
-
-/// The class table's lower-once memo (the ShareJIT artifact): one body per
-/// (method code allocation, resolution fingerprint), shared by every
-/// namespace that loads the definition, and never evicted.
-///
-/// The code allocation is the `Arc<[Op]>` every load of a class definition
-/// shares, so two processes of one image meet at the same key; the
-/// fingerprint splits it when the definition binds over different field
-/// layouts. The method record that first linked a key holds that `Arc`
-/// for the table's lifetime, so the address cannot be reused while the
-/// key exists. The memo grows by at most one entry per (definition,
-/// method, field layout).
-#[derive(Debug, Default, Clone)]
-pub(crate) struct BodyMemo {
-    bodies: FxHashMap<(usize, u64), Memoized>,
-    bytes: u64,
-    /// Cumulative lowering counters over every load.
-    totals: ProcJitStats,
-}
-
-#[derive(Debug, Clone)]
-struct Memoized {
-    body: Arc<CompiledBody>,
-    /// The namespace whose load lowered the body (cross-namespace reuse
-    /// attribution).
-    creator: u32,
-}
-
-impl BodyMemo {
-    /// `(bodies, modelled bytes)` of everything lowered so far.
-    pub(crate) fn usage(&self) -> (usize, u64) {
-        (self.bodies.len(), self.bytes)
-    }
-
-    /// Cumulative lowering counters over every load so far.
-    pub(crate) fn totals(&self) -> ProcJitStats {
-        self.totals
-    }
-
-    /// The body for `midx`, which a load into namespace `ns` just linked:
-    /// taken from the memo, or lowered on a miss.
-    pub(crate) fn link(
-        &mut self,
-        table: &ClassTable,
-        midx: MethodIdx,
-        ns: u32,
-    ) -> Arc<CompiledBody> {
-        let code = Arc::as_ptr(&table.method(midx).code.ops);
-        let key = (code.cast::<Op>() as usize, res_fingerprint(table, midx));
-        let totals = &mut self.totals;
-        let body = match self.bodies.get(&key) {
-            Some(m) => {
-                totals.hits += 1;
-                if m.creator != ns {
-                    totals.reuse += 1;
-                }
-                m.body.clone()
-            }
-            None => {
-                let body = Arc::new(lower(table, midx));
-                totals.compiled += 1;
-                self.bytes += body.bytes;
-                self.bodies.insert(
-                    key,
-                    Memoized {
-                        body: body.clone(),
-                        creator: ns,
-                    },
-                );
-                body
-            }
-        };
-        totals.bytes += body.bytes;
-        body
+impl CompiledBody {
+    /// Modelled size of the body in bytes.
+    pub(crate) fn bytes(&self) -> u64 {
+        self.bytes
     }
 }
 
@@ -333,9 +227,9 @@ impl BodyMemo {
 /// attributes to a process what its spawn's class loads lowered.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProcJitStats {
-    /// Methods lowered (memo misses).
+    /// Methods lowered (link-memo misses).
     pub compiled: u64,
-    /// Methods linked to a body already in the memo.
+    /// Methods bound to a body already in the link memo.
     pub hits: u64,
     /// Of `hits`, bodies another namespace lowered (shared reuse).
     pub reuse: u64,
@@ -789,9 +683,9 @@ impl<'t> Lowering<'t> {
 /// Lowers a verified method into its template form, pre-scaled for the
 /// table's engine. The verifier bounds the method at [`MAX_METHOD_OPS`],
 /// so every index fits its field.
-fn lower(table: &ClassTable, midx: MethodIdx) -> CompiledBody {
-    let m = table.method(midx);
-    let lc = table.class(m.class);
+pub(crate) fn lower(table: &ClassTable, midx: MethodIdx) -> CompiledBody {
+    let m = table.decl(midx);
+    let lc = table.class(table.method(midx).class);
     let ops = &m.code.ops;
 
     // Template-op boundaries: every branch and handler target. Blocks
@@ -995,7 +889,7 @@ pub(crate) fn execute<const INJECT: bool>(
             method_idx = top.method;
             let method = table.method(method_idx);
             body = &method.body;
-            ops = &method.code.ops;
+            ops = &method.ops;
             pool = &table.class(top.class).rpool;
             locals_base = top.locals_base as usize;
             stack_base = top.stack_base as usize;
@@ -1003,7 +897,7 @@ pub(crate) fn execute<const INJECT: bool>(
             let Some(&t) = body.entries.get(pc) else {
                 return RunExit::Fault(crate::VmError::BadBytecode(format!(
                     "no template op at pc {pc} of {}",
-                    method.qname
+                    table.qualified_name(method_idx)
                 )));
             };
             tix = t;
@@ -1553,12 +1447,12 @@ pub(crate) fn execute<const INJECT: bool>(
                     // Switch to the callee at its first template op.
                     method_idx = midx;
                     body = &callee.body;
-                    ops = &callee.code.ops;
+                    ops = &callee.ops;
                     pool = &table.class(callee.class).rpool;
                     locals_base = callee_locals;
                     stack_base = callee_stack;
                     if body.t_ops.is_empty() {
-                        fault!("no template op at pc 0 of {}", callee.qname);
+                        fault!("no template op at pc 0 of {}", table.qualified_name(midx));
                     }
                     tix = 0;
                     resume = None;
@@ -1587,7 +1481,7 @@ pub(crate) fn execute<const INJECT: bool>(
                     thread.ops += 1;
                     sync(thread, src + 1);
                     let Some(&op) = ops.get(src) else {
-                        fault!("no op at pc {src} of {}", table.method(method_idx).qname);
+                        fault!("no op at pc {src} of {}", table.qualified_name(method_idx));
                     };
                     match rt_op(thread, ctx, op) {
                         StepFlow::Next => tix += 1,

@@ -30,7 +30,9 @@ mod jit;
 mod verify;
 
 pub use bytecode::{Code, Const, Handler, Op, TypeDesc};
-pub use classes::{ClassIdx, ClassTable, ClassTemplate, LoadedClass, MethodIdx, Namespace, RConst};
+pub use classes::{
+    ClassIdx, ClassTable, ClassTemplate, LinkedClass, LoadedClass, MethodIdx, Namespace, RConst,
+};
 pub use classfile::{ClassBuilder, ClassDef, FieldDef, MethodBuilder, MethodDef};
 pub use engine::{Engine, OpCosts};
 pub use interp::{

@@ -161,7 +161,7 @@ impl TestVm {
                 let cidx = self
                     .table
                     .from_heap_class(self.space.class_of(obj).unwrap());
-                self.table.class(cidx).name.clone()
+                self.table.class(cidx).name().to_string()
             }
             other => panic!("expected unhandled guest exception, got {other:?}"),
         }
@@ -2571,6 +2571,7 @@ mod verify_memo {
         let (mut table, shared) = shared_table();
         let object = table
             .class(table.lookup(shared, "Object").unwrap())
+            .link
             .def
             .clone();
         let main = plain("Main");
@@ -3087,7 +3088,7 @@ mod string_oracle {
                     panic!("{method}: exception without a message");
                 };
                 Out::Raised(
-                    vm.table.class(class).name.clone(),
+                    vm.table.class(class).name().to_string(),
                     vm.space.str_value(msg).unwrap().to_string(),
                 )
             }
@@ -3397,7 +3398,7 @@ mod array_oracle {
                         panic!("{method}: exception without a message");
                     };
                     Out::Raised(
-                        vm.table.class(class).name.clone(),
+                        vm.table.class(class).name().to_string(),
                         vm.space.str_value(msg).unwrap().to_string(),
                     )
                 }
@@ -3462,8 +3463,8 @@ mod array_oracle {
     }
 }
 
-/// The lower-once memo: one body per (method code, field layout), shared
-/// across namespaces that load one definition.
+/// The link memo: one linked definition, and so one body per method, per
+/// load context, shared across the namespaces that load over it.
 mod body_memo {
     use super::*;
     use crate::jit::CompiledBody;
@@ -3577,9 +3578,11 @@ mod body_memo {
         .into_arc()
     }
 
-    /// One definition bound over two field layouts gets a body per
-    /// layout, and each answers correctly; its methods without field
-    /// accesses (`ten`, `run`) share one body between the two.
+    /// One definition bound over two field layouts gets a linked definition
+    /// per layout, and each answers correctly. The two load contexts share
+    /// no body: a body belongs to the definition as linked in one context,
+    /// so `ten` and `run`, which access no field, are lowered once per
+    /// layout as well.
     #[test]
     fn one_definition_over_two_field_layouts_gets_two_bodies() {
         let mut vm = TestVm::new();
@@ -3598,18 +3601,25 @@ mod body_memo {
             let answer = run_in(&mut vm, ns, "Sub", "run");
             assert_eq!(answer, 34, "layout with_y={with_y}");
         }
-        let ((a, _), (b, lb)) = (loads[0], loads[1]);
-        assert!(!Arc::ptr_eq(&body(&vm, a, "Sub", "m"), &body(&vm, b, "Sub", "m")));
-        for shared in ["ten", "run"] {
-            assert!(Arc::ptr_eq(&body(&vm, a, "Sub", shared), &body(&vm, b, "Sub", shared)));
+        let ((a, la), (b, lb)) = (loads[0], loads[1]);
+        let link = |ns| vm.table.class(vm.table.lookup(ns, "Sub").unwrap()).link.clone();
+        assert!(!Arc::ptr_eq(&link(a), &link(b)));
+        for method in ["m", "ten", "run"] {
+            let (ba, bb) = (body(&vm, a, "Sub", method), body(&vm, b, "Sub", method));
+            assert!(!Arc::ptr_eq(&ba, &bb), "{method} shared across layouts");
         }
-        assert_eq!((lb.hits, lb.reuse), (2, 2), "only `ten` and `run` are reused: {lb:?}");
-        // m ×2, init ×2 (two definitions of `Base`), ten ×1, run ×1.
-        assert_eq!(vm.table.body_usage().0 - before, 6);
+        // `Base.init`, then `Sub.m`, `ten` and `run`: all lowered in each.
+        for l in [la, lb] {
+            assert_eq!((l.compiled, l.hits, l.reuse), (4, 0, 0), "{l:?}");
+        }
+        assert_eq!(vm.table.body_usage().0 - before, 8);
     }
 
-    /// 1 000 re-spawns of one definition lower its method once: the memo
-    /// holds one entry, and every namespace runs the same body.
+    /// 1 000 re-spawns of one definition link it once: after the first
+    /// spawn the memo's edge count and body usage stay constant, each
+    /// spawn adds exactly its class and method records, every spawn's
+    /// records point at one linked definition and one body, and only the
+    /// first spawn verifies or lowers.
     #[test]
     fn respawns_share_one_memoized_body() {
         let mut vm = TestVm::new();
@@ -3637,19 +3647,58 @@ mod body_memo {
         )
         .into_arc();
         let before = vm.table.body_usage().0;
-        let mut first: Option<Arc<CompiledBody>> = None;
+        let mut first = None;
         for k in 0..1000 {
             let ns = vm.table.create_namespace(format!("p{k}"), Some(shared));
-            let start = vm.table.lowering_totals();
-            vm.table.load_class(ns, main.clone()).unwrap();
+            let records = (vm.table.classes.len(), vm.table.methods.len());
+            let (start, verified) = (vm.table.lowering_totals(), vm.table.verifications);
+            let cls = vm.table.load_class(ns, main.clone()).unwrap();
             let lowered = vm.table.lowering_totals().since(start);
-            assert_eq!(run_in(&mut vm, ns, "Main", "main"), 10);
-            let b = body(&vm, ns, "Main", "main");
-            let first = first.get_or_insert_with(|| b.clone());
-            assert!(Arc::ptr_eq(first, &b), "spawn {k} runs a body of its own");
+            let grown = (
+                vm.table.classes.len() - records.0,
+                vm.table.methods.len() - records.1,
+            );
+            assert_eq!(grown, (1, 1), "spawn {k}");
+            assert_eq!(vm.table.verifications - verified, (k == 0) as usize);
             assert_eq!(lowered.compiled, (k == 0) as u64);
+            assert_eq!(run_in(&mut vm, ns, "Main", "main"), 10);
+
+            let link = vm.table.class(cls).link.clone();
+            let b = body(&vm, ns, "Main", "main");
+            assert!(Arc::ptr_eq(&link.methods[0].body, &b));
+            let memo = (vm.table.verify_edges(), vm.table.body_usage());
+            let (link0, b0, memo0) = first.get_or_insert_with(|| (link.clone(), b.clone(), memo));
+            assert!(Arc::ptr_eq(link0, &link), "spawn {k} linked a definition of its own");
+            assert!(Arc::ptr_eq(b0, &b), "spawn {k} runs a body of its own");
+            assert_eq!(*memo0, memo, "spawn {k} grew the memo");
         }
         assert_eq!(vm.table.body_usage().0 - before, 1);
+    }
+
+    /// A load under a dropped namespace's child has no load context to
+    /// key: every such load verifies, lowers and runs correctly, and the
+    /// memo gains nothing.
+    #[test]
+    fn a_load_under_a_dropped_namespace_links_afresh() {
+        let mut vm = TestVm::new();
+        let shared = vm.ns;
+        let object = vm.table.class(vm.table.lookup(shared, "Object").unwrap()).link.def.clone();
+        let dead = vm.table.create_namespace("dead", Some(shared));
+        vm.table.drop_namespace(dead);
+        vm.table.load_class(dead, object).unwrap();
+        let memo = (vm.table.verify_edges(), vm.table.body_usage());
+        let (base, sub) = (base(true), sub());
+        for k in 0..2 {
+            let ns = vm.table.create_namespace(format!("below{k}"), Some(dead));
+            let (start, verified) = (vm.table.lowering_totals(), vm.table.verifications);
+            vm.table.load_class(ns, base.clone()).unwrap();
+            vm.table.load_class(ns, sub.clone()).unwrap();
+            let lowered = vm.table.lowering_totals().since(start);
+            assert_eq!(vm.table.verifications - verified, 2, "below{k}");
+            assert_eq!((lowered.compiled, lowered.hits), (4, 0), "below{k}");
+            assert_eq!(run_in(&mut vm, ns, "Sub", "run"), 34, "below{k}");
+        }
+        assert_eq!((vm.table.verify_edges(), vm.table.body_usage()), memo);
     }
 }
 
@@ -3776,5 +3825,50 @@ mod class_templates {
         assert_eq!(statics(&mut vm), BASE);
         let sub = new_object(&mut vm, "sub");
         assert_eq!(slots(&vm, sub), SUB);
+    }
+    /// A builtin exception the VM materialises is a copy of its class's
+    /// template too: in a namespace whose `ArithmeticException` declares
+    /// `msg` and an `int code`, a handler for a division by zero reads
+    /// `code` as `Int(0)`.
+    #[test]
+    fn materialised_builtin_exceptions_hold_typed_zeros() {
+        let mut vm = TestVm::new();
+        let ns = vm.table.create_namespace("coded", None);
+        vm.ns = ns;
+        for def in base_classes().into_iter().take(3) {
+            vm.load(def).unwrap();
+        }
+        vm.load(
+            ClassBuilder::new("ArithmeticException")
+                .extends("Exception")
+                .field("msg", TypeDesc::Str)
+                .field("code", TypeDesc::Int)
+                .build(),
+        )
+        .unwrap();
+        let mut b = ClassBuilder::new("Main");
+        let arith = b.pool(Const::Class("ArithmeticException".to_string()));
+        let code = b.pool(Const::Field {
+            class: "ArithmeticException".to_string(),
+            name: "code".to_string(),
+        });
+        let main = MethodBuilder::of_static("main")
+            .returns(TypeDesc::Int)
+            .ops([
+                /*0*/ Op::ConstInt(1),
+                /*1*/ Op::ConstInt(0),
+                /*2*/ Op::Div,
+                /*3*/ Op::ReturnVal,
+                /*4*/ Op::GetField(code),
+                /*5*/ Op::ReturnVal,
+            ])
+            .handler(0, 4, 4, arith)
+            .build();
+        vm.load(b.method(main).build()).unwrap();
+        let exit = vm.run("Main", "main", vec![]);
+        assert!(
+            matches!(exit, RunExit::Finished(Some(Value::Int(0)))),
+            "{exit:?}"
+        );
     }
 }

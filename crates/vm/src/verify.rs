@@ -140,8 +140,7 @@ struct Verifier<'a> {
 /// it carries the full diagnostic context (descriptor, op, line) and only
 /// exists on the cold rejection path.
 pub fn verify_class(table: &ClassTable, class: ClassIdx) -> Result<(), Box<VerifyError>> {
-    let lc = table.class(class);
-    for &midx in &lc.methods.clone() {
+    for midx in table.class(class).methods() {
         verify_method(table, class, midx)?;
     }
     Ok(())
@@ -152,13 +151,13 @@ fn verify_method(
     class: ClassIdx,
     midx: MethodIdx,
 ) -> Result<(), Box<VerifyError>> {
-    let m = table.method(midx);
+    let m = table.decl(midx);
     let lc = table.class(class);
     let ns = lc.namespace;
 
     let err = |pc: u32, msg: String| {
         Box::new(VerifyError {
-            class: lc.name.clone(),
+            class: lc.name().to_string(),
             method: m.name.clone(),
             descriptor: method_descriptor(&m.name, &m.params, &m.ret),
             pc,
@@ -634,7 +633,7 @@ impl<'a> Verifier<'a> {
                     Some(RConst::DirectMethod(m)) => *m,
                     other => return Err(format!("CallStatic pool {idx}: {other:?}")),
                 };
-                let m = self.table.method(midx);
+                let m = self.table.decl(midx);
                 if !m.is_static {
                     return Err(format!("CallStatic on instance method {}", m.name));
                 }
@@ -646,7 +645,7 @@ impl<'a> Verifier<'a> {
                     other => return Err(format!("virtual call pool {idx}: {other:?}")),
                 };
                 let midx = self.table.class(cidx).vtable[vslot as usize];
-                let m = self.table.method(midx);
+                let m = self.table.decl(midx);
                 self.check_call(state, Some(cidx), &m.params.clone(), &m.ret.clone())?;
             }
             Op::Syscall(idx) => {

@@ -45,7 +45,7 @@ use kaffeos_analyze::{Analysis, Verdict};
 use kaffeos_heap::{HeapSpace, SpaceConfig, Value};
 use kaffeos_memlimit::Kind;
 use kaffeos_vm::{
-    step, ClassBuilder, ClassTable, Const, ExecCtx, IntrinsicRegistry, MethodBuilder,
+    step, ClassBuilder, ClassTable, Code, Const, ExecCtx, IntrinsicRegistry, MethodBuilder,
     MethodIdx, Op, RunExit, Thread, TypeDesc, VmError, VmException,
 };
 
@@ -69,6 +69,15 @@ impl Digest {
     }
 }
 
+/// A loaded method's code, made writable: its class's linked definition
+/// and class text are copied first when shared.
+fn code_mut(table: &mut ClassTable, m: MethodIdx) -> &mut Code {
+    let rt = table.method(m);
+    let (class, slot) = (rt.class.0 as usize, rt.slot as usize);
+    let link = Arc::make_mut(&mut table.classes[class].link);
+    &mut Arc::make_mut(&mut link.def).methods[slot].code
+}
+
 /// Every method's `Elide` store sites as a bitmap over its pcs (bit `pc`
 /// set ⇔ the store at `pc` got the verdict; empty when none did), indexed
 /// by method: the per-method fact the digest folds.
@@ -77,7 +86,7 @@ fn elide_bits(table: &ClassTable, analysis: &Analysis) -> Vec<Vec<u64>> {
     for site in analysis.sites().filter(|s| s.verdict == Verdict::Elide) {
         let b: &mut Vec<u64> = &mut bits[site.method.0 as usize];
         if b.is_empty() {
-            b.resize(table.method(site.method).code.ops.len().div_ceil(64), 0);
+            b.resize(table.decl(site.method).code.ops.len().div_ceil(64), 0);
         }
         b[(site.pc / 64) as usize] |= 1 << (site.pc % 64);
     }
@@ -637,14 +646,13 @@ fn accepted_bytecode_never_panics() {
             let target = table.lookup(base, "Target").unwrap();
             let victim = table.find_method(target, "make").unwrap();
             let mangled: Arc<[Op]> = (0..nops).map(|_| gen_op(&mut rng, 24)).collect();
-            let saved =
-                std::mem::replace(&mut table.methods[victim.0 as usize].code.ops, mangled);
+            let saved = std::mem::replace(&mut code_mut(&mut table, victim).ops, mangled);
             let analysis = kaffeos_analyze::analyze(&table);
             // Either the mangled body analyzed cleanly or the method bailed;
             // in both cases its sites stay well-formed.
             let bits = elide_bits(&table, &analysis).swap_remove(victim.0 as usize);
             digest.fold((analysis.is_bailed(victim), bits));
-            table.methods[victim.0 as usize].code.ops = saved;
+            code_mut(&mut table, victim).ops = saved;
         }
 
         match loaded {
