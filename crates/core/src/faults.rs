@@ -211,6 +211,12 @@ pub enum AuditViolation {
         /// What broke.
         detail: String,
     },
+    /// The scheduler's live list is not the unreaped process rows in
+    /// ascending order (a scan would skip a process or visit a dead one).
+    LiveList {
+        /// What broke.
+        detail: String,
+    },
     /// The write barrier accepted an injected illegal cross-heap write.
     IllegalWriteAccepted {
         /// How many were accepted.
@@ -253,6 +259,7 @@ impl fmt::Display for AuditViolation {
             AuditViolation::ReportConservation { detail } => {
                 write!(f, "report conservation: {detail}")
             }
+            AuditViolation::LiveList { detail } => write!(f, "scheduler live list: {detail}"),
             AuditViolation::IllegalWriteAccepted { count } => {
                 write!(f, "barrier accepted {count} illegal cross-heap writes")
             }

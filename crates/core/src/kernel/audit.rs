@@ -140,7 +140,9 @@ impl KaffeOs {
     ///    live;
     /// 6. report conservation: pids map one-to-one onto process-table rows
     ///    so no [`RunReport`] row is lost or double-counted;
-    /// 7. the barrier rejected every injected illegal write.
+    /// 7. the scheduler's live list holds exactly the unreaped process
+    ///    rows, in ascending order;
+    /// 8. the barrier rejected every injected illegal write.
     pub fn audit(&self) -> Result<AuditReport, AuditViolation> {
         let space = self.space.audit()?;
 
@@ -211,6 +213,15 @@ impl KaffeOs {
             }
         }
 
+        let live: Vec<usize> = (0..self.procs.len())
+            .filter(|&i| !matches!(self.procs[i].state, ProcState::Dead(_)))
+            .collect();
+        if live != self.live {
+            return Err(AuditViolation::LiveList {
+                detail: format!("live list {:?}, unreaped rows {live:?}", self.live),
+            });
+        }
+
         if let Some(plan) = &self.faults {
             if plan.illegal_writes_accepted > 0 {
                 return Err(AuditViolation::IllegalWriteAccepted {
@@ -219,11 +230,7 @@ impl KaffeOs {
             }
         }
 
-        let live = self
-            .procs
-            .iter()
-            .filter(|p| !matches!(p.state, ProcState::Dead(_)))
-            .count() as u64;
+        let live = live.len() as u64;
         Ok(AuditReport {
             space,
             processes: self.procs.len() as u64,

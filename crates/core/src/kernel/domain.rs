@@ -115,6 +115,7 @@ impl KaffeOs {
 
         let tid = self.next_thread_id;
         self.next_thread_id += 1;
+        self.live.push(self.procs.len());
         self.procs.push(Process {
             pid,
             name: label,
@@ -406,6 +407,9 @@ impl KaffeOs {
         };
         self.procs[idx].state = ProcState::Dead(status.clone());
         self.reaped += 1;
+        if let Ok(at) = self.live.binary_search(&idx) {
+            self.live.remove(at);
+        }
 
         // Wake waiters with the exit code.
         let waiters = std::mem::take(&mut self.procs[idx].waiters);

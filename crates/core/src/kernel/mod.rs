@@ -269,6 +269,9 @@ pub struct KaffeOs {
     string_class: kaffeos_vm::ClassIdx,
     monitors: FxHashMap<ObjRef, (u32, u32)>,
     procs: Vec<Process>,
+    /// Indices into `procs` of the processes not yet reaped, ascending:
+    /// the scheduler's scans walk these, not every process ever spawned.
+    live: Vec<usize>,
     run_queue: VecDeque<(Pid, usize)>,
     clock: u64,
     quanta: u64,
@@ -334,6 +337,7 @@ impl KaffeOs {
             string_class: image.string_class,
             monitors: FxHashMap::default(),
             procs: Vec::new(),
+            live: Vec::new(),
             run_queue: VecDeque::new(),
             clock: 0,
             quanta: 0,

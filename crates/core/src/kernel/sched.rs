@@ -155,11 +155,10 @@ impl KaffeOs {
                 }
                 // Otherwise: threads parked with no way to wake is a
                 // deadlock.
-                deadlocked = self.procs.iter().any(|p| {
-                    !matches!(p.state, ProcState::Dead(_))
-                        && p.threads.iter().enumerate().any(|(i, t)| {
-                            matches!(t.state, ThreadState::Blocked(_)) || p.parked.contains_key(&i)
-                        })
+                deadlocked = self.live.iter().map(|&idx| &self.procs[idx]).any(|p| {
+                    p.threads.iter().enumerate().any(|(i, t)| {
+                        matches!(t.state, ThreadState::Blocked(_)) || p.parked.contains_key(&i)
+                    })
                 });
                 break;
             };
@@ -187,10 +186,9 @@ impl KaffeOs {
     /// Promotes monitor-blocked threads whose monitor became free, and
     /// timed parks (paced `net.send`s) whose wake time has passed.
     fn wake_unblocked(&mut self) {
-        for idx in 0..self.procs.len() {
-            if matches!(self.procs[idx].state, ProcState::Dead(_)) {
-                continue;
-            }
+        // Nothing here reaps, so the live list is stable across the pass.
+        for at in 0..self.live.len() {
+            let idx = self.live[at];
             let pid = self.procs[idx].pid;
             for tidx in 0..self.procs[idx].threads.len() {
                 if let ThreadState::Blocked(obj) = self.procs[idx].threads[tidx].state {
@@ -224,10 +222,9 @@ impl KaffeOs {
 
     /// Earliest timed-park wake-up across live processes, if any.
     fn next_timed_wake(&self) -> Option<u64> {
-        self.procs
+        self.live
             .iter()
-            .filter(|p| !matches!(p.state, ProcState::Dead(_)))
-            .flat_map(|p| p.parked.values())
+            .flat_map(|&idx| self.procs[idx].parked.values())
             .filter_map(|r| match r {
                 ParkReason::Until(t, _) => Some(*t),
                 _ => None,

@@ -28,8 +28,8 @@ impl KaffeOs {
         let d = self.procs[idx].domain;
         let mut roots = Vec::new();
         let mut slots = 0u64;
-        for p in &self.procs {
-            if p.domain != d || matches!(p.state, ProcState::Dead(_)) {
+        for p in self.live.iter().map(|&idx| &self.procs[idx]) {
+            if p.domain != d {
                 continue;
             }
             for t in &p.threads {

@@ -408,3 +408,47 @@ fn regenerate_trace_fixtures() {
         println!("wrote {}", path.display());
     }
 }
+
+/// `PutStatic` pops its value before the class's statics object exists;
+/// the statics object's first allocation must keep that value a root, or a
+/// collection on its retry frees the new `Box` and the store writes a
+/// stale reference. A one-shot OOM at every allocation index of the run
+/// (the statics object's included) must leave the guest's answer intact.
+#[test]
+fn put_static_keeps_its_popped_reference_across_a_collection() {
+    const SRC: &str = "class Box { int v; } class Holder { static Box b; } \
+        class Main { static int main() { Holder.b = new Box(); Holder.b.v = 7; return Holder.b.v; } }";
+    let boot = || {
+        let mut os = KaffeOs::new(KaffeOsConfig::default());
+        os.register_image("statics", SRC).unwrap();
+        os
+    };
+    let (baseline, total) = {
+        let mut os = boot();
+        let baseline = os.space().alloc_count();
+        let pid = os.spawn("statics", "", None).unwrap();
+        os.run_until_exit(None);
+        assert_eq!(os.status(pid), Some(ExitStatus::Exited(7)));
+        (baseline, os.space().alloc_count())
+    };
+    assert!(total > baseline + 1, "the guest must allocate its statics");
+    for at in baseline..total {
+        let mut os = boot();
+        let mut plan = FaultPlan::quiet(at);
+        plan.alloc_fault = Some(AllocFault {
+            at,
+            persistent: false,
+        });
+        os.install_faults(plan);
+        let pid = os.spawn("statics", "", None).unwrap();
+        os.run_until_exit(None);
+        assert_eq!(
+            os.status(pid),
+            Some(ExitStatus::Exited(7)),
+            "one-shot OOM at allocation {at}"
+        );
+        if let Err(v) = os.audit() {
+            panic!("one-shot OOM at allocation {at}: audit failed: {v}");
+        }
+    }
+}

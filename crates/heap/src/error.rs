@@ -35,6 +35,12 @@ pub enum HeapError {
     /// A slot access with the wrong payload kind (e.g. field store into an
     /// array) — unreachable for verified code.
     KindMismatch(ObjRef),
+    /// An array of more elements than an object can count (`u32::MAX`),
+    /// refused before admission.
+    ArrayTooLong {
+        /// The requested element count.
+        len: usize,
+    },
     /// Store into a frozen shared heap during population, or freezing a
     /// non-shared heap, etc.
     BadHeapState(HeapId),
@@ -57,6 +63,7 @@ impl fmt::Display for HeapError {
                 write!(f, "index {index} out of bounds (len {len}) on {obj:?}")
             }
             HeapError::KindMismatch(r) => write!(f, "payload kind mismatch on {r:?}"),
+            HeapError::ArrayTooLong { len } => write!(f, "array of {len} elements is too long"),
             HeapError::BadHeapState(h) => write!(f, "bad heap state for {h:?}"),
             HeapError::Internal(msg) => write!(f, "internal heap invariant broken: {msg}"),
         }

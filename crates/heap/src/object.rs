@@ -16,9 +16,10 @@ pub enum ObjData {
         /// Element values, each `Null` or a `Ref`.
         values: Box<[Value]>,
     },
-    /// Unboxed `int[]` (accounted 4 bytes per element): the host holds 8
-    /// bytes per element, and a fresh array's zeroed memory comes straight
-    /// from the allocator. It can hold no reference, so nothing traces it.
+    /// Unboxed `int[]` (accounted 4 bytes per element) that a non-zero
+    /// store has written: the host holds 8 bytes per element. A zero-filled
+    /// array starts as [`ObjData::Zeros`] and gets this buffer at its first
+    /// non-zero store. It can hold no reference, so nothing traces it.
     Ints {
         /// Accounted size per element.
         elem_bytes: u8,
@@ -43,6 +44,21 @@ pub enum ObjData {
         /// exactly when the string is ASCII.
         chars: u32,
     },
+    /// A zero-filled `int[]` or `float[]` that no non-zero store has
+    /// written: its element count and no buffer, so the host holds nothing
+    /// for its elements. Every element loads as `Int(0)` or `Float(0.0)`.
+    /// The first store of a non-zero value of the right kind (`-0.0`
+    /// included) turns it into [`ObjData::Ints`] or [`ObjData::Floats`].
+    /// Declared last, so the older shapes keep their discriminants in the
+    /// accessors the executor inlines.
+    Zeros {
+        /// Accounted size per element.
+        elem_bytes: u8,
+        /// `float[]` if set, `int[]` otherwise.
+        float: bool,
+        /// Element count.
+        len: u32,
+    },
 }
 
 impl ObjData {
@@ -53,6 +69,7 @@ impl ObjData {
             ObjData::Refs { values, .. } => values.len(),
             ObjData::Ints { values, .. } => values.len(),
             ObjData::Floats { values, .. } => values.len(),
+            ObjData::Zeros { len, .. } => *len as usize,
             ObjData::Str { .. } => 0,
         }
     }
@@ -60,6 +77,43 @@ impl ObjData {
     /// True if there are no value slots.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Stores `val` at `index` of a still-zero array, which the caller has
+    /// bounds-checked. A zero of the array's kind (`+0.0` for a `float[]`)
+    /// leaves it without a buffer; any other value of its kind builds the
+    /// zeroed buffer and then stores. `None` (and the array unchanged) for
+    /// a value of the wrong kind, or for any payload but
+    /// [`ObjData::Zeros`]. Kept out of line: `store_prim` is inlined into
+    /// the executor, and only stores into still-zero arrays and
+    /// wrong-kind stores reach this.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn store_into_zeros(&mut self, index: usize, val: Value) -> Option<()> {
+        let ObjData::Zeros {
+            elem_bytes,
+            float,
+            len,
+        } = *self
+        else {
+            return None;
+        };
+        match (float, val) {
+            (false, Value::Int(0)) => {}
+            (true, Value::Float(f)) if f.to_bits() == 0 => {}
+            (false, Value::Int(i)) => {
+                let mut values = vec![0i64; len as usize].into_boxed_slice();
+                values[index] = i;
+                *self = ObjData::Ints { elem_bytes, values };
+            }
+            (true, Value::Float(f)) => {
+                let mut values = vec![0f64; len as usize].into_boxed_slice();
+                values[index] = f;
+                *self = ObjData::Floats { elem_bytes, values };
+            }
+            _ => return None,
+        }
+        Some(())
     }
 }
 
@@ -123,7 +177,10 @@ impl Object {
     pub fn references(&self) -> impl Iterator<Item = crate::refs::ObjRef> + '_ {
         let slots: &[Value] = match &self.data {
             ObjData::Fields(f) | ObjData::Refs { values: f, .. } => f,
-            ObjData::Ints { .. } | ObjData::Floats { .. } | ObjData::Str { .. } => &[],
+            ObjData::Ints { .. }
+            | ObjData::Floats { .. }
+            | ObjData::Zeros { .. }
+            | ObjData::Str { .. } => &[],
         };
         slots.iter().filter_map(|v| v.as_ref())
     }

@@ -47,10 +47,10 @@ pub(crate) struct PageMeta {
 /// object returns its `Box<[Value]>` to the exact-length class; the next
 /// allocation of that shape pops the buffer and refills it instead of going
 /// to the host allocator. Unboxed `int[]`/`float[]` buffers are not pooled:
-/// they go back to the allocator, whose zeroed memory is cheaper than a
-/// refill and leaves the pages of a large array that is never written
-/// untouched. Purely a host optimisation: accounted bytes are computed
-/// before the payload is built, and are identical either way.
+/// a zero-filled one starts with no buffer at all ([`ObjData::Zeros`]), and
+/// a written one's buffer goes back to the allocator. Purely a host
+/// optimisation: accounted bytes are computed before the payload is built,
+/// and are identical either way.
 #[derive(Debug, Default)]
 pub(crate) struct PayloadPool {
     /// `classes[len]` holds recycled buffers of exactly `len` slots.
@@ -106,7 +106,10 @@ impl PayloadPool {
     pub(crate) fn recycle(&mut self, data: ObjData) {
         match data {
             ObjData::Fields(f) | ObjData::Refs { values: f, .. } => self.put(f),
-            ObjData::Ints { .. } | ObjData::Floats { .. } | ObjData::Str { .. } => {}
+            ObjData::Ints { .. }
+            | ObjData::Floats { .. }
+            | ObjData::Zeros { .. }
+            | ObjData::Str { .. } => {}
         }
     }
 
@@ -519,11 +522,13 @@ impl HeapSpace {
     }
 
     /// Allocates an array of `len` elements of accounted size `elem_bytes`,
-    /// filled with `fill`, whose kind picks the payload shape: an `Int`
-    /// fill makes an unboxed [`ObjData::Ints`], a `Float` fill an unboxed
-    /// [`ObjData::Floats`], and a reference fill an [`ObjData::Refs`]. A
-    /// zero fill takes zeroed memory from the allocator. As in
-    /// [`HeapSpace::alloc_fields`], the payload is built after admission.
+    /// filled with `fill`, whose kind picks the payload shape: an `Int(0)`
+    /// or `+0.0` fill makes a bufferless [`ObjData::Zeros`], any other
+    /// `Int` fill an unboxed [`ObjData::Ints`], any other `Float` fill an
+    /// unboxed [`ObjData::Floats`], and a reference fill an
+    /// [`ObjData::Refs`]. A `len` past `u32::MAX` is refused with
+    /// `ArrayTooLong` before admission. As in [`HeapSpace::alloc_fields`],
+    /// the payload is built after admission.
     pub fn alloc_array(
         &mut self,
         heap: HeapId,
@@ -532,9 +537,20 @@ impl HeapSpace {
         len: usize,
         fill: Value,
     ) -> Result<ObjRef, HeapError> {
+        let count = u32::try_from(len).map_err(|_| HeapError::ArrayTooLong { len })?;
         let bytes = saturate(self.size_model.array_bytes(elem_bytes, len));
         self.admit(heap, bytes)?;
         let data = match fill {
+            Value::Int(0) => ObjData::Zeros {
+                elem_bytes,
+                float: false,
+                len: count,
+            },
+            Value::Float(f) if f.to_bits() == 0 => ObjData::Zeros {
+                elem_bytes,
+                float: true,
+                len: count,
+            },
             Value::Int(i) => ObjData::Ints {
                 elem_bytes,
                 values: vec![i; len].into_boxed_slice(),
@@ -814,6 +830,11 @@ impl HeapSpace {
             }
             ObjData::Ints { values, .. } => values.get(index).map(|&i| Value::Int(i)),
             ObjData::Floats { values, .. } => values.get(index).map(|&f| Value::Float(f)),
+            &ObjData::Zeros { float, len, .. } => (index < len as usize).then_some(if float {
+                Value::Float(0.0)
+            } else {
+                Value::Int(0)
+            }),
             ObjData::Str { .. } => return Err(HeapError::KindMismatch(obj)),
         };
         v.ok_or_else(|| HeapError::IndexOutOfBounds {
@@ -828,10 +849,12 @@ impl HeapSpace {
     /// shared objects stay mutable after freezing (§2), and primitive
     /// stores can never create cross-heap references. An `int[]` takes
     /// only `Int`s and a `float[]` only `Float`s; any other value is a
-    /// `KindMismatch` that leaves the element as it was. Always inlined:
-    /// it sits on the executor's field and array store paths, and its
-    /// checks of five payload shapes otherwise keep it out of the dispatch
-    /// loop.
+    /// `KindMismatch` that leaves the element as it was. A still-zero
+    /// array is handled in the fallback arm, out of line
+    /// ([`ObjData::store_into_zeros`]): a zero store leaves it without a
+    /// buffer, a non-zero one builds the buffer first. Always inlined: it
+    /// sits on the executor's field and array store paths, and its checks
+    /// of the payload shapes otherwise keep it out of the dispatch loop.
     #[inline(always)]
     pub fn store_prim(&mut self, obj: ObjRef, index: usize, val: Value) -> Result<(), HeapError> {
         debug_assert!(
@@ -850,7 +873,11 @@ impl HeapSpace {
             (ObjData::Fields(slots) | ObjData::Refs { values: slots, .. }, _) => slots[index] = val,
             (ObjData::Ints { values, .. }, Value::Int(i)) => values[index] = i,
             (ObjData::Floats { values, .. }, Value::Float(f)) => values[index] = f,
-            _ => return Err(HeapError::KindMismatch(obj)),
+            (data, val) => {
+                return data
+                    .store_into_zeros(index, val)
+                    .ok_or(HeapError::KindMismatch(obj))
+            }
         }
         Ok(())
     }
@@ -912,9 +939,10 @@ impl HeapSpace {
         let o = self.get_mut(obj)?;
         let slots: &mut [Value] = match &mut o.data {
             ObjData::Fields(f) | ObjData::Refs { values: f, .. } => f,
-            ObjData::Ints { .. } | ObjData::Floats { .. } | ObjData::Str { .. } => {
-                return Err(HeapError::KindMismatch(obj))
-            }
+            ObjData::Ints { .. }
+            | ObjData::Floats { .. }
+            | ObjData::Zeros { .. }
+            | ObjData::Str { .. } => return Err(HeapError::KindMismatch(obj)),
         };
         let len = slots.len();
         *slots

@@ -851,7 +851,8 @@ mod payloads {
 
     #[test]
     fn object_and_payload_sizes_are_pinned() {
-        // A boxed slice plus the char count or `elem_bytes` in padding.
+        // A boxed slice plus the char count or `elem_bytes` in padding; a
+        // still-zero array's count fits there too.
         assert_eq!(core::mem::size_of::<ObjData>(), 24);
         assert_eq!(core::mem::size_of::<Object>(), 48);
     }
@@ -1070,6 +1071,185 @@ mod payloads {
         assert_eq!(read(&s, pooled), init);
     }
 
+    /// True if `arr` is a still-zero array: a count and no element buffer.
+    fn still_zero(s: &HeapSpace, arr: crate::ObjRef) -> bool {
+        matches!(s.get(arr).unwrap().data, ObjData::Zeros { .. })
+    }
+
+    #[test]
+    fn an_unwritten_element_loads_as_a_typed_zero() {
+        let mut s = space();
+        let (h, _) = user_heap(&mut s, 1, 1 << 20);
+        let ints = s.alloc_array(h, CLS, 4, 5, Value::Int(0)).unwrap();
+        let floats = s.alloc_array(h, CLS, 8, 5, Value::Float(0.0)).unwrap();
+        for i in 0..5 {
+            assert_eq!(s.load(ints, i), Ok(Value::Int(0)));
+            assert_eq!(s.load(floats, i), Ok(Value::Float(0.0)));
+        }
+        let Ok(Value::Float(f)) = s.load(floats, 4) else {
+            panic!("a float[] element is a Float");
+        };
+        assert_eq!(f.to_bits(), 0, "a fresh float[] element is +0.0");
+        for arr in [ints, floats] {
+            assert!(still_zero(&s, arr));
+            assert_eq!(s.slot_count(arr), Ok(5));
+            assert_eq!(
+                s.load(arr, 5),
+                Err(HeapError::IndexOutOfBounds { obj: arr, index: 5, len: 5 })
+            );
+        }
+        // A non-zero fill builds its buffer at once.
+        let sevens = s.alloc_array(h, CLS, 4, 2, Value::Int(7)).unwrap();
+        assert!(matches!(s.get(sevens).unwrap().data, ObjData::Ints { .. }));
+    }
+
+    #[test]
+    fn a_zero_store_keeps_no_buffer_and_a_minus_zero_store_builds_one() {
+        let mut s = space();
+        let (h, _) = user_heap(&mut s, 1, 1 << 20);
+        let ints = s.alloc_array(h, CLS, 4, 3, Value::Int(0)).unwrap();
+        let floats = s.alloc_array(h, CLS, 8, 3, Value::Float(0.0)).unwrap();
+        s.store_prim(ints, 2, Value::Int(0)).unwrap();
+        s.store_prim(floats, 2, Value::Float(0.0)).unwrap();
+        assert!(still_zero(&s, ints) && still_zero(&s, floats));
+
+        s.store_prim(floats, 1, Value::Float(-0.0)).unwrap();
+        let ObjData::Floats { elem_bytes, values } = &s.get(floats).unwrap().data else {
+            panic!("a -0.0 store must build the float[] buffer");
+        };
+        let bits: Vec<u64> = values.iter().map(|f| f.to_bits()).collect();
+        assert_eq!((*elem_bytes, bits), (8, vec![0, (-0.0f64).to_bits(), 0]));
+
+        s.store_prim(ints, 0, Value::Int(-4)).unwrap();
+        let ObjData::Ints { elem_bytes, values } = &s.get(ints).unwrap().data else {
+            panic!("a non-zero store must build the int[] buffer");
+        };
+        assert_eq!((*elem_bytes, &values[..]), (4, &[-4, 0, 0][..]));
+        // Accounted bytes come from the length either way.
+        let bytes = |arr| s.get(arr).unwrap().bytes as u64;
+        assert_eq!(bytes(ints), s.size_model().array_bytes(4, 3));
+        assert_eq!(bytes(floats), s.size_model().array_bytes(8, 3));
+    }
+
+    #[test]
+    fn a_still_zero_array_refuses_stores_as_a_written_one_does() {
+        let mut s = space();
+        let (h, _) = user_heap(&mut s, 1, 1 << 20);
+        for (elem_bytes, zero, one, wrong) in [
+            (4, Value::Int(0), Value::Int(1), [Value::Float(2.0), Value::Null]),
+            (8, Value::Float(0.0), Value::Float(1.0), [Value::Int(2), Value::Null]),
+        ] {
+            let fresh = s.alloc_array(h, CLS, elem_bytes, 2, zero).unwrap();
+            let written = s.alloc_array(h, CLS, elem_bytes, 2, zero).unwrap();
+            s.store_prim(written, 0, one).unwrap();
+            let rename = |e: HeapError, to| match e {
+                HeapError::IndexOutOfBounds { index, len, .. } => {
+                    HeapError::IndexOutOfBounds { obj: to, index, len }
+                }
+                HeapError::KindMismatch(_) => HeapError::KindMismatch(to),
+                other => other,
+            };
+            let attempts = [(2, one), (2, zero), (usize::MAX, one), (0, wrong[0]), (1, wrong[1])];
+            for (index, val) in attempts {
+                let on_written = s.store_prim(written, index, val).unwrap_err();
+                let on_fresh = s.store_prim(fresh, index, val).unwrap_err();
+                assert_eq!(on_fresh, rename(on_written, fresh), "[{index}] = {val:?}");
+                assert!(still_zero(&s, fresh), "[{index}] = {val:?} left a buffer");
+            }
+            // Bounds before kinds, on both.
+            assert!(matches!(
+                s.store_prim(fresh, 2, wrong[0]),
+                Err(HeapError::IndexOutOfBounds { index: 2, len: 2, .. })
+            ));
+            assert_eq!(
+                s.store_ref(fresh, 0, Value::Null, false),
+                Err(HeapError::KindMismatch(fresh))
+            );
+            assert!(still_zero(&s, fresh));
+            assert_eq!(s.load(fresh, 1), Ok(zero));
+            assert_eq!(s.load(written, 0), Ok(one));
+        }
+    }
+
+    #[test]
+    fn a_thousand_unwritten_int_arrays_hold_no_element_buffer() {
+        let mut s = space();
+        let (h, ml) = user_heap(&mut s, 1, 32 << 20);
+        let arrays: Vec<_> = (0..1000)
+            .map(|_| s.alloc_array(h, CLS, 4, 4096, Value::Int(0)).unwrap())
+            .collect();
+        for &arr in &arrays {
+            let obj = s.get(arr).unwrap();
+            assert!(
+                matches!(obj.data, ObjData::Zeros { elem_bytes: 4, float: false, len: 4096 }),
+                "{:?}",
+                obj.data
+            );
+            assert_eq!(obj.references().count(), 0);
+        }
+        assert_eq!(s.limits().current(ml), 1000 * (8 + 4 + 4 * 4096));
+    }
+
+    #[test]
+    fn gc_and_merge_free_the_same_accounted_bytes_written_or_not() {
+        // (elem_bytes, len, fill, a store or none): still-zero, written and
+        // non-zero-filled arrays side by side.
+        let shapes = [
+            (4, 4096, Value::Int(0), None),
+            (4, 4096, Value::Int(0), Some(Value::Int(9))),
+            (8, 16, Value::Float(0.0), None),
+            (8, 16, Value::Float(0.0), Some(Value::Float(-0.0))),
+            (4, 3, Value::Int(7), None),
+        ];
+        let populate = |s: &mut HeapSpace, h| {
+            for (elem_bytes, len, fill, store) in shapes {
+                let arr = s.alloc_array(h, CLS, elem_bytes, len, fill).unwrap();
+                if let Some(v) = store {
+                    s.store_prim(arr, len - 1, v).unwrap();
+                }
+            }
+        };
+        let mut s = space();
+        let total: u64 = shapes
+            .iter()
+            .map(|&(eb, len, ..)| s.size_model().array_bytes(eb, len))
+            .sum();
+        assert_eq!(total, 16396 + 16396 + 140 + 140 + 24);
+
+        let (h, ml) = user_heap(&mut s, 1, 1 << 20);
+        populate(&mut s, h);
+        let report = s.gc(h, &[]).unwrap();
+        assert_eq!((report.objects_freed, report.bytes_freed), (5, total));
+        assert_eq!(s.limits().current(ml), 0);
+
+        let (h, ml) = user_heap(&mut s, 2, 1 << 20);
+        populate(&mut s, h);
+        let merged = s.merge_into_kernel(h).unwrap();
+        assert_eq!((merged.objects_moved, merged.bytes_moved), (5, total));
+        assert_eq!(s.limits().current(ml), 0);
+        let kernel = s.kernel_heap();
+        let report = s.gc(kernel, &[]).unwrap();
+        assert_eq!((report.objects_freed, report.bytes_freed), (5, total));
+    }
+
+    #[test]
+    fn an_array_longer_than_u32_max_is_refused_before_admission() {
+        let mut s = space();
+        let (h, ml) = user_heap(&mut s, 1, 1 << 20);
+        let kernel = s.kernel_heap();
+        let attempts = s.alloc_count();
+        let len = u32::MAX as usize + 1;
+        for (heap, fill) in [(h, Value::Int(0)), (kernel, Value::Float(0.0)), (h, Value::Null)] {
+            assert_eq!(
+                s.alloc_array(heap, CLS, 4, len, fill),
+                Err(HeapError::ArrayTooLong { len })
+            );
+        }
+        assert_eq!(s.alloc_count(), attempts, "no admission was attempted");
+        assert_eq!(s.limits().current(ml), 0);
+        assert_eq!(s.snapshot(kernel).unwrap().objects, 0);
+    }
+
     #[test]
     fn an_array_past_four_gib_is_refused_not_wrapped() {
         let mut s = space();
@@ -1078,5 +1258,129 @@ mod payloads {
         let err = s.alloc_array(h, CLS, 8, 1 << 29, Value::Float(0.0));
         assert!(matches!(err, Err(HeapError::OutOfMemory(_))));
         assert_eq!(s.limits().current(ml), 0);
+    }
+}
+
+mod dump {
+    use super::*;
+    use crate::ProcTag;
+
+    /// Top-level keys of one hand-rolled JSON record, in order: strings at
+    /// object depth 1 that are followed by `:`. Nested objects and arrays
+    /// (entry/exit tables) are skipped.
+    fn top_keys(line: &str) -> Vec<String> {
+        let mut keys = Vec::new();
+        let mut depth = 0u32;
+        let mut chars = line.chars().peekable();
+        while let Some(c) = chars.next() {
+            match c {
+                '{' | '[' => depth += 1,
+                '}' | ']' => depth -= 1,
+                '"' => {
+                    let mut s = String::new();
+                    while let Some(c) = chars.next() {
+                        match c {
+                            '\\' => {
+                                chars.next();
+                            }
+                            '"' => break,
+                            c => s.push(c),
+                        }
+                    }
+                    if depth == 1 && chars.peek() == Some(&':') {
+                        keys.push(s);
+                    }
+                }
+                _ => {}
+            }
+        }
+        keys
+    }
+
+    #[test]
+    fn dump_record_key_sets_are_pinned() {
+        let mut space = HeapSpace::new(SpaceConfig::default());
+        let kernel = space.kernel_heap();
+        let root = space.root_memlimit();
+        let ml = space
+            .limits_mut()
+            .create_child(root, Kind::Soft, 1 << 20, "p1")
+            .unwrap();
+        let user = space.create_user_heap(ProcTag(1), ml, "p1");
+        let k = space.alloc_fields(kernel, ClassId(1), 1).unwrap();
+        let u = space.alloc_fields(user, ClassId(2), 1).unwrap();
+        // A trusted kernel→user store: an entry item, an exit item and an
+        // `xedge` record.
+        space.store_ref(k, 0, Value::Ref(u), true).unwrap();
+        let expected: &[(&str, &[&str])] = &[
+            ("space", &["type", "heaps", "pages", "pool_pages", "slots", "barrier"]),
+            (
+                "heap",
+                &[
+                    "type", "heap", "label", "kind", "owner", "bytes_used", "objects", "frozen",
+                    "gc_count", "pages", "entries", "exits",
+                ],
+            ),
+            ("page", &["type", "page", "heap", "live"]),
+            (
+                "object",
+                &[
+                    "type", "slot", "gen", "heap", "class", "bytes", "frozen", "shape", "len",
+                    "refs",
+                ],
+            ),
+            ("xedge", &["type", "src", "dst", "src_heap", "dst_heap", "class"]),
+            ("edges", &["type", "local", "may_cross", "shared_frozen"]),
+            ("recount", &["type", "heap", "live_bytes", "live_objects"]),
+        ];
+        let dump = space.dump_jsonl();
+        let mut seen = vec![false; expected.len()];
+        for line in dump.lines() {
+            let keys = top_keys(line);
+            let ty = line
+                .strip_prefix("{\"type\":\"")
+                .and_then(|rest| rest.split('"').next())
+                .unwrap();
+            let i = expected
+                .iter()
+                .position(|(name, _)| *name == ty)
+                .unwrap_or_else(|| panic!("unexpected record type {ty}: {line}"));
+            assert_eq!(keys, expected[i].1, "key set of a `{ty}` record: {line}");
+            seen[i] = true;
+        }
+        for (i, (name, _)) in expected.iter().enumerate() {
+            assert!(seen[i], "no `{name}` record in the dump:\n{dump}");
+        }
+    }
+
+    #[test]
+    fn dump_is_deterministic_and_reconciles() {
+        let build = || {
+            let mut space = HeapSpace::new(SpaceConfig::default());
+            let kernel = space.kernel_heap();
+            let a = space.alloc_fields(kernel, ClassId(1), 2).unwrap();
+            let b = space
+                .alloc_str(kernel, ClassId(2), "hi \"quoted\"")
+                .unwrap();
+            space.store_ref(a, 0, Value::Ref(b), true).unwrap();
+            space
+        };
+        let d1 = build().dump_jsonl();
+        let d2 = build().dump_jsonl();
+        assert_eq!(d1, d2, "dump must be byte-identical across runs");
+        assert!(d1.starts_with("{\"type\":\"space\""));
+        assert!(d1.contains("\"type\":\"edges\""));
+        // Every line parses as a standalone JSON object (shape check: the
+        // hand-rolled writer balances braces/quotes on each line).
+        for line in d1.lines() {
+            assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
+        }
+        // Recount equals the header accounting for the kernel heap.
+        let space = build();
+        let rc = space.recount_heaps();
+        let snap = space.snapshot(space.kernel_heap()).unwrap();
+        let k = rc.iter().find(|r| r.heap == 0).unwrap();
+        assert_eq!(k.live_objects, snap.objects);
+        assert_eq!(k.live_bytes, snap.bytes_used);
     }
 }

@@ -3,17 +3,20 @@
 //!
 //! A seeded op-fuzzer drives the real [`HeapSpace`] and a deliberately
 //! simple reference model through the same operation sequence — allocation
-//! (with armed fault injection), reference/primitive stores across the
+//! of instances, strings and zero-filled `int[]`/`float[]` arrays (with
+//! armed fault injection), reference/primitive stores across the
 //! Figure-2 legality matrix, full collections, page release, and
 //! merge-into-kernel. The model knows nothing about pages, bump pointers or
 //! free lists: it is a flat map of live objects plus naive entry/exit
 //! arithmetic and a mirrored memlimit. Any behavioural difference the paged
 //! allocator introduces — a slot recycled too early, a failed allocation
-//! mutating state, an entry item leaking across a merge — shows up as a
+//! mutating state, an entry item leaking across a merge, a still-zero
+//! array answering a load or store unlike a written one — shows up as a
 //! divergence.
 //!
 //! Asserted per operation: identical error values (compared structurally
-//! via `Debug`, including `LimitExceeded` payloads), and a clean space
+//! via `Debug`, including `LimitExceeded` payloads), identical loads of the
+//! stored slot before and after each primitive store, and a clean space
 //! audit after every collection, page release and merge. Asserted at each
 //! case's end, after full collections of every live heap: identical live
 //! sets (every model object resolves, field by field), `bytes_used`, object
@@ -29,7 +32,7 @@
 use std::collections::HashMap;
 
 use kaffeos_heap::{
-    AllocFault, BarrierKind, ClassId, HeapError, HeapId, HeapSpace, ObjRef, ProcTag,
+    AllocFault, BarrierKind, ClassId, HeapError, HeapId, HeapSpace, ObjData, ObjRef, ProcTag,
     SegViolationKind, SpaceConfig, Value,
 };
 use kaffeos_memlimit::{Kind, LimitExceeded, MemLimitId};
@@ -72,12 +75,38 @@ impl Rng {
 enum MVal {
     Null,
     Int(i64),
+    /// A float by its bits, so `-0.0` and `+0.0` differ.
+    Float(u64),
     Ref(ObjRef),
+}
+
+impl MVal {
+    fn of(v: Value) -> MVal {
+        match v {
+            Value::Null => MVal::Null,
+            Value::Int(i) => MVal::Int(i),
+            Value::Float(f) => MVal::Float(f.to_bits()),
+            Value::Ref(r) => MVal::Ref(r),
+        }
+    }
+
+    /// True for a zero of the array kind `float` picks (`+0.0` only).
+    fn is_zero_of(&self, float: bool) -> bool {
+        matches!((float, self), (false, MVal::Int(0)) | (true, MVal::Float(0)))
+    }
 }
 
 #[derive(Debug, Clone)]
 enum MPayload {
     Fields(Vec<MVal>),
+    /// A zero-filled `int[]` or `float[]`. `written` is set by the first
+    /// store that is not a zero of its kind: from then on the real array
+    /// must hold an element buffer, and before it must not.
+    Prims {
+        float: bool,
+        values: Vec<MVal>,
+        written: bool,
+    },
     Str,
 }
 
@@ -462,31 +491,43 @@ impl Fixture {
             .space
             .get(r)
             .unwrap_or_else(|e| panic!("seed {seed:#x}: model-live {r:?} unreadable: {e:?}"));
-        match &model_obj.payload {
-            MPayload::Str => {}
-            MPayload::Fields(fields) => {
-                let n = self.space.slot_count(r).expect("live object");
-                assert_eq!(n, fields.len(), "seed {seed:#x}: {r:?} arity");
-                for (i, mv) in fields.iter().enumerate() {
-                    let rv = self.space.load(r, i).expect("in-bounds load");
-                    let matches = matches!(
-                        (&rv, mv),
-                        (Value::Null, MVal::Null)
-                            | (Value::Int(_), MVal::Int(_))
-                            | (Value::Ref(_), MVal::Ref(_))
-                    ) && match (&rv, mv) {
-                        (Value::Int(a), MVal::Int(b)) => a == b,
-                        (Value::Ref(a), MVal::Ref(b)) => a == b,
-                        _ => true,
-                    };
-                    assert!(
-                        matches,
-                        "seed {seed:#x}: {r:?}[{i}] real {rv:?} model {mv:?}"
-                    );
-                }
+        let fields = match &model_obj.payload {
+            MPayload::Str => return,
+            MPayload::Fields(fields) => fields,
+            MPayload::Prims {
+                values, written, ..
+            } => {
+                let bufferless = matches!(real.data, ObjData::Zeros { .. });
+                assert_eq!(
+                    bufferless, !written,
+                    "seed {seed:#x}: {r:?} buffer state {:?}",
+                    real.data
+                );
+                values
             }
+        };
+        let n = self.space.slot_count(r).expect("live object");
+        assert_eq!(n, fields.len(), "seed {seed:#x}: {r:?} arity");
+        for (i, mv) in fields.iter().enumerate() {
+            let rv = MVal::of(self.space.load(r, i).expect("in-bounds load"));
+            assert_eq!(&rv, mv, "seed {seed:#x}: {r:?}[{i}]");
         }
-        let _ = real;
+    }
+
+    /// Loads slot `index` of `src` from both sides (in bounds or not).
+    fn assert_same_load(&self, seed: u64, src: ObjRef, index: usize) {
+        let real = self.space.load(src, index).map(MVal::of);
+        let model = match &self.model.objects[&src].payload {
+            MPayload::Str => Err(HeapError::KindMismatch(src)),
+            MPayload::Fields(values) | MPayload::Prims { values, .. } => {
+                values.get(index).cloned().ok_or(HeapError::IndexOutOfBounds {
+                    obj: src,
+                    index,
+                    len: values.len(),
+                })
+            }
+        };
+        assert_eq!(real, model, "seed {seed:#x}: load {src:?}[{index}]");
     }
 
     fn audit_clean(&self, seed: u64) {
@@ -607,7 +648,39 @@ fn run_case(seed: u64, arm_faults: bool) -> CaseStats {
                 let heap = f.heaps[h];
                 let ml_id = f.ml_id(h);
                 stats.hits[0] += 1;
-                if rng.below(10) == 0 {
+                let shape = rng.below(10);
+                if shape == 1 {
+                    let float = rng.below(2) == 0;
+                    let (elem_bytes, zero) = if float {
+                        (8, Value::Float(0.0))
+                    } else {
+                        (4, Value::Int(0))
+                    };
+                    let len = rng.below(6);
+                    let bytes = HEADER + 4 + elem_bytes as u64 * len as u64;
+                    let before = f.space.snapshot(heap).expect("live heap");
+                    let real = f.space.alloc_array(heap, CLS, elem_bytes, len, zero);
+                    let model = f.model.alloc(h, bytes, ml_id, f.root_ml);
+                    Fixture::assert_same_err(seed, "alloc_array", &real, &model);
+                    if let Ok(obj) = real {
+                        f.model.objects.insert(
+                            obj,
+                            MObj {
+                                heap: h,
+                                payload: MPayload::Prims {
+                                    float,
+                                    values: vec![MVal::of(zero); len],
+                                    written: false,
+                                },
+                                bytes,
+                            },
+                        );
+                        f.roots[h].push(obj);
+                    } else {
+                        let after = f.space.snapshot(heap).expect("live heap");
+                        assert_eq!(after, before, "seed {seed:#x}: failed alloc mutated state");
+                    }
+                } else if shape == 0 {
                     let bytes = HEADER + 4 + 2 * 3; // "abc"
                     let real = f.space.alloc_str(heap, CLS, "abc");
                     let model = f.model.alloc(h, bytes, ml_id, f.root_ml);
@@ -687,11 +760,22 @@ fn run_case(seed: u64, arm_faults: bool) -> CaseStats {
                 }
                 let src = f.roots[sh][rng.below(f.roots[sh].len())];
                 let index = rng.below(6);
-                let v = rng.next() as i64;
+                let bits = rng.next();
+                // Either kind, zeros (both signs) included, so still-zero
+                // arrays see zero, non-zero and wrong-kind stores.
+                let v = match rng.below(6) {
+                    0 | 1 => Value::Int(bits as i64),
+                    2 => Value::Int(0),
+                    3 => Value::Float(f64::from_bits(bits)),
+                    4 => Value::Float(0.0),
+                    _ => Value::Float(-0.0),
+                };
                 stats.hits[3] += 1;
-                let real = f.space.store_prim(src, index, Value::Int(v));
-                let model = f.model_store_prim(src, index, v);
+                f.assert_same_load(seed, src, index);
+                let real = f.space.store_prim(src, index, v);
+                let model = f.model_store_prim(src, index, MVal::of(v));
                 Fixture::assert_same_err(seed, "store_prim", &real, &model);
+                f.assert_same_load(seed, src, index);
             }
             // Drop a root.
             15 => {
@@ -836,16 +920,30 @@ impl Fixture {
         Ok(())
     }
 
-    fn model_store_prim(&mut self, src: ObjRef, index: usize, v: i64) -> Result<(), HeapError> {
+    /// Mirrors `store_prim`: a string is a kind mismatch, then bounds, then
+    /// (for a primitive array) the value's kind.
+    fn model_store_prim(&mut self, src: ObjRef, index: usize, v: MVal) -> Result<(), HeapError> {
         let obj = self.model.objects.get_mut(&src).expect("rooted object");
-        let MPayload::Fields(fields) = &mut obj.payload else {
-            return Err(HeapError::KindMismatch(src));
+        let (values, prims) = match &mut obj.payload {
+            MPayload::Str => return Err(HeapError::KindMismatch(src)),
+            MPayload::Fields(values) => (values, None),
+            MPayload::Prims {
+                float,
+                values,
+                written,
+            } => (values, Some((*float, written))),
         };
-        let len = fields.len();
-        let slot = fields
-            .get_mut(index)
-            .ok_or(HeapError::IndexOutOfBounds { obj: src, index, len })?;
-        *slot = MVal::Int(v);
+        let len = values.len();
+        if index >= len {
+            return Err(HeapError::IndexOutOfBounds { obj: src, index, len });
+        }
+        if let Some((float, written)) = prims {
+            if !matches!((float, &v), (false, MVal::Int(_)) | (true, MVal::Float(_))) {
+                return Err(HeapError::KindMismatch(src));
+            }
+            *written |= !v.is_zero_of(float);
+        }
+        values[index] = v;
         Ok(())
     }
 }

@@ -502,7 +502,7 @@ pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepF
             else {
                 fault!("GetStatic on bad pool entry {idx}");
             };
-            let statics = match statics_object(thread, ctx, cidx) {
+            let statics = match statics_object(thread, ctx, cidx, &[]) {
                 Ok(obj) => obj,
                 Err(ex) => throw!(ex),
             };
@@ -523,7 +523,10 @@ pub(crate) fn rt_op(thread: &mut Thread, ctx: &mut ExecCtx<'_>, op: Op) -> StepF
             };
             let is_ref = ty.is_reference();
             let v = pop!(thread, stack_base);
-            let statics = match statics_object(thread, ctx, cidx) {
+            // The popped value is off the stack: pin it across the statics
+            // object's first allocation, whose retry may collect.
+            let pinned = v.as_ref();
+            let statics = match statics_object(thread, ctx, cidx, pinned.as_slice()) {
                 Ok(obj) => obj,
                 Err(ex) => throw!(ex),
             };
@@ -978,6 +981,11 @@ pub(crate) fn heap_exception(e: HeapError) -> VmException {
             VmException::Builtin(BuiltinEx::SegViolation, kind.message().to_string())
         }
         HeapError::OutOfMemory(le) => VmException::Builtin(BuiltinEx::OutOfMemory, le.to_string()),
+        // No heap could hold it, so it is an out-of-memory like Java's
+        // "requested array size exceeds VM limit"; no collection is tried.
+        e @ HeapError::ArrayTooLong { .. } => {
+            VmException::Builtin(BuiltinEx::OutOfMemory, e.to_string())
+        }
         // Frozen-heap allocation and friends surface as illegal state.
         other => VmException::Builtin(BuiltinEx::IllegalState, other.to_string()),
     }
@@ -997,7 +1005,8 @@ pub(crate) fn value_instance_of(ctx: &ExecCtx<'_>, v: Value, target: ClassIdx) -
                 }
                 kaffeos_heap::ObjData::Refs { .. }
                 | kaffeos_heap::ObjData::Ints { .. }
-                | kaffeos_heap::ObjData::Floats { .. } => false,
+                | kaffeos_heap::ObjData::Floats { .. }
+                | kaffeos_heap::ObjData::Zeros { .. } => false,
             },
             Err(_) => false,
         },
@@ -1030,7 +1039,8 @@ pub(crate) fn render(ctx: &ExecCtx<'_>, values: &[Value]) -> String {
                     kaffeos_heap::ObjData::Str { text, .. } => out.write_str(text),
                     data @ (kaffeos_heap::ObjData::Refs { .. }
                     | kaffeos_heap::ObjData::Ints { .. }
-                    | kaffeos_heap::ObjData::Floats { .. }) => {
+                    | kaffeos_heap::ObjData::Floats { .. }
+                    | kaffeos_heap::ObjData::Zeros { .. }) => {
                         write!(out, "array[{}]", data.len())
                     }
                     kaffeos_heap::ObjData::Fields(_) => {
@@ -1077,11 +1087,13 @@ fn alloc_guest_string(
 }
 
 /// Returns (allocating lazily) the statics object for `class` in the
-/// current process.
+/// current process. `pinned` are references the caller holds off the
+/// stack; they stay roots if the allocation's retry collects.
 pub(crate) fn statics_object(
     thread: &mut Thread,
     ctx: &mut ExecCtx<'_>,
     class: ClassIdx,
+    pinned: &[ObjRef],
 ) -> Result<ObjRef, VmException> {
     if let Some(&obj) = ctx.statics.get(&class) {
         return Ok(obj);
@@ -1089,7 +1101,7 @@ pub(crate) fn statics_object(
     let table = ctx.table;
     let template = &table.class(class).link.template.statics;
     thread.cycles += table.engine().scaled(COSTS.alloc);
-    let obj = with_gc_retry(thread, ctx, &[], |ctx| {
+    let obj = with_gc_retry(thread, ctx, pinned, |ctx| {
         ctx.space
             .alloc_fields_from(ctx.heap, class.heap_class(), template)
     })
