@@ -100,6 +100,15 @@ impl KaffeOs {
         self.kernel_cpu.gc += report.cycles;
         self.clock += report.cycles;
         self.last_kernel_gc = self.clock;
+        // Give the pages the collection emptied back to the pool, so the
+        // next process reuses them instead of growing the slot table. Host
+        // plane only: the sweep keeps charging them as retired pages.
+        if let Err(e) = self.space.release_empty_pages(kernel) {
+            self.kernel_fault(
+                kaffeos_trace::KernelFaultKind::KernelGc,
+                format!("kernel_gc: kernel page release failed: {e:?}"),
+            );
+        }
         report
     }
 

@@ -199,11 +199,17 @@ impl HeapSpace {
         let pages = core::mem::take(&mut self.heap_core_mut(heap).pages);
         scratch.slots.clear();
         let freed_slots = &mut scratch.slots;
+        // The *virtual* sweep walks every slot of every page the heap owns
+        // or has retired; charge that arithmetically so the host can skip
+        // wholly-empty pages, and give them back to the pool, without
+        // moving a single modelled cycle. Counting retired pages is exact
+        // for the kernel heap, the only heap the kernel releases: nothing
+        // allocates on it (its pages come only from `merge_into_kernel`,
+        // and `kernel_heap()` has no caller outside the kernel GC), so
+        // without the release it would own exactly `pages + retired`.
+        let swept_pages = pages.len() as u64 + self.heap_core(heap).retired_pages;
+        cycles += swept_pages * PAGE_SLOTS as u64 * costs::GC_SWEEP_PER_SLOT;
         for &page in &pages {
-            // The *virtual* sweep walks every slot of every owned page;
-            // charge that arithmetically so the host can skip wholly-empty
-            // pages without moving a single modelled cycle.
-            cycles += PAGE_SLOTS as u64 * costs::GC_SWEEP_PER_SLOT;
             if self.page_table[page as usize].live == 0 {
                 continue;
             }

@@ -56,6 +56,10 @@ pub(crate) struct HeapCore {
     pub memlimit: Option<MemLimitId>,
     /// Pages (of `PAGE_SLOTS` object slots) owned by this heap.
     pub pages: Vec<u32>,
+    /// Pages [`crate::HeapSpace::release_empty_pages`] has given back to
+    /// the free-page pool. The modelled sweep still charges them (see
+    /// `gc.rs`, phase 3), so a release never moves a virtual cycle.
+    pub retired_pages: u64,
     /// *Recycled* free slot indices within owned pages (slots freed by a
     /// sweep). Never-yet-used slots of the current page are handed out by
     /// the bump cursor instead and are not listed here.

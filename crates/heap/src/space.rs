@@ -207,6 +207,7 @@ impl HeapSpace {
             label: "kernel".to_string(),
             memlimit: None,
             pages: Vec::new(),
+            retired_pages: 0,
             free_slots: Vec::new(),
             bump: 0,
             bump_end: 0,
@@ -354,6 +355,7 @@ impl HeapSpace {
             label,
             memlimit,
             pages: Vec::new(),
+            retired_pages: 0,
             free_slots: Vec::new(),
             bump: 0,
             bump_end: 0,
@@ -737,38 +739,48 @@ impl HeapSpace {
     /// never-used tail is still being handed out). Returns the number of
     /// pages released.
     ///
-    /// Host-plane only: no modelled cycles, no trace events, and the
-    /// modelled kernel never calls it — page recycling is invisible to the
-    /// virtual plane. Recycled slot indices of a released page are purged
-    /// from the heap's free list, so the released page must not be handed
-    /// back out to this heap's old indices.
+    /// The kernel calls it on the kernel heap after every kernel
+    /// collection, so the pages a merged process leaves behind feed the
+    /// next process instead of growing the slot table. It is invisible to
+    /// the virtual plane: it charges no cycles and records no trace event,
+    /// and the released pages are added to the heap's `retired_pages`,
+    /// which the modelled sweep keeps charging. Recycled slot indices of
+    /// a released page are purged from the heap's free list, so the
+    /// released page must not be handed back out to this heap's old
+    /// indices. Linear in the heap's pages plus its free slots.
     pub fn release_empty_pages(&mut self, heap: HeapId) -> Result<usize, HeapError> {
         self.check_heap(heap)?;
-        let bump_page = self.heap_core(heap).bump_page();
-        let pages = std::mem::take(&mut self.heap_core_mut(heap).pages);
-        let mut kept = Vec::with_capacity(pages.len());
-        let mut released = Vec::new();
-        for page in pages {
-            let releasable = self.page_table[page as usize].live == 0 && Some(page) != bump_page;
-            if releasable {
-                self.page_table[page as usize].owner = None;
-                self.free_pages.push(page);
-                self.obs.heap.with(|h| {
-                    h.record_page_event(kaffeos_trace::PageEvent::Release, page, heap.index)
-                });
-                released.push(page);
-            } else {
-                kept.push(page);
+        let core = &mut self.heaps[heap.index as usize];
+        let bump_page = core.bump_page();
+        let (page_table, free_pages, obs) = (&mut self.page_table, &mut self.free_pages, &self.obs);
+        let before = core.pages.len();
+        core.pages.retain(|&page| {
+            let meta = &mut page_table[page as usize];
+            if meta.live != 0 || Some(page) == bump_page {
+                return true;
             }
-        }
-        let core = self.heap_core_mut(heap);
-        core.pages = kept;
-        if !released.is_empty() {
-            // Drop recycled slots that lived on released pages.
+            meta.owner = None;
+            free_pages.push(page);
+            obs.heap
+                .with(|h| h.record_page_event(kaffeos_trace::PageEvent::Release, page, heap.index));
+            false
+        });
+        let released = before - core.pages.len();
+        if released > 0 {
+            // Drop recycled slots that lived on released pages: every free
+            // slot is on a page the heap owned, so a now-unowned page is a
+            // released one.
             core.free_slots
-                .retain(|&s| !released.contains(&(s >> PAGE_SHIFT)));
+                .retain(|&s| page_table[(s >> PAGE_SHIFT) as usize].owner.is_some());
+            core.retired_pages += released as u64;
         }
-        Ok(released.len())
+        Ok(released)
+    }
+
+    /// Pages in the space's page table, owned or pooled: the slot table
+    /// holds `PAGE_SLOTS` slots for each.
+    pub fn page_count(&self) -> usize {
+        self.page_table.len()
     }
 
     // ----- object access --------------------------------------------------
@@ -1103,6 +1115,13 @@ impl HeapSpace {
     pub fn entry_item_count(&self, heap: HeapId) -> Result<usize, HeapError> {
         self.check_heap(heap)?;
         Ok(self.heap_core(heap).entries.len())
+    }
+
+    /// Number of recycled free slots `heap` holds (its bump page's
+    /// never-used tail is not counted).
+    pub fn free_slot_count(&self, heap: HeapId) -> Result<usize, HeapError> {
+        self.check_heap(heap)?;
+        Ok(self.heap_core(heap).free_slots.len())
     }
 
     /// Number of exit items held by `heap`.

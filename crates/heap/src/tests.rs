@@ -841,6 +841,62 @@ mod gc_scratch {
     }
 }
 
+/// Page release is host-only: the kernel gives merged pages back to the
+/// free-page pool after each collection, and the sweep keeps charging them
+/// as retired pages.
+mod page_release {
+    use super::*;
+    use crate::{GcReport, ObjRef};
+
+    /// Four process lives on one space. Each allocates three pages of
+    /// objects, keeps some alive through its own collection, and is merged
+    /// into the kernel, whose collection then frees everything. With
+    /// `release`, each heap gives its empty pages back just before it is
+    /// collected; the kernel's go to the pool, and from the third life on
+    /// the user heap claims them back. Returns every collection's report
+    /// and the final page-table size.
+    fn lives(release: bool) -> (Vec<GcReport>, usize) {
+        let mut s = space();
+        let k = s.kernel_heap();
+        let mut reports = Vec::new();
+        let mut collect = |s: &mut HeapSpace, h, roots: &[ObjRef]| {
+            if release {
+                s.release_empty_pages(h).unwrap();
+            }
+            reports.push(s.gc(h, roots).unwrap());
+            s.audit().unwrap();
+        };
+        for tag in 1..=4 {
+            let (h, ml) = user_heap(&mut s, tag, 1 << 20);
+            let objs: Vec<ObjRef> = (0..3 * 256 - 40)
+                .map(|_| s.alloc_fields(h, CLS, 1).unwrap())
+                .collect();
+            let roots: Vec<ObjRef> = objs.iter().step_by(50).copied().collect();
+            collect(&mut s, h, &roots);
+            s.merge_into_kernel(h).unwrap();
+            s.limits_mut().remove(ml).unwrap();
+            collect(&mut s, k, &[]);
+        }
+        collect(&mut s, k, &[]);
+        (reports, s.page_count())
+    }
+
+    #[test]
+    fn a_page_release_is_invisible_to_virtual_time() {
+        let (released, released_pages) = lives(true);
+        let (kept, kept_pages) = lives(false);
+        assert_eq!(released, kept, "a release moved a collection's report");
+        assert_eq!(
+            kept_pages, 12,
+            "without release every life opens fresh pages"
+        );
+        assert!(
+            released_pages < kept_pages,
+            "pooled pages were not claimed back: {released_pages} pages"
+        );
+    }
+}
+
 /// Payload shapes: strings carry their char count, and primitive arrays
 /// are unboxed: never traced, refused by `store_ref`, and typed for
 /// `store_prim`.
